@@ -1,22 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the executor layer: the window
 // function and the MERGE statement — the two "new SQL features" whose cost
 // profile §5.2 (Fig 6(d)) depends on — plus the E-operator's index join,
-// the row-at-a-time vs batched (EvalBatch) filter+project comparison that
-// motivates defaulting everything to the batch path, the selection-vector
-// vs force-compact filter regimes across selectivities, and the vectorized
-// open-addressing hash aggregate against the classic std::map probe.
+// the E-operator-shaped filter+project pipeline, the selection-vector
+// filter stack across selectivities, and the vectorized hash aggregate.
 //
 // Two run modes: without RELGRAPH_JSON this is a normal google-benchmark
 // binary. With RELGRAPH_JSON=path it instead runs a small deterministic
-// series (selectivity sweep + agg comparison, min-of-5 wall clocks and
-// exact row counters) and emits bench_common JSON records — the form CI
-// pins in the ci_smoke rolling diff window.
+// series (selectivity sweep + aggregation, min-of-5 wall clocks and exact
+// row counters) and emits bench_common JSON records — the form CI pins in
+// the ci_smoke rolling diff window.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <functional>
 #include <limits>
-#include <map>
 
 #include "bench/bench_common.h"
 #include "src/catalog/table.h"
@@ -115,13 +112,9 @@ std::vector<Tuple> MakeJoinedRows(int64_t n) {
   return rows;
 }
 
-/// The classic Volcano-overhead pipeline, shaped like the E-operator's
-/// expansion statement (Listing 4(2)): the Theorem-1 prune predicate
-/// `dist + cost + lb < minCost AND flag-ish conjunct`, then the projection
-/// to (nid, dist + cost, pid, aid). Both variants below build the identical
-/// plan over the identical rows; only the pull style differs, so the gap is
-/// pure per-row interpretation overhead (virtual dispatch, per-row column
-/// name resolution, per-row Value boxing).
+/// A pipeline shaped like the E-operator's expansion statement (Listing
+/// 4(2)): the Theorem-1 prune predicate `dist + cost + lb < minCost AND
+/// flag-ish conjunct`, then the projection to (nid, dist + cost, pid, aid).
 ExecRef MakeFilterProjectPlan(const std::vector<Tuple>& rows) {
   ExecRef scan = std::make_unique<MaterializedExecutor>(rows, JoinedSchema());
   ExecRef filter = std::make_unique<FilterExecutor>(
@@ -140,13 +133,25 @@ ExecRef MakeFilterProjectPlan(const std::vector<Tuple>& rows) {
               {"aid", TypeId::kInt}}));
 }
 
-/// Both drains *consume* the pipeline (fold one output column into a sum)
-/// rather than retain the tuples — exactly what the engine's hot consumers
-/// do: the MERGE probe loop reads each source row once, and the aggregate
-/// executors fold batches into accumulators. Retaining consumers pay one
-/// inherent allocation per kept row in either pull style, which only
-/// dilutes the execution-path difference being measured.
-void BM_FilterProjectRowAtATime(benchmark::State& state) {
+/// Runs one prepared-plan execution, folding output column 1 into a sum
+/// the way the engine's hot consumers do (the MERGE probe loop reads each
+/// source row once, the aggregates fold batches into accumulators) rather
+/// than retaining the tuples; returns rows produced.
+int64_t DrainFold(Executor* plan) {
+  int64_t produced = 0;
+  int64_t acc = 0;
+  BatchSpan span;
+  while (plan->NextBatchSel(&span)) {
+    produced += static_cast<int64_t>(span.count());
+    for (size_t i = 0; i < span.count(); i++) {
+      acc += span.row(i).value(1).AsInt();
+    }
+  }
+  benchmark::DoNotOptimize(acc);
+  return produced;
+}
+
+void BM_FilterProjectBatched(benchmark::State& state) {
   auto rows = MakeJoinedRows(state.range(0) * 4);
   // The plan is built once and re-Init()ed per iteration — the prepared-
   // statement pattern — so the timing covers execution, not the one-off
@@ -154,58 +159,23 @@ void BM_FilterProjectRowAtATime(benchmark::State& state) {
   ExecRef plan = MakeFilterProjectPlan(rows);
   for (auto _ : state) {
     if (!plan->Init().ok()) state.SkipWithError("init failed");
-    int64_t acc = 0;
-    Tuple t;
-    while (plan->Next(&t)) acc += t.value(1).AsInt();
-    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(DrainFold(plan.get()));
   }
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
-BENCHMARK(BM_FilterProjectRowAtATime)->Arg(1000)->Arg(10000);
-
-void BM_FilterProjectBatched(benchmark::State& state) {
-  auto rows = MakeJoinedRows(state.range(0) * 4);
-  // Second argument sweeps the batch size (0 keeps the default), so the
-  // kExecBatchSize default in src/common/config.h can be revalidated here.
-  SetExecBatchSize(static_cast<size_t>(state.range(1)));
-  ExecRef plan = MakeFilterProjectPlan(rows);
-  for (auto _ : state) {
-    if (!plan->Init().ok()) state.SkipWithError("init failed");
-    int64_t acc = 0;
-    std::vector<Tuple> batch;
-    while (plan->NextBatch(&batch)) {
-      for (const Tuple& t : batch) acc += t.value(1).AsInt();
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * rows.size());
-  SetExecBatchSize(0);  // restore the default for later benchmarks
-}
-BENCHMARK(BM_FilterProjectBatched)
-    ->Args({1000, 0})
-    ->Args({10000, 0})
-    ->Args({10000, 16})
-    ->Args({10000, 64})
-    ->Args({10000, 256})
-    ->Args({10000, 1024})
-    ->Args({10000, 4096});
+BENCHMARK(BM_FilterProjectBatched)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Selection-vector regimes. k = i % 100 makes `k < s` an exact s%
-// selectivity predicate; the second Args slot picks the filter regime:
-// 0 = default (selection vectors above kSelVectorMinRows), 1 = force the
-// legacy compact-every-batch path. The gap between the two at a given
-// selectivity is what the selection-vector representation buys.
+// Selection-vector filter stack. k = i % 100 makes `k < s` an exact s%
+// selectivity predicate.
 //
 // The input rows are base-table-wide (a POI row: id columns plus name and
 // address attributes) while the projection keeps two ints — the standard
 // scan -> filter -> narrow-project shape. The plan stacks two filters the
 // way conjunct pushdown does (the selective key predicate, then a fixed
-// ~50% attribute predicate). That shape is what the compact regime pays
-// for: each filter deep-copies every surviving wide row (strings included)
-// just for the rows to be thrown away after projection, while selection
-// vectors compose through the stack and only the two projected columns are
-// ever touched.
+// ~50% attribute predicate). Selection vectors compose through the stack,
+// so only the two projected columns of the surviving wide rows are ever
+// touched.
 // ---------------------------------------------------------------------------
 
 Schema SelSchema() {
@@ -246,51 +216,25 @@ ExecRef MakeSelPlan(const std::vector<Tuple>& rows, int64_t s) {
       Schema({{"p0", TypeId::kInt}, {"p1", TypeId::kInt}}));
 }
 
-/// Runs one prepared-plan execution, folding the output like the engine's
-/// hot consumers do; returns rows produced.
-int64_t DrainSelPlan(Executor* plan) {
-  int64_t produced = 0;
-  int64_t acc = 0;
-  std::vector<Tuple> batch;
-  while (plan->NextBatch(&batch)) {
-    produced += static_cast<int64_t>(batch.size());
-    for (const Tuple& t : batch) acc += t.value(1).AsInt();
-  }
-  benchmark::DoNotOptimize(acc);
-  return produced;
-}
-
 void BM_FilterProjectSelectivity(benchmark::State& state) {
   auto rows = MakeSelRows(40000);
-  const int64_t selectivity = state.range(0);
-  SetSelVectorMinRows(state.range(1) == 0
-                          ? 0
-                          : std::numeric_limits<size_t>::max());
-  ExecRef plan = MakeSelPlan(rows, selectivity);
+  ExecRef plan = MakeSelPlan(rows, state.range(0));
   for (auto _ : state) {
     if (!plan->Init().ok()) state.SkipWithError("init failed");
-    benchmark::DoNotOptimize(DrainSelPlan(plan.get()));
+    benchmark::DoNotOptimize(DrainFold(plan.get()));
   }
-  SetSelVectorMinRows(0);
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
 BENCHMARK(BM_FilterProjectSelectivity)
-    ->ArgNames({"sel_pct", "compact"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({10, 0})
-    ->Args({10, 1})
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
+    ->ArgNames({"sel_pct"})
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(100);
 
 // ---------------------------------------------------------------------------
-// Hash aggregation: the vectorized open-addressing build vs the classic
-// row-at-a-time std::map probe it replaced. The map baseline reproduces
-// the old executor's build loop exactly (per-row key vector, ordered map
-// probe, scalar argument evaluation), so the gap is the probe + batch
-// evaluation strategy, nothing else.
+// Hash aggregation: the vectorized open-addressing build across group
+// counts (its std::map oracle lives in test_exec_batch).
 // ---------------------------------------------------------------------------
 
 Schema AggSchema() {
@@ -312,75 +256,12 @@ std::vector<AggSpec> MakeAggSpecs() {
           {AggOp::kCount, nullptr, "cnt"}};
 }
 
-/// The pre-vectorization build: one ordered-map probe and one scalar
-/// expression evaluation per row.
-int64_t MapAggBaseline(const std::vector<Tuple>& rows) {
-  const Schema schema = AggSchema();
-  const std::vector<AggSpec> aggs = MakeAggSpecs();
-  auto cmp = [](const std::vector<Value>& a, const std::vector<Value>& b) {
-    for (size_t i = 0; i < a.size(); i++) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
-  std::map<std::vector<Value>, std::vector<AggState>, decltype(cmp)> groups(
-      cmp);
-  MaterializedExecutor child(rows, schema);
-  if (!child.Init().ok()) return -1;
-  std::vector<Tuple> batch;
-  while (child.NextBatch(&batch)) {
-    for (const Tuple& t : batch) {
-      std::vector<Value> key = {t.value(0)};
-      auto [it, inserted] =
-          groups.try_emplace(std::move(key), std::vector<AggState>(aggs.size()));
-      for (size_t k = 0; k < aggs.size(); k++) {
-        AggState& s = it->second[k];
-        if (aggs[k].expr == nullptr) {
-          s.count++;
-          continue;
-        }
-        Value v = aggs[k].expr->Evaluate(t, schema);
-        if (v.IsNull()) continue;
-        switch (aggs[k].op) {
-          case AggOp::kSum:
-            s.acc = s.acc.IsNull() ? v : s.acc.Add(v);
-            break;
-          case AggOp::kMin:
-            if (s.acc.IsNull() || v.Compare(s.acc) < 0) s.acc = v;
-            break;
-          case AggOp::kMax:
-            if (s.acc.IsNull() || v.Compare(s.acc) > 0) s.acc = v;
-            break;
-          case AggOp::kCount:
-            s.count++;
-            break;
-        }
-      }
-    }
-  }
-  int64_t acc = 0;
-  for (const auto& [key, states] : groups) {
-    acc += states[2].count + states[0].acc.AsInt();
-  }
-  benchmark::DoNotOptimize(acc);
-  return static_cast<int64_t>(groups.size());
-}
-
 int64_t VectorizedAgg(const std::vector<Tuple>& rows) {
   HashAggregateExecutor agg(
       std::make_unique<MaterializedExecutor>(rows, AggSchema()), {"g"},
       MakeAggSpecs());
   if (!agg.Init().ok()) return -1;
-  int64_t produced = 0;
-  int64_t acc = 0;
-  std::vector<Tuple> batch;
-  while (agg.NextBatch(&batch)) {
-    produced += static_cast<int64_t>(batch.size());
-    for (const Tuple& t : batch) acc += t.value(3).AsInt() + t.value(1).AsInt();
-  }
-  benchmark::DoNotOptimize(acc);
-  return produced;
+  return DrainFold(&agg);
 }
 
 void BM_HashAggVectorized(benchmark::State& state) {
@@ -396,24 +277,12 @@ BENCHMARK(BM_HashAggVectorized)
     ->Args({100000, 4096})
     ->Args({100000, 65536});
 
-void BM_HashAggMapBaseline(benchmark::State& state) {
-  auto rows = MakeAggRows(state.range(0), state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MapAggBaseline(rows));
-  }
-  state.SetItemsProcessed(state.iterations() * rows.size());
-}
-BENCHMARK(BM_HashAggMapBaseline)
-    ->ArgNames({"rows", "groups"})
-    ->Args({100000, 64})
-    ->Args({100000, 4096})
-    ->Args({100000, 65536});
-
 // ---------------------------------------------------------------------------
-// Deterministic JSON series for CI (RELGRAPH_JSON mode): the same two
-// comparisons at fixed sizes, min-of-5 wall clocks, with output-row counts
-// in the exact-gated `visited` field — any selection-vector or hash-table
-// behaviour drift shows up as a counter diff, not just a timing blip.
+// Deterministic JSON series for CI (RELGRAPH_JSON mode): the selectivity
+// sweep and the aggregation at fixed sizes, min-of-5 wall clocks, with
+// output-row counts in the exact-gated `visited` field — any
+// selection-vector or hash-table behaviour drift shows up as a counter
+// diff, not just a timing blip.
 // ---------------------------------------------------------------------------
 
 double TimeSeconds(const std::function<void()>& fn) {
@@ -426,10 +295,10 @@ double TimeSeconds(const std::function<void()>& fn) {
 void RunJsonSeries() {
   bench::Banner(
       "micro_exec",
-      "executor micro series: selection-vector filter+project regimes and "
-      "vectorized vs map hash aggregation",
-      "selvec should widen its lead as selectivity drops; the vectorized "
-      "aggregate should beat the map probe at every group count");
+      "executor micro series: selection-vector filter+project across "
+      "selectivities and vectorized hash aggregation",
+      "filter+project time should fall with selectivity; aggregation time "
+      "should grow only mildly with the group count");
   constexpr int kReps = 5;
 
   const int64_t n = 40000;
@@ -437,32 +306,21 @@ void RunJsonSeries() {
   bench::JsonContext("groups", 0);
   for (int64_t s : {int64_t{1}, int64_t{10}, int64_t{50}, int64_t{100}}) {
     bench::JsonContext("selectivity", static_cast<double>(s));
-    const struct {
-      const char* label;
-      size_t knob;
-    } regimes[] = {
-        {"filter_project:selvec", 0},
-        {"filter_project:compact", std::numeric_limits<size_t>::max()},
-    };
-    for (const auto& regime : regimes) {
-      SetSelVectorMinRows(regime.knob);
-      ExecRef plan = MakeSelPlan(rows, s);
-      double best = std::numeric_limits<double>::max();
-      int64_t produced = 0;
-      for (int r = 0; r < kReps; r++) {
-        best = std::min(best, TimeSeconds([&] {
-                          bench::Check(plan->Init(), "sel plan init");
-                          produced = DrainSelPlan(plan.get());
-                        }));
-      }
-      SetSelVectorMinRows(0);
-      bench::AvgResult avg;
-      avg.time_s = best;
-      avg.expansions = static_cast<double>(n);
-      avg.visited = static_cast<double>(produced);
-      avg.total = 1;
-      bench::JsonRecord(regime.label, avg);
+    ExecRef plan = MakeSelPlan(rows, s);
+    double best = std::numeric_limits<double>::max();
+    int64_t produced = 0;
+    for (int r = 0; r < kReps; r++) {
+      best = std::min(best, TimeSeconds([&] {
+                        bench::Check(plan->Init(), "sel plan init");
+                        produced = DrainFold(plan.get());
+                      }));
     }
+    bench::AvgResult avg;
+    avg.time_s = best;
+    avg.expansions = static_cast<double>(n);
+    avg.visited = static_cast<double>(produced);
+    avg.total = 1;
+    bench::JsonRecord("filter_project:selvec", avg);
   }
 
   bench::JsonContext("selectivity", 0);
@@ -470,27 +328,18 @@ void RunJsonSeries() {
   for (int64_t groups : {int64_t{64}, int64_t{65536}}) {
     bench::JsonContext("groups", static_cast<double>(groups));
     auto agg_rows = MakeAggRows(agg_n, groups);
-    const struct {
-      const char* label;
-      int64_t (*run)(const std::vector<Tuple>&);
-    } variants[] = {
-        {"hash_agg:vectorized", &VectorizedAgg},
-        {"hash_agg:map", &MapAggBaseline},
-    };
-    for (const auto& variant : variants) {
-      double best = std::numeric_limits<double>::max();
-      int64_t out_groups = 0;
-      for (int r = 0; r < kReps; r++) {
-        best = std::min(
-            best, TimeSeconds([&] { out_groups = variant.run(agg_rows); }));
-      }
-      bench::AvgResult avg;
-      avg.time_s = best;
-      avg.expansions = static_cast<double>(agg_n);
-      avg.visited = static_cast<double>(out_groups);
-      avg.total = 1;
-      bench::JsonRecord(variant.label, avg);
+    double best = std::numeric_limits<double>::max();
+    int64_t out_groups = 0;
+    for (int r = 0; r < kReps; r++) {
+      best = std::min(
+          best, TimeSeconds([&] { out_groups = VectorizedAgg(agg_rows); }));
     }
+    bench::AvgResult avg;
+    avg.time_s = best;
+    avg.expansions = static_cast<double>(agg_n);
+    avg.visited = static_cast<double>(out_groups);
+    avg.total = 1;
+    bench::JsonRecord("hash_agg:vectorized", avg);
   }
 }
 

@@ -13,6 +13,8 @@ RELGRAPH_SCALE=0.2) and gates the per-record *minimum* wall-clock against
 the `ci_smoke` record list, which was captured the same way (min of three
 runs). Min-of-N is the noise treatment: scheduler interference only ever
 adds time, so the minimum is the stable estimator a single run is not.
+Each merged record comes whole from its fastest run, so its parts never
+exceed its total.
 
 Records are matched on (experiment, label, context); a run record more
 than `tolerance` (default 25%) slower than its baseline fails the job, as
@@ -78,7 +80,9 @@ def fmt_key(key):
 
 
 def merge_runs(run_files, metric, failures):
-    """Per-record min of `metric` across runs; exact metrics must agree."""
+    """Per-record merge across runs: each record is taken whole from the run
+    with the lowest `metric`, so its parts (pe_s, f_s, ...) come from the
+    same run as its total. Exact metrics must agree across every run."""
     merged = {}
     for path in run_files:
         with open(path) as f:
@@ -86,18 +90,19 @@ def merge_runs(run_files, metric, failures):
         for rec in run:
             key = record_key(rec)
             metrics = rec.get("metrics", {})
-            if key not in merged:
+            best = merged.get(key)
+            if best is None:
                 merged[key] = dict(metrics)
                 continue
-            best = merged[key]
             for m in EXACT_METRICS:
                 if m in best and m in metrics and best[m] != metrics[m]:
                     failures.append(
                         f"{fmt_key(key)}: {m} differs between runs "
                         f"({best[m]:g} vs {metrics[m]:g}) — deterministic "
                         f"counters must not vary")
-            if metric in metrics and metric in best:
-                best[metric] = min(best[metric], metrics[metric])
+            if metric in metrics and (metric not in best
+                                      or metrics[metric] < best[metric]):
+                merged[key] = dict(metrics)
     return merged
 
 

@@ -25,21 +25,17 @@ struct Rid {
   bool IsValid() const { return page_id != kInvalidPageId; }
 };
 
-/// Default rows moved per Executor::NextBatch() call and evaluated per
-/// Expression::EvalBatch() column loop. Large enough to amortize per-batch
-/// virtual dispatch and name resolution, small enough to stay
-/// cache-resident. The effective size is runtime-tunable for benchmarks via
-/// SetExecBatchSize() (src/exec/executor.h); everything else uses this.
+/// Most lanes one Executor::NextBatchSel() pull carries, and so the rows
+/// one Expression::EvalBatch() column loop evaluates. Large enough to
+/// amortize per-batch virtual dispatch and name resolution, small enough
+/// to stay cache-resident.
 constexpr size_t kExecBatchSize = 1024;
 
 /// Minimum surviving rows for a filter to forward a selection vector over
 /// its child's batch instead of compacting the survivors into a dense copy.
 /// Below this, a compact copy is cheaper than making every downstream
 /// operator gather through the indirection; above it, skipping the copy
-/// wins. Runtime-tunable via SetSelVectorMinRows() (src/exec/executor.h)
-/// so bench_micro_exec can sweep it; SIZE_MAX forces the always-compact
-/// legacy path (the baseline the selection-vector series is diffed
-/// against).
+/// wins.
 constexpr size_t kSelVectorMinRows = 8;
 
 /// Node identifier in a graph (matches the paper's `nid`/`fid`/`tid`).

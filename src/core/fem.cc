@@ -95,7 +95,8 @@ Status FemEngine::MinCost(weight_t* out) {
 }
 
 Status FemEngine::MeetingNode(weight_t min_cost, node_id_t* out) {
-  ScopedTimer timer(&stats_.aux_us);
+  // Untimed here: this is the first statement of path recovery, and the
+  // caller's recovery timer already covers it.
   db_->RecordStatement("SELECT nid FROM " + visited_->table()->name() +
                        " WHERE d2s+d2t=" + std::to_string(min_cost));
   FilterExecutor plan(std::make_unique<SeqScanExecutor>(visited_->table()),
@@ -199,16 +200,17 @@ Status FemEngine::BuildExpansionTsql(const DirCols& dir,
   ExecRef again = BuildJoinProject(dir, rel, opposite_l, min_cost);
   RELGRAPH_RETURN_IF_ERROR(again->Init());
   std::map<int64_t, Tuple> best;
-  std::vector<Tuple> batch;
-  while (again->NextBatch(&batch)) {
-    for (Tuple& t : batch) {
+  BatchSpan span;
+  while (again->NextBatchSel(&span)) {
+    for (size_t i = 0; i < span.count(); i++) {
+      const Tuple& t = span.row(i);
       int64_t nid = t.value(0).AsInt();
       weight_t cost = t.value(1).AsInt();
       auto it = min_by_node.find(nid);
       if (it == min_by_node.end() || cost != it->second) continue;
-      auto [pos, inserted] = best.try_emplace(nid, t);
-      if (!inserted && t.value(2).AsInt() < pos->second.value(2).AsInt()) {
-        pos->second = std::move(t);
+      auto [pos, inserted] = best.try_emplace(nid);
+      if (inserted || t.value(2).AsInt() < pos->second.value(2).AsInt()) {
+        span.Take(i, &pos->second);
       }
     }
   }

@@ -169,7 +169,7 @@ void HashAggregateExecutor::Rehash(size_t new_cap) {
   }
 }
 
-Status HashAggregateExecutor::Init() {
+Status HashAggregateExecutor::Open() {
   results_.clear();
   pos_ = 0;
   RELGRAPH_RETURN_IF_ERROR(child_->Init());
@@ -254,7 +254,9 @@ Status HashAggregateExecutor::Init() {
         }
         b = (b + 1) & mask;
       }
-      AggState* gs = &states_[static_cast<size_t>(g) * num_aggs];
+      // data() + offset, not &states_[...]: with no aggregates (DISTINCT)
+      // states_ is empty and indexing it is undefined.
+      AggState* gs = states_.data() + static_cast<size_t>(g) * num_aggs;
       for (size_t k = 0; k < num_aggs; k++) {
         if (aggs_[k].expr == nullptr) {
           gs[k].count++;  // COUNT(*)
@@ -308,23 +310,8 @@ Status HashAggregateExecutor::Init() {
   return Status::OK();
 }
 
-bool HashAggregateExecutor::Next(Tuple* out) {
-  if (pos_ >= results_.size()) return false;
-  *out = results_[pos_++];
-  return true;
-}
-
-bool HashAggregateExecutor::NextBatch(std::vector<Tuple>* out) {
-  return ReplayBatch(results_, &pos_, out);
-}
-
-bool HashAggregateExecutor::NextBatchView(const Tuple** rows, size_t* n) {
-  const size_t cap = ExecBatchSize();
-  const size_t left = results_.size() - pos_;
-  *n = left < cap ? left : cap;
-  *rows = results_.data() + pos_;
-  pos_ += *n;
-  return *n > 0;
+bool HashAggregateExecutor::NextBatchSel(BatchSpan* out) {
+  return ReplayWindow(results_, &pos_, out);
 }
 
 const Schema& HashAggregateExecutor::OutputSchema() const {

@@ -40,12 +40,9 @@ class HashAggregateExecutor : public Executor {
  public:
   HashAggregateExecutor(ExecRef child, std::vector<std::string> group_cols,
                         std::vector<AggSpec> aggs);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
   /// Serves windows of the materialized result directly (Materialized-style
   /// zero-copy replay).
-  bool NextBatchView(const Tuple** rows, size_t* n) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -55,6 +52,10 @@ class HashAggregateExecutor : public Executor {
     out->append("\n");
     child_->Explain(depth + 1, out);
   }
+
+ protected:
+  /// Runs the whole build; pulls then replay the result.
+  Status Open() override;
 
  private:
   /// Doubles the bucket array and reinserts every group from its stored

@@ -9,10 +9,10 @@ namespace relgraph {
 Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted) {
   *inserted = 0;
   RELGRAPH_RETURN_IF_ERROR(source->Init());
-  std::vector<Tuple> batch;
-  while (source->NextBatch(&batch)) {
-    for (const Tuple& t : batch) {
-      RELGRAPH_RETURN_IF_ERROR(table->Insert(t));
+  BatchSpan span;
+  while (source->NextBatchSel(&span)) {
+    for (size_t i = 0; i < span.count(); i++) {
+      RELGRAPH_RETURN_IF_ERROR(table->Insert(span.row(i)));
       (*inserted)++;
     }
   }
@@ -20,25 +20,6 @@ Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted) {
 }
 
 namespace {
-
-/// Pulls up to ExecBatchSize() (row, ref) pairs from `it`. `exhausted`
-/// latches once the iterator reports false so a failed iterator is never
-/// resumed (same contract as the scan executors).
-bool DrainScanBatch(Table::Iterator* it, bool* exhausted,
-                    std::vector<Tuple>* rows, std::vector<RowRef>* refs) {
-  refs->clear();
-  bool got = DrainBatchInto(rows, [&](Tuple* t) {
-    if (*exhausted) return false;
-    RowRef ref;
-    if (!it->Next(t, &ref)) {
-      *exhausted = true;
-      return false;
-    }
-    refs->push_back(ref);
-    return true;
-  });
-  return got;
-}
 
 /// Shared tail of the UPDATE plans: evaluate SET clauses over the matched
 /// rows, then apply (the collect-then-apply split keeps the scan stable
@@ -66,7 +47,7 @@ Status ApplyUpdates(Table* table, Table::Iterator it, ExprRef predicate,
   std::vector<uint32_t> sel;
   std::vector<ValueColumn> set_cols(resolved.size());
   bool exhausted = false;
-  while (DrainScanBatch(&it, &exhausted, &rows, &refs)) {
+  while (ReadIteratorBatch(&it, &exhausted, kExecBatchSize, &rows, &refs)) {
     // Matched rows stay where the scan put them; a selection vector over
     // the scan batch replaces the old compact-into-`matched` copy.
     const uint32_t* selp = nullptr;
@@ -84,9 +65,9 @@ Status ApplyUpdates(Table* table, Table::Iterator it, ExprRef predicate,
     }
     // SET expressions see the *old* rows — one column per clause when the
     // match set is big enough to amortize it, row-at-a-time otherwise.
-    const bool vectorize_sets = lanes >= kMinVectorizedRows;
-    if (vectorize_sets) {
-      RowBatch mbatch(rows.data(), rows.size(), schema, selp, lanes);
+    RowBatch mbatch(rows.data(), rows.size(), schema, selp, lanes);
+    const bool row_at_a_time = EvalRowAtATime(mbatch);
+    if (!row_at_a_time) {
       for (size_t k = 0; k < resolved.size(); k++) {
         resolved[k].second->EvalBatch(mbatch, &set_cols[k]);
       }
@@ -96,8 +77,8 @@ Status ApplyUpdates(Table* table, Table::Iterator it, ExprRef predicate,
       Tuple updated = rows[r];
       for (size_t k = 0; k < resolved.size(); k++) {
         updated.value(resolved[k].first) =
-            vectorize_sets ? set_cols[k].Get(i)
-                           : resolved[k].second->Evaluate(rows[r], schema);
+            row_at_a_time ? resolved[k].second->Evaluate(rows[r], schema)
+                          : set_cols[k].Get(i);
       }
       pending.emplace_back(refs[r], want_old ? std::move(rows[r]) : Tuple(),
                            std::move(updated));
@@ -161,7 +142,7 @@ Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected) {
   ValueColumn pred_scratch;
   std::vector<char> keep;
   bool exhausted = false;
-  while (DrainScanBatch(&it, &exhausted, &rows, &refs)) {
+  while (ReadIteratorBatch(&it, &exhausted, kExecBatchSize, &rows, &refs)) {
     if (predicate == nullptr) {
       pending.insert(pending.end(), refs.begin(), refs.end());
       continue;
@@ -230,12 +211,11 @@ Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
   // SQL MERGE semantics: the source is evaluated against the target's
   // *pre-statement* state (the standard's snapshot rule; also sidesteps
   // the Halloween problem when the source subquery reads the target). The
-  // source therefore drains completely — through the batched Collect path,
-  // so a SELECT-backed source (the paper's windowed expansion subquery)
-  // still runs its whole pipeline in batch mode — before any merge action
-  // runs. The per-row probe/update/insert below is inherently
-  // row-at-a-time: each action sees the effect of the previous source row
-  // on the target.
+  // source therefore drains completely — through Collect, so a
+  // SELECT-backed source (the paper's windowed expansion subquery) still
+  // runs its whole pipeline in batch mode — before any merge action runs.
+  // The per-row probe/update/insert below is inherently row-at-a-time:
+  // each action sees the effect of the previous source row on the target.
   std::vector<Tuple> src_rows;
   RELGRAPH_RETURN_IF_ERROR(Collect(source, &src_rows));
   {

@@ -2,21 +2,29 @@
 
 namespace relgraph {
 
-namespace {
-size_t g_exec_batch_size = kExecBatchSize;
-size_t g_sel_vector_min_rows = kSelVectorMinRows;
-}  // namespace
-
-size_t ExecBatchSize() { return g_exec_batch_size; }
-
-void SetExecBatchSize(size_t n) {
-  g_exec_batch_size = n == 0 ? kExecBatchSize : n;
+void BatchSpan::AppendTo(std::vector<Tuple>* out) const {
+  const size_t n = count();
+  out->reserve(out->size() + n);
+  for (size_t i = 0; i < n; i++) {
+    if (scratch != nullptr) {
+      out->push_back(std::move(scratch[index(i)]));
+    } else {
+      out->push_back(row(i));
+    }
+  }
 }
 
-size_t SelVectorMinRows() { return g_sel_vector_min_rows; }
-
-void SetSelVectorMinRows(size_t n) {
-  g_sel_vector_min_rows = n == 0 ? kSelVectorMinRows : n;
+bool Executor::Next(Tuple* out) {
+  while (cursor_lane_ >= cursor_.count()) {
+    if (!NextBatchSel(&cursor_)) {
+      cursor_ = BatchSpan{};
+      cursor_lane_ = 0;
+      return false;
+    }
+    cursor_lane_ = 0;
+  }
+  cursor_.Take(cursor_lane_++, out);
+  return true;
 }
 
 void Executor::Explain(int depth, std::string* out) const {
@@ -26,11 +34,8 @@ void Executor::Explain(int depth, std::string* out) const {
 
 Status Collect(Executor* exec, std::vector<Tuple>* out) {
   RELGRAPH_RETURN_IF_ERROR(exec->Init());
-  std::vector<Tuple> batch;
-  while (exec->NextBatch(&batch)) {
-    out->insert(out->end(), std::make_move_iterator(batch.begin()),
-                std::make_move_iterator(batch.end()));
-  }
+  BatchSpan span;
+  while (exec->NextBatchSel(&span)) span.AppendTo(out);
   return exec->status();
 }
 

@@ -10,26 +10,10 @@
 
 namespace relgraph {
 
-/// Effective rows-per-NextBatch cap. Defaults to kExecBatchSize
-/// (src/common/config.h); SetExecBatchSize lets benchmarks sweep it
-/// (bench_micro_exec) and tests force degenerate sizes. Not thread-safe —
-/// set it before running plans, never mid-drain.
-size_t ExecBatchSize();
-void SetExecBatchSize(size_t n);  // n = 0 restores kExecBatchSize
-
-/// Effective selection-vector threshold: the minimum number of surviving
-/// rows for FilterExecutor to forward (rows, sel) instead of compacting.
-/// Defaults to kSelVectorMinRows; SetSelVectorMinRows lets bench_micro_exec
-/// sweep it and tests pin both extremes (1 = always forward a selection,
-/// SIZE_MAX = always compact, i.e. the legacy path). Same thread-safety
-/// caveat as SetExecBatchSize: set before running plans, never mid-drain.
-size_t SelVectorMinRows();
-void SetSelVectorMinRows(size_t n);  // n = 0 restores kSelVectorMinRows
-
-/// A borrowed batch plus an optional selection vector: the unit of flow on
-/// the NextBatchSel path. `rows[0..num_rows)` are owned by the producer and
-/// valid until its next pull of any kind. When `sel` is non-null, only the
-/// lanes `rows[sel[0..num_sel)]` are part of the stream (sel is strictly
+/// A borrowed batch plus an optional selection vector: the unit of flow
+/// between operators. `rows[0..num_rows)` are owned by the producer and
+/// valid until its next pull. When `sel` is non-null, only the lanes
+/// `rows[sel[0..num_sel)]` are part of the stream (sel is strictly
 /// ascending); when null, the batch is dense and num_sel is ignored.
 ///
 /// Contract: consumers iterate lanes with count()/row(i) and must never
@@ -37,11 +21,24 @@ void SetSelVectorMinRows(size_t n);  // n = 0 restores kSelVectorMinRows
 /// (Sort, Collect, MERGE's source drain, DML apply, wire serialization)
 /// may compact; pass-through operators (Project, Rename, Join outer sides,
 /// aggregation builds) must consume the selection in place.
+///
+/// `scratch` is the one exception to "never mutate": it is set (equal to
+/// `rows`) when the rows live in a buffer the producer rewrites in full on
+/// its next pull — scans, a compacting Filter, Project, joins, window
+/// numbering. A consumer that keeps rows may then move lanes out through
+/// Take() instead of copying them. Replayed storage (Materialized, Sort,
+/// HashAggregate) leaves it null, so a re-Init() replays unchanged rows.
 struct BatchSpan {
   const Tuple* rows = nullptr;
   size_t num_rows = 0;
   const uint32_t* sel = nullptr;  // nullptr = dense
   size_t num_sel = 0;
+  Tuple* scratch = nullptr;  // non-null = lanes may be moved out
+
+  /// Dense span over a producer's scratch buffer.
+  static BatchSpan Scratch(std::vector<Tuple>* buf) {
+    return BatchSpan{buf->data(), buf->size(), nullptr, 0, buf->data()};
+  }
 
   /// Number of selected lanes.
   size_t count() const { return sel != nullptr ? num_sel : num_rows; }
@@ -49,80 +46,52 @@ struct BatchSpan {
   size_t index(size_t i) const { return sel != nullptr ? sel[i] : i; }
   const Tuple& row(size_t i) const { return rows[index(i)]; }
   bool dense() const { return sel == nullptr; }
+
+  /// Hands lane i to a consumer that keeps it: moved out of scratch
+  /// storage, copied otherwise.
+  void Take(size_t i, Tuple* out) const {
+    if (scratch != nullptr) {
+      *out = std::move(scratch[index(i)]);
+    } else {
+      *out = row(i);
+    }
+  }
+  /// Appends every lane to `out` (Take semantics).
+  void AppendTo(std::vector<Tuple>* out) const;
 };
 
-/// Shared body of every batch drain: pulls up to ExecBatchSize() rows via
-/// `pull(Tuple*)` straight into `out`'s slots. The slot discipline is the
-/// batch path's core perf invariant — grow on demand (short streams never
-/// pay for slots they don't use), never clear() (recycled tuples keep
-/// their heap buffers), trim with resize at the end — so it lives here
-/// once rather than in each drain site.
-template <typename PullFn>
-bool DrainBatchInto(std::vector<Tuple>* out, PullFn pull) {
-  const size_t cap = ExecBatchSize();
-  size_t n = 0;
-  while (n < cap) {
-    if (n == out->size()) out->emplace_back();
-    if (!pull(&(*out)[n])) break;
-    n++;
-  }
-  out->resize(n);
-  return n > 0;
-}
-
-/// Volcano-style pull executor: Init() once, then Next() until it returns
-/// false; check status() afterwards to distinguish end-of-stream from error.
-/// Physical plans for the paper's SQL statements are built by composing
-/// these executors (see src/core/fem.cc for the F/E/M plans).
+/// Pull executor: Init() once, then pull until the stream ends; check
+/// status() afterwards to distinguish end-of-stream from error. Physical
+/// plans for the paper's SQL statements are built by composing these
+/// executors (see src/core/fem.cc for the F/E/M plans).
 ///
-/// Hot consumers (the E-operator, Collect) pull through NextBatch(), which
-/// moves up to kExecBatchSize tuples per virtual call; operators without an
-/// override fall back to a Next() loop, so the two interfaces always yield
-/// the same stream.
+/// NextBatchSel is the only pull an operator implements: up to
+/// kExecBatchSize lanes per virtual call, with the selection vector left
+/// in place wherever a filter produced one. Next() is a row-at-a-time
+/// adapter over it for callers that want the first match or a short walk.
 class Executor {
  public:
   virtual ~Executor() = default;
 
-  virtual Status Init() = 0;
-
-  /// Produces the next tuple; false at end of stream or on error.
-  virtual bool Next(Tuple* out) = 0;
-
-  /// Clears `out` and appends up to ExecBatchSize() tuples. Returns false
-  /// when the stream is exhausted (out left empty) or on error — like
-  /// Next(), check status() to tell the two apart. The batch vector is
-  /// caller-owned so its capacity is reused across calls.
-  virtual bool NextBatch(std::vector<Tuple>* out) {
-    return DrainBatchInto(out, [this](Tuple* t) { return Next(t); });
+  /// Opens (or re-opens) the stream. Every plan may be re-Init()ed to run
+  /// again — prepared statements re-run their compiled plans this way.
+  Status Init() {
+    status_ = Status::OK();
+    cursor_ = BatchSpan{};
+    cursor_lane_ = 0;
+    return Open();
   }
 
-  /// Borrowed-batch pull: points *rows/*n at up to ExecBatchSize() tuples
-  /// owned by this executor, valid only until the next pull of any kind.
-  /// Consumers that do not need to own the tuples — filters, projections,
-  /// aggregate builds, the MERGE source drain — read through this and skip
-  /// a per-batch tuple copy. The default adapts NextBatch through an
-  /// internal buffer (no worse than a caller-owned batch); operators that
-  /// already hold their output (Materialized) serve it with zero copies.
-  virtual bool NextBatchView(const Tuple** rows, size_t* n) {
-    if (!NextBatch(&view_buffer_)) return false;
-    *rows = view_buffer_.data();
-    *n = view_buffer_.size();
-    return true;
-  }
+  /// Points `out` at the next non-empty span of at most kExecBatchSize
+  /// lanes (see BatchSpan for the borrow and iteration contract). Returns
+  /// false when the stream is exhausted or on error — check status() to
+  /// tell the two apart. Pulling again after false keeps returning false.
+  virtual bool NextBatchSel(BatchSpan* out) = 0;
 
-  /// Selection-aware pull: like NextBatchView but the producer may attach a
-  /// selection vector instead of compacting (see BatchSpan for the borrow
-  /// and iteration contract). The default serves the NextBatchView stream
-  /// as dense spans, so every executor speaks this interface; only
-  /// FilterExecutor currently produces sparse spans, and only when the
-  /// survivor count reaches SelVectorMinRows().
-  virtual bool NextBatchSel(BatchSpan* out) {
-    const Tuple* rows = nullptr;
-    size_t n = 0;
-    if (!NextBatchView(&rows, &n)) return false;
-    *out = BatchSpan{rows, n, nullptr, 0};
-    return true;
-  }
+  /// Row-at-a-time adapter: walks the current span lane by lane, pulling
+  /// the next one when it runs out. Do not mix with NextBatchSel between
+  /// two Init() calls — each would skip the lanes the other consumed.
+  bool Next(Tuple* out);
 
   virtual const Schema& OutputSchema() const = 0;
 
@@ -134,37 +103,39 @@ class Executor {
   const Status& status() const { return status_; }
 
  protected:
+  /// Operator-specific part of Init(): open the inputs, reset pull state.
+  virtual Status Open() = 0;
+
   /// Explain helper: two spaces per depth level.
   static void Indent(int depth, std::string* out) {
     out->append(static_cast<size_t>(depth) * 2, ' ');
   }
 
   Status status_;
-  std::vector<Tuple> view_buffer_;  // backs the default NextBatchView
+
+ private:
+  BatchSpan cursor_;  // Next()'s current span
+  size_t cursor_lane_ = 0;
 };
 
 using ExecRef = std::unique_ptr<Executor>;
 
-/// Shared NextBatch body for executors that replay a materialized vector
-/// (Materialized, HashAggregate): copies rows [*pos, ...) into `out` up to
-/// the batch cap, advancing *pos. Rows are copy-assigned into the batch's
-/// existing slots — not clear()ed and re-pushed — so a reused batch vector
-/// keeps its tuples' heap buffers and the steady-state replay allocates
-/// nothing (the same trick that makes single-tuple Next() into one reused
-/// out-tuple cheap).
-inline bool ReplayBatch(const std::vector<Tuple>& rows, size_t* pos,
-                        std::vector<Tuple>* out) {
-  const size_t cap = ExecBatchSize();
+/// Shared pull of the replay producers (Materialized, Sort, HashAggregate):
+/// serves the next window of up to kExecBatchSize rows of `rows` in place,
+/// advancing *pos. Zero copies, and the rows are never offered for moving,
+/// so a re-Init() that rewinds *pos replays them unchanged.
+inline bool ReplayWindow(const std::vector<Tuple>& rows, size_t* pos,
+                         BatchSpan* out) {
   const size_t left = rows.size() - *pos;
-  const size_t n = left < cap ? left : cap;
-  out->resize(n);
-  for (size_t i = 0; i < n; i++) {
-    (*out)[i] = rows[(*pos)++];
-  }
-  return n > 0;
+  const size_t n = left < kExecBatchSize ? left : kExecBatchSize;
+  if (n == 0) return false;
+  *out = BatchSpan{rows.data() + *pos, n, nullptr, 0, nullptr};
+  *pos += n;
+  return true;
 }
 
-/// Drains `exec` into a vector (Init + Next*). Errors propagate.
+/// Drains `exec` into a vector (Init + NextBatchSel*), moving rows out of
+/// scratch spans. Errors propagate.
 Status Collect(Executor* exec, std::vector<Tuple>* out);
 
 }  // namespace relgraph

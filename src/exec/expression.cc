@@ -655,11 +655,7 @@ bool EvalPredicate(const Expression& expr, const Tuple& tuple,
 
 void EvalPredicateBatch(const Expression& expr, const RowBatch& batch,
                         ValueColumn* scratch, std::vector<char>* keep) {
-  if (!batch.has_selection() && batch.num_rows() < kMinVectorizedRows) {
-    // Tiny dense batch (the FEM loop's single-digit-row frontier
-    // statements): per-row evaluation beats the per-node column setup
-    // cost. Selection-carrying batches always vectorize — the producer
-    // only forwards a selection when enough lanes survive.
+  if (EvalRowAtATime(batch)) {
     keep->resize(batch.num_rows());
     for (size_t i = 0; i < batch.num_rows(); i++) {
       (*keep)[i] = EvalPredicate(expr, batch.row(i), batch.schema()) ? 1 : 0;

@@ -21,10 +21,7 @@ class RowBatch {
  public:
   RowBatch(const std::vector<Tuple>& rows, const Schema& schema)
       : rows_(rows.data()), num_rows_(rows.size()), schema_(&schema) {}
-  /// Borrowed-span form (NextBatchView output).
-  RowBatch(const Tuple* rows, size_t n, const Schema& schema)
-      : rows_(rows), num_rows_(n), schema_(&schema) {}
-  /// Selection-vector form (NextBatchSel output): only rows[sel[i]] for
+  /// Selection-vector form (a BatchSpan): only rows[sel[i]] for
   /// i < sel_n are part of the batch. num_rows() reports the *selected*
   /// count and row(i) maps through the selection, so expression kernels
   /// evaluate exactly the qualifying lanes and their output columns are
@@ -41,7 +38,6 @@ class RowBatch {
   const Tuple& row(size_t i) const {
     return rows_[sel_ != nullptr ? sel_[i] : i];
   }
-  bool has_selection() const { return sel_ != nullptr; }
   const Schema& schema() const { return *schema_; }
 
  private:
@@ -242,13 +238,20 @@ ExprRef IsNull(ExprRef inner, bool negated = false);
 /// Shorthand: column = integer literal, the most common predicate.
 ExprRef ColEq(std::string name, int64_t v);
 
-/// Below this many rows, batch consumers evaluate row-at-a-time instead of
-/// materializing per-node columns: the FEM loop issues thousands of tiny
-/// statements (single-digit-row frontiers), where EvalBatch's fixed
-/// per-node setup outweighs its per-row savings. Both paths are
-/// value-identical (pinned by test_exec_batch.cc), so this is purely a
-/// cost-model cutoff.
+/// Below this many selected rows, batch consumers evaluate row-at-a-time
+/// instead of materializing per-node columns: the FEM loop issues
+/// thousands of tiny statements (single-digit-row frontiers), where
+/// EvalBatch's fixed per-node setup outweighs its per-row savings. Both
+/// paths are value-identical (pinned by test_exec_batch.cc), so this is
+/// purely a cost-model cutoff.
 inline constexpr size_t kMinVectorizedRows = 16;
+
+/// The one scalar-vs-column decision every batch consumer (predicates,
+/// projections, UPDATE SET lists) makes: row-at-a-time when the batch
+/// selects fewer than kMinVectorizedRows lanes, dense or not.
+inline bool EvalRowAtATime(const RowBatch& batch) {
+  return batch.num_rows() < kMinVectorizedRows;
+}
 
 /// SQL boolean test: true only when the value is non-null and nonzero
 /// (comparisons yield INT 0/1; NULL propagates as "unknown" = not true).

@@ -13,35 +13,44 @@ NestedLoopJoinExecutor::NestedLoopJoinExecutor(ExecRef left, ExecRef right,
       ConcatSchemas(left_->OutputSchema(), right_->OutputSchema());
 }
 
-Status NestedLoopJoinExecutor::Init() {
+Status NestedLoopJoinExecutor::Open() {
   RELGRAPH_RETURN_IF_ERROR(left_->Init());
   right_rows_.clear();
   RELGRAPH_RETURN_IF_ERROR(Collect(right_.get(), &right_rows_));
-  have_left_ = false;
+  left_span_ = BatchSpan{};
+  left_lane_ = 0;
   right_pos_ = 0;
   return Status::OK();
 }
 
-bool NestedLoopJoinExecutor::Next(Tuple* out) {
-  for (;;) {
-    if (!have_left_) {
-      if (!left_->Next(&current_left_)) {
+bool NestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
+  size_t n = 0;
+  while (n < kExecBatchSize) {
+    if (left_lane_ >= left_span_.count()) {
+      if (!left_->NextBatchSel(&left_span_)) {
         status_ = left_->status();
-        return false;
+        break;
       }
-      have_left_ = true;
+      left_lane_ = 0;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_rows_.size()) {
-      Tuple joined = ConcatTuples(current_left_, right_rows_[right_pos_++]);
+    const Tuple& left = left_span_.row(left_lane_);
+    while (n < kExecBatchSize && right_pos_ < right_rows_.size()) {
+      if (n == rows_.size()) rows_.emplace_back();
+      rows_[n] = ConcatTuples(left, right_rows_[right_pos_++]);
       if (predicate_ == nullptr ||
-          EvalPredicate(*predicate_, joined, output_schema_)) {
-        *out = std::move(joined);
-        return true;
+          EvalPredicate(*predicate_, rows_[n], output_schema_)) {
+        n++;
       }
     }
-    have_left_ = false;
+    if (right_pos_ >= right_rows_.size()) {
+      left_lane_++;
+      right_pos_ = 0;
+    }
   }
+  rows_.resize(n);
+  *out = BatchSpan::Scratch(&rows_);
+  return n > 0;
 }
 
 const Schema& NestedLoopJoinExecutor::OutputSchema() const {
@@ -61,7 +70,7 @@ IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
   output_schema_ = ConcatSchemas(outer_->OutputSchema(), inner_->schema());
 }
 
-Status IndexNestedLoopJoinExecutor::Init() {
+Status IndexNestedLoopJoinExecutor::Open() {
   if (!inner_->HasIndexOn(inner_column_)) {
     return Status::InvalidArgument("index nested-loop join requires index on " +
                                    inner_column_);
@@ -95,30 +104,30 @@ bool IndexNestedLoopJoinExecutor::OpenNextOuter() {
   }
 }
 
-bool IndexNestedLoopJoinExecutor::Next(Tuple* out) {
-  for (;;) {
-    if (!inner_open_ && !OpenNextOuter()) return false;
-    while (inner_it_.Next(&inner_tuple_, nullptr)) {
-      Tuple joined = ConcatTuples(outer_span_.row(outer_lane_), inner_tuple_);
-      if (residual_ == nullptr ||
-          EvalPredicate(*residual_, joined, output_schema_)) {
-        *out = std::move(joined);
-        return true;
+bool IndexNestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
+  if (!status_.ok()) return false;  // never resume a failed probe
+  size_t n = 0;
+  while (n < kExecBatchSize) {
+    if (!inner_open_ && !OpenNextOuter()) break;
+    if (!inner_it_.Next(&inner_tuple_, nullptr)) {
+      if (!inner_it_.status().ok()) {
+        status_ = inner_it_.status();
+        break;
       }
+      inner_open_ = false;
+      outer_lane_++;
+      continue;
     }
-    if (!inner_it_.status().ok()) {
-      status_ = inner_it_.status();
-      return false;
+    if (n == rows_.size()) rows_.emplace_back();
+    rows_[n] = ConcatTuples(outer_span_.row(outer_lane_), inner_tuple_);
+    if (residual_ == nullptr ||
+        EvalPredicate(*residual_, rows_[n], output_schema_)) {
+      n++;
     }
-    inner_open_ = false;
-    outer_lane_++;
   }
-}
-
-bool IndexNestedLoopJoinExecutor::NextBatch(std::vector<Tuple>* out) {
-  // Non-virtual self-call: one virtual hop per batch instead of per row.
-  return DrainBatchInto(
-      out, [this](Tuple* t) { return IndexNestedLoopJoinExecutor::Next(t); });
+  rows_.resize(n);
+  *out = BatchSpan::Scratch(&rows_);
+  return n > 0;
 }
 
 const Schema& IndexNestedLoopJoinExecutor::OutputSchema() const {

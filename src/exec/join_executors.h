@@ -16,8 +16,7 @@ namespace relgraph {
 class NestedLoopJoinExecutor : public Executor {
  public:
   NestedLoopJoinExecutor(ExecRef left, ExecRef right, ExprRef predicate);
-  Status Init() override;
-  bool Next(Tuple* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -28,15 +27,22 @@ class NestedLoopJoinExecutor : public Executor {
     right_->Explain(depth + 1, out);
   }
 
+ protected:
+  Status Open() override;
+
  private:
   ExecRef left_;
   ExecRef right_;
   ExprRef predicate_;
   Schema output_schema_;
   std::vector<Tuple> right_rows_;
-  Tuple current_left_;
-  bool have_left_ = false;
+  // The left side is walked lane by lane through its borrowed span, which
+  // stays valid because left_ is only pulled again once every lane has
+  // been paired with every right row.
+  BatchSpan left_span_;
+  size_t left_lane_ = 0;
   size_t right_pos_ = 0;
+  std::vector<Tuple> rows_;  // scratch: the joined batch
 };
 
 /// Index nested-loop join: for each outer tuple, evaluates `outer_key` and
@@ -51,9 +57,7 @@ class IndexNestedLoopJoinExecutor : public Executor {
   IndexNestedLoopJoinExecutor(ExecRef outer, Table* inner,
                               std::string inner_column, ExprRef outer_key,
                               ExprRef residual = nullptr);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -66,6 +70,9 @@ class IndexNestedLoopJoinExecutor : public Executor {
     outer_->Explain(depth + 1, out);
   }
 
+ protected:
+  Status Open() override;
+
  private:
   /// Advances to the next outer row with a non-NULL key and opens its inner
   /// range scan; false when the outer side is exhausted or on error.
@@ -77,17 +84,16 @@ class IndexNestedLoopJoinExecutor : public Executor {
   ExprRef outer_key_;
   ExprRef residual_;
   Schema output_schema_;
-  // The outer side is pulled through NextBatchSel: probes walk the
-  // borrowed span lane by lane, so a filtered outer (the E-operator's
-  // frontier restriction) flows into the join without ever being
-  // compacted, and the per-row virtual-call round trip disappears from
-  // the join loop. The span stays valid because the outer child is only
-  // pulled again once every lane has been probed.
+  // Probes walk the outer child's borrowed span lane by lane, so a
+  // filtered outer (the E-operator's frontier restriction) flows into the
+  // join without ever being compacted. The span stays valid because the
+  // outer child is only pulled again once every lane has been probed.
   BatchSpan outer_span_;
   size_t outer_lane_ = 0;
   Tuple inner_tuple_;  // reused across probes
   Table::Iterator inner_it_;
   bool inner_open_ = false;
+  std::vector<Tuple> rows_;  // scratch: the joined batch
 };
 
 }  // namespace relgraph

@@ -1,5 +1,7 @@
 #include "src/exec/scan_executors.h"
 
+#include <algorithm>
+
 namespace relgraph {
 
 Schema PrefixSchema(const Schema& schema, const std::string& prefix) {
@@ -11,29 +13,36 @@ Schema PrefixSchema(const Schema& schema, const std::string& prefix) {
   return Schema(std::move(cols));
 }
 
+bool ReadIteratorBatch(Table::Iterator* it, bool* exhausted, size_t max_rows,
+                       std::vector<Tuple>* rows, std::vector<RowRef>* refs) {
+  if (refs != nullptr) refs->clear();
+  size_t n = 0;
+  while (n < max_rows && !*exhausted) {
+    if (n == rows->size()) rows->emplace_back();
+    RowRef ref;
+    if (!it->Next(&(*rows)[n], refs != nullptr ? &ref : nullptr)) {
+      *exhausted = true;
+      break;
+    }
+    if (refs != nullptr) refs->push_back(ref);
+    n++;
+  }
+  rows->resize(n);
+  return n > 0;
+}
+
 namespace {
 
-/// Shared single-pull and batch-drain bodies for the two table-iterator
-/// scans. Once the iterator reports false — end of stream *or* error —
-/// `exhausted` latches so neither pull style touches it again: resuming a
-/// failed iterator would skip the bad row and overwrite its error status,
-/// making the batch stream diverge from the Next() stream.
-bool PullIterator(Table::Iterator* it, bool* exhausted, Status* status,
-                  Tuple* out) {
-  if (*exhausted) return false;
-  if (!it->Next(out, nullptr)) {
-    *exhausted = true;
+/// Shared pull of the two table-iterator scans; doubles *batch_rows.
+bool ScanBatch(Table::Iterator* it, bool* exhausted, size_t* batch_rows,
+               Status* status, std::vector<Tuple>* rows, BatchSpan* out) {
+  if (!ReadIteratorBatch(it, exhausted, *batch_rows, rows, nullptr)) {
     *status = it->status();
     return false;
   }
+  *batch_rows = std::min(*batch_rows * 2, kExecBatchSize);
+  *out = BatchSpan::Scratch(rows);
   return true;
-}
-
-bool DrainIteratorBatch(Table::Iterator* it, bool* exhausted, Status* status,
-                        std::vector<Tuple>* out) {
-  return DrainBatchInto(out, [&](Tuple* t) {
-    return PullIterator(it, exhausted, status, t);
-  });
 }
 
 }  // namespace
@@ -42,18 +51,15 @@ bool DrainIteratorBatch(Table::Iterator* it, bool* exhausted, Status* status,
 
 SeqScanExecutor::SeqScanExecutor(Table* table) : table_(table) {}
 
-Status SeqScanExecutor::Init() {
+Status SeqScanExecutor::Open() {
   it_ = table_->Scan();
   exhausted_ = false;
+  batch_rows_ = kFirstScanBatch;
   return Status::OK();
 }
 
-bool SeqScanExecutor::Next(Tuple* out) {
-  return PullIterator(&it_, &exhausted_, &status_, out);
-}
-
-bool SeqScanExecutor::NextBatch(std::vector<Tuple>* out) {
-  return DrainIteratorBatch(&it_, &exhausted_, &status_, out);
+bool SeqScanExecutor::NextBatchSel(BatchSpan* out) {
+  return ScanBatch(&it_, &exhausted_, &batch_rows_, &status_, &rows_, out);
 }
 
 const Schema& SeqScanExecutor::OutputSchema() const {
@@ -111,8 +117,9 @@ void IndexRangeScanExecutor::ComputeRuntimeBounds() {
   }
 }
 
-Status IndexRangeScanExecutor::Init() {
+Status IndexRangeScanExecutor::Open() {
   exhausted_ = false;
+  batch_rows_ = kFirstScanBatch;
   if (key_ != nullptr) ComputeRuntimeBounds();
   return table_->ScanRange(column_, lo_, hi_, &it_);
 }
@@ -138,12 +145,8 @@ void IndexRangeScanExecutor::Explain(int depth, std::string* out) const {
               "\n");
 }
 
-bool IndexRangeScanExecutor::Next(Tuple* out) {
-  return PullIterator(&it_, &exhausted_, &status_, out);
-}
-
-bool IndexRangeScanExecutor::NextBatch(std::vector<Tuple>* out) {
-  return DrainIteratorBatch(&it_, &exhausted_, &status_, out);
+bool IndexRangeScanExecutor::NextBatchSel(BatchSpan* out) {
+  return ScanBatch(&it_, &exhausted_, &batch_rows_, &status_, &rows_, out);
 }
 
 const Schema& IndexRangeScanExecutor::OutputSchema() const {
@@ -155,46 +158,9 @@ const Schema& IndexRangeScanExecutor::OutputSchema() const {
 FilterExecutor::FilterExecutor(ExecRef child, ExprRef predicate)
     : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
-Status FilterExecutor::Init() { return child_->Init(); }
+Status FilterExecutor::Open() { return child_->Init(); }
 
-bool FilterExecutor::Next(Tuple* out) {
-  while (child_->Next(out)) {
-    if (EvalPredicate(*predicate_, *out, child_->OutputSchema())) return true;
-  }
-  status_ = child_->status();
-  return false;
-}
-
-namespace {
-
-/// Copies the selected lanes of `span` into `dst` under the slot
-/// discipline (overwrite existing slots, grow on demand, trim at the end).
-void CompactLanes(const BatchSpan& span, const std::vector<char>& keep,
-                  std::vector<Tuple>* dst) {
-  const size_t lanes = span.count();
-  size_t n = 0;
-  for (size_t i = 0; i < lanes; i++) {
-    if (!keep[i]) continue;
-    if (n == dst->size()) dst->emplace_back();
-    (*dst)[n++] = span.row(i);
-  }
-  dst->resize(n);
-}
-
-/// Flattens every lane of a (possibly sparse) span into `dst`, same slot
-/// discipline.
-void FlattenSpan(const BatchSpan& span, std::vector<Tuple>* dst) {
-  const size_t lanes = span.count();
-  for (size_t i = 0; i < lanes; i++) {
-    if (i == dst->size()) dst->emplace_back();
-    (*dst)[i] = span.row(i);
-  }
-  dst->resize(lanes);
-}
-
-}  // namespace
-
-bool FilterExecutor::PullSel(BatchSpan* out, std::vector<Tuple>* compact_into) {
+bool FilterExecutor::NextBatchSel(BatchSpan* out) {
   const Schema& in_schema = child_->OutputSchema();
   // Each child batch is consumed whole, so no lanes straddle calls and the
   // forwarded span never exceeds one child batch — the batch-size cap holds
@@ -218,7 +184,7 @@ bool FilterExecutor::PullSel(BatchSpan* out, std::vector<Tuple>* compact_into) {
       *out = cs;
       return true;
     }
-    if (k >= SelVectorMinRows()) {
+    if (k >= kSelVectorMinRows) {
       // Enough survivors to be worth the downstream indirection: keep the
       // child's rows where they are and carry the qualifying indices.
       // cs.index(i) composes with the child's own selection, so the
@@ -228,46 +194,20 @@ bool FilterExecutor::PullSel(BatchSpan* out, std::vector<Tuple>* compact_into) {
       for (size_t i = 0; i < lanes; i++) {
         if (keep_[i]) sel_.push_back(static_cast<uint32_t>(cs.index(i)));
       }
-      *out = BatchSpan{cs.rows, cs.num_rows, sel_.data(), sel_.size()};
+      *out = cs;
+      out->sel = sel_.data();
+      out->num_sel = sel_.size();
       return true;
     }
-    // Few survivors: a compact copy is cheaper than the indirection.
-    CompactLanes(cs, keep_, compact_into);
-    *out = BatchSpan{compact_into->data(), compact_into->size(), nullptr, 0};
+    // Few survivors: a compact copy is cheaper than the indirection. Slots
+    // are overwritten in place, so recycled tuples keep their buffers.
+    compact_.resize(k);
+    for (size_t i = 0, n = 0; i < lanes; i++) {
+      if (keep_[i]) cs.Take(i, &compact_[n++]);
+    }
+    *out = BatchSpan::Scratch(&compact_);
     return true;
   }
-}
-
-bool FilterExecutor::NextBatchSel(BatchSpan* out) {
-  return PullSel(out, &compact_buffer_);
-}
-
-bool FilterExecutor::NextBatchView(const Tuple** rows, size_t* n) {
-  BatchSpan span;
-  if (!PullSel(&span, &view_buffer_)) return false;
-  if (span.dense()) {
-    // Either the child's own storage (all-true: forwarded zero-copy) or
-    // view_buffer_ (compacted below threshold) — serve it directly.
-    *rows = span.rows;
-    *n = span.num_rows;
-    return true;
-  }
-  FlattenSpan(span, &view_buffer_);
-  *rows = view_buffer_.data();
-  *n = view_buffer_.size();
-  return true;
-}
-
-bool FilterExecutor::NextBatch(std::vector<Tuple>* out) {
-  BatchSpan span;
-  if (!PullSel(&span, out)) {
-    out->clear();
-    return false;
-  }
-  // PullSel may have compacted straight into `out`; otherwise the span
-  // borrows the child's storage and the caller needs its own copy.
-  if (span.rows != out->data()) FlattenSpan(span, out);
-  return true;
 }
 
 const Schema& FilterExecutor::OutputSchema() const {
@@ -282,90 +222,58 @@ ProjectExecutor::ProjectExecutor(ExecRef child, std::vector<ExprRef> exprs,
       exprs_(std::move(exprs)),
       output_schema_(std::move(output_schema)) {}
 
-Status ProjectExecutor::Init() {
+Status ProjectExecutor::Open() {
   if (exprs_.size() != output_schema_.NumColumns()) {
     return Status::InvalidArgument("projection arity mismatch");
   }
   return child_->Init();
 }
 
-bool ProjectExecutor::Next(Tuple* out) {
-  Tuple in;
-  if (!child_->Next(&in)) {
-    status_ = child_->status();
-    return false;
-  }
-  std::vector<Value> values;
-  values.reserve(exprs_.size());
-  for (const auto& e : exprs_) {
-    values.push_back(e->Evaluate(in, child_->OutputSchema()));
-  }
-  *out = Tuple(std::move(values));
-  return true;
-}
-
-bool ProjectExecutor::NextBatch(std::vector<Tuple>* out) {
+bool ProjectExecutor::NextBatchSel(BatchSpan* out) {
   BatchSpan span;
   if (!child_->NextBatchSel(&span)) {
-    out->clear();
     status_ = child_->status();
     return false;
   }
   const Schema& in_schema = child_->OutputSchema();
-  const size_t n_rows = span.count();
-  // Tiny *dense* batch (the FEM frontier statements): row-at-a-time is
-  // cheaper than per-node column setup. A selection-carrying span always
-  // takes the column path — the old behavior here was the hidden cost of
-  // compacting filters: survivors dribbled in below the vectorization
-  // cutoff and every projection fell back to per-row name resolution.
-  if (span.dense() && n_rows < kMinVectorizedRows) {
-    out->resize(n_rows);
-    for (size_t i = 0; i < n_rows; i++) {
-      std::vector<Value> values;
-      values.reserve(exprs_.size());
-      for (const auto& e : exprs_) {
-        values.push_back(e->Evaluate(span.rows[i], in_schema));
-      }
-      (*out)[i] = Tuple(std::move(values));
-    }
-    return true;
-  }
-  // Column-at-a-time over the borrowed child span (no input copy): each
-  // select item produces one column over the selected lanes, then the
-  // columns zip back into row tuples — this is where a sparse span
-  // compacts, as a side effect of producing fresh output rows. Output
-  // slots with the right arity are overwritten in place (no allocation);
-  // slots a downstream consumer moved from get rebuilt.
+  // Reads the borrowed child span in place (no input copy); a sparse span
+  // compacts here, as a side effect of producing fresh output rows. Wide
+  // batches evaluate column-at-a-time — one column per select item over
+  // the selected lanes, zipped back into rows — and tiny ones (the FEM
+  // frontier statements) row-at-a-time, where per-node column setup costs
+  // more than it saves.
   RowBatch batch(span.rows, span.num_rows, in_schema, span.sel, span.num_sel);
-  expr_cols_.resize(exprs_.size());
-  for (size_t k = 0; k < exprs_.size(); k++) {
-    exprs_[k]->EvalBatch(batch, &expr_cols_[k]);
-  }
-  const size_t n = n_rows;
+  const bool row_at_a_time = EvalRowAtATime(batch);
   const size_t width = exprs_.size();
-  out->resize(n);
-  for (size_t i = 0; i < n; i++) {
-    Tuple& dst = (*out)[i];
-    if (dst.NumValues() == width) {
-      for (size_t k = 0; k < width; k++) {
-        const ValueColumn& col = expr_cols_[k];
-        if (col.is_int() && !col.IsNull(i)) {
-          dst.value(k).SetInt(col.IntAt(i));  // no temporary Value
-        } else if (col.is_int()) {
-          dst.value(k).SetNull();
-        } else {
-          dst.value(k) = col.Get(i);
-        }
-      }
-    } else {
-      std::vector<Value> values;
-      values.reserve(width);
-      for (size_t k = 0; k < width; k++) {
-        values.push_back(expr_cols_[k].Get(i));
-      }
-      dst = Tuple(std::move(values));
+  if (!row_at_a_time) {
+    expr_cols_.resize(width);
+    for (size_t k = 0; k < width; k++) {
+      exprs_[k]->EvalBatch(batch, &expr_cols_[k]);
     }
   }
+  // Output slots with the right arity are overwritten in place (no
+  // allocation); slots a consumer moved from get rebuilt.
+  const size_t n = batch.num_rows();
+  rows_.resize(n);
+  for (size_t i = 0; i < n; i++) {
+    Tuple& dst = rows_[i];
+    if (dst.NumValues() != width) dst = Tuple(std::vector<Value>(width));
+    for (size_t k = 0; k < width; k++) {
+      if (row_at_a_time) {
+        dst.value(k) = exprs_[k]->Evaluate(batch.row(i), in_schema);
+        continue;
+      }
+      const ValueColumn& col = expr_cols_[k];
+      if (col.is_int() && !col.IsNull(i)) {
+        dst.value(k).SetInt(col.IntAt(i));  // no temporary Value
+      } else if (col.is_int()) {
+        dst.value(k).SetNull();
+      } else {
+        dst.value(k) = col.Get(i);
+      }
+    }
+  }
+  *out = BatchSpan::Scratch(&rows_);
   return true;
 }
 
@@ -376,18 +284,22 @@ const Schema& ProjectExecutor::OutputSchema() const { return output_schema_; }
 LimitExecutor::LimitExecutor(ExecRef child, int64_t limit)
     : child_(std::move(child)), limit_(limit) {}
 
-Status LimitExecutor::Init() {
+Status LimitExecutor::Open() {
   produced_ = 0;
   return child_->Init();
 }
 
-bool LimitExecutor::Next(Tuple* out) {
+bool LimitExecutor::NextBatchSel(BatchSpan* out) {
   if (produced_ >= limit_) return false;
-  if (!child_->Next(out)) {
+  if (!child_->NextBatchSel(out)) {
     status_ = child_->status();
     return false;
   }
-  produced_++;
+  const size_t left = static_cast<size_t>(limit_ - produced_);
+  if (out->count() > left) {
+    (out->dense() ? out->num_rows : out->num_sel) = left;
+  }
+  produced_ += static_cast<int64_t>(out->count());
   return true;
 }
 
@@ -401,28 +313,13 @@ MaterializedExecutor::MaterializedExecutor(std::vector<Tuple> tuples,
                                            Schema schema)
     : tuples_(std::move(tuples)), schema_(std::move(schema)) {}
 
-Status MaterializedExecutor::Init() {
+Status MaterializedExecutor::Open() {
   pos_ = 0;
   return Status::OK();
 }
 
-bool MaterializedExecutor::Next(Tuple* out) {
-  if (pos_ >= tuples_.size()) return false;
-  *out = tuples_[pos_++];
-  return true;
-}
-
-bool MaterializedExecutor::NextBatch(std::vector<Tuple>* out) {
-  return ReplayBatch(tuples_, &pos_, out);
-}
-
-bool MaterializedExecutor::NextBatchView(const Tuple** rows, size_t* n) {
-  const size_t cap = ExecBatchSize();
-  const size_t left = tuples_.size() - pos_;
-  *n = left < cap ? left : cap;
-  *rows = tuples_.data() + pos_;
-  pos_ += *n;
-  return *n > 0;
+bool MaterializedExecutor::NextBatchSel(BatchSpan* out) {
+  return ReplayWindow(tuples_, &pos_, out);
 }
 
 const Schema& MaterializedExecutor::OutputSchema() const { return schema_; }
@@ -440,31 +337,7 @@ RenameExecutor::RenameExecutor(ExecRef child, std::vector<std::string> names)
   schema_ = Schema(std::move(cols));
 }
 
-Status RenameExecutor::Init() { return child_->Init(); }
-
-bool RenameExecutor::Next(Tuple* out) {
-  if (!child_->Next(out)) {
-    status_ = child_->status();
-    return false;
-  }
-  return true;
-}
-
-bool RenameExecutor::NextBatch(std::vector<Tuple>* out) {
-  if (!child_->NextBatch(out)) {
-    status_ = child_->status();
-    return false;
-  }
-  return true;
-}
-
-bool RenameExecutor::NextBatchView(const Tuple** rows, size_t* n) {
-  if (!child_->NextBatchView(rows, n)) {
-    status_ = child_->status();
-    return false;
-  }
-  return true;
-}
+Status RenameExecutor::Open() { return child_->Init(); }
 
 bool RenameExecutor::NextBatchSel(BatchSpan* out) {
   if (!child_->NextBatchSel(out)) {
@@ -477,5 +350,3 @@ bool RenameExecutor::NextBatchSel(BatchSpan* out) {
 const Schema& RenameExecutor::OutputSchema() const { return schema_; }
 
 }  // namespace relgraph
-
-namespace relgraph_explain_detail {}  // silences include-what-you-use noise

@@ -11,24 +11,42 @@
 
 namespace relgraph {
 
+/// Rows in the first batch of a table scan. Both scans double their batch
+/// from here up to kExecBatchSize: a consumer after the first match (TOP 1,
+/// the meeting-node probe, Next()) stops reading near the match, while a
+/// long scan reaches full batches by its seventh pull.
+inline constexpr size_t kFirstScanBatch = 16;
+
 /// Full-table scan (the paper's NoIndex access path).
 class SeqScanExecutor : public Executor {
  public:
   explicit SeqScanExecutor(Table* table);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
     out->append("SeqScan: " + table_->name() + "\n");
   }
 
+ protected:
+  Status Open() override;
+
  private:
   Table* table_;
   Table::Iterator it_;
   bool exhausted_ = false;  // iterator returned false; don't pull it again
+  size_t batch_rows_ = kFirstScanBatch;  // rows the next pull reads
+  std::vector<Tuple> rows_;  // scratch: the current batch
 };
+
+/// Reads up to `max_rows` rows of `it` into `rows` — and, when `refs`
+/// is non-null, their RowRefs — overwriting existing slots so recycled
+/// tuples keep their buffers. `exhausted` latches once the iterator reports
+/// false (end of stream *or* error), so a failed iterator is never resumed:
+/// that would skip the bad row and overwrite its error status. Returns
+/// false when no row was read; the caller then reads it->status().
+bool ReadIteratorBatch(Table::Iterator* it, bool* exhausted, size_t max_rows,
+                       std::vector<Tuple>* rows, std::vector<RowRef>* refs);
 
 /// Key range [*lo, *hi] covering `column OP k` with the column on the
 /// left-hand side. Returns false when the comparison yields no usable
@@ -51,11 +69,12 @@ class IndexRangeScanExecutor : public Executor {
                          int64_t hi);
   IndexRangeScanExecutor(Table* table, std::string column, CompareOp op,
                          ExprRef key);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override;
+
+ protected:
+  Status Open() override;
 
  private:
   /// Evaluates the runtime key into lo_/hi_ (full range on a non-INT or
@@ -69,27 +88,23 @@ class IndexRangeScanExecutor : public Executor {
   CompareOp op_ = CompareOp::kEq;
   Table::Iterator it_;
   bool exhausted_ = false;  // iterator returned false; don't pull it again
+  size_t batch_rows_ = kFirstScanBatch;  // see kFirstScanBatch
+  std::vector<Tuple> rows_;  // scratch: the current batch
 };
 
 /// WHERE clause: forwards child tuples satisfying the predicate.
 ///
-/// The batch paths are built around one selection-aware pull (PullSel):
-/// per child batch the predicate runs once, and the survivors are
+/// Per child batch the predicate runs once, and the survivors are
 /// forwarded in the cheapest legal representation — the child's span
 /// untouched when every lane passes (zero copies), a selection vector
-/// over the child's rows when at least SelVectorMinRows() lanes survive
+/// over the child's rows when at least kSelVectorMinRows lanes survive
 /// (still zero copies), and a dense compacted batch only below that
 /// threshold, where the indirection would cost downstream more than the
-/// copy. NextBatchSel consumers see all three forms; NextBatchView and
-/// NextBatch flatten sparse spans since their interfaces cannot carry a
-/// selection.
+/// copy. Batches with no survivors are skipped, so every span forwarded
+/// is non-empty and never larger than one child batch.
 class FilterExecutor : public Executor {
  public:
   FilterExecutor(ExecRef child, ExprRef predicate);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
-  bool NextBatchView(const Tuple** rows, size_t* n) override;
   bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
@@ -98,20 +113,16 @@ class FilterExecutor : public Executor {
     child_->Explain(depth + 1, out);
   }
 
- private:
-  /// Pulls child batches until one has survivors (or the stream ends).
-  /// Forwards all-true and above-threshold batches without copying; below
-  /// the threshold, compacts the survivors into `compact_into` (slot
-  /// discipline: recycled tuples keep their buffers) and returns a dense
-  /// span over it.
-  bool PullSel(BatchSpan* out, std::vector<Tuple>* compact_into);
+ protected:
+  Status Open() override;
 
+ private:
   ExecRef child_;
   ExprRef predicate_;
   ValueColumn pred_scratch_;  // EvalBatch output column
   std::vector<char> keep_;    // per-lane predicate verdicts
   std::vector<uint32_t> sel_;  // backs forwarded selection vectors
-  std::vector<Tuple> compact_buffer_;  // NextBatchSel's compaction target
+  std::vector<Tuple> compact_;  // scratch: compacted survivors
 };
 
 /// SELECT list: evaluates one expression per output column.
@@ -119,9 +130,7 @@ class ProjectExecutor : public Executor {
  public:
   ProjectExecutor(ExecRef child, std::vector<ExprRef> exprs,
                   Schema output_schema);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -131,25 +140,32 @@ class ProjectExecutor : public Executor {
     child_->Explain(depth + 1, out);
   }
 
+ protected:
+  Status Open() override;
+
  private:
   ExecRef child_;
   std::vector<ExprRef> exprs_;
   Schema output_schema_;
   std::vector<ValueColumn> expr_cols_;  // one column per select item
+  std::vector<Tuple> rows_;  // scratch: the projected batch
 };
 
 /// TOP n / LIMIT n.
 class LimitExecutor : public Executor {
  public:
   LimitExecutor(ExecRef child, int64_t limit);
-  Status Init() override;
-  bool Next(Tuple* out) override;
+  /// Forwards the child's spans, cutting the last one short.
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
     out->append("Limit: " + std::to_string(limit_) + "\n");
     child_->Explain(depth + 1, out);
   }
+
+ protected:
+  Status Open() override;
 
  private:
   ExecRef child_;
@@ -163,18 +179,18 @@ class LimitExecutor : public Executor {
 class MaterializedExecutor : public Executor {
  public:
   MaterializedExecutor(std::vector<Tuple> tuples, Schema schema);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
   /// Serves windows of the owned vector directly — the zero-copy source
   /// the whole batched pipeline leans on.
-  bool NextBatchView(const Tuple** rows, size_t* n) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
     out->append("Materialized: " + std::to_string(tuples_.size()) +
                 " row(s)\n");
   }
+
+ protected:
+  Status Open() override;
 
  private:
   std::vector<Tuple> tuples_;
@@ -187,14 +203,7 @@ class MaterializedExecutor : public Executor {
 class RenameExecutor : public Executor {
  public:
   RenameExecutor(ExecRef child, std::vector<std::string> new_names);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  /// Renaming only touches the schema, so batches (and borrowed views)
-  /// pass straight through — the planner wraps every base-table scan in a
-  /// Rename, and without these the whole SQL pipeline would fall back to
-  /// row-at-a-time pulls underneath it.
-  bool NextBatch(std::vector<Tuple>* out) override;
-  bool NextBatchView(const Tuple** rows, size_t* n) override;
+  /// Renaming only touches the schema, so spans pass straight through.
   bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
@@ -202,6 +211,9 @@ class RenameExecutor : public Executor {
     out->append("Rename: -> " + schema_.ToString() + "\n");
     child_->Explain(depth + 1, out);
   }
+
+ protected:
+  Status Open() override;
 
  private:
   ExecRef child_;

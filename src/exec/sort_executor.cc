@@ -18,7 +18,7 @@ int CompareBySortKeys(const Tuple& a, const Tuple& b,
 SortExecutor::SortExecutor(ExecRef child, std::vector<SortKey> keys)
     : child_(std::move(child)), keys_(std::move(keys)) {}
 
-Status SortExecutor::Init() {
+Status SortExecutor::Open() {
   rows_.clear();
   pos_ = 0;
   RELGRAPH_RETURN_IF_ERROR(Collect(child_.get(), &rows_));
@@ -61,14 +61,8 @@ Status SortExecutor::Init() {
   return Status::OK();
 }
 
-bool SortExecutor::Next(Tuple* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
-  return true;
-}
-
-bool SortExecutor::NextBatch(std::vector<Tuple>* out) {
-  return ReplayBatch(rows_, &pos_, out);
+bool SortExecutor::NextBatchSel(BatchSpan* out) {
+  return ReplayWindow(rows_, &pos_, out);
 }
 
 const Schema& SortExecutor::OutputSchema() const {

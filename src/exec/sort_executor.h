@@ -18,9 +18,7 @@ struct SortKey {
 class SortExecutor : public Executor {
  public:
   SortExecutor(ExecRef child, std::vector<SortKey> keys);
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -31,6 +29,9 @@ class SortExecutor : public Executor {
     out->append("\n");
     child_->Explain(depth + 1, out);
   }
+
+ protected:
+  Status Open() override;
 
  private:
   ExecRef child_;

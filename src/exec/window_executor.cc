@@ -17,7 +17,7 @@ SortedWindowRowNumberExecutor::SortedWindowRowNumberExecutor(
   output_schema_ = Schema(std::move(cols));
 }
 
-Status SortedWindowRowNumberExecutor::Init() {
+Status SortedWindowRowNumberExecutor::Open() {
   prev_key_.clear();
   have_prev_ = false;
   row_number_ = 0;
@@ -28,7 +28,7 @@ Status SortedWindowRowNumberExecutor::Init() {
   return child_->Init();
 }
 
-void SortedWindowRowNumberExecutor::Number(Tuple in, Tuple* out) {
+void SortedWindowRowNumberExecutor::Number(const Tuple& in, Tuple* out) {
   bool boundary = !have_prev_;
   if (have_prev_) {
     for (size_t k = 0; k < part_idx_.size(); k++) {
@@ -48,41 +48,27 @@ void SortedWindowRowNumberExecutor::Number(Tuple in, Tuple* out) {
   const size_t width = in.NumValues() + 1;
   if (out->NumValues() == width) {
     // Reused output slot: overwrite in place, no allocation.
-    for (size_t i = 0; i + 1 < width; i++) {
-      out->value(i) = std::move(in.value(i));
-    }
-    out->value(width - 1) = Value(row_number_);
+    for (size_t i = 0; i + 1 < width; i++) out->value(i) = in.value(i);
+    out->value(width - 1).SetInt(row_number_);
     return;
   }
   std::vector<Value> values;
   values.reserve(width);
-  for (size_t i = 0; i + 1 < width; i++) {
-    values.push_back(std::move(in.value(i)));
-  }
+  for (size_t i = 0; i + 1 < width; i++) values.push_back(in.value(i));
   values.emplace_back(row_number_);
   *out = Tuple(std::move(values));
 }
 
-bool SortedWindowRowNumberExecutor::Next(Tuple* out) {
-  Tuple in;
-  if (!child_->Next(&in)) {
+bool SortedWindowRowNumberExecutor::NextBatchSel(BatchSpan* out) {
+  BatchSpan in;
+  if (!child_->NextBatchSel(&in)) {
     status_ = child_->status();
     return false;
   }
-  Number(std::move(in), out);
-  return true;
-}
-
-bool SortedWindowRowNumberExecutor::NextBatch(std::vector<Tuple>* out) {
-  if (!child_->NextBatch(&in_batch_)) {
-    out->clear();
-    status_ = child_->status();
-    return false;
-  }
-  out->resize(in_batch_.size());
-  for (size_t i = 0; i < in_batch_.size(); i++) {
-    Number(std::move(in_batch_[i]), &(*out)[i]);
-  }
+  const size_t n = in.count();
+  rows_.resize(n);
+  for (size_t i = 0; i < n; i++) Number(in.row(i), &rows_[i]);
+  *out = BatchSpan::Scratch(&rows_);
   return true;
 }
 
@@ -104,7 +90,7 @@ WindowRowNumberExecutor::WindowRowNumberExecutor(
   output_schema_ = Schema(std::move(cols));
 }
 
-Status WindowRowNumberExecutor::Init() {
+Status WindowRowNumberExecutor::Open() {
   stream_.reset();
   std::vector<Tuple> input;
   RELGRAPH_RETURN_IF_ERROR(Collect(child_.get(), &input));
@@ -140,21 +126,9 @@ Status WindowRowNumberExecutor::Init() {
   return stream_->Init();
 }
 
-bool WindowRowNumberExecutor::Next(Tuple* out) {
+bool WindowRowNumberExecutor::NextBatchSel(BatchSpan* out) {
   if (stream_ == nullptr) return false;  // Init() failed or never ran
-  if (!stream_->Next(out)) {
-    status_ = stream_->status();
-    return false;
-  }
-  return true;
-}
-
-bool WindowRowNumberExecutor::NextBatch(std::vector<Tuple>* out) {
-  if (stream_ == nullptr) {  // Init() failed or never ran
-    out->clear();
-    return false;
-  }
-  if (!stream_->NextBatch(out)) {
+  if (!stream_->NextBatchSel(out)) {
     status_ = stream_->status();
     return false;
   }

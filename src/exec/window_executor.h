@@ -20,9 +20,7 @@ class SortedWindowRowNumberExecutor : public Executor {
   SortedWindowRowNumberExecutor(ExecRef child,
                                 std::vector<std::string> partition_cols,
                                 std::string out_column = "rownum");
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -34,10 +32,13 @@ class SortedWindowRowNumberExecutor : public Executor {
     child_->Explain(depth + 1, out);
   }
 
+ protected:
+  Status Open() override;
+
  private:
   /// Appends the row number for `in` (advancing the partition state) and
   /// writes the widened tuple to `out`.
-  void Number(Tuple in, Tuple* out);
+  void Number(const Tuple& in, Tuple* out);
 
   ExecRef child_;
   std::vector<std::string> partition_cols_;
@@ -46,7 +47,7 @@ class SortedWindowRowNumberExecutor : public Executor {
   std::vector<Value> prev_key_;  // previous row's partition column values
   bool have_prev_ = false;
   int64_t row_number_ = 0;
-  std::vector<Tuple> in_batch_;  // NextBatch scratch
+  std::vector<Tuple> rows_;  // scratch: the numbered batch
 };
 
 /// The SQL:2003 window function the paper leans on (§2.2, Listing 2(3)):
@@ -56,7 +57,7 @@ class SortedWindowRowNumberExecutor : public Executor {
 /// Physical plan: one stable sort of the child by (partition columns, order
 /// keys) — partitions become contiguous runs — feeding the streaming
 /// operator above. The sorted input is the only materialization; the
-/// numbered output is produced row/batch-at-a-time, which halves the
+/// numbered output is produced a batch at a time, which halves the
 /// operator's peak memory versus the old build-the-whole-output plan and
 /// lets the E-operator's `rownum = 1` dedup stream. Selecting `rownum = 1`
 /// keeps, per expanded node, the single occurrence with minimal distance —
@@ -67,9 +68,7 @@ class WindowRowNumberExecutor : public Executor {
   WindowRowNumberExecutor(ExecRef child, std::vector<std::string> partition_cols,
                           std::vector<SortKey> order_keys,
                           std::string out_column = "rownum");
-  Status Init() override;
-  bool Next(Tuple* out) override;
-  bool NextBatch(std::vector<Tuple>* out) override;
+  bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
@@ -81,6 +80,9 @@ class WindowRowNumberExecutor : public Executor {
                              output_schema_.NumColumns() - 1).name + "\n");
     child_->Explain(depth + 1, out);
   }
+
+ protected:
+  Status Open() override;
 
  private:
   ExecRef child_;

@@ -10,9 +10,12 @@ Status LabeledPathFinder::Create(GraphStore* graph, const LabelIndex* labels,
   auto finder = std::unique_ptr<LabeledPathFinder>(new LabeledPathFinder());
   finder->graph_ = graph;
   finder->labels_ = labels;
-  RELGRAPH_RETURN_IF_ERROR(LabelProbe::Create(labels, &finder->probe_));
+  // The fallback's DDL bumps the catalog version, so it runs before the
+  // probe prepares its statements — otherwise the first Distance() would
+  // replan them.
   RELGRAPH_RETURN_IF_ERROR(
       SqlPathFinder::Create(graph, options.fallback, &finder->fallback_));
+  RELGRAPH_RETURN_IF_ERROR(LabelProbe::Create(labels, &finder->probe_));
   *out = std::move(finder);
   return Status::OK();
 }

@@ -1,16 +1,16 @@
-// Batched-vs-tuple-at-a-time agreement: for random physical plans over
-// random tables, NextBatch() must yield exactly the Next() stream — same
-// tuples, same order — and mixing the two pull styles on one executor must
-// not lose or duplicate rows. This pins the contract every NextBatch
-// override (SeqScan, IndexRangeScan, Filter, Project, IndexNestedLoopJoin,
-// Materialized, Window) has to keep.
+// Executor streams against independent oracles: random physical plans
+// (Filter/Project/Limit/IndexNestedLoopJoin over scans) must yield exactly
+// what a scalar reference computes with Evaluate over std::vector<Tuple>
+// and raw table iterators — same tuples, same order — through all three
+// ways of draining a plan (NextBatchSel spans, the Next adapter, Collect),
+// at input sizes on both sides of every batch boundary.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/catalog/table.h"
@@ -24,125 +24,203 @@
 namespace relgraph {
 namespace {
 
+/// Drains through NextBatchSel, copying lanes out without moving them.
+/// Every span must be non-empty and within the batch cap.
+std::vector<Tuple> DrainSpans(Executor* e) {
+  EXPECT_TRUE(e->Init().ok());
+  std::vector<Tuple> out;
+  BatchSpan span;
+  while (e->NextBatchSel(&span)) {
+    EXPECT_GT(span.count(), 0u) << "NextBatchSel returned an empty span";
+    EXPECT_LE(span.count(), kExecBatchSize);
+    for (size_t i = 0; i < span.count(); i++) out.push_back(span.row(i));
+  }
+  EXPECT_TRUE(e->status().ok());
+  return out;
+}
+
+/// Drains through the row-at-a-time Next adapter.
+std::vector<Tuple> DrainNext(Executor* e) {
+  EXPECT_TRUE(e->Init().ok());
+  std::vector<Tuple> out;
+  Tuple t;
+  while (e->Next(&t)) out.push_back(t);
+  EXPECT_TRUE(e->status().ok());
+  return out;
+}
+
+std::vector<Tuple> DrainCollect(Executor* e) {
+  std::vector<Tuple> out;
+  EXPECT_TRUE(Collect(e, &out).ok());
+  return out;
+}
+
+void ExpectSameStream(const std::vector<Tuple>& want,
+                      const std::vector<Tuple>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); i++) {
+    ASSERT_EQ(want[i], got[i]) << what << " row " << i;
+  }
+}
+
+/// Scalar reference for a table access path: the raw iterator, no
+/// executor in between.
+std::vector<Tuple> ReadAll(Table::Iterator it) {
+  std::vector<Tuple> out;
+  Tuple t;
+  while (it.Next(&t, nullptr)) out.push_back(t);
+  EXPECT_TRUE(it.status().ok());
+  return out;
+}
+
+std::vector<Tuple> ReadRange(Table* table, const std::string& column,
+                             int64_t lo, int64_t hi) {
+  Table::Iterator it;
+  EXPECT_TRUE(table->ScanRange(column, lo, hi, &it).ok());
+  return ReadAll(std::move(it));
+}
+
 class ExecBatchTest : public ::testing::Test {
  protected:
-  ExecBatchTest() : pool_(512, &dm_) {
-    Schema left_schema(
-        {{"a", TypeId::kInt}, {"b", TypeId::kInt}, {"c", TypeId::kInt}});
-    EXPECT_TRUE(
-        Table::Create(&pool_, "L", left_schema, TableOptions{}, &left_).ok());
-    Schema right_schema(
-        {{"fid", TypeId::kInt}, {"tid", TypeId::kInt}, {"cost", TypeId::kInt}});
-    EXPECT_TRUE(
-        Table::Create(&pool_, "R", right_schema, TableOptions{}, &right_)
-            .ok());
-    Rng rng(2024);
-    for (int i = 0; i < 200; i++) {
-      EXPECT_TRUE(left_
-                      ->Insert(Tuple({Value(rng.NextInt(0, 20)),
-                                      Value(rng.NextInt(0, 20)),
-                                      Value(rng.NextInt(0, 20))}))
-                      .ok());
-    }
-    for (int i = 0; i < 150; i++) {
-      EXPECT_TRUE(right_
-                      ->Insert(Tuple({Value(rng.NextInt(0, 20)),
-                                      Value(rng.NextInt(0, 20)),
-                                      Value(rng.NextInt(0, 50))}))
-                      .ok());
-    }
-    EXPECT_TRUE(right_->CreateSecondaryIndex("fid", /*unique=*/false).ok());
+  ExecBatchTest() : pool_(2048, &dm_) {
+    left_ = MakeLeft("L", 200, 20, 2024);
+    right_ = MakeRight("R", 150, 20, 2025);
   }
 
-  /// Builds one random plan; identical (seed, depth) always builds the same
-  /// tree, so the two drain modes get structurally equal executors.
-  ExecRef BuildPlan(Rng* rng, int depth) {
+  /// L(a, b, c): n rows of values in [0, domain].
+  std::unique_ptr<Table> MakeLeft(const std::string& name, int n,
+                                  int64_t domain, uint64_t seed) {
+    std::unique_ptr<Table> t;
+    Schema schema(
+        {{"a", TypeId::kInt}, {"b", TypeId::kInt}, {"c", TypeId::kInt}});
+    EXPECT_TRUE(Table::Create(&pool_, name, schema, TableOptions{}, &t).ok());
+    Rng rng(seed);
+    for (int i = 0; i < n; i++) {
+      EXPECT_TRUE(t->Insert(Tuple({Value(rng.NextInt(0, domain)),
+                                   Value(rng.NextInt(0, domain)),
+                                   Value(rng.NextInt(0, domain))}))
+                      .ok());
+    }
+    return t;
+  }
+
+  /// R(fid, tid, cost) with a secondary index on fid (the join's probe).
+  std::unique_ptr<Table> MakeRight(const std::string& name, int n,
+                                   int64_t domain, uint64_t seed) {
+    std::unique_ptr<Table> t;
+    Schema schema(
+        {{"fid", TypeId::kInt}, {"tid", TypeId::kInt}, {"cost", TypeId::kInt}});
+    EXPECT_TRUE(Table::Create(&pool_, name, schema, TableOptions{}, &t).ok());
+    Rng rng(seed);
+    for (int i = 0; i < n; i++) {
+      EXPECT_TRUE(t->Insert(Tuple({Value(rng.NextInt(0, domain)),
+                                   Value(rng.NextInt(0, domain)),
+                                   Value(rng.NextInt(0, 50))}))
+                      .ok());
+    }
+    EXPECT_TRUE(t->CreateSecondaryIndex("fid", /*unique=*/false).ok());
+    return t;
+  }
+
+  /// Builds one random plan over (left, right) and computes its expected
+  /// output into *ref without touching any executor. Identical (seed,
+  /// depth) always builds the same tree.
+  ExecRef BuildPlan(Rng* rng, int depth, Table* left, Table* right,
+                    int64_t domain, std::vector<Tuple>* ref) {
     if (depth <= 0) {
       switch (rng->NextInt(0, 2)) {
         case 0:
-          return std::make_unique<SeqScanExecutor>(left_.get());
+          *ref = ReadAll(left->Scan());
+          return std::make_unique<SeqScanExecutor>(left);
         case 1:
-          return std::make_unique<SeqScanExecutor>(right_.get());
+          *ref = ReadAll(right->Scan());
+          return std::make_unique<SeqScanExecutor>(right);
         default: {
-          int64_t lo = rng->NextInt(0, 15);
-          return std::make_unique<IndexRangeScanExecutor>(
-              right_.get(), "fid", lo, lo + rng->NextInt(0, 5));
+          int64_t lo = rng->NextInt(0, domain);
+          int64_t hi = lo + rng->NextInt(0, domain / 4 + 5);
+          *ref = ReadRange(right, "fid", lo, hi);
+          return std::make_unique<IndexRangeScanExecutor>(right, "fid", lo,
+                                                          hi);
         }
       }
     }
-    ExecRef child = BuildPlan(rng, depth - 1);
-    const Schema& in = child->OutputSchema();
+    std::vector<Tuple> in_rows;
+    ExecRef child = BuildPlan(rng, depth - 1, left, right, domain, &in_rows);
+    const Schema in = child->OutputSchema();
     auto random_col = [&] {
       return Col(in.column(rng->NextInt(0, in.NumColumns() - 1)).name);
     };
+    ref->clear();
     switch (rng->NextInt(0, 3)) {
       case 0: {
         CompareOp op = static_cast<CompareOp>(rng->NextInt(0, 5));
-        return std::make_unique<FilterExecutor>(
-            std::move(child), Cmp(op, random_col(), Lit(rng->NextInt(0, 20))));
+        ExprRef pred = Cmp(op, random_col(), Lit(rng->NextInt(0, domain)));
+        for (const Tuple& t : in_rows) {
+          if (EvalPredicate(*pred, t, in)) ref->push_back(t);
+        }
+        return std::make_unique<FilterExecutor>(std::move(child), pred);
       }
       case 1: {
         std::vector<ExprRef> exprs = {random_col(),
                                       Add(random_col(), random_col())};
+        for (const Tuple& t : in_rows) {
+          ref->push_back(Tuple({exprs[0]->Evaluate(t, in),
+                                exprs[1]->Evaluate(t, in)}));
+        }
         Schema out({{"p0", TypeId::kInt}, {"p1", TypeId::kInt}});
         return std::make_unique<ProjectExecutor>(std::move(child),
                                                  std::move(exprs), out);
       }
-      case 2:
-        return std::make_unique<LimitExecutor>(std::move(child),
-                                               rng->NextInt(0, 300));
+      case 2: {
+        const int64_t limit =
+            rng->NextInt(0, 3 * static_cast<int64_t>(kExecBatchSize));
+        *ref = std::move(in_rows);
+        if (static_cast<int64_t>(ref->size()) > limit) ref->resize(limit);
+        return std::make_unique<LimitExecutor>(std::move(child), limit);
+      }
       default: {
         // Probe R.fid with a random outer column; sometimes add a residual.
+        ExprRef key = random_col();
         ExprRef residual =
             rng->NextInt(0, 1) == 0
                 ? nullptr
                 : Cmp(CompareOp::kLt, Col("cost"), Lit(rng->NextInt(5, 45)));
+        const Schema joined = ConcatSchemas(in, right->schema());
+        for (const Tuple& t : in_rows) {
+          Value k = key->Evaluate(t, in);
+          if (k.IsNull()) continue;
+          for (const Tuple& inner : ReadRange(right, "fid", k.AsInt(),
+                                              k.AsInt())) {
+            Tuple row = ConcatTuples(t, inner);
+            if (residual == nullptr || EvalPredicate(*residual, row, joined)) {
+              ref->push_back(std::move(row));
+            }
+          }
+        }
         return std::make_unique<IndexNestedLoopJoinExecutor>(
-            std::move(child), right_.get(), "fid", random_col(),
-            std::move(residual));
+            std::move(child), right, "fid", key, std::move(residual));
       }
     }
   }
 
-  static std::vector<Tuple> DrainTupleAtATime(Executor* e) {
-    EXPECT_TRUE(e->Init().ok());
-    std::vector<Tuple> out;
-    Tuple t;
-    while (e->Next(&t)) out.push_back(t);
-    EXPECT_TRUE(e->status().ok());
-    return out;
-  }
-
-  static std::vector<Tuple> DrainBatched(Executor* e) {
-    EXPECT_TRUE(e->Init().ok());
-    std::vector<Tuple> out;
-    std::vector<Tuple> batch;
-    while (e->NextBatch(&batch)) {
-      EXPECT_FALSE(batch.empty()) << "NextBatch returned true with no rows";
-      EXPECT_LE(batch.size(), kExecBatchSize);
-      out.insert(out.end(), batch.begin(), batch.end());
+  /// Checks seeds [1, seeds] of random plans over (left, right) against
+  /// their references through every drain, then re-Init()s the span plan
+  /// and checks the replay too.
+  void CheckRandomPlans(Table* left, Table* right, int64_t domain,
+                        uint64_t seeds, const std::string& label) {
+    for (uint64_t seed = 1; seed <= seeds; seed++) {
+      const int depth = static_cast<int>(seed % 3) + 1;
+      const std::string what = label + " seed " + std::to_string(seed);
+      std::vector<Tuple> ref, unused;
+      Rng build_a(seed), build_b(seed), build_c(seed);
+      ExecRef a = BuildPlan(&build_a, depth, left, right, domain, &ref);
+      ExecRef b = BuildPlan(&build_b, depth, left, right, domain, &unused);
+      ExecRef c = BuildPlan(&build_c, depth, left, right, domain, &unused);
+      ExpectSameStream(ref, DrainSpans(a.get()), what + " spans");
+      ExpectSameStream(ref, DrainSpans(a.get()), what + " re-Init");
+      ExpectSameStream(ref, DrainNext(b.get()), what + " Next");
+      ExpectSameStream(ref, DrainCollect(c.get()), what + " Collect");
     }
-    EXPECT_TRUE(e->status().ok());
-    return out;
-  }
-
-  /// Alternates single pulls and batch pulls on one executor.
-  static std::vector<Tuple> DrainMixed(Executor* e, Rng* rng) {
-    EXPECT_TRUE(e->Init().ok());
-    std::vector<Tuple> out;
-    std::vector<Tuple> batch;
-    for (;;) {
-      if (rng->NextInt(0, 1) == 0) {
-        Tuple t;
-        if (!e->Next(&t)) break;
-        out.push_back(std::move(t));
-      } else {
-        if (!e->NextBatch(&batch)) break;
-        out.insert(out.end(), batch.begin(), batch.end());
-      }
-    }
-    EXPECT_TRUE(e->status().ok());
-    return out;
   }
 
   DiskManager dm_;
@@ -152,77 +230,20 @@ class ExecBatchTest : public ::testing::Test {
 };
 
 TEST_F(ExecBatchTest, RandomPlansAgreeAcrossPullStyles) {
-  for (uint64_t seed = 1; seed <= 40; seed++) {
-    const int depth = static_cast<int>(seed % 4) + 1;
-    Rng build_a(seed), build_b(seed), build_c(seed);
-    ExecRef a = BuildPlan(&build_a, depth);
-    ExecRef b = BuildPlan(&build_b, depth);
-    ExecRef c = BuildPlan(&build_c, depth);
-
-    std::vector<Tuple> row_stream = DrainTupleAtATime(a.get());
-    std::vector<Tuple> batch_stream = DrainBatched(b.get());
-    ASSERT_EQ(row_stream.size(), batch_stream.size()) << "seed " << seed;
-    for (size_t i = 0; i < row_stream.size(); i++) {
-      ASSERT_EQ(row_stream[i], batch_stream[i])
-          << "seed " << seed << " row " << i;
-    }
-
-    Rng mix_rng(seed * 977 + 1);
-    std::vector<Tuple> mixed_stream = DrainMixed(c.get(), &mix_rng);
-    ASSERT_EQ(row_stream.size(), mixed_stream.size()) << "seed " << seed;
-    for (size_t i = 0; i < row_stream.size(); i++) {
-      ASSERT_EQ(row_stream[i], mixed_stream[i])
-          << "seed " << seed << " row " << i;
-    }
-  }
+  CheckRandomPlans(left_.get(), right_.get(), 20, 40, "L200/R150");
 }
 
-/// Draining through the borrowed-batch interface must also reproduce the
-/// Next() stream exactly (Materialized serves true zero-copy views; every
-/// other operator adapts through the base-class buffer).
-TEST_F(ExecBatchTest, ViewedDrainAgreesWithNext) {
-  for (uint64_t seed = 1; seed <= 12; seed++) {
-    const int depth = static_cast<int>(seed % 4) + 1;
-    Rng build_a(seed), build_b(seed);
-    ExecRef a = BuildPlan(&build_a, depth);
-    ExecRef b = BuildPlan(&build_b, depth);
-
-    std::vector<Tuple> row_stream = DrainTupleAtATime(a.get());
-    ASSERT_TRUE(b->Init().ok());
-    std::vector<Tuple> view_stream;
-    const Tuple* rows = nullptr;
-    size_t n = 0;
-    while (b->NextBatchView(&rows, &n)) {
-      ASSERT_GT(n, 0u);
-      ASSERT_LE(n, kExecBatchSize);
-      view_stream.insert(view_stream.end(), rows, rows + n);
-    }
-    ASSERT_TRUE(b->status().ok());
-    ASSERT_EQ(row_stream.size(), view_stream.size()) << "seed " << seed;
-    for (size_t i = 0; i < row_stream.size(); i++) {
-      ASSERT_EQ(row_stream[i], view_stream[i]) << "seed " << seed;
-    }
+/// Input sizes on both sides of the batch cap: empty, one row, one short
+/// of a batch, exactly one, one over, and a ragged three-batch tail. The
+/// value domain grows with n so index joins stay about one match per probe.
+TEST_F(ExecBatchTest, BatchBoundariesMatchScalarReference) {
+  for (int n : {0, 1, 1023, 1024, 1025, 3079}) {
+    const int64_t domain = std::max<int64_t>(20, n / 2);
+    auto left = MakeLeft("L" + std::to_string(n), n, domain, 31 + n);
+    auto right = MakeRight("R" + std::to_string(n), n, domain, 37 + n);
+    CheckRandomPlans(left.get(), right.get(), domain, 12,
+                     "n=" + std::to_string(n));
   }
-}
-
-/// The runtime batch-size knob must only change batch boundaries, never
-/// the stream contents — including degenerate sizes.
-TEST_F(ExecBatchTest, BatchSizeKnobPreservesTheStream) {
-  Rng build_ref(5);
-  ExecRef ref_plan = BuildPlan(&build_ref, 3);
-  std::vector<Tuple> reference = DrainTupleAtATime(ref_plan.get());
-  for (size_t batch_size : {size_t{1}, size_t{3}, size_t{7}, size_t{4096}}) {
-    SetExecBatchSize(batch_size);
-    Rng build(5);
-    ExecRef plan = BuildPlan(&build, 3);
-    std::vector<Tuple> got = DrainBatched(plan.get());
-    SetExecBatchSize(0);
-    ASSERT_EQ(reference.size(), got.size()) << "batch size " << batch_size;
-    for (size_t i = 0; i < got.size(); i++) {
-      ASSERT_EQ(reference[i], got[i]) << "batch size " << batch_size;
-    }
-  }
-  EXPECT_EQ(ExecBatchSize(), kExecBatchSize);  // knob restored
 }
 
 // ---------------------------------------------------------------------------
@@ -346,22 +367,37 @@ TEST_F(EvalBatchTest, RandomExpressionsAgreeWithScalarEvaluation) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming window + MERGE-via-batch.
+// Streaming window, MERGE, and replay producers against test-side oracles.
 // ---------------------------------------------------------------------------
+
+/// row_number() OVER (PARTITION BY fid ORDER BY cost, tid), computed with
+/// std::stable_sort over the raw scan.
+std::vector<Tuple> OracleWindow(std::vector<Tuple> rows) {
+  auto by_fid_cost_tid = [](const Tuple& x, const Tuple& y) {
+    for (size_t k : {size_t{0}, size_t{2}, size_t{1}}) {
+      int c = x.value(k).Compare(y.value(k));
+      if (c != 0) return c < 0;
+    }
+    return false;
+  };
+  std::stable_sort(rows.begin(), rows.end(), by_fid_cost_tid);
+  std::vector<Tuple> out;
+  int64_t rownum = 0;
+  for (size_t i = 0; i < rows.size(); i++) {
+    if (i == 0 || rows[i].value(0).Compare(rows[i - 1].value(0)) != 0) {
+      rownum = 0;
+    }
+    std::vector<Value> v = rows[i].values();
+    v.emplace_back(++rownum);
+    out.push_back(Tuple(std::move(v)));
+  }
+  return out;
+}
 
 TEST_F(ExecBatchTest, SortedStreamingWindowMatchesSortingWindow) {
   // Feed the streaming operator pre-sorted input; it must reproduce the
-  // sorting window's output exactly, for both pull styles.
-  auto make_sorting = [&] {
-    return std::make_unique<WindowRowNumberExecutor>(
-        std::make_unique<SeqScanExecutor>(right_.get()),
-        std::vector<std::string>{"fid"},
-        std::vector<SortKey>{{Col("cost"), true}, {Col("tid"), true}});
-  };
-  auto w = make_sorting();
-  std::vector<Tuple> expected = DrainTupleAtATime(w.get());
-
-  // Strip the rownum column to recover the sorted input stream.
+  // sorting window's output exactly, through both drains.
+  const std::vector<Tuple> expected = OracleWindow(ReadAll(right_->Scan()));
   std::vector<Tuple> sorted_input;
   for (const Tuple& t : expected) {
     std::vector<Value> v(t.values().begin(), t.values().end() - 1);
@@ -374,25 +410,46 @@ TEST_F(ExecBatchTest, SortedStreamingWindowMatchesSortingWindow) {
   SortedWindowRowNumberExecutor streamed(
       std::make_unique<MaterializedExecutor>(sorted_input, in_schema),
       std::vector<std::string>{"fid"});
-  std::vector<Tuple> got = DrainTupleAtATime(&streamed);
-  ASSERT_EQ(expected.size(), got.size());
-  for (size_t i = 0; i < got.size(); i++) EXPECT_EQ(expected[i], got[i]);
-
-  SortedWindowRowNumberExecutor streamed_batch(
-      std::make_unique<MaterializedExecutor>(sorted_input, in_schema),
-      std::vector<std::string>{"fid"});
-  std::vector<Tuple> got_batched = DrainBatched(&streamed_batch);
-  ASSERT_EQ(expected.size(), got_batched.size());
-  for (size_t i = 0; i < got_batched.size(); i++) {
-    EXPECT_EQ(expected[i], got_batched[i]);
-  }
+  ExpectSameStream(expected, DrainNext(&streamed), "streamed Next");
+  ExpectSameStream(expected, DrainSpans(&streamed), "streamed spans");
 }
 
 TEST_F(ExecBatchTest, MergeViaBatchMatchesRowAtATimeMerge) {
-  // The same MERGE executed with batch size 1 (row-at-a-time drain) and
-  // the default batch size must produce identical targets and counts.
-  auto run_merge = [&](size_t batch_size, std::vector<Tuple>* final_rows,
-                       int64_t* affected) {
+  // Source: ~3000 rows with duplicate keys, some new, some better.
+  std::vector<Tuple> src;
+  Rng srng(78);
+  for (int64_t i = 0; i < 3000; i++) {
+    src.push_back(Tuple({Value(srng.NextInt(0, 600)),
+                         Value(srng.NextInt(10, 120)),
+                         Value(srng.NextInt(0, 40))}));
+  }
+  const Schema src_schema(
+      {{"nid", TypeId::kInt}, {"cost", TypeId::kInt}, {"pid", TypeId::kInt}});
+
+  // Row-at-a-time oracle: each source row sees every earlier row's effect.
+  std::map<int64_t, Tuple> oracle;
+  Rng rng(77);
+  for (int64_t i = 0; i < 300; i++) {
+    oracle[i] =
+        Tuple({Value(i), Value(rng.NextInt(50, 90)), Value(int64_t{-1})});
+  }
+  int64_t oracle_affected = 0;
+  for (const Tuple& s : src) {
+    const int64_t nid = s.value(0).AsInt();
+    auto it = oracle.find(nid);
+    if (it == oracle.end()) {
+      oracle[nid] = s;
+      oracle_affected++;
+    } else if (it->second.value(1).AsInt() > s.value(1).AsInt()) {
+      it->second.value(1) = s.value(1);
+      it->second.value(2) = s.value(2);
+      oracle_affected++;
+    }
+  }
+
+  // The same MERGE from a replayed source (rows copied out) and from a
+  // projection over it (scratch rows moved out by the source drain).
+  for (bool scratch_source : {false, true}) {
     DiskManager dm;
     BufferPool pool(512, &dm);
     std::unique_ptr<Table> target;
@@ -403,106 +460,92 @@ TEST_F(ExecBatchTest, MergeViaBatchMatchesRowAtATimeMerge) {
                               TableOptions{}, &target)
                     .ok());
     ASSERT_TRUE(target->CreateSecondaryIndex("nid", /*unique=*/true).ok());
-    Rng rng(77);
+    Rng trng(77);
     for (int64_t i = 0; i < 300; i++) {
       ASSERT_TRUE(target
-                      ->Insert(Tuple({Value(i), Value(rng.NextInt(50, 90)),
+                      ->Insert(Tuple({Value(i), Value(trng.NextInt(50, 90)),
                                       Value(int64_t{-1})}))
                       .ok());
     }
-    // Source: ~3000 rows with duplicate keys, some new, some better.
-    std::vector<Tuple> src;
-    Rng srng(78);
-    for (int64_t i = 0; i < 3000; i++) {
-      src.push_back(Tuple({Value(srng.NextInt(0, 600)),
-                           Value(srng.NextInt(10, 120)),
-                           Value(srng.NextInt(0, 40))}));
+    ExecRef source = std::make_unique<MaterializedExecutor>(src, src_schema);
+    if (scratch_source) {
+      source = std::make_unique<ProjectExecutor>(
+          std::move(source),
+          std::vector<ExprRef>{Col("nid"), Col("cost"), Col("pid")},
+          src_schema);
     }
-    SetExecBatchSize(batch_size);
-    MaterializedExecutor source(std::move(src),
-                                Schema({{"nid", TypeId::kInt},
-                                        {"cost", TypeId::kInt},
-                                        {"pid", TypeId::kInt}}));
     MergeSpec spec;
     spec.target_key_column = "nid";
     spec.source_key_column = "nid";
-    spec.matched_condition =
-        Cmp(CompareOp::kGt, Col("t.d2s"), Col("s.cost"));
+    spec.matched_condition = Cmp(CompareOp::kGt, Col("t.d2s"), Col("s.cost"));
     spec.matched_sets = {{"d2s", Col("s.cost")}, {"p2s", Col("s.pid")}};
     spec.insert_values = {Col("nid"), Col("cost"), Col("pid")};
-    ASSERT_TRUE(MergeInto(target.get(), &source, spec, affected).ok());
-    SetExecBatchSize(0);
-    SeqScanExecutor scan(target.get());
-    ASSERT_TRUE(Collect(&scan, final_rows).ok());
-  };
+    int64_t affected = 0;
+    ASSERT_TRUE(MergeInto(target.get(), source.get(), spec, &affected).ok());
+    EXPECT_EQ(affected, oracle_affected) << "scratch=" << scratch_source;
 
-  std::vector<Tuple> rows_single, rows_batched;
-  int64_t affected_single = 0, affected_batched = 0;
-  run_merge(1, &rows_single, &affected_single);
-  run_merge(0, &rows_batched, &affected_batched);
-  EXPECT_EQ(affected_single, affected_batched);
-  ASSERT_EQ(rows_single.size(), rows_batched.size());
-  for (size_t i = 0; i < rows_single.size(); i++) {
-    EXPECT_EQ(rows_single[i], rows_batched[i]) << "row " << i;
+    std::vector<Tuple> got = ReadAll(target->Scan());
+    std::sort(got.begin(), got.end(), [](const Tuple& x, const Tuple& y) {
+      return x.value(0).AsInt() < y.value(0).AsInt();
+    });
+    std::vector<Tuple> want;
+    for (const auto& [nid, row] : oracle) want.push_back(row);
+    ExpectSameStream(want, got,
+                     "merge scratch=" + std::to_string(scratch_source));
   }
-  EXPECT_GT(affected_single, 0);
+  EXPECT_GT(oracle_affected, 0);
 }
 
 TEST_F(ExecBatchTest, WindowAndMaterializedBatchesAgree) {
-  auto make_window = [&] {
-    return std::make_unique<WindowRowNumberExecutor>(
-        std::make_unique<SeqScanExecutor>(right_.get()),
-        std::vector<std::string>{"fid"},
-        std::vector<SortKey>{{Col("cost"), true}, {Col("tid"), true}});
-  };
-  auto w1 = make_window();
-  auto w2 = make_window();
-  std::vector<Tuple> rows = DrainTupleAtATime(w1.get());
-  std::vector<Tuple> batched = DrainBatched(w2.get());
-  ASSERT_EQ(rows.size(), batched.size());
-  for (size_t i = 0; i < rows.size(); i++) EXPECT_EQ(rows[i], batched[i]);
+  const std::vector<Tuple> expected = OracleWindow(ReadAll(right_->Scan()));
+  WindowRowNumberExecutor w(
+      std::make_unique<SeqScanExecutor>(right_.get()),
+      std::vector<std::string>{"fid"},
+      std::vector<SortKey>{{Col("cost"), true}, {Col("tid"), true}});
+  ExpectSameStream(expected, DrainSpans(&w), "window spans");
+  ExpectSameStream(expected, DrainNext(&w), "window Next after re-Init");
 
-  MaterializedExecutor m1(rows, w1->OutputSchema());
-  MaterializedExecutor m2(rows, w1->OutputSchema());
-  std::vector<Tuple> mrows = DrainTupleAtATime(&m1);
-  std::vector<Tuple> mbatched = DrainBatched(&m2);
-  ASSERT_EQ(mrows.size(), rows.size());
-  ASSERT_EQ(mrows.size(), mbatched.size());
-  for (size_t i = 0; i < mrows.size(); i++) EXPECT_EQ(mrows[i], mbatched[i]);
+  // Replay producers hand out their storage, never move it: re-Init()
+  // replays the same rows however they were drained before.
+  MaterializedExecutor m(expected, w.OutputSchema());
+  ExpectSameStream(expected, DrainCollect(&m), "materialized Collect");
+  ExpectSameStream(expected, DrainNext(&m), "materialized Next");
+  ExpectSameStream(expected, DrainSpans(&m), "materialized spans");
+  SortExecutor sorted(std::make_unique<MaterializedExecutor>(
+                          expected, w.OutputSchema()),
+                      {{Col("fid"), true}});
+  ExpectSameStream(expected, DrainCollect(&sorted), "sort Collect");
+  ExpectSameStream(expected, DrainCollect(&sorted), "sort replay");
 }
 
 // ---------------------------------------------------------------------------
-// Selection-vector properties: (batch, sel) execution must be bit-identical
-// to compacted execution and to the scalar oracle, across selectivities,
-// batch sizes (including 1), and both extremes of the threshold knob.
+// Selection-vector properties: every form a filter forwards — the child's
+// span untouched, a selection vector over it, a compacted copy — must be
+// bit-identical to the scalar oracle. Which form is taken depends only on
+// how many lanes of a child batch survive, so the data picks the branch.
 // ---------------------------------------------------------------------------
 
-/// Pass-through wrapper that records the pointer of every view it serves,
-/// so tests can assert a downstream operator forwarded that exact storage
-/// (zero-copy) instead of draining it into a local buffer.
-class ViewProbeExecutor : public Executor {
+/// Pass-through wrapper that records the rows pointer of every span it
+/// serves, so tests can assert a downstream operator forwarded that exact
+/// storage (zero-copy) instead of draining it into a local buffer.
+class SpanProbeExecutor : public Executor {
  public:
-  explicit ViewProbeExecutor(ExecRef inner) : inner_(std::move(inner)) {}
-  Status Init() override { return inner_->Init(); }
-  bool Next(Tuple* out) override {
-    if (!inner_->Next(out)) {
+  explicit SpanProbeExecutor(ExecRef inner) : inner_(std::move(inner)) {}
+  bool NextBatchSel(BatchSpan* out) override {
+    if (!inner_->NextBatchSel(out)) {
       status_ = inner_->status();
       return false;
     }
-    return true;
-  }
-  bool NextBatchView(const Tuple** rows, size_t* n) override {
-    if (!inner_->NextBatchView(rows, n)) {
-      status_ = inner_->status();
-      return false;
-    }
-    last_served_ = *rows;
+    last_served_ = out->rows;
     return true;
   }
   const Schema& OutputSchema() const override {
     return inner_->OutputSchema();
   }
   const Tuple* last_served() const { return last_served_; }
+
+ protected:
+  Status Open() override { return inner_->Init(); }
 
  private:
   ExecRef inner_;
@@ -515,172 +558,103 @@ class SelVectorTest : public ::testing::Test {
     return Schema({{"k", TypeId::kInt}, {"v", TypeId::kInt}});
   }
 
-  /// k = i % 100 makes `k < s` an exact s% selectivity predicate.
+  /// k = i % kExecBatchSize makes `k < s` keep exactly s lanes of every
+  /// full batch: s = 5 leaves fewer than kSelVectorMinRows survivors
+  /// (compact), s = 512 half the batch (selection vector), s = 1024 all.
   static std::vector<Tuple> MakeRows(int n, uint64_t seed) {
     Rng rng(seed);
     std::vector<Tuple> rows;
     rows.reserve(n);
     for (int i = 0; i < n; i++) {
       rows.push_back(
-          Tuple({Value(int64_t{i % 100}), Value(rng.NextInt(-100, 100))}));
+          Tuple({Value(static_cast<int64_t>(i % kExecBatchSize)),
+                 Value(rng.NextInt(-100, 100))}));
     }
     return rows;
   }
 
-  static std::vector<Tuple> DrainBatched(Executor* e) {
-    EXPECT_TRUE(e->Init().ok());
-    std::vector<Tuple> out;
-    std::vector<Tuple> batch;
-    while (e->NextBatch(&batch)) {
-      out.insert(out.end(), batch.begin(), batch.end());
-    }
-    EXPECT_TRUE(e->status().ok());
-    return out;
+  /// Filter(k < s) over a probed materialized input.
+  static ExecRef MakeFilter(const std::vector<Tuple>& rows, int64_t s,
+                            SpanProbeExecutor** probe_out) {
+    auto probe = std::make_unique<SpanProbeExecutor>(
+        std::make_unique<MaterializedExecutor>(rows, InputSchema()));
+    if (probe_out != nullptr) *probe_out = probe.get();
+    return std::make_unique<FilterExecutor>(
+        std::move(probe), Cmp(CompareOp::kLt, Col("k"), Lit(s)));
   }
 
-  /// Filter(k < s) -> Project(v, k + v) over a materialized input.
+  /// Filter(k < s) -> Project(v, k + v).
   static ExecRef MakePlan(const std::vector<Tuple>& rows, int64_t s) {
-    ExecRef scan =
-        std::make_unique<MaterializedExecutor>(rows, InputSchema());
-    ExecRef filter = std::make_unique<FilterExecutor>(
-        std::move(scan), Cmp(CompareOp::kLt, Col("k"), Lit(s)));
     std::vector<ExprRef> exprs = {Col("v"), Add(Col("k"), Col("v"))};
     Schema out({{"p0", TypeId::kInt}, {"p1", TypeId::kInt}});
-    return std::make_unique<ProjectExecutor>(std::move(filter),
+    return std::make_unique<ProjectExecutor>(MakeFilter(rows, s, nullptr),
                                              std::move(exprs), out);
   }
 };
 
 TEST_F(SelVectorTest, SelectivityBatchSizeThresholdSweepIsBitIdentical) {
-  const std::vector<Tuple> rows = MakeRows(5000, 11);
-  for (int64_t s : {int64_t{0}, int64_t{1}, int64_t{50}, int64_t{100}}) {
-    // Scalar oracle, computed without any executor machinery.
-    std::vector<Tuple> oracle;
-    for (const Tuple& t : rows) {
-      const int64_t k = t.value(0).AsInt();
-      const int64_t v = t.value(1).AsInt();
-      if (k < s) oracle.push_back(Tuple({Value(v), Value(k + v)}));
-    }
-    for (size_t batch : {size_t{1}, size_t{3}, size_t{17}, size_t{1024}}) {
-      for (size_t threshold :
-           {size_t{1}, size_t{0}, std::numeric_limits<size_t>::max()}) {
-        SetExecBatchSize(batch);
-        SetSelVectorMinRows(threshold);  // 0 restores the default
-        ExecRef batched_plan = MakePlan(rows, s);
-        std::vector<Tuple> got = DrainBatched(batched_plan.get());
-        ExecRef viewed_plan = MakePlan(rows, s);
-        ASSERT_TRUE(viewed_plan->Init().ok());
-        std::vector<Tuple> viewed;
-        const Tuple* vr = nullptr;
-        size_t vn = 0;
-        while (viewed_plan->NextBatchView(&vr, &vn)) {
-          viewed.insert(viewed.end(), vr, vr + vn);
-        }
-        SetExecBatchSize(0);
-        SetSelVectorMinRows(0);
-        ASSERT_EQ(oracle.size(), got.size())
-            << "s=" << s << " batch=" << batch << " threshold=" << threshold;
-        ASSERT_EQ(oracle.size(), viewed.size())
-            << "s=" << s << " batch=" << batch << " threshold=" << threshold;
-        for (size_t i = 0; i < oracle.size(); i++) {
-          ASSERT_EQ(oracle[i], got[i])
-              << "s=" << s << " batch=" << batch << " threshold=" << threshold
-              << " row " << i;
-          ASSERT_EQ(oracle[i], viewed[i])
-              << "s=" << s << " batch=" << batch << " threshold=" << threshold
-              << " row " << i;
-        }
+  for (int n : {0, 1, 1023, 1024, 1025, 3079}) {
+    const std::vector<Tuple> rows = MakeRows(n, 11);
+    for (int64_t s : {int64_t{0}, int64_t{5}, int64_t{512}, int64_t{1024}}) {
+      // Scalar oracle, computed without any executor machinery.
+      std::vector<Tuple> oracle;
+      for (const Tuple& t : rows) {
+        const int64_t k = t.value(0).AsInt();
+        const int64_t v = t.value(1).AsInt();
+        if (k < s) oracle.push_back(Tuple({Value(v), Value(k + v)}));
       }
+      const std::string what =
+          "n=" + std::to_string(n) + " s=" + std::to_string(s);
+      ExecRef plan = MakePlan(rows, s);
+      ExpectSameStream(oracle, DrainSpans(plan.get()), what + " spans");
+      ExpectSameStream(oracle, DrainNext(plan.get()), what + " Next");
+      ExpectSameStream(oracle, DrainCollect(plan.get()), what + " Collect");
     }
   }
-  EXPECT_EQ(SelVectorMinRows(), kSelVectorMinRows);  // knob restored
 }
 
 TEST_F(SelVectorTest, AllTruePredicateForwardsChildStorageZeroCopy) {
   const std::vector<Tuple> rows = MakeRows(3000, 12);
-  auto probe_owner = std::make_unique<ViewProbeExecutor>(
-      std::make_unique<MaterializedExecutor>(rows, InputSchema()));
-  ViewProbeExecutor* probe = probe_owner.get();
-  // k >= 0 holds for every row: the filter must forward the child's views
-  // untouched through both span and view pulls.
-  FilterExecutor filter(std::move(probe_owner),
-                        Cmp(CompareOp::kGe, Col("k"), Lit(int64_t{0})));
-  ASSERT_TRUE(filter.Init().ok());
+  SpanProbeExecutor* probe = nullptr;
+  // k < 1024 holds for every row: the filter must forward the child's
+  // spans untouched.
+  ExecRef filter = MakeFilter(rows, 1024, &probe);
+  ASSERT_TRUE(filter->Init().ok());
   BatchSpan span;
-  ASSERT_TRUE(filter.NextBatchSel(&span));
+  ASSERT_TRUE(filter->NextBatchSel(&span));
   EXPECT_TRUE(span.dense());
   EXPECT_EQ(span.rows, probe->last_served());
-  const Tuple* vr = nullptr;
-  size_t vn = 0;
-  ASSERT_TRUE(filter.NextBatchView(&vr, &vn));
-  EXPECT_EQ(vr, probe->last_served());
-  EXPECT_EQ(vn, ExecBatchSize());
+  EXPECT_EQ(span.count(), kExecBatchSize);
 }
 
 TEST_F(SelVectorTest, ThresholdControlsForwardVersusCompact) {
   const std::vector<Tuple> rows = MakeRows(4000, 13);
-  auto make_filter = [&](ViewProbeExecutor** probe_out) {
-    auto probe_owner = std::make_unique<ViewProbeExecutor>(
-        std::make_unique<MaterializedExecutor>(rows, InputSchema()));
-    *probe_out = probe_owner.get();
-    // 50% selectivity: 512 of every 1024-row batch survives.
-    return std::make_unique<FilterExecutor>(
-        std::move(probe_owner),
-        Cmp(CompareOp::kLt, Col("k"), Lit(int64_t{50})));
-  };
+  static_assert(5 < kSelVectorMinRows && kSelVectorMinRows <= 512);
 
-  // Survivors in the first child batch (ExecBatchSize() lanes of k = i%100).
-  size_t expect = 0;
-  for (size_t i = 0; i < ExecBatchSize(); i++) {
-    if (i % 100 < 50) expect++;
-  }
-
-  // Above the threshold: a selection vector over the child's storage.
-  ViewProbeExecutor* probe = nullptr;
-  auto filter = make_filter(&probe);
+  // At or above the threshold: a selection vector over the child's storage.
+  SpanProbeExecutor* probe = nullptr;
+  ExecRef filter = MakeFilter(rows, 512, &probe);
   ASSERT_TRUE(filter->Init().ok());
   BatchSpan span;
   ASSERT_TRUE(filter->NextBatchSel(&span));
   EXPECT_FALSE(span.dense());
   EXPECT_EQ(span.rows, probe->last_served());
-  EXPECT_EQ(span.count(), expect);
+  EXPECT_EQ(span.count(), 512u);
   for (size_t i = 0; i < span.count(); i++) {
-    EXPECT_LT(span.row(i).value(0).AsInt(), 50);
+    EXPECT_LT(span.row(i).value(0).AsInt(), 512);
   }
 
-  // Force-compact: dense copy, not the child's storage.
-  SetSelVectorMinRows(std::numeric_limits<size_t>::max());
-  ViewProbeExecutor* probe2 = nullptr;
-  auto filter2 = make_filter(&probe2);
+  // Below it: a dense compacted copy, not the child's storage.
+  SpanProbeExecutor* probe2 = nullptr;
+  ExecRef filter2 = MakeFilter(rows, 5, &probe2);
   ASSERT_TRUE(filter2->Init().ok());
   BatchSpan span2;
   ASSERT_TRUE(filter2->NextBatchSel(&span2));
-  SetSelVectorMinRows(0);
   EXPECT_TRUE(span2.dense());
   EXPECT_NE(span2.rows, probe2->last_served());
-  EXPECT_EQ(span2.count(), expect);
-}
-
-TEST_F(ExecBatchTest, SelVectorKnobDoesNotChangeAnyPlanStream) {
-  // Whatever the threshold, every random plan (filters, projects, limits,
-  // index joins stacked in arbitrary order) must yield the same stream.
-  for (uint64_t seed = 1; seed <= 25; seed++) {
-    std::vector<std::vector<Tuple>> streams;
-    for (size_t threshold :
-         {size_t{0}, size_t{1}, std::numeric_limits<size_t>::max()}) {
-      Rng rng(seed);
-      ExecRef plan = BuildPlan(&rng, 3);
-      SetSelVectorMinRows(threshold);
-      streams.push_back(DrainBatched(plan.get()));
-      SetSelVectorMinRows(0);
-    }
-    for (size_t k = 1; k < streams.size(); k++) {
-      ASSERT_EQ(streams[0].size(), streams[k].size()) << "seed " << seed;
-      for (size_t i = 0; i < streams[0].size(); i++) {
-        ASSERT_EQ(streams[0][i], streams[k][i])
-            << "seed " << seed << " row " << i << " regime " << k;
-      }
-    }
+  EXPECT_EQ(span2.count(), 5u);
+  for (size_t i = 0; i < span2.count(); i++) {
+    EXPECT_LT(span2.row(i).value(0).AsInt(), 5);
   }
 }
 

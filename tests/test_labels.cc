@@ -9,14 +9,12 @@
 
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/sql_path_finder.h"
-#include "src/exec/executor.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/dist_path_finder.h"
 #include "src/graph/generators.h"
@@ -171,6 +169,37 @@ TEST(LabeledPathFinderTest, ServesHitsAndFallsBackForPaths) {
   EXPECT_EQ(finder->counters().fallbacks, 1);
 }
 
+// Create must leave every statement it needs compiled against the final
+// catalog: the fallback finder's DDL runs before the label probe prepares,
+// so the first Distance() replans nothing.
+TEST(LabeledPathFinderTest, FirstDistanceAfterCreateDoesNotReplan) {
+  EdgeList list = GenerateBarabasiAlbert(60, 2, WeightRange{1, 100}, 8);
+  MemGraph mem(list);
+  Database db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> graph;
+  ASSERT_TRUE(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
+  std::unique_ptr<LabelIndex> index;
+  ASSERT_TRUE(
+      LabelBuilder::Build(graph.get(), "", LabelBuildOptions{}, &index).ok());
+  std::unique_ptr<LabeledPathFinder> finder;
+  ASSERT_TRUE(LabeledPathFinder::Create(graph.get(), index.get(),
+                                        LabeledPathFinderOptions{}, &finder)
+                  .ok());
+
+  const int64_t prepares_before = db.stats().prepares;
+  PathQueryResult r;
+  bool served = false;
+  ASSERT_TRUE(finder->Distance(3, 41, &r, &served).ok());
+  EXPECT_TRUE(served);
+  EXPECT_EQ(db.stats().prepares, prepares_before)
+      << "the first Distance() after Create recompiled its statements";
+  MemPathResult oracle = mem.Dijkstra(3, 41);
+  EXPECT_EQ(r.found, oracle.found);
+  if (oracle.found) {
+    EXPECT_EQ(r.distance, oracle.distance);
+  }
+}
+
 TEST(LabeledPathFinderTest, StaleLabelsAlwaysFallBack) {
   EdgeList list = GenerateBarabasiAlbert(60, 2, WeightRange{10, 100}, 5);
 
@@ -254,64 +283,50 @@ TEST(LabelIndexTest, BuildDdlBumpsCatalogVersionAndPreparedHandlesSurvive) {
   }
 }
 
-/// One label build in a fresh database under whatever executor regime is
-/// currently selected: the run's statement counts plus full dumps of both
-/// label tables in physical scan order.
-struct RegimeBuild {
-  LabelBuildStats stats;
-  std::vector<Tuple> out_rows;
-  std::vector<Tuple> in_rows;
-};
-
-RegimeBuild BuildUnderCurrentRegime(const EdgeList& list) {
-  RegimeBuild r;
-  Database db{DatabaseOptions{}};
-  std::unique_ptr<GraphStore> graph;
-  EXPECT_TRUE(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
-  std::unique_ptr<LabelIndex> index;
-  EXPECT_TRUE(
-      LabelBuilder::Build(graph.get(), "", LabelBuildOptions{}, &index,
-                          &r.stats)
-          .ok());
-  auto dump = [&](const std::string& name, std::vector<Tuple>* dst) {
-    Table* t = db.catalog()->GetTable(name);
-    ASSERT_NE(t, nullptr) << name;
-    Table::Iterator it = t->Scan();
-    Tuple row;
-    while (it.Next(&row, nullptr)) dst->push_back(row);
-    EXPECT_TRUE(it.status().ok());
-  };
-  dump(index->out_name(), &r.out_rows);
-  dump(index->in_name(), &r.in_rows);
-  return r;
+/// FNV-1a over every row of `table` in physical scan order.
+uint64_t TableChecksum(Table* table, int64_t* rows) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  *rows = 0;
+  Table::Iterator it = table->Scan();
+  Tuple row;
+  while (it.Next(&row, nullptr)) {
+    for (char c : row.ToString() + "\n") {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    }
+    (*rows)++;
+  }
+  EXPECT_TRUE(it.status().ok());
+  return h;
 }
 
-// The executor-regime regression: the selection-vector pipeline and the
-// forced-compacting legacy path must drive the label-build SQL pipeline
-// identically — same number of statements and frontier rounds, and label
-// tables that match row for row in physical order. Any drift here means a
-// vectorized operator changed visible semantics, not just speed.
-TEST(LabelIndexTest, BuildIsBitIdenticalUnderBothExecutorRegimes) {
+// Golden build: the label-build SQL pipeline must keep issuing the same
+// statements and frontier rounds and produce label tables that match row
+// for row in physical order. The figures were captured from the engine
+// before its executor was reduced to a single pull; any drift means an
+// operator changed visible semantics, not just speed.
+TEST(LabelIndexTest, BuildMatchesGoldenStatementsAndTables) {
   EdgeList list = SpicedRandomGraph(60, 150, 23);
-
-  RegimeBuild vectorized = BuildUnderCurrentRegime(list);
-  SetSelVectorMinRows(std::numeric_limits<size_t>::max());
-  RegimeBuild compacting = BuildUnderCurrentRegime(list);
-  SetSelVectorMinRows(0);
-
-  EXPECT_EQ(vectorized.stats.hubs, compacting.stats.hubs);
-  EXPECT_EQ(vectorized.stats.statements, compacting.stats.statements);
-  EXPECT_EQ(vectorized.stats.rounds, compacting.stats.rounds);
-  EXPECT_EQ(vectorized.stats.entries, compacting.stats.entries);
-
-  ASSERT_EQ(vectorized.out_rows.size(), compacting.out_rows.size());
-  for (size_t i = 0; i < vectorized.out_rows.size(); i++) {
-    ASSERT_EQ(vectorized.out_rows[i], compacting.out_rows[i]) << "row " << i;
-  }
-  ASSERT_EQ(vectorized.in_rows.size(), compacting.in_rows.size());
-  for (size_t i = 0; i < vectorized.in_rows.size(); i++) {
-    ASSERT_EQ(vectorized.in_rows[i], compacting.in_rows[i]) << "row " << i;
-  }
+  Database db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> graph;
+  ASSERT_TRUE(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
+  std::unique_ptr<LabelIndex> index;
+  LabelBuildStats stats;
+  ASSERT_TRUE(LabelBuilder::Build(graph.get(), "", LabelBuildOptions{},
+                                  &index, &stats)
+                  .ok());
+  int64_t out_rows = 0, in_rows = 0;
+  const uint64_t out_sum =
+      TableChecksum(db.catalog()->GetTable(index->out_name()), &out_rows);
+  const uint64_t in_sum =
+      TableChecksum(db.catalog()->GetTable(index->in_name()), &in_rows);
+  EXPECT_EQ(stats.hubs, 60);
+  EXPECT_EQ(stats.statements, 5963);
+  EXPECT_EQ(stats.rounds, 1204);
+  EXPECT_EQ(stats.entries, 848);
+  EXPECT_EQ(out_rows, 430);
+  EXPECT_EQ(in_rows, 418);
+  EXPECT_EQ(out_sum, 17796097132114946009ULL);
+  EXPECT_EQ(in_sum, 13120822873581793742ULL);
 }
 
 TEST(LabelIndexTest, SecondBuildRefusesAndAttachRoundTrips) {

@@ -149,6 +149,58 @@ TEST(PathFinderTest, StatsArePopulated) {
   EXPECT_GE(result.stats.total_us, result.stats.path_expansion_us);
 }
 
+// The timed parts of a query never add up to more than the query: F, E and
+// M operator time, auxiliary statements and path recovery are disjoint
+// slices of total_us (the meeting-node statement belongs to recovery).
+//
+// Graph: s fans out to every other node at cost 1, and every fan node
+// reaches t at cost 100 except the last, at cost 1. s and t carry the two
+// highest ids, so under CluIndex (TVisited clustered by nid) the meeting
+// node is the last fan row a scan reaches: finding it reads the whole fan,
+// which makes it long enough that counting it twice would show.
+TEST(PathFinderTest, TimedPartsNeverExceedTotal) {
+  const node_id_t kFan = 600;
+  const node_id_t s = kFan, t = kFan + 1;
+  EdgeList list;
+  list.num_nodes = kFan + 2;
+  for (node_id_t v = 0; v < kFan; v++) {
+    list.edges.push_back({s, v, 1});
+    list.edges.push_back({v, t, v == kFan - 1 ? 1 : 100});
+  }
+  for (IndexStrategy strategy : {IndexStrategy::kNoIndex, IndexStrategy::kIndex,
+                                 IndexStrategy::kCluIndex}) {
+    Database db{DatabaseOptions{}};
+    std::unique_ptr<GraphStore> graph;
+    GraphStoreOptions gopts;
+    gopts.strategy = strategy;
+    ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
+    std::unique_ptr<SegTable> segtable;
+    ASSERT_TRUE(
+        SegTable::Build(&db, graph.get(), SegTableOptions{}, &segtable).ok());
+    for (Algorithm algo : {Algorithm::kDJ, Algorithm::kBDJ, Algorithm::kBSDJ,
+                           Algorithm::kBBFS, Algorithm::kBSEG}) {
+      PathFinderOptions opts;
+      opts.algorithm = algo;
+      std::unique_ptr<PathFinder> finder;
+      ASSERT_TRUE(
+          PathFinder::Create(graph.get(), opts, &finder, segtable.get()).ok());
+      PathQueryResult r;
+      ASSERT_TRUE(finder->Find(s, t, &r).ok());
+      ASSERT_TRUE(r.found);
+      EXPECT_EQ(r.distance, 2);
+      const QueryStats& q = r.stats;
+      const int64_t parts = q.f_operator_us + q.e_operator_us +
+                            q.m_operator_us + q.stat_collection_us +
+                            q.path_recovery_us;
+      EXPECT_LE(parts, q.total_us)
+          << AlgorithmName(algo) << "/" << IndexStrategyName(strategy)
+          << ": f=" << q.f_operator_us << " e=" << q.e_operator_us
+          << " m=" << q.m_operator_us << " aux=" << q.stat_collection_us
+          << " recovery=" << q.path_recovery_us << " total=" << q.total_us;
+    }
+  }
+}
+
 TEST(PathFinderTest, TsqlModeMatchesNsql) {
   Fixture fx;
   for (SqlMode mode : {SqlMode::kNsql, SqlMode::kTsql}) {
