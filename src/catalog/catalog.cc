@@ -34,11 +34,14 @@ Table* Catalog::GetTable(const std::string& name) {
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  if (tables_.erase(name) == 0) {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
     return Status::NotFound("table " + name + " does not exist");
   }
+  std::unique_ptr<Table> table = std::move(it->second);
+  tables_.erase(it);
   BumpVersion();
-  return Status::OK();
+  return table->Destroy();
 }
 
 Status Catalog::CreateSecondaryIndex(Table* table, const std::string& column,

@@ -45,8 +45,10 @@ class Catalog {
   /// Returns nullptr when absent.
   Table* GetTable(const std::string& name);
 
-  /// Drops a table definition (its pages are not reclaimed; the engine has
-  /// no free-space map, matching its append-only disk manager).
+  /// Drops a table definition and frees its pages for reuse
+  /// (Table::Destroy). The definition goes even when the storage walk
+  /// fails, so a damaged table can always be dropped; its pages then leak
+  /// and the walk's status is returned.
   Status DropTable(const std::string& name);
 
   /// Catalog-owned index DDL: delegates to the table and bumps the catalog

@@ -314,10 +314,12 @@ Status Table::DropSecondaryIndex(const std::string& name) {
       const std::string& key = pass == 0 ? indexes_[i].name
                                          : indexes_[i].column;
       if (key == name) {
-        // The tree's pages are abandoned, not reclaimed — same policy as
-        // DropTable (the engine's disk manager is append-only).
+        // The definition goes even when the tree cannot be walked, so a
+        // damaged index can always be dropped; its pages then leak and
+        // the status says why.
+        Status freed = indexes_[i].tree.Destroy();
         indexes_.erase(indexes_.begin() + static_cast<ptrdiff_t>(i));
-        return Status::OK();
+        return freed;
       }
     }
   }
@@ -569,7 +571,20 @@ bool Table::Iterator::Next(Tuple* tuple, RowRef* ref) {
   return false;
 }
 
+Status Table::Destroy() {
+  if (options_.storage == TableStorage::kClustered) {
+    RELGRAPH_RETURN_IF_ERROR(clustered_.Destroy());
+  } else {
+    RELGRAPH_RETURN_IF_ERROR(heap_.Destroy());
+  }
+  for (auto& idx : indexes_) {
+    RELGRAPH_RETURN_IF_ERROR(idx.tree.Destroy());
+  }
+  return Status::OK();
+}
+
 Status Table::Truncate() {
+  RELGRAPH_RETURN_IF_ERROR(Destroy());
   num_rows_ = 0;
   next_tie_ = 1;
   if (options_.storage == TableStorage::kClustered) {

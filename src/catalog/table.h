@@ -124,8 +124,10 @@ class Table {
                               const std::string& name = std::string());
 
   /// Drops the secondary index named `name` (falling back to a column
-  /// match, since the engine keys indexes by column). The cluster tree is
-  /// the table's storage and cannot be dropped.
+  /// match, since the engine keys indexes by column) and frees its tree's
+  /// pages. The cluster tree is the table's storage and cannot be dropped.
+  /// A tree that fails its Destroy walk is still dropped; its pages leak
+  /// and the walk's status is returned.
   Status DropSecondaryIndex(const std::string& name);
 
   /// True when lookups on `column` can use an index (secondary or cluster).
@@ -166,8 +168,17 @@ class Table {
                    Iterator* out);
 
   /// Removes every row but keeps schema and index definitions (the
-  /// algorithms reset TVisited between queries with this).
+  /// algorithms reset TVisited between queries with this). The old pages
+  /// are freed for reuse (Destroy) before fresh, empty structures are
+  /// built, so a per-query truncate costs no file growth.
   Status Truncate();
+
+  /// Frees every page of the table's storage and secondary indexes via
+  /// HeapFile/BTree::Destroy, leaving each structure detached; only
+  /// Truncate or the table's destruction may follow. Structures are freed
+  /// one at a time: on a walk failure (Corruption, IOError) the ones not
+  /// yet freed stay intact, and a retry skips the detached ones.
+  Status Destroy();
 
   /// Serialized width of this table's rows, if fixed (no VARCHAR columns).
   static size_t FixedWidth(const Schema& schema);

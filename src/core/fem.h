@@ -26,7 +26,7 @@ struct FemStats {
   int64_t f_operator_us = 0;
   int64_t e_operator_us = 0;
   int64_t m_operator_us = 0;
-  int64_t aux_us = 0;           // statistics collection (mid/min/minCost)
+  int64_t aux_us = 0;           // TVisited reset, mid/min/minCost stats
 
   void Reset() { *this = FemStats{}; }
 };

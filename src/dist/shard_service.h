@@ -108,7 +108,7 @@ class ShardService {
                         ShardExpandResponse* response) = 0;
 
   /// Folds this service's resilience counters into `*out`. Default: none.
-  virtual void AddResilience(ResilienceCounters* out) const {}
+  virtual void AddResilience(ResilienceCounters* /*out*/) const {}
 };
 
 /// Knobs for the in-process shard service.

@@ -53,7 +53,7 @@ Status DecodeTableState(net::WireReader* r, TablePersistentState* st) {
     columns.push_back(std::move(col));
   }
   st->schema = Schema(std::move(columns));
-  uint8_t storage, cluster_unique, unique;
+  uint8_t storage, cluster_unique;
   RELGRAPH_RETURN_IF_ERROR(r->GetU8(&storage));
   if (storage > 1) {
     return Status::Corruption("manifest storage kind unknown");

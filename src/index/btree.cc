@@ -108,6 +108,27 @@ uint16_t InternalChildIndex(const char* data, const BtKey& key) {
   return lo - 1;
 }
 
+/// Header sanity a hardened walk checks before trusting a node: a 0/1
+/// leaf flag and a count within the node's capacity. Only after this may
+/// entries be dereferenced.
+Status CheckNodeHeader(page_id_t page, const NodeHeader* h,
+                       uint16_t payload_size) {
+  if (h->is_leaf != 0 && h->is_leaf != 1) {
+    return Status::Corruption("b+tree node " + std::to_string(page) +
+                              " has invalid is_leaf flag " +
+                              std::to_string(h->is_leaf));
+  }
+  const size_t capacity =
+      h->is_leaf ? LeafCapacity(payload_size) : InternalCapacity();
+  if (h->count > capacity) {
+    return Status::Corruption("b+tree node " + std::to_string(page) +
+                              " claims " + std::to_string(h->count) +
+                              " entries, capacity is " +
+                              std::to_string(capacity));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string EncodeRid(const Rid& rid) {
@@ -509,6 +530,51 @@ BTree BTree::Open(BufferPool* pool, page_id_t root, uint16_t payload_size,
   return t;
 }
 
+Status BTree::Destroy() {
+  if (root_ == kInvalidPageId) return Status::OK();
+  // Collect every page first and free only when the whole walk succeeded,
+  // so a failed walk frees nothing. The walk is hardened like
+  // CheckIntegrity: ids are range-checked, headers are checked before any
+  // child pointer is read, and a visited set rejects a page linked twice —
+  // a hostile page can neither loop the walk nor put one id on the free
+  // list twice.
+  const page_id_t num_pages = pool_->disk()->num_pages();
+  if (root_ < 0 || root_ >= num_pages) {
+    return Status::Corruption("b+tree root " + std::to_string(root_) +
+                              " is not an allocated page");
+  }
+  std::vector<page_id_t> pages{root_};
+  std::unordered_set<page_id_t> visited{root_};
+  for (size_t i = 0; i < pages.size(); i++) {
+    PageGuard guard(pool_, pages[i]);
+    RELGRAPH_RETURN_IF_ERROR(guard.status());
+    const char* data = guard.data();
+    const NodeHeader* h = Header(data);
+    RELGRAPH_RETURN_IF_ERROR(CheckNodeHeader(pages[i], h, payload_size_));
+    if (h->is_leaf) continue;
+    for (uint16_t c = 0; c < h->count; c++) {
+      const page_id_t child = ReadChild(InternalEntry(data, c));
+      if (child < 0 || child >= num_pages) {
+        return Status::Corruption(
+            "b+tree node " + std::to_string(pages[i]) + " links child " +
+            std::to_string(child) + ", not an allocated page");
+      }
+      if (!visited.insert(child).second) {
+        return Status::Corruption("b+tree links page " +
+                                  std::to_string(child) +
+                                  " twice (shared subtree or cycle)");
+      }
+      pages.push_back(child);
+    }
+  }
+  for (page_id_t id : pages) {
+    RELGRAPH_RETURN_IF_ERROR(pool_->DeletePage(id));
+  }
+  root_ = kInvalidPageId;
+  num_entries_ = 0;
+  return Status::OK();
+}
+
 Status BTree::CheckIntegrity() const {
   // Walk the whole tree: every node's entries must be strictly ordered and,
   // for internal nodes, each child's keys must fall inside the separator
@@ -550,19 +616,7 @@ Status BTree::CheckIntegrity() const {
     RELGRAPH_RETURN_IF_ERROR(guard.status());
     const char* data = guard.data();
     const NodeHeader* h = Header(data);
-    if (h->is_leaf != 0 && h->is_leaf != 1) {
-      return Status::Corruption("b+tree node " + std::to_string(f.page) +
-                                " has invalid is_leaf flag " +
-                                std::to_string(h->is_leaf));
-    }
-    const size_t capacity =
-        h->is_leaf ? LeafCapacity(payload_size_) : InternalCapacity();
-    if (h->count > capacity) {
-      return Status::Corruption(
-          "b+tree node " + std::to_string(f.page) + " claims " +
-          std::to_string(h->count) + " entries, capacity is " +
-          std::to_string(capacity));
-    }
+    RELGRAPH_RETURN_IF_ERROR(CheckNodeHeader(f.page, h, payload_size_));
     if (h->is_leaf && first_leaf == kInvalidPageId && !f.has_lo) {
       first_leaf = f.page;  // leftmost descent reaches the chain head
     }

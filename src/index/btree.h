@@ -40,7 +40,8 @@ struct BtKey {
 ///
 /// Design notes: single-writer (no latching; the engine is single-threaded
 /// per Database), deletes do not rebalance (underflowed nodes are tolerated;
-/// the workloads here delete rarely and drop whole tables instead).
+/// the workloads here delete rarely and truncate or drop whole tables
+/// instead, which returns the tree's pages for reuse through Destroy()).
 class BTree {
  public:
   BTree() = default;
@@ -100,6 +101,13 @@ class BTree {
 
   /// Verifies ordering and separator invariants; used by property tests.
   Status CheckIntegrity() const;
+
+  /// Frees every page of the tree (BufferPool::DeletePage) and leaves the
+  /// tree detached (root() == kInvalidPageId); destroying a detached tree
+  /// is a no-op. The walk validates each node's header and every child id
+  /// first: on a corrupt page or an I/O error it returns that status and
+  /// frees nothing.
+  Status Destroy();
 
  private:
   struct Descent {

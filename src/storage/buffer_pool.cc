@@ -81,6 +81,25 @@ Status BufferPool::NewPage(page_id_t* page_id, Page** out) {
   return Status::OK();
 }
 
+Status BufferPool::DeletePage(page_id_t page_id) {
+  OptionalLock lock(this);
+  auto it = page_table_.find(page_id);
+  if (it != page_table_.end()) {
+    const frame_id_t frame = it->second;
+    Page* page = frames_[frame].get();
+    if (page->pin_count_ > 0) {
+      return Status::InvalidArgument("delete of pinned page " +
+                                     std::to_string(page_id));
+    }
+    replacer_.Pin(frame);  // no longer an eviction candidate
+    page->page_id_ = kInvalidPageId;
+    page->is_dirty_ = false;
+    page_table_.erase(it);
+    free_list_.push_back(frame);
+  }
+  return disk_->DeallocatePage(page_id);
+}
+
 Status BufferPool::UnpinPage(page_id_t page_id, bool is_dirty) {
   OptionalLock lock(this);
   auto it = page_table_.find(page_id);

@@ -72,8 +72,16 @@ class BufferPool {
   /// Pins page `page_id`, reading it from disk on a miss.
   Status FetchPage(page_id_t page_id, Page** out);
 
-  /// Allocates a brand-new page on disk and pins it.
+  /// Allocates a page (a recycled id first, see DiskManager::AllocatePage)
+  /// and pins it in a zeroed frame marked dirty, so the page reaches disk
+  /// at least once in its new life.
   Status NewPage(page_id_t* page_id, Page** out);
+
+  /// Frees page `page_id`: drops its frame, if resident, without writing it
+  /// back (the contents are dead) and returns the id to the disk manager's
+  /// free list. Fails with InvalidArgument, changing nothing, while the
+  /// page is pinned. The caller guarantees nothing links the page any more.
+  Status DeletePage(page_id_t page_id);
 
   /// Drops one pin; marks the frame dirty if the caller modified it.
   Status UnpinPage(page_id_t page_id, bool is_dirty);

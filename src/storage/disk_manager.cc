@@ -186,6 +186,13 @@ DiskManager::~DiskManager() {
 
 page_id_t DiskManager::AllocatePage() {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (!free_pages_.empty()) {
+    const page_id_t id = free_pages_.back();
+    free_pages_.pop_back();
+    is_free_[id] = false;
+    stats_.reuses++;
+    return id;
+  }
   page_id_t id = next_page_id_.fetch_add(1);
   stats_.allocations++;
   if (file_ == nullptr) {
@@ -198,6 +205,29 @@ page_id_t DiskManager::AllocatePage() {
     std::fwrite(physical, 1, kPhysicalPageSize, file_);
   }
   return id;
+}
+
+Status DiskManager::DeallocatePage(page_id_t page_id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (page_id < 0 || page_id >= next_page_id_.load()) {
+    return Status::OutOfRange("free of unallocated page " +
+                              std::to_string(page_id));
+  }
+  if (is_free_.size() <= static_cast<size_t>(page_id)) {
+    is_free_.resize(static_cast<size_t>(next_page_id_.load()), false);
+  }
+  if (is_free_[page_id]) {
+    return Status::InvalidArgument("double free of page " +
+                                   std::to_string(page_id));
+  }
+  is_free_[page_id] = true;
+  free_pages_.push_back(page_id);
+  return Status::OK();
+}
+
+size_t DiskManager::num_free_pages() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return free_pages_.size();
 }
 
 Status DiskManager::ReadPage(page_id_t page_id, char* out) {

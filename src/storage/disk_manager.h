@@ -18,7 +18,10 @@ namespace relgraph {
 struct DiskStats {
   int64_t reads = 0;
   int64_t writes = 0;
+  /// Fresh pages: ids that grew the file (each cost one zero-page write).
   int64_t allocations = 0;
+  /// Allocations served from the free list (no file growth, no write).
+  int64_t reuses = 0;
 };
 
 /// How a file-backed DiskManager acquires its file. See the class comment
@@ -64,6 +67,12 @@ enum class OpenMode {
 /// documents). Durable files are closed without deletion; only the scratch
 /// constructor unlinks its file.
 ///
+/// Page recycling: DeallocatePage puts an id on a process-local free list
+/// that AllocatePage pops before growing the file, so a table that is
+/// truncated or dropped once per query costs no file growth. The list is
+/// never persisted: ids freed before a close stay unreachable in a reopened
+/// file (leaked, not corrupt — no manifest references them).
+///
 /// `simulated_io_latency_us` adds a busy-wait per physical read to restore
 /// the disk-bound regime of the paper's 2003-era testbed: the host OS page
 /// cache would otherwise absorb most misses and flatten the buffer-size
@@ -104,8 +113,22 @@ class DiskManager {
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
-  /// Allocates a fresh zero-filled page and returns its id.
+  /// Returns a page id for the caller to fill: a freed id when the free
+  /// list has one, else a fresh zero-filled page at the end of the file. A
+  /// reused id's stored image is stale (whatever its previous owner last
+  /// wrote) until the caller writes it; BufferPool::NewPage hands out a
+  /// zeroed, dirty frame, so the first eviction or flush overwrites it.
   page_id_t AllocatePage();
+
+  /// Puts `page_id` on the free list for a later AllocatePage. The caller
+  /// guarantees nothing references the page any more (BufferPool::DeletePage
+  /// drops its frame first). OutOfRange for an unallocated id;
+  /// InvalidArgument for an id that is already free, so a double free can
+  /// never hand one page to two owners.
+  Status DeallocatePage(page_id_t page_id);
+
+  /// Ids currently on the free list (diagnostic; tests assert on it).
+  size_t num_free_pages() const;
 
   /// Reads page `page_id` into `out` (kPageSize bytes). File-backed reads
   /// verify the stored CRC and page-id echo: a mismatch is
@@ -188,12 +211,14 @@ class DiskManager {
            static_cast<long>(id) * static_cast<long>(kPhysicalPageSize);
   }
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
   std::string path_;
   bool delete_on_close_ = false;
   std::vector<std::vector<char>> mem_pages_;
   std::atomic<page_id_t> next_page_id_{0};
+  std::vector<page_id_t> free_pages_;  // LIFO: the hottest id comes back
+  std::vector<bool> is_free_;          // indexed by page id; sized lazily
   DiskStats stats_;
   int64_t simulated_io_latency_us_ = 0;
   int64_t read_fault_in_ = -1;

@@ -1,6 +1,8 @@
 #include "src/storage/heap_file.h"
 
+#include <functional>
 #include <unordered_set>
+#include <vector>
 
 namespace relgraph {
 
@@ -88,8 +90,8 @@ Status HeapFile::Delete(const Rid& rid) {
   return Status::OK();
 }
 
-Status HeapFile::CheckConsistency(int64_t* live_records) const {
-  if (live_records != nullptr) *live_records = 0;
+Status HeapFile::WalkChain(
+    const std::function<Status(page_id_t, const SlottedPage&)>& visit) const {
   std::unordered_set<page_id_t> visited;
   page_id_t id = first_page_;
   bool saw_last = false;
@@ -104,13 +106,8 @@ Status HeapFile::CheckConsistency(int64_t* live_records) const {
     }
     PageGuard guard(pool_, id);
     RELGRAPH_RETURN_IF_ERROR(guard.status());
-    SlottedPage sp(guard.data());
-    RELGRAPH_RETURN_IF_ERROR(sp.CheckConsistency());
-    if (live_records != nullptr) {
-      for (slot_id_t s = 0; s < sp.num_slots(); s++) {
-        if (!sp.IsDeleted(s)) (*live_records)++;
-      }
-    }
+    const SlottedPage sp(guard.data());
+    RELGRAPH_RETURN_IF_ERROR(visit(id, sp));
     saw_last = saw_last || id == last_page_;
     id = sp.next_page_id();
   }
@@ -118,6 +115,35 @@ Status HeapFile::CheckConsistency(int64_t* live_records) const {
     return Status::Corruption("heap chain never reaches last page " +
                               std::to_string(last_page_));
   }
+  return Status::OK();
+}
+
+Status HeapFile::CheckConsistency(int64_t* live_records) const {
+  if (live_records != nullptr) *live_records = 0;
+  return WalkChain([&](page_id_t, const SlottedPage& sp) {
+    RELGRAPH_RETURN_IF_ERROR(sp.CheckConsistency());
+    if (live_records != nullptr) {
+      for (slot_id_t s = 0; s < sp.num_slots(); s++) {
+        if (!sp.IsDeleted(s)) (*live_records)++;
+      }
+    }
+    return Status::OK();
+  });
+}
+
+Status HeapFile::Destroy() {
+  if (first_page_ == kInvalidPageId) return Status::OK();
+  // Collect first, free after: a walk that fails frees nothing.
+  std::vector<page_id_t> pages;
+  RELGRAPH_RETURN_IF_ERROR(WalkChain([&](page_id_t id, const SlottedPage&) {
+    pages.push_back(id);
+    return Status::OK();
+  }));
+  for (page_id_t id : pages) {
+    RELGRAPH_RETURN_IF_ERROR(pool_->DeletePage(id));
+  }
+  first_page_ = kInvalidPageId;
+  last_page_ = kInvalidPageId;
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -49,6 +50,13 @@ class HeapFile {
   /// (it never follows an out-of-range pointer and cannot loop forever).
   Status CheckConsistency(int64_t* live_records = nullptr) const;
 
+  /// Frees every page of the chain (BufferPool::DeletePage) and leaves the
+  /// file detached (first_page() == kInvalidPageId); destroying a detached
+  /// file is a no-op. The chain is walked first with the same range, cycle
+  /// and last-page checks as CheckConsistency: on a corrupt link or an I/O
+  /// error it returns that status and frees nothing.
+  Status Destroy();
+
   /// Forward scanner over live records. Copies each record out so the page
   /// pin is dropped between calls.
   class Iterator {
@@ -74,6 +82,13 @@ class HeapFile {
   Iterator Scan() const { return Iterator(this, pool_); }
 
  private:
+  /// Walks the chain from first_page_, calling `visit` on each pinned page,
+  /// with the checks that make the walk safe on corrupted images: every id
+  /// in range, no page twice (so no cycle), and the chain reaches
+  /// last_page_. The first violation or `visit` error is returned.
+  Status WalkChain(
+      const std::function<Status(page_id_t, const SlottedPage&)>& visit) const;
+
   BufferPool* pool_ = nullptr;
   page_id_t first_page_ = kInvalidPageId;
   page_id_t last_page_ = kInvalidPageId;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -431,6 +433,87 @@ TEST(BTreeHostilePages, FailedScanDescentIsAnErrorNotAnEmptyRange) {
   while (again.Next(&key, &payload)) rows++;
   ASSERT_TRUE(again.status().ok()) << again.status().ToString();
   EXPECT_EQ(rows, 101);
+}
+
+// ----- Destroy: page recycling --------------------------------------------
+
+TEST(BTreeDestroyTest, FreesEveryPageAndNewTreesReuseThem) {
+  DiskManager dm;
+  BufferPool pool(512, &dm);
+  BTree tree;
+  ASSERT_TRUE(BTree::Create(&pool, 8, &tree).ok());
+  for (int i = 0; i < 5000; i++) {
+    ASSERT_TRUE(tree.Insert({i, 0}, Pay(i), true).ok());
+  }
+  ASSERT_GT(tree.Height(), 1);
+  const page_id_t pages = dm.num_pages();  // every page is this tree's
+
+  ASSERT_TRUE(tree.Destroy().ok());
+  EXPECT_EQ(tree.root(), kInvalidPageId);
+  EXPECT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+  ASSERT_TRUE(tree.Destroy().ok()) << "a detached tree destroys as a no-op";
+  EXPECT_EQ(dm.num_free_pages(), static_cast<size_t>(pages));
+
+  // Rebuilding the same tree draws only on the free list.
+  BTree again;
+  ASSERT_TRUE(BTree::Create(&pool, 8, &again).ok());
+  for (int i = 0; i < 5000; i++) {
+    ASSERT_TRUE(again.Insert({i, 0}, Pay(i), true).ok());
+  }
+  EXPECT_EQ(dm.num_pages(), pages);
+  EXPECT_TRUE(again.CheckIntegrity().ok());
+  std::string payload;
+  ASSERT_TRUE(again.SearchExact({4321, 0}, &payload).ok());
+  EXPECT_EQ(UnPay(payload), 4321);
+}
+
+/// Writes `child` into child slot `slot` of the internal node image `p`
+/// (entries at offset 8, stride 24, child id at +16 — mirrors btree.cc).
+void SetChild(char* p, int slot, int32_t child) {
+  std::memcpy(p + 8 + 24 * slot + 16, &child, 4);
+}
+
+// Destroy walks a possibly hostile tree: on any structural violation it
+// must return Corruption and free nothing, so no page is ever freed twice
+// or freed while a live structure may still link it.
+TEST(BTreeHostilePages, DestroyOfCorruptTreeIsCorruptionAndFreesNothing) {
+  using Damage = std::function<void(char* root_page, page_id_t root)>;
+  const std::vector<std::pair<const char*, Damage>> damages = {
+      {"child id out of range",
+       [](char* p, page_id_t) { SetChild(p, 1, 1'000'000); }},
+      {"child links back to the root (cycle)",
+       [](char* p, page_id_t root) { SetChild(p, 1, root); }},
+      {"two slots share one child",
+       [](char* p, page_id_t) {
+         int32_t first;
+         std::memcpy(&first, p + 8 + 16, 4);
+         SetChild(p, 1, first);
+       }},
+      {"bogus is_leaf flag",
+       [](char* p, page_id_t) {
+         reinterpret_cast<RawNodeHeader*>(p)->is_leaf = 7;
+       }},
+      {"count beyond capacity",
+       [](char* p, page_id_t) {
+         reinterpret_cast<RawNodeHeader*>(p)->count = 0xFFFF;
+       }},
+  };
+  for (const auto& [what, damage] : damages) {
+    SCOPED_TRACE(what);
+    DiskManager dm;
+    page_id_t root;
+    int64_t entries;
+    BuildTree(&dm, &root, &entries);
+    MutatePage(&dm, root, [&, root = root](char* p) { damage(p, root); });
+    BufferPool pool(512, &dm);
+    BTree tree = BTree::Open(&pool, root, 8, entries);
+    Status st = tree.Destroy();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(dm.num_free_pages(), 0u);
+    EXPECT_EQ(tree.root(), root) << "a failed Destroy keeps the tree attached";
+    EXPECT_EQ(pool.PinnedFrames(), 0u);
+  }
 }
 
 }  // namespace

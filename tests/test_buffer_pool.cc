@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "src/storage/lru_replacer.h"
 
@@ -186,6 +191,103 @@ TEST(BufferPoolTest, UnpinErrors) {
   ASSERT_TRUE(pool.NewPage(&id, &page).ok());
   ASSERT_TRUE(pool.UnpinPage(id, false).ok());
   EXPECT_FALSE(pool.UnpinPage(id, false).ok());  // pin count already 0
+}
+
+// ------------------------------------------------ DeletePage (recycling)
+
+TEST(BufferPoolTest, DeletePageRefusesPinnedPage) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  page_id_t id;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+  std::strcpy(page->data(), "still mine");
+  EXPECT_TRUE(pool.DeletePage(id).IsInvalidArgument());
+  EXPECT_EQ(dm.num_free_pages(), 0u);
+  EXPECT_STREQ(page->data(), "still mine");  // frame untouched
+  ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+  ASSERT_TRUE(pool.DeletePage(id).ok());
+  EXPECT_EQ(dm.num_free_pages(), 1u);
+}
+
+TEST(BufferPoolTest, DeletedDirtyPageIsNeverWrittenBack) {
+  DiskManager dm;
+  BufferPool pool(2, &dm);
+  page_id_t id;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+  std::strcpy(page->data(), "dead on arrival");
+  ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+  ASSERT_TRUE(pool.DeletePage(id).ok());
+
+  // The freed frame is reused directly (no eviction), and neither flushing
+  // nor churning the pool ever writes the dead page.
+  const int64_t writes0 = dm.stats().writes;
+  ASSERT_TRUE(pool.FlushAll().ok());
+  for (int i = 0; i < 2; i++) {
+    page_id_t other;
+    ASSERT_TRUE(pool.NewPage(&other, &page).ok());
+    ASSERT_TRUE(pool.UnpinPage(other, false).ok());
+  }
+  EXPECT_EQ(pool.stats().evictions, 0);
+  EXPECT_EQ(pool.stats().dirty_writebacks, 0);
+  EXPECT_EQ(dm.stats().writes, writes0);
+}
+
+TEST(BufferPoolTest, FreedIdComesBackZeroFilled) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("relgraph_reuse_" + std::to_string(::getpid()) + ".db"))
+          .string();
+  for (bool in_memory : {true, false}) {
+    SCOPED_TRACE(in_memory ? "in memory" : "file-backed");
+    std::unique_ptr<DiskManager> dm = in_memory
+                                          ? std::make_unique<DiskManager>()
+                                          : std::make_unique<DiskManager>(path);
+    ASSERT_EQ(dm->in_memory(), in_memory);
+    BufferPool pool(4, dm.get());
+    page_id_t id;
+    Page* page;
+    ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+    std::memset(page->data(), 0xAB, kPageSize);
+    ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+    ASSERT_TRUE(pool.FlushPage(id).ok());  // the stale image reaches disk
+    ASSERT_TRUE(pool.DeletePage(id).ok());
+
+    const page_id_t pages = dm->num_pages();
+    const int64_t fresh = dm->stats().allocations;
+    page_id_t again;
+    ASSERT_TRUE(pool.NewPage(&again, &page).ok());
+    EXPECT_EQ(again, id);
+    EXPECT_EQ(dm->num_pages(), pages);
+    EXPECT_EQ(dm->stats().allocations, fresh);
+    EXPECT_EQ(dm->stats().reuses, 1);
+    EXPECT_EQ(dm->num_free_pages(), 0u);
+    const std::string zeros(kPageSize, '\0');
+    EXPECT_EQ(std::string(page->data(), kPageSize), zeros);
+    ASSERT_TRUE(pool.UnpinPage(again, false).ok());
+
+    // NewPage marked the frame dirty, so flushing replaces the stale image
+    // on disk with the zeroed one (through the CRC check when file-backed).
+    ASSERT_TRUE(pool.FlushAll().ok());
+    char raw[kPageSize];
+    ASSERT_TRUE(dm->ReadPage(id, raw).ok());
+    EXPECT_EQ(std::string(raw, kPageSize), zeros);
+  }
+}
+
+TEST(BufferPoolTest, DeallocateRejectsDoubleAndUnallocatedFrees) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  page_id_t id;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+  ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  ASSERT_TRUE(pool.DeletePage(id).ok());
+  EXPECT_TRUE(pool.DeletePage(id).IsInvalidArgument());
+  EXPECT_TRUE(dm.DeallocatePage(id + 1).code() == Status::Code::kOutOfRange);
+  EXPECT_TRUE(dm.DeallocatePage(-1).code() == Status::Code::kOutOfRange);
+  EXPECT_EQ(dm.num_free_pages(), 1u);
 }
 
 TEST(PageGuardTest, ReleasesPinOnDestruction) {

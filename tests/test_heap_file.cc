@@ -134,5 +134,57 @@ TEST_F(HeapFileTest, WorksWithTinyBufferPool) {
   EXPECT_EQ(small.PinnedFrames(), 0u);
 }
 
+// ----- Destroy: page recycling --------------------------------------------
+
+/// Fills `file` until it spans more than `min_pages` pages.
+void FillPages(HeapFile* file, size_t min_pages) {
+  std::set<page_id_t> pages;
+  for (int i = 0; pages.size() <= min_pages; i++) {
+    Rid rid;
+    ASSERT_TRUE(file->Insert(std::string(500, 'r') + std::to_string(i), &rid)
+                    .ok());
+    pages.insert(rid.page_id);
+  }
+}
+
+TEST_F(HeapFileTest, DestroyFreesTheChainForReuse) {
+  FillPages(&file_, 10);
+  const page_id_t pages = dm_.num_pages();  // every page is this file's
+  ASSERT_TRUE(file_.Destroy().ok());
+  EXPECT_EQ(file_.first_page(), kInvalidPageId);
+  EXPECT_EQ(dm_.num_free_pages(), static_cast<size_t>(pages));
+  EXPECT_EQ(pool_.PinnedFrames(), 0u);
+  ASSERT_TRUE(file_.Destroy().ok()) << "a detached file destroys as a no-op";
+
+  HeapFile again;
+  ASSERT_TRUE(HeapFile::Create(&pool_, &again).ok());
+  FillPages(&again, 10);
+  EXPECT_EQ(dm_.num_pages(), pages) << "the rebuild must draw on freed pages";
+  int64_t live = 0;
+  ASSERT_TRUE(again.CheckConsistency(&live).ok());
+  EXPECT_GT(live, 0);
+}
+
+// Destroy walks a possibly hostile chain: a cycle or a link to an
+// unallocated page is Corruption, and nothing is freed.
+TEST_F(HeapFileTest, DestroyOfCorruptChainIsCorruptionAndFreesNothing) {
+  FillPages(&file_, 3);
+  const page_id_t first = file_.first_page();
+  for (page_id_t bad_next : {first, page_id_t{1'000'000}}) {
+    SCOPED_TRACE(bad_next == first ? "cycle" : "unallocated page");
+    {
+      PageGuard guard(&pool_, file_.last_page());
+      ASSERT_TRUE(guard.ok());
+      SlottedPage(guard.data()).set_next_page_id(bad_next);
+      guard.MarkDirty();
+    }
+    Status st = file_.Destroy();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(dm_.num_free_pages(), 0u);
+    EXPECT_EQ(file_.first_page(), first);
+    EXPECT_EQ(pool_.PinnedFrames(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace relgraph

@@ -1,8 +1,17 @@
 #include "src/core/path_finder.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/core/segtable.h"
+#include "src/dist/shard_snapshot.h"
+#include "src/dist/snapshot_manifest.h"
 #include "src/graph/generators.h"
 #include "src/graph/memgraph.h"
 
@@ -232,6 +241,76 @@ TEST(PathFinderTest, WorksUnderEveryIndexStrategy) {
     ASSERT_TRUE(result.found) << IndexStrategyName(strategy);
     EXPECT_EQ(result.distance, fx.mem->Dijkstra(0, 10).distance)
         << IndexStrategyName(strategy);
+  }
+}
+
+// The paper's FEM loop clears TVisited for every query. That clear must
+// recycle the table's pages: after warm-up, a steady stream of queries
+// grows neither the page file nor (in memory, where nothing is evicted)
+// the write-back count, every answer stays right, and the database still
+// snapshots and validates cleanly with recycled pages in it.
+TEST(PathFinderTest, SteadyStateQueriesRecycleVisitedPages) {
+  const node_id_t n = 600;
+  const EdgeList list = GenerateBarabasiAlbert(n, 2, WeightRange{1, 100}, 7);
+  const MemGraph mem(list);
+  Rng rng(11);
+  std::vector<std::pair<node_id_t, node_id_t>> queries;
+  for (int i = 0; i < 200; i++) {
+    queries.emplace_back(rng.NextInt(0, n - 1), rng.NextInt(0, n - 1));
+  }
+  const std::string snapshot =
+      (std::filesystem::temp_directory_path() /
+       ("relgraph_steady_" + std::to_string(::getpid()) + ".snap"))
+          .string();
+
+  for (bool in_memory : {true, false}) {
+    SCOPED_TRACE(in_memory ? "in memory" : "file-backed, 64-page pool");
+    DatabaseOptions dopts;
+    dopts.in_memory = in_memory;
+    if (!in_memory) dopts.buffer_pool_pages = 64;
+    Database db(dopts);
+    ASSERT_EQ(db.disk()->in_memory(), in_memory);
+    std::unique_ptr<GraphStore> graph;
+    GraphStoreOptions gopts;
+    gopts.strategy = IndexStrategy::kCluIndex;
+    ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
+    PathFinderOptions opts;
+    opts.algorithm = Algorithm::kBSDJ;
+    std::unique_ptr<PathFinder> finder;
+    ASSERT_TRUE(PathFinder::Create(graph.get(), opts, &finder).ok());
+
+    auto run_all = [&] {
+      for (const auto& [s, t] : queries) {
+        PathQueryResult r;
+        Status st = finder->Find(s, t, &r);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        const MemPathResult want = mem.Dijkstra(s, t);
+        ASSERT_EQ(r.found, want.found) << s << "->" << t;
+        if (want.found) {
+          EXPECT_EQ(r.distance, want.distance) << s << "->" << t;
+          EXPECT_EQ(mem.PathLength(r.path), want.distance) << s << "->" << t;
+        }
+      }
+    };
+    run_all();  // warm-up: the free list reaches its high-water mark
+    const page_id_t pages = db.disk()->num_pages();
+    const int64_t writebacks = db.buffer_pool()->stats().dirty_writebacks;
+    run_all();
+    EXPECT_EQ(db.disk()->num_pages(), pages);
+    if (in_memory) {
+      EXPECT_EQ(db.buffer_pool()->stats().dirty_writebacks, writebacks);
+    }
+
+    for (const std::string& name : db.catalog()->TableNames()) {
+      Status st = db.catalog()->GetTable(name)->CheckConsistency();
+      EXPECT_TRUE(st.ok()) << name << ": " << st.ToString();
+    }
+    ASSERT_TRUE(WriteDatabaseSnapshot(&db, "steady state", snapshot).ok());
+    int64_t verified = 0;
+    Status st = VerifySnapshotPages(snapshot, &verified);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(verified, pages + 1);  // every page plus the manifest
+    std::filesystem::remove(snapshot);
   }
 }
 

@@ -374,7 +374,9 @@ TEST(SqlPreparedPathFinder, PreparedAndTextModesAreBitIdentical) {
       }
       MemPathResult oracle = mem.Dijkstra(5, t * 11);
       EXPECT_EQ(r.found, oracle.found);
-      if (oracle.found) EXPECT_EQ(r.distance, oracle.distance);
+      if (oracle.found) {
+        EXPECT_EQ(r.distance, oracle.distance);
+      }
       out.push_back(std::move(obs));
     }
     return out;
