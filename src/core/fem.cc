@@ -24,11 +24,7 @@ Schema ExpansionSchema() {
 }
 
 FemEngine::FemEngine(Database* db, VisitedTable* visited, SqlMode mode)
-    : db_(db), visited_(visited), mode_(mode) {
-  // MERGE is an NSQL-mode feature; an engine without it (PostgreSQL 9.0
-  // profile) degrades the M-operator to update+insert automatically, which
-  // is what the paper does in §5.2 "Extensive Studies".
-}
+    : db_(db), visited_(visited), mode_(mode) {}
 
 // --------------------------------------------------------------- F-operator
 
@@ -121,34 +117,130 @@ Status FemEngine::CountOpen(const DirCols& dir, int64_t* out) {
   return Status::OK();
 }
 
-// -------------------------------------------------------------- E-operator
+// ------------------------------------------------------ shared E/M plans
+
+ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
+                 const std::string& probe_column, ExprRef residual) {
+  if (table->HasIndexOn(column)) {
+    return std::make_unique<IndexNestedLoopJoinExecutor>(
+        std::move(outer), table, column, Col(probe_column),
+        std::move(residual));
+  }
+  // NoIndex strategy: the only plan is a nested-loop join against a full
+  // scan of the table.
+  ExprRef on = Cmp(CompareOp::kEq, Col(probe_column), Col(column));
+  return std::make_unique<NestedLoopJoinExecutor>(
+      std::move(outer), std::make_unique<SeqScanExecutor>(table),
+      residual == nullptr ? std::move(on) : And(on, std::move(residual)));
+}
+
+Status DedupLeast(SqlMode mode, const std::function<ExecRef()>& plan,
+                  const std::string& key, const std::string& cost,
+                  const std::string& tie, std::vector<Tuple>* rows) {
+  ExecRef input = plan();
+  const Schema schema = input->OutputSchema();
+  if (mode == SqlMode::kNsql) {
+    // row_number() OVER (PARTITION BY key ORDER BY cost, tie) ... WHERE
+    // rownum = 1, projected back to the input columns.
+    ExecRef window = std::make_unique<WindowRowNumberExecutor>(
+        std::move(input), std::vector<std::string>{key},
+        std::vector<SortKey>{{Col(cost), true}, {Col(tie), true}});
+    ExecRef dedup = std::make_unique<FilterExecutor>(std::move(window),
+                                                     ColEq("rownum", 1));
+    std::vector<ExprRef> exprs;
+    for (const Column& c : schema.columns()) exprs.push_back(Col(c.name));
+    ProjectExecutor project(std::move(dedup), std::move(exprs), schema);
+    return Collect(&project, rows);
+  }
+  // First pass — Definition 2(1): minCost(x, c) via GROUP BY + MIN.
+  std::unordered_map<int64_t, int64_t> min_by_key;
+  {
+    HashAggregateExecutor agg(
+        std::move(input), std::vector<std::string>{key},
+        std::vector<AggSpec>{{AggOp::kMin, Col(cost), "mincost"}});
+    std::vector<Tuple> agg_rows;
+    RELGRAPH_RETURN_IF_ERROR(Collect(&agg, &agg_rows));
+    for (const auto& t : agg_rows) {
+      min_by_key[t.value(0).AsInt()] = t.value(1).AsInt();
+    }
+  }
+  // Second pass — Definition 2(2): re-join to recover the columns the
+  // aggregate dropped, keeping rows whose cost equals the group minimum.
+  // Ties on cost are broken by the least `tie` (the "primary key
+  // constraint" dedup the paper mentions in §3.3).
+  const size_t key_idx = schema.IndexOf(key);
+  const size_t cost_idx = schema.IndexOf(cost);
+  const size_t tie_idx = schema.IndexOf(tie);
+  ExecRef again = plan();
+  RELGRAPH_RETURN_IF_ERROR(again->Init());
+  std::map<int64_t, Tuple> best;
+  BatchSpan span;
+  while (again->NextBatchSel(&span)) {
+    for (size_t i = 0; i < span.count(); i++) {
+      const Tuple& t = span.row(i);
+      const int64_t k = t.value(key_idx).AsInt();
+      auto it = min_by_key.find(k);
+      if (it == min_by_key.end() || t.value(cost_idx).AsInt() != it->second) {
+        continue;
+      }
+      auto [pos, inserted] = best.try_emplace(k);
+      if (inserted ||
+          t.value(tie_idx).AsInt() < pos->second.value(tie_idx).AsInt()) {
+        span.Take(i, &pos->second);
+      }
+    }
+  }
+  RELGRAPH_RETURN_IF_ERROR(again->status());
+  rows->reserve(best.size());
+  for (auto& [k, tuple] : best) rows->push_back(std::move(tuple));
+  return Status::OK();
+}
+
+Status MergeRows(Database* db, SqlMode mode, Table* target,
+                 std::vector<Tuple> rows, const Schema& schema,
+                 const MergeSpec& spec, int64_t* affected) {
+  if (mode == SqlMode::kNsql && db->SupportsMerge()) {
+    MaterializedExecutor source(std::move(rows), schema);
+    return MergeInto(target, &source, spec, affected);
+  }
+  // Statement 1: UPDATE target ... FROM source WHERE target.key =
+  // source.key AND <matched condition> (a MERGE with no insert branch is
+  // exactly this plan: probe + conditional update).
+  int64_t updated = 0;
+  {
+    MergeSpec update = spec;
+    update.insert_values.clear();
+    MaterializedExecutor source(rows, schema);
+    RELGRAPH_RETURN_IF_ERROR(MergeInto(target, &source, update, &updated));
+  }
+  db->RecordStatement();  // the INSERT below is the second statement
+  // Statement 2: INSERT INTO target SELECT ... FROM source WHERE NOT EXISTS
+  // (SELECT 1 FROM target WHERE target.key = source.key).
+  int64_t inserted = 0;
+  {
+    MergeSpec insert = spec;
+    insert.matched_condition = nullptr;
+    insert.matched_sets.clear();
+    MaterializedExecutor source(std::move(rows), schema);
+    RELGRAPH_RETURN_IF_ERROR(MergeInto(target, &source, insert, &inserted));
+  }
+  *affected = updated + inserted;
+  return Status::OK();
+}
+
+// ---------------------------------------------------------- E/M-operators
 
 ExecRef FemEngine::BuildJoinProject(const DirCols& dir, const EdgeRelation& rel,
                                     weight_t opposite_l, weight_t min_cost) {
   // Frontier: SELECT * FROM TVisited WHERE flag = 2 — an index range probe
   // on the flag column under Index/CluIndex, a filtered scan under NoIndex.
-  ExecRef frontier = visited_->FrontierScan(dir);
-
   // Theorem-1 pruning: dist + cost + l_opposite < minCost. Inactive while
   // no s-t path is known (min_cost = kInfinity dwarfs any real sum).
-  ExprRef prune = Cmp(
-      CompareOp::kLt,
-      Add(Add(Col(dir.dist), Col(rel.cost_column)), Lit(opposite_l)),
-      Lit(min_cost));
-
-  ExecRef joined;
-  if (rel.table->HasIndexOn(rel.join_column)) {
-    joined = std::make_unique<IndexNestedLoopJoinExecutor>(
-        std::move(frontier), rel.table, rel.join_column, Col("nid"), prune);
-  } else {
-    // NoIndex strategy: the only plan is a nested-loop join against a full
-    // scan of the edge table.
-    ExprRef on = Cmp(CompareOp::kEq, Col("nid"), Col(rel.join_column));
-    joined = std::make_unique<NestedLoopJoinExecutor>(
-        std::move(frontier), std::make_unique<SeqScanExecutor>(rel.table),
-        And(on, prune));
-  }
-
+  ExecRef joined = EdgeJoin(
+      visited_->FrontierScan(dir), rel.table, rel.join_column, "nid",
+      Cmp(CompareOp::kLt,
+          Add(Add(Col(dir.dist), Col(rel.cost_column)), Lit(opposite_l)),
+          Lit(min_cost)));
   // Project to (nid, cost, pid, aid): the expanded node, its tentative
   // distance, its on-graph parent, and the frontier anchor it came from.
   std::vector<ExprRef> exprs = {
@@ -158,73 +250,8 @@ ExecRef FemEngine::BuildJoinProject(const DirCols& dir, const EdgeRelation& rel,
                                            ExpansionSchema());
 }
 
-Status FemEngine::BuildExpansionNsql(const DirCols& dir,
-                                     const EdgeRelation& rel,
-                                     weight_t opposite_l, weight_t min_cost,
-                                     std::vector<Tuple>* rows) {
-  // row_number() OVER (PARTITION BY nid ORDER BY cost) ... WHERE rownum = 1.
-  ExecRef window = std::make_unique<WindowRowNumberExecutor>(
-      BuildJoinProject(dir, rel, opposite_l, min_cost),
-      std::vector<std::string>{"nid"},
-      std::vector<SortKey>{{Col("cost"), true}, {Col("pid"), true}});
-  ExecRef dedup = std::make_unique<FilterExecutor>(std::move(window),
-                                                   ColEq("rownum", 1));
-  ExecRef project = std::make_unique<ProjectExecutor>(
-      std::move(dedup),
-      std::vector<ExprRef>{Col("nid"), Col("cost"), Col("pid"), Col("aid")},
-      ExpansionSchema());
-  return Collect(project.get(), rows);
-}
-
-Status FemEngine::BuildExpansionTsql(const DirCols& dir,
-                                     const EdgeRelation& rel,
-                                     weight_t opposite_l, weight_t min_cost,
-                                     std::vector<Tuple>* rows) {
-  // First pass — Definition 2(1): minCost(x, c) via GROUP BY + MIN.
-  std::unordered_map<int64_t, weight_t> min_by_node;
-  {
-    ExecRef agg = std::make_unique<HashAggregateExecutor>(
-        BuildJoinProject(dir, rel, opposite_l, min_cost),
-        std::vector<std::string>{"nid"},
-        std::vector<AggSpec>{{AggOp::kMin, Col("cost"), "mincost"}});
-    std::vector<Tuple> agg_rows;
-    RELGRAPH_RETURN_IF_ERROR(Collect(agg.get(), &agg_rows));
-    for (const auto& t : agg_rows) {
-      min_by_node[t.value(0).AsInt()] = t.value(1).AsInt();
-    }
-  }
-  // Second pass — Definition 2(2): re-join to recover the parent column the
-  // aggregate dropped, keeping rows whose cost equals the group minimum.
-  // Ties on cost are broken by the smallest pid (the "primary key
-  // constraint" dedup the paper mentions in §3.3).
-  ExecRef again = BuildJoinProject(dir, rel, opposite_l, min_cost);
-  RELGRAPH_RETURN_IF_ERROR(again->Init());
-  std::map<int64_t, Tuple> best;
-  BatchSpan span;
-  while (again->NextBatchSel(&span)) {
-    for (size_t i = 0; i < span.count(); i++) {
-      const Tuple& t = span.row(i);
-      int64_t nid = t.value(0).AsInt();
-      weight_t cost = t.value(1).AsInt();
-      auto it = min_by_node.find(nid);
-      if (it == min_by_node.end() || cost != it->second) continue;
-      auto [pos, inserted] = best.try_emplace(nid);
-      if (inserted || t.value(2).AsInt() < pos->second.value(2).AsInt()) {
-        span.Take(i, &pos->second);
-      }
-    }
-  }
-  RELGRAPH_RETURN_IF_ERROR(again->status());
-  rows->reserve(best.size());
-  for (auto& [nid, tuple] : best) rows->push_back(std::move(tuple));
-  return Status::OK();
-}
-
-// -------------------------------------------------------------- M-operator
-
-Status FemEngine::MergeNsql(const DirCols& dir, std::vector<Tuple> rows,
-                            int64_t* affected) {
-  MaterializedExecutor source(std::move(rows), ExpansionSchema());
+Status FemEngine::MergeIntoVisited(const DirCols& dir, std::vector<Tuple> rows,
+                                   int64_t* affected) {
   MergeSpec spec;
   spec.target_key_column = "nid";
   spec.source_key_column = "nid";
@@ -248,58 +275,8 @@ Status FemEngine::MergeNsql(const DirCols& dir, std::vector<Tuple> rows,
                           Col("pid"),        Col("aid"),
                           Lit(int64_t{0})};
   }
-  return MergeInto(visited_->table(), &source, spec, affected);
-}
-
-Status FemEngine::MergeTsql(const DirCols& dir, std::vector<Tuple> rows,
-                            int64_t* affected) {
-  // Statement 1: UPDATE TVisited ... FROM ek WHERE TVisited.nid = ek.nid
-  // AND TVisited.dist > ek.cost (a MERGE with no insert branch is exactly
-  // this plan: probe + conditional update).
-  int64_t updated = 0;
-  {
-    MaterializedExecutor source(rows, ExpansionSchema());
-    MergeSpec spec;
-    spec.target_key_column = "nid";
-    spec.source_key_column = "nid";
-    spec.observer = visited_->ChangeObserver();
-    spec.matched_condition =
-        Cmp(CompareOp::kGt, Col("t." + dir.dist), Col("s.cost"));
-    spec.matched_sets = {{dir.dist, Col("s.cost")},
-                         {dir.pred, Col("s.pid")},
-                         {dir.anchor, Col("s.aid")},
-                         {dir.flag, Lit(int64_t{0})}};
-    RELGRAPH_RETURN_IF_ERROR(
-        MergeInto(visited_->table(), &source, spec, &updated));
-  }
-  db_->RecordStatement();  // the INSERT below is the second statement
-  // Statement 2: INSERT INTO TVisited SELECT ... FROM ek WHERE NOT EXISTS
-  // (SELECT 1 FROM TVisited v WHERE v.nid = ek.nid).
-  int64_t inserted = 0;
-  {
-    MaterializedExecutor source(std::move(rows), ExpansionSchema());
-    MergeSpec spec;
-    spec.target_key_column = "nid";
-    spec.source_key_column = "nid";
-    spec.observer = visited_->ChangeObserver();
-    if (dir.forward) {
-      spec.insert_values = {Col("nid"),        Col("cost"),
-                            Col("pid"),        Col("aid"),
-                            Lit(int64_t{0}),   Lit(kInfinity),
-                            Lit(kInvalidNode), Lit(kInvalidNode),
-                            Lit(int64_t{0})};
-    } else {
-      spec.insert_values = {Col("nid"),        Lit(kInfinity),
-                            Lit(kInvalidNode), Lit(kInvalidNode),
-                            Lit(int64_t{0}),   Col("cost"),
-                            Col("pid"),        Col("aid"),
-                            Lit(int64_t{0})};
-    }
-    RELGRAPH_RETURN_IF_ERROR(
-        MergeInto(visited_->table(), &source, spec, &inserted));
-  }
-  *affected = updated + inserted;
-  return Status::OK();
+  return MergeRows(db_, mode_, visited_->table(), std::move(rows),
+                   ExpansionSchema(), spec, affected);
 }
 
 Status FemEngine::ExpandAndMerge(const DirCols& dir, const EdgeRelation& rel,
@@ -326,25 +303,16 @@ Status FemEngine::ExpandAndMerge(const DirCols& dir, const EdgeRelation& rel,
   // The two new SQL features degrade independently: PostgreSQL 9.0 has the
   // window function but not MERGE, so its NSQL plan still window-dedups but
   // merges via update+insert (§5.2).
-  const bool window_e = mode_ == SqlMode::kNsql;
-  const bool merge_m = mode_ == SqlMode::kNsql && db_->SupportsMerge();
-
   std::vector<Tuple> rows;
   {
     ScopedTimer timer(&stats_.e_operator_us);
-    if (window_e) {
-      RELGRAPH_RETURN_IF_ERROR(
-          BuildExpansionNsql(dir, rel, opposite_l, min_cost, &rows));
-    } else {
-      RELGRAPH_RETURN_IF_ERROR(
-          BuildExpansionTsql(dir, rel, opposite_l, min_cost, &rows));
-    }
+    RELGRAPH_RETURN_IF_ERROR(DedupLeast(
+        mode_,
+        [&] { return BuildJoinProject(dir, rel, opposite_l, min_cost); },
+        "nid", "cost", "pid", &rows));
   }
   ScopedTimer timer(&stats_.m_operator_us);
-  if (merge_m) {
-    return MergeNsql(dir, std::move(rows), affected);
-  }
-  return MergeTsql(dir, std::move(rows), affected);
+  return MergeIntoVisited(dir, std::move(rows), affected);
 }
 
 Status FemEngine::MergeExpansion(const DirCols& dir, std::vector<Tuple> rows,
@@ -356,10 +324,7 @@ Status FemEngine::MergeExpansion(const DirCols& dir, std::vector<Tuple> rows,
       "=source.cost," + dir.pred + "=source.pid," + dir.flag +
       "=0 WHEN NOT MATCHED THEN INSERT ...");
   ScopedTimer timer(&stats_.m_operator_us);
-  if (mode_ == SqlMode::kNsql && db_->SupportsMerge()) {
-    return MergeNsql(dir, std::move(rows), affected);
-  }
-  return MergeTsql(dir, std::move(rows), affected);
+  return MergeIntoVisited(dir, std::move(rows), affected);
 }
 
 }  // namespace relgraph

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/visited_table.h"
 #include "src/db/database.h"
+#include "src/exec/dml_executors.h"
 #include "src/exec/executor.h"
 #include "src/exec/expression.h"
 #include "src/graph/graph_store.h"
@@ -16,6 +19,8 @@ namespace relgraph {
 ///    E-operator and one MERGE statement for the M-operator;
 ///  - kTsql: "traditional" SQL — aggregate + re-join in the E-operator and
 ///    an UPDATE statement followed by an INSERT for the M-operator.
+/// DedupLeast and MergeRows below are the only places the mode (and the
+/// engine profile's MERGE support) picks a plan.
 enum class SqlMode { kNsql, kTsql };
 
 const char* SqlModeName(SqlMode m);
@@ -34,7 +39,9 @@ struct FemStats {
 /// The three relational operators of the paper's FEM framework (§3.2),
 /// bound to one TVisited table. Each public method corresponds to one (or,
 /// for ExpandAndMerge in NSQL mode, one combined) SQL statement from
-/// Listings 2-4; Database::stats().statements counts them.
+/// Listings 2-4; Database::stats().statements counts them. The E- and
+/// M-operators are built from EdgeJoin, DedupLeast and MergeRows, which
+/// SegTable construction and Prim's MST use as well.
 class FemEngine {
  public:
   FemEngine(Database* db, VisitedTable* visited, SqlMode mode);
@@ -87,8 +94,9 @@ class FemEngine {
   /// `affected` reports inserted+updated rows (the SQLCA read).
   ///
   /// NSQL: window-function dedup, single MERGE (one statement).
-  /// TSQL: aggregate+re-join dedup, UPDATE then INSERT (two statements) —
-  /// also the automatic fallback when the engine profile lacks MERGE.
+  /// TSQL: aggregate+re-join dedup, UPDATE then INSERT (two statements).
+  /// An engine without MERGE keeps the NSQL window dedup and merges by
+  /// UPDATE then INSERT (see MergeRows).
   Status ExpandAndMerge(const DirCols& dir, const EdgeRelation& rel,
                         weight_t opposite_l, weight_t min_cost,
                         int64_t* affected);
@@ -101,21 +109,13 @@ class FemEngine {
                         int64_t* affected);
 
  private:
-  /// Builds the E-operator source rows (nid, cost, pid, aid).
-  Status BuildExpansionNsql(const DirCols& dir, const EdgeRelation& rel,
-                            weight_t opposite_l, weight_t min_cost,
-                            std::vector<Tuple>* rows);
-  Status BuildExpansionTsql(const DirCols& dir, const EdgeRelation& rel,
-                            weight_t opposite_l, weight_t min_cost,
-                            std::vector<Tuple>* rows);
   /// Joins frontier rows with `rel` and projects (nid, cost, pid, aid),
-  /// without dedup — shared by both modes.
+  /// without dedup — the input of DedupLeast in both modes.
   ExecRef BuildJoinProject(const DirCols& dir, const EdgeRelation& rel,
                            weight_t opposite_l, weight_t min_cost);
-  Status MergeNsql(const DirCols& dir, std::vector<Tuple> rows,
-                   int64_t* affected);
-  Status MergeTsql(const DirCols& dir, std::vector<Tuple> rows,
-                   int64_t* affected);
+  /// MergeRows of ExpansionSchema rows into TVisited for direction `dir`.
+  Status MergeIntoVisited(const DirCols& dir, std::vector<Tuple> rows,
+                          int64_t* affected);
 
   Database* db_;
   VisitedTable* visited_;
@@ -125,5 +125,36 @@ class FemEngine {
 
 /// Schema of the materialized E-operator output ("create view ek ...").
 Schema ExpansionSchema();
+
+// ----- The FEM operator plans, defined once ----------------------------
+// Shortest paths (FemEngine), SegTable construction and Prim's MST all
+// build their E-operator from EdgeJoin + DedupLeast and their M-operator
+// from MergeRows.
+
+/// E-operator join: `outer` JOIN `table` ON outer.`probe_column` =
+/// table.`column` [AND `residual`]. An index nested-loop join when `table`
+/// is indexed on `column`; otherwise (the NoIndex strategy) a nested-loop
+/// join over a full scan of `table`.
+ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
+                 const std::string& probe_column, ExprRef residual = nullptr);
+
+/// E-operator dedup (Definition 2): keeps, per value of column `key`, the
+/// row with the least (`cost`, `tie`), and returns those rows in `key`
+/// order with the schema of `plan`'s output. `plan` builds the input.
+///  - kNsql: row_number() OVER (PARTITION BY key ORDER BY cost, tie) = 1.
+///  - kTsql: GROUP BY key with MIN(cost), then a second run of `plan`
+///    re-joined to the group minima; ties on cost keep the least `tie`.
+Status DedupLeast(SqlMode mode, const std::function<ExecRef()>& plan,
+                  const std::string& key, const std::string& cost,
+                  const std::string& tie, std::vector<Tuple>* rows);
+
+/// M-operator: merges `rows` (one per `spec`'s source key, with `schema`)
+/// into `target`. NSQL on an engine with MERGE runs `spec` as one MERGE.
+/// Otherwise (TSQL, or the PostgreSQL 9.0 profile) it runs the matched
+/// branch as an UPDATE, records the second statement, then runs the
+/// not-matched branch as an INSERT. `affected` counts updated + inserted.
+Status MergeRows(Database* db, SqlMode mode, Table* target,
+                 std::vector<Tuple> rows, const Schema& schema,
+                 const MergeSpec& spec, int64_t* affected);
 
 }  // namespace relgraph

@@ -1,6 +1,6 @@
 #include "src/core/pattern_match.h"
 
-#include "src/exec/join_executors.h"
+#include "src/core/fem.h"
 #include "src/exec/scan_executors.h"
 
 namespace relgraph {
@@ -40,27 +40,11 @@ Status LabelPathMatcher::Run(GraphStore* graph,
     ExecRef frontier =
         std::make_unique<MaterializedExecutor>(std::move(visited),
                                                visited_schema);
-    ExecRef with_edge;
-    if (rel.table->HasIndexOn(rel.join_column)) {
-      with_edge = std::make_unique<IndexNestedLoopJoinExecutor>(
-          std::move(frontier), rel.table, rel.join_column,
-          Col(col_name(k - 1)), nullptr);
-    } else {
-      with_edge = std::make_unique<NestedLoopJoinExecutor>(
-          std::move(frontier), std::make_unique<SeqScanExecutor>(rel.table),
-          Cmp(CompareOp::kEq, Col(col_name(k - 1)), Col(rel.join_column)));
-    }
-    ExecRef with_label;
-    if (graph->nodes()->HasIndexOn("nid")) {
-      with_label = std::make_unique<IndexNestedLoopJoinExecutor>(
-          std::move(with_edge), graph->nodes(), "nid", Col(rel.emit_column),
-          ColEq("label", labels[k]));
-    } else {
-      with_label = std::make_unique<NestedLoopJoinExecutor>(
-          std::move(with_edge), std::make_unique<SeqScanExecutor>(graph->nodes()),
-          And(Cmp(CompareOp::kEq, Col(rel.emit_column), Col("nid")),
-              ColEq("label", labels[k])));
-    }
+    ExecRef with_edge = EdgeJoin(std::move(frontier), rel.table,
+                                 rel.join_column, col_name(k - 1));
+    ExecRef with_label =
+        EdgeJoin(std::move(with_edge), graph->nodes(), "nid",
+                 rel.emit_column, ColEq("label", labels[k]));
     // Merge: the widened tuple set becomes the next visited relation.
     std::vector<Column> cols = visited_schema.columns();
     cols.push_back({col_name(k), TypeId::kInt});

@@ -1,13 +1,10 @@
 #include "src/core/prim_mst.h"
 
 #include <atomic>
-#include <map>
 
 #include "src/exec/agg_executors.h"
 #include "src/exec/dml_executors.h"
-#include "src/exec/join_executors.h"
 #include "src/exec/scan_executors.h"
-#include "src/exec/window_executor.h"
 
 namespace relgraph {
 
@@ -53,6 +50,14 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
       Tuple({Value(root), Value(int64_t{0}), Value(root), Value(int64_t{0})})));
 
   const EdgeRelation rel = graph->Forward();
+  MergeSpec merge;
+  merge.target_key_column = "nid";
+  merge.source_key_column = "nid";
+  merge.matched_condition =
+      And(ColEq("t.f", 0), Cmp(CompareOp::kGt, Col("t.w"), Col("s.cost")));
+  merge.matched_sets = {{"w", Col("s.cost")}, {"p2s", Col("s.pid")}};
+  merge.insert_values = {Col("nid"), Col("cost"), Col("pid"), Lit(int64_t{0})};
+
   for (;;) {
     // F: the single cheapest candidate (f=0, minimal w). Prim must stay
     // node-at-a-time (§3.1): taking every minimum-cost candidate in one
@@ -89,74 +94,28 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
     out->iterations++;
 
     // E: neighbours of the frontier with the edge weight as the candidate
-    // attachment cost (not accumulated — the Prim variation of §3.1).
+    // attachment cost (not accumulated — the Prim variation of §3.1),
+    // deduplicated to the cheapest attachment per node.
     db->RecordStatement();
     std::vector<Tuple> rows;
-    {
-      ExecRef frontier = std::make_unique<FilterExecutor>(
-          std::make_unique<SeqScanExecutor>(tree), ColEq("f", 2));
-      ExecRef joined;
-      if (rel.table->HasIndexOn(rel.join_column)) {
-        joined = std::make_unique<IndexNestedLoopJoinExecutor>(
-            std::move(frontier), rel.table, rel.join_column, Col("nid"),
-            nullptr);
-      } else {
-        joined = std::make_unique<NestedLoopJoinExecutor>(
-            std::move(frontier), std::make_unique<SeqScanExecutor>(rel.table),
-            Cmp(CompareOp::kEq, Col("nid"), Col(rel.join_column)));
-      }
-      ExecRef projected = std::make_unique<ProjectExecutor>(
-          std::move(joined),
-          std::vector<ExprRef>{Col(rel.emit_column), Col(rel.cost_column),
-                               Col("nid")},
-          CandidateSchema());
-      if (mode == SqlMode::kNsql) {
-        ExecRef window = std::make_unique<WindowRowNumberExecutor>(
-            std::move(projected), std::vector<std::string>{"nid"},
-            std::vector<SortKey>{{Col("cost"), true}, {Col("pid"), true}});
-        ExecRef dedup = std::make_unique<FilterExecutor>(std::move(window),
-                                                         ColEq("rownum", 1));
-        ExecRef back = std::make_unique<ProjectExecutor>(
-            std::move(dedup),
-            std::vector<ExprRef>{Col("nid"), Col("cost"), Col("pid")},
-            CandidateSchema());
-        RELGRAPH_RETURN_IF_ERROR(Collect(back.get(), &rows));
-      } else {
-        // TSQL: collect everything, keep the per-node minimum client-side
-        // aggregate semantics via a second pass (as in the E-operator).
-        std::vector<Tuple> all;
-        RELGRAPH_RETURN_IF_ERROR(Collect(projected.get(), &all));
-        std::map<int64_t, Tuple> best;
-        for (const auto& t : all) {
-          auto [pos, inserted] = best.try_emplace(t.value(0).AsInt(), t);
-          if (!inserted &&
-              (t.value(1).AsInt() < pos->second.value(1).AsInt() ||
-               (t.value(1).AsInt() == pos->second.value(1).AsInt() &&
-                t.value(2).AsInt() < pos->second.value(2).AsInt()))) {
-            pos->second = t;
-          }
-        }
-        for (auto& [nid, t] : best) rows.push_back(std::move(t));
-      }
-    }
+    RELGRAPH_RETURN_IF_ERROR(DedupLeast(
+        mode,
+        [&] {
+          ExecRef frontier = std::make_unique<FilterExecutor>(
+              std::make_unique<SeqScanExecutor>(tree), ColEq("f", 2));
+          return std::make_unique<ProjectExecutor>(
+              EdgeJoin(std::move(frontier), rel.table, rel.join_column, "nid"),
+              std::vector<ExprRef>{Col(rel.emit_column), Col(rel.cost_column),
+                                   Col("nid")},
+              CandidateSchema());
+        },
+        "nid", "cost", "pid", &rows));
 
     // M: nodes already in the tree (f=1 or f=2) are discarded; candidates
     // keep their cheaper attachment.
-    {
-      if (mode == SqlMode::kTsql || !db->SupportsMerge()) db->RecordStatement();
-      MaterializedExecutor source(std::move(rows), CandidateSchema());
-      MergeSpec spec;
-      spec.target_key_column = "nid";
-      spec.source_key_column = "nid";
-      spec.matched_condition =
-          And(ColEq("t.f", 0),
-              Cmp(CompareOp::kGt, Col("t.w"), Col("s.cost")));
-      spec.matched_sets = {{"w", Col("s.cost")}, {"p2s", Col("s.pid")}};
-      spec.insert_values = {Col("nid"), Col("cost"), Col("pid"),
-                            Lit(int64_t{0})};
-      int64_t affected;
-      RELGRAPH_RETURN_IF_ERROR(MergeInto(tree, &source, spec, &affected));
-    }
+    int64_t affected;
+    RELGRAPH_RETURN_IF_ERROR(MergeRows(db, mode, tree, std::move(rows),
+                                       CandidateSchema(), merge, &affected));
 
     db->RecordStatement();
     int64_t reset;

@@ -1,14 +1,11 @@
 #include "src/core/segtable.h"
 
 #include <map>
-#include <unordered_map>
 
 #include "src/common/timer.h"
 #include "src/exec/agg_executors.h"
 #include "src/exec/dml_executors.h"
-#include "src/exec/join_executors.h"
 #include "src/exec/scan_executors.h"
-#include "src/exec/window_executor.h"
 
 namespace relgraph {
 
@@ -49,16 +46,8 @@ ExecRef BuildSegJoin(Table* work, const EdgeRelation& rel, weight_t lthd) {
       std::make_unique<SeqScanExecutor>(work), ColEq("f", 2));
   ExprRef prune = Cmp(CompareOp::kLe, Add(Col("dist"), Col(rel.cost_column)),
                       Lit(lthd));
-  ExecRef joined;
-  if (rel.table->HasIndexOn(rel.join_column)) {
-    joined = std::make_unique<IndexNestedLoopJoinExecutor>(
-        std::move(frontier), rel.table, rel.join_column, Col("nid"), prune);
-  } else {
-    ExprRef on = Cmp(CompareOp::kEq, Col("nid"), Col(rel.join_column));
-    joined = std::make_unique<NestedLoopJoinExecutor>(
-        std::move(frontier), std::make_unique<SeqScanExecutor>(rel.table),
-        And(on, prune));
-  }
+  ExecRef joined = EdgeJoin(std::move(frontier), rel.table, rel.join_column,
+                            "nid", std::move(prune));
   std::vector<ExprRef> exprs = {
       Add(Mul(Col("src"), Lit(kSrcShift)), Col(rel.emit_column)),
       Col("src"),
@@ -67,54 +56,6 @@ ExecRef BuildSegJoin(Table* work, const EdgeRelation& rel, weight_t lthd) {
       Col(rel.parent_column)};
   return std::make_unique<ProjectExecutor>(std::move(joined), std::move(exprs),
                                            ExpandedSchema());
-}
-
-/// Deduplicates expanded rows to one minimal-distance row per skey, in
-/// either SQL-feature mode (same trade-off as FemEngine's E-operator).
-Status DedupExpansion(Table* work, const EdgeRelation& rel, weight_t lthd,
-                      SqlMode mode, std::vector<Tuple>* rows) {
-  if (mode == SqlMode::kNsql) {
-    ExecRef window = std::make_unique<WindowRowNumberExecutor>(
-        BuildSegJoin(work, rel, lthd), std::vector<std::string>{"skey"},
-        std::vector<SortKey>{{Col("dist"), true}, {Col("pid"), true}});
-    ExecRef dedup = std::make_unique<FilterExecutor>(std::move(window),
-                                                     ColEq("rownum", 1));
-    ExecRef project = std::make_unique<ProjectExecutor>(
-        std::move(dedup),
-        std::vector<ExprRef>{Col("skey"), Col("src"), Col("nid"), Col("dist"),
-                             Col("pid")},
-        ExpandedSchema());
-    return Collect(project.get(), rows);
-  }
-  // TSQL: GROUP BY + MIN, then a second join pass to recover pid.
-  std::unordered_map<int64_t, weight_t> min_by_key;
-  {
-    ExecRef agg = std::make_unique<HashAggregateExecutor>(
-        BuildSegJoin(work, rel, lthd), std::vector<std::string>{"skey"},
-        std::vector<AggSpec>{{AggOp::kMin, Col("dist"), "mindist"}});
-    std::vector<Tuple> agg_rows;
-    RELGRAPH_RETURN_IF_ERROR(Collect(agg.get(), &agg_rows));
-    for (const auto& t : agg_rows) {
-      min_by_key[t.value(0).AsInt()] = t.value(1).AsInt();
-    }
-  }
-  ExecRef again = BuildSegJoin(work, rel, lthd);
-  RELGRAPH_RETURN_IF_ERROR(again->Init());
-  std::map<int64_t, Tuple> best;
-  Tuple t;
-  while (again->Next(&t)) {
-    int64_t skey = t.value(0).AsInt();
-    auto it = min_by_key.find(skey);
-    if (it == min_by_key.end() || t.value(3).AsInt() != it->second) continue;
-    auto [pos, inserted] = best.try_emplace(skey, t);
-    if (!inserted && t.value(4).AsInt() < pos->second.value(4).AsInt()) {
-      pos->second = t;
-    }
-  }
-  RELGRAPH_RETURN_IF_ERROR(again->status());
-  rows->reserve(best.size());
-  for (auto& [skey, tuple] : best) rows->push_back(std::move(tuple));
-  return Status::OK();
 }
 
 }  // namespace
@@ -166,6 +107,16 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
 
   const weight_t wmin = graph->min_weight();
   const weight_t lthd = options.lthd;
+  // M: a (src, node) pair keeps its shorter distance.
+  MergeSpec merge;
+  merge.target_key_column = "skey";
+  merge.source_key_column = "skey";
+  merge.matched_condition = Cmp(CompareOp::kGt, Col("t.dist"), Col("s.dist"));
+  merge.matched_sets = {
+      {"dist", Col("s.dist")}, {"pid", Col("s.pid")}, {"f", Lit(int64_t{0})}};
+  merge.insert_values = {Col("skey"), Col("src"), Col("nid"),
+                         Col("dist"), Col("pid"), Lit(int64_t{0})};
+
   for (int64_t round = 1;; round++) {
     // Frontier rule: f=0 AND (dist < round*wmin OR dist = min open dist).
     db->RecordStatement();
@@ -191,29 +142,16 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
     if (marked == 0) break;
     if (stats != nullptr) stats->iterations++;
 
-    // E: expand + dedup; M: merge on skey.
+    // E: expand + dedup to one row per skey; M: merge on skey.
     db->RecordStatement();
     std::vector<Tuple> rows;
-    RELGRAPH_RETURN_IF_ERROR(
-        DedupExpansion(work, rel, lthd, options.sql_mode, &rows));
-    {
-      if (options.sql_mode == SqlMode::kTsql || !db->SupportsMerge()) {
-        db->RecordStatement();  // update+insert pair costs a second statement
-      }
-      MaterializedExecutor source(std::move(rows), ExpandedSchema());
-      MergeSpec spec;
-      spec.target_key_column = "skey";
-      spec.source_key_column = "skey";
-      spec.matched_condition =
-          Cmp(CompareOp::kGt, Col("t.dist"), Col("s.dist"));
-      spec.matched_sets = {{"dist", Col("s.dist")},
-                           {"pid", Col("s.pid")},
-                           {"f", Lit(int64_t{0})}};
-      spec.insert_values = {Col("skey"), Col("src"),          Col("nid"),
-                            Col("dist"), Col("pid"),          Lit(int64_t{0})};
-      int64_t affected;
-      RELGRAPH_RETURN_IF_ERROR(MergeInto(work, &source, spec, &affected));
-    }
+    RELGRAPH_RETURN_IF_ERROR(DedupLeast(
+        options.sql_mode, [&] { return BuildSegJoin(work, rel, lthd); },
+        "skey", "dist", "pid", &rows));
+    int64_t affected;
+    RELGRAPH_RETURN_IF_ERROR(MergeRows(db, options.sql_mode, work,
+                                       std::move(rows), ExpandedSchema(),
+                                       merge, &affected));
 
     // Reset signs f=2 -> 1.
     db->RecordStatement();

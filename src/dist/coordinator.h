@@ -11,22 +11,12 @@
 #include "src/dist/shard_service.h"
 #include "src/dist/sharded_graph.h"
 #include "src/labels/label_store.h"
+#include "src/labels/labeled_path_finder.h"
 #include "src/net/remote_shard_service.h"
 
 namespace relgraph {
 
 class DistPathFinder;
-
-/// Coordinator-wide fast-path accounting: how many distance queries the
-/// attached label index answered without any shard fan-out, and why the
-/// rest fell back to the distributed FEM search. Summed across sessions
-/// (tools print this next to the RESILIENCE summary).
-struct DistLabelCounters {
-  int64_t label_hits = 0;
-  int64_t fallbacks = 0;
-  int64_t stale_fallbacks = 0;
-  int64_t inexact_fallbacks = 0;
-};
 
 /// Execution knobs for the distributed coordinator.
 struct DistOptions {
@@ -110,8 +100,14 @@ class DistCoordinator {
   /// nullptr when no labels are attached.
   LabelStore* labels() const { return labels_.get(); }
 
-  DistLabelCounters LabelCounters() const {
-    DistLabelCounters c;
+  /// Coordinator-wide fast-path accounting: how many distance queries the
+  /// attached label index answered without any shard fan-out, and why the
+  /// rest fell back to the distributed FEM search. Summed across sessions
+  /// (tools print this next to the RESILIENCE summary). `path_fallbacks`
+  /// stays 0: only DistPathFinder::Distance consults the labels, and a
+  /// full-path Find bypasses them without being counted.
+  LabelServeCounters LabelCounters() const {
+    LabelServeCounters c;
     c.label_hits = label_hits_.load(std::memory_order_relaxed);
     c.fallbacks = label_fallbacks_.load(std::memory_order_relaxed);
     c.stale_fallbacks = label_stale_.load(std::memory_order_relaxed);

@@ -33,6 +33,7 @@ std::string Suffix(const std::string& name) {
   return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
+/// Flattens a WHERE clause into its top-level AND conjuncts.
 void FlattenAnd(const Expr* e, std::vector<const Expr*>* out) {
   if (e == nullptr) return;
   if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
@@ -1041,20 +1042,6 @@ Status Planner::CompileInsert(const InsertStmt& ins) {
   return Status::OK();
 }
 
-namespace {
-
-/// Flattens a WHERE clause into its top-level AND conjuncts.
-void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
-    CollectConjuncts(*e.left, out);
-    CollectConjuncts(*e.right, out);
-    return;
-  }
-  out->push_back(&e);
-}
-
-}  // namespace
-
 Status Planner::CompileUpdate(const UpdateStmt& upd) {
   Table* table = nullptr;
   RELGRAPH_RETURN_IF_ERROR(FindTable(upd.table, &table));
@@ -1079,7 +1066,7 @@ Status Planner::CompileUpdate(const UpdateStmt& upd) {
   // or subquery slots stay symbolic and re-evaluate per execution.
   const Schema& schema = table->schema();
   std::vector<const Expr*> conjuncts;
-  CollectConjuncts(*upd.where, &conjuncts);
+  FlattenAnd(upd.where.get(), &conjuncts);
   ExprRef where;
   SargCandidate sarg;
   for (const Expr* c : conjuncts) {

@@ -3,6 +3,8 @@
 #include <functional>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/core/pattern_match.h"
 #include "src/core/prim_mst.h"
@@ -70,15 +72,56 @@ TEST(PrimMstTest, TreeEdgesAreRealEdges) {
   }
 }
 
+/// The three plan families must build the same tree, edge for edge and
+/// statement for statement: NSQL (window dedup, one MERGE), TSQL (GROUP BY
+/// + MIN re-join, UPDATE then INSERT) and NSQL on the PostgreSQL 9.0
+/// profile (window dedup, UPDATE then INSERT). The counts are pinned; an
+/// update+insert pair counts one statement more per iteration than MERGE.
 TEST(PrimMstTest, TsqlModeAgrees) {
-  EdgeList list = GenerateBarabasiAlbert(60, 3, WeightRange{1, 100}, 4);
-  Database db{DatabaseOptions{}};
-  std::unique_ptr<GraphStore> graph;
-  ASSERT_TRUE(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
-  MstResult nsql, tsql;
-  ASSERT_TRUE(PrimMst::Run(graph.get(), SqlMode::kNsql, 0, &nsql).ok());
-  ASSERT_TRUE(PrimMst::Run(graph.get(), SqlMode::kTsql, 0, &tsql).ok());
-  EXPECT_EQ(nsql.total_weight, tsql.total_weight);
+  const EdgeList list = GenerateBarabasiAlbert(60, 3, WeightRange{1, 100}, 4);
+  struct Plan {
+    SqlMode mode;
+    EngineProfile profile;
+    int64_t statements;
+  };
+  const Plan plans[] = {{SqlMode::kNsql, EngineProfile::kDbmsX, 243},
+                        {SqlMode::kTsql, EngineProfile::kDbmsX, 303},
+                        {SqlMode::kNsql, EngineProfile::kPostgres90, 303}};
+  for (IndexStrategy strategy :
+       {IndexStrategy::kCluIndex, IndexStrategy::kNoIndex}) {
+    std::vector<MstResult> results;
+    for (const Plan& plan : plans) {
+      SCOPED_TRACE(std::string(IndexStrategyName(strategy)) + "/" +
+                   SqlModeName(plan.mode) +
+                   (plan.profile == EngineProfile::kPostgres90 ? "/pg" : ""));
+      DatabaseOptions dopts;
+      dopts.profile = plan.profile;
+      Database db(dopts);
+      std::unique_ptr<GraphStore> graph;
+      GraphStoreOptions gopts;
+      gopts.strategy = strategy;
+      ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
+      MstResult r;
+      ASSERT_TRUE(PrimMst::Run(graph.get(), plan.mode, 0, &r).ok());
+      EXPECT_TRUE(r.connected);
+      EXPECT_EQ(r.total_weight, 1420);
+      EXPECT_EQ(r.total_weight, KruskalWeight(list));
+      EXPECT_EQ(r.tree_edges.size(), 59u);
+      EXPECT_EQ(r.iterations, 60);
+      EXPECT_EQ(r.statements, plan.statements);
+      results.push_back(std::move(r));
+    }
+    for (size_t i = 1; i < results.size(); i++) {
+      ASSERT_EQ(results[i].tree_edges.size(), results[0].tree_edges.size());
+      for (size_t e = 0; e < results[0].tree_edges.size(); e++) {
+        const Edge& want = results[0].tree_edges[e];
+        const Edge& got = results[i].tree_edges[e];
+        EXPECT_EQ(got.from, want.from) << "plan " << i << " edge " << e;
+        EXPECT_EQ(got.to, want.to) << "plan " << i << " edge " << e;
+        EXPECT_EQ(got.weight, want.weight) << "plan " << i << " edge " << e;
+      }
+    }
+  }
 }
 
 TEST(PrimMstTest, DisconnectedGraphReportsNotConnected) {

@@ -210,19 +210,89 @@ TEST(PathFinderTest, TimedPartsNeverExceedTotal) {
   }
 }
 
+/// BSDJ and BSEG must find the same path with the same search under every
+/// plan family: NSQL (window dedup, one MERGE per expansion), TSQL (GROUP BY
+/// + MIN re-join, UPDATE then INSERT) and NSQL on the PostgreSQL 9.0
+/// profile (window dedup, UPDATE then INSERT). Distance, path and counts
+/// are pinned; the update+insert plans count one statement more per
+/// expansion. The BA query covers a longer search than the paper example.
 TEST(PathFinderTest, TsqlModeMatchesNsql) {
-  Fixture fx;
-  for (SqlMode mode : {SqlMode::kNsql, SqlMode::kTsql}) {
-    PathFinderOptions opts;
-    opts.algorithm = Algorithm::kBSDJ;
-    opts.sql_mode = mode;
-    std::unique_ptr<PathFinder> finder;
-    ASSERT_TRUE(PathFinder::Create(fx.graph.get(), opts, &finder).ok());
-    PathQueryResult result;
-    ASSERT_TRUE(finder->Find(0, 10, &result).ok());
-    ASSERT_TRUE(result.found);
-    EXPECT_EQ(result.distance, fx.mem->Dijkstra(0, 10).distance)
-        << SqlModeName(mode);
+  struct Query {
+    EdgeList list;
+    node_id_t s, t;
+    weight_t lthd;
+    weight_t distance;
+    std::vector<node_id_t> path;
+  };
+  const Query queries[] = {
+      {PaperFigure1Graph(), 0, 10, 6, 14, {0, 1, 5, 7, 10}},
+      {GenerateBarabasiAlbert(300, 3, WeightRange{1, 100}, 5), 3, 250, 25, 91,
+       {3, 10, 85, 20, 250}}};
+  struct Counts {
+    int64_t nsql_statements, split_statements, expansions, visited_rows;
+  };
+  // [query][BSDJ, BSEG]
+  const Counts counts[2][2] = {{{59, 69, 10, 11}, {39, 45, 6, 11}},
+                               {{124, 147, 23, 106}, {44, 51, 7, 226}}};
+  struct Plan {
+    SqlMode mode;
+    EngineProfile profile;
+  };
+  const Plan plans[] = {{SqlMode::kNsql, EngineProfile::kDbmsX},
+                        {SqlMode::kTsql, EngineProfile::kDbmsX},
+                        {SqlMode::kNsql, EngineProfile::kPostgres90}};
+  for (size_t qi = 0; qi < 2; qi++) {
+    const Query& q = queries[qi];
+    for (IndexStrategy strategy :
+         {IndexStrategy::kCluIndex, IndexStrategy::kNoIndex}) {
+      for (size_t ai = 0; ai < 2; ai++) {
+        const Algorithm algo = ai == 0 ? Algorithm::kBSDJ : Algorithm::kBSEG;
+        for (const Plan& plan : plans) {
+          SCOPED_TRACE("query " + std::to_string(qi) + " " +
+                       IndexStrategyName(strategy) + "/" +
+                       AlgorithmName(algo) + "/" + SqlModeName(plan.mode) +
+                       (plan.profile == EngineProfile::kPostgres90 ? "/pg"
+                                                                   : ""));
+          DatabaseOptions dopts;
+          dopts.profile = plan.profile;
+          Database db(dopts);
+          std::unique_ptr<GraphStore> graph;
+          GraphStoreOptions gopts;
+          gopts.strategy = strategy;
+          ASSERT_TRUE(GraphStore::Create(&db, q.list, gopts, &graph).ok());
+          std::unique_ptr<SegTable> segtable;
+          if (algo == Algorithm::kBSEG) {
+            SegTableOptions sopts;
+            sopts.lthd = q.lthd;
+            sopts.sql_mode = plan.mode;
+            sopts.strategy = strategy;
+            ASSERT_TRUE(
+                SegTable::Build(&db, graph.get(), sopts, &segtable).ok());
+          }
+          PathFinderOptions opts;
+          opts.algorithm = algo;
+          opts.sql_mode = plan.mode;
+          std::unique_ptr<PathFinder> finder;
+          ASSERT_TRUE(
+              PathFinder::Create(graph.get(), opts, &finder, segtable.get())
+                  .ok());
+          PathQueryResult result;
+          ASSERT_TRUE(finder->Find(q.s, q.t, &result).ok());
+          ASSERT_TRUE(result.found);
+          EXPECT_EQ(result.distance, q.distance);
+          EXPECT_EQ(result.distance,
+                    MemGraph(q.list).Dijkstra(q.s, q.t).distance);
+          EXPECT_EQ(result.path, q.path);
+          const Counts& c = counts[qi][ai];
+          const bool merge = plan.mode == SqlMode::kNsql &&
+                             plan.profile == EngineProfile::kDbmsX;
+          EXPECT_EQ(result.stats.statements,
+                    merge ? c.nsql_statements : c.split_statements);
+          EXPECT_EQ(result.stats.expansions, c.expansions);
+          EXPECT_EQ(result.stats.visited_rows, c.visited_rows);
+        }
+      }
+    }
   }
 }
 

@@ -67,7 +67,7 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-void PrintLabelCounters(const relgraph::DistLabelCounters& lc) {
+void PrintLabelCounters(const relgraph::LabelServeCounters& lc) {
   std::printf(
       "LABELS hits=%lld fallbacks=%lld stale=%lld inexact=%lld\n",
       static_cast<long long>(lc.label_hits),
