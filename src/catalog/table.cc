@@ -492,8 +492,11 @@ Table::Iterator Table::Scan() {
 
 Status Table::ScanRange(const std::string& column, int64_t lo, int64_t hi,
                         Iterator* out) {
+  // Fields are assigned in place: callers that re-open one iterator per
+  // probe (the index nested-loop join) keep its row buffer's capacity.
   out->table_ = this;
   out->full_scan_ = false;
+  out->filter_col_ = -1;
   if (options_.storage == TableStorage::kClustered &&
       column == options_.cluster_key) {
     out->kind_ = Iterator::Kind::kClustered;
@@ -506,36 +509,57 @@ Status Table::ScanRange(const std::string& column, int64_t lo, int64_t hi,
     out->bt_it_ = idx.tree.Scan(lo, hi);
     return Status::OK();
   }
-  return Status::InvalidArgument("no index on " + column);
+  const int col = schema_.Find(column);
+  if (col < 0) return Status::InvalidArgument("no column " + column);
+  if (schema_.column(col).type == TypeId::kVarchar) {
+    return Status::InvalidArgument("no integer range on VARCHAR " + column);
+  }
+  *out = Scan();
+  out->filter_col_ = col;
+  out->lo_ = lo;
+  out->hi_ = hi;
+  return Status::OK();
+}
+
+bool Table::Iterator::InRange(const Tuple& tuple) const {
+  const Value& v = tuple.value(static_cast<size_t>(filter_col_));
+  if (v.IsNull()) return false;
+  if (v.type() == TypeId::kInt) return v.AsInt() >= lo_ && v.AsInt() <= hi_;
+  const double d = v.AsNumeric();
+  return d >= static_cast<double>(lo_) && d <= static_cast<double>(hi_);
 }
 
 bool Table::Iterator::Next(Tuple* tuple, RowRef* ref) {
   switch (kind_) {
     case Kind::kHeap: {
       Rid rid;
-      if (!heap_it_.Next(&rid, &buffer_)) {
-        status_ = heap_it_.status();
-        return false;
-      }
-      status_ = Tuple::Deserialize(table_->schema_, buffer_, tuple);
-      if (!status_.ok()) return false;
+      do {
+        if (!heap_it_.Next(&rid, &buffer_)) {
+          status_ = heap_it_.status();
+          return false;
+        }
+        status_ = Tuple::Deserialize(table_->schema_, buffer_, tuple);
+        if (!status_.ok()) return false;
+        table_->access_stats_.full_scan_rows.fetch_add(
+            1, std::memory_order_relaxed);
+      } while (filter_col_ >= 0 && !InRange(*tuple));
       if (ref != nullptr) ref->rid = rid;
-      table_->access_stats_.full_scan_rows.fetch_add(
-          1, std::memory_order_relaxed);
       return true;
     }
     case Kind::kClustered: {
       BtKey key;
-      if (!bt_it_.Next(&key, &buffer_)) {
-        status_ = bt_it_.status();
-        return false;
-      }
-      status_ = Tuple::Deserialize(table_->schema_, buffer_, tuple);
-      if (!status_.ok()) return false;
+      do {
+        if (!bt_it_.Next(&key, &buffer_)) {
+          status_ = bt_it_.status();
+          return false;
+        }
+        status_ = Tuple::Deserialize(table_->schema_, buffer_, tuple);
+        if (!status_.ok()) return false;
+        (full_scan_ ? table_->access_stats_.full_scan_rows
+                    : table_->access_stats_.index_scan_rows)
+            .fetch_add(1, std::memory_order_relaxed);
+      } while (filter_col_ >= 0 && !InRange(*tuple));
       if (ref != nullptr) ref->key = key;
-      (full_scan_ ? table_->access_stats_.full_scan_rows
-                  : table_->access_stats_.index_scan_rows)
-          .fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     case Kind::kSecondary: {

@@ -45,8 +45,8 @@ struct RowRef {
 /// under the distributed coordinator; relaxed tallies, nothing orders on
 /// them.
 struct TableAccessStats {
-  std::atomic<int64_t> full_scan_rows{0};   // rows produced by Scan()
-  std::atomic<int64_t> index_scan_rows{0};  // rows produced by ScanRange()
+  std::atomic<int64_t> full_scan_rows{0};   // rows read by a full scan
+  std::atomic<int64_t> index_scan_rows{0};  // rows read through an index
   std::atomic<int64_t> point_lookups{0};    // LookupUnique() probes
 
   void Reset() {
@@ -144,8 +144,7 @@ class Table {
   Status DeleteRow(const RowRef& ref);
 
   /// Streaming reader. `Scan()` visits every row (cluster-key order for
-  /// clustered tables, physical order for heaps). `ScanRange()` visits rows
-  /// with lo <= column <= hi and requires an index on `column`.
+  /// clustered tables, physical order for heaps).
   class Iterator {
    public:
     bool Next(Tuple* tuple, RowRef* ref);
@@ -154,9 +153,14 @@ class Table {
    private:
     friend class Table;
     enum class Kind { kHeap, kClustered, kSecondary };
+    /// Filtered full scan: whether the row's filter column is in range.
+    bool InRange(const Tuple& tuple) const;
+
     Table* table_ = nullptr;
     Kind kind_ = Kind::kHeap;
-    bool full_scan_ = false;  // Scan() vs ScanRange(), for access stats
+    bool full_scan_ = false;  // full scan vs index probe, for access stats
+    int filter_col_ = -1;     // >= 0: yield only rows with lo_ <= col <= hi_
+    int64_t lo_ = 0, hi_ = 0;
     HeapFile::Iterator heap_it_;
     BTree::Iterator bt_it_;
     Status status_;
@@ -164,6 +168,15 @@ class Table {
   };
 
   Iterator Scan();
+
+  /// Visits the rows with lo <= column <= hi, for any INT or DOUBLE column;
+  /// NULLs never match and lo > hi matches nothing. This is the one
+  /// key-range access path, and the table picks how to serve it: through
+  /// the cluster tree or a secondary index when `column` has one (rows
+  /// counted under `index_scan_rows`, in key order), otherwise as a full
+  /// scan that skips rows out of range (every row read counted under
+  /// `full_scan_rows`, in Scan() order).
+  /// InvalidArgument for a column the table does not have or a VARCHAR one.
   Status ScanRange(const std::string& column, int64_t lo, int64_t hi,
                    Iterator* out);
 

@@ -295,19 +295,12 @@ Status PathFinder::SegmentStep(const DirCols& dir, node_id_t anchor,
     return Status::OK();
   }
   // Interior hop: the pre-computed segment rows for this anchor give y's
-  // parent. One indexed range scan per hop (Listing 3(3) analogue).
+  // parent. One key-range scan per hop (Listing 3(3) analogue).
   EdgeRelation rel = RelFor(dir);
   graph_->db()->RecordStatement();
-  ExecRef scan;
-  if (rel.table->HasIndexOn(rel.join_column)) {
-    scan = std::make_unique<IndexRangeScanExecutor>(rel.table, rel.join_column,
-                                                    anchor, anchor);
-  } else {
-    scan = std::make_unique<FilterExecutor>(
-        std::make_unique<SeqScanExecutor>(rel.table),
-        ColEq(rel.join_column, anchor));
-  }
-  FilterExecutor plan(std::move(scan), ColEq(rel.emit_column, y));
+  FilterExecutor plan(std::make_unique<IndexRangeScanExecutor>(
+                          rel.table, rel.join_column, anchor, anchor),
+                      ColEq(rel.emit_column, y));
   RELGRAPH_RETURN_IF_ERROR(plan.Init());
   Tuple row;
   if (!plan.Next(&row)) {

@@ -277,8 +277,8 @@ struct Half {
 
 /// Upserts segment (fid=x, tid=y, pid, dist) into a segs table keyed by
 /// `key_col` ("fid" for TOutSegs, "tid" for TInSegs). The segs tables are
-/// non-unique clustered relations, so the plan is an indexed range probe
-/// followed by UPDATE-or-INSERT; each upsert is one statement.
+/// non-unique relations, so the plan is a key-range read followed by
+/// UPDATE-or-INSERT; each upsert is one statement.
 Status UpsertSegment(Database* db, Table* table, const std::string& key_col,
                      node_id_t fid, node_id_t tid, node_id_t pid,
                      weight_t dist, int64_t* changed) {
@@ -337,7 +337,6 @@ Status SegTable::ApplyEdgeInsertion(const Edge& edge, int64_t* changed) {
     RELGRAPH_RETURN_IF_ERROR(in_segs_->ScanRange("tid", u, u, &it));
     Tuple row;
     while (it.Next(&row, nullptr)) {
-      if (row.value(1).AsInt() != u) continue;
       into_u.push_back(
           {row.value(0).AsInt(), row.value(2).AsInt(), row.value(3).AsInt()});
     }
@@ -353,7 +352,6 @@ Status SegTable::ApplyEdgeInsertion(const Edge& edge, int64_t* changed) {
     RELGRAPH_RETURN_IF_ERROR(out_segs_->ScanRange("fid", v, v, &it));
     Tuple row;
     while (it.Next(&row, nullptr)) {
-      if (row.value(0).AsInt() != v) continue;
       out_of_v.push_back(
           {row.value(1).AsInt(), row.value(2).AsInt(), row.value(3).AsInt()});
     }
@@ -389,9 +387,9 @@ struct BallEntry {
 };
 
 /// Bounded Dijkstra from `src` over `rel`, settling every node within
-/// `lthd`. Neighbor access goes through the relational table (index probe
-/// when available, full scan otherwise), so the maintenance path touches
-/// the graph exactly the way the rest of the client does.
+/// `lthd`. Neighbor access is a key-range read of the relational table,
+/// so the maintenance path touches the graph exactly the way the rest of
+/// the client does.
 Status BoundedBall(Database* db, const EdgeRelation& rel, node_id_t src,
                    weight_t lthd, std::map<node_id_t, BallEntry>* ball) {
   ball->clear();
@@ -412,19 +410,13 @@ Status BoundedBall(Database* db, const EdgeRelation& rel, node_id_t src,
     db->RecordStatement("SELECT * FROM " + rel.table->name() + " WHERE " +
                         rel.join_column + "=" + std::to_string(node));
     Table::Iterator it;
-    if (rel.table->HasIndexOn(rel.join_column)) {
-      RELGRAPH_RETURN_IF_ERROR(
-          rel.table->ScanRange(rel.join_column, node, node, &it));
-    } else {
-      it = rel.table->Scan();
-    }
+    RELGRAPH_RETURN_IF_ERROR(
+        rel.table->ScanRange(rel.join_column, node, node, &it));
     const Schema& schema = rel.table->schema();
-    const size_t join_idx = schema.IndexOf(rel.join_column);
     const size_t emit_idx = schema.IndexOf(rel.emit_column);
     const size_t cost_idx = schema.IndexOf(rel.cost_column);
     Tuple row;
     while (it.Next(&row, nullptr)) {
-      if (row.value(join_idx).AsInt() != node) continue;
       node_id_t next = row.value(emit_idx).AsInt();
       weight_t cand = dist + row.value(cost_idx).AsInt();
       if (cand > lthd) continue;
@@ -441,18 +433,6 @@ Status BoundedBall(Database* db, const EdgeRelation& rel, node_id_t src,
   return Status::OK();
 }
 
-/// Opens an iterator over rows with `key_col` == key: an index probe when
-/// one exists, otherwise a full scan (the NoIndex configuration). Callers
-/// must still re-check the key column per row.
-Status OpenKeyScan(Table* table, const std::string& key_col, int64_t key,
-                   Table::Iterator* it) {
-  if (table->HasIndexOn(key_col)) {
-    return table->ScanRange(key_col, key, key, it);
-  }
-  *it = table->Scan();
-  return Status::OK();
-}
-
 /// Replaces every row of `segs` whose `key_col` equals `key` with `fresh`.
 Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
                       node_id_t key, const std::vector<Tuple>& fresh,
@@ -462,13 +442,10 @@ Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
   std::vector<RowRef> victims;
   {
     Table::Iterator it;
-    RELGRAPH_RETURN_IF_ERROR(OpenKeyScan(segs, key_col, key, &it));
+    RELGRAPH_RETURN_IF_ERROR(segs->ScanRange(key_col, key, key, &it));
     Tuple row;
     RowRef ref;
-    const size_t key_idx = segs->schema().IndexOf(key_col);
-    while (it.Next(&row, &ref)) {
-      if (row.value(key_idx).AsInt() == key) victims.push_back(ref);
-    }
+    while (it.Next(&row, &ref)) victims.push_back(ref);
     RELGRAPH_RETURN_IF_ERROR(it.status());
   }
   for (const RowRef& ref : victims) {
@@ -501,10 +478,9 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
     db_->RecordStatement("SELECT fid FROM " + in_segs_->name() +
                          " WHERE tid=" + std::to_string(u));
     Table::Iterator it;
-    RELGRAPH_RETURN_IF_ERROR(OpenKeyScan(in_segs_, "tid", u, &it));
+    RELGRAPH_RETURN_IF_ERROR(in_segs_->ScanRange("tid", u, u, &it));
     Tuple row;
     while (it.Next(&row, nullptr)) {
-      if (row.value(1).AsInt() != u) continue;
       if (row.value(3).AsInt() + w > lthd) continue;
       sources.push_back(row.value(0).AsInt());
     }
@@ -512,9 +488,8 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
 
     db_->RecordStatement("SELECT tid FROM " + out_segs_->name() +
                          " WHERE fid=" + std::to_string(v));
-    RELGRAPH_RETURN_IF_ERROR(OpenKeyScan(out_segs_, "fid", v, &it));
+    RELGRAPH_RETURN_IF_ERROR(out_segs_->ScanRange("fid", v, v, &it));
     while (it.Next(&row, nullptr)) {
-      if (row.value(0).AsInt() != v) continue;
       if (row.value(3).AsInt() + w > lthd) continue;
       sinks.push_back(row.value(1).AsInt());
     }
@@ -538,10 +513,9 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
     {
       Table::Iterator it;
       RELGRAPH_RETURN_IF_ERROR(
-          OpenKeyScan(graph->Forward().table, "fid", x, &it));
+          graph->Forward().table->ScanRange("fid", x, x, &it));
       Tuple row;
       while (it.Next(&row, nullptr)) {
-        if (row.value(0).AsInt() != x) continue;
         node_id_t z = row.value(1).AsInt();
         weight_t wz = row.value(2).AsInt();
         if (ball.count(z) != 0) continue;  // dominated by a segment
@@ -573,10 +547,9 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
     {
       Table::Iterator it;
       RELGRAPH_RETURN_IF_ERROR(
-          OpenKeyScan(graph->Backward().table, "tid", y, &it));
+          graph->Backward().table->ScanRange("tid", y, y, &it));
       Tuple row;
       while (it.Next(&row, nullptr)) {
-        if (row.value(1).AsInt() != y) continue;
         node_id_t z = row.value(0).AsInt();
         weight_t wz = row.value(2).AsInt();
         if (ball.count(z) != 0) continue;

@@ -180,20 +180,19 @@ Status VisitedTable::GetRow(node_id_t nid, Tuple* out) {
   if (has_unique_index_) {
     return table_->LookupUnique("nid", nid, out, nullptr);
   }
-  // Without an index the engine's plan is a filtered scan.
-  auto child = std::make_unique<SeqScanExecutor>(table_);
-  FilterExecutor plan(std::move(child), ColEq("nid", nid));
-  RELGRAPH_RETURN_IF_ERROR(plan.Init());
-  Tuple t;
-  if (plan.Next(&t)) {
-    *out = t;
-    return Status::OK();
-  }
-  RELGRAPH_RETURN_IF_ERROR(plan.status());
+  Table::Iterator it;
+  RELGRAPH_RETURN_IF_ERROR(table_->ScanRange("nid", nid, nid, &it));
+  if (it.Next(out, nullptr)) return Status::OK();
+  RELGRAPH_RETURN_IF_ERROR(it.status());
   return Status::NotFound("node " + std::to_string(nid) + " not visited");
 }
 
 // --------------------------------------------------- frontier access paths
+//
+// Each statement names the key range its WHERE clause implies and leaves
+// the access path to Table::ScanRange: an index probe on Index/CluIndex, a
+// filtered full scan on NoIndex. The residual predicate keeps every plan
+// exactly equivalent to the full-scan statement.
 
 Status VisitedTable::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
                                   int64_t* marked) {
@@ -201,52 +200,37 @@ Status VisitedTable::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
   if (ExprRef extra = spec.ToPredicate(dir)) pred = And(std::move(pred), extra);
   const std::vector<SetClause> sets = {{dir.flag, Lit(int64_t{2})}};
   RowChangeObserver observer = ChangeObserver();
-  // Pick the cheapest access path that covers the spec; the residual
-  // predicate keeps every plan exactly equivalent to the full-scan UPDATE.
-  if (spec.kind == FrontierSpec::Kind::kNode &&
-      table_->HasIndexOn("nid")) {
-    return UpdateWhereIndexed(table_, "nid", spec.node, spec.node, pred, sets,
-                              marked, observer);
-  }
-  if (spec.kind == FrontierSpec::Kind::kDistEq &&
-      table_->HasIndexOn(dir.dist)) {
-    return UpdateWhereIndexed(table_, dir.dist, spec.level, spec.level, pred,
-                              sets, marked, observer);
-  }
-  if (spec.kind == FrontierSpec::Kind::kDistOr &&
-      table_->HasIndexOn(dir.dist)) {
-    return UpdateWhereIndexed(table_, dir.dist, 0,
-                              std::max(spec.bound, spec.level), pred, sets,
-                              marked, observer);
+  switch (spec.kind) {
+    case FrontierSpec::Kind::kNode:
+      return UpdateWhereIndexed(table_, "nid", spec.node, spec.node, pred,
+                                sets, marked, observer);
+    case FrontierSpec::Kind::kDistEq:
+      return UpdateWhereIndexed(table_, dir.dist, spec.level, spec.level, pred,
+                                sets, marked, observer);
+    case FrontierSpec::Kind::kDistOr:
+      return UpdateWhereIndexed(table_, dir.dist, 0,
+                                std::max(spec.bound, spec.level), pred, sets,
+                                marked, observer);
+    case FrontierSpec::Kind::kAll:
+      break;
   }
   return UpdateWhere(table_, pred, sets, marked, observer);
 }
 
 Status VisitedTable::FinalizeFrontier(const DirCols& dir, int64_t* affected) {
-  const std::vector<SetClause> sets = {{dir.flag, Lit(int64_t{1})}};
-  RowChangeObserver observer = ChangeObserver();
-  if (table_->HasIndexOn(dir.flag)) {
-    return UpdateWhereIndexed(table_, dir.flag, 2, 2, ColEq(dir.flag, 2),
-                              sets, affected, observer);
-  }
-  return UpdateWhere(table_, ColEq(dir.flag, 2), sets, affected, observer);
+  return UpdateWhereIndexed(table_, dir.flag, 2, 2, ColEq(dir.flag, 2),
+                            {{dir.flag, Lit(int64_t{1})}}, affected,
+                            ChangeObserver());
 }
 
 Status VisitedTable::FirstOpenAt(const DirCols& dir, weight_t dist,
                                  node_id_t* nid, bool* found) {
   *found = false;
-  ExprRef pred = And(OpenPredicate(dir),
-                     Cmp(CompareOp::kEq, Col(dir.dist), Lit(dist)));
-  ExecRef source;
-  if (table_->HasIndexOn(dir.dist)) {
-    // Index order ties on scan position, so "first match" is the same row
-    // the filtered full scan would return.
-    source = std::make_unique<IndexRangeScanExecutor>(table_, dir.dist, dist,
-                                                      dist);
-  } else {
-    source = std::make_unique<SeqScanExecutor>(table_);
-  }
-  FilterExecutor plan(std::move(source), std::move(pred));
+  // Index order ties on scan position, so "first match" is the same row
+  // the filtered full scan would return.
+  FilterExecutor plan(
+      std::make_unique<IndexRangeScanExecutor>(table_, dir.dist, dist, dist),
+      OpenPredicate(dir));
   RELGRAPH_RETURN_IF_ERROR(plan.Init());
   Tuple t;
   if (plan.Next(&t)) {
@@ -258,11 +242,7 @@ Status VisitedTable::FirstOpenAt(const DirCols& dir, weight_t dist,
 }
 
 ExecRef VisitedTable::FrontierScan(const DirCols& dir) const {
-  if (table_->HasIndexOn(dir.flag)) {
-    return std::make_unique<IndexRangeScanExecutor>(table_, dir.flag, 2, 2);
-  }
-  return std::make_unique<FilterExecutor>(
-      std::make_unique<SeqScanExecutor>(table_), ColEq(dir.flag, 2));
+  return std::make_unique<IndexRangeScanExecutor>(table_, dir.flag, 2, 2);
 }
 
 }  // namespace relgraph

@@ -100,7 +100,7 @@ class VisitedTable {
   Status InsertSourceAndTarget(node_id_t s, node_id_t t);
 
   /// Point lookup of a node's row; uses the unique index when present,
-  /// otherwise a relational scan (NoIndex mode).
+  /// otherwise the key range nid = `nid` (a filtered scan under NoIndex).
   Status GetRow(node_id_t nid, Tuple* out);
 
   int64_t num_rows() const { return table_->num_rows(); }
@@ -117,16 +117,18 @@ class VisitedTable {
   /// (Exact because per-row distances only ever decrease within a query.)
   weight_t MinPathCost() const { return min_cost_; }
 
-  // ----- access-path-aware operations ------------------------------------
+  // ----- key-range operations --------------------------------------------
+  // Each reads the key range its WHERE clause implies through
+  // Table::ScanRange, which probes an index when the strategy provides one
+  // and filters a full scan otherwise.
 
-  /// Listing 4(1): flag := 2 for open rows satisfying `spec`. Uses the nid
-  /// or dist index when the strategy provides one; otherwise the historical
-  /// full-scan UPDATE plan. `marked` returns the affected-row count.
+  /// Listing 4(1): flag := 2 for open rows satisfying `spec`: a range on
+  /// nid or dist, or every row for kAll. `marked` returns the affected-row
+  /// count.
   Status MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
                       int64_t* marked);
 
-  /// Listing 4(3): flag := 1 for flag = 2 rows, via the flag index when
-  /// present.
+  /// Listing 4(3): flag := 1 for flag = 2 rows.
   Status FinalizeFrontier(const DirCols& dir, int64_t* affected);
 
   /// First open row with dist = `dist` in scan order (PickMid's outer
@@ -135,9 +137,8 @@ class VisitedTable {
                      bool* found);
 
   /// Source executor over the marked frontier (flag = 2) for the
-  /// E-operator join: an index range probe on the flag column when indexed,
-  /// else the historical filtered scan. Row order matches the filtered
-  /// scan in both cases (the flag index ties on scan position).
+  /// E-operator join. Row order matches the filtered scan whether or not
+  /// the flag column is indexed (the flag index ties on scan position).
   ExecRef FrontierScan(const DirCols& dir) const;
 
   /// Observer that keeps the aggregates exact; attach to any DML statement

@@ -38,10 +38,11 @@ Status UpdateWhere(Table* table, ExprRef predicate,
                    const std::vector<SetClause>& sets, int64_t* affected,
                    const RowChangeObserver& observer = nullptr);
 
-/// UPDATE driven through an index: candidate rows come from
-/// ScanRange(index_column, lo, hi) instead of a full scan, then `predicate`
-/// (which must imply the range for the two plans to be equivalent) filters
-/// residually. This is the plan an RDBMS picks for the F-operator's
+/// UPDATE over a key range: candidate rows come from
+/// ScanRange(index_column, lo, hi) — an index probe when the column is
+/// indexed, a filtered full scan otherwise — then `predicate` (which must
+/// imply the range for the plan to equal UpdateWhere) filters residually.
+/// This is the plan an RDBMS picks for the F-operator's
 /// `UPDATE ... WHERE flag = 2` once the flag column is indexed.
 Status UpdateWhereIndexed(Table* table, const std::string& index_column,
                           int64_t lo, int64_t hi, ExprRef predicate,

@@ -55,12 +55,13 @@ bool ReadIteratorBatch(Table::Iterator* it, bool* exhausted, size_t max_rows,
 /// residually, so the range only needs to *cover* the matching keys.
 bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi);
 
-/// Index range scan: lo <= column <= hi through the cluster tree or a
-/// secondary index. Two bound sources:
-///  - *static*: lo/hi fixed at plan time (plan-time-constant conjuncts);
+/// Key-range scan: lo <= column <= hi through Table::ScanRange, which
+/// probes the cluster tree or a secondary index when `column` has one and
+/// filters a full scan otherwise. Two bound sources:
+///  - *static*: lo/hi fixed by the caller (the native FEM client);
 ///  - *runtime*: the bound is `column OP <key expr>` where the key — a
-///    prepared-statement parameter or a scalar-subquery slot — is
-///    evaluated at Open, so one compiled plan probes fresh bounds on
+///    literal, a prepared-statement parameter or a scalar-subquery slot —
+///    is evaluated at Open, so one compiled plan probes fresh bounds on
 ///    every execution. A non-INT or overflowing key degrades to the full
 ///    key range (the residual filter keeps the plan equivalent).
 class IndexRangeScanExecutor : public Executor {

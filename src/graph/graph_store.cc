@@ -123,16 +123,12 @@ Status GraphStore::AddEdge(const Edge& e) {
 
 namespace {
 
-/// Deletes one row matching (fid, tid, cost) from an edge table, probing
-/// through `key_col`'s index when one exists.
+/// Deletes one row matching (fid, tid, cost) from an edge table, reading
+/// the key range `key_col` = `key`.
 Status RemoveOneEdgeRow(Table* table, const std::string& key_col, int64_t key,
                         const Edge& e) {
   Table::Iterator it;
-  if (table->HasIndexOn(key_col)) {
-    RELGRAPH_RETURN_IF_ERROR(table->ScanRange(key_col, key, key, &it));
-  } else {
-    it = table->Scan();
-  }
+  RELGRAPH_RETURN_IF_ERROR(table->ScanRange(key_col, key, key, &it));
   Tuple row;
   RowRef ref;
   while (it.Next(&row, &ref)) {

@@ -379,31 +379,24 @@ Status Planner::BindSargShaped(const Expr& c, const Schema& bind_schema,
       CompareOp op = ToCompareOp(c.binary_op);
       if (!col_on_left) op = FlipCompare(op);
       const ExprRef& const_bound = col_on_left ? r : l;
-      if (HasRuntimeSlots(const_side)) {
-        // The key depends on `:params` / scalar-subquery slots: keep the
-        // normalized comparison and the key expression; the executor
-        // computes the bounds at open with the execution's bindings.
+      // The executor computes the bounds at open, so a key over `:params` /
+      // scalar-subquery slots sees each execution's bindings. A plan-time
+      // constant (folded to a literal during binding, so this Evaluate is
+      // free) qualifies only when it yields an INT range; otherwise the
+      // statement stays a sequential scan and keeps its scan order.
+      bool usable = HasRuntimeSlots(const_side);
+      if (!usable) {
+        Value v = const_bound->Evaluate(Tuple{}, Schema{});
+        int64_t lo, hi;
+        usable = v.type() == TypeId::kInt &&
+                 KeyRangeFor(op, v.AsInt(), &lo, &hi);
+      }
+      if (usable) {
         best->active = true;
         best->equality = is_eq;
         best->column = resolved;
-        best->is_static = false;
         best->op = op;
         best->key = const_bound;
-      } else {
-        // Plan-time constant: the bound side folded to a literal during
-        // binding, so this Evaluate is free and the range is fixed.
-        Value v = const_bound->Evaluate(Tuple(std::vector<Value>{}),
-                                        Schema(std::vector<Column>{}));
-        int64_t lo, hi;
-        if (v.type() == TypeId::kInt && KeyRangeFor(op, v.AsInt(), &lo, &hi)) {
-          best->active = true;
-          best->equality = is_eq;
-          best->column = resolved;
-          best->is_static = true;
-          best->lo = lo;
-          best->hi = hi;
-          best->key = nullptr;
-        }
       }
     }
   }
@@ -617,8 +610,8 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
   // conjunct (OP in {=, <=, <, >=, >}) over an indexed column turns the
   // heap scan into an index range scan — the access path the F/E-operator
   // SELECTs (`... where f = 2`, `... and d2s = (select min(d2s) ...)`) get
-  // from a real RDBMS optimizer, and the same one the native finder's
-  // FrontierScan/FirstOpenAt build by hand. The conjunct still filters
+  // from a real RDBMS optimizer, and the same key range the native
+  // finder's FrontierScan/FirstOpenAt read. The conjunct still filters
   // residually, so the plans stay exactly equivalent; with equal index
   // keys the scan order also matches the filtered full scan (index ties
   // break on scan position), keeping TOP-1 picks identical.
@@ -645,12 +638,8 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
       e = std::move(fp.plan);
     } else {
       ExecRef scan;
-      if (sarg.active && sarg.is_static) {
-        scan = std::make_unique<IndexRangeScanExecutor>(
-            fp.base_table, sarg.column, sarg.lo, sarg.hi);
-      } else if (sarg.active) {
-        // Runtime-bounded probe: the key is a `:param` / subquery slot;
-        // bounds re-compute at every open of the prepared plan.
+      if (sarg.active) {
+        // Bounds re-compute at every open of the (prepared) plan.
         scan = std::make_unique<IndexRangeScanExecutor>(
             fp.base_table, sarg.column, sarg.op, sarg.key);
       } else {
@@ -1062,8 +1051,9 @@ Status Planner::CompileUpdate(const UpdateStmt& upd) {
   // MIN(dist) ...)`, BSEG's `dist <= bound`) want once TVisited carries
   // flag/dist indexes. An equality conjunct beats a range conjunct (tighter
   // probe); the full predicate is still evaluated residually, so every
-  // plan stays exactly equivalent to the full scan. Bounds over `:params`
-  // or subquery slots stay symbolic and re-evaluate per execution.
+  // plan stays exactly equivalent to the full scan. The key expression is
+  // evaluated per execution, so bounds over `:params` or subquery slots
+  // see each execution's bindings.
   const Schema& schema = table->schema();
   std::vector<const Expr*> conjuncts;
   FlattenAnd(upd.where.get(), &conjuncts);
@@ -1085,9 +1075,6 @@ Status Planner::CompileUpdate(const UpdateStmt& upd) {
   if (sarg.active) {
     plan_->sarg.active = true;
     plan_->sarg.column = sarg.column;
-    plan_->sarg.is_static = sarg.is_static;
-    plan_->sarg.lo = sarg.lo;
-    plan_->sarg.hi = sarg.hi;
     plan_->sarg.op = sarg.op;
     plan_->sarg.key = sarg.key;
   }
@@ -1410,11 +1397,6 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
     }
     case StmtKind::kUpdate: {
       if (plan->sarg.active) {
-        if (plan->sarg.is_static) {
-          return UpdateWhereIndexed(plan->table, plan->sarg.column,
-                                    plan->sarg.lo, plan->sarg.hi, plan->where,
-                                    plan->sets, &result->affected);
-        }
         return UpdateWhereIndexedDynamic(plan->table, plan->sarg.column,
                                          plan->sarg.op, plan->sarg.key,
                                          plan->where, plan->sets,

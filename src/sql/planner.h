@@ -43,8 +43,8 @@ struct SqlResult {
 ///   bind:    write parameter Values into `ctx`, run each entry of
 ///            `subqueries` and write its scalar into its slot;
 ///   execute: Init + drain `root` (SELECT) or run the stored DML
-///            primitive — index-probe bounds that depend on slots are
-///            re-evaluated at open (IndexRangeScanExecutor runtime
+///            primitive — index-probe bounds are evaluated from their
+///            key expressions at open (IndexRangeScanExecutor runtime
 ///            bounds, UpdateWhereIndexedDynamic).
 ///
 /// DDL kinds compile to just their statement kind and re-execute from the
@@ -81,14 +81,12 @@ struct PreparedPlan {
   std::vector<relgraph::SetClause> sets;
   relgraph::ExprRef where;
 
-  /// Sargable UPDATE probe: static bounds when the conjunct was a
-  /// plan-time constant, a runtime key expression otherwise.
+  /// Sargable UPDATE probe `column OP key`; the key — a literal, a
+  /// `:param` or a scalar-subquery slot — is evaluated per execution.
   struct Sarg {
     bool active = false;
     std::string column;
-    bool is_static = false;
-    int64_t lo = 0, hi = 0;                              // static bounds
-    relgraph::CompareOp op = relgraph::CompareOp::kEq;   // runtime bounds
+    relgraph::CompareOp op = relgraph::CompareOp::kEq;
     relgraph::ExprRef key;
   } sarg;
 
@@ -160,15 +158,12 @@ class Planner {
 
   /// Candidate index probe extracted from sargable conjuncts. An equality
   /// conjunct beats a range conjunct (tighter probe); within each class
-  /// the first match wins. Plan-time constants become static bounds;
-  /// conjuncts over `:params` / scalar subqueries keep the (normalized)
-  /// comparison and the key expression for evaluation at open time.
+  /// the first match wins. The candidate keeps the (normalized) comparison
+  /// and the key expression, which the executor evaluates at open time.
   struct SargCandidate {
     bool active = false;
     bool equality = false;
     std::string column;
-    bool is_static = false;
-    int64_t lo = 0, hi = 0;
     CompareOp op = CompareOp::kEq;  // column-on-the-left normalized
     ExprRef key;
   };

@@ -235,93 +235,121 @@ TEST(SegTableTest, BuildStatsArePopulated) {
 
 /// Incremental maintenance: inserting edges one by one into graph +
 /// SegTable must land in the same (fid, tid, dist) set as rebuilding the
-/// SegTable from scratch on the final graph.
+/// SegTable from scratch on the final graph. The maintained side runs
+/// under every index strategy; the rebuild oracle runs under kCluIndex
+/// (the map compared is a property of the graph alone).
 TEST(SegTableIncrementalTest, EdgeInsertionMatchesRebuild) {
-  for (uint64_t seed : {3u, 9u}) {
-    EdgeList list = GenerateBarabasiAlbert(120, 3, WeightRange{1, 20}, seed);
-    // Hold out the last 12 edges (6 undirected pairs).
-    EdgeList base = list;
-    std::vector<Edge> held(base.edges.end() - 12, base.edges.end());
-    base.edges.resize(base.edges.size() - 12);
+  for (IndexStrategy strategy :
+       {IndexStrategy::kCluIndex, IndexStrategy::kIndex,
+        IndexStrategy::kNoIndex}) {
+    // NoIndex reads every key range with a full scan, one per upsert; a
+    // smaller graph keeps the same property under test within the
+    // suite's time budget.
+    const int64_t nodes = strategy == IndexStrategy::kNoIndex ? 60 : 120;
+    for (uint64_t seed : {3u, 9u}) {
+      SCOPED_TRACE(std::string(IndexStrategyName(strategy)) + " seed " +
+                   std::to_string(seed));
+      EdgeList list =
+          GenerateBarabasiAlbert(nodes, 3, WeightRange{1, 20}, seed);
+      // Hold out the last 12 edges (6 undirected pairs).
+      EdgeList base = list;
+      std::vector<Edge> held(base.edges.end() - 12, base.edges.end());
+      base.edges.resize(base.edges.size() - 12);
 
-    const weight_t lthd = 25;
-    Database db{DatabaseOptions{}};
-    std::unique_ptr<GraphStore> graph;
-    ASSERT_TRUE(
-        GraphStore::Create(&db, base, GraphStoreOptions{}, &graph).ok());
-    SegTableOptions opts;
-    opts.lthd = lthd;
-    opts.prefix = "inc_";
-    std::unique_ptr<SegTable> segtable;
-    ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
+      const weight_t lthd = 25;
+      Database db{DatabaseOptions{}};
+      GraphStoreOptions gopts;
+      gopts.strategy = strategy;
+      std::unique_ptr<GraphStore> graph;
+      ASSERT_TRUE(GraphStore::Create(&db, base, gopts, &graph).ok());
+      SegTableOptions opts;
+      opts.lthd = lthd;
+      opts.prefix = "inc_";
+      opts.strategy = strategy;
+      std::unique_ptr<SegTable> segtable;
+      ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
 
-    for (const Edge& e : held) {
-      ASSERT_TRUE(graph->AddEdge(e).ok());
-      int64_t changed;
-      ASSERT_TRUE(segtable->ApplyEdgeInsertion(e, &changed).ok());
-    }
-
-    // Rebuild from scratch on the full graph in a second database.
-    Database db2{DatabaseOptions{}};
-    std::unique_ptr<GraphStore> graph2;
-    ASSERT_TRUE(
-        GraphStore::Create(&db2, list, GraphStoreOptions{}, &graph2).ok());
-    std::unique_ptr<SegTable> rebuilt;
-    ASSERT_TRUE(SegTable::Build(&db2, graph2.get(), opts, &rebuilt).ok());
-
-    auto snapshot = [](Table* table) {
-      std::map<std::pair<node_id_t, node_id_t>, weight_t> out;
-      auto it = table->Scan();
-      Tuple t;
-      while (it.Next(&t, nullptr)) {
-        out[{t.value(0).AsInt(), t.value(1).AsInt()}] = t.value(3).AsInt();
+      for (const Edge& e : held) {
+        ASSERT_TRUE(graph->AddEdge(e).ok());
+        int64_t changed;
+        Status st = segtable->ApplyEdgeInsertion(e, &changed);
+        ASSERT_TRUE(st.ok()) << st.ToString();
       }
-      return out;
-    };
-    EXPECT_EQ(snapshot(segtable->out_segs()), snapshot(rebuilt->out_segs()))
-        << "TOutSegs diverged, seed " << seed;
-    EXPECT_EQ(snapshot(segtable->in_segs()), snapshot(rebuilt->in_segs()))
-        << "TInSegs diverged, seed " << seed;
+
+      // Rebuild from scratch on the full graph in a second database.
+      Database db2{DatabaseOptions{}};
+      std::unique_ptr<GraphStore> graph2;
+      ASSERT_TRUE(
+          GraphStore::Create(&db2, list, GraphStoreOptions{}, &graph2).ok());
+      SegTableOptions oracle_opts = opts;
+      oracle_opts.strategy = IndexStrategy::kCluIndex;
+      std::unique_ptr<SegTable> rebuilt;
+      ASSERT_TRUE(
+          SegTable::Build(&db2, graph2.get(), oracle_opts, &rebuilt).ok());
+
+      auto snapshot = [](Table* table) {
+        std::map<std::pair<node_id_t, node_id_t>, weight_t> out;
+        auto it = table->Scan();
+        Tuple t;
+        while (it.Next(&t, nullptr)) {
+          out[{t.value(0).AsInt(), t.value(1).AsInt()}] = t.value(3).AsInt();
+        }
+        return out;
+      };
+      EXPECT_EQ(snapshot(segtable->out_segs()), snapshot(rebuilt->out_segs()))
+          << "TOutSegs diverged";
+      EXPECT_EQ(snapshot(segtable->in_segs()), snapshot(rebuilt->in_segs()))
+          << "TInSegs diverged";
+    }
   }
 }
 
 /// After incremental updates, BSEG must still answer correctly (including
-/// paths that use the new edges).
+/// paths that use the new edges), under every index strategy.
 TEST(SegTableIncrementalTest, BsegCorrectAfterInsertions) {
   EdgeList list = GenerateBarabasiAlbert(150, 3, WeightRange{1, 100}, 17);
   EdgeList base = list;
   std::vector<Edge> held(base.edges.end() - 20, base.edges.end());
   base.edges.resize(base.edges.size() - 20);
-
-  Database db{DatabaseOptions{}};
-  std::unique_ptr<GraphStore> graph;
-  ASSERT_TRUE(GraphStore::Create(&db, base, GraphStoreOptions{}, &graph).ok());
-  SegTableOptions opts;
-  opts.lthd = 30;
-  std::unique_ptr<SegTable> segtable;
-  ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
-  for (const Edge& e : held) {
-    ASSERT_TRUE(graph->AddEdge(e).ok());
-    ASSERT_TRUE(segtable->ApplyEdgeInsertion(e).ok());
-  }
-
   MemGraph mem(list);  // oracle over the FULL graph
-  PathFinderOptions popts;
-  popts.algorithm = Algorithm::kBSEG;
-  std::unique_ptr<PathFinder> finder;
-  ASSERT_TRUE(
-      PathFinder::Create(graph.get(), popts, &finder, segtable.get()).ok());
-  Rng rng(5);
-  for (int q = 0; q < 8; q++) {
-    node_id_t s = rng.NextInt(0, list.num_nodes - 1);
-    node_id_t t = rng.NextInt(0, list.num_nodes - 1);
-    MemPathResult oracle = mem.Dijkstra(s, t);
-    PathQueryResult result;
-    ASSERT_TRUE(finder->Find(s, t, &result).ok());
-    ASSERT_EQ(result.found, oracle.found) << "s=" << s << " t=" << t;
-    if (oracle.found) {
-      EXPECT_EQ(result.distance, oracle.distance) << "s=" << s << " t=" << t;
-      EXPECT_EQ(mem.PathLength(result.path), result.distance);
+
+  for (IndexStrategy strategy :
+       {IndexStrategy::kCluIndex, IndexStrategy::kIndex,
+        IndexStrategy::kNoIndex}) {
+    SCOPED_TRACE(IndexStrategyName(strategy));
+    Database db{DatabaseOptions{}};
+    GraphStoreOptions gopts;
+    gopts.strategy = strategy;
+    std::unique_ptr<GraphStore> graph;
+    ASSERT_TRUE(GraphStore::Create(&db, base, gopts, &graph).ok());
+    SegTableOptions opts;
+    opts.lthd = 30;
+    opts.strategy = strategy;
+    std::unique_ptr<SegTable> segtable;
+    ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
+    for (const Edge& e : held) {
+      ASSERT_TRUE(graph->AddEdge(e).ok());
+      Status st = segtable->ApplyEdgeInsertion(e);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+
+    PathFinderOptions popts;
+    popts.algorithm = Algorithm::kBSEG;
+    std::unique_ptr<PathFinder> finder;
+    ASSERT_TRUE(
+        PathFinder::Create(graph.get(), popts, &finder, segtable.get()).ok());
+    Rng rng(5);
+    for (int q = 0; q < 8; q++) {
+      node_id_t s = rng.NextInt(0, list.num_nodes - 1);
+      node_id_t t = rng.NextInt(0, list.num_nodes - 1);
+      MemPathResult oracle = mem.Dijkstra(s, t);
+      PathQueryResult result;
+      ASSERT_TRUE(finder->Find(s, t, &result).ok());
+      ASSERT_EQ(result.found, oracle.found) << "s=" << s << " t=" << t;
+      if (oracle.found) {
+        EXPECT_EQ(result.distance, oracle.distance) << "s=" << s << " t=" << t;
+        EXPECT_EQ(mem.PathLength(result.path), result.distance);
+      }
     }
   }
 }

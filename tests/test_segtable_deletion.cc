@@ -203,44 +203,62 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SegTableDeletionTest, MixedInsertDeleteMatchesRebuild) {
-  // Interleave insertions and deletions, then compare to a fresh build.
-  EdgeList list = GenerateBarabasiAlbert(80, 3, WeightRange{1, 15}, 7);
-  EdgeList base = list;
-  std::vector<Edge> held(base.edges.end() - 8, base.edges.end());
-  base.edges.resize(base.edges.size() - 8);
+  // Interleave insertions and deletions under every index strategy, then
+  // compare to a fresh kCluIndex build of the final graph.
+  for (IndexStrategy strategy :
+       {IndexStrategy::kCluIndex, IndexStrategy::kIndex,
+        IndexStrategy::kNoIndex}) {
+    SCOPED_TRACE(IndexStrategyName(strategy));
+    // NoIndex reads every key range with a full scan; a smaller graph keeps
+    // the same property under test within the suite's time budget.
+    const int64_t nodes = strategy == IndexStrategy::kNoIndex ? 48 : 80;
+    EdgeList list = GenerateBarabasiAlbert(nodes, 3, WeightRange{1, 15}, 7);
+    EdgeList base = list;
+    std::vector<Edge> held(base.edges.end() - 8, base.edges.end());
+    base.edges.resize(base.edges.size() - 8);
 
-  Database db{DatabaseOptions{}};
-  std::unique_ptr<GraphStore> graph;
-  ASSERT_TRUE(GraphStore::Create(&db, base, GraphStoreOptions{}, &graph).ok());
-  SegTableOptions opts;
-  opts.lthd = 20;
-  opts.prefix = "mix_";
-  std::unique_ptr<SegTable> segtable;
-  ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
+    Database db{DatabaseOptions{}};
+    GraphStoreOptions gopts;
+    gopts.strategy = strategy;
+    std::unique_ptr<GraphStore> graph;
+    ASSERT_TRUE(GraphStore::Create(&db, base, gopts, &graph).ok());
+    SegTableOptions opts;
+    opts.lthd = 20;
+    opts.prefix = "mix_";
+    opts.strategy = strategy;
+    std::unique_ptr<SegTable> segtable;
+    ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
 
-  EdgeList current = base;
-  Rng rng(123);
-  for (size_t i = 0; i < held.size(); i++) {
-    // Insert a held-out edge...
-    ASSERT_TRUE(graph->AddEdge(held[i]).ok());
-    ASSERT_TRUE(segtable->ApplyEdgeInsertion(held[i]).ok());
-    current.edges.push_back(held[i]);
-    // ...and delete a random existing one.
-    size_t pos = rng.NextInt(0, static_cast<int64_t>(current.edges.size()) - 1);
-    Edge victim = current.edges[pos];
-    ASSERT_TRUE(graph->RemoveEdge(victim).ok());
-    ASSERT_TRUE(segtable->ApplyEdgeDeletion(graph.get(), victim).ok());
-    current.edges.erase(current.edges.begin() + pos);
+    EdgeList current = base;
+    Rng rng(123);
+    for (size_t i = 0; i < held.size(); i++) {
+      // Insert a held-out edge...
+      ASSERT_TRUE(graph->AddEdge(held[i]).ok());
+      Status st = segtable->ApplyEdgeInsertion(held[i]);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      current.edges.push_back(held[i]);
+      // ...and delete a random existing one.
+      size_t pos =
+          rng.NextInt(0, static_cast<int64_t>(current.edges.size()) - 1);
+      Edge victim = current.edges[pos];
+      ASSERT_TRUE(graph->RemoveEdge(victim).ok());
+      st = segtable->ApplyEdgeDeletion(graph.get(), victim);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      current.edges.erase(current.edges.begin() + pos);
+    }
+
+    Database db2{DatabaseOptions{}};
+    std::unique_ptr<GraphStore> graph2;
+    ASSERT_TRUE(
+        GraphStore::Create(&db2, current, GraphStoreOptions{}, &graph2).ok());
+    SegTableOptions oracle_opts = opts;
+    oracle_opts.strategy = IndexStrategy::kCluIndex;
+    std::unique_ptr<SegTable> rebuilt;
+    ASSERT_TRUE(
+        SegTable::Build(&db2, graph2.get(), oracle_opts, &rebuilt).ok());
+    EXPECT_EQ(Snapshot(segtable->out_segs()), Snapshot(rebuilt->out_segs()));
+    EXPECT_EQ(Snapshot(segtable->in_segs()), Snapshot(rebuilt->in_segs()));
   }
-
-  Database db2{DatabaseOptions{}};
-  std::unique_ptr<GraphStore> graph2;
-  ASSERT_TRUE(
-      GraphStore::Create(&db2, current, GraphStoreOptions{}, &graph2).ok());
-  std::unique_ptr<SegTable> rebuilt;
-  ASSERT_TRUE(SegTable::Build(&db2, graph2.get(), opts, &rebuilt).ok());
-  EXPECT_EQ(Snapshot(segtable->out_segs()), Snapshot(rebuilt->out_segs()));
-  EXPECT_EQ(Snapshot(segtable->in_segs()), Snapshot(rebuilt->in_segs()));
 }
 
 TEST(SegTableDeletionTest, BsegCorrectAfterDeletions) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/catalog/catalog.h"
 
 namespace relgraph {
@@ -100,6 +105,113 @@ TEST_F(TableTest, SecondaryIndexBackfillsExistingRows) {
   ASSERT_TRUE(table->ScanRange("fid", 7, 7, &it).ok());
   Tuple t;
   EXPECT_TRUE(it.Next(&t, nullptr));
+}
+
+/// The ScanRange contract on a column without an index: the rows Scan()
+/// yields with lo <= column <= hi, in Scan() order, NULLs excluded, every
+/// row read counted as a full-scan row. Checked on a heap and on a
+/// clustered table, next to the index path on the same table.
+TEST_F(TableTest, ScanRangeOnUnindexedColumnFiltersFullScan) {
+  for (TableStorage storage : {TableStorage::kHeap, TableStorage::kClustered}) {
+    const bool clustered = storage == TableStorage::kClustered;
+    SCOPED_TRACE(clustered ? "clustered" : "heap");
+    TableOptions opts;
+    opts.storage = storage;
+    if (clustered) {
+      opts.cluster_key = "fid";
+      opts.cluster_unique = true;
+    }
+    std::unique_ptr<Table> table;
+    ASSERT_TRUE(Table::Create(&pool_, clustered ? "c" : "h", EdgeSchema(),
+                              opts, &table)
+                    .ok());
+    // fid is a permutation of 0..59, so the clustered scan order differs
+    // from insertion order; every tenth tid is NULL.
+    const int kRows = 60;
+    for (int i = 0; i < kRows; i++) {
+      Value tid = i % 10 == 0 ? Value::Null() : Value(int64_t{(i * 7) % 13});
+      ASSERT_TRUE(table
+                      ->Insert(Tuple({Value(int64_t{(i * 37) % kRows}), tid,
+                                      Value(int64_t{i})}))
+                      .ok());
+    }
+    ASSERT_TRUE(table->CreateSecondaryIndex("cost", /*unique=*/false).ok());
+    ASSERT_FALSE(table->HasIndexOn("tid"));
+
+    auto fids = [](Table::Iterator* it) {
+      std::vector<int64_t> out;
+      Tuple t;
+      while (it->Next(&t, nullptr)) out.push_back(t.value(0).AsInt());
+      EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+      return out;
+    };
+    const std::vector<std::pair<int64_t, int64_t>> ranges = {
+        {3, 5},
+        {0, 0},
+        {12, 12},
+        {std::numeric_limits<int64_t>::min(),
+         std::numeric_limits<int64_t>::max()},
+        {6, 2}};  // lo > hi: no rows
+    for (const auto& [lo, hi] : ranges) {
+      SCOPED_TRACE("[" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+      std::vector<int64_t> expected;
+      Table::Iterator scan = table->Scan();
+      Tuple t;
+      while (scan.Next(&t, nullptr)) {
+        const Value& v = t.value(1);
+        if (!v.IsNull() && v.AsInt() >= lo && v.AsInt() <= hi) {
+          expected.push_back(t.value(0).AsInt());
+        }
+      }
+      table->ResetAccessStats();
+      Table::Iterator it;
+      ASSERT_TRUE(table->ScanRange("tid", lo, hi, &it).ok());
+      EXPECT_EQ(fids(&it), expected);
+      EXPECT_EQ(table->access_stats().full_scan_rows, kRows);
+      EXPECT_EQ(table->access_stats().index_scan_rows, 0);
+    }
+    // The full key range skips exactly the six NULL rows.
+    Table::Iterator all;
+    ASSERT_TRUE(table
+                    ->ScanRange("tid", std::numeric_limits<int64_t>::min(),
+                                std::numeric_limits<int64_t>::max(), &all)
+                    .ok());
+    EXPECT_EQ(fids(&all).size(), static_cast<size_t>(kRows - kRows / 10));
+
+    Table::Iterator unknown;
+    EXPECT_TRUE(table->ScanRange("nope", 0, 1, &unknown).IsInvalidArgument());
+
+    // An indexed column still probes its index.
+    table->ResetAccessStats();
+    Table::Iterator probe;
+    ASSERT_TRUE(table->ScanRange("cost", 10, 19, &probe).ok());
+    EXPECT_EQ(fids(&probe).size(), 10u);
+    EXPECT_EQ(table->access_stats().index_scan_rows, 10);
+    EXPECT_EQ(table->access_stats().full_scan_rows, 0);
+  }
+}
+
+TEST_F(TableTest, ScanRangeComparesDoublesAndRejectsVarchar) {
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Create(&pool_, "t",
+                            Schema({{"id", TypeId::kInt},
+                                    {"w", TypeId::kDouble},
+                                    {"name", TypeId::kVarchar}}),
+                            TableOptions{}, &table)
+                  .ok());
+  for (double w : {0.5, 1.0, 1.5, 2.0, 2.5}) {
+    ASSERT_TRUE(table
+                    ->Insert(Tuple({Value(static_cast<int64_t>(w * 10)),
+                                    Value(w), Value("x")}))
+                    .ok());
+  }
+  Table::Iterator it;
+  ASSERT_TRUE(table->ScanRange("w", 1, 2, &it).ok());
+  std::vector<int64_t> ids;
+  Tuple t;
+  while (it.Next(&t, nullptr)) ids.push_back(t.value(0).AsInt());
+  EXPECT_EQ(ids, (std::vector<int64_t>{10, 15, 20}));
+  EXPECT_TRUE(table->ScanRange("name", 0, 1, &it).IsInvalidArgument());
 }
 
 TEST_F(TableTest, UniqueIndexLookupAndViolation) {
