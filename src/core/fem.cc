@@ -134,6 +134,18 @@ ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
       residual == nullptr ? std::move(on) : And(on, std::move(residual)));
 }
 
+ExecRef EdgeJoin(ExecRef outer, const EdgeRelation& rel,
+                 const std::string& probe_column, ExprRef residual) {
+  if (!rel.shard_join) {
+    return EdgeJoin(std::move(outer), rel.table, rel.join_column,
+                    probe_column, std::move(residual));
+  }
+  ExecRef joined = rel.shard_join(std::move(outer), probe_column);
+  if (residual == nullptr) return joined;
+  return std::make_unique<FilterExecutor>(std::move(joined),
+                                          std::move(residual));
+}
+
 Status DedupLeast(SqlMode mode, const std::function<ExecRef()>& plan,
                   const std::string& key, const std::string& cost,
                   const std::string& tie, std::vector<Tuple>* rows) {
@@ -237,7 +249,7 @@ ExecRef FemEngine::BuildJoinProject(const DirCols& dir, const EdgeRelation& rel,
   // Theorem-1 pruning: dist + cost + l_opposite < minCost. Inactive while
   // no s-t path is known (min_cost = kInfinity dwarfs any real sum).
   ExecRef joined = EdgeJoin(
-      visited_->FrontierScan(dir), rel.table, rel.join_column, "nid",
+      visited_->FrontierScan(dir), rel, "nid",
       Cmp(CompareOp::kLt,
           Add(Add(Col(dir.dist), Col(rel.cost_column)), Lit(opposite_l)),
           Lit(min_cost)));
@@ -292,7 +304,8 @@ Status FemEngine::ExpandAndMerge(const DirCols& dir, const EdgeRelation& rel,
       ", row_number() OVER (PARTITION BY out." + rel.emit_column +
       " ORDER BY out." + rel.cost_column + "+q." + dir.dist +
       ") AS rownum FROM " + visited_->table()->name() + " q, " +
-      rel.table->name() + " out WHERE q.nid=out." + rel.join_column +
+      (rel.shard_join ? std::string("TEdges@shards") : rel.table->name()) +
+      " out WHERE q.nid=out." + rel.join_column +
       " AND q." + dir.flag + "=2 AND out." + rel.cost_column + "+q." +
       dir.dist + "+" + std::to_string(opposite_l) + "<" +
       std::to_string(min_cost) +
@@ -311,18 +324,6 @@ Status FemEngine::ExpandAndMerge(const DirCols& dir, const EdgeRelation& rel,
         [&] { return BuildJoinProject(dir, rel, opposite_l, min_cost); },
         "nid", "cost", "pid", &rows));
   }
-  ScopedTimer timer(&stats_.m_operator_us);
-  return MergeIntoVisited(dir, std::move(rows), affected);
-}
-
-Status FemEngine::MergeExpansion(const DirCols& dir, std::vector<Tuple> rows,
-                                 int64_t* affected) {
-  db_->RecordStatement(
-      "MERGE " + visited_->table()->name() +
-      " AS target USING ek AS source ON source.nid=target.nid WHEN MATCHED "
-      "AND target." + dir.dist + ">source.cost THEN UPDATE SET " + dir.dist +
-      "=source.cost," + dir.pred + "=source.pid," + dir.flag +
-      "=0 WHEN NOT MATCHED THEN INSERT ...");
   ScopedTimer timer(&stats_.m_operator_us);
   return MergeIntoVisited(dir, std::move(rows), affected);
 }

@@ -101,13 +101,6 @@ class FemEngine {
                         weight_t opposite_l, weight_t min_cost,
                         int64_t* affected);
 
-  /// M-operator alone: merges pre-built expansion rows (ExpansionSchema)
-  /// into TVisited, honoring the mode/profile plan choice. The distributed
-  /// coordinator uses this — its E-operator join runs remotely on the
-  /// shards, which ship back the expansion rows.
-  Status MergeExpansion(const DirCols& dir, std::vector<Tuple> rows,
-                        int64_t* affected);
-
  private:
   /// Joins frontier rows with `rel` and projects (nid, cost, pid, aid),
   /// without dedup — the input of DedupLeast in both modes.
@@ -136,6 +129,11 @@ Schema ExpansionSchema();
 /// is indexed on `column`; otherwise (the NoIndex strategy) a nested-loop
 /// join over a full scan of `table`.
 ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
+                 const std::string& probe_column, ExprRef residual = nullptr);
+
+/// The same join against `rel` on its join column. A relation on shards
+/// joins through its `shard_join`, with `residual` filtering the rows.
+ExecRef EdgeJoin(ExecRef outer, const EdgeRelation& rel,
                  const std::string& probe_column, ExprRef residual = nullptr);
 
 /// E-operator dedup (Definition 2): keeps, per value of column `key`, the

@@ -28,38 +28,48 @@ const char* AlgorithmName(Algorithm a) {
 Status PathFinder::Create(GraphStore* graph, PathFinderOptions options,
                           std::unique_ptr<PathFinder>* out,
                           const SegTable* segtable) {
+  const bool seg = options.algorithm == Algorithm::kBSEG && segtable != nullptr;
+  return Create(graph->db(), graph->strategy(),
+                seg ? segtable->Forward() : graph->Forward(),
+                seg ? segtable->Backward() : graph->Backward(), options, out,
+                segtable);
+}
+
+Status PathFinder::Create(Database* db, IndexStrategy strategy,
+                          EdgeRelation forward, EdgeRelation backward,
+                          PathFinderOptions options,
+                          std::unique_ptr<PathFinder>* out,
+                          const SegTable* segtable) {
   if (options.algorithm == Algorithm::kBSEG && segtable == nullptr) {
     return Status::InvalidArgument("BSEG requires a SegTable");
   }
   static std::atomic<int> counter{0};
   auto pf = std::unique_ptr<PathFinder>(new PathFinder());
-  pf->graph_ = graph;
+  pf->db_ = db;
+  pf->forward_ = std::move(forward);
+  pf->backward_ = std::move(backward);
   pf->segtable_ = segtable;
   pf->options_ = options;
   std::string name = "TVisited_" + std::string(AlgorithmName(options.algorithm)) +
                      "_" + std::to_string(counter.fetch_add(1));
-  RELGRAPH_RETURN_IF_ERROR(VisitedTable::Create(
-      graph->db(), graph->strategy(), std::move(name), &pf->visited_));
-  pf->fem_ = std::make_unique<FemEngine>(graph->db(), pf->visited_.get(),
+  RELGRAPH_RETURN_IF_ERROR(
+      VisitedTable::Create(db, strategy, std::move(name), &pf->visited_));
+  pf->fem_ = std::make_unique<FemEngine>(db, pf->visited_.get(),
                                          options.sql_mode);
   *out = std::move(pf);
   return Status::OK();
 }
 
-EdgeRelation PathFinder::RelFor(const DirCols& dir) const {
-  if (options_.algorithm == Algorithm::kBSEG) {
-    return dir.forward ? segtable_->Forward() : segtable_->Backward();
-  }
-  return dir.forward ? graph_->Forward() : graph_->Backward();
+const EdgeRelation& PathFinder::RelFor(const DirCols& dir) const {
+  return dir.forward ? forward_ : backward_;
 }
 
 Status PathFinder::Find(node_id_t s, node_id_t t, PathQueryResult* result) {
   *result = PathQueryResult{};
-  Database* db = graph_->db();
   Timer total;
-  const int64_t stmt0 = db->stats().statements;
-  const auto bp0 = db->buffer_pool()->stats();
-  const auto disk0 = db->disk()->stats();
+  const int64_t stmt0 = db_->stats().statements;
+  const auto bp0 = db_->buffer_pool()->stats();
+  const auto disk0 = db_->disk()->stats();
   fem_->stats().Reset();
   {
     // Truncating TVisited walks and frees last query's pages: real work,
@@ -109,11 +119,11 @@ Status PathFinder::Find(node_id_t s, node_id_t t, PathQueryResult* result) {
   qs.path_expansion_us =
       fs.f_operator_us + fs.e_operator_us + fs.m_operator_us;
   qs.stat_collection_us = fs.aux_us;
-  qs.statements = db->stats().statements - stmt0;
+  qs.statements = db_->stats().statements - stmt0;
   qs.visited_rows = visited_->num_rows();
   qs.total_us = total.ElapsedMicros();
-  const auto& bp1 = db->buffer_pool()->stats();
-  const auto& disk1 = db->disk()->stats();
+  const auto& bp1 = db_->buffer_pool()->stats();
+  const auto& disk1 = db_->disk()->stats();
   qs.buffer_hits = bp1.hits - bp0.hits;
   qs.buffer_misses = bp1.misses - bp0.misses;
   qs.disk_reads = disk1.reads - disk0.reads;
@@ -296,8 +306,8 @@ Status PathFinder::SegmentStep(const DirCols& dir, node_id_t anchor,
   }
   // Interior hop: the pre-computed segment rows for this anchor give y's
   // parent. One key-range scan per hop (Listing 3(3) analogue).
-  EdgeRelation rel = RelFor(dir);
-  graph_->db()->RecordStatement();
+  const EdgeRelation& rel = RelFor(dir);
+  db_->RecordStatement();
   FilterExecutor plan(std::make_unique<IndexRangeScanExecutor>(
                           rel.table, rel.join_column, anchor, anchor),
                       ColEq(rel.emit_column, y));
@@ -324,7 +334,7 @@ Status PathFinder::WalkDirection(const DirCols& dir, node_id_t from,
   node_id_t x = from;
   int64_t guard = 0;
   while (x != origin) {
-    if (++guard > graph_->num_nodes() + 8) {
+    if (++guard > options_.max_iterations) {
       return Status::Corruption("cycle while recovering path");
     }
     Tuple row;
@@ -339,7 +349,7 @@ Status PathFinder::WalkDirection(const DirCols& dir, node_id_t from,
           SegmentStep(dir, anchor, y, y == x ? parent : kInvalidNode, &prev));
       out->push_back(prev);
       if (prev == anchor) break;
-      if (++guard > graph_->num_nodes() + 8) {
+      if (++guard > options_.max_iterations) {
         return Status::Corruption("cycle inside segment recovery");
       }
       y = prev;

@@ -29,7 +29,7 @@ struct PathFinderOptions {
   /// Ablation switch: drop the Theorem-1 pruning predicate from the
   /// E-operator (results stay correct; search space grows).
   bool disable_pruning = false;
-  /// Safety valve; a correct run never reaches it (Theorem 2 bounds).
+  /// Safety valve on rounds and path-recovery hops; never reached (Thm 2).
   int64_t max_iterations = 10'000'000;
 };
 
@@ -68,8 +68,17 @@ struct PathQueryResult {
 /// are kept on the client side" (§3.4).
 class PathFinder {
  public:
-  /// `segtable` is required for (and only used by) Algorithm::kBSEG.
+  /// Searches `graph`'s edge tables; kBSEG requires and searches `segtable`.
   static Status Create(GraphStore* graph, PathFinderOptions options,
+                       std::unique_ptr<PathFinder>* out,
+                       const SegTable* segtable = nullptr);
+
+  /// Keeps TVisited in `db` under `strategy` and searches `forward` and
+  /// `backward`: local tables or relations on shards. kBSEG requires
+  /// `segtable`, and the relations must then be the SegTable's.
+  static Status Create(Database* db, IndexStrategy strategy,
+                       EdgeRelation forward, EdgeRelation backward,
+                       PathFinderOptions options,
                        std::unique_ptr<PathFinder>* out,
                        const SegTable* segtable = nullptr);
 
@@ -91,7 +100,7 @@ class PathFinder {
   Status RunSetBidirectional(node_id_t s, node_id_t t,
                              PathQueryResult* result);
 
-  EdgeRelation RelFor(const DirCols& dir) const;
+  const EdgeRelation& RelFor(const DirCols& dir) const;
 
   /// Full-path recovery (Listing 3(3) + §4.3 lines 17-20): walks anchor
   /// links in TVisited and re-expands each SegTable segment through the
@@ -103,7 +112,9 @@ class PathFinder {
   Status SegmentStep(const DirCols& dir, node_id_t anchor, node_id_t y,
                      node_id_t first_parent, node_id_t* prev);
 
-  GraphStore* graph_ = nullptr;
+  Database* db_ = nullptr;
+  EdgeRelation forward_;
+  EdgeRelation backward_;
   const SegTable* segtable_ = nullptr;
   PathFinderOptions options_;
   std::unique_ptr<VisitedTable> visited_;

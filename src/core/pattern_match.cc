@@ -17,7 +17,11 @@ Status LabelPathMatcher::Run(GraphStore* graph,
   // Visited relation: one row per partial match, one column per matched
   // pattern position. Kept materialized between iterations (the "view" an
   // RDBMS would pipeline); columns are named c0..ck.
-  auto col_name = [](size_t i) { return "c" + std::to_string(i); };
+  // Appended, not `"c" + ...`: GCC 12 at -O3 reports a false -Wrestrict
+  // when a literal is prepended to a std::string.
+  auto col_name = [](size_t i) {
+    return std::string("c").append(std::to_string(i));
+  };
 
   std::vector<Tuple> visited;
   Schema visited_schema({{col_name(0), TypeId::kInt}});

@@ -64,7 +64,7 @@ struct DistOptions {
 /// ShardedGraphStore: the shard services (in-process pools and/or remote
 /// stubs dialing net::ShardServers) and the worker pool that runs
 /// expansion rounds. Query sessions (DistPathFinder) are created from
-/// here — each owns its own coordinator-local TVisited and FEM engine, so
+/// here — each owns its own coordinator-local TVisited and PathFinder, so
 /// N sessions run Find() concurrently against the shared shard set, the
 /// "many clients, one cluster" shape of the north star.
 class DistCoordinator {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -9,6 +10,73 @@
 #include "src/common/timer.h"
 
 namespace relgraph {
+
+/// The E-operator's join when TEdges lives on the shards: drains the
+/// frontier, fans its node ids out to their owner shards (one round per
+/// Init()), and yields each shipped row as a local join over TEdges would —
+/// the frontier row's columns, then (fid, tid, cost) — in shard-index order.
+class DistPathFinder::ShardJoinExecutor : public Executor {
+ public:
+  ShardJoinExecutor(DistPathFinder* session, bool forward, ExecRef outer,
+                    std::string probe_column)
+      : session_(session),
+        forward_(forward),
+        outer_(std::move(outer)),
+        probe_column_(std::move(probe_column)),
+        schema_(ConcatSchemas(outer_->OutputSchema(), EdgeTableSchema())) {}
+
+  bool NextBatchSel(BatchSpan* out) override {
+    return ReplayWindow(rows_, &pos_, out);
+  }
+  const Schema& OutputSchema() const override { return schema_; }
+
+ protected:
+  Status Open() override {
+    rows_.clear();
+    pos_ = 0;
+    std::vector<Tuple> frontier;
+    RELGRAPH_RETURN_IF_ERROR(Collect(outer_.get(), &frontier));
+    const size_t key = outer_->OutputSchema().IndexOf(probe_column_);
+    std::vector<node_id_t> nodes;
+    nodes.reserve(frontier.size());
+    std::unordered_map<node_id_t, const Tuple*> row_of;
+    row_of.reserve(frontier.size());
+    for (const Tuple& row : frontier) {
+      nodes.push_back(row.value(key).AsInt());
+      row_of.emplace(nodes.back(), &row);
+    }
+    std::vector<ShardExpandResponse> responses;
+    RELGRAPH_RETURN_IF_ERROR(session_->FanOut(nodes, forward_, &responses));
+    for (const ShardExpandResponse& resp : responses) {
+      for (const ShippedEdge& e : resp.edges) {
+        auto it = row_of.find(e.frontier_node);
+        if (it == row_of.end()) {
+          return Status::Corruption("shard shipped an edge of node " +
+                                    std::to_string(e.frontier_node) +
+                                    ", which is not on the frontier");
+        }
+        const std::vector<Value>& outer = it->second->values();
+        std::vector<Value> values;
+        values.reserve(outer.size() + 3);
+        values.insert(values.end(), outer.begin(), outer.end());
+        values.emplace_back(forward_ ? e.frontier_node : e.emit_node);  // fid
+        values.emplace_back(forward_ ? e.emit_node : e.frontier_node);  // tid
+        values.emplace_back(e.cost);
+        rows_.emplace_back(std::move(values));
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  DistPathFinder* session_;
+  bool forward_;
+  ExecRef outer_;
+  std::string probe_column_;
+  Schema schema_;
+  std::vector<Tuple> rows_;
+  size_t pos_ = 0;
+};
 
 Status DistPathFinder::Create(ShardedGraphStore* store,
                               std::unique_ptr<DistPathFinder>* out,
@@ -30,12 +98,18 @@ Status DistPathFinder::CreateSession(DistCoordinator* coord,
   // traffic on its TVisited accrue here, separate from every shard database
   // and from every other session.
   finder->coord_db_ = std::make_unique<Database>();
-  RELGRAPH_RETURN_IF_ERROR(
-      VisitedTable::Create(finder->coord_db_.get(),
-                           finder->store_->strategy(), "TVisitedCoord",
-                           &finder->visited_));
-  finder->fem_ = std::make_unique<FemEngine>(
-      finder->coord_db_.get(), finder->visited_.get(), SqlMode::kNsql);
+  // TEdges on the shards, one relation per direction.
+  auto on_shards = [session = finder.get()](bool forward) {
+    return [session, forward](ExecRef outer, const std::string& probe) {
+      return ExecRef(std::make_unique<ShardJoinExecutor>(
+          session, forward, std::move(outer), probe));
+    };
+  };
+  RELGRAPH_RETURN_IF_ERROR(PathFinder::Create(
+      finder->coord_db_.get(), finder->store_->strategy(),
+      EdgeRelation{nullptr, "fid", "tid", "fid", "cost", on_shards(true)},
+      EdgeRelation{nullptr, "tid", "fid", "tid", "cost", on_shards(false)},
+      PathFinderOptions{}, &finder->finder_));
   *out = std::move(finder);
   return Status::OK();
 }
@@ -73,12 +147,18 @@ Status DistPathFinder::Distance(node_id_t s, node_id_t t,
   return Find(s, t, result);
 }
 
-Status DistPathFinder::ExpandOnShards(const std::vector<node_id_t>& frontier,
-                                      bool forward, weight_t level,
-                                      std::vector<Tuple>* rows,
-                                      DistQueryStats* stats,
-                                      int64_t* shard_serial_us,
-                                      int64_t* shard_parallel_us) {
+Status DistPathFinder::FanOut(const std::vector<node_id_t>& frontier,
+                              bool forward,
+                              std::vector<ShardExpandResponse>* responses) {
+  // Fault-schedule seam: the hook sees the 1-based round number right
+  // before this round's shard fan-out, from the session thread — so a
+  // scripted fault ("kill replica R at round K") lands at a deterministic
+  // point in the query, every run.
+  if (coord_->options().round_hook) {
+    coord_->options().round_hook(shard_stats_.rounds + 1);
+  }
+  shard_stats_.rounds++;
+
   // Route each frontier node to its owner shard.
   std::vector<std::vector<node_id_t>> by_shard(store_->num_shards());
   for (node_id_t n : frontier) {
@@ -93,7 +173,7 @@ Status DistPathFinder::ExpandOnShards(const std::vector<node_id_t>& frontier,
   for (int shard = 0; shard < store_->num_shards(); shard++) {
     if (!by_shard[shard].empty()) contacted.push_back(shard);
   }
-  std::vector<ShardExpandResponse> responses(contacted.size());
+  responses->assign(contacted.size(), ShardExpandResponse{});
 
   ThreadPool* pool = coord_->pool();
   if (pool == nullptr || contacted.size() <= 1) {
@@ -106,11 +186,11 @@ Status DistPathFinder::ExpandOnShards(const std::vector<node_id_t>& frontier,
       ShardExpandRequest req{forward, std::move(by_shard[shard]),
                              session_id_};
       RELGRAPH_RETURN_IF_ERROR(
-          coord_->shard_service(shard)->Expand(req, &responses[i]));
-      *shard_serial_us += responses[i].elapsed_us;
-      round_max_us = std::max(round_max_us, responses[i].elapsed_us);
+          coord_->shard_service(shard)->Expand(req, &(*responses)[i]));
+      shard_serial_us_ += (*responses)[i].elapsed_us;
+      round_max_us = std::max(round_max_us, (*responses)[i].elapsed_us);
     }
-    *shard_parallel_us += round_max_us;
+    shard_parallel_us_ += round_max_us;
   } else {
     // Threaded rounds: one task per contacted shard, future-joined. The
     // first contacted shard runs inline — the coordinator thread would
@@ -125,7 +205,7 @@ Status DistPathFinder::ExpandOnShards(const std::vector<node_id_t>& frontier,
     for (size_t i = 1; i < contacted.size(); i++) {
       int shard = contacted[i];
       ShardService* svc = coord_->shard_service(shard);
-      ShardExpandResponse* resp = &responses[i];
+      ShardExpandResponse* resp = &(*responses)[i];
       auto req = std::make_shared<ShardExpandRequest>(
           ShardExpandRequest{forward, std::move(by_shard[shard]),
                              session_id_});
@@ -135,182 +215,51 @@ Status DistPathFinder::ExpandOnShards(const std::vector<node_id_t>& frontier,
     ShardExpandRequest first_req{forward, std::move(by_shard[contacted[0]]),
                                  session_id_};
     Status first_error =
-        coord_->shard_service(contacted[0])->Expand(first_req, &responses[0]);
+        coord_->shard_service(contacted[0])->Expand(first_req,
+                                                  &(*responses)[0]);
     for (auto& f : futures) {
       Status st = f.get();
       if (!st.ok() && first_error.ok()) first_error = st;
     }
     RELGRAPH_RETURN_IF_ERROR(first_error);
-    *shard_parallel_us += round_timer.ElapsedMicros();
-    for (const ShardExpandResponse& resp : responses) {
-      *shard_serial_us += resp.elapsed_us;
+    shard_parallel_us_ += round_timer.ElapsedMicros();
+    for (const ShardExpandResponse& resp : *responses) {
+      shard_serial_us_ += resp.elapsed_us;
     }
   }
 
-  size_t shipped_total = 0;
-  for (const ShardExpandResponse& resp : responses) {
-    stats->shard_statements += resp.statements;
-    shipped_total += resp.edges.size();
-  }
-  stats->rows_shipped += static_cast<int64_t>(shipped_total);
-
-  // The E-operator's dedup (rownum = 1): keep, per reached node, the
-  // cheapest shipped edge, ties broken by the smaller parent — the shards
-  // did the join, the coordinator finishes the expansion statement.
-  std::unordered_map<node_id_t, size_t> best;
-  best.reserve(shipped_total);
-  std::vector<Tuple> dedup;
-  for (const ShardExpandResponse& resp : responses) {
-    for (const ShippedEdge& e : resp.edges) {
-      weight_t cost = level + e.cost;
-      auto [it, inserted] = best.try_emplace(e.emit_node, dedup.size());
-      if (inserted) {
-        dedup.push_back(Tuple({Value(e.emit_node), Value(cost),
-                               Value(e.frontier_node),
-                               Value(e.frontier_node)}));
-        continue;
-      }
-      Tuple& cur = dedup[it->second];
-      weight_t cur_cost = cur.value(1).AsInt();
-      if (cost < cur_cost ||
-          (cost == cur_cost && e.frontier_node < cur.value(2).AsInt())) {
-        cur = Tuple({Value(e.emit_node), Value(cost), Value(e.frontier_node),
-                     Value(e.frontier_node)});
-      }
-    }
-  }
-  *rows = std::move(dedup);
-  return Status::OK();
-}
-
-Status DistPathFinder::WalkChain(const DirCols& dir, node_id_t from,
-                                 node_id_t origin,
-                                 std::vector<node_id_t>* out) {
-  const size_t pred_idx = visited_->table()->schema().IndexOf(dir.pred);
-  out->push_back(from);
-  node_id_t x = from;
-  for (int64_t guard = 0; x != origin; guard++) {
-    if (guard > store_->num_nodes() + 8) {
-      return Status::Internal("broken " + dir.pred + " chain");
-    }
-    Tuple row;
-    RELGRAPH_RETURN_IF_ERROR(visited_->GetRow(x, &row));
-    x = row.value(pred_idx).AsInt();
-    out->push_back(x);
+  for (const ShardExpandResponse& resp : *responses) {
+    shard_stats_.shard_statements += resp.statements;
+    shard_stats_.rows_shipped += static_cast<int64_t>(resp.edges.size());
   }
   return Status::OK();
 }
 
 Status DistPathFinder::Find(node_id_t s, node_id_t t, DistPathResult* result) {
   *result = DistPathResult{};
-  DistQueryStats& stats = result->stats;
+  shard_stats_ = DistQueryStats{};
+  shard_serial_us_ = 0;
+  shard_parallel_us_ = 0;
   Timer total_timer;
-  int64_t shard_serial_us = 0;    // sum over every shard request issued
-  int64_t shard_parallel_us = 0;  // sum over rounds: measured wall
-                                  // (threaded) or slowest shard (serial)
-  const bool threaded = coord_->pool() != nullptr;
-  const int64_t coord_stmt0 = coord_db_->stats().statements;
+  PathQueryResult query;
+  RELGRAPH_RETURN_IF_ERROR(finder_->Find(s, t, &query));
+  result->found = query.found;
+  result->distance = query.distance;
+  result->path = std::move(query.path);
 
-  if (s == t) {
-    coord_db_->RecordStatement();  // the seed lookup answers immediately
-    result->found = true;
-    result->distance = 0;
-    result->path = {s};
-    stats.coordinator_statements =
-        coord_db_->stats().statements - coord_stmt0;
-    stats.serial_us = total_timer.ElapsedMicros();
-    stats.parallel_us = stats.serial_us;
-    return Status::OK();
-  }
-
-  const DirCols fwd = VisitedTable::ForwardCols();
-  const DirCols bwd = VisitedTable::BackwardCols();
-  RELGRAPH_RETURN_IF_ERROR(visited_->Reset());
-  RELGRAPH_RETURN_IF_ERROR(visited_->InsertSourceAndTarget(s, t));
-
-  while (true) {
-    // Coordinator: read both frontier minima and the best meeting cost, and
-    // test the Theorem-1 stop rule (lf + lb >= minCost). All three probes
-    // are O(1) reads of TVisited's incremental aggregates.
-    weight_t lf, lb, min_cost;
-    RELGRAPH_RETURN_IF_ERROR(fem_->MinOpenDistance(fwd, &lf));
-    RELGRAPH_RETURN_IF_ERROR(fem_->MinOpenDistance(bwd, &lb));
-    RELGRAPH_RETURN_IF_ERROR(fem_->MinCost(&min_cost));
-    if (lf >= kInfinity && lb >= kInfinity) break;
-    if (min_cost < kInfinity && lf + lb >= min_cost) break;
-
-    // Expand the direction whose next level is cheaper (BSDJ alternation).
-    const bool forward = lb >= kInfinity || (lf < kInfinity && lf <= lb);
-    const DirCols& dir = forward ? fwd : bwd;
-    const weight_t level = forward ? lf : lb;
-
-    // F-operator: mark the minimum-distance set, then read it back (the
-    // frontier SELECT the coordinator ships to the shards).
-    int64_t marked;
-    RELGRAPH_RETURN_IF_ERROR(
-        fem_->MarkFrontier(dir, FrontierSpec::DistEq(level), &marked));
-    coord_db_->RecordStatement();  // SELECT nid FROM TVisited WHERE flag=2
-    std::vector<node_id_t> frontier;
-    {
-      ExecRef scan = visited_->FrontierScan(dir);
-      std::vector<Tuple> rows;
-      RELGRAPH_RETURN_IF_ERROR(Collect(scan.get(), &rows));
-      frontier.reserve(rows.size());
-      const size_t nid_idx = visited_->table()->schema().IndexOf("nid");
-      for (const Tuple& row : rows) {
-        frontier.push_back(row.value(nid_idx).AsInt());
-      }
-    }
-
-    // Fault-schedule seam: the hook sees the 1-based round number right
-    // before this round's shard fan-out, from the session thread — so a
-    // scripted fault ("kill replica R at round K") lands at a
-    // deterministic point in the query, every run.
-    if (coord_->options().round_hook) {
-      coord_->options().round_hook(stats.rounds + 1);
-    }
-    std::vector<Tuple> expansion;
-    RELGRAPH_RETURN_IF_ERROR(ExpandOnShards(frontier, forward, level,
-                                            &expansion, &stats,
-                                            &shard_serial_us,
-                                            &shard_parallel_us));
-    stats.rounds++;
-
-    // M-operator on the coordinator: merge the shipped rows into TVisited.
-    int64_t affected;
-    RELGRAPH_RETURN_IF_ERROR(
-        fem_->MergeExpansion(dir, std::move(expansion), &affected));
-    RELGRAPH_RETURN_IF_ERROR(fem_->FinalizeFrontier(dir));
-  }
-
-  const weight_t best = visited_->MinPathCost();
-  if (best < kInfinity) {
-    result->found = true;
-    result->distance = best;
-    node_id_t meet;
-    RELGRAPH_RETURN_IF_ERROR(fem_->MeetingNode(best, &meet));
-    // Walk meet -> s through forward predecessors, then meet -> t through
-    // backward successors.
-    std::vector<node_id_t> head;
-    RELGRAPH_RETURN_IF_ERROR(WalkChain(fwd, meet, s, &head));
-    std::reverse(head.begin(), head.end());
-    std::vector<node_id_t> tail;
-    RELGRAPH_RETURN_IF_ERROR(WalkChain(bwd, meet, t, &tail));
-    result->path = std::move(head);
-    result->path.insert(result->path.end(), tail.begin() + 1, tail.end());
-  }
-
-  stats.coordinator_statements = coord_db_->stats().statements - coord_stmt0;
+  DistQueryStats& stats = result->stats;
+  stats = shard_stats_;
+  stats.coordinator_statements = query.stats.statements;
   const int64_t total_us = total_timer.ElapsedMicros();
-  if (threaded) {
+  if (coord_->pool() != nullptr) {
     // The query really ran its rounds in parallel: the total is the
     // parallel wall clock, and the serial clock backs the measured round
     // walls out and charges the shards' summed service time instead.
     stats.parallel_us = total_us;
-    stats.serial_us = total_us - shard_parallel_us + shard_serial_us;
+    stats.serial_us = total_us - shard_parallel_us_ + shard_serial_us_;
   } else {
     stats.serial_us = total_us;
-    stats.parallel_us = total_us - shard_serial_us + shard_parallel_us;
+    stats.parallel_us = total_us - shard_serial_us_ + shard_parallel_us_;
   }
   return Status::OK();
 }

@@ -3,8 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/fem.h"
-#include "src/core/visited_table.h"
+#include "src/core/path_finder.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/sharded_graph.h"
 #include "src/labels/label_probe.h"
@@ -12,8 +11,9 @@
 namespace relgraph {
 
 /// What one distributed query measures: statement counts on the coordinator
-/// and across shards, rows crossing the shard/coordinator boundary (the
-/// "network"), and two clocks.
+/// (as PathFinder counts them) and across shards, rows crossing the
+/// shard/coordinator boundary (the "network"), rounds (one shard fan-out
+/// per expansion), and two clocks.
 ///
 /// `serial_us` is what the query costs with every shard request run one
 /// after another; `parallel_us` is what it costs with each round's shard
@@ -41,16 +41,16 @@ struct DistPathResult {
 };
 
 /// One query session of the distributed bi-directional set Dijkstra (the
-/// paper's BSDJ, §7 extension). The session keeps its visited/frontier
-/// bookkeeping in a relational TVisited (a VisitedTable in a session-local
-/// Database), driven through the same FEM operators as the single-node
-/// engine — so the distributed path inherits TVisited's indexed access
-/// paths, O(1) aggregate probes, and per-statement accounting. Each round
-/// it routes the frontier's node set to the owner shards' ShardServices
-/// (serially, or one thread-pool task per shard); each shard answers with
-/// its local adjacency rows, which the session merges back (the
-/// M-operator). Expansion is thus fully partitioned while termination (the
-/// Theorem-1 bound lf + lb >= minCost) stays centralized.
+/// paper's BSDJ, §7 extension). The session runs PathFinder's BSDJ — the
+/// single-node F/E/M loop with its direction choice, Theorem-1 pruning,
+/// stop rule and path recovery — over a TVisited in its own coordinator
+/// Database. Only the edge relation differs: TEdges lives on the shards, so
+/// the E-operator's join is the shard fan-out. Each expansion routes the
+/// frontier's node ids to their owner shards' ShardServices (serially, or
+/// one thread-pool task per shard); the shards answer with their adjacency
+/// rows, which the join yields to the unchanged E-operator dedup and
+/// M-operator merge. Expansion is thus fully partitioned while the loop
+/// stays on the coordinator.
 ///
 /// Sessions come from DistCoordinator::NewSession() and share that
 /// coordinator's shard services, connection pools, and worker threads; the
@@ -72,7 +72,7 @@ class DistPathFinder {
   /// answer exact, the result comes from two coordinator-side index scans
   /// — stats show zero rounds, zero shard statements, zero rows shipped.
   /// Everything else (stale labels, uncertified bound, no labels) runs the
-  /// full distributed FEM search. `served_from_labels` (optional) reports
+  /// full distributed BSDJ. `served_from_labels` (optional) reports
   /// which path answered; `result->path` stays empty on a label hit.
   Status Distance(node_id_t s, node_id_t t, DistPathResult* result,
                   bool* served_from_labels = nullptr);
@@ -87,6 +87,7 @@ class DistPathFinder {
 
  private:
   friend class DistCoordinator;
+  class ShardJoinExecutor;
 
   explicit DistPathFinder(DistCoordinator* coord)
       : coord_(coord), store_(coord->store()) {}
@@ -94,18 +95,12 @@ class DistPathFinder {
   static Status CreateSession(DistCoordinator* coord,
                               std::unique_ptr<DistPathFinder>* out);
 
-  /// Queries the owner shards of `frontier` — serially, or as one
-  /// thread-pool task per contacted shard — and ships their adjacency rows
-  /// back as E-operator expansion rows (ExpansionSchema), deduplicated per
-  /// reached node. Updates the shard-side clocks and counters.
-  Status ExpandOnShards(const std::vector<node_id_t>& frontier, bool forward,
-                        weight_t level, std::vector<Tuple>* rows,
-                        DistQueryStats* stats, int64_t* shard_serial_us,
-                        int64_t* shard_parallel_us);
-
-  /// Walks one direction's predecessor chain from `from` back to `origin`.
-  Status WalkChain(const DirCols& dir, node_id_t from, node_id_t origin,
-                   std::vector<node_id_t>* out);
+  /// One round: queries the owner shards of `frontier` — serially, or as
+  /// one thread-pool task per contacted shard — and returns their answers
+  /// in shard-index order. Adds to the running query's shard counters and
+  /// clocks.
+  Status FanOut(const std::vector<node_id_t>& frontier, bool forward,
+                std::vector<ShardExpandResponse>* responses);
 
   DistCoordinator* coord_ = nullptr;
   ShardedGraphStore* store_ = nullptr;
@@ -114,8 +109,13 @@ class DistPathFinder {
   /// coordinator; sessions minted via NewSession() borrow theirs.
   std::unique_ptr<DistCoordinator> owned_coord_;
   std::unique_ptr<Database> coord_db_;
-  std::unique_ptr<VisitedTable> visited_;
-  std::unique_ptr<FemEngine> fem_;
+  std::unique_ptr<PathFinder> finder_;
+  /// The running query's shard side, summed by FanOut: rounds, shard
+  /// statements, rows shipped, every request's service time, and per round
+  /// the measured wall (threaded) or the slowest shard (serial).
+  DistQueryStats shard_stats_;
+  int64_t shard_serial_us_ = 0;
+  int64_t shard_parallel_us_ = 0;
   /// Created lazily on the first Distance() after labels are attached:
   /// each session owns its probe (engine + prepared handles are
   /// single-threaded) over the coordinator's shared label database.

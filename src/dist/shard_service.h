@@ -28,8 +28,9 @@ struct ShardExpandRequest {
 };
 
 /// One adjacency row shipped back: the frontier node it was expanded from,
-/// the node the edge reaches, and the edge cost. The coordinator finishes
-/// the E-operator (level + cost, rownum-1 dedup) on these.
+/// the node the edge reaches, and the edge cost. The coordinator's
+/// E-operator join yields these as TEdges rows; the pruning, the rownum-1
+/// dedup and the merge run there.
 struct ShippedEdge {
   node_id_t frontier_node = kInvalidNode;
   node_id_t emit_node = kInvalidNode;

@@ -19,6 +19,13 @@ void Expression::EvalBatch(const RowBatch& batch, ValueColumn* out) const {
 
 namespace {
 
+/// "(<left> <op> <right>)", built by appending: GCC 12 at -O3 reports a
+/// false -Wrestrict when a string literal is prepended to a std::string.
+std::string Infix(const ExprRef& left, const char* op, const ExprRef& right) {
+  return std::string("(").append(left->ToString()).append(" ").append(op)
+      .append(" ").append(right->ToString()).append(")");
+}
+
 /// Thread-local LIFO pool of scratch columns for EvalBatch's interior
 /// nodes. Borrow depth equals expression-tree depth, and a returned slot is
 /// handed back to the next borrower at the same depth, so the vectors keep
@@ -212,7 +219,7 @@ class AddExpr : public Expression {
     }
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " + " + right_->ToString() + ")";
+    return Infix(left_, "+", right_);
   }
 
  private:
@@ -245,7 +252,7 @@ class SubExpr : public Expression {
     }
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " - " + right_->ToString() + ")";
+    return Infix(left_, "-", right_);
   }
 
  private:
@@ -278,7 +285,7 @@ class MulExpr : public Expression {
     }
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " * " + right_->ToString() + ")";
+    return Infix(left_, "*", right_);
   }
 
  private:
@@ -326,7 +333,7 @@ class DivExpr : public Expression {
     }
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " / " + right_->ToString() + ")";
+    return Infix(left_, "/", right_);
   }
 
  private:
@@ -409,8 +416,7 @@ class CompareExpr : public Expression {
     }
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " " + OpName(op_) + " " +
-           right_->ToString() + ")";
+    return Infix(left_, OpName(op_), right_);
   }
 
  private:
@@ -469,7 +475,7 @@ class AndExpr : public Expression {
     });
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " AND " + right_->ToString() + ")";
+    return Infix(left_, "AND", right_);
   }
 
  private:
@@ -525,7 +531,7 @@ class OrExpr : public Expression {
     });
   }
   std::string ToString() const override {
-    return "(" + left_->ToString() + " OR " + right_->ToString() + ")";
+    return Infix(left_, "OR", right_);
   }
 
  private:

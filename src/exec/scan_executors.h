@@ -136,7 +136,7 @@ class ProjectExecutor : public Executor {
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
     out->append("Project:");
-    for (const auto& e : exprs_) out->append(" " + e->ToString());
+    for (const auto& e : exprs_) out->append(" ").append(e->ToString());
     out->append("\n");
     child_->Explain(depth + 1, out);
   }

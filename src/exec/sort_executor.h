@@ -24,7 +24,8 @@ class SortExecutor : public Executor {
     Indent(depth, out);
     out->append("Sort:");
     for (const auto& k : keys_) {
-      out->append(" " + k.expr->ToString() + (k.ascending ? "" : " DESC"));
+      out->append(" ").append(k.expr->ToString());
+      if (!k.ascending) out->append(" DESC");
     }
     out->append("\n");
     child_->Explain(depth + 1, out);

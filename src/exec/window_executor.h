@@ -75,7 +75,9 @@ class WindowRowNumberExecutor : public Executor {
     out->append("WindowRowNumber: partition by");
     for (const auto& p : partition_cols_) out->append(" " + p);
     out->append(" order by");
-    for (const auto& k : order_keys_) out->append(" " + k.expr->ToString());
+    for (const auto& k : order_keys_) {
+      out->append(" ").append(k.expr->ToString());
+    }
     out->append(" -> " + output_schema_.column(
                              output_schema_.NumColumns() - 1).name + "\n");
     child_->Explain(depth + 1, out);

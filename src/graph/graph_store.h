@@ -1,10 +1,12 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "src/db/database.h"
+#include "src/exec/executor.h"
 #include "src/graph/memgraph.h"
 
 namespace relgraph {
@@ -42,6 +44,10 @@ struct EdgeRelation {
   std::string emit_column;    // the newly reached node id
   std::string parent_column;  // predecessor (fwd) / successor (bwd)
   std::string cost_column = "cost";
+  /// Set instead of `table` for a relation on shards: joins `outer` on
+  /// `probe_column` = join_column, yielding outer's columns, then TEdges'.
+  std::function<ExecRef(ExecRef outer, const std::string& probe_column)>
+      shard_join = nullptr;
 };
 
 /// Relational storage of one graph, matching the paper's Figure 1:

@@ -38,8 +38,11 @@ std::string Expr::ToString() const {
       return (unary_op == UnaryOp::kNot ? "NOT (" : "-(") + left->ToString() +
              ")";
     case ExprKind::kBinary:
-      return "(" + left->ToString() + " " + BinaryOpName(binary_op) + " " +
-             right->ToString() + ")";
+      // Appended, not `"(" + ...`: GCC 12 at -O3 reports a false
+      // -Wrestrict when a literal is prepended to a std::string.
+      return std::string("(").append(left->ToString()).append(" ")
+          .append(BinaryOpName(binary_op)).append(" ")
+          .append(right->ToString()).append(")");
     case ExprKind::kFuncCall: {
       std::ostringstream os;
       os << func_name << "(";
@@ -72,7 +75,7 @@ std::string Expr::ToString() const {
       return os.str();
     }
     case ExprKind::kSubquery:
-      return "(" + subquery->ToString() + ")";
+      return std::string("(").append(subquery->ToString()).append(")");
   }
   return "?";
 }

@@ -6,8 +6,10 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include "src/common/rng.h"
+#include "src/core/path_finder.h"
 #include "src/dist/dist_path_finder.h"
 #include "src/dist/sharded_graph.h"
 #include "src/graph/generators.h"
@@ -102,6 +104,7 @@ TEST_P(DistPathFinderTest, AgreesWithOracle) {
     EXPECT_EQ(r.distance, oracle.distance) << "s=" << s << " t=" << t;
     EXPECT_EQ(r.path.front(), s);
     EXPECT_EQ(r.path.back(), t);
+    EXPECT_EQ(mem.PathLength(r.path), r.distance) << "s=" << s << " t=" << t;
   }
 }
 
@@ -112,6 +115,61 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return "shards" + std::to_string(std::get<0>(info.param)) + "_seed" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// The distributed session is PathFinder's BSDJ with the shard fan-out as
+// its E-operator join: over the same graph and strategy it must take the
+// same expansions (one round each) and recover the very same path as the
+// single-node finder, whatever the shard count.
+class DistMatchesNativeBsdj
+    : public ::testing::TestWithParam<std::tuple<IndexStrategy, int>> {};
+
+TEST_P(DistMatchesNativeBsdj, SamePathSameExpansions) {
+  const auto& [strategy, shards] = GetParam();
+  EdgeList list = GenerateBarabasiAlbert(150, 2, WeightRange{1, 20}, 5);
+
+  Database db;
+  GraphStoreOptions gopts;
+  gopts.strategy = strategy;
+  std::unique_ptr<GraphStore> graph;
+  ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
+  std::unique_ptr<PathFinder> native;
+  ASSERT_TRUE(PathFinder::Create(graph.get(), PathFinderOptions{}, &native)
+                  .ok());
+
+  ShardedGraphOptions sopts;
+  sopts.num_shards = shards;
+  sopts.strategy = strategy;
+  std::unique_ptr<ShardedGraphStore> store;
+  ASSERT_TRUE(ShardedGraphStore::Create(list, sopts, &store).ok());
+  std::unique_ptr<DistPathFinder> dist;
+  ASSERT_TRUE(DistPathFinder::Create(store.get(), &dist).ok());
+
+  Rng rng(99);
+  for (int i = 0; i < 12; i++) {
+    const node_id_t s = rng.NextInt(0, list.num_nodes - 1);
+    const node_id_t t = rng.NextInt(0, list.num_nodes - 1);
+    PathQueryResult want;
+    ASSERT_TRUE(native->Find(s, t, &want).ok());
+    DistPathResult got;
+    ASSERT_TRUE(dist->Find(s, t, &got).ok());
+    EXPECT_EQ(got.found, want.found) << "s=" << s << " t=" << t;
+    EXPECT_EQ(got.distance, want.distance) << "s=" << s << " t=" << t;
+    EXPECT_EQ(got.path, want.path) << "s=" << s << " t=" << t;
+    EXPECT_EQ(got.stats.rounds, want.stats.expansions)
+        << "s=" << s << " t=" << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesAndShards, DistMatchesNativeBsdj,
+    ::testing::Combine(::testing::Values(IndexStrategy::kCluIndex,
+                                         IndexStrategy::kIndex,
+                                         IndexStrategy::kNoIndex),
+                       ::testing::Values(1, 2, 4)),
+    [](const auto& info) {
+      return std::string(IndexStrategyName(std::get<0>(info.param))) +
+             "_shards" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(DistPathFinderBasics, SourceEqualsTarget) {

@@ -120,16 +120,17 @@ TEST_F(HeapFileTest, WorksWithTinyBufferPool) {
   std::vector<Rid> rids;
   for (int i = 0; i < 200; i++) {
     Rid rid;
-    ASSERT_TRUE(file.Insert("v" + std::to_string(i) + std::string(80, '_'),
-                            &rid)
-                    .ok());
+    ASSERT_TRUE(
+        file.Insert(std::string("v").append(std::to_string(i)).append(80, '_'),
+                    &rid)
+            .ok());
     rids.push_back(rid);
   }
   for (size_t i = 0; i < rids.size(); i++) {
     std::string out;
     ASSERT_TRUE(file.Get(rids[i], &out).ok());
     EXPECT_EQ(out.substr(0, 1 + std::to_string(i).size()),
-              "v" + std::to_string(i));
+              std::string("v").append(std::to_string(i)));
   }
   EXPECT_EQ(small.PinnedFrames(), 0u);
 }

@@ -19,9 +19,8 @@ TEST(IntegrationTest, TwoGraphsAndManyFindersShareOneDatabase) {
   EdgeList b = GenerateGridGraph(10, 15, WeightRange{1, 9}, 2);
   MemGraph mem_a(a), mem_b(b);
 
-  GraphStoreOptions oa, ob;
-  oa.prefix = "a_";
-  ob.prefix = "b_";
+  GraphStoreOptions oa{.prefix = "a_"};
+  GraphStoreOptions ob{.prefix = "b_"};
   std::unique_ptr<GraphStore> ga, gb;
   ASSERT_TRUE(GraphStore::Create(&db, a, oa, &ga).ok());
   ASSERT_TRUE(GraphStore::Create(&db, b, ob, &gb).ok());
@@ -159,11 +158,15 @@ TEST(IntegrationTest, StatementLatencyKnobScalesWithStatements) {
   };
   PathQueryResult fast = run(0);
   PathQueryResult slow = run(1000);
+  // The knob only adds latency: the statement sequence and the answer are
+  // the same with and without it.
+  EXPECT_EQ(fast.stats.statements, slow.stats.statements);
   EXPECT_EQ(fast.distance, slow.distance);
   // With 1 ms per statement the query time must be at least
-  // statements * 1 ms, dwarfing the no-latency run.
+  // statements * 1 ms. (No ratio against the no-latency run's wall clock:
+  // that one is at the mercy of the machine's load.)
+  ASSERT_GT(slow.stats.statements, 0);
   EXPECT_GE(slow.stats.total_us, slow.stats.statements * 1000);
-  EXPECT_GT(slow.stats.total_us, 4 * fast.stats.total_us);
 }
 
 TEST(IntegrationTest, DynamicGraphWithLiveBsdjQueries) {
