@@ -1,5 +1,6 @@
 #include "src/storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace relgraph {
@@ -8,13 +9,21 @@ BufferPool::BufferPool(size_t pool_size, DiskManager* disk,
                        bool concurrent_readers)
     : concurrent_readers_(concurrent_readers),
       disk_(disk),
+      page_table_(static_cast<size_t>(disk->num_pages()), kNotResident),
       replacer_(pool_size) {
   frames_.reserve(pool_size);
   for (size_t i = 0; i < pool_size; i++) {
     frames_.push_back(std::make_unique<Page>());
     free_list_.push_back(static_cast<frame_id_t>(i));
   }
-  page_table_.reserve(pool_size * 2);
+}
+
+void BufferPool::MapPage(page_id_t page_id, frame_id_t frame) {
+  const size_t need = static_cast<size_t>(page_id) + 1;
+  if (need > page_table_.size()) {
+    page_table_.resize(std::max(need, 2 * page_table_.size()), kNotResident);
+  }
+  page_table_[page_id] = frame;
 }
 
 Status BufferPool::GetFreeFrame(frame_id_t* frame_id) {
@@ -33,18 +42,18 @@ Status BufferPool::GetFreeFrame(frame_id_t* frame_id) {
     RELGRAPH_RETURN_IF_ERROR(disk_->WritePage(victim->page_id_, victim->data_));
     victim->is_dirty_ = false;
   }
-  page_table_.erase(victim->page_id_);
+  page_table_[victim->page_id_] = kNotResident;
   victim->page_id_ = kInvalidPageId;
   return Status::OK();
 }
 
 Status BufferPool::FetchPage(page_id_t page_id, Page** out) {
   OptionalLock lock(this);
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
+  const frame_id_t resident = FrameOf(page_id);
+  if (resident != kNotResident) {
     stats_.hits++;
-    Page* page = frames_[it->second].get();
-    if (page->pin_count_ == 0) replacer_.Pin(it->second);
+    Page* page = frames_[resident].get();
+    if (page->pin_count_ == 0) replacer_.Pin(resident);
     page->pin_count_++;
     *out = page;
     return Status::OK();
@@ -61,7 +70,7 @@ Status BufferPool::FetchPage(page_id_t page_id, Page** out) {
   page->page_id_ = page_id;
   page->pin_count_ = 1;
   page->is_dirty_ = false;
-  page_table_[page_id] = frame;
+  MapPage(page_id, frame);
   *out = page;
   return Status::OK();
 }
@@ -76,16 +85,15 @@ Status BufferPool::NewPage(page_id_t* page_id, Page** out) {
   page->page_id_ = *page_id;
   page->pin_count_ = 1;
   page->is_dirty_ = true;  // a new page must reach disk at least once
-  page_table_[*page_id] = frame;
+  MapPage(*page_id, frame);
   *out = page;
   return Status::OK();
 }
 
 Status BufferPool::DeletePage(page_id_t page_id) {
   OptionalLock lock(this);
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
-    const frame_id_t frame = it->second;
+  const frame_id_t frame = FrameOf(page_id);
+  if (frame != kNotResident) {
     Page* page = frames_[frame].get();
     if (page->pin_count_ > 0) {
       return Status::InvalidArgument("delete of pinned page " +
@@ -94,7 +102,7 @@ Status BufferPool::DeletePage(page_id_t page_id) {
     replacer_.Pin(frame);  // no longer an eviction candidate
     page->page_id_ = kInvalidPageId;
     page->is_dirty_ = false;
-    page_table_.erase(it);
+    page_table_[page_id] = kNotResident;
     free_list_.push_back(frame);
   }
   return disk_->DeallocatePage(page_id);
@@ -102,27 +110,27 @@ Status BufferPool::DeletePage(page_id_t page_id) {
 
 Status BufferPool::UnpinPage(page_id_t page_id, bool is_dirty) {
   OptionalLock lock(this);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) {
+  const frame_id_t frame = FrameOf(page_id);
+  if (frame == kNotResident) {
     return Status::NotFound("unpin of non-resident page " +
                             std::to_string(page_id));
   }
-  Page* page = frames_[it->second].get();
+  Page* page = frames_[frame].get();
   if (page->pin_count_ <= 0) {
     return Status::Internal("unpin of unpinned page " +
                             std::to_string(page_id));
   }
   page->is_dirty_ = page->is_dirty_ || is_dirty;
   page->pin_count_--;
-  if (page->pin_count_ == 0) replacer_.Unpin(it->second);
+  if (page->pin_count_ == 0) replacer_.Unpin(frame);
   return Status::OK();
 }
 
 Status BufferPool::FlushPage(page_id_t page_id) {
   OptionalLock lock(this);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return Status::OK();
-  Page* page = frames_[it->second].get();
+  const frame_id_t frame = FrameOf(page_id);
+  if (frame == kNotResident) return Status::OK();
+  Page* page = frames_[frame].get();
   if (page->is_dirty_) {
     RELGRAPH_RETURN_IF_ERROR(disk_->WritePage(page_id, page->data_));
     page->is_dirty_ = false;
@@ -132,10 +140,9 @@ Status BufferPool::FlushPage(page_id_t page_id) {
 
 Status BufferPool::FlushAll() {
   OptionalLock lock(this);
-  for (const auto& [page_id, frame] : page_table_) {
-    Page* page = frames_[frame].get();
+  for (const auto& page : frames_) {
     if (page->is_dirty_) {
-      RELGRAPH_RETURN_IF_ERROR(disk_->WritePage(page_id, page->data_));
+      RELGRAPH_RETURN_IF_ERROR(disk_->WritePage(page->page_id_, page->data_));
       page->is_dirty_ = false;
     }
   }

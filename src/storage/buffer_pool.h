@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/config.h"
@@ -51,7 +50,14 @@ struct BufferPoolStats {
 ///   Page* p; pool.FetchPage(id, &p);  ... use p->data() ...
 ///   pool.UnpinPage(id, /*dirty=*/true_if_modified);
 /// Pinned pages are never evicted; fetching when every frame is pinned
-/// returns ResourceExhausted.
+/// returns ResourceExhausted. Replacement is exact LRU over the unpinned
+/// frames (LruReplacer).
+///
+/// A page hit does no hashing and no allocation: the page table is a
+/// vector indexed by page id (the disk manager hands out dense ids and
+/// recycles freed ones inside that range), sized from the disk's page
+/// count at construction and grown geometrically as new ids become
+/// resident, and the replacer is an intrusive list over frame ids.
 ///
 /// Thread-safety: with `concurrent_readers` set, every public operation
 /// takes the pool mutex, so any number of threads may fetch/unpin
@@ -89,7 +95,7 @@ class BufferPool {
   /// Writes a page back to disk if present and dirty.
   Status FlushPage(page_id_t page_id);
 
-  /// Writes back every dirty page.
+  /// Writes back every dirty page, in frame order.
   Status FlushAll();
 
   size_t pool_size() const { return frames_.size(); }
@@ -126,6 +132,19 @@ class BufferPool {
     std::mutex* mu_;
   };
 
+  static constexpr frame_id_t kNotResident = -1;
+
+  /// The frame holding `page_id`, or kNotResident; any id, even a negative
+  /// or never-allocated one, is a valid query. Requires the pool lock.
+  frame_id_t FrameOf(page_id_t page_id) const {
+    return static_cast<size_t>(page_id) < page_table_.size()
+               ? page_table_[page_id]
+               : kNotResident;
+  }
+  /// Records `page_id` as resident in `frame`, growing the table
+  /// geometrically when the id lies past its end. Requires the pool lock.
+  void MapPage(page_id_t page_id, frame_id_t frame);
+
   /// Requires the pool lock (when in concurrent-readers mode).
   Status GetFreeFrame(frame_id_t* frame_id);
 
@@ -134,7 +153,7 @@ class BufferPool {
   DiskManager* disk_;
   std::vector<std::unique_ptr<Page>> frames_;
   std::vector<frame_id_t> free_list_;
-  std::unordered_map<page_id_t, frame_id_t> page_table_;
+  std::vector<frame_id_t> page_table_;  // indexed by page id
   LruReplacer replacer_;
   BufferPoolStats stats_;
 };

@@ -1,15 +1,20 @@
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "src/common/config.h"
 
 namespace relgraph {
 
-/// LRU victim picker for the buffer pool. Frames become candidates when
-/// their pin count drops to zero (Unpin) and stop being candidates when
-/// re-pinned (Pin). Victim() evicts the least-recently unpinned frame.
+/// Exact-LRU victim picker for the buffer pool. Frames become candidates
+/// when their pin count drops to zero (Unpin) and stop being candidates
+/// when re-pinned (Pin). Victim() evicts the least-recently unpinned frame.
+///
+/// The candidates form an intrusive doubly linked list threaded through
+/// frame-indexed `prev_`/`next_` arrays sized to the pool, so Pin, Unpin
+/// and Victim are O(1) array updates: no hashing, no allocation. Frame ids
+/// must lie in [0, capacity); anything else is a caller bug (asserted).
 class LruReplacer {
  public:
   explicit LruReplacer(size_t capacity);
@@ -25,12 +30,18 @@ class LruReplacer {
   /// an already-present frame refreshes its recency.
   void Unpin(frame_id_t frame_id);
 
-  size_t Size() const { return lru_list_.size(); }
+  size_t Size() const { return size_; }
 
  private:
-  size_t capacity_;
-  std::list<frame_id_t> lru_list_;  // front = oldest, back = newest
-  std::unordered_map<frame_id_t, std::list<frame_id_t>::iterator> table_;
+  void Unlink(frame_id_t frame_id);
+
+  /// Index `capacity` is the list's sentinel: next_[sentinel] is the
+  /// oldest candidate, prev_[sentinel] the newest.
+  const frame_id_t sentinel_;
+  std::vector<frame_id_t> prev_;
+  std::vector<frame_id_t> next_;
+  std::vector<uint8_t> in_list_;  // per frame: 1 while a candidate
+  size_t size_ = 0;
 };
 
 }  // namespace relgraph

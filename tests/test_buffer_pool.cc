@@ -4,11 +4,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <list>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/storage/lru_replacer.h"
 
 namespace relgraph {
@@ -53,6 +58,44 @@ TEST(LruReplacerTest, EmptyHasNoVictim) {
   LruReplacer lru(4);
   frame_id_t victim;
   EXPECT_FALSE(lru.Victim(&victim));
+}
+
+// Differential check against the textbook model: a std::list in recency
+// order (front = oldest), searched linearly. Victim results and Size()
+// must agree after every call of a long seeded Pin/Unpin/Victim sequence.
+TEST(LruReplacerTest, MatchesReferenceListModel) {
+  constexpr frame_id_t kFrames = 64;
+  LruReplacer lru(kFrames);
+  std::list<frame_id_t> model;
+  auto drop = [&model](frame_id_t f) {
+    auto it = std::find(model.begin(), model.end(), f);
+    if (it != model.end()) model.erase(it);
+  };
+  Rng rng(20240917);
+  int64_t victims = 0;
+  for (int step = 0; step < 200000; step++) {
+    const frame_id_t f = static_cast<frame_id_t>(rng.NextBounded(kFrames));
+    const uint64_t op = rng.NextBounded(20);
+    if (op < 9) {  // Unpin, 45%
+      lru.Unpin(f);
+      drop(f);
+      model.push_back(f);
+    } else if (op < 15) {  // Pin, 30%
+      lru.Pin(f);
+      drop(f);
+    } else {  // Victim, 25%
+      frame_id_t got = -1;
+      const bool ok = lru.Victim(&got);
+      ASSERT_EQ(ok, !model.empty()) << "step " << step;
+      if (ok) {
+        ASSERT_EQ(got, model.front()) << "step " << step;
+        model.pop_front();
+        victims++;
+      }
+    }
+    ASSERT_EQ(lru.Size(), model.size()) << "step " << step;
+  }
+  EXPECT_GT(victims, 10000);
 }
 
 // ------------------------------------------------------------- BufferPool
@@ -193,6 +236,160 @@ TEST(BufferPoolTest, UnpinErrors) {
   EXPECT_FALSE(pool.UnpinPage(id, false).ok());  // pin count already 0
 }
 
+// --------------------------------------------------- page table (by id)
+
+/// Writes `id` into the first bytes of a page so a later read can tell
+/// which page it got.
+void Stamp(char* data, page_id_t id) { std::memcpy(data, &id, sizeof(id)); }
+page_id_t StampOf(const char* data) {
+  page_id_t id;
+  std::memcpy(&id, data, sizeof(id));
+  return id;
+}
+
+TEST(BufferPoolTest, NewPageGrowsPageTablePastInitialSize) {
+  DiskManager dm;
+  for (int i = 0; i < 3; i++) dm.AllocatePage();
+  BufferPool pool(4, &dm);  // page table sized for ids 0..2
+  std::vector<page_id_t> ids(40);
+  for (auto& id : ids) {
+    Page* page;
+    ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+    Stamp(page->data(), id);
+    ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+  }
+  EXPECT_EQ(ids.front(), 3);
+  EXPECT_EQ(ids.back(), 42);
+  for (page_id_t id : ids) {
+    Page* page;
+    ASSERT_TRUE(pool.FetchPage(id, &page).ok());
+    EXPECT_EQ(page->page_id(), id);
+    EXPECT_EQ(StampOf(page->data()), id);
+    ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  }
+}
+
+TEST(BufferPoolTest, FetchesPageAllocatedAfterPoolWasBuilt) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  const page_id_t id = dm.AllocatePage();
+  char raw[kPageSize] = {0};
+  Stamp(raw, 77);
+  ASSERT_TRUE(dm.WritePage(id, raw).ok());
+
+  Page* page;
+  ASSERT_TRUE(pool.FetchPage(id, &page).ok());  // miss: read from disk
+  EXPECT_EQ(StampOf(page->data()), 77);
+  ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  Page* again;
+  ASSERT_TRUE(pool.FetchPage(id, &again).ok());  // hit: now resident
+  EXPECT_EQ(again, page);
+  ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  EXPECT_EQ(pool.stats().misses, 1);
+  EXPECT_EQ(pool.stats().hits, 1);
+}
+
+TEST(BufferPoolTest, RecycledIdMapsToItsNewFrame) {
+  DiskManager dm;
+  BufferPool pool(2, &dm);
+  page_id_t a, b, c;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&a, &page).ok());
+  std::strcpy(page->data(), "old a");
+  ASSERT_TRUE(pool.UnpinPage(a, true).ok());
+  ASSERT_TRUE(pool.NewPage(&b, &page).ok());
+  ASSERT_TRUE(pool.UnpinPage(b, true).ok());
+  ASSERT_TRUE(pool.NewPage(&c, &page).ok());  // evicts a
+  Page* c_frame = page;
+  ASSERT_TRUE(pool.UnpinPage(c, true).ok());
+  ASSERT_TRUE(pool.DeletePage(a).ok());  // a is not resident
+
+  page_id_t again;
+  Page* fresh;
+  ASSERT_TRUE(pool.NewPage(&again, &fresh).ok());  // evicts b
+  ASSERT_EQ(again, a);
+  EXPECT_NE(fresh, c_frame);
+  std::strcpy(fresh->data(), "new a");
+  ASSERT_TRUE(pool.UnpinPage(a, true).ok());
+
+  Page* got;
+  ASSERT_TRUE(pool.FetchPage(a, &got).ok());
+  EXPECT_EQ(got, fresh);
+  EXPECT_STREQ(got->data(), "new a");
+  ASSERT_TRUE(pool.UnpinPage(a, false).ok());
+  ASSERT_TRUE(pool.FetchPage(c, &got).ok());
+  EXPECT_EQ(got, c_frame);
+  ASSERT_TRUE(pool.UnpinPage(c, false).ok());
+
+  // Resident when deleted, then recycled: the same id, a new life.
+  ASSERT_TRUE(pool.DeletePage(a).ok());
+  EXPECT_TRUE(pool.UnpinPage(a, false).IsNotFound());
+  ASSERT_TRUE(pool.NewPage(&again, &fresh).ok());
+  ASSERT_EQ(again, a);
+  EXPECT_EQ(fresh->data()[0], '\0');
+  ASSERT_TRUE(pool.UnpinPage(a, false).ok());
+  ASSERT_TRUE(pool.FetchPage(a, &got).ok());
+  EXPECT_EQ(got, fresh);
+  ASSERT_TRUE(pool.UnpinPage(a, false).ok());
+}
+
+TEST(BufferPoolTest, FailedFetchLeavesNoMapping) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  const page_id_t next = dm.num_pages();  // not allocated yet
+  for (page_id_t bad : {next, next + 1000, -5}) {
+    Page* page = nullptr;
+    EXPECT_FALSE(pool.FetchPage(bad, &page).ok()) << bad;
+    EXPECT_TRUE(pool.UnpinPage(bad, false).IsNotFound()) << bad;
+    EXPECT_TRUE(pool.FlushPage(bad).ok()) << bad;
+  }
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+
+  // Every frame is still usable, and the id the failed fetch asked for
+  // comes back from NewPage as an ordinary zeroed page.
+  std::vector<page_id_t> ids(4);
+  for (auto& id : ids) {
+    Page* page;
+    ASSERT_TRUE(pool.NewPage(&id, &page).ok());
+    EXPECT_EQ(page->data()[0], '\0');
+    Stamp(page->data(), id);
+  }
+  EXPECT_EQ(ids.front(), next);
+  for (page_id_t id : ids) ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+  for (page_id_t id : ids) {
+    Page* page;
+    ASSERT_TRUE(pool.FetchPage(id, &page).ok());
+    EXPECT_EQ(StampOf(page->data()), id);
+    ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  }
+}
+
+TEST(BufferPoolTest, FlushAllWritesEachDirtyPageOnce) {
+  DiskManager dm;
+  BufferPool pool(8, &dm);
+  std::vector<page_id_t> ids(5);
+  for (auto& id : ids) {
+    Page* page;
+    ASSERT_TRUE(pool.NewPage(&id, &page).ok());  // dirty from birth
+    ASSERT_TRUE(pool.UnpinPage(id, false).ok());
+  }
+  int64_t writes = dm.stats().writes;
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dm.stats().writes - writes, 5);
+
+  for (size_t i = 0; i < ids.size(); i++) {
+    Page* page;
+    ASSERT_TRUE(pool.FetchPage(ids[i], &page).ok());
+    ASSERT_TRUE(pool.UnpinPage(ids[i], /*is_dirty=*/i % 2 == 0).ok());
+  }
+  writes = dm.stats().writes;
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dm.stats().writes - writes, 3);  // ids[0], ids[2], ids[4]
+  writes = dm.stats().writes;
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dm.stats().writes, writes);  // nothing dirty is left
+}
+
 // ------------------------------------------------ DeletePage (recycling)
 
 TEST(BufferPoolTest, DeletePageRefusesPinnedPage) {
@@ -321,6 +518,66 @@ TEST(PageGuardTest, MoveTransfersOwnership) {
   EXPECT_EQ(pool.PinnedFrames(), 1u);  // still held by outer
   outer.Release();
   EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
+// ------------------------------------------------------ concurrent readers
+
+// Four threads fetch and unpin overlapping pages through a locked pool that
+// holds a quarter of their working set, so evictions and page-table growth
+// (the pages were allocated after the pool was built) interleave under the
+// pool mutex. Every pinned page must carry its own stamp.
+TEST(BufferPoolTest, ConcurrentReadersSeeTheirOwnPages) {
+  constexpr int kThreads = 4;
+  constexpr page_id_t kPages = 64;
+  constexpr int kRounds = 4000;
+  DiskManager dm;
+  BufferPool pool(16, &dm, /*concurrent_readers=*/true);
+  for (page_id_t i = 0; i < kPages; i++) {
+    char raw[kPageSize] = {0};
+    const page_id_t id = dm.AllocatePage();
+    Stamp(raw, id);
+    raw[kPageSize - 1] = static_cast<char>(id);
+    ASSERT_TRUE(dm.WritePage(id, raw).ok());
+  }
+
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&pool, &bad, t] {
+      Rng rng(100 + t);
+      // Thread t reads ids [16t, 16t + 32) mod 64: half shared with t+1.
+      auto pick = [&rng, t] {
+        return static_cast<page_id_t>((16 * t + rng.NextBounded(32)) %
+                                      kPages);
+      };
+      for (int round = 0; round < kRounds; round++) {
+        const page_id_t ids[2] = {pick(), pick()};
+        Page* pages[2] = {nullptr, nullptr};
+        for (int k = 0; k < 2; k++) {
+          if (!pool.FetchPage(ids[k], &pages[k]).ok()) {
+            bad[t]++;
+            pages[k] = nullptr;
+            continue;
+          }
+          if (StampOf(pages[k]->data()) != ids[k] ||
+              pages[k]->data()[kPageSize - 1] != static_cast<char>(ids[k])) {
+            bad[t]++;
+          }
+        }
+        for (int k = 0; k < 2; k++) {
+          if (pages[k] != nullptr && !pool.UnpinPage(ids[k], false).ok()) {
+            bad[t]++;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; t++) EXPECT_EQ(bad[t], 0) << "thread " << t;
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+  EXPECT_EQ(pool.stats().hits + pool.stats().misses,
+            int64_t{kThreads} * kRounds * 2);
+  EXPECT_GT(pool.stats().evictions, 0);
 }
 
 }  // namespace
