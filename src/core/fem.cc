@@ -126,12 +126,11 @@ ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
         std::move(outer), table, column, Col(probe_column),
         std::move(residual));
   }
-  // NoIndex strategy: the only plan is a nested-loop join against a full
-  // scan of the table.
-  ExprRef on = Cmp(CompareOp::kEq, Col(probe_column), Col(column));
+  // NoIndex strategy: a nested-loop join against one full scan of the
+  // table, keyed on the join column like the SQL planner's.
   return std::make_unique<NestedLoopJoinExecutor>(
       std::move(outer), std::make_unique<SeqScanExecutor>(table),
-      residual == nullptr ? std::move(on) : And(on, std::move(residual)));
+      std::move(residual), JoinKey{probe_column, column});
 }
 
 ExecRef EdgeJoin(ExecRef outer, const EdgeRelation& rel,

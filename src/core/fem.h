@@ -127,7 +127,7 @@ Schema ExpansionSchema();
 /// E-operator join: `outer` JOIN `table` ON outer.`probe_column` =
 /// table.`column` [AND `residual`]. An index nested-loop join when `table`
 /// is indexed on `column`; otherwise (the NoIndex strategy) a nested-loop
-/// join over a full scan of `table`.
+/// join over one full scan of `table`, keyed on `column`.
 ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
                  const std::string& probe_column, ExprRef residual = nullptr);
 

@@ -103,9 +103,9 @@ class DistCoordinator {
   /// Coordinator-wide fast-path accounting: how many distance queries the
   /// attached label index answered without any shard fan-out, and why the
   /// rest fell back to the distributed FEM search. Summed across sessions
-  /// (tools print this next to the RESILIENCE summary). `path_fallbacks`
-  /// stays 0: only DistPathFinder::Distance consults the labels, and a
-  /// full-path Find bypasses them without being counted.
+  /// (tools print this next to the RESILIENCE summary). `path_hits` and
+  /// `path_fallbacks` stay 0: only DistPathFinder::Distance consults the
+  /// labels, and a full-path Find bypasses them without being counted.
   LabelServeCounters LabelCounters() const {
     LabelServeCounters c;
     c.label_hits = label_hits_.load(std::memory_order_relaxed);

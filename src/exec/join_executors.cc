@@ -1,26 +1,95 @@
 #include "src/exec/join_executors.h"
 
+#include <algorithm>
+
 namespace relgraph {
 
 // ---------------------------------------------------------- NestedLoopJoin
 
 NestedLoopJoinExecutor::NestedLoopJoinExecutor(ExecRef left, ExecRef right,
-                                               ExprRef predicate)
+                                               ExprRef predicate,
+                                               std::optional<JoinKey> key)
     : left_(std::move(left)),
       right_(std::move(right)),
-      predicate_(std::move(predicate)) {
+      predicate_(std::move(predicate)),
+      key_(std::move(key)) {
   output_schema_ =
       ConcatSchemas(left_->OutputSchema(), right_->OutputSchema());
+  if (key_.has_value()) {
+    left_key_idx_ = left_->OutputSchema().Find(key_->left);
+    right_key_idx_ = right_->OutputSchema().Find(key_->right);
+  }
+}
+
+void NestedLoopJoinExecutor::Explain(int depth, std::string* out) const {
+  Indent(depth, out);
+  out->append("NestedLoopJoin");
+  if (key_.has_value()) {
+    out->append(": key ").append(key_->left).append(" = ").append(
+        key_->right);
+    if (predicate_ != nullptr) {
+      out->append(" residual ").append(predicate_->ToString());
+    }
+  } else if (predicate_ != nullptr) {
+    out->append(": ").append(predicate_->ToString());
+  } else {
+    out->append(" (cross)");
+  }
+  out->append("\n");
+  left_->Explain(depth + 1, out);
+  right_->Explain(depth + 1, out);
 }
 
 Status NestedLoopJoinExecutor::Open() {
+  if (key_.has_value() && (left_key_idx_ < 0 || right_key_idx_ < 0)) {
+    return Status::InvalidArgument(std::string("nested-loop join key ")
+                                       .append(key_->left)
+                                       .append(" = ")
+                                       .append(key_->right)
+                                       .append(" not in its inputs"));
+  }
   RELGRAPH_RETURN_IF_ERROR(left_->Init());
   right_rows_.clear();
   RELGRAPH_RETURN_IF_ERROR(Collect(right_.get(), &right_rows_));
+  key_index_.clear();
+  mixed_right_keys_ = false;
+  if (key_.has_value()) {
+    key_index_.reserve(right_rows_.size());
+    for (size_t pos = 0; pos < right_rows_.size(); pos++) {
+      const Value& k = right_rows_[pos].value(right_key_idx_);
+      if (k.type() == TypeId::kInt) {
+        key_index_.emplace_back(k.AsInt(), pos);
+      } else if (!k.IsNull()) {
+        mixed_right_keys_ = true;
+      }
+    }
+    std::sort(key_index_.begin(), key_index_.end());
+  }
   left_span_ = BatchSpan{};
   left_lane_ = 0;
-  right_pos_ = 0;
   return Status::OK();
+}
+
+void NestedLoopJoinExecutor::StartLeftRow() {
+  right_pos_ = 0;
+  right_end_ = right_rows_.size();
+  via_index_ = false;
+  compare_keys_ = false;
+  if (!key_.has_value()) return;
+  const Value& k = left_span_.row(left_lane_).value(left_key_idx_);
+  if (k.IsNull()) {
+    right_end_ = 0;
+  } else if (k.type() == TypeId::kInt && !mixed_right_keys_) {
+    const auto [lo, hi] = std::equal_range(
+        key_index_.begin(), key_index_.end(),
+        std::pair<int64_t, size_t>(k.AsInt(), 0),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    right_pos_ = static_cast<size_t>(lo - key_index_.begin());
+    right_end_ = static_cast<size_t>(hi - key_index_.begin());
+    via_index_ = true;
+  } else {
+    compare_keys_ = true;
+  }
 }
 
 bool NestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
@@ -32,20 +101,28 @@ bool NestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
         break;
       }
       left_lane_ = 0;
-      right_pos_ = 0;
+      StartLeftRow();
     }
     const Tuple& left = left_span_.row(left_lane_);
-    while (n < kExecBatchSize && right_pos_ < right_rows_.size()) {
+    while (n < kExecBatchSize && right_pos_ < right_end_) {
+      const size_t pos = via_index_ ? key_index_[right_pos_].second : right_pos_;
+      right_pos_++;
+      const Tuple& right = right_rows_[pos];
+      if (compare_keys_) {
+        const Value& rk = right.value(right_key_idx_);
+        if (rk.IsNull() || left.value(left_key_idx_).Compare(rk) != 0) {
+          continue;
+        }
+      }
       if (n == rows_.size()) rows_.emplace_back();
-      rows_[n] = ConcatTuples(left, right_rows_[right_pos_++]);
+      rows_[n] = ConcatTuples(left, right);
       if (predicate_ == nullptr ||
           EvalPredicate(*predicate_, rows_[n], output_schema_)) {
         n++;
       }
     }
-    if (right_pos_ >= right_rows_.size()) {
-      left_lane_++;
-      right_pos_ = 0;
+    if (right_pos_ >= right_end_ && ++left_lane_ < left_span_.count()) {
+      StartLeftRow();
     }
   }
   rows_.resize(n);

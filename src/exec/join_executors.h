@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/catalog/table.h"
@@ -9,39 +12,65 @@
 
 namespace relgraph {
 
+/// Equality key of a keyed nested-loop join: `left` names a column of the
+/// left input, `right` one of the right input.
+struct JoinKey {
+  std::string left;
+  std::string right;
+};
+
 /// Block nested-loop join: the right input is materialized once, then each
 /// left tuple is paired against it under `predicate` (evaluated over the
-/// concatenated schema). This is the E-operator's fallback plan when TEdges
-/// has no index — the paper's NoIndex configuration.
+/// concatenated schema). This is the E-operator's plan when TEdges has no
+/// index — the paper's NoIndex configuration — and the SQL planner's join
+/// when the next from-item has no index to probe.
+///
+/// With a `key`, Open also sorts (key, position) pairs of the right rows,
+/// and each left row visits only the right rows whose key equals its own,
+/// in their materialized order: the output sequence is exactly that of the
+/// cross product filtered on `left = right`. NULL keys join nothing. Keys
+/// that are not INT (column types are advisory) are compared value by
+/// value over every right row, so they too match the filtered cross product.
 class NestedLoopJoinExecutor : public Executor {
  public:
-  NestedLoopJoinExecutor(ExecRef left, ExecRef right, ExprRef predicate);
+  NestedLoopJoinExecutor(ExecRef left, ExecRef right, ExprRef predicate,
+                         std::optional<JoinKey> key = std::nullopt);
   bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
-  void Explain(int depth, std::string* out) const override {
-    Indent(depth, out);
-    out->append(predicate_ == nullptr
-                    ? "NestedLoopJoin (cross)\n"
-                    : "NestedLoopJoin: " + predicate_->ToString() + "\n");
-    left_->Explain(depth + 1, out);
-    right_->Explain(depth + 1, out);
-  }
+  void Explain(int depth, std::string* out) const override;
 
  protected:
   Status Open() override;
 
  private:
+  /// Points [right_pos_, right_end_) at the right rows the current left
+  /// row may pair with.
+  void StartLeftRow();
+
   ExecRef left_;
   ExecRef right_;
   ExprRef predicate_;
+  std::optional<JoinKey> key_;
+  int left_key_idx_ = -1;
+  int right_key_idx_ = -1;
   Schema output_schema_;
   std::vector<Tuple> right_rows_;
+  // Keyed joins: (INT key, right position), sorted; NULL keys left out.
+  std::vector<std::pair<int64_t, size_t>> key_index_;
+  // Some right key is neither NULL nor INT: every left row compares keys
+  // over all right rows instead of probing key_index_.
+  bool mixed_right_keys_ = false;
   // The left side is walked lane by lane through its borrowed span, which
   // stays valid because left_ is only pulled again once every lane has
   // been paired with every right row.
   BatchSpan left_span_;
   size_t left_lane_ = 0;
+  // Current left row's candidates: positions in key_index_ when
+  // via_index_, else in right_rows_ (compared on the key when compare_keys_).
   size_t right_pos_ = 0;
+  size_t right_end_ = 0;
+  bool via_index_ = false;
+  bool compare_keys_ = false;
   std::vector<Tuple> rows_;  // scratch: the joined batch
 };
 

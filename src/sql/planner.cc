@@ -725,8 +725,42 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
     if (!planned) {
       ExecRef rhs;
       RELGRAPH_RETURN_IF_ERROR(materialize(i, &rhs));
-      acc = std::make_unique<NestedLoopJoinExecutor>(std::move(acc),
-                                                     std::move(rhs), nullptr);
+      // Keyed nested-loop join: the first unused INT column equality that
+      // links the accumulated plan to `next` becomes the join key, so each
+      // left row visits only the right rows with its key instead of the
+      // whole cross product. Both sides resolve against the joined schema,
+      // as the residual filter would have bound them.
+      std::optional<JoinKey> key;
+      const Schema& left_schema = acc->OutputSchema();
+      const Schema joined = ConcatSchemas(left_schema, rhs->OutputSchema());
+      for (size_t c = 0; c < conjuncts.size() && !key.has_value(); c++) {
+        if (used[c]) continue;
+        const Expr* e = conjuncts[c];
+        if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq ||
+            e->left->kind != ExprKind::kColumnRef ||
+            e->right->kind != ExprKind::kColumnRef) {
+          continue;
+        }
+        std::string l, r;
+        if (!ResolveColumn(e->left->qualifier, e->left->column, joined, &l)
+                 .ok() ||
+            !ResolveColumn(e->right->qualifier, e->right->column, joined, &r)
+                 .ok()) {
+          continue;
+        }
+        const int li = left_schema.Find(l);
+        const int ri = left_schema.Find(r);
+        if ((li >= 0) == (ri >= 0)) continue;  // both on one side
+        if (li < 0) std::swap(l, r);
+        if (joined.column(joined.IndexOf(l)).type != TypeId::kInt ||
+            joined.column(joined.IndexOf(r)).type != TypeId::kInt) {
+          continue;
+        }
+        key = JoinKey{std::move(l), std::move(r)};
+        used[c] = true;
+      }
+      acc = std::make_unique<NestedLoopJoinExecutor>(
+          std::move(acc), std::move(rhs), nullptr, std::move(key));
     }
   }
 

@@ -1,5 +1,6 @@
 // Executor streams against independent oracles: random physical plans
-// (Filter/Project/Limit/IndexNestedLoopJoin over scans) must yield exactly
+// (Filter/Project/Limit/IndexNestedLoopJoin over scans, keyed
+// NestedLoopJoin over materialized inputs) must yield exactly
 // what a scalar reference computes with Evaluate over std::vector<Tuple>
 // and raw table iterators — same tuples, same order — through all three
 // ways of draining a plan (NextBatchSel spans, the Next adapter, Collect),
@@ -244,6 +245,101 @@ TEST_F(ExecBatchTest, BatchBoundariesMatchScalarReference) {
     CheckRandomPlans(left.get(), right.get(), domain, 12,
                      "n=" + std::to_string(n));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Keyed nested-loop join against its definition: the cross product filtered
+// on the key equality must give the same rows in the same order. Seeded
+// cases mix duplicate keys on both sides, NULL keys, empty sides, a right
+// key matched by more than one batch of rows, double keys (the value-by-
+// value path), selection-vector left inputs and an optional residual.
+// ---------------------------------------------------------------------------
+
+/// (k, v) rows: keys from [0, domain], NULL with probability null_pct/100,
+/// a double with probability double_pct/100.
+std::vector<Tuple> KeyedRows(Rng* rng, int64_t n, int64_t domain,
+                             int64_t null_pct, int64_t double_pct) {
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < n; i++) {
+    const int64_t roll = rng->NextInt(0, 99);
+    const int64_t k = rng->NextInt(0, domain);
+    Value key = roll < null_pct ? Value::Null()
+                : roll < null_pct + double_pct
+                    ? Value(static_cast<double>(k))
+                    : Value(k);
+    rows.push_back(Tuple({std::move(key), Value(i)}));
+  }
+  return rows;
+}
+
+TEST(KeyedJoinTest, MatchesCrossJoinPlusFilter) {
+  const Schema left_schema({{"lk", TypeId::kInt}, {"lv", TypeId::kInt}});
+  const Schema right_schema({{"rk", TypeId::kInt}, {"rv", TypeId::kInt}});
+  int64_t over_batch_cases = 0, nonempty_cases = 0;
+  for (uint64_t seed = 1; seed <= 200; seed++) {
+    Rng rng(seed);
+    const int64_t shape = static_cast<int64_t>(seed % 5);
+    const int64_t domain = rng.NextInt(0, 12);
+    const int64_t null_pct = rng.NextInt(0, 30);
+    const int64_t double_pct = seed % 7 == 0 ? 20 : 0;
+    const int64_t nl = shape == 0 ? 0 : rng.NextInt(1, 60);
+    const int64_t nr = shape == 1 ? 0
+                       : shape == 2
+                           ? 2 * static_cast<int64_t>(kExecBatchSize)
+                           : rng.NextInt(1, 80);
+    std::vector<Tuple> left = KeyedRows(&rng, nl, domain, null_pct, double_pct);
+    // Shape 2 gives one key more right rows than a batch holds.
+    std::vector<Tuple> right =
+        KeyedRows(&rng, nr, shape == 2 ? 0 : domain, null_pct, double_pct);
+    const bool filtered_left = rng.NextInt(0, 1) == 1;
+    const bool with_residual = rng.NextInt(0, 1) == 1;
+    const ExprRef residual = Cmp(CompareOp::kNe, Col("lv"), Col("rv"));
+
+    auto left_input = [&]() -> ExecRef {
+      ExecRef in = std::make_unique<MaterializedExecutor>(left, left_schema);
+      if (!filtered_left) return in;
+      return std::make_unique<FilterExecutor>(
+          std::move(in), Cmp(CompareOp::kNe, Col("lv"), Lit(int64_t{3})));
+    };
+    auto keyed = [&]() -> ExecRef {
+      return std::make_unique<NestedLoopJoinExecutor>(
+          left_input(),
+          std::make_unique<MaterializedExecutor>(right, right_schema),
+          with_residual ? residual : nullptr, JoinKey{"lk", "rk"});
+    };
+    auto crossed = [&]() -> ExecRef {
+      ExprRef on = Cmp(CompareOp::kEq, Col("lk"), Col("rk"));
+      return std::make_unique<FilterExecutor>(
+          std::make_unique<NestedLoopJoinExecutor>(
+              left_input(),
+              std::make_unique<MaterializedExecutor>(right, right_schema),
+              nullptr),
+          with_residual ? And(std::move(on), residual) : std::move(on));
+    };
+
+    const std::string what = "seed " + std::to_string(seed);
+    auto want_plan = crossed();
+    const std::vector<Tuple> want = DrainSpans(want_plan.get());
+    auto got_plan = keyed();
+    ExpectSameStream(want, DrainSpans(got_plan.get()), what + " spans");
+    ExpectSameStream(want, DrainNext(got_plan.get()), what + " re-init");
+    LimitExecutor want_one(crossed(), 1);
+    LimitExecutor got_one(keyed(), 1);
+    ExpectSameStream(DrainSpans(&want_one), DrainSpans(&got_one),
+                     what + " limit 1");
+
+    if (!want.empty()) nonempty_cases++;
+    std::map<int64_t, int64_t> per_left;
+    for (const Tuple& t : want) per_left[t.value(1).AsInt()]++;
+    for (const auto& [lv, n] : per_left) {
+      if (n > static_cast<int64_t>(kExecBatchSize)) {
+        over_batch_cases++;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(nonempty_cases, 100);
+  EXPECT_GT(over_batch_cases, 10);
 }
 
 // ---------------------------------------------------------------------------

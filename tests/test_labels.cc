@@ -1,7 +1,8 @@
 // Hub-label distance index: label-served distances must be bit-identical
 // to the FEM/in-memory oracles on every graph (including disconnected
-// pairs and self-loops), stale or uncertifiable answers must always fall
-// back to FEM rather than answer, label-table DDL must bump the catalog
+// pairs and self-loops), label-walked paths must be real shortest paths,
+// stale or uncertifiable answers must always fall back to FEM rather than
+// answer, label-table DDL must bump the catalog
 // version so live prepared handles replan, and a snapshot round-trip must
 // serve identical answers without a rebuild.
 
@@ -156,7 +157,7 @@ TEST(LabeledPathFinderTest, ServesHitsAndFallsBackForPaths) {
   EXPECT_EQ(finder->counters().label_hits, 25);
   EXPECT_EQ(finder->counters().fallbacks, 0);
 
-  // Full-path queries always run FEM and recover a real path.
+  // Full-path queries walk the labels and recover a real path, no FEM.
   PathQueryResult full;
   ASSERT_TRUE(finder->Find(0, 57, &full).ok());
   MemPathResult oracle = mem.Dijkstra(0, 57);
@@ -164,9 +165,171 @@ TEST(LabeledPathFinderTest, ServesHitsAndFallsBackForPaths) {
   if (oracle.found) {
     EXPECT_EQ(full.distance, oracle.distance);
     EXPECT_FALSE(full.path.empty());
+    EXPECT_EQ(mem.PathLength(full.path), oracle.distance);
   }
-  EXPECT_EQ(finder->counters().path_fallbacks, 1);
-  EXPECT_EQ(finder->counters().fallbacks, 1);
+  EXPECT_EQ(finder->counters().path_hits, 1);
+  EXPECT_EQ(finder->counters().label_hits, 25) << "walks are not label hits";
+  EXPECT_EQ(finder->counters().path_fallbacks, 0);
+  EXPECT_EQ(finder->counters().fallbacks, 0);
+}
+
+/// Checks one Find answer against the in-memory oracle: same reachability
+/// and distance, and a path from s to t in the graph of exactly that
+/// length.
+void ExpectOraclePath(const MemGraph& mem, node_id_t s, node_id_t t,
+                      const PathQueryResult& r) {
+  const MemPathResult oracle = mem.Dijkstra(s, t);
+  ASSERT_EQ(r.found, oracle.found) << "s=" << s << " t=" << t;
+  if (!oracle.found) return;
+  EXPECT_EQ(r.distance, oracle.distance) << "s=" << s << " t=" << t;
+  ASSERT_FALSE(r.path.empty()) << "s=" << s << " t=" << t;
+  EXPECT_EQ(r.path.front(), s);
+  EXPECT_EQ(r.path.back(), t);
+  EXPECT_EQ(mem.PathLength(r.path), oracle.distance)
+      << "s=" << s << " t=" << t;
+}
+
+/// Builds `list` into `db` and a complete index and finder over it.
+void BuildFinder(Database* db, const EdgeList& list,
+                 std::unique_ptr<GraphStore>* graph,
+                 std::unique_ptr<LabelIndex>* index,
+                 std::unique_ptr<LabeledPathFinder>* finder,
+                 LabelBuildOptions build = LabelBuildOptions{}) {
+  ASSERT_TRUE(GraphStore::Create(db, list, GraphStoreOptions{}, graph).ok());
+  ASSERT_TRUE(LabelBuilder::Build(graph->get(), "", build, index).ok());
+  ASSERT_TRUE(LabeledPathFinder::Create(graph->get(), index->get(),
+                                        LabeledPathFinderOptions{}, finder)
+                  .ok());
+}
+
+class LabelWalkOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Every pair, reachable or not, s == t included: the label walk must give
+// the oracle's answer with a real shortest path, and never run FEM.
+TEST_P(LabelWalkOracleTest, WalkedPathsMatchOracleOnAllPairs) {
+  EdgeList list = SpicedRandomGraph(60, 150, GetParam());
+  MemGraph mem(list);
+  Database db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> graph;
+  std::unique_ptr<LabelIndex> index;
+  std::unique_ptr<LabeledPathFinder> finder;
+  BuildFinder(&db, list, &graph, &index, &finder);
+  int64_t found = 0;
+  for (node_id_t s = 0; s < list.num_nodes; s++) {
+    for (node_id_t t = 0; t < list.num_nodes; t++) {
+      PathQueryResult r;
+      ASSERT_TRUE(finder->Find(s, t, &r).ok());
+      ExpectOraclePath(mem, s, t, r);
+      if (r.found) {
+        found++;
+        const int64_t hops = static_cast<int64_t>(r.path.size()) - 1;
+        EXPECT_EQ(r.stats.statements, (s == t ? 0 : 1) + hops)
+            << "one probe, then one statement per hop";
+      }
+    }
+  }
+  const int64_t pairs = list.num_nodes * list.num_nodes;
+  EXPECT_GT(found, list.num_nodes) << "the graphs must have real paths";
+  EXPECT_LT(found, pairs) << "and unreachable pairs";
+  EXPECT_EQ(finder->counters().path_hits, pairs);
+  EXPECT_EQ(finder->counters().path_fallbacks, 0);
+  EXPECT_EQ(finder->counters().fallbacks, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LabelWalkOracleTest,
+                         ::testing::Values(3u, 19u, 77u));
+
+// Zero-weight edges are legal, and a zero-weight 2-cycle on a shortest
+// path satisfies the hop condition in both directions: the walk may circle
+// it. The hop cap must end such a walk and hand the query to FEM.
+TEST(LabeledPathFinderTest, ZeroWeightCycleTerminatesWithValidPath) {
+  EdgeList list;
+  list.num_nodes = 5;
+  // 2 -> 1 is stored before 2 -> 3, so the walk's first pick at 2 turns
+  // back into the cycle.
+  list.edges = {Edge{0, 1, 4}, Edge{1, 2, 0}, Edge{2, 1, 0},
+                Edge{2, 3, 5}, Edge{3, 4, 1}, Edge{0, 4, 20}};
+  MemGraph mem(list);
+  Database db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> graph;
+  std::unique_ptr<LabelIndex> index;
+  std::unique_ptr<LabeledPathFinder> finder;
+  BuildFinder(&db, list, &graph, &index, &finder);
+  PathQueryResult r;
+  ASSERT_TRUE(finder->Find(0, 4, &r).ok());
+  ExpectOraclePath(mem, 0, 4, r);
+  EXPECT_EQ(r.distance, 10);
+  EXPECT_EQ(finder->counters().path_hits, 0);
+  EXPECT_EQ(finder->counters().path_fallbacks, 1) << "the hop cap fired";
+}
+
+// Where the walk cannot apply, Find runs FEM and counts the fallback:
+// labels stale after a mutation, a partial index, and labels living in
+// another database than the graph.
+TEST(LabeledPathFinderTest, FindFallsBackWhereTheWalkCannotApply) {
+  EdgeList list = SpicedRandomGraph(40, 100, 5);
+  {
+    MemGraph mem(list);
+    Database db{DatabaseOptions{}};
+    std::unique_ptr<GraphStore> graph;
+    std::unique_ptr<LabelIndex> index;
+    std::unique_ptr<LabeledPathFinder> finder;
+    LabelBuildOptions partial;
+    partial.max_hubs = 5;
+    BuildFinder(&db, list, &graph, &index, &finder, partial);
+    ASSERT_FALSE(index->complete());
+    PathQueryResult r;
+    ASSERT_TRUE(finder->Find(1, 30, &r).ok());
+    ExpectOraclePath(mem, 1, 30, r);
+    EXPECT_EQ(finder->counters().path_hits, 0);
+    EXPECT_EQ(finder->counters().path_fallbacks, 1);
+    EXPECT_EQ(finder->counters().fallbacks, 1);
+  }
+  {
+    Database db{DatabaseOptions{}};
+    std::unique_ptr<GraphStore> graph;
+    std::unique_ptr<LabelIndex> index;
+    std::unique_ptr<LabeledPathFinder> finder;
+    BuildFinder(&db, list, &graph, &index, &finder);
+    PathQueryResult r;
+    ASSERT_TRUE(finder->Find(1, 30, &r).ok());
+    EXPECT_EQ(finder->counters().path_hits, 1);
+    // A shortcut the labels know nothing about: the walk must not run.
+    ASSERT_TRUE(graph->AddEdge(Edge{1, 30, 1}).ok());
+    EdgeList mutated = list;
+    mutated.edges.push_back(Edge{1, 30, 1});
+    ASSERT_TRUE(finder->Find(1, 30, &r).ok());
+    ExpectOraclePath(MemGraph(mutated), 1, 30, r);
+    EXPECT_EQ(r.distance, 1);
+    EXPECT_EQ(finder->counters().path_hits, 1);
+    EXPECT_EQ(finder->counters().path_fallbacks, 1);
+    EXPECT_EQ(finder->counters().fallbacks, 1);
+  }
+  {
+    // Labels built in their own store's database, re-paired with an equal
+    // graph here: distances serve from them, paths cannot join the edges.
+    MemGraph mem(list);
+    std::unique_ptr<LabelStore> store;
+    ASSERT_TRUE(LabelStore::Build(list, LabelBuildOptions{}, &store).ok());
+    Database db{DatabaseOptions{}};
+    std::unique_ptr<GraphStore> graph;
+    ASSERT_TRUE(
+        GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
+    store->labels()->RebaseEpoch(graph->mutation_epoch());
+    std::unique_ptr<LabeledPathFinder> finder;
+    ASSERT_TRUE(LabeledPathFinder::Create(graph.get(), store->labels(),
+                                          LabeledPathFinderOptions{}, &finder)
+                    .ok());
+    PathQueryResult r;
+    bool served = false;
+    ASSERT_TRUE(finder->Distance(1, 30, &r, &served).ok());
+    EXPECT_TRUE(served);
+    ASSERT_TRUE(finder->Find(1, 30, &r).ok());
+    ExpectOraclePath(mem, 1, 30, r);
+    EXPECT_EQ(finder->counters().path_hits, 0);
+    EXPECT_EQ(finder->counters().path_fallbacks, 1);
+    EXPECT_EQ(finder->counters().fallbacks, 1);
+  }
 }
 
 // Create must leave every statement it needs compiled against the final

@@ -504,6 +504,29 @@ TEST_F(SqlExecTest, ExplainShowsNestedLoopWithoutIndex) {
   EXPECT_EQ(plan.find("IndexNestedLoopJoin"), std::string::npos) << plan;
 }
 
+// The label probe joins two clustered range scans on the hub column, which
+// neither side indexes: a keyed nested-loop join, not a cross product under
+// a filter.
+TEST_F(SqlExecTest, ExplainShowsKeyedNestedLoopForLabelProbe) {
+  Run("create table LabelsOut (nid int, hub int, dist int) cluster by (nid)");
+  Run("create table LabelsIn (nid int, hub int, dist int) cluster by (nid)");
+  Run("insert into LabelsOut values (1, 5, 3), (1, 6, 4), (2, 5, 1)");
+  Run("insert into LabelsIn values (9, 6, 2), (9, 5, 7), (9, 7, 1)");
+  const std::string probe =
+      "select min(lo.dist + li.dist) from LabelsOut lo, LabelsIn li "
+      "where lo.nid = :s and li.nid = :t and li.hub = lo.hub";
+  SqlParams params;
+  params.emplace("s", Value(int64_t{1}));
+  params.emplace("t", Value(int64_t{9}));
+  std::string plan;
+  ASSERT_TRUE(conn_.Explain(probe, &plan, params).ok());
+  EXPECT_NE(plan.find("NestedLoopJoin: key lo.hub = li.hub\n"),
+            std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("(cross)"), std::string::npos) << plan;
+  EXPECT_EQ(ScalarInt(probe, params), 6);  // hub 6: 4 + 2; hub 5: 3 + 7
+}
+
 TEST_F(SqlExecTest, ExplainShowsWindowAndLimitPipeline) {
   Run("create table c (nid int, cost int)");
   std::string plan;
