@@ -296,6 +296,11 @@ TEST(SegTableDeletionTest, BsegCorrectAfterDeletions) {
     ASSERT_EQ(result.found, oracle.found) << "s=" << s << " t=" << t;
     if (oracle.found) {
       EXPECT_EQ(result.distance, oracle.distance) << "s=" << s << " t=" << t;
+      ASSERT_FALSE(result.path.empty()) << "s=" << s << " t=" << t;
+      EXPECT_EQ(result.path.front(), s);
+      EXPECT_EQ(result.path.back(), t);
+      EXPECT_EQ(mem.PathLength(result.path), result.distance)
+          << "s=" << s << " t=" << t;
     }
   }
 }

@@ -427,6 +427,76 @@ TEST_F(SqlExecTest, MergeFromSubquerySource) {
   EXPECT_EQ(ScalarInt("select d2s from v where nid = 2"), 4);
 }
 
+// MERGE actions see the target row under the target alias (the table name
+// when the statement gives none) and the source row under the source
+// alias; an unqualified column resolves to whichever side has it.
+TEST_F(SqlExecTest, MergeResolvesColumnsAgainstTargetAndSource) {
+  Run("create table v (nid int, d2s int, f int) cluster by (nid) unique");
+  Run("create table src (nid int, cost int)");
+  Run("insert into v values (1, 10, 1), (2, 10, 1)");
+  Run("insert into src values (1, 4), (2, 6)");
+  // Both sides alias-qualified.
+  EXPECT_EQ(Run("merge into v tv using src sv on (sv.nid = tv.nid) "
+                "when matched and tv.d2s > sv.cost and sv.nid = 1 then "
+                "update set d2s = sv.cost + tv.f")
+                .affected,
+            1);
+  EXPECT_EQ(ScalarInt("select d2s from v where nid = 1"), 5);
+  // No target alias: the table name qualifies the target row.
+  EXPECT_EQ(Run("merge into v using src s on (s.nid = v.nid) "
+                "when matched and v.d2s > s.cost and v.nid = 2 then "
+                "update set f = v.f + s.cost")
+                .affected,
+            1);
+  EXPECT_EQ(ScalarInt("select f from v where nid = 2"), 7);
+  // Unqualified columns that exist on one side only.
+  EXPECT_EQ(Run("merge into v t using src s on (s.nid = t.nid) "
+                "when matched and d2s > cost then update set d2s = cost")
+                .affected,
+            2);
+  EXPECT_EQ(ScalarInt("select d2s from v where nid = 1"), 4);
+  EXPECT_EQ(ScalarInt("select d2s from v where nid = 2"), 6);
+}
+
+TEST_F(SqlExecTest, MergeColumnResolutionErrors) {
+  Run("create table v (nid int, d2s int) cluster by (nid) unique");
+  Run("create table src (nid int, cost int)");
+  SqlResult r;
+  // `nid` is a column of both the target and the source.
+  Status st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched and nid > 0 then update set d2s = s.cost",
+      &r);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched then update set d2s = nid",
+      &r);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // `x` names neither side; the table name is hidden behind alias `t`.
+  st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched and x.d2s > 0 then update set d2s = s.cost",
+      &r);
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched then update set d2s = v.d2s",
+      &r);
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  // Unknown columns, qualified and not.
+  st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched then update set d2s = s.d2s",
+      &r);
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched and missing > 0 then update set d2s = 1",
+      &r);
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+}
+
 TEST_F(SqlExecTest, MergeRejectedOnPostgresProfile) {
   DatabaseOptions opts;
   opts.profile = EngineProfile::kPostgres90;
