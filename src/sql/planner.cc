@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "src/exec/agg_executors.h"
@@ -48,25 +49,26 @@ bool IsAggregateName(const std::string& f) {
   return f == "MIN" || f == "MAX" || f == "SUM" || f == "COUNT";
 }
 
+/// True when `pred` holds at `e` or at any node below it. A scalar
+/// subquery is a leaf: the walk never enters its SELECT.
+template <typename Pred>
+bool AnyNode(const Expr& e, const Pred& pred) {
+  if (pred(e)) return true;
+  if (e.left != nullptr && AnyNode(*e.left, pred)) return true;
+  if (e.right != nullptr && AnyNode(*e.right, pred)) return true;
+  for (const auto& a : e.args) {
+    if (a != nullptr && AnyNode(*a, pred)) return true;
+  }
+  return false;
+}
+
 /// True when `e` reads a column of the current row (a scalar subquery does
 /// not: the engine has no correlated subqueries, so it evaluates to a
 /// row-independent constant).
 bool ReadsRowColumns(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kColumnRef:
-      return true;
-    case ExprKind::kUnary:
-      return ReadsRowColumns(*e.left);
-    case ExprKind::kBinary:
-      return ReadsRowColumns(*e.left) || ReadsRowColumns(*e.right);
-    case ExprKind::kFuncCall:
-      for (const auto& a : e.args) {
-        if (a != nullptr && ReadsRowColumns(*a)) return true;
-      }
-      return false;
-    default:
-      return false;
-  }
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kColumnRef;
+  });
 }
 
 /// Comparisons an index probe can serve (everything but <>).
@@ -83,9 +85,10 @@ bool IsSargShaped(const Expr& e) {
              (e.right->kind == ExprKind::kColumnRef);
 }
 
-/// The runtime comparison for a sargable AST operator.
+/// The runtime comparison for an AST comparison operator.
 CompareOp ToCompareOp(BinaryOp op) {
   switch (op) {
+    case BinaryOp::kNe: return CompareOp::kNe;
     case BinaryOp::kLe: return CompareOp::kLe;
     case BinaryOp::kLt: return CompareOp::kLt;
     case BinaryOp::kGe: return CompareOp::kGe;
@@ -110,50 +113,27 @@ CompareOp FlipCompare(CompareOp op) {
 /// cannot fold at compile time; index bounds over them are evaluated at
 /// open instead.
 bool HasRuntimeSlots(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kParameter:
-    case ExprKind::kSubquery:
-      return true;
-    case ExprKind::kUnary:
-      return HasRuntimeSlots(*e.left);
-    case ExprKind::kBinary:
-      return HasRuntimeSlots(*e.left) || HasRuntimeSlots(*e.right);
-    case ExprKind::kFuncCall:
-      for (const auto& a : e.args) {
-        if (a != nullptr && HasRuntimeSlots(*a)) return true;
-      }
-      return false;
-    default:
-      return false;
-  }
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kParameter || n.kind == ExprKind::kSubquery;
+  });
 }
 
 /// True when the expression contains a plain (non-window) aggregate call.
 bool ContainsAggregate(const Expr& e) {
-  if (e.kind == ExprKind::kFuncCall && e.window == nullptr &&
-      IsAggregateName(e.func_name)) {
-    return true;
-  }
-  if (e.left != nullptr && ContainsAggregate(*e.left)) return true;
-  if (e.right != nullptr && ContainsAggregate(*e.right)) return true;
-  for (const auto& a : e.args) {
-    if (ContainsAggregate(*a)) return true;
-  }
-  return false;
+  return AnyNode(e, [](const Expr& n) {
+    return n.kind == ExprKind::kFuncCall && n.window == nullptr &&
+           IsAggregateName(n.func_name);
+  });
 }
 
+/// The first window function call in `e`, or null.
 const Expr* FindWindowCall(const Expr& e) {
-  if (e.kind == ExprKind::kFuncCall && e.window != nullptr) return &e;
-  if (e.left != nullptr) {
-    if (const Expr* w = FindWindowCall(*e.left)) return w;
-  }
-  if (e.right != nullptr) {
-    if (const Expr* w = FindWindowCall(*e.right)) return w;
-  }
-  for (const auto& a : e.args) {
-    if (const Expr* w = FindWindowCall(*a)) return w;
-  }
-  return nullptr;
+  const Expr* found = nullptr;
+  AnyNode(e, [&found](const Expr& n) {
+    if (n.kind == ExprKind::kFuncCall && n.window != nullptr) found = &n;
+    return found != nullptr;
+  });
+  return found;
 }
 
 /// True when every column the expression touches resolves in `schema` (and
@@ -315,6 +295,7 @@ Status Planner::Compile(const Statement& stmt, PreparedPlan* out) {
       break;
   }
   plan_ = nullptr;
+  merge_ = nullptr;
   return s;
 }
 
@@ -410,6 +391,16 @@ Status Planner::ResolveColumn(const std::string& qualifier,
                               const std::string& column, const Schema& schema,
                               std::string* resolved) const {
   std::string full = qualifier.empty() ? column : qualifier + "." + column;
+  if (merge_ != nullptr && !qualifier.empty()) {
+    // A MERGE action: the statement's aliases name MergeInto's "t."/"s.".
+    if (CiEquals(qualifier, merge_->target_alias)) {
+      full = "t." + column;
+    } else if (CiEquals(qualifier, merge_->source.alias)) {
+      full = "s." + column;
+    } else {
+      return Status::NotFound("unknown column " + full);
+    }
+  }
   for (const auto& c : schema.columns()) {
     if (CiEquals(c.name, full)) {
       *resolved = c.name;
@@ -480,26 +471,10 @@ Status Planner::BindExpr(const Expr& e, const Schema& schema, ExprRef* out) {
         case BinaryOp::kSub: *out = Sub(std::move(l), std::move(r)); break;
         case BinaryOp::kMul: *out = Mul(std::move(l), std::move(r)); break;
         case BinaryOp::kDiv: *out = Div(std::move(l), std::move(r)); break;
-        case BinaryOp::kEq:
-          *out = Cmp(CompareOp::kEq, std::move(l), std::move(r));
-          break;
-        case BinaryOp::kNe:
-          *out = Cmp(CompareOp::kNe, std::move(l), std::move(r));
-          break;
-        case BinaryOp::kLt:
-          *out = Cmp(CompareOp::kLt, std::move(l), std::move(r));
-          break;
-        case BinaryOp::kLe:
-          *out = Cmp(CompareOp::kLe, std::move(l), std::move(r));
-          break;
-        case BinaryOp::kGt:
-          *out = Cmp(CompareOp::kGt, std::move(l), std::move(r));
-          break;
-        case BinaryOp::kGe:
-          *out = Cmp(CompareOp::kGe, std::move(l), std::move(r));
-          break;
         case BinaryOp::kAnd: *out = And(std::move(l), std::move(r)); break;
         case BinaryOp::kOr: *out = Or(std::move(l), std::move(r)); break;
+        default:
+          *out = Cmp(ToCompareOp(e.binary_op), std::move(l), std::move(r));
       }
       return Status::OK();
     }
@@ -525,8 +500,12 @@ Status Planner::BindExpr(const Expr& e, const Schema& schema, ExprRef* out) {
       // `d2s = (select min(d2s) ...)` fresh across re-executions of a
       // prepared statement (the old planner folded it into the plan,
       // which is why no plan could outlive one execution).
+      // Its columns resolve in its own FROM, never against a MERGE row.
       ExecRef sub;
-      RELGRAPH_RETURN_IF_ERROR(PlanSelect(*e.subquery, &sub));
+      const MergeStmt* merge = std::exchange(merge_, nullptr);
+      Status planned = PlanSelect(*e.subquery, &sub);
+      merge_ = merge;
+      RELGRAPH_RETURN_IF_ERROR(planned);
       if (sub->OutputSchema().NumColumns() != 1) {
         return Status::InvalidArgument(
             "scalar subquery must produce one column");
@@ -662,106 +641,81 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
   RELGRAPH_RETURN_IF_ERROR(materialize(0, &acc));
   for (size_t i = 1; i < items.size(); i++) {
     FromPlan& next = items[i];
-    // Index nested-loop opportunity: an unused equality conjunct that links
-    // a column of the accumulated plan to an indexed column of `next`.
-    bool planned = false;
-    if (next.base_table != nullptr) {
-      for (size_t c = 0; c < conjuncts.size() && !planned; c++) {
-        if (used[c]) continue;
-        const Expr* e = conjuncts[c];
-        if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq) {
-          continue;
-        }
-        if (e->left->kind != ExprKind::kColumnRef ||
-            e->right->kind != ExprKind::kColumnRef) {
-          continue;
-        }
-        for (int swap = 0; swap < 2 && !planned; swap++) {
-          const Expr& outer_ref = swap == 0 ? *e->left : *e->right;
-          const Expr& inner_ref = swap == 0 ? *e->right : *e->left;
-          // Inner side must name a column of `next`'s base table.
-          if (!inner_ref.qualifier.empty() &&
-              !CiEquals(inner_ref.qualifier, next.alias)) {
-            continue;
-          }
-          std::string inner_col;
-          if (!ResolveColumn("", inner_ref.column, next.base_table->schema(),
-                             &inner_col)
-                   .ok()) {
-            continue;
-          }
-          if (!next.base_table->HasIndexOn(inner_col)) continue;
-          // Outer side must resolve in the accumulated schema.
-          std::string outer_col;
-          if (!ResolveColumn(outer_ref.qualifier, outer_ref.column,
-                             acc->OutputSchema(), &outer_col)
-                   .ok()) {
-            continue;
-          }
-          std::vector<std::string> names;
-          for (const auto& col : acc->OutputSchema().columns()) {
-            names.push_back(col.name);
-          }
-          for (const auto& col : next.prefixed_schema.columns()) {
-            names.push_back(col.name);
-          }
-          ExecRef join = std::make_unique<IndexNestedLoopJoinExecutor>(
-              std::move(acc), next.base_table, inner_col, Col(outer_col));
-          acc = std::make_unique<RenameExecutor>(std::move(join), names);
-          // Filters pushed onto the inner table apply right after the probe
-          // (the renamed schema has the prefixed inner columns).
-          for (size_t pc : pushed[i]) {
-            ExprRef bound;
-            RELGRAPH_RETURN_IF_ERROR(
-                BindExpr(*conjuncts[pc], acc->OutputSchema(), &bound));
-            acc = std::make_unique<FilterExecutor>(std::move(acc),
-                                                   std::move(bound));
-          }
-          used[c] = true;
-          planned = true;
-        }
+    // Join key: the unused `col = col` conjuncts that link the accumulated
+    // plan to `next`, both sides resolved against the joined schema as the
+    // residual filter would bind them. The first link to an indexed column
+    // of `next` makes an index nested-loop join (the plan the paper's RDBMS
+    // optimizer picks for the E-operator); else the first INT link keys a
+    // nested-loop join, so each left row visits only the right rows with
+    // its key instead of the whole cross product.
+    struct Link {
+      size_t conjunct;
+      JoinKey key;  // right: `next`'s column (its base name for a probe)
+    };
+    std::optional<Link> indexed, keyed;
+    const Schema joined =
+        ConcatSchemas(acc->OutputSchema(), next.prefixed_schema);
+    const int width = static_cast<int>(acc->OutputSchema().NumColumns());
+    for (size_t c = 0; c < conjuncts.size() && !indexed.has_value(); c++) {
+      const Expr* e = conjuncts[c];
+      std::string l, r;
+      if (used[c] || e->kind != ExprKind::kBinary ||
+          e->binary_op != BinaryOp::kEq ||
+          e->left->kind != ExprKind::kColumnRef ||
+          e->right->kind != ExprKind::kColumnRef ||
+          !ResolveColumn(e->left->qualifier, e->left->column, joined, &l)
+               .ok() ||
+          !ResolveColumn(e->right->qualifier, e->right->column, joined, &r)
+               .ok()) {
+        continue;
+      }
+      int li = joined.Find(l);
+      int ri = joined.Find(r);
+      if ((li < width) == (ri < width)) continue;  // both on one side
+      if (li > ri) {
+        std::swap(l, r);
+        std::swap(li, ri);
+      }
+      const std::string* inner =
+          next.base_table == nullptr
+              ? nullptr
+              : &next.base_table->schema().column(ri - width).name;
+      if (inner != nullptr && next.base_table->HasIndexOn(*inner)) {
+        indexed = Link{c, {std::move(l), *inner}};
+      } else if (!keyed.has_value() &&
+                 joined.column(li).type == TypeId::kInt &&
+                 joined.column(ri).type == TypeId::kInt) {
+        keyed = Link{c, {std::move(l), std::move(r)}};
       }
     }
-    if (!planned) {
-      ExecRef rhs;
-      RELGRAPH_RETURN_IF_ERROR(materialize(i, &rhs));
-      // Keyed nested-loop join: the first unused INT column equality that
-      // links the accumulated plan to `next` becomes the join key, so each
-      // left row visits only the right rows with its key instead of the
-      // whole cross product. Both sides resolve against the joined schema,
-      // as the residual filter would have bound them.
-      std::optional<JoinKey> key;
-      const Schema& left_schema = acc->OutputSchema();
-      const Schema joined = ConcatSchemas(left_schema, rhs->OutputSchema());
-      for (size_t c = 0; c < conjuncts.size() && !key.has_value(); c++) {
-        if (used[c]) continue;
-        const Expr* e = conjuncts[c];
-        if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq ||
-            e->left->kind != ExprKind::kColumnRef ||
-            e->right->kind != ExprKind::kColumnRef) {
-          continue;
-        }
-        std::string l, r;
-        if (!ResolveColumn(e->left->qualifier, e->left->column, joined, &l)
-                 .ok() ||
-            !ResolveColumn(e->right->qualifier, e->right->column, joined, &r)
-                 .ok()) {
-          continue;
-        }
-        const int li = left_schema.Find(l);
-        const int ri = left_schema.Find(r);
-        if ((li >= 0) == (ri >= 0)) continue;  // both on one side
-        if (li < 0) std::swap(l, r);
-        if (joined.column(joined.IndexOf(l)).type != TypeId::kInt ||
-            joined.column(joined.IndexOf(r)).type != TypeId::kInt) {
-          continue;
-        }
-        key = JoinKey{std::move(l), std::move(r)};
-        used[c] = true;
+
+    if (indexed.has_value()) {
+      used[indexed->conjunct] = true;
+      std::vector<std::string> names;
+      for (const auto& col : joined.columns()) names.push_back(col.name);
+      ExecRef join = std::make_unique<IndexNestedLoopJoinExecutor>(
+          std::move(acc), next.base_table, indexed->key.right,
+          Col(indexed->key.left));
+      acc = std::make_unique<RenameExecutor>(std::move(join), names);
+      // Filters pushed onto the inner table apply right after the probe
+      // (the renamed schema has the prefixed inner columns).
+      for (size_t pc : pushed[i]) {
+        ExprRef bound;
+        RELGRAPH_RETURN_IF_ERROR(BindExpr(*conjuncts[pc], joined, &bound));
+        acc = std::make_unique<FilterExecutor>(std::move(acc),
+                                               std::move(bound));
       }
-      acc = std::make_unique<NestedLoopJoinExecutor>(
-          std::move(acc), std::move(rhs), nullptr, std::move(key));
+      continue;
     }
+    ExecRef rhs;
+    RELGRAPH_RETURN_IF_ERROR(materialize(i, &rhs));
+    std::optional<JoinKey> key;
+    if (keyed.has_value()) {
+      used[keyed->conjunct] = true;
+      key = std::move(keyed->key);
+    }
+    acc = std::make_unique<NestedLoopJoinExecutor>(
+        std::move(acc), std::move(rhs), nullptr, std::move(key));
   }
 
   // Residual predicate.
@@ -957,6 +911,10 @@ Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
       continue;
     }
     RELGRAPH_RETURN_IF_ERROR(BindExpr(*o->expr, in_schema, &bound));
+    if (sel.distinct) {
+      return Status::NotSupported(
+          "DISTINCT with an ORDER BY key that is not in the select list");
+    }
     sort_before_project = true;
     inner_keys.push_back({std::move(bound), o->ascending});
   }
@@ -971,13 +929,10 @@ Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
   }
   child = std::make_unique<ProjectExecutor>(
       std::move(child), std::move(project_exprs), project_schema);
-  if (!outer_keys.empty()) {
-    child = std::make_unique<SortExecutor>(std::move(child),
-                                           std::move(outer_keys));
-  }
 
   if (sel.distinct) {
-    // DISTINCT = group by every output column with no aggregates.
+    // DISTINCT = group by every output column with no aggregates. It runs
+    // before ORDER BY: the aggregate emits its groups in key order.
     std::vector<std::string> names;
     for (const auto& c : project_schema.columns()) {
       if (std::find(names.begin(), names.end(), c.name) != names.end()) {
@@ -987,6 +942,10 @@ Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
     }
     child = std::make_unique<HashAggregateExecutor>(
         std::move(child), std::move(names), std::vector<AggSpec>{});
+  }
+  if (!outer_keys.empty()) {
+    child = std::make_unique<SortExecutor>(std::move(child),
+                                           std::move(outer_keys));
   }
 
   int64_t limit = -1;
@@ -1106,12 +1065,7 @@ Status Planner::CompileUpdate(const UpdateStmt& upd) {
                              : And(std::move(where), std::move(bound));
   }
   plan_->where = std::move(where);
-  if (sarg.active) {
-    plan_->sarg.active = true;
-    plan_->sarg.column = sarg.column;
-    plan_->sarg.op = sarg.op;
-    plan_->sarg.key = sarg.key;
-  }
+  plan_->sarg = {sarg.active, sarg.column, sarg.op, sarg.key};
   return Status::OK();
 }
 
@@ -1137,26 +1091,21 @@ Status Planner::CompileMerge(const MergeStmt& m) {
   // Plan the source with *plain* column names: MergeInto prefixes them
   // itself ("s.") for the matched branch.
   ExecRef source;
-  Schema source_schema;
   if (m.source.kind == FromKind::kTable) {
     Table* src_table = nullptr;
     RELGRAPH_RETURN_IF_ERROR(FindTable(m.source.table_name, &src_table));
     source = std::make_unique<SeqScanExecutor>(src_table);
-    source_schema = src_table->schema();
   } else {
     RELGRAPH_RETURN_IF_ERROR(PlanSelect(*m.source.subquery, &source));
-    source_schema = source->OutputSchema();
   }
   if (!m.source.column_aliases.empty()) {
-    if (m.source.column_aliases.size() != source_schema.NumColumns()) {
+    if (m.source.column_aliases.size() != source->OutputSchema().NumColumns()) {
       return Status::InvalidArgument("MERGE source column list arity mismatch");
     }
     source = std::make_unique<RenameExecutor>(std::move(source),
                                               m.source.column_aliases);
-    source_schema = source->OutputSchema();
   }
-
-  const std::string& src_alias = m.source.alias;
+  const Schema source_schema = source->OutputSchema();
 
   // ON clause: exactly `target.k = source.k` (either order).
   if (m.on == nullptr || m.on->kind != ExprKind::kBinary ||
@@ -1173,7 +1122,7 @@ Status Planner::CompileMerge(const MergeStmt& m) {
     bool t_side = t_ref.qualifier.empty() ||
                   CiEquals(t_ref.qualifier, m.target_alias);
     bool s_side =
-        s_ref.qualifier.empty() || CiEquals(s_ref.qualifier, src_alias);
+        s_ref.qualifier.empty() || CiEquals(s_ref.qualifier, m.source.alias);
     if (!t_side || !s_side) continue;
     std::string t_col, s_col;
     if (!ResolveColumn("", t_ref.column, target_schema, &t_col).ok()) continue;
@@ -1187,20 +1136,23 @@ Status Planner::CompileMerge(const MergeStmt& m) {
         "MERGE ON condition does not name a target and a source column");
   }
 
+  // Matched actions bind against the row MergeInto evaluates them over:
+  // the target's columns under "t.", then the source's under "s.".
+  const Schema combined = ConcatSchemas(PrefixSchema(target_schema, "t."),
+                                        PrefixSchema(source_schema, "s."));
+  merge_ = &m;
   if (m.matched_condition != nullptr) {
     RELGRAPH_RETURN_IF_ERROR(
-        BindMergeExpr(*m.matched_condition, m.target_alias, target_schema,
-                      src_alias, source_schema, &spec.matched_condition));
+        BindExpr(*m.matched_condition, combined, &spec.matched_condition));
   }
   for (const auto& s : m.matched_sets) {
     SetClause clause;
     RELGRAPH_RETURN_IF_ERROR(
         ResolveColumn("", s.column, target_schema, &clause.column));
-    RELGRAPH_RETURN_IF_ERROR(BindMergeExpr(*s.expr, m.target_alias,
-                                           target_schema, src_alias,
-                                           source_schema, &clause.expr));
+    RELGRAPH_RETURN_IF_ERROR(BindExpr(*s.expr, combined, &clause.expr));
     spec.matched_sets.push_back(std::move(clause));
   }
+  merge_ = nullptr;
 
   if (m.has_not_matched_clause) {
     std::vector<size_t> positions;
@@ -1236,110 +1188,6 @@ Status Planner::CompileMerge(const MergeStmt& m) {
   plan_->root = std::move(source);
   plan_->merge_spec = std::move(spec);
   return Status::OK();
-}
-
-/// Rewrites a MERGE expression's column qualifiers (the statement's
-/// aliases) onto MergeInto's combined "t." / "s." namespace.
-Status Planner::BindMergeExpr(const Expr& e, const std::string& target_alias,
-                              const Schema& target,
-                              const std::string& source_alias,
-                              const Schema& source, ExprRef* out) {
-  // Column references get their alias rewritten onto "t."/"s."; everything
-  // else recurses structurally. A rewritten copy of the AST would also work
-  // but this avoids the clone.
-  if (e.kind == ExprKind::kColumnRef) {
-    auto resolve_in = [&](const Schema& s, std::string* res) {
-      for (const auto& c : s.columns()) {
-        if (CiEquals(c.name, e.column)) {
-          *res = c.name;
-          return true;
-        }
-      }
-      return false;
-    };
-    std::string plain;
-    if (!e.qualifier.empty()) {
-      if (CiEquals(e.qualifier, target_alias) && resolve_in(target, &plain)) {
-        *out = Col("t." + plain);
-        return Status::OK();
-      }
-      if (CiEquals(e.qualifier, source_alias) && resolve_in(source, &plain)) {
-        *out = Col("s." + plain);
-        return Status::OK();
-      }
-      return Status::NotFound("unknown MERGE column " + e.qualifier + "." +
-                              e.column);
-    }
-    bool in_t = resolve_in(target, &plain);
-    std::string t_name = "t." + plain;
-    bool in_s = resolve_in(source, &plain);
-    if (in_t && in_s) {
-      return Status::InvalidArgument("ambiguous MERGE column " + e.column);
-    }
-    if (in_t) {
-      *out = Col(std::move(t_name));
-      return Status::OK();
-    }
-    if (in_s) {
-      *out = Col("s." + plain);
-      return Status::OK();
-    }
-    return Status::NotFound("unknown MERGE column " + e.column);
-  }
-
-  auto recurse = [&](const Expr& sub, ExprRef* res) {
-    return BindMergeExpr(sub, target_alias, target, source_alias, source, res);
-  };
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      *out = Lit(e.literal);
-      return Status::OK();
-    case ExprKind::kParameter: {
-      size_t slot = plan_->ctx->AddNamedSlot(e.param_name);
-      *out = Param(plan_->ctx.get(), slot, e.param_name);
-      return Status::OK();
-    }
-    case ExprKind::kUnary: {
-      ExprRef inner;
-      RELGRAPH_RETURN_IF_ERROR(recurse(*e.left, &inner));
-      *out = e.unary_op == UnaryOp::kNot
-                 ? Not(std::move(inner))
-                 : Sub(Lit(int64_t{0}), std::move(inner));
-      return Status::OK();
-    }
-    case ExprKind::kBinary: {
-      ExprRef l, r;
-      RELGRAPH_RETURN_IF_ERROR(recurse(*e.left, &l));
-      RELGRAPH_RETURN_IF_ERROR(recurse(*e.right, &r));
-      switch (e.binary_op) {
-        case BinaryOp::kAdd: *out = Add(std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kSub: *out = Sub(std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kMul: *out = Mul(std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kDiv: *out = Div(std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kEq: *out = Cmp(CompareOp::kEq, std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kNe: *out = Cmp(CompareOp::kNe, std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kLt: *out = Cmp(CompareOp::kLt, std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kLe: *out = Cmp(CompareOp::kLe, std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kGt: *out = Cmp(CompareOp::kGt, std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kGe: *out = Cmp(CompareOp::kGe, std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kAnd: *out = And(std::move(l), std::move(r)); return Status::OK();
-        case BinaryOp::kOr: *out = Or(std::move(l), std::move(r)); return Status::OK();
-      }
-      return Status::Internal("unhandled binary op");
-    }
-    case ExprKind::kFuncCall:
-      if (e.func_name == "IS_NULL" || e.func_name == "IS_NOT_NULL") {
-        ExprRef inner;
-        RELGRAPH_RETURN_IF_ERROR(recurse(*e.args[0], &inner));
-        *out = IsNull(std::move(inner), e.func_name == "IS_NOT_NULL");
-        return Status::OK();
-      }
-      return Status::NotSupported("function " + e.func_name + " inside MERGE");
-    case ExprKind::kSubquery:
-      return Status::NotSupported("subquery inside a MERGE action");
-    default:
-      return Status::Internal("unhandled expression kind in MERGE");
-  }
 }
 
 // ----- DDL -------------------------------------------------------------------

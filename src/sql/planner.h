@@ -112,7 +112,7 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
 ///  - FROM lists join left-to-right; an equality conjunct in WHERE that links
 ///    the accumulated plan to an indexed column of the next base table turns
 ///    that step into an index nested-loop join (the plan the paper's RDBMS
-///    optimizer picks for the E-operator).
+///    optimizer picks for the E-operator), else an INT one keys the join.
 ///  - Scalar subqueries (uncorrelated only) compile to their own plans,
 ///    evaluated at bind time — the paper's
 ///    `d2s = (select min(d2s) from TVisited where f = 0)` re-evaluates on
@@ -151,8 +151,9 @@ class Planner {
   /// Builds the executor pipeline for a SELECT without running it.
   Status PlanSelect(const SelectStmt& sel, ExecRef* out);
 
-  /// FROM + WHERE with join-conjunct extraction; `remaining_where` receives
-  /// the non-join part of the predicate (already bound).
+  /// FROM + WHERE: pushes single-item conjuncts onto their item, turns one
+  /// `col = col` conjunct per join step into its key, and filters the
+  /// joined rows by the rest.
   Status PlanFrom(const SelectStmt& sel, ExecRef* out);
   Status PlanFromItem(const FromItem& item, FromPlan* out);
 
@@ -182,13 +183,11 @@ class Planner {
 
   /// AST expression -> runtime expression against `schema`. Parameters
   /// and scalar subqueries register slots on the plan under compilation.
+  /// MERGE actions bind here too, against MergeInto's combined row.
   Status BindExpr(const Expr& e, const Schema& schema, ExprRef* out);
-  /// MERGE expressions: column qualifiers rewritten onto the "t."/"s."
-  /// combined namespace.
-  Status BindMergeExpr(const Expr& e, const std::string& target_alias,
-                       const Schema& target, const std::string& source_alias,
-                       const Schema& source, ExprRef* out);
   /// Resolves a (qualifier, column) reference to the schema's column name.
+  /// While a MERGE action binds, the statement's target alias resolves to
+  /// "t." and its source alias to "s.".
   Status ResolveColumn(const std::string& qualifier, const std::string& column,
                        const Schema& schema, std::string* resolved) const;
 
@@ -196,6 +195,7 @@ class Planner {
 
   Database* db_;
   PreparedPlan* plan_ = nullptr;  // current compile target
+  const MergeStmt* merge_ = nullptr;  // set while MERGE actions bind
 };
 
 }  // namespace relgraph::sql

@@ -213,6 +213,33 @@ TEST_F(SqlExecTest, Distinct) {
   EXPECT_EQ(r.rows.size(), 3u);
 }
 
+// DISTINCT runs before ORDER BY and LIMIT: the sort order survives and the
+// limit counts distinct rows.
+TEST_F(SqlExecTest, DistinctKeepsOrderByAndLimit) {
+  Run("create table t (a int, b int)");
+  Run("insert into t values (1, 5), (3, 5), (2, 7), (3, 5), (1, 9), (2, 7)");
+  auto column = [](const SqlResult& r, size_t c) {
+    std::vector<int64_t> out;
+    for (const Tuple& row : r.rows) out.push_back(row.value(c).AsInt());
+    return out;
+  };
+  SqlResult r = Run("select distinct a from t order by a desc");
+  EXPECT_EQ(column(r, 0), (std::vector<int64_t>{3, 2, 1}));
+  r = Run("select distinct a from t order by a desc limit 2");
+  EXPECT_EQ(column(r, 0), (std::vector<int64_t>{3, 2}));
+  r = Run("select distinct top 2 a from t order by a desc");
+  EXPECT_EQ(column(r, 0), (std::vector<int64_t>{3, 2}));
+  r = Run("select distinct b, a from t order by b desc, a");
+  EXPECT_EQ(column(r, 0), (std::vector<int64_t>{9, 7, 5, 5}));
+  EXPECT_EQ(column(r, 1), (std::vector<int64_t>{1, 2, 1, 3}));
+  r = Run("select distinct b, a from t order by b, a desc limit 3");
+  EXPECT_EQ(column(r, 0), (std::vector<int64_t>{5, 5, 7}));
+  EXPECT_EQ(column(r, 1), (std::vector<int64_t>{3, 1, 2}));
+  // The standard rejects an ORDER BY key outside a DISTINCT select list.
+  Status st = conn_.Execute("select distinct a from t order by b");
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+}
+
 TEST_F(SqlExecTest, ScalarAggregatesOverEmptyInput) {
   Run("create table t (a int)");
   // SQL: MIN over nothing is NULL; COUNT is 0. Listing 2(2)'s subquery
@@ -456,6 +483,29 @@ TEST_F(SqlExecTest, MergeResolvesColumnsAgainstTargetAndSource) {
             2);
   EXPECT_EQ(ScalarInt("select d2s from v where nid = 1"), 4);
   EXPECT_EQ(ScalarInt("select d2s from v where nid = 2"), 6);
+}
+
+// A scalar subquery in a MERGE action is evaluated once, before the merge
+// runs: every matched row sees the target's pre-statement minimum.
+TEST_F(SqlExecTest, MergeActionSubqueryReadsPreStatementState) {
+  Run("create table v (nid int, d int) cluster by (nid) unique");
+  Run("create table src (nid int)");
+  Run("insert into v values (1, 50), (2, 40), (3, 60)");
+  Run("insert into src values (1), (3)");
+  EXPECT_EQ(Run("merge into v t using src s on (s.nid = t.nid) "
+                "when matched then update set d = (select min(d) from v) - 1")
+                .affected,
+            2);
+  EXPECT_EQ(ScalarInt("select d from v where nid = 1"), 39);
+  EXPECT_EQ(ScalarInt("select d from v where nid = 2"), 40);
+  EXPECT_EQ(ScalarInt("select d from v where nid = 3"), 39);
+  // The subquery binds in its own scope: `t` is not visible inside it.
+  SqlResult r;
+  Status st = conn_.Execute(
+      "merge into v t using src s on (s.nid = t.nid) "
+      "when matched then update set d = (select min(t.d) from src)",
+      &r);
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
 }
 
 TEST_F(SqlExecTest, MergeColumnResolutionErrors) {
