@@ -112,7 +112,7 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
 ///  - FROM lists join left-to-right; an equality conjunct in WHERE that links
 ///    the accumulated plan to an indexed column of the next base table turns
 ///    that step into an index nested-loop join (the plan the paper's RDBMS
-///    optimizer picks for the E-operator), else an INT one keys the join.
+///    optimizer picks for the E-operator), else an INT equality keys the join.
 ///  - Scalar subqueries (uncorrelated only) compile to their own plans,
 ///    evaluated at bind time — the paper's
 ///    `d2s = (select min(d2s) from TVisited where f = 0)` re-evaluates on
