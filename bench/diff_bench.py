@@ -23,13 +23,17 @@ is a regression too). Counter metrics (statements, expansions, visited)
 are compared exactly and across every run: they are deterministic, so
 *any* drift is a behaviour change, not noise.
 
-With --normalize (what CI uses), each record's latency is divided by the
-total latency of its own run before comparison, so a uniformly faster or
-slower machine cancels out: the gate then catches *structural* regressions
-(one algorithm/graph-size cell slowing relative to the rest) across runner
-classes, at the cost of missing a perfectly uniform slowdown. Without the
-flag, absolute wall-clock is compared — the right mode when the run and
-the baseline come from the same machine (local development).
+With --normalize (what CI uses), every run latency is divided by the
+median of the per-record run/baseline ratios before comparison, so a
+uniformly faster or slower machine cancels out: the gate then catches
+*structural* regressions (one algorithm/graph-size cell slowing relative
+to the rest) across runner classes, at the cost of missing a perfectly
+uniform slowdown. The median, unlike the run total, does not move with
+one dominant record: a 2x slowdown of the record that holds most of the
+time still reads as 2x, and a 2x speed-up of it does not make every
+other record look slower. Without the flag, absolute wall-clock is
+compared — the right mode when the run and the baseline come from the
+same machine (local development).
 
 The tolerance can also be set via RELGRAPH_BENCH_TOLERANCE. Absolute
 wall-clock baselines are machine-specific — refresh the `ci_smoke` block
@@ -55,6 +59,7 @@ import argparse
 import glob as globmod
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -152,6 +157,60 @@ def update_rolling(rolling_dir, run_by_key, window):
         os.remove(stale)
 
 
+def run_scale(baseline, run_by_key, metric):
+    """How much slower the run's machine is than the baseline's: the median
+    of the per-record run/baseline ratios of `metric` (1.0 when no record
+    has both). One record, however dominant, cannot move it far."""
+    ratios = []
+    for base_rec in baseline:
+        run_m = run_by_key.get(record_key(base_rec))
+        base_t = base_rec.get("metrics", {}).get(metric)
+        run_t = run_m.get(metric) if run_m is not None else None
+        if base_t is not None and run_t is not None and min(base_t, run_t) > 0:
+            ratios.append(run_t / base_t)
+    return statistics.median(ratios) if ratios else 1.0
+
+
+def compare_records(baseline, run_by_key, metric, tolerance, scale,
+                    failures):
+    """Gates every baseline record against the run, whose latencies are
+    divided by `scale` first (the report prints them scaled). Appends to
+    `failures`; returns the report lines."""
+    lines = []
+    for base_rec in baseline:
+        key = record_key(base_rec)
+        run_m = run_by_key.get(key)
+        if run_m is None:
+            failures.append(f"missing from run: {fmt_key(key)}")
+            continue
+        base_m = base_rec.get("metrics", {})
+
+        for counter in EXACT_METRICS:
+            if counter in base_m and counter in run_m:
+                if base_m[counter] != run_m[counter]:
+                    failures.append(
+                        f"{fmt_key(key)}: {counter} changed "
+                        f"{base_m[counter]:g} -> {run_m[counter]:g} "
+                        f"(deterministic counter; must be identical)")
+
+        base_v = base_m.get(metric)
+        run_t = run_m.get(metric)
+        if base_v is None or run_t is None:
+            failures.append(f"{fmt_key(key)}: metric {metric} absent")
+            continue
+        run_v = run_t / scale
+        ratio = run_v / base_v if base_v > 0 else float("inf")
+        verdict = "ok"
+        if ratio > 1.0 + tolerance:
+            verdict = "REGRESSION"
+            failures.append(
+                f"{fmt_key(key)}: {metric} {base_v:.6f}s -> {run_v:.6f}s "
+                f"({ratio:.2f}x, tolerance {1.0 + tolerance:.2f}x)")
+        lines.append(f"  {fmt_key(key)}: {base_v:.6f}s -> {run_v:.6f}s "
+                     f"({ratio:.2f}x) {verdict}")
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--run", required=True, nargs="+",
@@ -173,8 +232,8 @@ def main():
     parser.add_argument("--metric", default="time_s",
                         help="latency metric to gate on")
     parser.add_argument("--normalize", action="store_true",
-                        help="compare per-record latency *shares* of the run "
-                             "total instead of absolute seconds (machine-"
+                        help="divide run latencies by the median per-record "
+                             "run/baseline ratio before comparing (machine-"
                              "independent; used by CI)")
     parser.add_argument("--tolerance", type=float,
                         default=float(os.environ.get(
@@ -208,54 +267,13 @@ def main():
     failures = []
     run_by_key = merge_runs(args.run, args.metric, failures)
 
-    def normalizer(records):
-        total = sum(m.get(args.metric, 0.0) for m in records)
-        return total if total > 0 else 1.0
-
-    run_norm = base_norm = 1.0
-    unit = "s"
-    if args.normalize:
-        run_norm = normalizer(list(run_by_key.values()))
-        base_norm = normalizer([r.get("metrics", {}) for r in baseline])
-        unit = " (share)"
-    lines = []
-    for base_rec in baseline:
-        key = record_key(base_rec)
-        run_m = run_by_key.get(key)
-        if run_m is None:
-            failures.append(f"missing from run: {fmt_key(key)}")
-            continue
-        base_m = base_rec.get("metrics", {})
-
-        for metric in EXACT_METRICS:
-            if metric in base_m and metric in run_m:
-                if base_m[metric] != run_m[metric]:
-                    failures.append(
-                        f"{fmt_key(key)}: {metric} changed "
-                        f"{base_m[metric]:g} -> {run_m[metric]:g} "
-                        f"(deterministic counter; must be identical)")
-
-        base_t = base_m.get(args.metric)
-        run_t = run_m.get(args.metric)
-        if base_t is None or run_t is None:
-            failures.append(f"{fmt_key(key)}: metric {args.metric} absent")
-            continue
-        base_v = base_t / base_norm
-        run_v = run_t / run_norm
-        ratio = run_v / base_v if base_v > 0 else float("inf")
-        verdict = "ok"
-        if ratio > 1.0 + args.tolerance:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{fmt_key(key)}: {args.metric} {base_v:.6f}{unit} -> "
-                f"{run_v:.6f}{unit} "
-                f"({ratio:.2f}x, tolerance {1.0 + args.tolerance:.2f}x)")
-        lines.append(f"  {fmt_key(key)}: {base_v:.6f}{unit} -> "
-                     f"{run_v:.6f}{unit} ({ratio:.2f}x) {verdict}")
+    scale = run_scale(baseline, run_by_key, args.metric) \
+        if args.normalize else 1.0
+    lines = compare_records(baseline, run_by_key, args.metric,
+                            args.tolerance, scale, failures)
 
     # Symmetric coverage check: a run record the baseline does not know is
-    # gated against nothing, and under --normalize it silently dilutes
-    # every other record's share. Against the checked-in baseline that
+    # gated against nothing. Against the checked-in baseline that
     # fails the job until the block is refreshed. Against the rolling
     # window it is only a notice: on PASS the window absorbs the new
     # record (--update-rolling) and gates it from the next run onward —
@@ -274,7 +292,7 @@ def main():
     print(f"diff_bench: {len(baseline)} baseline record(s) from "
           f"{baseline_desc}, {len(args.run)} run file(s), tolerance "
           f"+{args.tolerance:.0%} on {args.metric} (min across runs"
-          f"{', normalized to run totals' if args.normalize else ''})")
+          f"{f', run scaled by 1/{scale:.3f}' if args.normalize else ''})")
     for line in lines:
         print(line)
     if failures:

@@ -53,5 +53,42 @@ class MergeRunsTest(unittest.TestCase):
         self.assertIn("statements differs", failures[0])
 
 
+def timed(label, time_s):
+    return {"experiment": "labels", "label": label, "context": {"n": 400},
+            "metrics": {"time_s": time_s}}
+
+
+class NormalizeTest(unittest.TestCase):
+    """--normalize against a baseline whose `build` record holds most of
+    the time, the shape of the label series."""
+
+    BASE = {"build": 1.0, "fem": 0.004, "serve": 0.00004, "stale": 0.004}
+
+    def gate(self, factors, tolerance=0.25):
+        baseline = [timed(k, v) for k, v in self.BASE.items()]
+        run = {diff_bench.record_key(timed(k, v * factors.get(k, 1.0))):
+               timed(k, v * factors.get(k, 1.0))["metrics"]
+               for k, v in self.BASE.items()}
+        failures = []
+        scale = diff_bench.run_scale(baseline, run, "time_s")
+        diff_bench.compare_records(baseline, run, "time_s", tolerance,
+                                   scale, failures)
+        return failures
+
+    def test_dominant_record_slowing_2x_is_caught(self):
+        failures = self.gate({"build": 2.0})
+        self.assertEqual(len(failures), 1, failures)
+        self.assertIn("labels / build", failures[0])
+        self.assertIn("2.00x", failures[0])
+
+    def test_dominant_record_speeding_up_2x_flags_nothing(self):
+        self.assertEqual(self.gate({"build": 0.5}, tolerance=0.6), [])
+        self.assertEqual(self.gate({"build": 0.5}), [])
+
+    def test_uniform_slowdown_cancels_out(self):
+        self.assertEqual(
+            self.gate({k: 3.0 for k in self.BASE}), [])
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -120,6 +120,12 @@ Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
                                  int64_t* affected,
                                  const RowChangeObserver& observer) {
   Value v = key->Evaluate(Tuple{}, Schema{});
+  if (v.IsNull()) {
+    // `column OP NULL` is never true, and `predicate` includes it: no row
+    // can match (the frontier mark once the open set is empty).
+    *affected = 0;
+    return Status::OK();
+  }
   if (v.type() != TypeId::kInt) {
     // Non-INT keys never match an INT index probe profitably; run the
     // full-scan plan the text interface would have picked.

@@ -53,8 +53,9 @@ Status UpdateWhereIndexed(Table* table, const std::string& index_column,
 /// Prepared-statement form of UpdateWhereIndexed: the probe range is
 /// `index_column OP key`, with `key` — a parameter or scalar-subquery
 /// slot — evaluated when the statement *executes*, not when it was
-/// planned. A non-INT key falls back to the full-scan plan and an
-/// overflowing bound to the full key range; `predicate` always applies
+/// planned. A NULL key matches no row; any other non-INT key falls back
+/// to the full-scan plan and an overflowing bound to the full key range;
+/// `predicate`, which includes `index_column OP key`, always applies
 /// residually, so every execution stays equivalent to UpdateWhere.
 Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
                                  CompareOp op, const ExprRef& key,

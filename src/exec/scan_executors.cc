@@ -92,8 +92,12 @@ bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi) {
 
 IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
                                                std::string column, int64_t lo,
-                                               int64_t hi)
-    : table_(table), column_(std::move(column)), lo_(lo), hi_(hi) {}
+                                               int64_t hi, size_t first_batch)
+    : table_(table),
+      column_(std::move(column)),
+      lo_(lo),
+      hi_(hi),
+      first_batch_(first_batch) {}
 
 IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
                                                std::string column,
@@ -119,7 +123,7 @@ void IndexRangeScanExecutor::ComputeRuntimeBounds() {
 
 Status IndexRangeScanExecutor::Open() {
   exhausted_ = false;
-  batch_rows_ = kFirstScanBatch;
+  batch_rows_ = first_batch_;
   if (key_ != nullptr) ComputeRuntimeBounds();
   return table_->ScanRange(column_, lo_, hi_, &it_);
 }

@@ -64,10 +64,12 @@ bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi);
 ///    is evaluated at Open, so one compiled plan probes fresh bounds on
 ///    every execution. A non-INT or overflowing key degrades to the full
 ///    key range (the residual filter keeps the plan equivalent).
+/// `first_batch` sizes the first pull: 1 under a LIMIT 1 that wants only
+/// the first key, so the scan reads one row instead of kFirstScanBatch.
 class IndexRangeScanExecutor : public Executor {
  public:
   IndexRangeScanExecutor(Table* table, std::string column, int64_t lo,
-                         int64_t hi);
+                         int64_t hi, size_t first_batch = kFirstScanBatch);
   IndexRangeScanExecutor(Table* table, std::string column, CompareOp op,
                          ExprRef key);
   bool NextBatchSel(BatchSpan* out) override;
@@ -87,6 +89,7 @@ class IndexRangeScanExecutor : public Executor {
   int64_t lo_, hi_;
   ExprRef key_;  // non-null => runtime bounds (op_ applies)
   CompareOp op_ = CompareOp::kEq;
+  size_t first_batch_ = kFirstScanBatch;
   Table::Iterator it_;
   bool exhausted_ = false;  // iterator returned false; don't pull it again
   size_t batch_rows_ = kFirstScanBatch;  // see kFirstScanBatch

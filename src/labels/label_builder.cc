@@ -9,9 +9,57 @@
 
 namespace relgraph {
 
+namespace label_internal {
+
+std::vector<std::string> WorkTableDdl(const std::string& w) {
+  return {"create table " + w +
+              " (nid int, d int, f int, od int) cluster by (nid) unique",
+          "create index ix_" + w + "_f on " + w + " (f)",
+          "create index ix_" + w + "_od on " + w + " (od)"};
+}
+
+std::string MinOpenSql(const std::string& w) {
+  return "select min(od) from " + w;
+}
+
+/// For every frontier vertex u, cov = min over common hubs of already-built
+/// labels — forward pass: d(h -> h') from LabelsOut(h) joined to
+/// d(h' -> u) from LabelsIn(u); backward pass: d(u -> h') from LabelsOut(u)
+/// joined to d(h' -> h) from LabelsIn(h). cov <= d(u) means an earlier hub
+/// already covers this pair, so u is finalized unlabeled and never
+/// expanded. u's own labels come first in FROM, so the join probes them by
+/// nid; the hub's labels then key the join on hub.
+std::string PruneSourceSql(const std::string& w, const std::string& lo,
+                           const std::string& li, bool forward) {
+  const std::string own = forward ? li + " li" : lo + " lo";
+  const std::string hub = forward ? lo + " lo" : li + " li";
+  const std::string own_key = forward ? "li.nid = q.nid" : "lo.nid = q.nid";
+  const std::string hub_key = forward ? "lo.nid = :h" : "li.nid = :h";
+  return "select nid, cov from ("
+         "select q.nid, lo.dist + li.dist, "
+         "row_number() over (partition by q.nid order by lo.dist + li.dist) "
+         "as rn "
+         "from " + w + " q, " + own + ", " + hub + " "
+         "where q.f = 2 and " + own_key + " and " + hub_key +
+         " and li.hub = lo.hub"
+         ") tmp (nid, cov, rn) where rn = 1";
+}
+
+std::string ExpandSourceSql(const std::string& w, const EdgeRelation& rel) {
+  return "select nid, cost from ("
+         "select e." + rel.emit_column + ", e.cost + q.d, "
+         "row_number() over (partition by e." + rel.emit_column +
+         " order by e.cost + q.d) as rn "
+         "from " + w + " q, " + rel.table->name() + " e "
+         "where q.nid = e." + rel.join_column + " and q.f = 2"
+         ") tmp (nid, cost, rn) where rn = 1";
+}
+
+}  // namespace label_internal
+
 namespace {
 
-using namespace label_internal;  // NOLINT: meta-key enum
+using namespace label_internal;  // NOLINT: meta-key enum, pipeline SQL
 
 sql::SqlParams P(std::initializer_list<std::pair<const char*, int64_t>> kv) {
   sql::SqlParams params;
@@ -44,48 +92,40 @@ struct PipelineBuilder {
   }
 };
 
-/// The PLL prune as one matched-only MERGE: for every frontier vertex u,
-/// cov = min over common hubs of already-built labels — forward pass:
-/// d(h -> h') from LabelsOut(h) joined to d(h' -> u) from LabelsIn(u);
-/// backward pass: d(u -> h') from LabelsOut(u) joined to d(h' -> h) from
-/// LabelsIn(h). cov <= d(u) means an earlier hub already covers this pair,
-/// so u is finalized unlabeled and never expanded.
+/// Drops, on destruction, the tables a failed build created, so a retry
+/// does not stop at AlreadyExists. A successful build clears `names`.
+struct CreatedTables {
+  Catalog* catalog;
+  std::vector<std::string> names;
+  ~CreatedTables() {
+    for (auto it = names.rbegin(); it != names.rend(); ++it) {
+      // Best effort: the build's own error is the one the caller gets.
+      Status dropped = catalog->DropTable(*it);
+      (void)dropped;
+    }
+  }
+};
+
+/// The PLL prune as one matched-only MERGE over PruneSourceSql.
 std::string BuildPruneSql(const std::string& w, const std::string& lo,
                           const std::string& li, bool forward) {
-  const std::string lo_key = forward ? "lo.nid = :h" : "lo.nid = q.nid";
-  const std::string li_key = forward ? "li.nid = q.nid" : "li.nid = :h";
-  return "merge into " + w +
-         " as target using ("
-         "select nid, cov from ("
-         "select q.nid, lo.dist + li.dist, "
-         "row_number() over (partition by q.nid order by lo.dist + li.dist) "
-         "as rn "
-         "from " + w + " q, " + lo + " lo, " + li + " li "
-         "where q.f = 2 and " + lo_key + " and " + li_key +
-         " and li.hub = lo.hub"
-         ") tmp (nid, cov, rn) where rn = 1"
+  return "merge into " + w + " as target using (" +
+         PruneSourceSql(w, lo, li, forward) +
          ") as source (nid, cov) "
          "on (source.nid = target.nid) "
          "when matched and source.cov <= target.d then update set f = 1";
 }
 
 /// The frontier expansion as the same window-deduplicated MERGE the FEM
-/// E-operator issues, on the (nid, d, f) working schema.
+/// E-operator issues; a reached or improved row is open, so `od = d`.
 std::string BuildExpandSql(const std::string& w, const EdgeRelation& rel) {
-  return "merge into " + w +
-         " as target using ("
-         "select nid, cost from ("
-         "select e." + rel.emit_column + ", e.cost + q.d, "
-         "row_number() over (partition by e." + rel.emit_column +
-         " order by e.cost + q.d) as rn "
-         "from " + w + " q, " + rel.table->name() + " e "
-         "where q.nid = e." + rel.join_column + " and q.f = 2"
-         ") tmp (nid, cost, rn) where rn = 1"
+  return "merge into " + w + " as target using (" + ExpandSourceSql(w, rel) +
          ") as source (nid, cost) "
          "on (source.nid = target.nid) "
          "when matched and target.d > source.cost then update set "
-         "d = source.cost, f = 0 "
-         "when not matched then insert (nid, d, f) values (nid, cost, 0)";
+         "d = source.cost, f = 0, od = source.cost "
+         "when not matched then insert (nid, d, f, od) "
+         "values (nid, cost, 0, cost)";
 }
 
 Status PreparePipeline(PipelineBuilder* pb, const std::string& w,
@@ -94,11 +134,12 @@ Status PreparePipeline(PipelineBuilder* pb, const std::string& w,
                        DirectionPipeline* out) {
   RELGRAPH_RETURN_IF_ERROR(pb->Prep("truncate " + w, &out->clear));
   RELGRAPH_RETURN_IF_ERROR(pb->Prep(
-      "insert into " + w + " (nid, d, f) values (:h, 0, 0)", &out->seed));
-  RELGRAPH_RETURN_IF_ERROR(pb->Prep(
-      "update " + w + " set f = 2 where f = 0 and d = (select min(d) from " +
-          w + " where f = 0)",
-      &out->mark));
+      "insert into " + w + " (nid, d, f, od) values (:h, 0, 0, 0)",
+      &out->seed));
+  RELGRAPH_RETURN_IF_ERROR(pb->Prep("update " + w +
+                                        " set f = 2, od = null where od = (" +
+                                        MinOpenSql(w) + ")",
+                                    &out->mark));
   RELGRAPH_RETURN_IF_ERROR(
       pb->Prep(BuildPruneSql(w, lo, li, forward), &out->prune));
   // Forward BFS discovers d(h -> u): an *in*-label of u. Backward BFS
@@ -166,6 +207,9 @@ Status LabelBuilder::Build(GraphStore* graph, const std::string& prefix,
   // layer falls back.
   const uint64_t built_epoch = graph->mutation_epoch();
 
+  // Declared before the session, so its prepared statements are gone by
+  // the time a failed build drops its tables.
+  CreatedTables created{db->catalog(), {}};
   sql::SqlEngine conn(db);
   int64_t statements = 0;
   PipelineBuilder pb{&conn, &statements};
@@ -219,28 +263,27 @@ Status LabelBuilder::Build(GraphStore* graph, const std::string& prefix,
 
   // Label relations: clustered by nid so a probe is one sargable range
   // scan over exactly that vertex's entries. Meta is tiny and keyed.
-  RELGRAPH_RETURN_IF_ERROR(conn.Execute(
-      "create table " + lo + " (nid int, hub int, dist int) cluster by "
-      "(nid)"));
-  RELGRAPH_RETURN_IF_ERROR(conn.Execute(
-      "create table " + li + " (nid int, hub int, dist int) cluster by "
-      "(nid)"));
+  for (const std::string& name : {lo, li}) {
+    RELGRAPH_RETURN_IF_ERROR(conn.Execute(
+        "create table " + name + " (nid int, hub int, dist int) cluster by "
+        "(nid)"));
+    created.names.push_back(name);
+  }
   RELGRAPH_RETURN_IF_ERROR(conn.Execute(
       "create table " + meta + " (k int, v int) cluster by (k) unique"));
+  created.names.push_back(meta);
   statements += 3;
 
-  // Working table: one pruned Dijkstra state, same shape and indexing as
-  // the FEM visited tables (f/d indexed for the frontier statements).
+  // Working table: one pruned Dijkstra state (see WorkTableDdl). A table
+  // of this name left by an earlier builder is dropped; from then on the
+  // name is this call's.
   const std::string w = prefix + options.work_table;
   Status dropped = conn.Execute("drop table " + w);
-  (void)dropped;  // NotFound when no builder ran before: expected
-  RELGRAPH_RETURN_IF_ERROR(conn.Execute(
-      "create table " + w + " (nid int, d int, f int) cluster by (nid) "
-      "unique"));
-  RELGRAPH_RETURN_IF_ERROR(
-      conn.Execute("create index ix_" + w + "_f on " + w + " (f)"));
-  RELGRAPH_RETURN_IF_ERROR(
-      conn.Execute("create index ix_" + w + "_d on " + w + " (d)"));
+  if (!dropped.ok() && !dropped.IsNotFound()) return dropped;
+  created.names.push_back(w);
+  for (const std::string& ddl : WorkTableDdl(w)) {
+    RELGRAPH_RETURN_IF_ERROR(conn.Execute(ddl));
+  }
   statements += 3;
 
   DirectionPipeline fwd_pipe, bwd_pipe;
@@ -310,6 +353,7 @@ Status LabelBuilder::Build(GraphStore* graph, const std::string& prefix,
     stats->entries = entries;
     stats->build_us = total.ElapsedMicros();
   }
+  created.names.clear();
   *out = std::move(index);
   return Status::OK();
 }

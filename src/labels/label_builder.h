@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/graph/graph_store.h"
 #include "src/labels/label_index.h"
@@ -41,19 +42,29 @@ struct LabelBuildStats {
 /// statement is prepared once and re-bound per hub, so the whole build
 /// performs a constant number of parses/plans.
 ///
-/// Per hub h (forward shown; backward swaps the edge relation and the two
-/// label tables):
+/// The working table W (nid, d, f, od) keeps the open distance `od` next
+/// to `d`: equal to d while the row is open (f = 0), NULL once it leaves
+/// the open set. Its index therefore holds exactly the open rows, so the
+/// open minimum is one index entry. Per hub h (forward shown; backward
+/// swaps the edge relation and the two label tables):
 ///
-///   delete from W; insert into W values (:h, 0, 0)
+///   truncate W; insert into W values (:h, 0, 0, 0)
 ///   loop:
-///     F  update W set f = 2 where f = 0 and d = (select min(d) ...)
+///     F  update W set f = 2, od = null where od = (select min(od) from W)
+///        (the lone MIN reads the first od index entry)
 ///     P  merge .. when matched and cov <= d then update set f = 1
 ///        (cov = min over common hubs of existing labels — the PLL prune;
-///         pruned vertices are neither labeled nor expanded)
+///         pruned vertices are neither labeled nor expanded; the frontier
+///         probes its own LabelsIn by nid, and LabelsOut(h) keys the join
+///         on hub)
 ///     L  insert into LabelsIn (nid, hub, dist)
 ///        select nid, :h, d from W where f = 2
 ///     E  merge into W using (frontier x TEdges, window-deduplicated) ..
+///        (a reached or improved row is open again: f = 0, od = d)
 ///     M  update W set f = 1 where f = 2
+///
+/// Every round reads rows in proportion to its frontier, not to the open
+/// set or to the hub's label count.
 ///
 /// Prune joins only consult labels of *previously processed* hubs (a
 /// vertex enters the frontier at most once per BFS and its current-hub
@@ -64,11 +75,32 @@ class LabelBuilder {
   /// Builds labels for `graph` into tables <prefix>LabelsOut/In/Meta in
   /// graph->db(), where prefix = graph's table prefix is NOT assumed —
   /// pass it via `prefix` (empty for the default single-graph database).
-  /// Fails with AlreadyExists when label tables of this prefix exist.
+  /// Fails with AlreadyExists when label tables of this prefix exist. A
+  /// failed build drops the tables it created, so it can be retried.
   static Status Build(GraphStore* graph, const std::string& prefix,
                       LabelBuildOptions options,
                       std::unique_ptr<LabelIndex>* out,
                       LabelBuildStats* stats = nullptr);
 };
+
+namespace label_internal {
+
+/// The build pipeline's SQL text, shared with the tests that pin its plans.
+/// `w` is the working table, `lo`/`li` the LabelsOut/LabelsIn tables.
+
+/// DDL creating the working table and its f and od indexes.
+std::vector<std::string> WorkTableDdl(const std::string& w);
+/// The frontier mark's open minimum: a lone MIN over the od index.
+std::string MinOpenSql(const std::string& w);
+/// The prune MERGE's source: (nid, cov) per frontier vertex that shares a
+/// hub with h in the labels built so far; cov is the shortest distance
+/// through such a hub.
+std::string PruneSourceSql(const std::string& w, const std::string& lo,
+                           const std::string& li, bool forward);
+/// The expansion MERGE's source: (nid, cost) per vertex one edge of `rel`
+/// past the frontier, deduplicated to its cheapest cost.
+std::string ExpandSourceSql(const std::string& w, const EdgeRelation& rel);
+
+}  // namespace label_internal
 
 }  // namespace relgraph

@@ -126,6 +126,23 @@ bool ContainsAggregate(const Expr& e) {
   });
 }
 
+/// The column argument of a SELECT shaped `select min(col) from <table>`
+/// (no WHERE, GROUP BY or DISTINCT), or null for any other shape.
+const Expr* LoneMinColumn(const SelectStmt& sel) {
+  if (sel.from.size() != 1 || sel.from[0].kind != FromKind::kTable ||
+      sel.where != nullptr || !sel.group_by.empty() || sel.distinct ||
+      sel.items.size() != 1 || sel.items[0].expr == nullptr) {
+    return nullptr;
+  }
+  const Expr& e = *sel.items[0].expr;
+  if (e.kind != ExprKind::kFuncCall || e.func_name != "MIN" ||
+      e.window != nullptr || e.star_arg || e.args.size() != 1 ||
+      e.args[0]->kind != ExprKind::kColumnRef) {
+    return nullptr;
+  }
+  return e.args[0].get();
+}
+
 /// The first window function call in `e`, or null.
 const Expr* FindWindowCall(const Expr& e) {
   const Expr* found = nullptr;
@@ -737,6 +754,31 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
 
 // ----- SELECT ----------------------------------------------------------------
 
+Status Planner::PlanLoneMinInput(const SelectStmt& sel, ExecRef* out) {
+  const Expr* arg = LoneMinColumn(sel);
+  if (arg == nullptr) return Status::OK();
+  FromPlan fp;
+  RELGRAPH_RETURN_IF_ERROR(PlanFromItem(sel.from[0], &fp));
+  std::string resolved;
+  if (!ResolveColumn(arg->qualifier, arg->column, fp.prefixed_schema,
+                     &resolved)
+           .ok()) {
+    return Status::OK();  // the general plan reports the error
+  }
+  const Schema& base = fp.base_table->schema();
+  const std::string& column =
+      base.column(fp.prefixed_schema.Find(resolved)).name;
+  if (!fp.base_table->HasIndexOn(column)) return Status::OK();
+  std::vector<std::string> names;
+  for (const auto& c : fp.prefixed_schema.columns()) names.push_back(c.name);
+  ExecRef scan = std::make_unique<IndexRangeScanExecutor>(
+      fp.base_table, column, std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max(), /*first_batch=*/1);
+  *out = std::make_unique<LimitExecutor>(
+      std::make_unique<RenameExecutor>(std::move(scan), names), 1);
+  return Status::OK();
+}
+
 Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
   ExecRef child;
   if (sel.from.empty()) {
@@ -746,7 +788,10 @@ Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
     std::vector<Tuple> one = {Tuple{}};
     child = std::make_unique<MaterializedExecutor>(std::move(one), Schema{});
   } else {
-    RELGRAPH_RETURN_IF_ERROR(PlanFrom(sel, &child));
+    RELGRAPH_RETURN_IF_ERROR(PlanLoneMinInput(sel, &child));
+    if (child == nullptr) {
+      RELGRAPH_RETURN_IF_ERROR(PlanFrom(sel, &child));
+    }
   }
 
   // ---- window function (at most one, as a top-level select item) ----

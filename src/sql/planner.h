@@ -119,7 +119,8 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
 ///    every execution of the prepared statement.
 ///  - Window: one ROW_NUMBER() OVER (...) per SELECT.
 ///  - Aggregate queries: every select item is an aggregate call or a
-///    GROUP BY column.
+///    GROUP BY column. A lone `MIN(col)` over one base table, with no WHERE
+///    and no GROUP BY, reads only the first entry of an index on `col`.
 class Planner {
  public:
   explicit Planner(Database* db) : db_(db) {}
@@ -156,6 +157,13 @@ class Planner {
   /// joined rows by the rest.
   Status PlanFrom(const SelectStmt& sel, ExecRef* out);
   Status PlanFromItem(const FromItem& item, FromPlan* out);
+
+  /// The input of `select min(col) from T` when T has an index on `col`:
+  /// its first index entry (NULLs are not indexed, so that key is the
+  /// minimum), the rule SQLite applies to a lone MIN. Leaves *out null
+  /// when the query has another shape; the aggregate stays on top, so an
+  /// empty table still yields one NULL row.
+  Status PlanLoneMinInput(const SelectStmt& sel, ExecRef* out);
 
   /// Candidate index probe extracted from sargable conjuncts. An equality
   /// conjunct beats a range conjunct (tighter probe); within each class

@@ -492,6 +492,42 @@ TEST(LabelIndexTest, BuildMatchesGoldenStatementsAndTables) {
   EXPECT_EQ(in_sum, 13120822873581793742ULL);
 }
 
+// A build that fails after creating its tables drops them again, so a
+// retry does not stop at AlreadyExists and builds the golden tables above.
+TEST(LabelIndexTest, FailedBuildDropsItsTablesAndRetrySucceeds) {
+  EdgeList list = SpicedRandomGraph(60, 150, 23);
+  Database db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> graph;
+  ASSERT_TRUE(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
+  const std::vector<std::string> tables_before = db.catalog()->TableNames();
+
+  LabelBuildOptions one_round;
+  one_round.max_iterations = 1;  // every hub's search needs more rounds
+  std::unique_ptr<LabelIndex> index;
+  Status failed = LabelBuilder::Build(graph.get(), "", one_round, &index);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(index, nullptr);
+  EXPECT_EQ(db.catalog()->TableNames(), tables_before);
+
+  LabelBuildStats stats;
+  ASSERT_TRUE(LabelBuilder::Build(graph.get(), "", LabelBuildOptions{},
+                                  &index, &stats)
+                  .ok());
+  int64_t out_rows = 0, in_rows = 0;
+  const uint64_t out_sum =
+      TableChecksum(db.catalog()->GetTable(index->out_name()), &out_rows);
+  const uint64_t in_sum =
+      TableChecksum(db.catalog()->GetTable(index->in_name()), &in_rows);
+  EXPECT_EQ(stats.hubs, 60);
+  EXPECT_EQ(stats.statements, 5963);
+  EXPECT_EQ(stats.rounds, 1204);
+  EXPECT_EQ(stats.entries, 848);
+  EXPECT_EQ(out_rows, 430);
+  EXPECT_EQ(in_rows, 418);
+  EXPECT_EQ(out_sum, 17796097132114946009ULL);
+  EXPECT_EQ(in_sum, 13120822873581793742ULL);
+}
+
 TEST(LabelIndexTest, SecondBuildRefusesAndAttachRoundTrips) {
   EdgeList list = GenerateBarabasiAlbert(30, 2, WeightRange{1, 10}, 2);
   Database db{DatabaseOptions{}};

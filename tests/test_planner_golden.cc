@@ -43,7 +43,8 @@ sql::SqlParams FixedParams() {
   for (const auto& [name, v] :
        std::vector<std::pair<const char*, int64_t>>{
            {"s", 0}, {"t", 10}, {"u", 2}, {"r", 12}, {"d", 15},
-           {"mid", 2}, {"x", 4}, {"inf", kInfinity}, {"minCost", 15}}) {
+           {"mid", 2}, {"x", 4}, {"inf", kInfinity}, {"minCost", 15},
+           {"h", 0}}) {
     p.emplace(name, Value(v));
   }
   return p;
@@ -127,6 +128,39 @@ void ExplainLabelStatements(Plans* out) {
                      " = :u and lo.nid = e." + fwd.emit_column +
                      " and li.nid = :t and li.hub = lo.hub and e." +
                      fwd.cost_column + " + lo.dist + li.dist = :r"));
+}
+
+/// The label build's SELECT shapes (the prune and expand MERGE sources
+/// and the frontier mark's open minimum) over its working table.
+void ExplainBuildStatements(Plans* out) {
+  Database db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> graph;
+  ASSERT_TRUE(
+      GraphStore::Create(&db, Figure1Graph(), GraphStoreOptions{}, &graph)
+          .ok());
+  std::unique_ptr<LabelIndex> index;
+  ASSERT_TRUE(
+      LabelBuilder::Build(graph.get(), "", LabelBuildOptions{}, &index).ok());
+  // The build drops its working table; recreate it to plan against.
+  const std::string w = LabelBuildOptions{}.work_table;
+  sql::SqlEngine conn(&db);
+  for (const std::string& ddl : label_internal::WorkTableDdl(w)) {
+    ASSERT_TRUE(conn.Execute(ddl).ok()) << ddl;
+  }
+  const std::string lo = index->out_name();
+  const std::string li = index->in_name();
+  out->emplace_back(
+      "build.prune_fwd",
+      ExplainOrError(&conn, label_internal::PruneSourceSql(w, lo, li, true)));
+  out->emplace_back(
+      "build.prune_bwd",
+      ExplainOrError(&conn, label_internal::PruneSourceSql(w, lo, li, false)));
+  out->emplace_back(
+      "build.expand_fwd",
+      ExplainOrError(&conn,
+                     label_internal::ExpandSourceSql(w, graph->Forward())));
+  out->emplace_back("build.min_open",
+                    ExplainOrError(&conn, label_internal::MinOpenSql(w)));
 }
 
 /// C++ source for `plans`, printed when they drift so a deliberate plan
@@ -317,6 +351,79 @@ TEST(PlannerGoldenTest, SelectTemplatesExplainUnchanged) {
   if (HasFailure()) ADD_FAILURE() << AsSource(plans);
 }
 
+const Plans& BuildGoldenPlans() {
+  static const Plans* golden = new Plans{
+    {"build.prune_fwd",
+     R"(Project: tmp.nid tmp.cov
+  Filter: (tmp.rn = 1)
+    Rename: -> (tmp.nid INT, tmp.cov INT, tmp.rn INT)
+      Project: q.nid (lo.dist + li.dist) rn
+        WindowRowNumber: partition by q.nid order by (lo.dist + li.dist) -> rn
+          NestedLoopJoin: key li.hub = lo.hub
+            Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT, li.nid INT, li.hub INT, li.dist INT)
+              IndexNestedLoopJoin: probe LabelsIn.nid = q.nid
+                Filter: (q.f = 2)
+                  Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT)
+                    IndexRangeScan: LabelW.f in [2, 2] (bound from 2)
+            Filter: (lo.nid = :h)
+              Rename: -> (lo.nid INT, lo.hub INT, lo.dist INT)
+                IndexRangeScan: LabelsOut.nid in [0, 0] (bound from :h)
+)"},
+    {"build.prune_bwd",
+     R"(Project: tmp.nid tmp.cov
+  Filter: (tmp.rn = 1)
+    Rename: -> (tmp.nid INT, tmp.cov INT, tmp.rn INT)
+      Project: q.nid (lo.dist + li.dist) rn
+        WindowRowNumber: partition by q.nid order by (lo.dist + li.dist) -> rn
+          NestedLoopJoin: key lo.hub = li.hub
+            Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT, lo.nid INT, lo.hub INT, lo.dist INT)
+              IndexNestedLoopJoin: probe LabelsOut.nid = q.nid
+                Filter: (q.f = 2)
+                  Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT)
+                    IndexRangeScan: LabelW.f in [2, 2] (bound from 2)
+            Filter: (li.nid = :h)
+              Rename: -> (li.nid INT, li.hub INT, li.dist INT)
+                IndexRangeScan: LabelsIn.nid in [0, 0] (bound from :h)
+)"},
+    {"build.expand_fwd",
+     R"(Project: tmp.nid tmp.cost
+  Filter: (tmp.rn = 1)
+    Rename: -> (tmp.nid INT, tmp.cost INT, tmp.rn INT)
+      Project: e.tid (e.cost + q.d) rn
+        WindowRowNumber: partition by e.tid order by (e.cost + q.d) -> rn
+          Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT, e.fid INT, e.tid INT, e.cost INT)
+            IndexNestedLoopJoin: probe TEdges.fid = q.nid
+              Filter: (q.f = 2)
+                Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT)
+                  IndexRangeScan: LabelW.f in [2, 2] (bound from 2)
+)"},
+    {"build.min_open",
+     R"(Project: agg1
+  HashAggregate: agg1
+    Limit: 1
+      Rename: -> (LabelW.nid INT, LabelW.d INT, LabelW.f INT, LabelW.od INT)
+        IndexRangeScan: LabelW.od in [-inf, +inf]
+)"},
+  };
+  return *golden;
+}
+
+// The label build's prune joins probe the frontier's own labels by nid and
+// key the hub's labels on hub, and the open minimum reads one index entry:
+// every round reads rows in proportion to its frontier.
+TEST(PlannerGoldenTest, BuildSelectShapesExplainUnchanged) {
+  Plans plans;
+  ExplainBuildStatements(&plans);
+  ASSERT_FALSE(HasFatalFailure());
+  const Plans& golden = BuildGoldenPlans();
+  ASSERT_EQ(plans.size(), golden.size()) << AsSource(plans);
+  for (size_t i = 0; i < plans.size(); i++) {
+    EXPECT_EQ(plans[i].first, golden[i].first);
+    EXPECT_EQ(plans[i].second, golden[i].second) << plans[i].first;
+  }
+  if (HasFailure()) ADD_FAILURE() << AsSource(plans);
+}
+
 /// Random graphs are directed and can be disconnected; a few self-loops
 /// on top (the same graph the label-build golden test uses).
 EdgeList SpicedRandomGraph(int64_t n, int64_t m, uint64_t seed) {
@@ -380,7 +487,7 @@ TEST(PlannerGoldenTest, DmlAccessPathsUnchanged) {
       .append("\n");
   EXPECT_EQ(got, R"(GoldenBSDJ full=2465 index=5762 point=214
 GoldenDJ full=321 index=6423 point=741
-LabelsIn full=0 index=22903 point=0
+LabelsIn full=0 index=6497 point=0
 LabelsMeta full=0 index=0 point=0
 LabelsOut full=0 index=7417 point=0
 SqlTVisited full=0 index=0 point=0

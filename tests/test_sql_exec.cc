@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 
+#include "src/common/rng.h"
 #include "src/db/database.h"
 #include "src/sql/sql_engine.h"
 
@@ -774,6 +777,158 @@ TEST_F(SqlExecTest, RangeSargableUpdateUsesIndexAndMatchesFullScan) {
   std::sort(lhs.begin(), lhs.end());
   std::sort(rhs.begin(), rhs.end());
   EXPECT_EQ(lhs, rhs);
+}
+
+// `select min(c) from T` over an indexed c reads the first index entry.
+// Seeded oracle: against a shadow copy of T and the same query with
+// `where 1 = 1` (which keeps the full-scan aggregate), over random rows,
+// NULLs, duplicates, deletes, updates, the empty table and a clustered
+// key; shapes the rule must not touch keep their full plans.
+TEST_F(SqlExecTest, LoneMinReadsFirstIndexEntryAndMatchesFullScan) {
+  struct Row {
+    int64_t k;
+    std::optional<int64_t> c;
+    int64_t g, u;
+  };
+  for (uint64_t seed = 1; seed <= 12; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const bool clustered = seed % 3 == 0;  // a cluster key holds no NULLs
+    Run(clustered
+            ? "create table T (c int, k int, g int, u int) cluster by (c)"
+            : "create table T (c int, k int, g int, u int)");
+    if (!clustered) Run("create index ix_T_c on T (c)");
+    std::vector<Row> shadow;
+    int64_t next_k = 0;
+
+    auto render = [](const std::optional<int64_t>& v) {
+      return v.has_value() ? std::to_string(*v) : std::string("null");
+    };
+    auto min_of = [&](auto get) {
+      std::optional<int64_t> m;
+      for (const Row& r : shadow) {
+        std::optional<int64_t> v = get(r);
+        if (v.has_value() && (!m.has_value() || *v < *m)) m = v;
+      }
+      return m;
+    };
+    auto scalar = [&](const std::string& text) {
+      SqlResult r = Run(text);
+      EXPECT_EQ(r.rows.size(), 1u) << text;
+      if (r.rows.size() != 1) return std::optional<int64_t>();
+      const Value& v = r.rows[0].value(0);
+      return v.IsNull() ? std::optional<int64_t>() : v.AsInt();
+    };
+    auto plan_of = [&](const std::string& text) {
+      std::string plan;
+      Status st = conn_.Explain(text, &plan);
+      EXPECT_TRUE(st.ok()) << text << " -> " << st.ToString();
+      return plan;
+    };
+    auto check = [&]() {
+      const std::optional<int64_t> want_c =
+          min_of([](const Row& r) { return r.c; });
+      EXPECT_EQ(render(scalar("select min(c) from T")), render(want_c));
+      EXPECT_EQ(render(scalar("select min(c) from T where 1 = 1")),
+                render(want_c));
+      EXPECT_EQ(render(scalar("select min(t.c) from T t")), render(want_c));
+      const std::string lone = plan_of("select min(c) from T");
+      EXPECT_NE(lone.find("Limit: 1"), std::string::npos) << lone;
+      EXPECT_NE(lone.find("IndexRangeScan: T.c in [-inf, +inf]"),
+                std::string::npos)
+          << lone;
+
+      // Shapes the rule must not fire on: a WHERE, an expression argument,
+      // an unindexed column, a GROUP BY.
+      EXPECT_EQ(render(scalar("select min(c) from T where c > -10")),
+                render(min_of([](const Row& r) {
+                  return r.c.has_value() && *r.c > -10 ? r.c
+                                                       : std::nullopt;
+                })));
+      EXPECT_EQ(render(scalar("select min(c + 0) from T")), render(want_c));
+      EXPECT_EQ(render(scalar("select min(u) from T")),
+                render(min_of([](const Row& r) {
+                  return std::optional<int64_t>(r.u);
+                })));
+      std::map<int64_t, std::optional<int64_t>> want_groups;
+      for (const Row& r : shadow) {
+        std::optional<int64_t>& m = want_groups[r.g];
+        if (r.c.has_value() && (!m.has_value() || *r.c < *m)) m = r.c;
+      }
+      SqlResult grouped = Run("select g, min(c) from T group by g");
+      std::map<int64_t, std::optional<int64_t>> got_groups;
+      for (const Tuple& t : grouped.rows) {
+        const Value& v = t.value(1);
+        got_groups[t.value(0).AsInt()] =
+            v.IsNull() ? std::optional<int64_t>() : v.AsInt();
+      }
+      EXPECT_EQ(got_groups, want_groups);
+      for (const char* text :
+           {"select min(c) from T where 1 = 1",
+            "select min(c) from T where c > -10", "select min(c + 0) from T",
+            "select min(u) from T", "select g, min(c) from T group by g"}) {
+        const std::string plan = plan_of(text);
+        EXPECT_EQ(plan.find("Limit: 1"), std::string::npos)
+            << text << "\n" << plan;
+      }
+    };
+
+    check();  // empty table: one NULL row
+    for (int round = 0; round < 6; round++) {
+      const int64_t inserts = rng.NextInt(0, 25);
+      for (int64_t i = 0; i < inserts; i++) {
+        Row r{next_k++, rng.NextInt(-15, 15), rng.NextInt(0, 3),
+              rng.NextInt(-50, 50)};
+        if (!clustered && rng.NextInt(0, 4) == 0) r.c.reset();
+        Run("insert into T (c, k, g, u) values (" + render(r.c) + ", " +
+            std::to_string(r.k) + ", " + std::to_string(r.g) + ", " +
+            std::to_string(r.u) + ")");
+        shadow.push_back(r);
+      }
+      check();
+      const int64_t m = rng.NextInt(2, 5), rem = rng.NextInt(0, m - 1);
+      Run("delete from T where k - (k / " + std::to_string(m) + ") * " +
+          std::to_string(m) + " = " + std::to_string(rem));
+      std::erase_if(shadow, [&](const Row& r) { return r.k % m == rem; });
+      check();
+      if (!clustered) {
+        // Updates move rows in and out of the index: to NULL and down.
+        const int64_t g = rng.NextInt(0, 3);
+        const int64_t k = rng.NextInt(0, next_k);
+        Run("update T set c = null where g = " + std::to_string(g));
+        Run("update T set c = u where k = " + std::to_string(k));
+        for (Row& r : shadow) {
+          if (r.g == g) r.c.reset();
+          if (r.k == k) r.c = r.u;
+        }
+        check();
+      }
+    }
+    Run("delete from T");
+    shadow.clear();
+    check();  // emptied by deletes
+    Run("drop table T");
+  }
+}
+
+// An indexed UPDATE probe whose key is NULL matches no row, exactly as the
+// full scan's `col = NULL` (unknown) does.
+TEST_F(SqlExecTest, IndexedUpdateWithNullKeyMatchesNothing) {
+  for (const char* t : {"plain", "fast"}) {
+    Run(std::string("create table ") + t + " (a int, b int)");
+    Run(std::string("insert into ") + t + " values (1, 0), (null, 0), (2, 0)");
+  }
+  Run("create index ix_fast_a on fast (a)");
+  Run("create table empty (x int)");
+  for (const char* t : {"plain", "fast"}) {
+    SqlResult r = Run(std::string("update ") + t +
+                      " set b = 1 where a = (select min(x) from empty)");
+    EXPECT_EQ(r.affected, 0) << t;
+    EXPECT_EQ(ScalarInt(std::string("select count(*) from ") + t +
+                        " where b = 1"),
+              0)
+        << t;
+  }
 }
 
 }  // namespace
