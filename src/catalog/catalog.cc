@@ -52,6 +52,13 @@ Status Catalog::CreateSecondaryIndex(Table* table, const std::string& column,
   return Status::OK();
 }
 
+Status Catalog::CreateOpenIndex(Table* table, const std::string& flag_column,
+                                const std::string& dist_column) {
+  RELGRAPH_RETURN_IF_ERROR(table->CreateOpenIndex(flag_column, dist_column));
+  BumpVersion();
+  return Status::OK();
+}
+
 Status Catalog::DropSecondaryIndex(Table* table, const std::string& name) {
   RELGRAPH_RETURN_IF_ERROR(table->DropSecondaryIndex(name));
   // Plans probing the dropped index would fail at open; invalidate them.

@@ -22,8 +22,9 @@ namespace relgraph {
 /// it moves — the invalidation protocol behind the engine's plan cache.
 /// Index DDL — whether it arrives as a SQL CREATE/DROP INDEX statement or
 /// as a native call during GraphStore/VisitedTable setup — goes through
-/// the CreateSecondaryIndex/DropSecondaryIndex methods below, so *every*
-/// access-path change invalidates, not just the SQL-surface ones.
+/// the CreateSecondaryIndex/CreateOpenIndex/DropSecondaryIndex methods
+/// below, so *every* access-path change invalidates, not just the
+/// SQL-surface ones.
 class Catalog {
  public:
   explicit Catalog(BufferPool* pool) : pool_(pool) {}
@@ -60,6 +61,9 @@ class Catalog {
   Status CreateSecondaryIndex(Table* table, const std::string& column,
                               bool unique,
                               const std::string& name = std::string());
+  /// See Table::CreateOpenIndex.
+  Status CreateOpenIndex(Table* table, const std::string& flag_column,
+                         const std::string& dist_column);
   Status DropSecondaryIndex(Table* table, const std::string& name);
 
   std::vector<std::string> TableNames() const;

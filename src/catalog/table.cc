@@ -1,7 +1,9 @@
 #include "src/catalog/table.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 
 namespace relgraph {
 
@@ -20,6 +22,12 @@ int64_t DecodeClusterKey(std::string_view payload) {
   std::memcpy(&key, payload.data(), sizeof(int64_t));
   return key;
 }
+
+/// An open tree files a row at flag * kOpenFlagStride + dist: exact and
+/// order-preserving for flag in {0, 1, 2} and 0 <= dist < kInfinity.
+constexpr int64_t kOpenFlagStride = int64_t{1} << 61;
+static_assert(kInfinity <= kOpenFlagStride,
+              "open-tree distances must fit below the flag stride");
 
 }  // namespace
 
@@ -62,7 +70,7 @@ Status Table::Create(BufferPool* pool, std::string name, Schema schema,
   return Status::OK();
 }
 
-TablePersistentState Table::ExportState() const {
+Status Table::ExportState(TablePersistentState* out) const {
   TablePersistentState st;
   st.name = name_;
   st.schema = schema_;
@@ -77,6 +85,11 @@ TablePersistentState Table::ExportState() const {
     st.heap_last = heap_.last_page();
   }
   for (const auto& idx : indexes_) {
+    if (idx.open()) {
+      return Status::NotSupported("table " + name_ + " has open tree " +
+                                  idx.name +
+                                  ", which a snapshot manifest cannot record");
+    }
     TablePersistentState::IndexState is;
     is.name = idx.name;
     is.column = idx.column;
@@ -85,7 +98,8 @@ TablePersistentState Table::ExportState() const {
     is.entries = idx.tree.num_entries();
     st.indexes.push_back(std::move(is));
   }
-  return st;
+  *out = std::move(st);
+  return Status::OK();
 }
 
 Status Table::Attach(BufferPool* pool, const TablePersistentState& state,
@@ -153,8 +167,41 @@ Status Table::CheckConsistency() const {
                                 std::to_string(num_rows_));
     }
   }
+  if (indexes_.empty()) return Status::OK();
   for (const auto& idx : indexes_) {
     RELGRAPH_RETURN_IF_ERROR(idx.tree.CheckIntegrity());
+  }
+  // Every indexable row has its entry, naming it; equal counts then leave
+  // no room for a stray entry. The storage walk above bounds this scan.
+  std::vector<int64_t> indexable(indexes_.size(), 0);
+  std::string payload;
+  RELGRAPH_RETURN_IF_ERROR(
+      ForEachRow([&](const Tuple& row, const RowRef& ref) -> Status {
+        for (size_t i = 0; i < indexes_.size(); i++) {
+          const SecondaryIndex& idx = indexes_[i];
+          int64_t key;
+          if (!idx.KeyOf(row, &key)) continue;
+          indexable[i]++;
+          Status found =
+              idx.tree.SearchExact(EntryOf(idx, key, ref), &payload);
+          if (found.IsNotFound() ||
+              (found.ok() && payload != PayloadOf(ref))) {
+            return Status::Corruption("table " + name_ + ": index " +
+                                      idx.name +
+                                      " lacks the entry of a row with key " +
+                                      std::to_string(key));
+          }
+          RELGRAPH_RETURN_IF_ERROR(found);
+        }
+        return Status::OK();
+      }));
+  for (size_t i = 0; i < indexes_.size(); i++) {
+    if (indexes_[i].tree.num_entries() != indexable[i]) {
+      return Status::Corruption(
+          "table " + name_ + ": index " + indexes_[i].name + " has " +
+          std::to_string(indexes_[i].tree.num_entries()) + " entries for " +
+          std::to_string(indexable[i]) + " indexable rows");
+    }
   }
   return Status::OK();
 }
@@ -171,80 +218,113 @@ Status Table::Insert(const Tuple& tuple, RowRef* ref) {
   if (tuple.NumValues() != schema_.NumColumns()) {
     return Status::InvalidArgument("arity mismatch on insert into " + name_);
   }
+  RELGRAPH_RETURN_IF_ERROR(CheckOpenDomain(tuple));
+  RowRef at;
   if (options_.storage == TableStorage::kClustered) {
     const Value& keyval = tuple.value(cluster_key_idx_);
     if (keyval.IsNull()) {
       return Status::InvalidArgument("NULL cluster key");
     }
-    BtKey key{keyval.AsInt(), options_.cluster_unique ? 0 : next_tie_++};
-    RELGRAPH_RETURN_IF_ERROR(clustered_.Insert(key, SerializeClustered(tuple),
-                                               options_.cluster_unique));
-    RELGRAPH_RETURN_IF_ERROR(InsertClusteredIndexEntriesFor(tuple, key));
-    num_rows_++;
-    if (ref != nullptr) ref->key = key;
-    return Status::OK();
+    at.key = BtKey{keyval.AsInt(), options_.cluster_unique ? 0 : next_tie_++};
+    RELGRAPH_RETURN_IF_ERROR(clustered_.Insert(
+        at.key, SerializeClustered(tuple), options_.cluster_unique));
+  } else {
+    // Uniqueness must be checked before touching the heap so a duplicate
+    // key does not leave an orphan row.
+    for (auto& idx : indexes_) {
+      if (!idx.unique) continue;
+      const Value& v = tuple.value(idx.column_idx);
+      if (v.IsNull()) continue;
+      BtKey probe{v.AsInt(), 0};
+      std::string ignored;
+      if (idx.tree.SearchExact(probe, &ignored).ok()) {
+        return Status::AlreadyExists("duplicate key on index " + idx.column);
+      }
+    }
+    RELGRAPH_RETURN_IF_ERROR(heap_.Insert(tuple.Serialize(schema_), &at.rid));
   }
-  Rid rid;
-  // Uniqueness must be checked before touching the heap so a duplicate key
-  // does not leave an orphan row.
-  for (auto& idx : indexes_) {
-    if (!idx.unique) continue;
-    const Value& v = tuple.value(idx.column_idx);
-    if (v.IsNull()) continue;
-    BtKey probe{v.AsInt(), 0};
-    std::string ignored;
-    if (idx.tree.SearchExact(probe, &ignored).ok()) {
-      return Status::AlreadyExists("duplicate key on index " + idx.column);
+  RELGRAPH_RETURN_IF_ERROR(InsertIndexEntries(tuple, at));
+  num_rows_++;
+  if (ref != nullptr) *ref = at;
+  return Status::OK();
+}
+
+bool Table::SecondaryIndex::KeyOf(const Tuple& tuple, int64_t* key) const {
+  const Value& v = tuple.value(column_idx);
+  if (v.IsNull()) return false;  // NULLs are not indexed
+  if (!open()) {
+    *key = v.AsInt();
+    return true;
+  }
+  if (v.AsInt() >= kInfinity) return false;  // no statement reads dist = Max
+  *key = tuple.value(static_cast<size_t>(prefix_idx)).AsInt() *
+             kOpenFlagStride +
+         v.AsInt();
+  return true;
+}
+
+Status Table::CheckOpenDomain(const Tuple& tuple) const {
+  for (const auto& idx : indexes_) {
+    if (!idx.open()) continue;
+    const Value& flag = tuple.value(static_cast<size_t>(idx.prefix_idx));
+    const Value& dist = tuple.value(idx.column_idx);
+    if (flag.IsNull() || dist.IsNull() || flag.AsInt() < 0 ||
+        flag.AsInt() > 2 || dist.AsInt() < 0 || dist.AsInt() > kInfinity) {
+      return Status::InvalidArgument(
+          "row of " + name_ + " is outside open tree " + idx.name +
+          ": needs flag in {0, 1, 2} and dist in [0, kInfinity], got (" +
+          flag.ToString() + ", " + dist.ToString() + ")");
     }
   }
-  RELGRAPH_RETURN_IF_ERROR(heap_.Insert(tuple.Serialize(schema_), &rid));
-  RELGRAPH_RETURN_IF_ERROR(InsertIndexEntriesFor(tuple, rid));
-  num_rows_++;
-  if (ref != nullptr) ref->rid = rid;
   return Status::OK();
 }
 
-Status Table::InsertIndexEntriesFor(const Tuple& tuple, const Rid& rid) {
-  for (auto& idx : indexes_) {
-    const Value& v = tuple.value(idx.column_idx);
-    if (v.IsNull()) continue;  // NULLs are not indexed
-    BtKey key{v.AsInt(), idx.unique ? 0 : RidTie(rid)};
-    RELGRAPH_RETURN_IF_ERROR(idx.tree.Insert(key, EncodeRid(rid), idx.unique));
-  }
-  return Status::OK();
+// Secondary entries over a heap name the row by RID; over a clustered table
+// by its (unique) cluster key, which also orders duplicates.
+int64_t Table::TieOf(const RowRef& ref) const {
+  return options_.storage == TableStorage::kClustered ? ref.key.key
+                                                      : RidTie(ref.rid);
 }
 
-Status Table::DeleteIndexEntriesFor(const Tuple& tuple, const Rid& rid) {
-  for (auto& idx : indexes_) {
-    const Value& v = tuple.value(idx.column_idx);
-    if (v.IsNull()) continue;
-    BtKey key{v.AsInt(), idx.unique ? 0 : RidTie(rid)};
-    RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(key));
-  }
-  return Status::OK();
+std::string Table::PayloadOf(const RowRef& ref) const {
+  return options_.storage == TableStorage::kClustered
+             ? EncodeClusterKey(ref.key.key)
+             : EncodeRid(ref.rid);
 }
 
-// Secondary entries over a clustered table use the (unique) cluster key as
-// both the duplicate tiebreaker and the payload.
-Status Table::InsertClusteredIndexEntriesFor(const Tuple& tuple,
-                                             const BtKey& key) {
+Status Table::InsertIndexEntries(const Tuple& tuple, const RowRef& ref) {
   for (auto& idx : indexes_) {
-    const Value& v = tuple.value(idx.column_idx);
-    if (v.IsNull()) continue;
-    BtKey entry{v.AsInt(), idx.unique ? 0 : key.key};
+    int64_t key;
+    if (!idx.KeyOf(tuple, &key)) continue;
     RELGRAPH_RETURN_IF_ERROR(
-        idx.tree.Insert(entry, EncodeClusterKey(key.key), idx.unique));
+        idx.tree.Insert(EntryOf(idx, key, ref), PayloadOf(ref), idx.unique));
   }
   return Status::OK();
 }
 
-Status Table::DeleteClusteredIndexEntriesFor(const Tuple& tuple,
-                                             const BtKey& key) {
+Status Table::DeleteIndexEntries(const Tuple& tuple, const RowRef& ref) {
   for (auto& idx : indexes_) {
-    const Value& v = tuple.value(idx.column_idx);
-    if (v.IsNull()) continue;
-    BtKey entry{v.AsInt(), idx.unique ? 0 : key.key};
-    RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(entry));
+    int64_t key;
+    if (!idx.KeyOf(tuple, &key)) continue;
+    RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(EntryOf(idx, key, ref)));
+  }
+  return Status::OK();
+}
+
+Status Table::UpdateIndexEntries(const Tuple& old_tuple, const Tuple& tuple,
+                                 const RowRef& ref) {
+  for (auto& idx : indexes_) {
+    int64_t old_key = 0, new_key = 0;
+    const bool had = idx.KeyOf(old_tuple, &old_key);
+    const bool has = idx.KeyOf(tuple, &new_key);
+    if (had == has && old_key == new_key) continue;
+    if (had) {
+      RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(EntryOf(idx, old_key, ref)));
+    }
+    if (has) {
+      RELGRAPH_RETURN_IF_ERROR(idx.tree.Insert(EntryOf(idx, new_key, ref),
+                                               PayloadOf(ref), idx.unique));
+    }
   }
   return Status::OK();
 }
@@ -252,68 +332,101 @@ Status Table::DeleteClusteredIndexEntriesFor(const Tuple& tuple,
 Status Table::CreateSecondaryIndex(const std::string& column, bool unique,
                                    const std::string& name) {
   if (options_.storage == TableStorage::kClustered &&
-      !options_.cluster_unique) {
-    return Status::NotSupported(
-        "secondary indexes on clustered tables require a unique cluster key");
-  }
-  if (options_.storage == TableStorage::kClustered &&
       column == options_.cluster_key) {
     return Status::AlreadyExists("cluster key already indexes " + column);
   }
-  int idx = schema_.Find(column);
-  if (idx < 0) return Status::InvalidArgument("no column " + column);
-  if (schema_.column(idx).type != TypeId::kInt) {
-    return Status::NotSupported("only INT columns can be indexed");
-  }
   for (const auto& existing : indexes_) {
-    if (existing.column == column) {
+    if (!existing.open() && existing.column == column) {
       return Status::AlreadyExists("index on " + column + " already exists");
     }
   }
   SecondaryIndex si;
   si.name = name.empty() ? column : name;
   si.column = column;
-  si.column_idx = static_cast<size_t>(idx);
   si.unique = unique;
-  RELGRAPH_RETURN_IF_ERROR(BTree::Create(pool_, 8, &si.tree));
-  // Backfill existing rows.
-  if (options_.storage == TableStorage::kClustered) {
-    BTree::Iterator it = clustered_.ScanAll();
-    BtKey key;
-    std::string record;
-    while (it.Next(&key, &record)) {
-      Tuple tuple;
-      RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, record, &tuple));
-      const Value& v = tuple.value(si.column_idx);
-      if (v.IsNull()) continue;
-      BtKey entry{v.AsInt(), si.unique ? 0 : key.key};
-      RELGRAPH_RETURN_IF_ERROR(
-          si.tree.Insert(entry, EncodeClusterKey(key.key), si.unique));
-    }
-    RELGRAPH_RETURN_IF_ERROR(it.status());
-  } else {
-    HeapFile::Iterator it = heap_.Scan();
-    Rid rid;
-    std::string record;
-    while (it.Next(&rid, &record)) {
-      Tuple tuple;
-      RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, record, &tuple));
-      const Value& v = tuple.value(si.column_idx);
-      if (v.IsNull()) continue;
-      BtKey key{v.AsInt(), si.unique ? 0 : RidTie(rid)};
-      RELGRAPH_RETURN_IF_ERROR(si.tree.Insert(key, EncodeRid(rid), si.unique));
+  return AddIndex(std::move(si));
+}
+
+Status Table::CreateOpenIndex(const std::string& flag_column,
+                              const std::string& dist_column) {
+  const int flag = schema_.Find(flag_column);
+  if (flag < 0) return Status::InvalidArgument("no column " + flag_column);
+  if (schema_.column(flag).type != TypeId::kInt) {
+    return Status::NotSupported("only INT columns can be indexed");
+  }
+  const std::string name = flag_column + "_" + dist_column;
+  for (const auto& existing : indexes_) {
+    if (existing.name == name) {
+      return Status::AlreadyExists("index " + name + " already exists");
     }
   }
+  SecondaryIndex si;
+  si.name = name;
+  si.column = dist_column;
+  si.unique = false;
+  si.prefix_idx = flag;
+  return AddIndex(std::move(si));
+}
+
+// Validates `si.column`, builds the tree and backfills existing rows; an
+// open tree first checks that every row lies in its key domain.
+Status Table::AddIndex(SecondaryIndex si) {
+  if (options_.storage == TableStorage::kClustered &&
+      !options_.cluster_unique) {
+    return Status::NotSupported(
+        "secondary indexes on clustered tables require a unique cluster key");
+  }
+  int idx = schema_.Find(si.column);
+  if (idx < 0) return Status::InvalidArgument("no column " + si.column);
+  if (schema_.column(idx).type != TypeId::kInt) {
+    return Status::NotSupported("only INT columns can be indexed");
+  }
+  si.column_idx = static_cast<size_t>(idx);
+  RELGRAPH_RETURN_IF_ERROR(BTree::Create(pool_, 8, &si.tree));
   indexes_.push_back(std::move(si));
-  return Status::OK();
+  SecondaryIndex& added = indexes_.back();
+  Status st = ForEachRow([&](const Tuple& tuple, const RowRef& ref) {
+    RELGRAPH_RETURN_IF_ERROR(CheckOpenDomain(tuple));
+    int64_t key;
+    if (!added.KeyOf(tuple, &key)) return Status::OK();
+    return added.tree.Insert(EntryOf(added, key, ref), PayloadOf(ref),
+                             added.unique);
+  });
+  if (!st.ok()) {
+    // A failed build leaves no definition behind; its pages go back.
+    (void)added.tree.Destroy();
+    indexes_.pop_back();
+  }
+  return st;
+}
+
+Status Table::ForEachRow(
+    const std::function<Status(const Tuple&, const RowRef&)>& fn) const {
+  std::string record;
+  Tuple tuple;
+  RowRef ref;
+  if (options_.storage == TableStorage::kClustered) {
+    BTree::Iterator it = clustered_.ScanAll();
+    while (it.Next(&ref.key, &record)) {
+      RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, record, &tuple));
+      RELGRAPH_RETURN_IF_ERROR(fn(tuple, ref));
+    }
+    return it.status();
+  }
+  HeapFile::Iterator it = heap_.Scan();
+  while (it.Next(&ref.rid, &record)) {
+    RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, record, &tuple));
+    RELGRAPH_RETURN_IF_ERROR(fn(tuple, ref));
+  }
+  return it.status();
 }
 
 Status Table::DropSecondaryIndex(const std::string& name) {
   for (int pass = 0; pass < 2; pass++) {  // by name first, then by column
     for (size_t i = 0; i < indexes_.size(); i++) {
-      const std::string& key = pass == 0 ? indexes_[i].name
-                                         : indexes_[i].column;
-      if (key == name) {
+      const SecondaryIndex& idx = indexes_[i];
+      if (pass == 0 ? idx.name == name
+                    : !idx.open() && idx.column == name) {
         // The definition goes even when the tree cannot be walked, so a
         // damaged index can always be dropped; its pages then leak and
         // the status says why.
@@ -336,7 +449,7 @@ bool Table::HasIndexOn(const std::string& column) const {
     return true;
   }
   for (const auto& idx : indexes_) {
-    if (idx.column == column) return true;
+    if (!idx.open() && idx.column == column) return true;
   }
   return false;
 }
@@ -357,7 +470,7 @@ Status Table::LookupUnique(const std::string& column, int64_t key, Tuple* out,
     return Status::OK();
   }
   for (auto& idx : indexes_) {
-    if (idx.column != column) continue;
+    if (idx.open() || idx.column != column) continue;
     if (!idx.unique) {
       return Status::InvalidArgument("index on " + column + " is not unique");
     }
@@ -381,97 +494,63 @@ Status Table::LookupUnique(const std::string& column, int64_t key, Tuple* out,
   return Status::InvalidArgument("no unique index on " + column);
 }
 
+Status Table::ReadRow(const RowRef& ref, Tuple* out) const {
+  std::string record;
+  if (options_.storage == TableStorage::kClustered) {
+    RELGRAPH_RETURN_IF_ERROR(clustered_.SearchExact(ref.key, &record));
+  } else {
+    RELGRAPH_RETURN_IF_ERROR(heap_.Get(ref.rid, &record));
+  }
+  return Tuple::Deserialize(schema_, record, out);
+}
+
 Status Table::UpdateRow(const RowRef& ref, const Tuple& tuple) {
+  Tuple old_tuple;
+  RELGRAPH_RETURN_IF_ERROR(ReadRow(ref, &old_tuple));
+  return UpdateRow(ref, old_tuple, tuple);
+}
+
+Status Table::UpdateRow(const RowRef& ref, const Tuple& old_tuple,
+                        const Tuple& tuple) {
   if (tuple.NumValues() != schema_.NumColumns()) {
     return Status::InvalidArgument("arity mismatch on update of " + name_);
   }
+  RELGRAPH_RETURN_IF_ERROR(CheckOpenDomain(tuple));
   if (options_.storage == TableStorage::kClustered) {
     const Value& keyval = tuple.value(cluster_key_idx_);
     if (keyval.IsNull() || keyval.AsInt() != ref.key.key) {
       return Status::NotSupported("cluster key is immutable under update");
     }
-    if (!indexes_.empty()) {
-      // Read the old row so secondary entries whose key changed move.
-      std::string old_payload;
-      RELGRAPH_RETURN_IF_ERROR(clustered_.SearchExact(ref.key, &old_payload));
-      Tuple old_tuple;
-      RELGRAPH_RETURN_IF_ERROR(
-          Tuple::Deserialize(schema_, old_payload, &old_tuple));
-      RELGRAPH_RETURN_IF_ERROR(
-          clustered_.UpdatePayload(ref.key, SerializeClustered(tuple)));
-      for (auto& idx : indexes_) {
-        const Value& oldv = old_tuple.value(idx.column_idx);
-        const Value& newv = tuple.value(idx.column_idx);
-        if (oldv.Compare(newv) == 0) continue;
-        if (!oldv.IsNull()) {
-          BtKey entry{oldv.AsInt(), idx.unique ? 0 : ref.key.key};
-          RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(entry));
-        }
-        if (!newv.IsNull()) {
-          BtKey entry{newv.AsInt(), idx.unique ? 0 : ref.key.key};
-          RELGRAPH_RETURN_IF_ERROR(idx.tree.Insert(
-              entry, EncodeClusterKey(ref.key.key), idx.unique));
-        }
-      }
-      return Status::OK();
-    }
-    return clustered_.UpdatePayload(ref.key, SerializeClustered(tuple));
+    RELGRAPH_RETURN_IF_ERROR(
+        clustered_.UpdatePayload(ref.key, SerializeClustered(tuple)));
+    return UpdateIndexEntries(old_tuple, tuple, ref);
   }
-  // Heap: read the old tuple first so index entries can be maintained.
-  std::string old_bytes;
-  RELGRAPH_RETURN_IF_ERROR(heap_.Get(ref.rid, &old_bytes));
-  Tuple old_tuple;
-  RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, old_bytes, &old_tuple));
-
   std::string new_bytes = tuple.Serialize(schema_);
   Status st = heap_.Update(ref.rid, new_bytes);
-  Rid rid = ref.rid;
   if (st.IsResourceExhausted()) {
     // Row grew: relocate it. All index entries must follow the new RID.
-    RELGRAPH_RETURN_IF_ERROR(DeleteIndexEntriesFor(old_tuple, ref.rid));
+    RELGRAPH_RETURN_IF_ERROR(DeleteIndexEntries(old_tuple, ref));
     RELGRAPH_RETURN_IF_ERROR(heap_.Delete(ref.rid));
-    RELGRAPH_RETURN_IF_ERROR(heap_.Insert(new_bytes, &rid));
-    RELGRAPH_RETURN_IF_ERROR(InsertIndexEntriesFor(tuple, rid));
-    return Status::OK();
+    RowRef moved;
+    RELGRAPH_RETURN_IF_ERROR(heap_.Insert(new_bytes, &moved.rid));
+    return InsertIndexEntries(tuple, moved);
   }
   RELGRAPH_RETURN_IF_ERROR(st);
-  // In-place update: refresh only the indexes whose key changed.
-  for (auto& idx : indexes_) {
-    const Value& oldv = old_tuple.value(idx.column_idx);
-    const Value& newv = tuple.value(idx.column_idx);
-    if (oldv.Compare(newv) == 0) continue;
-    if (!oldv.IsNull()) {
-      BtKey key{oldv.AsInt(), idx.unique ? 0 : RidTie(rid)};
-      RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(key));
-    }
-    if (!newv.IsNull()) {
-      BtKey key{newv.AsInt(), idx.unique ? 0 : RidTie(rid)};
-      RELGRAPH_RETURN_IF_ERROR(idx.tree.Insert(key, EncodeRid(rid), idx.unique));
-    }
-  }
-  return Status::OK();
+  // In-place update: refresh only the entries whose key changed.
+  return UpdateIndexEntries(old_tuple, tuple, ref);
 }
 
 Status Table::DeleteRow(const RowRef& ref) {
-  if (options_.storage == TableStorage::kClustered) {
-    if (!indexes_.empty()) {
-      std::string payload;
-      RELGRAPH_RETURN_IF_ERROR(clustered_.SearchExact(ref.key, &payload));
-      Tuple tuple;
-      RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, payload, &tuple));
-      RELGRAPH_RETURN_IF_ERROR(
-          DeleteClusteredIndexEntriesFor(tuple, ref.key));
-    }
-    RELGRAPH_RETURN_IF_ERROR(clustered_.Delete(ref.key));
-    num_rows_--;
-    return Status::OK();
+  if (!indexes_.empty()) {
+    Tuple tuple;
+    RELGRAPH_RETURN_IF_ERROR(ReadRow(ref, &tuple));
+    RELGRAPH_RETURN_IF_ERROR(DeleteIndexEntries(tuple, ref));
   }
-  std::string bytes;
-  RELGRAPH_RETURN_IF_ERROR(heap_.Get(ref.rid, &bytes));
-  Tuple tuple;
-  RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, bytes, &tuple));
-  RELGRAPH_RETURN_IF_ERROR(DeleteIndexEntriesFor(tuple, ref.rid));
-  RELGRAPH_RETURN_IF_ERROR(heap_.Delete(ref.rid));
+  if (options_.storage == TableStorage::kClustered) {
+    RELGRAPH_RETURN_IF_ERROR(clustered_.Delete(ref.key));
+  } else {
+    RELGRAPH_RETURN_IF_ERROR(heap_.Delete(ref.rid));
+  }
   num_rows_--;
   return Status::OK();
 }
@@ -497,6 +576,7 @@ Status Table::ScanRange(const std::string& column, int64_t lo, int64_t hi,
   out->table_ = this;
   out->full_scan_ = false;
   out->filter_col_ = -1;
+  out->prefix_col_ = -1;
   if (options_.storage == TableStorage::kClustered &&
       column == options_.cluster_key) {
     out->kind_ = Iterator::Kind::kClustered;
@@ -504,24 +584,74 @@ Status Table::ScanRange(const std::string& column, int64_t lo, int64_t hi,
     return Status::OK();
   }
   for (auto& idx : indexes_) {
-    if (idx.column != column) continue;
+    if (idx.open() || idx.column != column) continue;
     out->kind_ = Iterator::Kind::kSecondary;
     out->bt_it_ = idx.tree.Scan(lo, hi);
     return Status::OK();
   }
+  return FilteredScan(-1, 0, column, lo, hi, out);
+}
+
+Status Table::ScanRange(const std::string& prefix_column, int64_t prefix,
+                        const std::string& column, int64_t lo, int64_t hi,
+                        Iterator* out) {
+  const int prefix_col = schema_.Find(prefix_column);
+  if (prefix_col < 0) {
+    return Status::InvalidArgument("no column " + prefix_column);
+  }
+  // The open tree holds every row with a dist below kInfinity, none with
+  // a negative one, and only flags 0..2: a range past kInfinity needs the
+  // scan, anything else it serves exactly.
+  if (hi < kInfinity) {
+    for (auto& idx : indexes_) {
+      if (idx.prefix_idx != prefix_col || idx.column != column) continue;
+      out->table_ = this;
+      out->full_scan_ = false;
+      out->filter_col_ = -1;
+      out->prefix_col_ = -1;
+      out->kind_ = Iterator::Kind::kSecondary;
+      if (prefix < 0 || prefix > 2) {
+        out->bt_it_ = idx.tree.Scan(1, 0);  // no such flag: no rows
+      } else {
+        const int64_t base = prefix * kOpenFlagStride;
+        out->bt_it_ = idx.tree.Scan(
+            base + std::clamp<int64_t>(lo, 0, kInfinity), base + hi);
+      }
+      return Status::OK();
+    }
+  }
+  return FilteredScan(prefix_col, prefix, column, lo, hi, out);
+}
+
+Status Table::FilteredScan(int prefix_col, int64_t prefix,
+                           const std::string& column, int64_t lo, int64_t hi,
+                           Iterator* out) {
   const int col = schema_.Find(column);
   if (col < 0) return Status::InvalidArgument("no column " + column);
-  if (schema_.column(col).type == TypeId::kVarchar) {
-    return Status::InvalidArgument("no integer range on VARCHAR " + column);
+  for (int c : {prefix_col, col}) {
+    if (c >= 0 && schema_.column(c).type == TypeId::kVarchar) {
+      return Status::InvalidArgument("no integer range on VARCHAR " +
+                                     schema_.column(c).name);
+    }
   }
   *out = Scan();
   out->filter_col_ = col;
+  out->prefix_col_ = prefix_col;
   out->lo_ = lo;
   out->hi_ = hi;
+  out->prefix_ = prefix;
   return Status::OK();
 }
 
 bool Table::Iterator::InRange(const Tuple& tuple) const {
+  if (prefix_col_ >= 0) {
+    const Value& p = tuple.value(static_cast<size_t>(prefix_col_));
+    if (p.IsNull()) return false;
+    const bool equal = p.type() == TypeId::kInt
+                           ? p.AsInt() == prefix_
+                           : p.AsNumeric() == static_cast<double>(prefix_);
+    if (!equal) return false;
+  }
   const Value& v = tuple.value(static_cast<size_t>(filter_col_));
   if (v.IsNull()) return false;
   if (v.type() == TypeId::kInt) return v.AsInt() >= lo_ && v.AsInt() <= hi_;

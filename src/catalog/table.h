@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,7 +92,10 @@ class Table {
                        TableOptions options, std::unique_ptr<Table>* out);
 
   /// Captures the table's persisted identity for a snapshot manifest.
-  TablePersistentState ExportState() const;
+  /// NotSupported for a table with an open tree: the manifest records
+  /// single-column indexes only, and re-attaching an open tree as one
+  /// would index the wrong keys.
+  Status ExportState(TablePersistentState* out) const;
 
   /// Reconstructs a table over `pool` from a previously exported state
   /// (the pages the state's ids reference must already exist in the
@@ -123,6 +127,21 @@ class Table {
   Status CreateSecondaryIndex(const std::string& column, bool unique,
                               const std::string& name = std::string());
 
+  /// Builds the *open tree* over (`flag_column`, `dist_column`), both INT:
+  /// a partial, non-unique B+-tree with one entry per row whose dist is
+  /// below kInfinity, keyed flag * 2^61 + dist — exact and order-preserving
+  /// on that domain, since kInfinity < 2^61 — with ties broken on the row's
+  /// RID or cluster key, like any non-unique index. It serves
+  /// the two-column form of ScanRange. From then on every row written must
+  /// hold a flag in {0, 1, 2} and a dist in [0, kInfinity]; Insert and
+  /// UpdateRow reject any other with InvalidArgument before writing
+  /// anything. Existing rows are checked and indexed immediately. The open
+  /// tree is not an index on either column alone (HasIndexOn, LookupUnique
+  /// and the one-column ScanRange ignore it); DROP INDEX names it
+  /// "<flag_column>_<dist_column>".
+  Status CreateOpenIndex(const std::string& flag_column,
+                         const std::string& dist_column);
+
   /// Drops the secondary index named `name` (falling back to a column
   /// match, since the engine keys indexes by column) and frees its tree's
   /// pages. The cluster tree is the table's storage and cannot be dropped.
@@ -137,8 +156,13 @@ class Table {
   Status LookupUnique(const std::string& column, int64_t key, Tuple* out,
                       RowRef* ref);
 
-  /// Overwrites the row at `ref`. The new tuple must keep the cluster key
-  /// unchanged for clustered tables.
+  /// Overwrites the row at `ref`, whose current image is `old_tuple`; the
+  /// caller vouches for that pre-image (a scan or lookup just read it), and
+  /// the secondary entries move by it without re-reading the row. The new
+  /// tuple must keep the cluster key unchanged for clustered tables.
+  Status UpdateRow(const RowRef& ref, const Tuple& old_tuple,
+                   const Tuple& tuple);
+  /// As above, for a caller without the pre-image: reads it first.
   Status UpdateRow(const RowRef& ref, const Tuple& tuple);
 
   Status DeleteRow(const RowRef& ref);
@@ -153,14 +177,15 @@ class Table {
    private:
     friend class Table;
     enum class Kind { kHeap, kClustered, kSecondary };
-    /// Filtered full scan: whether the row's filter column is in range.
+    /// Filtered full scan: whether the row's filter columns are in range.
     bool InRange(const Tuple& tuple) const;
 
     Table* table_ = nullptr;
     Kind kind_ = Kind::kHeap;
     bool full_scan_ = false;  // full scan vs index probe, for access stats
     int filter_col_ = -1;     // >= 0: yield only rows with lo_ <= col <= hi_
-    int64_t lo_ = 0, hi_ = 0;
+    int prefix_col_ = -1;     // >= 0: ... and with prefix column = prefix_
+    int64_t lo_ = 0, hi_ = 0, prefix_ = 0;
     HeapFile::Iterator heap_it_;
     BTree::Iterator bt_it_;
     Status status_;
@@ -180,6 +205,15 @@ class Table {
   Status ScanRange(const std::string& column, int64_t lo, int64_t hi,
                    Iterator* out);
 
+  /// Visits the rows with prefix_column = prefix AND lo <= column <= hi.
+  /// The open tree on (prefix_column, column) serves it, in (column, RID
+  /// or cluster key) order, when the range lies below kInfinity; otherwise
+  /// a full scan filters on both columns, in Scan() order. Either way the
+  /// rows are the same. InvalidArgument as for the one-column form.
+  Status ScanRange(const std::string& prefix_column, int64_t prefix,
+                   const std::string& column, int64_t lo, int64_t hi,
+                   Iterator* out);
+
   /// Removes every row but keeps schema and index definitions (the
   /// algorithms reset TVisited between queries with this). The old pages
   /// are freed for reuse (Destroy) before fresh, empty structures are
@@ -197,10 +231,13 @@ class Table {
   static size_t FixedWidth(const Schema& schema);
 
   /// Structural validation of the table's storage: heap chain or clustered
-  /// tree invariants, secondary-index tree invariants, and the stored row
-  /// count against the live-record count. Returns Status::Corruption on
-  /// the first violation. Safe against corrupted pages (bounded walks,
-  /// never out-of-bounds); the snapshot loader and relgraph_fsck run this.
+  /// tree invariants, secondary-index tree invariants, the stored row
+  /// count against the live-record count, and one entry, naming the row,
+  /// per indexable row in every secondary tree (a non-NULL key; for an
+  /// open tree, a dist below kInfinity) and no other entry. Returns
+  /// Status::Corruption on the first violation. Safe against corrupted
+  /// pages (bounded walks, never out-of-bounds); the snapshot loader and
+  /// relgraph_fsck run this.
   Status CheckConsistency() const;
 
   const TableAccessStats& access_stats() const { return access_stats_; }
@@ -214,13 +251,40 @@ class Table {
     std::string column;
     size_t column_idx;
     bool unique;
+    int prefix_idx = -1;  // >= 0: an open tree keyed (prefix, column)
     BTree tree;
+
+    bool open() const { return prefix_idx >= 0; }
+    /// The entry key `tuple` is filed under; false when the row has no
+    /// entry (a NULL key, or for an open tree a dist of kInfinity).
+    bool KeyOf(const Tuple& tuple, int64_t* key) const;
   };
 
-  Status InsertIndexEntriesFor(const Tuple& tuple, const Rid& rid);
-  Status DeleteIndexEntriesFor(const Tuple& tuple, const Rid& rid);
-  Status InsertClusteredIndexEntriesFor(const Tuple& tuple, const BtKey& key);
-  Status DeleteClusteredIndexEntriesFor(const Tuple& tuple, const BtKey& key);
+  /// Rejects a row outside an open tree's key domain.
+  Status CheckOpenDomain(const Tuple& tuple) const;
+  /// A row's place in secondary entries: the tie that orders duplicate
+  /// keys and the 8-byte payload (RID or cluster key) that names the row.
+  int64_t TieOf(const RowRef& ref) const;
+  std::string PayloadOf(const RowRef& ref) const;
+  BtKey EntryOf(const SecondaryIndex& idx, int64_t key,
+                const RowRef& ref) const {
+    return BtKey{key, idx.unique ? 0 : TieOf(ref)};
+  }
+  Status InsertIndexEntries(const Tuple& tuple, const RowRef& ref);
+  Status DeleteIndexEntries(const Tuple& tuple, const RowRef& ref);
+  /// Moves the entries whose key differs between the two images.
+  Status UpdateIndexEntries(const Tuple& old_tuple, const Tuple& tuple,
+                            const RowRef& ref);
+  Status AddIndex(SecondaryIndex si);
+  /// Visits every row with its reference, outside the access counters
+  /// (index builds and consistency checks are not query reads).
+  Status ForEachRow(
+      const std::function<Status(const Tuple&, const RowRef&)>& fn) const;
+  Status ReadRow(const RowRef& ref, Tuple* out) const;
+  /// Full-scan form of both ScanRange overloads (prefix_col < 0: none).
+  Status FilteredScan(int prefix_col, int64_t prefix,
+                      const std::string& column, int64_t lo, int64_t hi,
+                      Iterator* out);
   std::string SerializeClustered(const Tuple& tuple) const;
   static int64_t RidTie(const Rid& rid) {
     return (static_cast<int64_t>(rid.page_id) << 16) |

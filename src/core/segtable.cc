@@ -293,7 +293,7 @@ Status UpsertSegment(Database* db, Table* table, const std::string& key_col,
     if (row.value(0).AsInt() != fid || row.value(1).AsInt() != tid) continue;
     if (row.value(3).AsInt() <= dist) return Status::OK();  // dominated
     Tuple updated({Value(fid), Value(tid), Value(pid), Value(dist)});
-    RELGRAPH_RETURN_IF_ERROR(table->UpdateRow(ref, updated));
+    RELGRAPH_RETURN_IF_ERROR(table->UpdateRow(ref, row, updated));
     (*changed)++;
     return Status::OK();
   }

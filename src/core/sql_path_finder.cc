@@ -48,7 +48,7 @@ Status SqlPathFinder::Create(GraphStore* graph, SqlPathFinderOptions options,
   // Physical tuning, once per working table: index the sign and distance
   // columns so the frontier UPDATEs (`... where f = 2`, `... and d2s =
   // (select min(d2s) ...)`) run as index probes — the planner's sargable
-  // conjunct extraction turns them into UpdateWhereIndexed plans.
+  // conjunct extraction turns them into UpdateWhereIndexedDynamic plans.
   {
     std::vector<const char*> indexed = dj
                                            ? std::vector<const char*>{"f",

@@ -70,13 +70,13 @@ Status VisitedTable::Create(Database* db, IndexStrategy strategy,
         vt->table_, "nid", /*unique=*/true));
     vt->has_unique_index_ = true;
   }
-  // Index/CluIndex: give the F/E operators indexed access paths on the sign
-  // and distance columns, so frontier selection and the frontier scan read
+  // Index/CluIndex: one open tree per direction, (f, d2s) and (b, d2t), so
+  // frontier selection, finalization and the frontier scan read
   // O(frontier) rows. NoIndex keeps the paper's scan-only physical design.
   if (strategy != IndexStrategy::kNoIndex) {
-    for (const char* col : {"f", "b", "d2s", "d2t"}) {
-      RELGRAPH_RETURN_IF_ERROR(db->catalog()->CreateSecondaryIndex(
-          vt->table_, col, /*unique=*/false));
+    for (const DirCols& dir : {ForwardCols(), BackwardCols()}) {
+      RELGRAPH_RETURN_IF_ERROR(
+          db->catalog()->CreateOpenIndex(vt->table_, dir.flag, dir.dist));
     }
   }
 
@@ -190,59 +190,66 @@ Status VisitedTable::GetRow(node_id_t nid, Tuple* out) {
 // --------------------------------------------------- frontier access paths
 //
 // Each statement names the key range its WHERE clause implies and leaves
-// the access path to Table::ScanRange: an index probe on Index/CluIndex, a
-// filtered full scan on NoIndex. The residual predicate keeps every plan
+// the access path to Table::ScanRange: the direction's open tree on
+// Index/CluIndex, a filtered full scan on NoIndex. Every range but the
+// node probe is "flag = c AND lo <= dist <= hi" with hi below kInfinity,
+// so both serve the same rows. The residual predicate keeps every plan
 // exactly equivalent to the full-scan statement.
 
 Status VisitedTable::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
                                   int64_t* marked) {
   ExprRef pred = OpenPredicate(dir);
   if (ExprRef extra = spec.ToPredicate(dir)) pred = And(std::move(pred), extra);
-  const std::vector<SetClause> sets = {{dir.flag, Lit(int64_t{2})}};
-  RowChangeObserver observer = ChangeObserver();
-  switch (spec.kind) {
-    case FrontierSpec::Kind::kNode:
-      return UpdateWhereIndexed(table_, "nid", spec.node, spec.node, pred,
-                                sets, marked, observer);
-    case FrontierSpec::Kind::kDistEq:
-      return UpdateWhereIndexed(table_, dir.dist, spec.level, spec.level, pred,
-                                sets, marked, observer);
-    case FrontierSpec::Kind::kDistOr:
-      return UpdateWhereIndexed(table_, dir.dist, 0,
-                                std::max(spec.bound, spec.level), pred, sets,
-                                marked, observer);
-    case FrontierSpec::Kind::kAll:
-      break;
+  Table::Iterator it;
+  if (spec.kind == FrontierSpec::Kind::kNode) {
+    RELGRAPH_RETURN_IF_ERROR(
+        table_->ScanRange("nid", spec.node, spec.node, &it));
+  } else {
+    weight_t lo = 0, hi = kInfinity - 1;  // kAll: every open row
+    if (spec.kind == FrontierSpec::Kind::kDistEq) {
+      lo = spec.level;
+      hi = std::min(spec.level, hi);
+    } else if (spec.kind == FrontierSpec::Kind::kDistOr) {
+      hi = std::min(std::max(spec.bound, spec.level), hi);
+    }
+    RELGRAPH_RETURN_IF_ERROR(
+        table_->ScanRange(dir.flag, 0, dir.dist, lo, hi, &it));
   }
-  return UpdateWhere(table_, pred, sets, marked, observer);
+  return UpdateCandidates(table_, std::move(it), std::move(pred),
+                          {{dir.flag, Lit(int64_t{2})}}, marked,
+                          ChangeObserver());
 }
 
+// A frontier row was open when marked and distances only fall, so every
+// flag = 2 row lies in the open tree.
 Status VisitedTable::FinalizeFrontier(const DirCols& dir, int64_t* affected) {
-  return UpdateWhereIndexed(table_, dir.flag, 2, 2, ColEq(dir.flag, 2),
-                            {{dir.flag, Lit(int64_t{1})}}, affected,
-                            ChangeObserver());
+  Table::Iterator it;
+  RELGRAPH_RETURN_IF_ERROR(
+      table_->ScanRange(dir.flag, 2, dir.dist, 0, kInfinity - 1, &it));
+  return UpdateCandidates(table_, std::move(it), ColEq(dir.flag, 2),
+                          {{dir.flag, Lit(int64_t{1})}}, affected,
+                          ChangeObserver());
 }
 
 Status VisitedTable::FirstOpenAt(const DirCols& dir, weight_t dist,
                                  node_id_t* nid, bool* found) {
   *found = false;
-  // Index order ties on scan position, so "first match" is the same row
-  // the filtered full scan would return.
-  FilterExecutor plan(
-      std::make_unique<IndexRangeScanExecutor>(table_, dir.dist, dist, dist),
-      OpenPredicate(dir));
-  RELGRAPH_RETURN_IF_ERROR(plan.Init());
+  if (dist < 0 || dist >= kInfinity) return Status::OK();  // nothing open
+  Table::Iterator it;
+  RELGRAPH_RETURN_IF_ERROR(
+      table_->ScanRange(dir.flag, 0, dir.dist, dist, dist, &it));
   Tuple t;
-  if (plan.Next(&t)) {
+  if (it.Next(&t, nullptr)) {
     *nid = t.value(nid_idx_).AsInt();
     *found = true;
     return Status::OK();
   }
-  return plan.status();
+  return it.status();
 }
 
 ExecRef VisitedTable::FrontierScan(const DirCols& dir) const {
-  return std::make_unique<IndexRangeScanExecutor>(table_, dir.flag, 2, 2);
+  return std::make_unique<IndexRangeScanExecutor>(table_, dir.flag, 2,
+                                                  dir.dist, 0, kInfinity - 1);
 }
 
 }  // namespace relgraph

@@ -71,9 +71,16 @@ struct FrontierSpec {
 /// fixed-width and update in place.
 ///
 /// Beyond storage, this class owns TVisited's *access paths*:
-///  - under the Index/CluIndex strategies the flag and dist columns carry
-///    secondary B+-trees, so frontier selection, finalization, and the
-///    E-operator's frontier scan touch O(frontier) rows instead of O(|V|);
+///  - under the Index/CluIndex strategies the table has three trees: the
+///    unique nid tree (the cluster tree, or a secondary index over the
+///    heap) and one open tree per direction, (f, d2s) and (b, d2t) (see
+///    Table::CreateOpenIndex). An open tree is partial: it holds only rows
+///    whose dist is below kInfinity, because every frontier and auxiliary
+///    statement filters on `dist < Max`. Frontier selection (flag 0),
+///    finalization and the E-operator's frontier scan (flag 2) read
+///    O(frontier) rows instead of O(|V|), and a row reached from one
+///    direction writes two trees. NoIndex serves the same key ranges by
+///    filtered full scans;
 ///  - the aggregates the auxiliary statements read (open count, min open
 ///    dist, min d2s+d2t) are maintained incrementally on every insert,
 ///    frontier update, and merge, making those statements O(1). Every
@@ -131,14 +138,16 @@ class VisitedTable {
   /// Listing 4(3): flag := 1 for flag = 2 rows.
   Status FinalizeFrontier(const DirCols& dir, int64_t* affected);
 
-  /// First open row with dist = `dist` in scan order (PickMid's outer
-  /// SELECT TOP 1); `found` = false when no such row exists.
+  /// First open row with dist = `dist` (PickMid's outer SELECT TOP 1) in
+  /// its access path's order: the open tree's row-locator order, which is
+  /// scan order under CluIndex, or scan order on NoIndex. `found` = false
+  /// when no such row exists.
   Status FirstOpenAt(const DirCols& dir, weight_t dist, node_id_t* nid,
                      bool* found);
 
   /// Source executor over the marked frontier (flag = 2) for the
-  /// E-operator join. Row order matches the filtered scan whether or not
-  /// the flag column is indexed (the flag index ties on scan position).
+  /// E-operator join: in (dist, row locator) order through the open tree
+  /// on Index/CluIndex, in scan order on NoIndex.
   ExecRef FrontierScan(const DirCols& dir) const;
 
   /// Observer that keeps the aggregates exact; attach to any DML statement

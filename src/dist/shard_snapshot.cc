@@ -98,10 +98,13 @@ Status WriteShardSnapshot(const ShardedGraphStore& store, int shard,
   info.num_nodes = store.num_nodes();
   info.num_edges = store.num_edges();
   info.min_weight = store.min_weight();
-  const std::string manifest =
-      EncodeManifest(info, store.shards_[shard].out_edges->ExportState(),
-                     store.shards_[shard].in_edges->ExportState());
-  return WriteDatabaseSnapshot(db, manifest, path);
+  TablePersistentState out_edges, in_edges;
+  RELGRAPH_RETURN_IF_ERROR(
+      store.shards_[shard].out_edges->ExportState(&out_edges));
+  RELGRAPH_RETURN_IF_ERROR(
+      store.shards_[shard].in_edges->ExportState(&in_edges));
+  return WriteDatabaseSnapshot(db, EncodeManifest(info, out_edges, in_edges),
+                               path);
 }
 
 Status ReadShardSnapshotInfo(const std::string& path,

@@ -19,15 +19,13 @@ Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted) {
   return source->status();
 }
 
-namespace {
-
-/// Shared tail of the UPDATE plans: evaluate SET clauses over the matched
-/// rows, then apply (the collect-then-apply split keeps the scan stable
-/// under row movement). Both the WHERE predicate and the SET expressions
-/// run in batch mode — one EvalBatch column per scan batch.
-Status ApplyUpdates(Table* table, Table::Iterator it, ExprRef predicate,
-                    const std::vector<SetClause>& sets, int64_t* affected,
-                    const RowChangeObserver& observer) {
+// Every UPDATE plan ends here: evaluate SET clauses over the matched rows,
+// then apply (the collect-then-apply split keeps the scan stable under row
+// movement). Both the WHERE predicate and the SET expressions run in batch
+// mode — one EvalBatch column per scan batch.
+Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
+                        const std::vector<SetClause>& sets, int64_t* affected,
+                        const RowChangeObserver& observer) {
   *affected = 0;
   const Schema& schema = table->schema();
   std::vector<std::pair<size_t, ExprRef>> resolved;
@@ -37,8 +35,8 @@ Status ApplyUpdates(Table* table, Table::Iterator it, ExprRef predicate,
     if (idx < 0) return Status::InvalidArgument("no column " + s.column);
     resolved.emplace_back(static_cast<size_t>(idx), s.expr);
   }
-  // The pre-image is only materialized when someone listens for it.
-  const bool want_old = observer != nullptr;
+  // The pre-image goes to UpdateRow (which moves index entries by it) and
+  // to the observer.
   std::vector<std::tuple<RowRef, Tuple, Tuple>> pending;  // ref, old, new
   std::vector<Tuple> rows;
   std::vector<RowRef> refs;
@@ -80,37 +78,23 @@ Status ApplyUpdates(Table* table, Table::Iterator it, ExprRef predicate,
             row_at_a_time ? resolved[k].second->Evaluate(rows[r], schema)
                           : set_cols[k].Get(i);
       }
-      pending.emplace_back(refs[r], want_old ? std::move(rows[r]) : Tuple(),
-                           std::move(updated));
+      pending.emplace_back(refs[r], std::move(rows[r]), std::move(updated));
     }
   }
   RELGRAPH_RETURN_IF_ERROR(it.status());
   for (const auto& [row_ref, old_row, new_row] : pending) {
-    RELGRAPH_RETURN_IF_ERROR(table->UpdateRow(row_ref, new_row));
-    if (want_old) observer(&old_row, new_row);
+    RELGRAPH_RETURN_IF_ERROR(table->UpdateRow(row_ref, old_row, new_row));
+    if (observer != nullptr) observer(&old_row, new_row);
     (*affected)++;
   }
   return Status::OK();
 }
 
-}  // namespace
-
 Status UpdateWhere(Table* table, ExprRef predicate,
                    const std::vector<SetClause>& sets, int64_t* affected,
                    const RowChangeObserver& observer) {
-  return ApplyUpdates(table, table->Scan(), std::move(predicate), sets,
-                      affected, observer);
-}
-
-Status UpdateWhereIndexed(Table* table, const std::string& index_column,
-                          int64_t lo, int64_t hi, ExprRef predicate,
-                          const std::vector<SetClause>& sets,
-                          int64_t* affected,
-                          const RowChangeObserver& observer) {
-  Table::Iterator it;
-  RELGRAPH_RETURN_IF_ERROR(table->ScanRange(index_column, lo, hi, &it));
-  return ApplyUpdates(table, std::move(it), std::move(predicate), sets,
-                      affected, observer);
+  return UpdateCandidates(table, table->Scan(), std::move(predicate), sets,
+                          affected, observer);
 }
 
 Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
@@ -134,8 +118,10 @@ Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
   KeyRangeFor(op, v.AsInt(), &lo, &hi);  // overflow keeps the full range
-  return UpdateWhereIndexed(table, index_column, lo, hi, std::move(predicate),
-                            sets, affected, observer);
+  Table::Iterator it;
+  RELGRAPH_RETURN_IF_ERROR(table->ScanRange(index_column, lo, hi, &it));
+  return UpdateCandidates(table, std::move(it), std::move(predicate), sets,
+                          affected, observer);
 }
 
 Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected) {
@@ -256,7 +242,7 @@ Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
         for (const auto& [idx, expr] : resolved_sets) {
           updated.value(idx) = expr->Evaluate(joined, combined);
         }
-        RELGRAPH_RETURN_IF_ERROR(target->UpdateRow(ref, updated));
+        RELGRAPH_RETURN_IF_ERROR(target->UpdateRow(ref, existing, updated));
         if (spec.observer != nullptr) spec.observer(&existing, updated);
         if (!use_index) hash_side[key.AsInt()] = {ref, updated};
         (*affected)++;

@@ -38,25 +38,22 @@ Status UpdateWhere(Table* table, ExprRef predicate,
                    const std::vector<SetClause>& sets, int64_t* affected,
                    const RowChangeObserver& observer = nullptr);
 
-/// UPDATE over a key range: candidate rows come from
-/// ScanRange(index_column, lo, hi) — an index probe when the column is
-/// indexed, a filtered full scan otherwise — then `predicate` (which must
-/// imply the range for the plan to equal UpdateWhere) filters residually.
-/// This is the plan an RDBMS picks for the F-operator's
-/// `UPDATE ... WHERE flag = 2` once the flag column is indexed.
-Status UpdateWhereIndexed(Table* table, const std::string& index_column,
-                          int64_t lo, int64_t hi, ExprRef predicate,
-                          const std::vector<SetClause>& sets,
-                          int64_t* affected,
-                          const RowChangeObserver& observer = nullptr);
+/// UPDATE over the rows `candidates` yields (a Table::Scan or ScanRange
+/// iterator of `table`) that satisfy `predicate` (null: all of them). The
+/// other UPDATE plans are this over a full scan or a key range.
+Status UpdateCandidates(Table* table, Table::Iterator candidates,
+                        ExprRef predicate, const std::vector<SetClause>& sets,
+                        int64_t* affected,
+                        const RowChangeObserver& observer = nullptr);
 
-/// Prepared-statement form of UpdateWhereIndexed: the probe range is
-/// `index_column OP key`, with `key` — a parameter or scalar-subquery
-/// slot — evaluated when the statement *executes*, not when it was
-/// planned. A NULL key matches no row; any other non-INT key falls back
-/// to the full-scan plan and an overflowing bound to the full key range;
-/// `predicate`, which includes `index_column OP key`, always applies
-/// residually, so every execution stays equivalent to UpdateWhere.
+/// UPDATE over the key range `index_column OP key`: candidate rows come
+/// from ScanRange(index_column, lo, hi) — an index probe when the column
+/// is indexed, a filtered full scan otherwise — with `key`, a parameter or
+/// scalar-subquery slot, evaluated when the statement *executes*, not when
+/// it was planned. A NULL key matches no row; any other non-INT key falls
+/// back to the full-scan plan and an overflowing bound to the full key
+/// range; `predicate`, which includes `index_column OP key`, always
+/// applies residually, so every execution stays equivalent to UpdateWhere.
 Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
                                  CompareOp op, const ExprRef& key,
                                  ExprRef predicate,

@@ -100,6 +100,18 @@ IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
       first_batch_(first_batch) {}
 
 IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
+                                               std::string prefix_column,
+                                               int64_t prefix,
+                                               std::string column, int64_t lo,
+                                               int64_t hi)
+    : table_(table),
+      prefix_column_(std::move(prefix_column)),
+      prefix_(prefix),
+      column_(std::move(column)),
+      lo_(lo),
+      hi_(hi) {}
+
+IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
                                                std::string column,
                                                CompareOp op, ExprRef key)
     : table_(table),
@@ -125,6 +137,9 @@ Status IndexRangeScanExecutor::Open() {
   exhausted_ = false;
   batch_rows_ = first_batch_;
   if (key_ != nullptr) ComputeRuntimeBounds();
+  if (!prefix_column_.empty()) {
+    return table_->ScanRange(prefix_column_, prefix_, column_, lo_, hi_, &it_);
+  }
   return table_->ScanRange(column_, lo_, hi_, &it_);
 }
 
@@ -142,7 +157,11 @@ void IndexRangeScanExecutor::Explain(int depth, std::string* out) const {
   }
   const bool open_lo = lo == std::numeric_limits<int64_t>::min();
   const bool open_hi = hi == std::numeric_limits<int64_t>::max();
-  out->append("IndexRangeScan: " + table_->name() + "." + column_ + " in [" +
+  out->append("IndexRangeScan: " + table_->name() + "." +
+              (prefix_column_.empty() ? std::string()
+                                      : prefix_column_ + " = " +
+                                            std::to_string(prefix_) + ", ") +
+              column_ + " in [" +
               (open_lo ? "-inf" : std::to_string(lo)) + ", " +
               (open_hi ? "+inf" : std::to_string(hi)) + "]" +
               (key_ != nullptr ? " (bound from " + key_->ToString() + ")" : "") +

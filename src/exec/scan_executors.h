@@ -66,10 +66,15 @@ bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi);
 ///    key range (the residual filter keeps the plan equivalent).
 /// `first_batch` sizes the first pull: 1 under a LIMIT 1 that wants only
 /// the first key, so the scan reads one row instead of kFirstScanBatch.
+/// A static range may also fix a prefix column, `prefix_column = prefix
+/// AND lo <= column <= hi` (Table::ScanRange's two-column form).
 class IndexRangeScanExecutor : public Executor {
  public:
   IndexRangeScanExecutor(Table* table, std::string column, int64_t lo,
                          int64_t hi, size_t first_batch = kFirstScanBatch);
+  IndexRangeScanExecutor(Table* table, std::string prefix_column,
+                         int64_t prefix, std::string column, int64_t lo,
+                         int64_t hi);
   IndexRangeScanExecutor(Table* table, std::string column, CompareOp op,
                          ExprRef key);
   bool NextBatchSel(BatchSpan* out) override;
@@ -85,6 +90,8 @@ class IndexRangeScanExecutor : public Executor {
   void ComputeRuntimeBounds();
 
   Table* table_;
+  std::string prefix_column_;  // empty: a one-column range
+  int64_t prefix_ = 0;
   std::string column_;
   int64_t lo_, hi_;
   ExprRef key_;  // non-null => runtime bounds (op_ applies)

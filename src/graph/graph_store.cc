@@ -26,9 +26,21 @@ Tuple EdgeTableRow(const Edge& e) {
   return Tuple({Value(e.from), Value(e.to), Value(e.weight)});
 }
 
+namespace {
+// Set Dijkstra, Theorem 1's pruning and TVisited's open trees all assume
+// distances never fall along a path.
+Status CheckWeight(const Edge& e) {
+  if (e.weight >= 0) return Status::OK();
+  return Status::InvalidArgument(
+      "negative weight " + std::to_string(e.weight) + " on edge " +
+      std::to_string(e.from) + "->" + std::to_string(e.to));
+}
+}  // namespace
+
 Status GraphStore::Create(Database* db, const EdgeList& list,
                           GraphStoreOptions options,
                           std::unique_ptr<GraphStore>* out) {
+  for (const Edge& e : list.edges) RELGRAPH_RETURN_IF_ERROR(CheckWeight(e));
   auto store = std::unique_ptr<GraphStore>(new GraphStore());
   store->db_ = db;
   store->options_ = options;
@@ -111,6 +123,7 @@ EdgeRelation GraphStore::Backward() const {
 }
 
 Status GraphStore::AddEdge(const Edge& e) {
+  RELGRAPH_RETURN_IF_ERROR(CheckWeight(e));
   RELGRAPH_RETURN_IF_ERROR(edges_out_->Insert(EdgeTableRow(e)));
   if (edges_in_ != edges_out_) {
     RELGRAPH_RETURN_IF_ERROR(edges_in_->Insert(EdgeTableRow(e)));

@@ -57,6 +57,8 @@ struct EdgeRelation {
 /// mirroring the paper's symmetric TOutSegs/TInSegs arrangement.
 class GraphStore {
  public:
+  /// InvalidArgument when an edge weight is negative: the FEM searches
+  /// need non-negative weights.
   static Status Create(Database* db, const EdgeList& list,
                        GraphStoreOptions options,
                        std::unique_ptr<GraphStore>* out);
@@ -82,7 +84,8 @@ class GraphStore {
     return mutation_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Appends one edge to every physical copy/index (dynamic updates).
+  /// Appends one edge to every physical copy/index (dynamic updates);
+  /// InvalidArgument for a negative weight, before anything is written.
   Status AddEdge(const Edge& e);
 
   /// Removes one edge matching (from, to, weight) from every physical

@@ -63,10 +63,13 @@ Status WriteLabelSnapshot(const LabelIndex& index, const std::string& path) {
     return Status::InvalidArgument(
         "label tables missing from the index's database");
   }
-  const std::string manifest =
-      EncodeManifest(index.prefix(), out_table->ExportState(),
-                     in_table->ExportState(), meta_table->ExportState());
-  return WriteDatabaseSnapshot(db, manifest, path);
+  TablePersistentState out_state, in_state, meta_state;
+  RELGRAPH_RETURN_IF_ERROR(out_table->ExportState(&out_state));
+  RELGRAPH_RETURN_IF_ERROR(in_table->ExportState(&in_state));
+  RELGRAPH_RETURN_IF_ERROR(meta_table->ExportState(&meta_state));
+  return WriteDatabaseSnapshot(
+      db, EncodeManifest(index.prefix(), out_state, in_state, meta_state),
+      path);
 }
 
 Status LoadLabelSnapshot(const std::string& path,

@@ -3,12 +3,16 @@
 // sequence of seeds, frontier updates, and merges — across all three index
 // strategies and both SQL modes. And the auxiliary statements that read
 // them (MinOpenDistance / MinCost / CountOpen) must no longer touch any
-// TVisited row at all, which the table's access counters pin down.
+// TVisited row at all, which the table's access counters pin down. Under
+// Index/CluIndex the open trees must also read exactly what a filtered
+// full scan reads, after every mutation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/fem.h"
@@ -59,6 +63,59 @@ void ExpectAggregatesExact(VisitedTable* vt, const char* where) {
   }
 }
 
+/// Index-vs-scan oracle for the open trees: per direction and flag, the
+/// rows the two-column ScanRange reads over [0, kInfinity) through the
+/// direction's open tree must be the filtered full scan's rows, in the
+/// tree's order: dist, then the row's locator (cluster key, which is also
+/// scan order; or RID, which a heap reusing freed pages does not keep in
+/// scan order).
+void ExpectOpenTreesMatchScan(VisitedTable* vt, const char* where) {
+  Table* table = vt->table();
+  const Schema& schema = table->schema();
+  const size_t nid_idx = schema.IndexOf("nid");
+  const bool clustered =
+      table->options().storage == TableStorage::kClustered;
+  auto locator = [&](const RowRef& ref) {
+    return clustered ? ref.key.key
+                     : (int64_t{ref.rid.page_id} << 16) | ref.rid.slot;
+  };
+  for (const DirCols& dir :
+       {VisitedTable::ForwardCols(), VisitedTable::BackwardCols()}) {
+    const size_t dist_idx = schema.IndexOf(dir.dist);
+    const size_t flag_idx = schema.IndexOf(dir.flag);
+    for (int64_t flag = 0; flag <= 2; flag++) {
+      std::vector<std::tuple<weight_t, int64_t, node_id_t>> want;
+      auto scan = table->Scan();
+      Tuple t;
+      RowRef ref;
+      while (scan.Next(&t, &ref)) {
+        const weight_t dist = t.value(dist_idx).AsInt();
+        if (t.value(flag_idx).AsInt() == flag && dist < kInfinity) {
+          want.emplace_back(dist, locator(ref), t.value(nid_idx).AsInt());
+        }
+      }
+      ASSERT_TRUE(scan.status().ok());
+      std::sort(want.begin(), want.end());
+
+      const int64_t full_before = table->access_stats().full_scan_rows;
+      Table::Iterator it;
+      ASSERT_TRUE(table
+                      ->ScanRange(dir.flag, flag, dir.dist, 0, kInfinity - 1,
+                                  &it)
+                      .ok());
+      std::vector<std::tuple<weight_t, int64_t, node_id_t>> got;
+      while (it.Next(&t, &ref)) {
+        got.emplace_back(t.value(dist_idx).AsInt(), locator(ref),
+                         t.value(nid_idx).AsInt());
+      }
+      ASSERT_TRUE(it.status().ok());
+      EXPECT_EQ(table->access_stats().full_scan_rows, full_before)
+          << where << ": " << dir.flag << " range not served by its tree";
+      EXPECT_EQ(got, want) << where << ": " << dir.flag << " = " << flag;
+    }
+  }
+}
+
 class FemAggregateTest
     : public ::testing::TestWithParam<std::tuple<IndexStrategy, SqlMode>> {};
 
@@ -76,14 +133,21 @@ TEST_P(FemAggregateTest, MatchRecomputeAfterMixedMergeUpdateSequences) {
 
   const DirCols fwd = VisitedTable::ForwardCols();
   const DirCols bwd = VisitedTable::BackwardCols();
+  // Aggregates always; the open trees under the strategies that have them.
+  auto expect_exact = [&](const char* where) {
+    ExpectAggregatesExact(vt.get(), where);
+    if (strategy != IndexStrategy::kNoIndex) {
+      ExpectOpenTreesMatchScan(vt.get(), where);
+    }
+  };
   Rng rng(5);
   for (int query = 0; query < 3; query++) {
     ASSERT_TRUE(vt->Reset().ok());
-    ExpectAggregatesExact(vt.get(), "after reset");
+    expect_exact("after reset");
     node_id_t s = rng.NextInt(0, list.num_nodes - 1);
     node_id_t t = rng.NextInt(0, list.num_nodes - 1);
     ASSERT_TRUE(vt->InsertSourceAndTarget(s, t).ok());
-    ExpectAggregatesExact(vt.get(), "after seed");
+    expect_exact("after seed");
 
     // A dozen rounds of the real FEM statement mix, alternating direction
     // and frontier shape; verify the aggregates after every mutation.
@@ -98,16 +162,16 @@ TEST_P(FemAggregateTest, MatchRecomputeAfterMixedMergeUpdateSequences) {
                               : FrontierSpec::DistOr(m + 5, m);
       int64_t marked;
       ASSERT_TRUE(fem.MarkFrontier(dir, spec, &marked).ok());
-      ExpectAggregatesExact(vt.get(), "after mark");
+      expect_exact("after mark");
       int64_t affected;
       ASSERT_TRUE(fem.ExpandAndMerge(dir,
                                      forward ? graph->Forward()
                                              : graph->Backward(),
                                      0, kInfinity, &affected)
                       .ok());
-      ExpectAggregatesExact(vt.get(), "after merge");
+      expect_exact("after merge");
       ASSERT_TRUE(fem.FinalizeFrontier(dir).ok());
-      ExpectAggregatesExact(vt.get(), "after finalize");
+      expect_exact("after finalize");
     }
   }
 }

@@ -90,6 +90,37 @@ TEST_P(GraphStoreTest, AddEdgeUpdatesAllCopies) {
   EXPECT_EQ(store->Backward().table->num_rows(), 6);
 }
 
+TEST_P(GraphStoreTest, CreateRejectsNegativeWeights) {
+  Database db{DatabaseOptions{}};
+  GraphStoreOptions opts;
+  opts.strategy = GetParam();
+  EdgeList list = TinyGraph();
+  list.edges[2].weight = -1;
+  std::unique_ptr<GraphStore> store;
+  EXPECT_TRUE(GraphStore::Create(&db, list, opts, &store).IsInvalidArgument());
+  EXPECT_EQ(store, nullptr);
+  // A zero weight is fine.
+  list.edges[2].weight = 0;
+  ASSERT_TRUE(GraphStore::Create(&db, list, opts, &store).ok());
+  EXPECT_EQ(store->min_weight(), 0);
+}
+
+TEST_P(GraphStoreTest, AddEdgeRejectsNegativeWeights) {
+  Database db{DatabaseOptions{}};
+  GraphStoreOptions opts;
+  opts.strategy = GetParam();
+  std::unique_ptr<GraphStore> store;
+  ASSERT_TRUE(GraphStore::Create(&db, TinyGraph(), opts, &store).ok());
+  const uint64_t epoch = store->mutation_epoch();
+  EXPECT_TRUE(store->AddEdge({2, 1, -4}).IsInvalidArgument());
+  // Nothing was written: counts, copies, minimum weight and epoch hold.
+  EXPECT_EQ(store->num_edges(), 5);
+  EXPECT_EQ(store->Forward().table->num_rows(), 5);
+  EXPECT_EQ(store->Backward().table->num_rows(), 5);
+  EXPECT_EQ(store->min_weight(), 1);
+  EXPECT_EQ(store->mutation_epoch(), epoch);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Strategies, GraphStoreTest,
     ::testing::Values(IndexStrategy::kNoIndex, IndexStrategy::kIndex,

@@ -91,8 +91,8 @@ TEST(StorageCountersTest, PagedBsdjMatchesGoldenPoolCounters) {
 
   // Golden values: exact LRU over the unpinned frames. A change to the page
   // table or the replacer that moves them changes the policy.
-  ExpectCounters("set-up", setup, {54370, 1, 319, 319});
-  ExpectCounters("queries", queries, {291354, 2994, 3011, 127});
+  ExpectCounters("set-up", setup, {54364, 1, 317, 317});
+  ExpectCounters("queries", queries, {200613, 2886, 2897, 79});
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "src/catalog/catalog.h"
+#include "src/exec/dml_executors.h"
+#include "src/exec/scan_executors.h"
 
 namespace relgraph {
 namespace {
@@ -318,6 +320,239 @@ TEST_F(TableTest, ArityMismatchRejected) {
   EXPECT_TRUE(
       table->Insert(Tuple({Value(int64_t{1})})).IsInvalidArgument());
 }
+
+TEST_F(TableTest, CheckConsistencyCountsIndexEntries) {
+  // Two clustered copies of the same rows but one: secondary entries name
+  // rows by cluster key, so a manifest pairing one copy's storage with the
+  // other's index tree is a well-formed tree with one entry missing (or
+  // one too many) — what a damaged snapshot would attach.
+  TableOptions opts;
+  opts.storage = TableStorage::kClustered;
+  opts.cluster_key = "fid";
+  opts.cluster_unique = true;
+  std::unique_ptr<Table> full, part;
+  ASSERT_TRUE(Table::Create(&pool_, "full", EdgeSchema(), opts, &full).ok());
+  ASSERT_TRUE(Table::Create(&pool_, "part", EdgeSchema(), opts, &part).ok());
+  for (Table* t : {full.get(), part.get()}) {
+    ASSERT_TRUE(t->CreateSecondaryIndex("tid", /*unique=*/false).ok());
+    ASSERT_TRUE(t->Insert(Row(1, 10, 100)).ok());
+    ASSERT_TRUE(t->Insert(Row(2, 20, 200)).ok());
+  }
+  ASSERT_TRUE(full->Insert(Row(3, 30, 300)).ok());
+  ASSERT_TRUE(full->CheckConsistency().ok());
+  ASSERT_TRUE(part->CheckConsistency().ok());
+
+  TablePersistentState full_state, part_state;
+  ASSERT_TRUE(full->ExportState(&full_state).ok());
+  ASSERT_TRUE(part->ExportState(&part_state).ok());
+  TablePersistentState missing = full_state;
+  missing.indexes[0] = part_state.indexes[0];
+  TablePersistentState stray = part_state;
+  stray.indexes[0] = full_state.indexes[0];
+  for (const TablePersistentState* forged : {&missing, &stray}) {
+    std::unique_ptr<Table> attached;
+    ASSERT_TRUE(Table::Attach(&pool_, *forged, &attached).ok());
+    EXPECT_TRUE(attached->CheckConsistency().IsCorruption())
+        << forged->name;
+  }
+}
+
+// ------------------------------------------------------------ Open trees
+
+Tuple OpenRow(int64_t nid, int64_t flag, int64_t dist) {
+  return Tuple({Value(nid), Value(flag), Value(dist)});
+}
+
+/// nids of the rows with f = flag and lo <= d <= hi, in ScanRange order.
+std::vector<int64_t> OpenNids(Table* table, int64_t flag, int64_t lo,
+                              int64_t hi) {
+  Table::Iterator it;
+  EXPECT_TRUE(table->ScanRange("f", flag, "d", lo, hi, &it).ok());
+  std::vector<int64_t> nids;
+  Tuple t;
+  while (it.Next(&t, nullptr)) nids.push_back(t.value(0).AsInt());
+  EXPECT_TRUE(it.status().ok());
+  return nids;
+}
+
+/// (nid, f, d) over a heap with a unique nid index, or clustered on nid —
+/// the two layouts TVisited takes under Index and CluIndex — with an open
+/// tree on (f, d).
+class OpenTreeTest : public ::testing::TestWithParam<TableStorage> {
+ protected:
+  OpenTreeTest() : pool_(512, &dm_) {
+    TableOptions opts;
+    opts.storage = GetParam();
+    if (opts.storage == TableStorage::kClustered) {
+      opts.cluster_key = "nid";
+      opts.cluster_unique = true;
+    }
+    Schema schema(
+        {{"nid", TypeId::kInt}, {"f", TypeId::kInt}, {"d", TypeId::kInt}});
+    EXPECT_TRUE(Table::Create(&pool_, "tv", schema, opts, &table_).ok());
+    if (opts.storage == TableStorage::kHeap) {
+      EXPECT_TRUE(table_->CreateSecondaryIndex("nid", /*unique=*/true).ok());
+    }
+    EXPECT_TRUE(table_->CreateOpenIndex("f", "d").ok());
+  }
+
+  /// The flag whose [0, kInfinity) range holds `nid`, or -1 for none; the
+  /// open tree serves every probe and the table stays consistent.
+  int FlagHolding(int64_t nid) {
+    EXPECT_TRUE(table_->CheckConsistency().ok());
+    const int64_t full_before = table_->access_stats().full_scan_rows;
+    int holder = -1;
+    for (int flag = 0; flag <= 2; flag++) {
+      for (int64_t n : OpenNids(table_.get(), flag, 0, kInfinity - 1)) {
+        if (n != nid) continue;
+        EXPECT_EQ(holder, -1) << "row in two flag ranges";
+        holder = flag;
+      }
+    }
+    EXPECT_EQ(table_->access_stats().full_scan_rows, full_before);
+    return holder;
+  }
+
+  Status Update(int64_t nid, int64_t flag, int64_t dist) {
+    Tuple old_row;
+    RowRef ref;
+    RELGRAPH_RETURN_IF_ERROR(table_->LookupUnique("nid", nid, &old_row, &ref));
+    return table_->UpdateRow(ref, old_row, OpenRow(nid, flag, dist));
+  }
+
+  DiskManager dm_;
+  BufferPool pool_;
+  std::unique_ptr<Table> table_;
+};
+
+TEST_P(OpenTreeTest, RowMovesInAndOutOfTheTree) {
+  ASSERT_TRUE(table_->Insert(OpenRow(1, 0, kInfinity)).ok());
+  EXPECT_EQ(FlagHolding(1), -1);  // dist = Max: no entry
+  // Only a range past kInfinity, served by the scan, sees it.
+  EXPECT_EQ(OpenNids(table_.get(), 0, 0, kInfinity),
+            std::vector<int64_t>{1});
+
+  ASSERT_TRUE(Update(1, 0, 10).ok());  // reached: enters the tree
+  EXPECT_EQ(FlagHolding(1), 0);
+  EXPECT_EQ(OpenNids(table_.get(), 0, 10, 10), std::vector<int64_t>{1});
+  EXPECT_TRUE(OpenNids(table_.get(), 0, 11, 20).empty());
+  ASSERT_TRUE(Update(1, 2, 10).ok());  // frontier mark
+  EXPECT_EQ(FlagHolding(1), 2);
+  ASSERT_TRUE(Update(1, 1, 10).ok());  // finalize
+  EXPECT_EQ(FlagHolding(1), 1);
+
+  // The M operator's MERGE improves the row and reopens it.
+  Schema src_schema({{"nid", TypeId::kInt}, {"cost", TypeId::kInt}});
+  MaterializedExecutor source({Tuple({Value(int64_t{1}), Value(int64_t{4})})},
+                              src_schema);
+  MergeSpec spec;
+  spec.target_key_column = "nid";
+  spec.source_key_column = "nid";
+  spec.matched_condition =
+      Cmp(CompareOp::kGt, Col("t.d"), Col("s.cost"));
+  spec.matched_sets = {{"d", Col("s.cost")}, {"f", Lit(int64_t{0})}};
+  int64_t affected = 0;
+  ASSERT_TRUE(MergeInto(table_.get(), &source, spec, &affected).ok());
+  EXPECT_EQ(affected, 1);
+  EXPECT_EQ(FlagHolding(1), 0);
+  EXPECT_EQ(OpenNids(table_.get(), 0, 4, 4), std::vector<int64_t>{1});
+  EXPECT_TRUE(OpenNids(table_.get(), 0, 10, 10).empty());
+
+  Tuple row;
+  RowRef ref;
+  ASSERT_TRUE(table_->LookupUnique("nid", 1, &row, &ref).ok());
+  ASSERT_TRUE(table_->DeleteRow(ref).ok());
+  EXPECT_EQ(FlagHolding(1), -1);
+
+  for (int64_t nid : {2, 3, 4}) {
+    ASSERT_TRUE(table_->Insert(OpenRow(nid, nid % 3, 7)).ok());
+  }
+  EXPECT_EQ(FlagHolding(4), 1);
+  ASSERT_TRUE(table_->Truncate().ok());
+  for (int64_t nid : {2, 3, 4}) EXPECT_EQ(FlagHolding(nid), -1);
+  ASSERT_TRUE(table_->Insert(OpenRow(2, 0, 3)).ok());
+  EXPECT_EQ(FlagHolding(2), 0);
+}
+
+TEST_P(OpenTreeTest, OrdersByDistThenRow) {
+  ASSERT_TRUE(table_->Insert(OpenRow(5, 0, 9)).ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(6, 0, 2)).ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(7, 0, 9)).ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(8, 2, 1)).ok());
+  EXPECT_EQ(OpenNids(table_.get(), 0, 0, kInfinity - 1),
+            (std::vector<int64_t>{6, 5, 7}));
+  EXPECT_EQ(OpenNids(table_.get(), 0, 3, 9), (std::vector<int64_t>{5, 7}));
+  EXPECT_TRUE(OpenNids(table_.get(), 0, 9, 3).empty());  // lo > hi
+  EXPECT_TRUE(OpenNids(table_.get(), 3, 0, 9).empty());  // no such flag
+  EXPECT_EQ(OpenNids(table_.get(), 2, -5, 1), std::vector<int64_t>{8});
+}
+
+TEST_P(OpenTreeTest, OutOfDomainWritesAreRejectedWholesale) {
+  ASSERT_TRUE(table_->Insert(OpenRow(1, 0, 5)).ok());
+  for (const Tuple& bad :
+       {OpenRow(2, 0, -1), OpenRow(2, 3, 5), OpenRow(2, -1, 5),
+        OpenRow(2, 0, kInfinity + 1),
+        Tuple({Value(int64_t{2}), Value::Null(), Value(int64_t{5})})}) {
+    EXPECT_TRUE(table_->Insert(bad).IsInvalidArgument()) << bad.ToString();
+  }
+  EXPECT_EQ(table_->num_rows(), 1);
+  Tuple row;
+  EXPECT_TRUE(table_->LookupUnique("nid", 2, &row, nullptr).IsNotFound());
+
+  EXPECT_TRUE(Update(1, 3, 5).IsInvalidArgument());
+  EXPECT_TRUE(Update(1, 0, -2).IsInvalidArgument());
+  ASSERT_TRUE(table_->LookupUnique("nid", 1, &row, nullptr).ok());
+  EXPECT_EQ(row.value(1).AsInt(), 0);
+  EXPECT_EQ(row.value(2).AsInt(), 5);
+  EXPECT_EQ(FlagHolding(1), 0);  // includes CheckConsistency
+  EXPECT_EQ(OpenNids(table_.get(), 0, 5, 5), std::vector<int64_t>{1});
+}
+
+TEST_P(OpenTreeTest, IsNotAOneColumnIndexAndCannotBeExported) {
+  EXPECT_FALSE(table_->HasIndexOn("f"));
+  EXPECT_FALSE(table_->HasIndexOn("d"));
+  Tuple row;
+  EXPECT_TRUE(
+      table_->LookupUnique("d", 5, &row, nullptr).IsInvalidArgument());
+  TablePersistentState state;
+  EXPECT_TRUE(table_->ExportState(&state).IsNotSupported());
+  EXPECT_TRUE(table_->CreateOpenIndex("f", "d").IsAlreadyExists());
+
+  // A one-column index on d lives beside it; DROP INDEX d drops that one.
+  ASSERT_TRUE(table_->CreateSecondaryIndex("d", /*unique=*/false).ok());
+  EXPECT_TRUE(table_->HasIndexOn("d"));
+  ASSERT_TRUE(table_->DropSecondaryIndex("d").ok());
+  EXPECT_FALSE(table_->HasIndexOn("d"));
+  EXPECT_TRUE(table_->ExportState(&state).IsNotSupported());
+  ASSERT_TRUE(table_->DropSecondaryIndex("f_d").ok());
+  EXPECT_TRUE(table_->ExportState(&state).ok());
+}
+
+TEST_P(OpenTreeTest, BuildBackfillsAndChecksExistingRows) {
+  ASSERT_TRUE(table_->DropSecondaryIndex("f_d").ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(1, 0, 5)).ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(2, 1, kInfinity)).ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(3, 2, 7)).ok());
+  ASSERT_TRUE(table_->CreateOpenIndex("f", "d").ok());
+  EXPECT_EQ(FlagHolding(1), 0);
+  EXPECT_EQ(FlagHolding(2), -1);
+  EXPECT_EQ(FlagHolding(3), 2);
+
+  // A row outside the domain fails the build and leaves no tree behind.
+  ASSERT_TRUE(table_->DropSecondaryIndex("f_d").ok());
+  ASSERT_TRUE(table_->Insert(OpenRow(4, 5, 1)).ok());
+  EXPECT_TRUE(table_->CreateOpenIndex("f", "d").IsInvalidArgument());
+  TablePersistentState state;
+  EXPECT_TRUE(table_->ExportState(&state).ok());
+  EXPECT_TRUE(table_->CheckConsistency().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, OpenTreeTest,
+    ::testing::Values(TableStorage::kHeap, TableStorage::kClustered),
+    [](const ::testing::TestParamInfo<TableStorage>& info) {
+      return info.param == TableStorage::kHeap ? "Heap" : "Clustered";
+    });
 
 // ---------------------------------------------------------------- Catalog
 
