@@ -12,7 +12,7 @@ void Run() {
   Banner("Ablation: Theorem-1 pruning",
          "BSDJ and BSEG(20) with the pruning predicate removed, Power",
          "pruning reduces visited rows and expansions, never changes "
-         "distances (DESIGN.md ablation list)");
+         "distances");
   BenchEnv env = GetEnv();
   std::printf("%10s %8s | %10s %8s | %10s %8s %9s\n", "algo", "nodes",
               "pruned_s", "vst", "ablated_s", "vst", "vst_ratio");

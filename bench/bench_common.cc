@@ -1,139 +1,10 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <utility>
 
 namespace relgraph {
 namespace bench {
-
-// ---------------------------------------------------------- JSON sink state
-
-namespace {
-
-struct JsonRecordData {
-  std::string experiment;
-  std::string label;
-  std::map<std::string, double> context;
-  AvgResult avg;
-};
-
-struct JsonSink {
-  bool enabled = false;
-  std::string path;
-  std::string experiment;  // last Banner()
-  std::map<std::string, double> context;
-  std::vector<JsonRecordData> records;
-};
-
-JsonSink& Sink() {
-  static JsonSink sink;
-  return sink;
-}
-
-/// Doubles print with enough digits to round-trip; integers stay integral.
-void AppendNumber(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-void FlushJson() {
-  JsonSink& sink = Sink();
-  if (!sink.enabled) return;
-  std::string out = "[\n";
-  for (size_t i = 0; i < sink.records.size(); i++) {
-    const JsonRecordData& r = sink.records[i];
-    out += "  {\"experiment\": ";
-    AppendQuoted(&out, r.experiment);
-    out += ", \"label\": ";
-    AppendQuoted(&out, r.label);
-    out += ", \"context\": {";
-    bool first = true;
-    for (const auto& [k, v] : r.context) {
-      if (!first) out += ", ";
-      first = false;
-      AppendQuoted(&out, k);
-      out += ": ";
-      AppendNumber(&out, v);
-    }
-    out += "}, \"metrics\": {";
-    const AvgResult& a = r.avg;
-    const std::pair<const char*, double> metrics[] = {
-        {"time_s", a.time_s},         {"expansions", a.expansions},
-        {"visited", a.visited},       {"statements", a.statements},
-        {"pe_s", a.pe_s},             {"sc_s", a.sc_s},
-        {"fpr_s", a.fpr_s},           {"f_s", a.f_s},
-        {"e_s", a.e_s},               {"m_s", a.m_s},
-        {"buffer_misses", a.buffer_misses},
-        {"retries", a.retries},       {"failures", a.failures},
-        {"breaker_opens", a.breaker_opens},
-        {"failovers", a.failovers},   {"hedges", a.hedges},
-        {"sheds", a.sheds},
-        {"found", static_cast<double>(a.found)},
-        {"total", static_cast<double>(a.total)},
-    };
-    first = true;
-    for (const auto& [k, v] : metrics) {
-      if (!first) out += ", ";
-      first = false;
-      AppendQuoted(&out, k);
-      out += ": ";
-      AppendNumber(&out, v);
-    }
-    out += "}}";
-    if (i + 1 < sink.records.size()) out += ",";
-    out += "\n";
-  }
-  out += "]\n";
-  if (std::FILE* f = std::fopen(sink.path.c_str(), "w")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "RELGRAPH_JSON: cannot write %s\n",
-                 sink.path.c_str());
-  }
-}
-
-void EnsureJsonInit() {
-  static bool initialized = false;
-  if (initialized) return;
-  initialized = true;
-  if (const char* path = std::getenv("RELGRAPH_JSON")) {
-    if (path[0] != '\0') {
-      Sink().enabled = true;
-      Sink().path = path;
-      std::atexit(FlushJson);
-    }
-  }
-}
-
-}  // namespace
-
-bool JsonEnabled() {
-  EnsureJsonInit();
-  return Sink().enabled;
-}
-
-void JsonContext(const std::string& key, double value) {
-  if (!JsonEnabled()) return;
-  Sink().context[key] = value;
-}
-
-void JsonRecord(const std::string& label, const AvgResult& avg) {
-  if (!JsonEnabled()) return;
-  JsonSink& sink = Sink();
-  sink.records.push_back({sink.experiment, label, sink.context, avg});
-}
 
 BenchEnv GetEnv() {
   BenchEnv env;
@@ -146,8 +17,8 @@ BenchEnv GetEnv() {
   return env;
 }
 
-int64_t Scaled(int64_t base_nodes) {
-  return static_cast<int64_t>(base_nodes * GetEnv().scale);
+int64_t Scaled(int64_t base_nodes, const BenchEnv& env) {
+  return static_cast<int64_t>(base_nodes * env.scale);
 }
 
 std::vector<std::pair<node_id_t, node_id_t>> MakeQueryPairs(int64_t num_nodes,
@@ -198,9 +69,6 @@ AvgResult RunQueries(
   avg.e_s /= n;
   avg.m_s /= n;
   avg.buffer_misses /= n;
-  JsonRecord(std::string(AlgorithmName(finder->options().algorithm)) + "/" +
-                 SqlModeName(finder->options().sql_mode),
-             avg);
   return avg;
 }
 
@@ -269,11 +137,11 @@ std::unique_ptr<PathFinder> SharedGraph::Finder(Algorithm algorithm,
 
 void Banner(const char* experiment, const char* caption,
             const char* paper_shape) {
-  if (JsonEnabled()) Sink().experiment = experiment;
   std::printf("##\n## %s — %s\n", experiment, caption);
   std::printf("## paper shape: %s\n", paper_shape);
   BenchEnv env = GetEnv();
-  std::printf("## queries/point=%d scale=%.2f (see EXPERIMENTS.md)\n##\n",
+  std::printf("## queries/point=%d scale=%.2f (the paper's graphs, scaled "
+              "down: README, \"Running examples and benchmarks\")\n##\n",
               env.queries, env.scale);
 }
 

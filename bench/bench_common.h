@@ -19,8 +19,8 @@ namespace bench {
 ///                      the paper used 100)
 ///   RELGRAPH_SCALE   — multiplier on every graph size (default 1.0; the
 ///                      defaults are scaled-down versions of the paper's
-///                      graphs so the whole suite finishes in minutes —
-///                      see EXPERIMENTS.md for the per-figure ratios)
+///                      graphs so the whole suite finishes in minutes;
+///                      each bench passes its base sizes to Scaled())
 struct BenchEnv {
   int queries = 5;
   double scale = 1.0;
@@ -29,17 +29,14 @@ struct BenchEnv {
 BenchEnv GetEnv();
 
 /// Applies the scale knob to a node count.
-int64_t Scaled(int64_t base_nodes);
+int64_t Scaled(int64_t base_nodes, const BenchEnv& env = GetEnv());
 
 /// Random query endpoints, the paper's workload methodology (§5.2).
 std::vector<std::pair<node_id_t, node_id_t>> MakeQueryPairs(int64_t num_nodes,
                                                             int n,
                                                             uint64_t seed);
 
-/// Averaged per-query metrics for one (algorithm, graph) cell. The
-/// resilience block (totals, not averages) is zero for single-node benches
-/// and populated by the distributed/networked ones, so CI can gate on
-/// "this series must see zero sheds / exactly these failovers".
+/// Averaged per-query metrics for one (algorithm, graph) cell.
 struct AvgResult {
   double time_s = 0;
   double expansions = 0;
@@ -48,35 +45,13 @@ struct AvgResult {
   double pe_s = 0, sc_s = 0, fpr_s = 0;
   double f_s = 0, e_s = 0, m_s = 0;
   double buffer_misses = 0;
-  double retries = 0, failures = 0, breaker_opens = 0;
-  double failovers = 0, hedges = 0, sheds = 0;
   int found = 0;
   int total = 0;
 };
 
-/// Runs `pairs` through `finder` and averages the stats. When RELGRAPH_JSON
-/// is set, also appends one machine-readable record (see JsonRecord below).
+/// Runs `pairs` through `finder` and averages the stats.
 AvgResult RunQueries(PathFinder* finder,
                      const std::vector<std::pair<node_id_t, node_id_t>>& pairs);
-
-/// ----- machine-readable output ---------------------------------------------
-/// RELGRAPH_JSON=path enables a JSON sink: every RunQueries() call (and any
-/// explicit JsonRecord() call) appends one record, and the whole list is
-/// written to `path` as a JSON array when the process exits. CI uploads these
-/// files to track figure reproductions over time.
-
-/// True when RELGRAPH_JSON is set.
-bool JsonEnabled();
-
-/// Sticky context attached to every subsequent record until overwritten
-/// (benches call e.g. JsonContext("nodes", n) at the top of each data-point
-/// loop). Setting an existing key replaces its value.
-void JsonContext(const std::string& key, double value);
-
-/// Appends one record: the current experiment (from Banner), `label`
-/// (typically algorithm/sql-mode), the sticky context, and the averaged
-/// metrics. No-op unless RELGRAPH_JSON is set.
-void JsonRecord(const std::string& label, const AvgResult& avg);
 
 /// Convenience: build a GraphStore (+ optional SegTable) in a fresh
 /// Database and answer queries with one algorithm.

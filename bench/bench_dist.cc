@@ -10,168 +10,26 @@
 //    shard pool (queries/sec vs client count), the "many clients, one
 //    cluster" shape of the scaling story.
 //
-// JSON records (RELGRAPH_JSON): label dist/<strategy>/<mode>, context
-// shards (+ clients for the multi-client series). `visited` carries
-// rows_shipped and `statements` the shard+coordinator statement total —
-// both deterministic, so the diff_bench gate flags any drift.
-#include <thread>
-
-#include "bench_common.h"
-#include "src/common/timer.h"
-#include "src/dist/dist_path_finder.h"
-#include "src/dist/sharded_graph.h"
+// rows_shipped and the statement totals are deterministic;
+// tests/test_golden_counters.cc pins them for every point of both series.
+#include "series.h"
 
 namespace relgraph {
 namespace bench {
 namespace {
 
-constexpr int kPoolThreads = 4;
-
-struct DistAvg {
-  double wall_s = 0;       // measured per-query wall clock of this mode
-  double other_clock_s = 0;  // serial mode: simulated parallel; threaded
-                             // mode: backed-out serial estimate
-  double rows_shipped = 0;
-  double statements = 0;  // shard + coordinator statements
-  int found = 0;
-  int total = 0;
-};
-
-DistAvg RunPairs(DistPathFinder* finder,
-                 const std::vector<std::pair<node_id_t, node_id_t>>& pairs,
-                 bool threaded) {
-  DistAvg avg;
-  for (const auto& [s, t] : pairs) {
-    DistPathResult r;
-    Check(finder->Find(s, t, &r), "DistPathFinder::Find");
-    const int64_t wall = threaded ? r.stats.parallel_us : r.stats.serial_us;
-    const int64_t other = threaded ? r.stats.serial_us : r.stats.parallel_us;
-    avg.wall_s += static_cast<double>(wall) / 1e6;
-    avg.other_clock_s += static_cast<double>(other) / 1e6;
-    avg.rows_shipped += static_cast<double>(r.stats.rows_shipped);
-    avg.statements += static_cast<double>(r.stats.shard_statements +
-                                          r.stats.coordinator_statements);
-    if (r.found) avg.found++;
-    avg.total++;
-  }
-  int q = std::max(avg.total, 1);
-  avg.wall_s /= q;
-  avg.other_clock_s /= q;
-  avg.rows_shipped /= q;
-  avg.statements /= q;
-  return avg;
-}
-
-void EmitJson(const std::string& label, const DistAvg& avg) {
-  AvgResult a;
-  a.time_s = avg.wall_s;
-  a.visited = avg.rows_shipped;  // deterministic: rows over the "network"
-  a.statements = avg.statements;
-  a.found = avg.found;
-  a.total = avg.total;
-  JsonRecord(label, a);
-}
-
-void RunStrategy(IndexStrategy strategy, const EdgeList& list,
-                 const std::vector<std::pair<node_id_t, node_id_t>>& pairs) {
+void PrintStrategy(IndexStrategy strategy, const Workload& w) {
   std::printf("strategy=%s (threaded pool: %d workers)\n",
-              IndexStrategyName(strategy), kPoolThreads);
+              IndexStrategyName(strategy), kDistPoolThreads);
   std::printf("%8s %12s %14s %14s %10s %14s %14s\n", "shards", "serial_s",
               "sim_par_s", "threaded_s", "speedup", "rows_shipped", "stmts");
-  for (int shards : {1, 2, 4, 8}) {
-    ShardedGraphOptions opts;
-    opts.num_shards = shards;
-    opts.strategy = strategy;
-    std::unique_ptr<ShardedGraphStore> store;
-    Check(ShardedGraphStore::Create(list, opts, &store),
-          "ShardedGraphStore::Create");
-    JsonContext("shards", shards);
-
-    // Serial coordinator: measured serial clock + simulated parallel.
-    std::unique_ptr<DistPathFinder> serial;
-    Check(DistPathFinder::Create(store.get(), &serial), "serial finder");
-    DistAvg s = RunPairs(serial.get(), pairs, /*threaded=*/false);
-    EmitJson(std::string("dist/") + IndexStrategyName(strategy) + "/serial",
-             s);
-
-    // Thread-pool coordinator on the same store: measured parallel wall.
-    DistOptions dopts;
-    dopts.num_threads = kPoolThreads;
-    std::unique_ptr<DistPathFinder> threaded;
-    Check(DistPathFinder::Create(store.get(), &threaded, dopts),
-          "threaded finder");
-    DistAvg t = RunPairs(threaded.get(), pairs, /*threaded=*/true);
-    EmitJson(std::string("dist/") + IndexStrategyName(strategy) +
-                 "/threaded", t);
-
-    std::printf("%8d %12.4f %14.4f %14.4f %10.2f %14.0f %14.0f\n", shards,
+  for (const DistShardPoint& p : RunDistShardSweep(w, strategy)) {
+    const DistAvg& s = p.serial;
+    const DistAvg& t = p.threaded;
+    std::printf("%8d %12.4f %14.4f %14.4f %10.2f %14.0f %14.0f\n", p.shards,
                 s.wall_s, s.other_clock_s, t.wall_s,
                 t.wall_s > 0 ? s.wall_s / t.wall_s : 0.0, s.rows_shipped,
                 s.statements);
-  }
-}
-
-/// Multi-client throughput: every client drives its own session (own
-/// TVisited + FEM state) over the same coordinator; shard connection pools
-/// are sized to the client count so sessions contend on shards, not on a
-/// starved pool.
-void RunMultiClient(const EdgeList& list,
-                    const std::vector<std::pair<node_id_t, node_id_t>>& pairs,
-                    int shards) {
-  std::printf("\nmulti-client throughput (shards=%d, pool=%d workers, "
-              "CluIndex)\n", shards, kPoolThreads);
-  std::printf("%8s %12s %14s %14s\n", "clients", "wall_s", "queries/s",
-              "avg_query_s");
-  ShardedGraphOptions opts;
-  opts.num_shards = shards;
-  opts.strategy = IndexStrategy::kCluIndex;
-  std::unique_ptr<ShardedGraphStore> store;
-  Check(ShardedGraphStore::Create(list, opts, &store),
-        "ShardedGraphStore::Create");
-  JsonContext("shards", shards);
-
-  for (int clients : {1, 2, 4, 8}) {
-    DistOptions dopts;
-    dopts.num_threads = kPoolThreads;
-    dopts.connections_per_shard = clients;
-    std::unique_ptr<DistCoordinator> coord;
-    Check(DistCoordinator::Create(store.get(), dopts, &coord),
-          "DistCoordinator::Create");
-    std::vector<std::unique_ptr<DistPathFinder>> sessions(clients);
-    for (int c = 0; c < clients; c++) {
-      Check(coord->NewSession(&sessions[c]), "NewSession");
-    }
-
-    Timer wall;
-    std::vector<std::thread> threads;
-    std::vector<DistAvg> avgs(clients);
-    for (int c = 0; c < clients; c++) {
-      threads.emplace_back([&, c] {
-        avgs[c] = RunPairs(sessions[c].get(), pairs, /*threaded=*/true);
-      });
-    }
-    for (auto& t : threads) t.join();
-    const double wall_s = wall.ElapsedSeconds();
-    const int total_queries = clients * static_cast<int>(pairs.size());
-
-    DistAvg combined;
-    double avg_query_s = 0;  // mean per-query latency as each client saw it
-    for (const DistAvg& a : avgs) {
-      combined.rows_shipped += a.rows_shipped;
-      combined.statements += a.statements;
-      combined.found += a.found;
-      combined.total += a.total;
-      avg_query_s += a.wall_s;
-    }
-    combined.rows_shipped /= clients;  // per-query means stay comparable
-    combined.statements /= clients;
-    avg_query_s /= clients;
-    combined.wall_s = wall_s / std::max(total_queries, 1);
-    JsonContext("clients", clients);
-    EmitJson("dist/multiclient", combined);
-
-    std::printf("%8d %12.4f %14.1f %14.4f\n", clients, wall_s,
-                wall_s > 0 ? total_queries / wall_s : 0.0, avg_query_s);
   }
 }
 
@@ -185,15 +43,21 @@ void Run() {
          "partitioning helps exactly when per-shard work scales down. "
          "Multi-client: throughput grows with clients until the shard "
          "pools saturate");
-  BenchEnv env = GetEnv();
-  int64_t n = Scaled(20000);
-  EdgeList list = GenerateBarabasiAlbert(n, 3, WeightRange{1, 100}, 777);
-  auto pairs = MakeQueryPairs(n, env.queries, 9777);
-
-  RunStrategy(IndexStrategy::kNoIndex, list, pairs);
+  Workload w = DistWorkload(GetEnv());
+  PrintStrategy(IndexStrategy::kNoIndex, w);
   std::printf("\n");
-  RunStrategy(IndexStrategy::kCluIndex, list, pairs);
-  RunMultiClient(list, pairs, /*shards=*/4);
+  PrintStrategy(IndexStrategy::kCluIndex, w);
+
+  constexpr int kShards = 4;
+  std::printf("\nmulti-client throughput (shards=%d, pool=%d workers, "
+              "CluIndex)\n", kShards, kDistPoolThreads);
+  std::printf("%8s %12s %14s %14s\n", "clients", "wall_s", "queries/s",
+              "avg_query_s");
+  for (const DistClientPoint& p : RunDistMultiClient(w, kShards)) {
+    std::printf("%8d %12.4f %14.1f %14.4f\n", p.clients, p.wall_s,
+                p.wall_s > 0 ? p.combined.total / p.wall_s : 0.0,
+                p.avg_query_s);
+  }
 }
 
 }  // namespace

@@ -3,84 +3,26 @@
 // real wire (framing, syscalls, a round trip per contacted shard per
 // round) costs on top of the function call it replaces.
 //
-// JSON records (RELGRAPH_JSON): label dist_net/<transport>, context
-// shards. The deterministic metrics (`visited` = rows_shipped,
-// `statements`, found/total) are asserted identical across transports
-// before emitting — the bench itself enforces the transport-invisibility
-// invariant — so the diff_bench gate pins them exactly and any drift in
-// either transport fails CI.
+// The deterministic counters (rows_shipped, statements, found) are
+// asserted identical across transports while the bench runs — the
+// transport-invisibility invariant — and tests/test_golden_counters.cc
+// pins their values.
 //
-// Two resilience series ride along: dist_net/replicated (2 replicas per
-// shard; a healthy fleet must route without a single failover/hedge/shed —
-// those metrics are pinned at 0 by the gate) and dist_net/overload (4
-// concurrent sessions over 1-connection pools; the admission queue must
-// absorb the contention with zero sheds and bit-identical results).
+// Two resilience series ride along: replicated (2 replicas per shard; a
+// healthy fleet must route without a single failover/hedge/shed) and
+// overload (4 concurrent sessions over 1-connection pools; the admission
+// queue must absorb the contention with zero sheds and bit-identical
+// results).
 //
-// A restart series closes the set: dist_net/restart_ingest (cold start by
-// re-ingesting the edge list) vs dist_net/restart_snapshot (verify + load
-// the checksummed shard snapshots a previous run persisted). The snapshot
-// page count is deterministic, so the gate pins it; the wall-clock ratio
-// is the operational payoff of durable shards.
-#include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <thread>
-
-#include "bench_common.h"
-#include "src/dist/dist_path_finder.h"
-#include "src/dist/shard_snapshot.h"
-#include "src/dist/sharded_graph.h"
-#include "src/net/shard_server.h"
+// A restart series closes the set: cold start by re-ingesting the edge
+// list vs verifying and loading the checksummed shard snapshots a previous
+// run persisted. The snapshot page count is deterministic; the wall-clock
+// ratio is the operational payoff of durable shards.
+#include "series.h"
 
 namespace relgraph {
 namespace bench {
 namespace {
-
-struct NetAvg {
-  double wall_s = 0;  // measured serial clock per query
-  double rows_shipped = 0;
-  double statements = 0;
-  int found = 0;
-  int total = 0;
-  ResilienceCounters resilience;  // totals over the whole series
-};
-
-NetAvg RunPairs(DistPathFinder* finder,
-                const std::vector<std::pair<node_id_t, node_id_t>>& pairs) {
-  NetAvg avg;
-  for (const auto& [s, t] : pairs) {
-    DistPathResult r;
-    Check(finder->Find(s, t, &r), "DistPathFinder::Find");
-    avg.wall_s += static_cast<double>(r.stats.serial_us) / 1e6;
-    avg.rows_shipped += static_cast<double>(r.stats.rows_shipped);
-    avg.statements += static_cast<double>(r.stats.shard_statements +
-                                          r.stats.coordinator_statements);
-    if (r.found) avg.found++;
-    avg.total++;
-  }
-  int q = std::max(avg.total, 1);
-  avg.wall_s /= q;
-  avg.rows_shipped /= q;
-  avg.statements /= q;
-  return avg;
-}
-
-void EmitJson(const std::string& label, const NetAvg& avg) {
-  AvgResult a;
-  a.time_s = avg.wall_s;
-  a.visited = avg.rows_shipped;
-  a.statements = avg.statements;
-  a.found = avg.found;
-  a.total = avg.total;
-  const ResilienceCounters& rc = avg.resilience;
-  a.retries = static_cast<double>(rc.retries);
-  a.failures = static_cast<double>(rc.failures);
-  a.breaker_opens = static_cast<double>(rc.breaker_opens);
-  a.failovers = static_cast<double>(rc.failovers);
-  a.hedges = static_cast<double>(rc.hedges);
-  a.sheds = static_cast<double>(rc.sheds);
-  JsonRecord(label, a);
-}
 
 void Run() {
   Banner("Networked shard transport (loopback)",
@@ -90,206 +32,24 @@ void Run() {
          "bit-identical across transports (asserted) — only the clock may "
          "move. The gap bounds the per-round wire tax a real deployment "
          "starts from before network latency is added");
-  BenchEnv env = GetEnv();
-  int64_t n = Scaled(8000);
-  EdgeList list = GenerateBarabasiAlbert(n, 3, WeightRange{1, 100}, 4242);
-  auto pairs = MakeQueryPairs(n, env.queries, 24242);
-
+  Workload w = DistNetWorkload(GetEnv());
   std::printf("%8s %12s %14s %10s %14s %14s\n", "shards", "local_s",
               "loopback_s", "wire_tax", "rows_shipped", "stmts");
   for (int shards : {2, 4}) {
-    ShardedGraphOptions sopts;
-    sopts.num_shards = shards;
-    std::unique_ptr<ShardedGraphStore> store;
-    Check(ShardedGraphStore::Create(list, sopts, &store),
-          "ShardedGraphStore::Create");
-    JsonContext("shards", shards);
-
-    // All-local baseline.
-    std::unique_ptr<DistPathFinder> local;
-    Check(DistPathFinder::Create(store.get(), &local), "local finder");
-    NetAvg l = RunPairs(local.get(), pairs);
-    EmitJson("dist_net/local", l);
-
-    // Every shard behind a loopback ShardServer.
-    std::vector<std::unique_ptr<net::ShardServer>> servers;
-    DistOptions dopts;
-    for (int s = 0; s < shards; s++) {
-      std::unique_ptr<net::ShardServer> server;
-      Check(net::ShardServer::Start(store.get(), s, net::ShardServerOptions{},
-                                    &server),
-            "ShardServer::Start");
-      dopts.shard_endpoints.push_back("127.0.0.1:" +
-                                      std::to_string(server->port()));
-      servers.push_back(std::move(server));
-    }
-    std::unique_ptr<DistPathFinder> remote;
-    Check(DistPathFinder::Create(store.get(), &remote, dopts),
-          "loopback finder");
-    NetAvg r = RunPairs(remote.get(), pairs);
-    r.resilience = remote->coordinator()->Resilience();
-    EmitJson("dist_net/loopback", r);
-
-    // The invariant the whole transport hangs on.
-    if (l.rows_shipped != r.rows_shipped || l.statements != r.statements ||
-        l.found != r.found) {
-      std::fprintf(stderr,
-                   "FATAL: loopback transport drifted from local results "
-                   "(shards=%d)\n", shards);
-      std::exit(1);
-    }
-
-    // Two replicas per shard: a healthy replica set must be
-    // indistinguishable from one replica — same results, zero failovers,
-    // zero hedges, zero sheds (the gate pins those at 0).
-    std::vector<std::unique_ptr<net::ShardServer>> replicas;
-    DistOptions ropts;
-    for (int s = 0; s < shards; s++) {
-      std::string joined;
-      for (int rep = 0; rep < 2; rep++) {
-        std::unique_ptr<net::ShardServer> server;
-        Check(net::ShardServer::Start(store.get(), s,
-                                      net::ShardServerOptions{}, &server),
-              "replica ShardServer::Start");
-        if (!joined.empty()) joined += '|';
-        joined += "127.0.0.1:" + std::to_string(server->port());
-        replicas.push_back(std::move(server));
-      }
-      ropts.shard_endpoints.push_back(std::move(joined));
-    }
-    std::unique_ptr<DistPathFinder> replicated;
-    Check(DistPathFinder::Create(store.get(), &replicated, ropts),
-          "replicated finder");
-    NetAvg rr = RunPairs(replicated.get(), pairs);
-    rr.resilience = replicated->coordinator()->Resilience();
-    EmitJson("dist_net/replicated", rr);
-    if (rr.rows_shipped != l.rows_shipped || rr.statements != l.statements ||
-        rr.found != l.found || rr.resilience.failovers != 0 ||
-        rr.resilience.hedges != 0 || rr.resilience.sheds != 0) {
-      std::fprintf(stderr,
-                   "FATAL: healthy replicated fleet drifted from local "
-                   "results (shards=%d)\n", shards);
-      std::exit(1);
-    }
-
-    // Oversubscription: 4 concurrent sessions over 1-connection local
-    // pools. The admission queue must absorb the contention — every query
-    // completes with the oracle's exact counters and zero sheds.
-    constexpr int kSessions = 4;
-    DistOptions oopts;
-    oopts.connections_per_shard = 1;
-    std::unique_ptr<DistCoordinator> ocoord;
-    Check(DistCoordinator::Create(store.get(), oopts, &ocoord),
-          "overload coordinator");
-    std::vector<std::unique_ptr<DistPathFinder>> sessions(kSessions);
-    for (auto& s : sessions) Check(ocoord->NewSession(&s), "overload session");
-    std::vector<NetAvg> per_session(kSessions);
-    {
-      std::vector<std::thread> threads;
-      for (int i = 0; i < kSessions; i++) {
-        threads.emplace_back([&, i] {
-          per_session[i] = RunPairs(sessions[i].get(), pairs);
-        });
-      }
-      for (auto& th : threads) th.join();
-    }
-    // Every session ran the same pairs, so the deterministic counters must
-    // agree session-to-session AND with the uncontended local baseline.
-    NetAvg o = per_session[0];
-    o.wall_s = 0;
-    for (const NetAvg& s : per_session) {
-      o.wall_s += s.wall_s / kSessions;
-      if (s.rows_shipped != l.rows_shipped || s.statements != l.statements ||
-          s.found != l.found) {
-        std::fprintf(stderr,
-                     "FATAL: oversubscribed session drifted from local "
-                     "results (shards=%d)\n", shards);
-        std::exit(1);
-      }
-    }
-    o.resilience = ocoord->Resilience();
-    EmitJson("dist_net/overload", o);
-    if (o.resilience.sheds != 0) {
-      std::fprintf(stderr,
-                   "FATAL: admission queue shed load under a workload it "
-                   "must absorb (shards=%d)\n", shards);
-      std::exit(1);
-    }
-
+    DistNetPoint p = RunDistNetPoint(w, shards);
+    const DistAvg& l = p.local;
+    const DistAvg& r = p.loopback;
     std::printf("%8d %12.4f %14.4f %9.2fx %14.0f %14.0f\n", shards, l.wall_s,
                 r.wall_s, l.wall_s > 0 ? r.wall_s / l.wall_s : 0.0,
                 l.rows_shipped, l.statements);
-
-    // Restart paths: re-ingesting the edge list from scratch vs verifying
-    // and loading the checksummed snapshots this fleet would have left on
-    // disk. Page counts are deterministic (pinned by the gate); the clock
-    // ratio is what a durable shard buys at restart time.
-    namespace fs = std::filesystem;
-    using Clock = std::chrono::steady_clock;
-    auto seconds = [](Clock::time_point a, Clock::time_point b) {
-      return std::chrono::duration<double>(b - a).count();
-    };
-    fs::path snapdir = fs::temp_directory_path() /
-                       ("relgraph_bench_snap_" + std::to_string(::getpid()));
-    fs::create_directories(snapdir);
-
-    auto t0 = Clock::now();
-    {
-      std::unique_ptr<ShardedGraphStore> reingested;
-      Check(ShardedGraphStore::Create(list, sopts, &reingested),
-            "re-ingest ShardedGraphStore::Create");
-    }
-    auto t1 = Clock::now();
-    NetAvg ingest;
-    ingest.wall_s = seconds(t0, t1);
-    ingest.rows_shipped = static_cast<double>(list.edges.size());
-    ingest.found = shards;
-    ingest.total = shards;
-    EmitJson("dist_net/restart_ingest", ingest);
-
-    std::vector<std::string> snaps;
-    for (int s = 0; s < shards; s++) {
-      snaps.push_back((snapdir / ("shard" + std::to_string(s) + ".rgsnap"))
-                          .string());
-      Check(WriteShardSnapshot(*store, s, snaps.back()),
-            "WriteShardSnapshot");
-    }
-    int64_t total_pages = 0;
-    auto t2 = Clock::now();
-    for (int s = 0; s < shards; s++) {
-      int64_t pages = 0;
-      Check(VerifySnapshotPages(snaps[s], &pages), "VerifySnapshotPages");
-      total_pages += pages;
-      std::unique_ptr<ShardedGraphStore> loaded;
-      ShardSnapshotInfo info;
-      Check(LoadShardSnapshot(snaps[s], DatabaseOptions{},
-                              /*verify_structure=*/true, &loaded, &info),
-            "LoadShardSnapshot");
-      if (info.shard != s || info.num_shards != shards ||
-          info.num_nodes != store->num_nodes() ||
-          info.num_edges != store->num_edges()) {
-        std::fprintf(stderr,
-                     "FATAL: snapshot manifest drifted from the store it "
-                     "was written from (shards=%d)\n", shards);
-        std::exit(1);
-      }
-    }
-    auto t3 = Clock::now();
-    NetAvg snap;
-    snap.wall_s = seconds(t2, t3);
-    snap.rows_shipped = static_cast<double>(total_pages);
-    snap.found = shards;
-    snap.total = shards;
-    EmitJson("dist_net/restart_snapshot", snap);
-
-    double scrub_mb = static_cast<double>(total_pages) * kPageSize / 1e6;
-    std::printf("%8s %12.4f %14.4f %9.2fx %14lld %10.1f MB/s\n", "restart",
+    const DistAvg& ingest = p.restart_ingest;
+    const DistAvg& snap = p.restart_snapshot;
+    double scrub_mb = snap.rows_shipped * kPageSize / 1e6;
+    std::printf("%8s %12.4f %14.4f %9.2fx %14.0f %10.1f MB/s\n", "restart",
                 ingest.wall_s, snap.wall_s,
                 snap.wall_s > 0 ? ingest.wall_s / snap.wall_s : 0.0,
-                static_cast<long long>(total_pages),
+                snap.rows_shipped,
                 snap.wall_s > 0 ? scrub_mb / snap.wall_s : 0.0);
-    std::error_code ec;
-    fs::remove_all(snapdir, ec);
   }
 }
 

@@ -1,5 +1,5 @@
 // Figure 6(a): query time vs graph scale for BDJ and BSDJ on Power graphs.
-#include "bench_common.h"
+#include "series.h"
 
 namespace relgraph {
 namespace bench {
@@ -8,22 +8,11 @@ namespace {
 void Run() {
   Banner("Figure 6(a)", "query time vs |V|, Power graphs, BDJ vs BSDJ",
          "both grow roughly linearly; BSDJ ~1/3 the time of BDJ");
-  BenchEnv env = GetEnv();
   std::printf("%10s %10s %10s %10s\n", "nodes", "BDJ_s", "BSDJ_s", "ratio");
-  const int64_t bases[] = {2000, 4000, 6000, 8000, 10000};
-  for (size_t i = 0; i < 5; i++) {
-    int64_t n = Scaled(bases[i]);
-    JsonContext("nodes", static_cast<double>(n));
-    EdgeList list = GenerateBarabasiAlbert(n, 2, WeightRange{1, 100}, 100 + i);
-    auto pairs = MakeQueryPairs(n, env.queries, 9100 + i);
-    SharedGraph sg = SharedGraph::Make(list);
-    auto bdj = sg.Finder(Algorithm::kBDJ);
-    AvgResult rb = RunQueries(bdj.get(), pairs);
-    auto bsdj = sg.Finder(Algorithm::kBSDJ);
-    AvgResult rs = RunQueries(bsdj.get(), pairs);
-    std::printf("%10lld %10.3f %10.3f %10.2f\n", static_cast<long long>(n),
-                rb.time_s, rs.time_s,
-                rs.time_s > 0 ? rb.time_s / rs.time_s : 0.0);
+  for (const Fig6aPoint& p : RunFig6a(GetEnv())) {
+    std::printf("%10lld %10.3f %10.3f %10.2f\n",
+                static_cast<long long>(p.nodes), p.bdj.time_s, p.bsdj.time_s,
+                p.bsdj.time_s > 0 ? p.bdj.time_s / p.bsdj.time_s : 0.0);
   }
 }
 

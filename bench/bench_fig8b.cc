@@ -1,7 +1,8 @@
 // Figure 8(b): BSEG(3) query time vs RDBMS buffer size on the
 // LiveJournal stand-in. Runs on file-backed storage with a simulated
-// per-miss I/O latency (see DESIGN.md "Substitutions": the host page cache
-// would otherwise hide the misses the paper's disk made expensive).
+// per-miss I/O latency (DiskManager's simulated_io_latency_us: the host
+// page cache would otherwise hide the misses the paper's disk made
+// expensive).
 #include "bench_common.h"
 
 namespace relgraph {

@@ -14,140 +14,13 @@
 //
 // The bench aborts on any correctness violation: a label-served distance
 // differing from FEM, a fresh-index query not served, or a post-mutation
-// query not falling back. JSON records (RELGRAPH_JSON): labels/build
-// (visited = label rows), labels/serve, labels/fem, labels/stale —
-// statement counts and row counts are deterministic, so the diff_bench
-// gate pins them exactly.
-#include "bench_common.h"
-#include "src/common/timer.h"
-#include "src/labels/label_builder.h"
-#include "src/labels/labeled_path_finder.h"
+// query not falling back. Statement and row counts are deterministic;
+// tests/test_golden_counters.cc pins them.
+#include "series.h"
 
 namespace relgraph {
 namespace bench {
 namespace {
-
-void Die(const char* what, node_id_t s, node_id_t t) {
-  std::fprintf(stderr, "bench_labels: %s (pair %lld -> %lld)\n", what,
-               static_cast<long long>(s), static_cast<long long>(t));
-  std::exit(1);
-}
-
-void RunSize(int64_t n, int queries) {
-  EdgeList list = GenerateBarabasiAlbert(n, 3, WeightRange{1, 100}, 4242);
-  auto pairs = MakeQueryPairs(n, queries, 1000 + n);
-  JsonContext("nodes", static_cast<double>(n));
-
-  Database db{DatabaseOptions{}};
-  std::unique_ptr<GraphStore> graph;
-  Check(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph),
-        "GraphStore::Create");
-
-  LabelBuildStats bstats;
-  std::unique_ptr<LabelIndex> index;
-  Check(LabelBuilder::Build(graph.get(), "", LabelBuildOptions{}, &index,
-                            &bstats),
-        "LabelBuilder::Build");
-  AvgResult build;
-  build.time_s = bstats.build_us / 1e6;
-  build.statements = static_cast<double>(bstats.statements);
-  build.visited = static_cast<double>(bstats.entries);
-  JsonRecord("labels/build", build);
-
-  std::unique_ptr<LabeledPathFinder> finder;
-  Check(LabeledPathFinder::Create(graph.get(), index.get(),
-                                  LabeledPathFinderOptions{}, &finder),
-        "LabeledPathFinder::Create");
-
-  // FEM baseline: the same pairs through the finder's own exact fallback
-  // engine (BSDJ over the same tables), so both sides pay identical
-  // storage and plan-cache conditions.
-  AvgResult fem;
-  std::vector<PathQueryResult> fem_results(pairs.size());
-  for (size_t i = 0; i < pairs.size(); i++) {
-    Check(finder->fallback()->Find(pairs[i].first, pairs[i].second,
-                                   &fem_results[i]),
-          "FEM Find");
-    const QueryStats& qs = fem_results[i].stats;
-    fem.time_s += qs.total_us / 1e6;
-    fem.expansions += static_cast<double>(qs.expansions);
-    fem.visited += static_cast<double>(qs.visited_rows);
-    fem.statements += static_cast<double>(qs.statements);
-    if (fem_results[i].found) fem.found++;
-    fem.total++;
-  }
-  const int q = std::max<int>(static_cast<int>(pairs.size()), 1);
-  fem.time_s /= q;
-  fem.expansions /= q;
-  fem.visited /= q;
-  fem.statements /= q;
-  JsonRecord("labels/fem", fem);
-
-  // Serve-from-index: every pair must be a label hit (the index is fresh
-  // and complete) and bit-identical to the FEM answer.
-  AvgResult serve;
-  for (size_t i = 0; i < pairs.size(); i++) {
-    PathQueryResult r;
-    bool served = false;
-    Check(finder->Distance(pairs[i].first, pairs[i].second, &r, &served),
-          "label Distance");
-    if (!served) Die("fresh complete index failed to serve", pairs[i].first,
-                     pairs[i].second);
-    if (r.found != fem_results[i].found ||
-        (r.found && r.distance != fem_results[i].distance)) {
-      Die("label-served distance differs from FEM", pairs[i].first,
-          pairs[i].second);
-    }
-    serve.time_s += r.stats.total_us / 1e6;
-    serve.statements += static_cast<double>(r.stats.statements);
-    if (r.found) serve.found++;
-    serve.total++;
-  }
-  serve.time_s /= q;
-  serve.statements /= q;
-  JsonRecord("labels/serve", serve);
-
-  // One mutation stales the index: every subsequent query must fall back
-  // to FEM (never a wrong answer) and see the post-mutation graph.
-  Check(graph->AddEdge(Edge{0, static_cast<node_id_t>(n - 1), 1}),
-        "AddEdge");
-  AvgResult stale;
-  for (size_t i = 0; i < pairs.size(); i++) {
-    PathQueryResult want;
-    Check(finder->fallback()->Find(pairs[i].first, pairs[i].second, &want),
-          "FEM Find (post-mutation)");
-    PathQueryResult r;
-    bool served = true;
-    Check(finder->Distance(pairs[i].first, pairs[i].second, &r, &served),
-          "stale Distance");
-    if (served) Die("stale index served instead of falling back",
-                    pairs[i].first, pairs[i].second);
-    if (r.found != want.found || (r.found && r.distance != want.distance)) {
-      Die("stale fallback differs from FEM", pairs[i].first,
-          pairs[i].second);
-    }
-    stale.time_s += r.stats.total_us / 1e6;
-    stale.statements += static_cast<double>(r.stats.statements);
-    if (r.found) stale.found++;
-    stale.total++;
-  }
-  stale.time_s /= q;
-  stale.statements /= q;
-  JsonRecord("labels/stale", stale);
-
-  const LabelServeCounters& c = finder->counters();
-  const double gain = fem.time_s - serve.time_s;
-  std::printf("%8lld %10.3f %10lld %10lld %12.4f %12.6f %9.1fx %10.0f "
-              "%5lld/%lld\n",
-              static_cast<long long>(n), bstats.build_us / 1e6,
-              static_cast<long long>(bstats.statements),
-              static_cast<long long>(bstats.entries), fem.time_s * 1e3,
-              serve.time_s * 1e3,
-              serve.time_s > 0 ? fem.time_s / serve.time_s : 0.0,
-              gain > 0 ? (bstats.build_us / 1e6) / gain : -1.0,
-              static_cast<long long>(c.label_hits),
-              static_cast<long long>(c.label_hits + c.fallbacks));
-}
 
 void Run() {
   Banner("Label index (extension)",
@@ -163,7 +36,20 @@ void Run() {
               "build_s", "build_st", "entries", "fem_ms", "serve_ms",
               "speedup", "crossover", "hits");
   for (int64_t base : {2000, 4000}) {
-    RunSize(Scaled(base), env.queries);
+    LabelsPoint p = RunLabelsPoint(base, env);
+    const double build_s = p.build.build_us / 1e6;
+    const double gain = p.fem.time_s - p.serve.time_s;
+    const LabelServeCounters& c = p.counters;
+    std::printf("%8lld %10.3f %10lld %10lld %12.4f %12.6f %9.1fx %10.0f "
+                "%5lld/%lld\n",
+                static_cast<long long>(p.nodes), build_s,
+                static_cast<long long>(p.build.statements),
+                static_cast<long long>(p.build.entries), p.fem.time_s * 1e3,
+                p.serve.time_s * 1e3,
+                p.serve.time_s > 0 ? p.fem.time_s / p.serve.time_s : 0.0,
+                gain > 0 ? build_s / gain : -1.0,
+                static_cast<long long>(c.label_hits),
+                static_cast<long long>(c.label_hits + c.fallbacks));
   }
 }
 

@@ -4,20 +4,12 @@
 // the E-operator-shaped filter+project pipeline, the selection-vector
 // filter stack across selectivities, and the vectorized hash aggregate.
 //
-// Two run modes: without RELGRAPH_JSON this is a normal google-benchmark
-// binary. With RELGRAPH_JSON=path it instead runs a small deterministic
-// series (selectivity sweep + aggregation, min-of-5 wall clocks and exact
-// row counters) and emits bench_common JSON records — the form CI pins in
-// the ci_smoke rolling diff window.
+// The selectivity and aggregation inputs come from bench/series.h, whose
+// row and group counts tests/test_golden_counters.cc pins.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <functional>
-#include <limits>
-
-#include "bench/bench_common.h"
+#include "bench/series.h"
 #include "src/catalog/table.h"
-#include "src/exec/agg_executors.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/join_executors.h"
 #include "src/exec/scan_executors.h"
@@ -133,24 +125,6 @@ ExecRef MakeFilterProjectPlan(const std::vector<Tuple>& rows) {
               {"aid", TypeId::kInt}}));
 }
 
-/// Runs one prepared-plan execution, folding output column 1 into a sum
-/// the way the engine's hot consumers do (the MERGE probe loop reads each
-/// source row once, the aggregates fold batches into accumulators) rather
-/// than retaining the tuples; returns rows produced.
-int64_t DrainFold(Executor* plan) {
-  int64_t produced = 0;
-  int64_t acc = 0;
-  BatchSpan span;
-  while (plan->NextBatchSel(&span)) {
-    produced += static_cast<int64_t>(span.count());
-    for (size_t i = 0; i < span.count(); i++) {
-      acc += span.row(i).value(1).AsInt();
-    }
-  }
-  benchmark::DoNotOptimize(acc);
-  return produced;
-}
-
 void BM_FilterProjectBatched(benchmark::State& state) {
   auto rows = MakeJoinedRows(state.range(0) * 4);
   // The plan is built once and re-Init()ed per iteration — the prepared-
@@ -159,7 +133,7 @@ void BM_FilterProjectBatched(benchmark::State& state) {
   ExecRef plan = MakeFilterProjectPlan(rows);
   for (auto _ : state) {
     if (!plan->Init().ok()) state.SkipWithError("init failed");
-    benchmark::DoNotOptimize(DrainFold(plan.get()));
+    benchmark::DoNotOptimize(bench::DrainFold(plan.get()));
   }
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
@@ -178,50 +152,12 @@ BENCHMARK(BM_FilterProjectBatched)->Arg(1000)->Arg(10000);
 // touched.
 // ---------------------------------------------------------------------------
 
-Schema SelSchema() {
-  return Schema({{"k", TypeId::kInt},
-                 {"a", TypeId::kInt},
-                 {"b", TypeId::kInt},
-                 {"lat", TypeId::kInt},
-                 {"lng", TypeId::kInt},
-                 {"cat", TypeId::kInt},
-                 {"name", TypeId::kVarchar},
-                 {"addr", TypeId::kVarchar}});
-}
-
-std::vector<Tuple> MakeSelRows(int64_t n) {
-  std::vector<Tuple> rows;
-  rows.reserve(n);
-  for (int64_t i = 0; i < n; i++) {
-    rows.push_back(Tuple({Value(i % 100), Value((i * 13) % 500),
-                          Value(i % 31), Value((i * 7) % 3600),
-                          Value((i * 11) % 1800), Value(i % 40),
-                          Value("point-of-interest-" + std::to_string(i % 1000)),
-                          Value("no. " + std::to_string(i % 500) +
-                                " example boulevard, sample city")}));
-  }
-  return rows;
-}
-
-ExecRef MakeSelPlan(const std::vector<Tuple>& rows, int64_t s) {
-  ExecRef scan = std::make_unique<MaterializedExecutor>(rows, SelSchema());
-  ExecRef filter1 = std::make_unique<FilterExecutor>(
-      std::move(scan), Cmp(CompareOp::kLt, Col("k"), Lit(s)));
-  // a = (i * 13) % 500, so `a < 250` keeps ~half of the survivors.
-  ExecRef filter2 = std::make_unique<FilterExecutor>(
-      std::move(filter1), Cmp(CompareOp::kLt, Col("a"), Lit(int64_t{250})));
-  std::vector<ExprRef> exprs = {Col("a"), Add(Col("k"), Col("b"))};
-  return std::make_unique<ProjectExecutor>(
-      std::move(filter2), std::move(exprs),
-      Schema({{"p0", TypeId::kInt}, {"p1", TypeId::kInt}}));
-}
-
 void BM_FilterProjectSelectivity(benchmark::State& state) {
-  auto rows = MakeSelRows(40000);
-  ExecRef plan = MakeSelPlan(rows, state.range(0));
+  auto rows = bench::MakeSelRows(bench::kSelRows);
+  ExecRef plan = bench::MakeSelPlan(rows, state.range(0));
   for (auto _ : state) {
     if (!plan->Init().ok()) state.SkipWithError("init failed");
-    benchmark::DoNotOptimize(DrainFold(plan.get()));
+    benchmark::DoNotOptimize(bench::DrainFold(plan.get()));
   }
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
@@ -237,111 +173,18 @@ BENCHMARK(BM_FilterProjectSelectivity)
 // counts (its std::map oracle lives in test_exec_batch).
 // ---------------------------------------------------------------------------
 
-Schema AggSchema() {
-  return Schema({{"g", TypeId::kInt}, {"v", TypeId::kInt}});
-}
-
-std::vector<Tuple> MakeAggRows(int64_t n, int64_t groups) {
-  std::vector<Tuple> rows;
-  rows.reserve(n);
-  for (int64_t i = 0; i < n; i++) {
-    rows.push_back(Tuple({Value((i * 7919) % groups), Value(i % 1000)}));
-  }
-  return rows;
-}
-
-std::vector<AggSpec> MakeAggSpecs() {
-  return {{AggOp::kSum, Col("v"), "sm"},
-          {AggOp::kMin, Col("v"), "mn"},
-          {AggOp::kCount, nullptr, "cnt"}};
-}
-
-int64_t VectorizedAgg(const std::vector<Tuple>& rows) {
-  HashAggregateExecutor agg(
-      std::make_unique<MaterializedExecutor>(rows, AggSchema()), {"g"},
-      MakeAggSpecs());
-  if (!agg.Init().ok()) return -1;
-  return DrainFold(&agg);
-}
-
 void BM_HashAggVectorized(benchmark::State& state) {
-  auto rows = MakeAggRows(state.range(0), state.range(1));
+  auto rows = bench::MakeAggRows(state.range(0), state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(VectorizedAgg(rows));
+    benchmark::DoNotOptimize(bench::VectorizedAgg(rows));
   }
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
 BENCHMARK(BM_HashAggVectorized)
     ->ArgNames({"rows", "groups"})
-    ->Args({100000, 64})
-    ->Args({100000, 4096})
-    ->Args({100000, 65536});
-
-// ---------------------------------------------------------------------------
-// Deterministic JSON series for CI (RELGRAPH_JSON mode): the selectivity
-// sweep and the aggregation at fixed sizes, min-of-5 wall clocks, with
-// output-row counts in the exact-gated `visited` field — any
-// selection-vector or hash-table behaviour drift shows up as a counter
-// diff, not just a timing blip.
-// ---------------------------------------------------------------------------
-
-double TimeSeconds(const std::function<void()>& fn) {
-  auto t0 = std::chrono::steady_clock::now();
-  fn();
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-void RunJsonSeries() {
-  bench::Banner(
-      "micro_exec",
-      "executor micro series: selection-vector filter+project across "
-      "selectivities and vectorized hash aggregation",
-      "filter+project time should fall with selectivity; aggregation time "
-      "should grow only mildly with the group count");
-  constexpr int kReps = 5;
-
-  const int64_t n = 40000;
-  auto rows = MakeSelRows(n);
-  bench::JsonContext("groups", 0);
-  for (int64_t s : {int64_t{1}, int64_t{10}, int64_t{50}, int64_t{100}}) {
-    bench::JsonContext("selectivity", static_cast<double>(s));
-    ExecRef plan = MakeSelPlan(rows, s);
-    double best = std::numeric_limits<double>::max();
-    int64_t produced = 0;
-    for (int r = 0; r < kReps; r++) {
-      best = std::min(best, TimeSeconds([&] {
-                        bench::Check(plan->Init(), "sel plan init");
-                        produced = DrainFold(plan.get());
-                      }));
-    }
-    bench::AvgResult avg;
-    avg.time_s = best;
-    avg.expansions = static_cast<double>(n);
-    avg.visited = static_cast<double>(produced);
-    avg.total = 1;
-    bench::JsonRecord("filter_project:selvec", avg);
-  }
-
-  bench::JsonContext("selectivity", 0);
-  const int64_t agg_n = 100000;
-  for (int64_t groups : {int64_t{64}, int64_t{65536}}) {
-    bench::JsonContext("groups", static_cast<double>(groups));
-    auto agg_rows = MakeAggRows(agg_n, groups);
-    double best = std::numeric_limits<double>::max();
-    int64_t out_groups = 0;
-    for (int r = 0; r < kReps; r++) {
-      best = std::min(
-          best, TimeSeconds([&] { out_groups = VectorizedAgg(agg_rows); }));
-    }
-    bench::AvgResult avg;
-    avg.time_s = best;
-    avg.expansions = static_cast<double>(agg_n);
-    avg.visited = static_cast<double>(out_groups);
-    avg.total = 1;
-    bench::JsonRecord("hash_agg:vectorized", avg);
-  }
-}
+    ->Args({bench::kAggRows, 64})
+    ->Args({bench::kAggRows, 4096})
+    ->Args({bench::kAggRows, 65536});
 
 void BM_IndexNestedLoopJoin(benchmark::State& state) {
   // The E-operator join: a small frontier probing a large clustered edge
@@ -384,17 +227,4 @@ BENCHMARK(BM_IndexNestedLoopJoin);
 }  // namespace
 }  // namespace relgraph
 
-int main(int argc, char** argv) {
-  // JSON mode (CI): the deterministic series only — quick, and its records
-  // ride the same diff_bench gate as the figure benches. Otherwise the
-  // binary behaves like any google-benchmark executable.
-  if (relgraph::bench::JsonEnabled()) {
-    relgraph::RunJsonSeries();
-    return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -51,7 +51,6 @@ void Run() {
   const int64_t bases[] = {2000, 4000, 8000};
   for (size_t i = 0; i < 3; i++) {
     int64_t n = Scaled(bases[i]);
-    JsonContext("nodes", static_cast<double>(n));
     EdgeList list = GenerateBarabasiAlbert(n, 2, WeightRange{1, 100}, 300 + i);
     auto pairs = MakeQueryPairs(n, env.queries, 9300 + i);
     SharedGraph sg = SharedGraph::Make(list);
@@ -78,9 +77,6 @@ void Run() {
 
     auto text_finder = make_sql(/*prepared=*/false);
     AvgResult rt = RunSqlQueries(text_finder.get(), pairs);
-
-    JsonRecord("sql_prepared", rp);
-    JsonRecord("sql_text", rt);
 
     std::printf(
         "%10lld %12.4f %12.4f %12.4f %10.2f %10.2f %12.1f%s\n",

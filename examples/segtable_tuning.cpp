@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\npick the lthd with the best query speedup the index budget "
       "allows. The optimum depends on per-statement overhead (paper Fig "
-      "7(c) and EXPERIMENTS.md): embedded engines favour small lthd, "
-      "client/server deployments mid-range lthd.\n");
+      "7(c)): embedded engines favour small lthd, client/server "
+      "deployments mid-range lthd.\n");
   return 0;
 }

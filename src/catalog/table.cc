@@ -504,12 +504,6 @@ Status Table::ReadRow(const RowRef& ref, Tuple* out) const {
   return Tuple::Deserialize(schema_, record, out);
 }
 
-Status Table::UpdateRow(const RowRef& ref, const Tuple& tuple) {
-  Tuple old_tuple;
-  RELGRAPH_RETURN_IF_ERROR(ReadRow(ref, &old_tuple));
-  return UpdateRow(ref, old_tuple, tuple);
-}
-
 Status Table::UpdateRow(const RowRef& ref, const Tuple& old_tuple,
                         const Tuple& tuple) {
   if (tuple.NumValues() != schema_.NumColumns()) {

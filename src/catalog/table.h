@@ -162,8 +162,6 @@ class Table {
   /// tuple must keep the cluster key unchanged for clustered tables.
   Status UpdateRow(const RowRef& ref, const Tuple& old_tuple,
                    const Tuple& tuple);
-  /// As above, for a caller without the pre-image: reads it first.
-  Status UpdateRow(const RowRef& ref, const Tuple& tuple);
 
   Status DeleteRow(const RowRef& ref);
 

@@ -109,14 +109,6 @@ Status FemEngine::MeetingNode(weight_t min_cost, node_id_t* out) {
                           std::to_string(min_cost));
 }
 
-Status FemEngine::CountOpen(const DirCols& dir, int64_t* out) {
-  ScopedTimer timer(&stats_.aux_us);
-  db_->RecordStatement("SELECT COUNT(*) FROM " + visited_->table()->name() +
-                       " WHERE " + dir.flag + "=0");
-  *out = visited_->OpenCount(dir);
-  return Status::OK();
-}
-
 // ------------------------------------------------------ shared E/M plans
 
 ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,

@@ -80,10 +80,6 @@ class FemEngine {
   /// Listing 4(6): SELECT nid FROM TVisited WHERE d2s+d2t = :min_cost.
   Status MeetingNode(weight_t min_cost, node_id_t* out);
 
-  /// SELECT COUNT(*) FROM TVisited WHERE flag=0 (direction-choice probe).
-  /// O(1).
-  Status CountOpen(const DirCols& dir, int64_t* out);
-
   // ----- E + M ------------------------------------------------------------
 
   /// The paper's path-expansion statement (Listing 2(3,4) / Listing 4(2)):

@@ -13,7 +13,7 @@ namespace relgraph {
 /// sequences the paper spells out in Listings 2-4 are offered; the
 /// SegTable-based BSEG runs through the native PathFinder (its full-path
 /// recovery needs the segment anchors, which the paper's literal TVisited
-/// schema cannot express — see DESIGN.md).
+/// schema cannot express; see VisitedTable's a2s/a2t columns).
 struct SqlPathFinderOptions {
   Algorithm algorithm = Algorithm::kBSDJ;  // kDJ, kBSDJ, or kBBFS
   /// Working-table name; must be unique per finder within one database.

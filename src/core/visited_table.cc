@@ -104,12 +104,8 @@ void VisitedTable::AccumulateSide(DirState* state, const Tuple* old_row,
   if (old_row != nullptr && is_open(*old_row, &dist)) {
     auto it = state->open_dists.find(dist);
     if (--it->second == 0) state->open_dists.erase(it);
-    state->open_count--;
   }
-  if (is_open(new_row, &dist)) {
-    state->open_dists[dist]++;
-    state->open_count++;
-  }
+  if (is_open(new_row, &dist)) state->open_dists[dist]++;
 }
 
 void VisitedTable::OnRowChanged(const Tuple* old_row, const Tuple& new_row) {
@@ -132,18 +128,12 @@ weight_t VisitedTable::MinOpenDist(const DirCols& dir) const {
                                   : state.open_dists.begin()->first;
 }
 
-int64_t VisitedTable::OpenCount(const DirCols& dir) const {
-  return StateFor(dir).open_count;
-}
-
 // ------------------------------------------------------------ DML wrappers
 
 Status VisitedTable::Reset() {
   db_->RecordStatement();  // DELETE FROM TVisited
   fwd_state_.open_dists.clear();
-  fwd_state_.open_count = 0;
   bwd_state_.open_dists.clear();
-  bwd_state_.open_count = 0;
   min_cost_ = kInfinity;
   return table_->Truncate();
 }

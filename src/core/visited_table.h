@@ -65,7 +65,7 @@ struct FrontierSpec {
 /// SegTable: intermediate segment nodes never enter TVisited, so a p2s
 /// chain dead-ends. The anchor pins the frontier node whose segment covered
 /// this row, letting recovery re-open the right TOutSegs/TInSegs run (see
-/// PathFinder::RecoverPath). DESIGN.md documents this substitution.
+/// PathFinder::RecoverPath).
 ///
 /// Schema: (nid, d2s, p2s, a2s, f, d2t, p2t, a2t, b) — all INT, so rows are
 /// fixed-width and update in place.
@@ -118,8 +118,6 @@ class VisitedTable {
 
   /// MIN(dist) over open rows; kInfinity when none remain.
   weight_t MinOpenDist(const DirCols& dir) const;
-  /// COUNT(*) over open rows.
-  int64_t OpenCount(const DirCols& dir) const;
   /// MIN(d2s + d2t) over all rows; kInfinity when the table is empty.
   /// (Exact because per-row distances only ever decrease within a query.)
   weight_t MinPathCost() const { return min_cost_; }
@@ -162,7 +160,6 @@ class VisitedTable {
     size_t dist_idx = 0;
     size_t flag_idx = 0;
     std::map<weight_t, int64_t> open_dists;  // dist -> open-row count
-    int64_t open_count = 0;
   };
 
   DirState& StateFor(const DirCols& dir) {

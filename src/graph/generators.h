@@ -40,8 +40,9 @@ EdgeList GenerateGridGraph(int64_t rows, int64_t cols, WeightRange weights,
                            uint64_t seed);
 
 /// Named stand-ins for the paper's real datasets, scaled by `scale` in
-/// (0, 1]: scale=1 approximates the original node count. See DESIGN.md
-/// "Substitutions" for the topology-class argument.
+/// (0, 1]: scale=1 approximates the original node count. Each keeps the
+/// dataset's topology class and average degree, not its edges: DBLP is a
+/// community graph, GoogleWeb and LiveJournal are power-law graphs.
 EdgeList MakeDblpStandIn(double scale, uint64_t seed);
 EdgeList MakeGoogleWebStandIn(double scale, uint64_t seed);
 EdgeList MakeLiveJournalStandIn(double scale, uint64_t seed);

@@ -77,7 +77,7 @@ enum class OpenMode {
 /// the disk-bound regime of the paper's 2003-era testbed: the host OS page
 /// cache would otherwise absorb most misses and flatten the buffer-size
 /// curves. It defaults to 0 (off); only the buffer-size benchmarks turn it
-/// on. See DESIGN.md "Substitutions".
+/// on.
 class DiskManager {
  public:
   /// Bytes of the file header block preceding page 0.

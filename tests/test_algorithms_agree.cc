@@ -43,8 +43,7 @@ class AlgorithmsAgreeTest
 
 /// All five relational finders, both SQL modes on BSDJ, and both in-memory
 /// baselines must return the same shortest distance as the oracle, and
-/// every recovered path must be a valid path of exactly that length —
-/// invariant 1 of DESIGN.md §5.
+/// every recovered path must be a valid path of exactly that length.
 TEST_P(AlgorithmsAgreeTest, DistancesAndPathsMatchOracle) {
   const auto& [case_idx, seed] = GetParam();
   const GraphCase& gc = kCases[case_idx];

@@ -123,10 +123,6 @@ TEST_F(FemTest, MinOpenDistanceAndMinCost) {
   weight_t mc;
   ASSERT_TRUE(fem_->MinCost(&mc).ok());
   EXPECT_GE(mc, kInfinity);  // no meeting row yet
-
-  int64_t n;
-  ASSERT_TRUE(fem_->CountOpen(fwd, &n).ok());
-  EXPECT_EQ(n, 1);
 }
 
 TEST_F(FemTest, BackwardExpansionUsesInEdges) {

@@ -1,11 +1,11 @@
-// VisitedTable's incremental aggregates (open count, min open dist, min
-// d2s+d2t) must match values recomputed from scratch after any mixed
-// sequence of seeds, frontier updates, and merges — across all three index
-// strategies and both SQL modes. And the auxiliary statements that read
-// them (MinOpenDistance / MinCost / CountOpen) must no longer touch any
-// TVisited row at all, which the table's access counters pin down. Under
-// Index/CluIndex the open trees must also read exactly what a filtered
-// full scan reads, after every mutation.
+// VisitedTable's incremental aggregates (min open dist, min d2s+d2t) must
+// match values recomputed from scratch after any mixed sequence of seeds,
+// frontier updates, and merges — across all three index strategies and
+// both SQL modes. And the auxiliary statements that read them
+// (MinOpenDistance / MinCost) must no longer touch any TVisited row at
+// all, which the table's access counters pin down. Under Index/CluIndex
+// the open trees must also read exactly what a filtered full scan reads,
+// after every mutation.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@ namespace relgraph {
 namespace {
 
 struct Recomputed {
-  int64_t open_count = 0;
   weight_t min_open = kInfinity;
   weight_t min_cost = kInfinity;
 };
@@ -41,7 +40,6 @@ Recomputed Recompute(VisitedTable* vt, const DirCols& dir) {
   while (it.Next(&t, nullptr)) {
     weight_t dist = t.value(dist_idx).AsInt();
     if (t.value(flag_idx).AsInt() == 0 && dist < kInfinity) {
-      r.open_count++;
       r.min_open = std::min(r.min_open, dist);
     }
     r.min_cost = std::min(
@@ -55,8 +53,6 @@ void ExpectAggregatesExact(VisitedTable* vt, const char* where) {
   for (const DirCols& dir :
        {VisitedTable::ForwardCols(), VisitedTable::BackwardCols()}) {
     Recomputed r = Recompute(vt, dir);
-    EXPECT_EQ(vt->OpenCount(dir), r.open_count)
-        << where << " dir=" << dir.dist;
     EXPECT_EQ(vt->MinOpenDist(dir), r.min_open)
         << where << " dir=" << dir.dist;
     EXPECT_EQ(vt->MinPathCost(), r.min_cost) << where << " dir=" << dir.dist;
@@ -204,16 +200,14 @@ TEST_P(FemAggregateTest, AuxiliaryStatementsAreScanFree) {
     ASSERT_TRUE(fem.FinalizeFrontier(fwd).ok());
   }
 
-  // The three aggregate probes: zero TVisited row accesses of any kind,
+  // The two aggregate probes: zero TVisited row accesses of any kind,
   // while still counting as one SQL statement each.
   vt->table()->ResetAccessStats();
   const int64_t stmt_before = db.stats().statements;
   weight_t m, mc;
-  int64_t n;
   ASSERT_TRUE(fem.MinOpenDistance(fwd, &m).ok());
   ASSERT_TRUE(fem.MinCost(&mc).ok());
-  ASSERT_TRUE(fem.CountOpen(fwd, &n).ok());
-  EXPECT_EQ(db.stats().statements - stmt_before, 3);
+  EXPECT_EQ(db.stats().statements - stmt_before, 2);
   const TableAccessStats& stats = vt->table()->access_stats();
   EXPECT_EQ(stats.full_scan_rows, 0);
   EXPECT_EQ(stats.index_scan_rows, 0);

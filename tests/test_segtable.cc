@@ -73,7 +73,7 @@ struct SegFixture {
   SegTableBuildStats stats;
 };
 
-/// DESIGN.md invariant 2: every TOutSegs tuple with cost <= lthd is the
+/// Every TOutSegs tuple with cost <= lthd is the
 /// true shortest distance (with a valid predecessor), and every pair within
 /// lthd is present.
 TEST(SegTableTest, OutSegsMatchBoundedShortestDistances) {
@@ -373,7 +373,7 @@ TEST(SegTableIncrementalTest, OverThresholdEdgeInsertsRawRows) {
   EXPECT_EQ(segtable->num_out_entries(), before + 1);
 }
 
-/// DESIGN.md invariant 2 (end-to-end): BSEG over SegTable returns
+/// End to end: BSEG over SegTable returns
 /// original-graph shortest distances for every lthd.
 TEST(SegTableTest, BsegCorrectAcrossThresholds) {
   // 130 nodes keeps every lthd regime meaningful (3 < min ball, 30 mid,

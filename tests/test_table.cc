@@ -240,7 +240,7 @@ TEST_F(TableTest, UpdateRowMaintainsIndexes) {
   RowRef ref;
   ASSERT_TRUE(table->Insert(Row(1, 10, 100), &ref).ok());
   // Change the indexed key 1 -> 2: old entry must vanish, new must appear.
-  ASSERT_TRUE(table->UpdateRow(ref, Row(2, 10, 100)).ok());
+  ASSERT_TRUE(table->UpdateRow(ref, Row(1, 10, 100), Row(2, 10, 100)).ok());
   Tuple t;
   EXPECT_TRUE(table->LookupUnique("fid", 1, &t, nullptr).IsNotFound());
   ASSERT_TRUE(table->LookupUnique("fid", 2, &t, nullptr).ok());
@@ -256,11 +256,12 @@ TEST_F(TableTest, ClusteredUpdateKeepsKeyImmutable) {
   ASSERT_TRUE(Table::Create(&pool_, "t", EdgeSchema(), opts, &table).ok());
   RowRef ref;
   ASSERT_TRUE(table->Insert(Row(1, 10, 100), &ref).ok());
-  ASSERT_TRUE(table->UpdateRow(ref, Row(1, 20, 200)).ok());
+  ASSERT_TRUE(table->UpdateRow(ref, Row(1, 10, 100), Row(1, 20, 200)).ok());
   Tuple t;
   ASSERT_TRUE(table->LookupUnique("fid", 1, &t, nullptr).ok());
   EXPECT_EQ(t.value(1).AsInt(), 20);
-  EXPECT_TRUE(table->UpdateRow(ref, Row(9, 20, 200)).IsNotSupported());
+  EXPECT_TRUE(table->UpdateRow(ref, Row(1, 20, 200), Row(9, 20, 200))
+                  .IsNotSupported());
 }
 
 TEST_F(TableTest, DeleteRowRemovesFromScanAndIndex) {
