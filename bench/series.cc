@@ -140,7 +140,7 @@ std::vector<DistClientPoint> RunDistMultiClient(const Workload& w,
   for (int clients : {1, 2, 4, 8}) {
     DistOptions dopts;
     dopts.num_threads = kDistPoolThreads;
-    dopts.connections_per_shard = clients;
+    dopts.local.connections = clients;
     std::unique_ptr<DistCoordinator> coord;
     Check(DistCoordinator::Create(store.get(), dopts, &coord),
           "DistCoordinator::Create");
@@ -252,7 +252,7 @@ DistNetPoint RunDistNetPoint(const Workload& w, int shards) {
   // completes with the oracle's exact counters and zero sheds.
   constexpr int kSessions = 4;
   DistOptions oopts;
-  oopts.connections_per_shard = 1;
+  oopts.local.connections = 1;
   std::unique_ptr<DistCoordinator> ocoord;
   Check(DistCoordinator::Create(store.get(), oopts, &ocoord),
         "overload coordinator");

@@ -617,6 +617,29 @@ Status Table::ScanRange(const std::string& prefix_column, int64_t prefix,
   return FilteredScan(prefix_col, prefix, column, lo, hi, out);
 }
 
+Status Table::FirstInRange(const std::string& prefix_column, int64_t prefix,
+                           const std::string& column, int64_t lo, int64_t hi,
+                           Tuple* out, bool* found) {
+  Iterator it;
+  RELGRAPH_RETURN_IF_ERROR(
+      ScanRange(prefix_column, prefix, column, lo, hi, &it));
+  *found = false;
+  Tuple t;
+  while (it.Next(&t, nullptr)) {
+    if (!it.full_scan_) {  // the tree yields its rows in `column` order
+      *out = std::move(t);
+      *found = true;
+      break;
+    }
+    const size_t col = static_cast<size_t>(it.filter_col_);
+    if (!*found || t.value(col) < out->value(col)) {
+      *out = t;
+      *found = true;
+    }
+  }
+  return it.status();
+}
+
 Status Table::FilteredScan(int prefix_col, int64_t prefix,
                            const std::string& column, int64_t lo, int64_t hi,
                            Iterator* out) {

@@ -212,6 +212,15 @@ class Table {
                    const std::string& column, int64_t lo, int64_t hi,
                    Iterator* out);
 
+  /// The row the two-column ScanRange over the same range orders first by
+  /// `column`: the open tree's first entry when the tree serves the range;
+  /// otherwise, by one filtered full scan, the first row in Scan() order
+  /// holding the range's least `column` value. `found` = false when the
+  /// range is empty. InvalidArgument as for ScanRange.
+  Status FirstInRange(const std::string& prefix_column, int64_t prefix,
+                      const std::string& column, int64_t lo, int64_t hi,
+                      Tuple* out, bool* found);
+
   /// Removes every row but keeps schema and index definitions (the
   /// algorithms reset TVisited between queries with this). The old pages
   /// are freed for reuse (Destroy) before fresh, empty structures are

@@ -54,9 +54,11 @@ Status FemEngine::FinalizeFrontier(const DirCols& dir) {
 }
 
 // ----------------------------------------------------- auxiliary statements
-// The statements' SQL text is unchanged; their results now come from
-// VisitedTable's incremental aggregates (plus, for the TOP-1 row fetch, a
-// dist-index probe), so none of them scans TVisited any more.
+// The statements' SQL text is unchanged. PickMid and MinOpenDistance read
+// the same row, VisitedTable::LeastOpen: the first entry of the direction's
+// open tree, whose dist is the inner MIN and whose nid the outer TOP 1
+// (one filtered full scan on NoIndex). MinCost reads the scalar VisitedTable
+// folds from every row it seeds and every row MERGE writes.
 
 Status FemEngine::PickMid(const DirCols& dir, node_id_t* mid, bool* found) {
   ScopedTimer timer(&stats_.aux_us);
@@ -65,12 +67,10 @@ Status FemEngine::PickMid(const DirCols& dir, node_id_t* mid, bool* found) {
                        "=(SELECT MIN(" + dir.dist + ") FROM " +
                        visited_->table()->name() + " WHERE " + dir.flag +
                        "=0)");
-  *found = false;
-  // Inner subquery: SELECT MIN(dist) WHERE f=0.
-  weight_t min_dist = visited_->MinOpenDist(dir);
-  if (min_dist >= kInfinity) return Status::OK();
-  // Outer query: SELECT TOP 1 nid WHERE f=0 AND dist = :min.
-  return visited_->FirstOpenAt(dir, min_dist, mid, found);
+  weight_t min_dist;
+  RELGRAPH_RETURN_IF_ERROR(visited_->LeastOpen(dir, &min_dist, mid));
+  *found = min_dist < kInfinity;
+  return Status::OK();
 }
 
 Status FemEngine::MinOpenDistance(const DirCols& dir, weight_t* out) {
@@ -78,8 +78,8 @@ Status FemEngine::MinOpenDistance(const DirCols& dir, weight_t* out) {
   db_->RecordStatement("SELECT MIN(" + dir.dist + ") FROM " +
                        visited_->table()->name() + " WHERE " + dir.flag +
                        "=0");
-  *out = visited_->MinOpenDist(dir);
-  return Status::OK();
+  node_id_t nid;
+  return visited_->LeastOpen(dir, out, &nid);
 }
 
 Status FemEngine::MinCost(weight_t* out) {

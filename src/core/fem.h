@@ -54,8 +54,9 @@ class FemEngine {
   // ----- F-operator and its auxiliary statements -------------------------
   // Each method records the same SQL statement text as ever (the Listings);
   // what changed is the physical plan behind it: frontier updates run
-  // through VisitedTable's indexed access paths, and the scalar probes read
-  // VisitedTable's incrementally-maintained aggregates instead of scanning.
+  // through VisitedTable's indexed access paths, the open-row probes read
+  // the first entry of the direction's open tree, and MinCost reads the one
+  // scalar VisitedTable keeps beside the table.
 
   /// Listing 4(1) generalized: UPDATE TVisited SET flag=2 WHERE flag=0 AND
   /// dist<Max AND `spec`. Returns the number of frontier nodes marked.
@@ -71,7 +72,8 @@ class FemEngine {
   Status PickMid(const DirCols& dir, node_id_t* mid, bool* found);
 
   /// Listing 4(4): SELECT MIN(dist) FROM TVisited WHERE flag=0.
-  /// Returns kInfinity when no candidate remains. O(1).
+  /// Returns kInfinity when no candidate remains. One open-tree entry on
+  /// Index/CluIndex, one filtered full scan on NoIndex.
   Status MinOpenDistance(const DirCols& dir, weight_t* out);
 
   /// Listing 4(5): SELECT MIN(d2s+d2t) FROM TVisited. O(1).

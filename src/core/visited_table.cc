@@ -84,56 +84,40 @@ Status VisitedTable::Create(Database* db, IndexStrategy strategy,
   vt->nid_idx_ = schema.IndexOf("nid");
   vt->d2s_idx_ = schema.IndexOf("d2s");
   vt->d2t_idx_ = schema.IndexOf("d2t");
-  vt->fwd_state_.dist_idx = vt->d2s_idx_;
-  vt->fwd_state_.flag_idx = schema.IndexOf("f");
-  vt->bwd_state_.dist_idx = vt->d2t_idx_;
-  vt->bwd_state_.flag_idx = schema.IndexOf("b");
   *out = std::move(vt);
   return Status::OK();
 }
 
-// -------------------------------------------------- incremental aggregates
+// ------------------------------------------------------- auxiliary reads
 
-void VisitedTable::AccumulateSide(DirState* state, const Tuple* old_row,
-                                  const Tuple& new_row) {
-  auto is_open = [&](const Tuple& t, weight_t* dist) {
-    *dist = t.value(state->dist_idx).AsInt();
-    return t.value(state->flag_idx).AsInt() == 0 && *dist < kInfinity;
-  };
-  weight_t dist;
-  if (old_row != nullptr && is_open(*old_row, &dist)) {
-    auto it = state->open_dists.find(dist);
-    if (--it->second == 0) state->open_dists.erase(it);
-  }
-  if (is_open(new_row, &dist)) state->open_dists[dist]++;
-}
-
-void VisitedTable::OnRowChanged(const Tuple* old_row, const Tuple& new_row) {
-  AccumulateSide(&fwd_state_, old_row, new_row);
-  AccumulateSide(&bwd_state_, old_row, new_row);
-  weight_t sum =
-      new_row.value(d2s_idx_).AsInt() + new_row.value(d2t_idx_).AsInt();
+void VisitedTable::NoteCost(const Tuple& row) {
+  weight_t sum = row.value(d2s_idx_).AsInt() + row.value(d2t_idx_).AsInt();
   if (sum < min_cost_) min_cost_ = sum;
 }
 
 RowChangeObserver VisitedTable::ChangeObserver() {
-  return [this](const Tuple* old_row, const Tuple& new_row) {
-    OnRowChanged(old_row, new_row);
-  };
+  return [this](const Tuple& row) { NoteCost(row); };
 }
 
-weight_t VisitedTable::MinOpenDist(const DirCols& dir) const {
-  const DirState& state = StateFor(dir);
-  return state.open_dists.empty() ? kInfinity
-                                  : state.open_dists.begin()->first;
+Status VisitedTable::LeastOpen(const DirCols& dir, weight_t* dist,
+                               node_id_t* nid) {
+  *dist = kInfinity;
+  *nid = kInvalidNode;
+  Tuple row;
+  bool found;
+  RELGRAPH_RETURN_IF_ERROR(table_->FirstInRange(
+      dir.flag, 0, dir.dist, 0, kInfinity - 1, &row, &found));
+  if (found) {
+    *dist = row.value(dir.forward ? d2s_idx_ : d2t_idx_).AsInt();
+    *nid = row.value(nid_idx_).AsInt();
+  }
+  return Status::OK();
 }
 
 // ------------------------------------------------------------ DML wrappers
 
 Status VisitedTable::Reset() {
   db_->RecordStatement();  // DELETE FROM TVisited
-  fwd_state_.open_dists.clear();
-  bwd_state_.open_dists.clear();
   min_cost_ = kInfinity;
   return table_->Truncate();
 }
@@ -144,7 +128,7 @@ Status VisitedTable::InsertSource(node_id_t s) {
              Value(int64_t{0}), Value(kInfinity), Value(kInvalidNode),
              Value(kInvalidNode), Value(int64_t{1})});
   RELGRAPH_RETURN_IF_ERROR(table_->Insert(row));
-  OnRowChanged(nullptr, row);
+  NoteCost(row);
   return Status::OK();
 }
 
@@ -154,14 +138,14 @@ Status VisitedTable::InsertSourceAndTarget(node_id_t s, node_id_t t) {
              Value(int64_t{0}), Value(kInfinity), Value(kInvalidNode),
              Value(kInvalidNode), Value(int64_t{0})});
   RELGRAPH_RETURN_IF_ERROR(table_->Insert(src));
-  OnRowChanged(nullptr, src);
+  NoteCost(src);
   if (t == s) return Status::OK();
   db_->RecordStatement();
   Tuple tgt({Value(t), Value(kInfinity), Value(kInvalidNode),
              Value(kInvalidNode), Value(int64_t{0}), Value(int64_t{0}),
              Value(t), Value(t), Value(int64_t{0})});
   RELGRAPH_RETURN_IF_ERROR(table_->Insert(tgt));
-  OnRowChanged(nullptr, tgt);
+  NoteCost(tgt);
   return Status::OK();
 }
 
@@ -206,35 +190,18 @@ Status VisitedTable::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
         table_->ScanRange(dir.flag, 0, dir.dist, lo, hi, &it));
   }
   return UpdateCandidates(table_, std::move(it), std::move(pred),
-                          {{dir.flag, Lit(int64_t{2})}}, marked,
-                          ChangeObserver());
+                          {{dir.flag, Lit(int64_t{2})}}, marked);
 }
 
 // A frontier row was open when marked and distances only fall, so every
-// flag = 2 row lies in the open tree.
+// flag = 2 row lies in the open tree. Neither flag change moves d2s + d2t,
+// so MinPathCost needs no notice of it.
 Status VisitedTable::FinalizeFrontier(const DirCols& dir, int64_t* affected) {
   Table::Iterator it;
   RELGRAPH_RETURN_IF_ERROR(
       table_->ScanRange(dir.flag, 2, dir.dist, 0, kInfinity - 1, &it));
   return UpdateCandidates(table_, std::move(it), ColEq(dir.flag, 2),
-                          {{dir.flag, Lit(int64_t{1})}}, affected,
-                          ChangeObserver());
-}
-
-Status VisitedTable::FirstOpenAt(const DirCols& dir, weight_t dist,
-                                 node_id_t* nid, bool* found) {
-  *found = false;
-  if (dist < 0 || dist >= kInfinity) return Status::OK();  // nothing open
-  Table::Iterator it;
-  RELGRAPH_RETURN_IF_ERROR(
-      table_->ScanRange(dir.flag, 0, dir.dist, dist, dist, &it));
-  Tuple t;
-  if (it.Next(&t, nullptr)) {
-    *nid = t.value(nid_idx_).AsInt();
-    *found = true;
-    return Status::OK();
-  }
-  return it.status();
+                          {{dir.flag, Lit(int64_t{1})}}, affected);
 }
 
 ExecRef VisitedTable::FrontierScan(const DirCols& dir) const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,11 +80,14 @@ struct FrontierSpec {
 ///    O(frontier) rows instead of O(|V|), and a row reached from one
 ///    direction writes two trees. NoIndex serves the same key ranges by
 ///    filtered full scans;
-///  - the aggregates the auxiliary statements read (open count, min open
-///    dist, min d2s+d2t) are maintained incrementally on every insert,
-///    frontier update, and merge, making those statements O(1). Every
-///    mutation must therefore flow through this class (or a DML statement
-///    carrying ChangeObserver()); callers never update the table directly.
+///  - the least open row, which answers Listing 4(4)'s MIN(dist) and
+///    PickMid's TOP 1, is the first entry of the direction's open tree
+///    (one filtered full scan on NoIndex), so no client-side copy of the
+///    open set is kept;
+///  - MIN(d2s+d2t), the one scalar kept beside the table, is folded from
+///    every inserted or merged row's post-image. Every insert and merge
+///    must therefore flow through this class (or a MERGE carrying
+///    ChangeObserver()); callers never write the table directly.
 class VisitedTable {
  public:
   static Status Create(Database* db, IndexStrategy strategy, std::string name,
@@ -112,12 +114,15 @@ class VisitedTable {
 
   int64_t num_rows() const { return table_->num_rows(); }
 
-  // ----- incremental aggregates ------------------------------------------
-  // Exact at all times; "open" means flag = 0 AND dist < infinity, the
-  // candidate set every auxiliary statement filters on.
+  // ----- auxiliary reads --------------------------------------------------
+  // "Open" means flag = 0 AND dist < infinity, the candidate set every
+  // auxiliary statement filters on.
 
-  /// MIN(dist) over open rows; kInfinity when none remain.
-  weight_t MinOpenDist(const DirCols& dir) const;
+  /// The open row with the least dist, ties going to the first in its
+  /// access path's order: the open tree's (dist, row locator) order on
+  /// Index/CluIndex, Scan() order on NoIndex (Table::FirstInRange).
+  /// `dist` = kInfinity and `nid` = kInvalidNode when no row is open.
+  Status LeastOpen(const DirCols& dir, weight_t* dist, node_id_t* nid);
   /// MIN(d2s + d2t) over all rows; kInfinity when the table is empty.
   /// (Exact because per-row distances only ever decrease within a query.)
   weight_t MinPathCost() const { return min_cost_; }
@@ -136,50 +141,25 @@ class VisitedTable {
   /// Listing 4(3): flag := 1 for flag = 2 rows.
   Status FinalizeFrontier(const DirCols& dir, int64_t* affected);
 
-  /// First open row with dist = `dist` (PickMid's outer SELECT TOP 1) in
-  /// its access path's order: the open tree's row-locator order, which is
-  /// scan order under CluIndex, or scan order on NoIndex. `found` = false
-  /// when no such row exists.
-  Status FirstOpenAt(const DirCols& dir, weight_t dist, node_id_t* nid,
-                     bool* found);
-
   /// Source executor over the marked frontier (flag = 2) for the
   /// E-operator join: in (dist, row locator) order through the open tree
   /// on Index/CluIndex, in scan order on NoIndex.
   ExecRef FrontierScan(const DirCols& dir) const;
 
-  /// Observer that keeps the aggregates exact; attach to any DML statement
-  /// (e.g. the M-operator MERGE) that mutates this table.
+  /// Observer that keeps MinPathCost exact; attach to any MERGE (e.g. the
+  /// M-operator's) that writes this table.
   RowChangeObserver ChangeObserver();
 
  private:
   VisitedTable() = default;
 
-  /// Aggregate bookkeeping for one direction.
-  struct DirState {
-    size_t dist_idx = 0;
-    size_t flag_idx = 0;
-    std::map<weight_t, int64_t> open_dists;  // dist -> open-row count
-  };
-
-  DirState& StateFor(const DirCols& dir) {
-    return dir.forward ? fwd_state_ : bwd_state_;
-  }
-  const DirState& StateFor(const DirCols& dir) const {
-    return dir.forward ? fwd_state_ : bwd_state_;
-  }
-
-  /// Folds one row image change into the aggregates (old_row null = insert).
-  void OnRowChanged(const Tuple* old_row, const Tuple& new_row);
-  void AccumulateSide(DirState* state, const Tuple* old_row,
-                      const Tuple& new_row);
+  /// Folds a written row's d2s + d2t into MinPathCost.
+  void NoteCost(const Tuple& row);
 
   Database* db_ = nullptr;
   Table* table_ = nullptr;
   bool has_unique_index_ = false;
 
-  DirState fwd_state_;
-  DirState bwd_state_;
   size_t d2s_idx_ = 0;
   size_t d2t_idx_ = 0;
   size_t nid_idx_ = 0;

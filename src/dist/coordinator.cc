@@ -68,9 +68,6 @@ Status DistCoordinator::Create(ShardedGraphStore* store, DistOptions options,
   if (options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
-  if (options.connections_per_shard < 1) {
-    return Status::InvalidArgument("connections_per_shard must be >= 1");
-  }
   if (!options.shard_endpoints.empty() &&
       static_cast<int>(options.shard_endpoints.size()) !=
           store->num_shards()) {
@@ -81,10 +78,6 @@ Status DistCoordinator::Create(ShardedGraphStore* store, DistOptions options,
   auto coord = std::unique_ptr<DistCoordinator>(
       new DistCoordinator(store, options));
   coord->services_.resize(store->num_shards());
-  LocalShardOptions lopts;
-  lopts.connections = options.connections_per_shard;
-  lopts.checkout_timeout_ms = options.checkout_timeout_ms;
-  lopts.max_queue_depth = options.admission_queue_depth;
   for (int shard = 0; shard < store->num_shards(); shard++) {
     const std::string endpoint =
         options.shard_endpoints.empty() ? std::string()
@@ -96,7 +89,7 @@ Status DistCoordinator::Create(ShardedGraphStore* store, DistOptions options,
       if (tokens[0].empty()) {
         std::unique_ptr<LocalShardService> local;
         RELGRAPH_RETURN_IF_ERROR(
-            LocalShardService::Create(store, shard, lopts, &local));
+            LocalShardService::Create(store, shard, options.local, &local));
         coord->services_[shard] = std::move(local);
       } else {
         std::string host;
@@ -123,7 +116,7 @@ Status DistCoordinator::Create(ShardedGraphStore* store, DistOptions options,
       if (tok.empty()) {
         std::unique_ptr<LocalShardService> local;
         RELGRAPH_RETURN_IF_ERROR(
-            LocalShardService::Create(store, shard, lopts, &local));
+            LocalShardService::Create(store, shard, options.local, &local));
         rep.service = std::move(local);
         rep.name = "local";
         start_dead.push_back(false);

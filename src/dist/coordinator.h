@@ -27,18 +27,6 @@ struct DistOptions {
   /// task per contacted shard on a shared pool and `parallel_us` becomes a
   /// *measured* wall clock.
   int num_threads = 0;
-  /// Pooled connections per (in-process) shard. Each query session holds at
-  /// most one connection per shard at a time, so this bounds how many
-  /// sessions can expand on the same shard simultaneously; additional
-  /// sessions queue, up to checkout_timeout_ms.
-  int connections_per_shard = 1;
-  /// How long a session may queue for a local shard connection before the
-  /// round fails with Status::Unavailable (see LocalShardOptions).
-  int64_t checkout_timeout_ms = 30'000;
-  /// Requests allowed to queue per local shard pool beyond the connection
-  /// count; one more is shed immediately with ResourceExhausted (see
-  /// LocalShardOptions::max_queue_depth).
-  int admission_queue_depth = 256;
   /// Transport per shard: each entry is one or more '|'-separated
   /// *replicas* of that shard — "host:port" for a net::ShardServer, or ""
   /// / "local" for the in-process LocalShardService. One replica wires the
@@ -50,6 +38,12 @@ struct DistOptions {
   /// coordinator's merge logic cannot tell, which is the point of the
   /// ShardService seam.
   std::vector<std::string> shard_endpoints;
+  /// Connection pool and admission knobs applied to every in-process shard.
+  /// Each query session holds at most one connection per shard at a time,
+  /// so `local.connections` bounds how many sessions can expand on the same
+  /// shard simultaneously; additional sessions queue, up to
+  /// `local.checkout_timeout_ms`.
+  LocalShardOptions local;
   /// Failure-handling knobs applied to every remote shard stub.
   net::RemoteShardOptions remote;
   /// Replica routing / health / hedging knobs (multi-replica shards only).

@@ -29,7 +29,7 @@ ReplicatedShardService::ReplicatedShardService(int shard,
   if (options_.hedge_delay_ms >= 0 && replicas_.size() >= 2) {
     hedge_pool_ = std::make_unique<ThreadPool>(kHedgeWorkers);
   }
-  if (options_.enable_prober && options_.prober.probe_interval_ms > 0) {
+  if (options_.prober.probe_interval_ms > 0) {
     std::vector<net::HealthProber::Target> targets;
     for (size_t i = 0; i < replicas_.size(); i++) {
       if (!replicas_[i].probe) continue;  // local replicas cannot die alone

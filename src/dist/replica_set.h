@@ -19,11 +19,10 @@ struct ReplicaOptions {
   /// first valid response (shard responses are deterministic, so the race
   /// cannot change results — only the tail latency). < 0 disables.
   int64_t hedge_delay_ms = -1;
-  /// Background heartbeat prober over the remote replicas.
+  /// Background heartbeat prober over the remote replicas; a
+  /// `probe_interval_ms` <= 0 runs none (health still updates passively
+  /// from request outcomes).
   net::ProberOptions prober;
-  /// Master switch for the background prober (health still updates
-  /// passively from request outcomes when off).
-  bool enable_prober = true;
 };
 
 /// One replica of a shard, as handed to ReplicatedShardService: the service

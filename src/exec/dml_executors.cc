@@ -24,8 +24,7 @@ Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted) {
 // movement). Both the WHERE predicate and the SET expressions run in batch
 // mode — one EvalBatch column per scan batch.
 Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
-                        const std::vector<SetClause>& sets, int64_t* affected,
-                        const RowChangeObserver& observer) {
+                        const std::vector<SetClause>& sets, int64_t* affected) {
   *affected = 0;
   const Schema& schema = table->schema();
   std::vector<std::pair<size_t, ExprRef>> resolved;
@@ -35,8 +34,7 @@ Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
     if (idx < 0) return Status::InvalidArgument("no column " + s.column);
     resolved.emplace_back(static_cast<size_t>(idx), s.expr);
   }
-  // The pre-image goes to UpdateRow (which moves index entries by it) and
-  // to the observer.
+  // The pre-image goes to UpdateRow, which moves index entries by it.
   std::vector<std::tuple<RowRef, Tuple, Tuple>> pending;  // ref, old, new
   std::vector<Tuple> rows;
   std::vector<RowRef> refs;
@@ -84,25 +82,22 @@ Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
   RELGRAPH_RETURN_IF_ERROR(it.status());
   for (const auto& [row_ref, old_row, new_row] : pending) {
     RELGRAPH_RETURN_IF_ERROR(table->UpdateRow(row_ref, old_row, new_row));
-    if (observer != nullptr) observer(&old_row, new_row);
     (*affected)++;
   }
   return Status::OK();
 }
 
 Status UpdateWhere(Table* table, ExprRef predicate,
-                   const std::vector<SetClause>& sets, int64_t* affected,
-                   const RowChangeObserver& observer) {
+                   const std::vector<SetClause>& sets, int64_t* affected) {
   return UpdateCandidates(table, table->Scan(), std::move(predicate), sets,
-                          affected, observer);
+                          affected);
 }
 
 Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
                                  CompareOp op, const ExprRef& key,
                                  ExprRef predicate,
                                  const std::vector<SetClause>& sets,
-                                 int64_t* affected,
-                                 const RowChangeObserver& observer) {
+                                 int64_t* affected) {
   Value v = key->Evaluate(Tuple{}, Schema{});
   if (v.IsNull()) {
     // `column OP NULL` is never true, and `predicate` includes it: no row
@@ -113,7 +108,7 @@ Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
   if (v.type() != TypeId::kInt) {
     // Non-INT keys never match an INT index probe profitably; run the
     // full-scan plan the text interface would have picked.
-    return UpdateWhere(table, std::move(predicate), sets, affected, observer);
+    return UpdateWhere(table, std::move(predicate), sets, affected);
   }
   int64_t lo = std::numeric_limits<int64_t>::min();
   int64_t hi = std::numeric_limits<int64_t>::max();
@@ -121,7 +116,7 @@ Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
   Table::Iterator it;
   RELGRAPH_RETURN_IF_ERROR(table->ScanRange(index_column, lo, hi, &it));
   return UpdateCandidates(table, std::move(it), std::move(predicate), sets,
-                          affected, observer);
+                          affected);
 }
 
 Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected) {
@@ -243,7 +238,7 @@ Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
           updated.value(idx) = expr->Evaluate(joined, combined);
         }
         RELGRAPH_RETURN_IF_ERROR(target->UpdateRow(ref, existing, updated));
-        if (spec.observer != nullptr) spec.observer(&existing, updated);
+        if (spec.observer != nullptr) spec.observer(updated);
         if (!use_index) hash_side[key.AsInt()] = {ref, updated};
         (*affected)++;
       } else if (found.IsNotFound()) {
@@ -256,7 +251,7 @@ Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
         Tuple fresh(std::move(values));
         RowRef fresh_ref;
         RELGRAPH_RETURN_IF_ERROR(target->Insert(fresh, &fresh_ref));
-        if (spec.observer != nullptr) spec.observer(nullptr, fresh);
+        if (spec.observer != nullptr) spec.observer(fresh);
         if (!use_index) hash_side[key.AsInt()] = {fresh_ref, fresh};
         (*affected)++;
       } else {

@@ -11,13 +11,11 @@
 
 namespace relgraph {
 
-/// Invoked once per row a DML statement actually changes: `old_row` is null
-/// for inserts, otherwise the pre-image; `new_row` is the post-image (both
-/// in the table schema). VisitedTable subscribes to keep its incremental
-/// aggregates exact without re-scanning (deletes are not reported — the
-/// callers that care truncate instead of deleting).
-using RowChangeObserver =
-    std::function<void(const Tuple* old_row, const Tuple& new_row)>;
+/// Invoked by MERGE once per row it inserts or updates, with the row's
+/// post-image in the table schema. VisitedTable subscribes to keep
+/// MIN(d2s+d2t) exact without re-scanning (distances only fall within a
+/// query, so the post-images suffice).
+using RowChangeObserver = std::function<void(const Tuple& new_row)>;
 
 /// Data-modification statements. Each reports the number of affected rows —
 /// the engine's equivalent of the SQL communication area (SQLCA) the paper's
@@ -35,16 +33,14 @@ struct SetClause {
   ExprRef expr;
 };
 Status UpdateWhere(Table* table, ExprRef predicate,
-                   const std::vector<SetClause>& sets, int64_t* affected,
-                   const RowChangeObserver& observer = nullptr);
+                   const std::vector<SetClause>& sets, int64_t* affected);
 
 /// UPDATE over the rows `candidates` yields (a Table::Scan or ScanRange
 /// iterator of `table`) that satisfy `predicate` (null: all of them). The
 /// other UPDATE plans are this over a full scan or a key range.
 Status UpdateCandidates(Table* table, Table::Iterator candidates,
                         ExprRef predicate, const std::vector<SetClause>& sets,
-                        int64_t* affected,
-                        const RowChangeObserver& observer = nullptr);
+                        int64_t* affected);
 
 /// UPDATE over the key range `index_column OP key`: candidate rows come
 /// from ScanRange(index_column, lo, hi) — an index probe when the column
@@ -58,8 +54,7 @@ Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
                                  CompareOp op, const ExprRef& key,
                                  ExprRef predicate,
                                  const std::vector<SetClause>& sets,
-                                 int64_t* affected,
-                                 const RowChangeObserver& observer = nullptr);
+                                 int64_t* affected);
 
 /// DELETE FROM table WHERE predicate.
 Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected);
@@ -84,7 +79,7 @@ struct MergeSpec {
   ExprRef matched_condition;            // nullptr = always
   std::vector<SetClause> matched_sets;  // columns of the target
   std::vector<ExprRef> insert_values;   // one per target column
-  RowChangeObserver observer;           // optional change notifications
+  RowChangeObserver observer;           // optional post-image notifications
 };
 
 Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,

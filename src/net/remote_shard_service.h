@@ -41,8 +41,6 @@ struct RemoteShardOptions {
   /// Idle connections kept for reuse (each Expand checks one out; beyond
   /// this, returned connections are closed instead of pooled).
   int max_pooled_connections = 8;
-  /// Jitter source seed (deterministic per-stub by default).
-  uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
 };
 
 /// Client stub implementing ShardService over the src/net wire — the
@@ -119,8 +117,11 @@ class RemoteShardService : public ShardService {
         shard_(shard),
         num_shards_(num_shards),
         options_(options),
-        jitter_rng_(options.jitter_seed ^ (static_cast<uint64_t>(port) << 16)
-                    ^ static_cast<uint64_t>(shard)) {}
+        jitter_rng_(kJitterSeed ^ (static_cast<uint64_t>(port) << 16) ^
+                    static_cast<uint64_t>(shard)) {}
+
+  /// Backoff jitter seed, mixed with the port and shard so stubs differ.
+  static constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ull;
 
   /// Dials and handshakes a fresh connection within `deadline`.
   Status Dial(Deadline deadline, Socket* out);

@@ -607,7 +607,7 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
   // heap scan into an index range scan — the access path the F/E-operator
   // SELECTs (`... where f = 2`, `... and d2s = (select min(d2s) ...)`) get
   // from a real RDBMS optimizer, and the same key range the native
-  // finder's FrontierScan/FirstOpenAt read. The conjunct still filters
+  // finder's FrontierScan/LeastOpen read. The conjunct still filters
   // residually, so the plans stay exactly equivalent; with equal index
   // keys the scan order also matches the filtered full scan (index ties
   // break on scan position), keeping TOP-1 picks identical.

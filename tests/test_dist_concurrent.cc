@@ -190,7 +190,7 @@ TEST(DistConcurrentSessions, StressMatchesSingleThreadedOracle) {
   ASSERT_TRUE(ShardedGraphStore::Create(list, sopts, &store).ok());
   DistOptions dopts;
   dopts.num_threads = 4;
-  dopts.connections_per_shard = 2;  // < kSessions: sessions must queue
+  dopts.local.connections = 2;  // < kSessions: sessions must queue
   std::unique_ptr<DistCoordinator> coord;
   ASSERT_TRUE(DistCoordinator::Create(store.get(), dopts, &coord).ok());
 

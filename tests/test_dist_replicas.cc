@@ -61,7 +61,7 @@ class DistReplicaTest : public ::testing::Test {
     dopts.remote.connect_timeout_ms = 1000;
     dopts.remote.request_timeout_ms = 2000;
     dopts.remote.max_attempts = 1;
-    dopts.replica.enable_prober = false;
+    dopts.replica.prober.probe_interval_ms = 0;
     return dopts;
   }
 
@@ -341,7 +341,6 @@ TEST_F(DistReplicaTest, AllReplicasCorruptFailsTypedThenHealRecovers) {
 TEST_F(DistReplicaTest, ProberDetectsDeathAndRecovery) {
   ASSERT_TRUE(fleet_->Heal().ok());
   DistOptions dopts = ReplicatedOptions();
-  dopts.replica.enable_prober = true;
   dopts.replica.prober.probe_interval_ms = 50;
   dopts.replica.prober.suspect_after = 1;
   dopts.replica.prober.dead_after = 2;

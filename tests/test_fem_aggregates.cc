@@ -1,17 +1,19 @@
-// VisitedTable's incremental aggregates (min open dist, min d2s+d2t) must
-// match values recomputed from scratch after any mixed sequence of seeds,
-// frontier updates, and merges — across all three index strategies and
-// both SQL modes. And the auxiliary statements that read them
-// (MinOpenDistance / MinCost) must no longer touch any TVisited row at
-// all, which the table's access counters pin down. Under Index/CluIndex
-// the open trees must also read exactly what a filtered full scan reads,
-// after every mutation.
+// VisitedTable's auxiliary reads (the least open row, min d2s+d2t) and
+// PickMid's pick must match values recomputed from scratch after any mixed
+// sequence of seeds, frontier updates, and merges — across all three index
+// strategies and both SQL modes. The table's access counters pin what the
+// auxiliary statements read: MinCost no TVisited row at all, and
+// MinOpenDistance at most one open-tree entry under Index/CluIndex, one
+// filtered full scan under NoIndex. Under Index/CluIndex the open trees
+// must also read exactly what a filtered full scan reads, after every
+// mutation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -22,25 +24,47 @@
 namespace relgraph {
 namespace {
 
+/// A row's locator, the open trees' tie-break: its cluster key, which is
+/// also scan order; or its RID, which a heap reusing freed pages does not
+/// keep in scan order.
+int64_t Locator(const Table& table, const RowRef& ref) {
+  return table.options().storage == TableStorage::kClustered
+             ? ref.key.key
+             : (int64_t{ref.rid.page_id} << 16) | ref.rid.slot;
+}
+
 struct Recomputed {
   weight_t min_open = kInfinity;
   weight_t min_cost = kInfinity;
+  node_id_t pick = kInvalidNode;  // PickMid's row
 };
 
-/// The from-scratch oracle: one full scan per direction.
-Recomputed Recompute(VisitedTable* vt, const DirCols& dir) {
+/// The from-scratch oracle: one full scan per direction. The pick is the
+/// open row with the least dist, ties going to the least locator when the
+/// open tree serves the read (`by_locator`), else to the first in scan
+/// order.
+Recomputed Recompute(VisitedTable* vt, const DirCols& dir, bool by_locator) {
   const Schema& schema = vt->table()->schema();
+  const size_t nid_idx = schema.IndexOf("nid");
   const size_t dist_idx = schema.IndexOf(dir.dist);
   const size_t flag_idx = schema.IndexOf(dir.flag);
   const size_t d2s_idx = schema.IndexOf("d2s");
   const size_t d2t_idx = schema.IndexOf("d2t");
   Recomputed r;
+  int64_t pick_order = 0;
+  int64_t scan_pos = 0;
   auto it = vt->table()->Scan();
   Tuple t;
-  while (it.Next(&t, nullptr)) {
+  RowRef ref;
+  while (it.Next(&t, &ref)) {
     weight_t dist = t.value(dist_idx).AsInt();
-    if (t.value(flag_idx).AsInt() == 0 && dist < kInfinity) {
-      r.min_open = std::min(r.min_open, dist);
+    const int64_t order = by_locator ? Locator(*vt->table(), ref) : scan_pos;
+    scan_pos++;
+    if (t.value(flag_idx).AsInt() == 0 && dist < kInfinity &&
+        std::make_pair(dist, order) < std::make_pair(r.min_open, pick_order)) {
+      r.min_open = dist;
+      pick_order = order;
+      r.pick = t.value(nid_idx).AsInt();
     }
     r.min_cost = std::min(
         r.min_cost, t.value(d2s_idx).AsInt() + t.value(d2t_idx).AsInt());
@@ -49,32 +73,35 @@ Recomputed Recompute(VisitedTable* vt, const DirCols& dir) {
   return r;
 }
 
-void ExpectAggregatesExact(VisitedTable* vt, const char* where) {
+void ExpectAggregatesExact(FemEngine* fem, bool by_locator,
+                           const char* where) {
+  VisitedTable* vt = fem->visited();
   for (const DirCols& dir :
        {VisitedTable::ForwardCols(), VisitedTable::BackwardCols()}) {
-    Recomputed r = Recompute(vt, dir);
-    EXPECT_EQ(vt->MinOpenDist(dir), r.min_open)
-        << where << " dir=" << dir.dist;
+    Recomputed r = Recompute(vt, dir, by_locator);
+    weight_t least;
+    node_id_t least_nid;
+    ASSERT_TRUE(vt->LeastOpen(dir, &least, &least_nid).ok());
+    EXPECT_EQ(least, r.min_open) << where << " dir=" << dir.dist;
     EXPECT_EQ(vt->MinPathCost(), r.min_cost) << where << " dir=" << dir.dist;
+    node_id_t mid;
+    bool found;
+    ASSERT_TRUE(fem->PickMid(dir, &mid, &found).ok());
+    EXPECT_EQ(found, r.min_open < kInfinity) << where << " dir=" << dir.dist;
+    if (found) {
+      EXPECT_EQ(mid, r.pick) << where << " dir=" << dir.dist;
+    }
   }
 }
 
 /// Index-vs-scan oracle for the open trees: per direction and flag, the
 /// rows the two-column ScanRange reads over [0, kInfinity) through the
 /// direction's open tree must be the filtered full scan's rows, in the
-/// tree's order: dist, then the row's locator (cluster key, which is also
-/// scan order; or RID, which a heap reusing freed pages does not keep in
-/// scan order).
+/// tree's order: dist, then the row's locator.
 void ExpectOpenTreesMatchScan(VisitedTable* vt, const char* where) {
   Table* table = vt->table();
   const Schema& schema = table->schema();
   const size_t nid_idx = schema.IndexOf("nid");
-  const bool clustered =
-      table->options().storage == TableStorage::kClustered;
-  auto locator = [&](const RowRef& ref) {
-    return clustered ? ref.key.key
-                     : (int64_t{ref.rid.page_id} << 16) | ref.rid.slot;
-  };
   for (const DirCols& dir :
        {VisitedTable::ForwardCols(), VisitedTable::BackwardCols()}) {
     const size_t dist_idx = schema.IndexOf(dir.dist);
@@ -87,7 +114,8 @@ void ExpectOpenTreesMatchScan(VisitedTable* vt, const char* where) {
       while (scan.Next(&t, &ref)) {
         const weight_t dist = t.value(dist_idx).AsInt();
         if (t.value(flag_idx).AsInt() == flag && dist < kInfinity) {
-          want.emplace_back(dist, locator(ref), t.value(nid_idx).AsInt());
+          want.emplace_back(dist, Locator(*table, ref),
+                            t.value(nid_idx).AsInt());
         }
       }
       ASSERT_TRUE(scan.status().ok());
@@ -101,7 +129,7 @@ void ExpectOpenTreesMatchScan(VisitedTable* vt, const char* where) {
                       .ok());
       std::vector<std::tuple<weight_t, int64_t, node_id_t>> got;
       while (it.Next(&t, &ref)) {
-        got.emplace_back(t.value(dist_idx).AsInt(), locator(ref),
+        got.emplace_back(t.value(dist_idx).AsInt(), Locator(*table, ref),
                          t.value(nid_idx).AsInt());
       }
       ASSERT_TRUE(it.status().ok());
@@ -131,7 +159,7 @@ TEST_P(FemAggregateTest, MatchRecomputeAfterMixedMergeUpdateSequences) {
   const DirCols bwd = VisitedTable::BackwardCols();
   // Aggregates always; the open trees under the strategies that have them.
   auto expect_exact = [&](const char* where) {
-    ExpectAggregatesExact(vt.get(), where);
+    ExpectAggregatesExact(&fem, strategy != IndexStrategy::kNoIndex, where);
     if (strategy != IndexStrategy::kNoIndex) {
       ExpectOpenTreesMatchScan(vt.get(), where);
     }
@@ -172,7 +200,7 @@ TEST_P(FemAggregateTest, MatchRecomputeAfterMixedMergeUpdateSequences) {
   }
 }
 
-TEST_P(FemAggregateTest, AuxiliaryStatementsAreScanFree) {
+TEST_P(FemAggregateTest, AuxiliaryStatementReadsArePinned) {
   const auto& [strategy, mode] = GetParam();
   EdgeList list = GenerateBarabasiAlbert(50, 2, WeightRange{1, 20}, 23);
   Database db{DatabaseOptions{}};
@@ -200,17 +228,27 @@ TEST_P(FemAggregateTest, AuxiliaryStatementsAreScanFree) {
     ASSERT_TRUE(fem.FinalizeFrontier(fwd).ok());
   }
 
-  // The two aggregate probes: zero TVisited row accesses of any kind,
-  // while still counting as one SQL statement each.
+  // The two auxiliary probes, one SQL statement each. MinCost reads no
+  // TVisited row of any kind. MinOpenDistance reads the least open row: at
+  // most one open-tree entry under Index/CluIndex, one filtered full scan
+  // under NoIndex.
   vt->table()->ResetAccessStats();
   const int64_t stmt_before = db.stats().statements;
   weight_t m, mc;
-  ASSERT_TRUE(fem.MinOpenDistance(fwd, &m).ok());
   ASSERT_TRUE(fem.MinCost(&mc).ok());
-  EXPECT_EQ(db.stats().statements - stmt_before, 2);
   const TableAccessStats& stats = vt->table()->access_stats();
   EXPECT_EQ(stats.full_scan_rows, 0);
   EXPECT_EQ(stats.index_scan_rows, 0);
+  EXPECT_EQ(stats.point_lookups, 0);
+  ASSERT_TRUE(fem.MinOpenDistance(fwd, &m).ok());
+  EXPECT_EQ(db.stats().statements - stmt_before, 2);
+  if (strategy == IndexStrategy::kNoIndex) {
+    EXPECT_EQ(stats.full_scan_rows, vt->num_rows());
+    EXPECT_EQ(stats.index_scan_rows, 0);
+  } else {
+    EXPECT_EQ(stats.full_scan_rows, 0);
+    EXPECT_LE(stats.index_scan_rows, 1);
+  }
   EXPECT_EQ(stats.point_lookups, 0);
 
   // Under the indexed strategies the F-operator must not full-scan either:
