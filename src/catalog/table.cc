@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 namespace relgraph {
 
@@ -385,13 +386,24 @@ Status Table::AddIndex(SecondaryIndex si) {
   RELGRAPH_RETURN_IF_ERROR(BTree::Create(pool_, 8, &si.tree));
   indexes_.push_back(std::move(si));
   SecondaryIndex& added = indexes_.back();
+  // Entries go in sorted by key, so the tree's rightmost splits pack it.
+  std::vector<std::pair<BtKey, std::string>> entries;
   Status st = ForEachRow([&](const Tuple& tuple, const RowRef& ref) {
     RELGRAPH_RETURN_IF_ERROR(CheckOpenDomain(tuple));
     int64_t key;
-    if (!added.KeyOf(tuple, &key)) return Status::OK();
-    return added.tree.Insert(EntryOf(added, key, ref), PayloadOf(ref),
-                             added.unique);
+    if (added.KeyOf(tuple, &key)) {
+      entries.emplace_back(EntryOf(added, key, ref), PayloadOf(ref));
+    }
+    return Status::OK();
   });
+  if (st.ok()) {
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [entry, payload] : entries) {
+      st = added.tree.Insert(entry, payload, added.unique);
+      if (!st.ok()) break;
+    }
+  }
   if (!st.ok()) {
     // A failed build leaves no definition behind; its pages go back.
     (void)added.tree.Destroy();

@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#ifdef __x86_64__
+#include <nmmintrin.h>
+#endif
+
 namespace relgraph {
 namespace crc32c {
 
@@ -49,7 +53,9 @@ uint64_t LoadLe64(const unsigned char* p) {
 
 }  // namespace
 
-uint32_t Extend(uint32_t crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendSoftware(uint32_t crc, const char* data, size_t n) {
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
@@ -61,6 +67,49 @@ uint32_t Extend(uint32_t crc, const char* data, size_t n) {
   }
   for (; n > 0; p++, n--) c = kTables[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+#ifdef __x86_64__
+
+/// One `crc32` instruction per 8-byte word; x86 is little-endian and
+/// loads unaligned words, so this is the software loop in silicon.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t crc,
+                                                          const char* data,
+                                                          size_t n) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  uint64_t c = crc ^ 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    c = _mm_crc32_u64(c, w);
+  }
+  auto c32 = static_cast<uint32_t>(c);
+  for (; n > 0; p++, n--) c32 = _mm_crc32_u8(c32, *p);
+  return c32 ^ 0xFFFFFFFFu;
+}
+
+bool HasHardware() {
+  __builtin_cpu_init();  // may run before the runtime's own constructors
+  return __builtin_cpu_supports("sse4.2");
+}
+
+#else
+
+uint32_t ExtendHardware(uint32_t crc, const char* data, size_t n) {
+  return ExtendSoftware(crc, data, n);  // never chosen: HasHardware() is false
+}
+
+bool HasHardware() { return false; }
+
+#endif
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t crc, const char* data, size_t n) {
+  static const auto chosen = internal::HasHardware()
+                                 ? internal::ExtendHardware
+                                 : internal::ExtendSoftware;
+  return chosen(crc, data, n);
 }
 
 uint32_t ExtendU32(uint32_t crc, uint32_t v) {

@@ -73,8 +73,10 @@ Status GraphStore::Create(Database* db, const EdgeList& list,
   }
 
   if (options.strategy == IndexStrategy::kCluIndex) {
-    // Two clustered copies; rows inserted in cluster-key order for a
-    // packed tree (the clustered bulk-load a real RDBMS would do).
+    // Two clustered copies; rows inserted in cluster-key order, so each
+    // append splits the last leaf with every entry kept on the left and
+    // the tree comes out packed (the clustered bulk-load a real RDBMS
+    // would do).
     TableOptions fwd;
     fwd.storage = TableStorage::kClustered;
     fwd.cluster_key = "fid";

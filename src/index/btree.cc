@@ -246,7 +246,14 @@ Status BTree::SplitLeaf(page_id_t leaf_id, std::vector<Descent>* path,
 
   size_t stride = LeafStride(payload_size_);
   uint16_t total = lh->count;
-  uint16_t keep = total / 2;
+  // Rightmost split: an entry past the end of the last leaf starts an empty
+  // right leaf and the left keeps everything, so a load in key order packs
+  // its leaves full (the rule PostgreSQL and SQLite use). Every other split
+  // is 50/50.
+  const bool append =
+      lh->next == kInvalidPageId &&
+      ReadKey(LeafEntry(ldata, total - 1, payload_size_)) < pending_key;
+  uint16_t keep = append ? total : total / 2;
   uint16_t moved = total - keep;
   std::memcpy(LeafEntry(rdata, 0, payload_size_),
               LeafEntry(ldata, keep, payload_size_),
@@ -257,7 +264,8 @@ Status BTree::SplitLeaf(page_id_t leaf_id, std::vector<Descent>* path,
   lh->next = right_id;
   left.MarkDirty();
 
-  BtKey sep = ReadKey(LeafEntry(rdata, 0, payload_size_));
+  BtKey sep =
+      append ? pending_key : ReadKey(LeafEntry(rdata, 0, payload_size_));
 
   // Place the pending entry into whichever half owns its key range.
   {

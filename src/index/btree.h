@@ -39,9 +39,12 @@ struct BtKey {
 ///    schema), i.e. the table *is* the tree — the paper's "CluIndex" layout.
 ///
 /// Design notes: single-writer (no latching; the engine is single-threaded
-/// per Database), deletes do not rebalance (underflowed nodes are tolerated;
-/// the workloads here delete rarely and truncate or drop whole tables
-/// instead, which returns the tree's pages for reuse through Destroy()).
+/// per Database); leaf splits are 50/50 except that an entry past the end
+/// of the last leaf starts a new one, so inserts in key order (clustered
+/// loads, index builds) fill every leaf; deletes do not rebalance
+/// (underflowed nodes are tolerated; the workloads here delete rarely and
+/// truncate or drop whole tables instead, which returns the tree's pages
+/// for reuse through Destroy()).
 class BTree {
  public:
   BTree() = default;

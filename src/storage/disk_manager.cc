@@ -1,10 +1,12 @@
 #include "src/storage/disk_manager.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -40,6 +42,37 @@ uint32_t PageCrc(const char* data, page_id_t page_id) {
                            static_cast<uint32_t>(page_id));
 }
 
+/// Reads or writes exactly `n` bytes at `offset`, one pread/pwrite in the
+/// common case; false on an error or end of file.
+bool PreadFull(int fd, char* buf, size_t n, off_t offset) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, buf, n, offset);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    buf += got;
+    n -= static_cast<size_t>(got);
+    offset += got;
+  }
+  return true;
+}
+
+bool PwriteFull(int fd, const char* buf, size_t n, off_t offset) {
+  while (n > 0) {
+    const ssize_t put = ::pwrite(fd, buf, n, offset);
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return false;
+    buf += put;
+    n -= static_cast<size_t>(put);
+    offset += put;
+  }
+  return true;
+}
+
+/// Opens `path` read-write (`flags` adds O_CREAT/O_TRUNC); -1 on failure.
+int OpenFd(const std::string& path, int flags) {
+  return ::open(path.c_str(), O_RDWR | O_CLOEXEC | flags, 0666);
+}
+
 /// Header layout within the kFileHeaderBytes block:
 ///   [0]  u32 magic   [4] u16 format version   [6] u16 reserved (0)
 ///   [8]  u32 page size                        [12] i32 page count
@@ -53,10 +86,10 @@ DiskManager::DiskManager() = default;
 DiskManager::DiskManager(const std::string& path) : path_(path) {
   // Scratch semantics: explicit create-and-truncate, unlink on close. The
   // format is the same checksummed one durable files use.
-  file_ = std::fopen(path.c_str(), "w+b");
+  fd_ = OpenFd(path, O_CREAT | O_TRUNC);
   // Fall back to in-memory mode when the path is unwritable; callers that
   // need a file can check in_memory().
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     delete_on_close_ = true;
     std::lock_guard<std::mutex> lock(mutex_);
     WriteHeaderLocked();  // best effort; page I/O surfaces real failures
@@ -66,13 +99,13 @@ DiskManager::DiskManager(const std::string& path) : path_(path) {
 Status DiskManager::Open(const std::string& path, OpenMode mode,
                          std::unique_ptr<DiskManager>* out) {
   if (mode == OpenMode::kCreate) {
-    std::FILE* f = std::fopen(path.c_str(), "w+b");
-    if (f == nullptr) {
+    const int fd = OpenFd(path, O_CREAT | O_TRUNC);
+    if (fd < 0) {
       return Status::IOError("cannot create " + path + ": " +
                              std::strerror(errno));
     }
     auto dm = std::unique_ptr<DiskManager>(
-        new DiskManager(path, f, /*delete_on_close=*/false));
+        new DiskManager(path, fd, /*delete_on_close=*/false));
     {
       std::lock_guard<std::mutex> lock(dm->mutex_);
       RELGRAPH_RETURN_IF_ERROR(dm->WriteHeaderLocked());
@@ -85,19 +118,18 @@ Status DiskManager::Open(const std::string& path, OpenMode mode,
   // constructed only AFTER validation succeeds: a rejected file must be
   // closed untouched — in particular, the destructor's best-effort header
   // write must never clobber a file we just refused to trust.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  if (f == nullptr) {
+  const int fd = OpenFd(path, 0);
+  if (fd < 0) {
     return Status::IOError("cannot open " + path + ": " +
                            std::strerror(errno));
   }
-  auto fail = [f](Status st) {
-    std::fclose(f);
+  auto fail = [fd](Status st) {
+    ::close(fd);
     return st;
   };
 
   char header[kFileHeaderBytes];
-  std::fseek(f, 0, SEEK_SET);
-  if (std::fread(header, 1, kFileHeaderBytes, f) != kFileHeaderBytes) {
+  if (!PreadFull(fd, header, kFileHeaderBytes, 0)) {
     return fail(Status::Corruption("file header truncated: " + path));
   }
   if (GetU32(header) != kFileMagic) {
@@ -124,22 +156,26 @@ Status DiskManager::Open(const std::string& path, OpenMode mode,
         Status::Corruption("negative page count in file header: " + path));
   }
   // The synced page count must be covered by actual file bytes.
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
+  struct stat info {};
+  if (::fstat(fd, &info) != 0) {
+    return fail(Status::IOError("cannot stat " + path + ": " +
+                                std::strerror(errno)));
+  }
+  const off_t size = info.st_size;
   if (size < PageOffset(page_count)) {
     return fail(Status::Corruption(
         "page file truncated: header promises " + std::to_string(page_count) +
         " page(s), file holds " + std::to_string(size) + " byte(s): " + path));
   }
   auto dm = std::unique_ptr<DiskManager>(
-      new DiskManager(path, f, /*delete_on_close=*/false));
+      new DiskManager(path, fd, /*delete_on_close=*/false));
   dm->next_page_id_.store(page_count);
   *out = std::move(dm);
   return Status::OK();
 }
 
 Status DiskManager::WriteHeaderLocked() {
-  if (file_ == nullptr) return Status::OK();
+  if (fd_ < 0) return Status::OK();
   char header[kFileHeaderBytes] = {0};
   PutU32(header, kFileMagic);
   PutU16(header + 4, kFileFormatVersion);
@@ -147,8 +183,7 @@ Status DiskManager::WriteHeaderLocked() {
   PutU32(header + 8, kPageSize);
   PutI32(header + 12, next_page_id_.load());
   PutU32(header + kHeaderCrcOffset, crc32c::Value(header, kHeaderCrcOffset));
-  std::fseek(file_, 0, SEEK_SET);
-  if (std::fwrite(header, 1, kFileHeaderBytes, file_) != kFileHeaderBytes) {
+  if (!PwriteFull(fd_, header, kFileHeaderBytes, 0)) {
     return Status::IOError("short write on file header");
   }
   return Status::OK();
@@ -156,30 +191,24 @@ Status DiskManager::WriteHeaderLocked() {
 
 Status DiskManager::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ == nullptr) return Status::OK();
+  if (fd_ < 0) return Status::OK();
   if (crashed_) return Status::IOError("injected crash: sync");
   RELGRAPH_RETURN_IF_ERROR(WriteHeaderLocked());
-  if (std::fflush(file_) != 0) {
-    return Status::IOError(std::string("fflush: ") + std::strerror(errno));
-  }
-  if (::fsync(::fileno(file_)) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::IOError(std::string("fsync: ") + std::strerror(errno));
   }
   return Status::OK();
 }
 
 DiskManager::~DiskManager() {
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     if (!delete_on_close_) {
       // Durable close: persist the page count so a clean shutdown without
       // an explicit Sync() still reopens with everything visible.
       std::lock_guard<std::mutex> lock(mutex_);
-      if (!crashed_) {
-        WriteHeaderLocked();
-        std::fflush(file_);
-      }
+      if (!crashed_) WriteHeaderLocked();
     }
-    std::fclose(file_);
+    ::close(fd_);
     if (delete_on_close_) std::remove(path_.c_str());
   }
 }
@@ -195,14 +224,13 @@ page_id_t DiskManager::AllocatePage() {
   }
   page_id_t id = next_page_id_.fetch_add(1);
   stats_.allocations++;
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     mem_pages_.emplace_back(kPageSize, 0);
   } else if (!crashed_) {
     char physical[kPhysicalPageSize] = {0};
     PutU32(physical + kPageSize, static_cast<uint32_t>(id));
     PutU32(physical + kPageSize + 4, PageCrc(physical, id));
-    std::fseek(file_, PageOffset(id), SEEK_SET);
-    std::fwrite(physical, 1, kPhysicalPageSize, file_);
+    PwriteFull(fd_, physical, kPhysicalPageSize, PageOffset(id));
   }
   return id;
 }
@@ -247,14 +275,12 @@ Status DiskManager::ReadPage(page_id_t page_id, char* out) {
   }
   stats_.reads++;
   MaybeSimulateLatency();
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     std::memcpy(out, mem_pages_[page_id].data(), kPageSize);
     return Status::OK();
   }
   char physical[kPhysicalPageSize];
-  std::fseek(file_, PageOffset(page_id), SEEK_SET);
-  size_t n = std::fread(physical, 1, kPhysicalPageSize, file_);
-  if (n != kPhysicalPageSize) {
+  if (!PreadFull(fd_, physical, kPhysicalPageSize, PageOffset(page_id))) {
     return Status::IOError("short read on page " + std::to_string(page_id));
   }
   const uint32_t stored_id = GetU32(physical + kPageSize);
@@ -294,7 +320,7 @@ Status DiskManager::WritePage(page_id_t page_id, const char* data) {
   }
   const bool torn = torn_write_in_ >= 0 && torn_write_in_-- == 0;
   stats_.writes++;
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     if (torn) {
       // No footer in memory mode: tear the data itself, then crash.
       std::memcpy(mem_pages_[page_id].data(), data, kPageSize / 2);
@@ -309,18 +335,15 @@ Status DiskManager::WritePage(page_id_t page_id, const char* data) {
   std::memcpy(physical, data, kPageSize);
   PutU32(physical + kPageSize, static_cast<uint32_t>(page_id));
   PutU32(physical + kPageSize + 4, PageCrc(physical, page_id));
-  std::fseek(file_, PageOffset(page_id), SEEK_SET);
   if (torn) {
     // Half the sectors make it; the footer (with the CRC) does not. The
     // manager then behaves as a dead process: every further op fails.
-    std::fwrite(physical, 1, kPageSize / 2, file_);
-    std::fflush(file_);
+    PwriteFull(fd_, physical, kPageSize / 2, PageOffset(page_id));
     crashed_ = true;
     return Status::IOError("injected crash: torn write of page " +
                            std::to_string(page_id));
   }
-  size_t n = std::fwrite(physical, 1, kPhysicalPageSize, file_);
-  if (n != kPhysicalPageSize) {
+  if (!PwriteFull(fd_, physical, kPhysicalPageSize, PageOffset(page_id))) {
     return Status::IOError("short write on page " + std::to_string(page_id));
   }
   return Status::OK();
@@ -332,7 +355,7 @@ Status DiskManager::CorruptByteForTest(page_id_t page_id, size_t offset) {
     return Status::OutOfRange("corrupt of unallocated page " +
                               std::to_string(page_id));
   }
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     if (offset >= kPageSize) {
       return Status::OutOfRange("in-memory pages have no footer");
     }
@@ -342,20 +365,15 @@ Status DiskManager::CorruptByteForTest(page_id_t page_id, size_t offset) {
   if (offset >= kPhysicalPageSize) {
     return Status::OutOfRange("offset beyond physical page");
   }
-  std::fflush(file_);
+  const off_t at = PageOffset(page_id) + static_cast<off_t>(offset);
   char byte;
-  std::fseek(file_, PageOffset(page_id) + static_cast<long>(offset),
-             SEEK_SET);
-  if (std::fread(&byte, 1, 1, file_) != 1) {
+  if (!PreadFull(fd_, &byte, 1, at)) {
     return Status::IOError("short read corrupting page");
   }
   byte ^= static_cast<char>(0xFF);
-  std::fseek(file_, PageOffset(page_id) + static_cast<long>(offset),
-             SEEK_SET);
-  if (std::fwrite(&byte, 1, 1, file_) != 1) {
+  if (!PwriteFull(fd_, &byte, 1, at)) {
     return Status::IOError("short write corrupting page");
   }
-  std::fflush(file_);
   return Status::OK();
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -60,6 +61,12 @@ enum class OpenMode {
 /// of the last Sync(); pages beyond that count are invisible after a
 /// reopen — i.e. a crash rolls back to the last synced state, never to a
 /// half-written one.
+///
+/// I/O: a file-backed manager holds one file descriptor and addresses each
+/// page by its offset, so a page read is one pread of the physical page
+/// (data and footer together), a page write one pwrite, and Sync() writes
+/// the header and fsyncs. There is no user-space buffer: a page is in the
+/// kernel's hands when WritePage returns.
 ///
 /// Contract (the PR-8 fix): constructing over a path NEVER silently
 /// truncates existing data unless the caller explicitly asked for
@@ -145,7 +152,7 @@ class DiskManager {
   Status Sync();
 
   int32_t num_pages() const { return next_page_id_.load(); }
-  bool in_memory() const { return file_ == nullptr; }
+  bool in_memory() const { return fd_ < 0; }
   const std::string& path() const { return path_; }
 
   const DiskStats& stats() const { return stats_; }
@@ -197,22 +204,20 @@ class DiskManager {
   Status CorruptByteForTest(page_id_t page_id, size_t offset);
 
  private:
-  explicit DiskManager(std::string path, std::FILE* file,
-                       bool delete_on_close)
-      : file_(file), path_(std::move(path)),
-        delete_on_close_(delete_on_close) {}
+  explicit DiskManager(std::string path, int fd, bool delete_on_close)
+      : fd_(fd), path_(std::move(path)), delete_on_close_(delete_on_close) {}
 
   void MaybeSimulateLatency();
   /// Serializes and writes the file header at offset 0 (file mode only).
   /// Requires mutex_.
   Status WriteHeaderLocked();
-  static long PageOffset(page_id_t id) {
-    return static_cast<long>(kFileHeaderBytes) +
-           static_cast<long>(id) * static_cast<long>(kPhysicalPageSize);
+  static off_t PageOffset(page_id_t id) {
+    return static_cast<off_t>(kFileHeaderBytes) +
+           static_cast<off_t>(id) * static_cast<off_t>(kPhysicalPageSize);
   }
 
   mutable std::mutex mutex_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;  // file-backed modes; -1 in memory
   std::string path_;
   bool delete_on_close_ = false;
   std::vector<std::vector<char>> mem_pages_;

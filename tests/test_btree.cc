@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -513,6 +515,127 @@ TEST(BTreeHostilePages, DestroyOfCorruptTreeIsCorruptionAndFreesNothing) {
     EXPECT_EQ(dm.num_free_pages(), 0u);
     EXPECT_EQ(tree.root(), root) << "a failed Destroy keeps the tree attached";
     EXPECT_EQ(pool.PinnedFrames(), 0u);
+  }
+}
+
+// ----- key-ordered loads pack their leaves ----------------------------------
+//
+// A split of the last leaf by an entry past its end keeps every entry on the
+// left, so inserting in key order fills each leaf before starting the next.
+// Clustered tables and index builds load this way; a half-full layout would
+// double the pages a scan and the buffer pool have to carry.
+
+/// Entries per leaf for `payload` bytes (mirrors btree.cc's layout: 8-byte
+/// header, then key i64 | tie i64 | payload per entry).
+size_t LeafCapacityFor(size_t payload) {
+  return (kPageSize - sizeof(RawNodeHeader)) / (16 + payload);
+}
+
+/// Flushes `pool` and counts the leaf and internal pages on `dm`.
+void CountNodes(BufferPool* pool, DiskManager* dm, int64_t* leaves,
+                int64_t* internals) {
+  ASSERT_TRUE(pool->FlushAll().ok());
+  *leaves = 0;
+  *internals = 0;
+  char buf[kPageSize];
+  for (page_id_t id = 0; id < dm->num_pages(); id++) {
+    ASSERT_TRUE(dm->ReadPage(id, buf).ok());
+    (reinterpret_cast<RawNodeHeader*>(buf)->is_leaf ? *leaves : *internals)++;
+  }
+}
+
+TEST(BTreePackingTest, AscendingLoadFillsEveryLeaf) {
+  // Unique keys with narrow payloads, and duplicate keys with monotone ties
+  // and a clustered-row width (the TEdges load).
+  struct Case {
+    uint16_t payload;
+    int64_t n;
+    int64_t dups_per_key;
+  };
+  for (const Case& c : {Case{8, 5000, 1}, Case{80, 3000, 3}}) {
+    SCOPED_TRACE("payload " + std::to_string(c.payload));
+    DiskManager dm;
+    BufferPool pool(64, &dm);
+    BTree tree;
+    ASSERT_TRUE(BTree::Create(&pool, c.payload, &tree).ok());
+    const std::string payload(c.payload, 'p');
+    for (int64_t i = 0; i < c.n; i++) {
+      ASSERT_TRUE(tree.Insert({i / c.dups_per_key, i}, payload,
+                              /*unique=*/c.dups_per_key == 1)
+                      .ok());
+    }
+    ASSERT_TRUE(tree.CheckIntegrity().ok());
+    int64_t leaves = 0, internals = 0;
+    CountNodes(&pool, &dm, &leaves, &internals);
+    const auto cap = static_cast<int64_t>(LeafCapacityFor(c.payload));
+    EXPECT_LE(leaves, (c.n + cap - 1) / cap);
+    EXPECT_GE(internals, 1);
+    EXPECT_EQ(leaves + internals, dm.num_pages()) << "no stray pages";
+  }
+}
+
+// After a packed ascending run, seeded random inserts (inside the run and
+// past its end) and deletes must keep the tree equal to a multimap oracle
+// at every step: the rightmost rule must not lose or misplace an entry.
+TEST(BTreePackingTest, AscendingRunThenChurnMatchesMultimapOracle) {
+  DiskManager dm;
+  BufferPool pool(128, &dm);
+  BTree tree;
+  ASSERT_TRUE(BTree::Create(&pool, 8, &tree).ok());
+  std::multimap<BtKey, int64_t> oracle;
+  constexpr int64_t kRun = 2000;
+  for (int64_t i = 0; i < kRun; i++) {
+    ASSERT_TRUE(tree.Insert({i, 0}, Pay(i), false).ok());
+    oracle.emplace(BtKey{i, 0}, i);
+  }
+  auto expect_equal = [&](int op) {
+    ASSERT_EQ(tree.num_entries(), static_cast<int64_t>(oracle.size()))
+        << "op " << op;
+    ASSERT_TRUE(tree.CheckIntegrity().ok()) << "op " << op;
+    auto it = tree.ScanAll();
+    BtKey key;
+    std::string payload;
+    auto want = oracle.begin();
+    while (it.Next(&key, &payload)) {
+      ASSERT_NE(want, oracle.end()) << "op " << op;
+      ASSERT_EQ(key, want->first) << "op " << op;
+      ASSERT_EQ(UnPay(payload), want->second) << "op " << op;
+      ++want;
+    }
+    ASSERT_TRUE(it.status().ok());
+    ASSERT_EQ(want, oracle.end()) << "op " << op;
+  };
+  expect_equal(-1);
+
+  Rng rng(29);
+  int64_t next_append = kRun;
+  for (int op = 0; op < 2000; op++) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.3) {
+      const BtKey key{next_append++, rng.NextInt(0, 3)};
+      ASSERT_TRUE(tree.Insert(key, Pay(op), false).ok());
+      oracle.emplace(key, op);
+    } else if (roll < 0.65 || oracle.empty()) {
+      const BtKey key{rng.NextInt(0, next_append), rng.NextInt(0, 3)};
+      const Status st = tree.Insert(key, Pay(op), false);
+      if (oracle.contains(key)) {
+        ASSERT_TRUE(st.IsAlreadyExists()) << st.ToString();
+      } else {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        oracle.emplace(key, op);
+      }
+    } else {
+      auto victim = oracle.begin();
+      std::advance(victim, rng.NextBounded(oracle.size()));
+      ASSERT_TRUE(tree.Delete(victim->first).ok());
+      oracle.erase(victim);
+    }
+    expect_equal(op);
+  }
+  std::string payload;
+  for (const auto& [key, value] : oracle) {
+    ASSERT_TRUE(tree.SearchExact(key, &payload).ok()) << key.key;
+    ASSERT_EQ(UnPay(payload), value) << key.key;
   }
 }
 

@@ -94,5 +94,62 @@ TEST(Crc32cTest, ExtendU32HashesLittleEndianBytes) {
   EXPECT_EQ(crc32c::ExtendU32(base, v), ReferenceExtend(base, le, 4));
 }
 
+// The SSE4.2 path and the slicing-by-8 fallback are one function: they
+// must agree at every length up to two physical pages and every start
+// offset 0..15, one-shot and as split Extend chains, so a page written on
+// a host with either path verifies on a host with the other.
+TEST(Crc32cTest, HardwareMatchesSoftwareAtEveryLengthAndOffset) {
+  if (!crc32c::internal::HasHardware()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  constexpr size_t kMaxLen = 2 * 4104;  // two physical pages (data + footer)
+  const std::string buf = Bytes(kMaxLen + 16);
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 16; offset++) {
+    const char* p = buf.data() + offset;
+    for (size_t len = 0; len <= kMaxLen; len++) {
+      const uint32_t soft = crc32c::internal::ExtendSoftware(0, p, len);
+      if (crc32c::internal::ExtendHardware(0, p, len) != soft) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "offset " << offset << " length " << len;
+        }
+        continue;
+      }
+      // Split at a point that moves with length and offset, chaining the
+      // two implementations in both orders: the second call starts from a
+      // non-zero running CRC.
+      const size_t split = (len * 7 + offset) % (len + 1);
+      const uint32_t hw_then_sw = crc32c::internal::ExtendSoftware(
+          crc32c::internal::ExtendHardware(0, p, split), p + split,
+          len - split);
+      const uint32_t sw_then_hw = crc32c::internal::ExtendHardware(
+          crc32c::internal::ExtendSoftware(0, p, split), p + split,
+          len - split);
+      if (hw_then_sw != soft || sw_then_hw != soft) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "split chain at " << split << ", offset "
+                        << offset << " length " << len;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// The oracle itself stays pinned to the definition whichever path Extend
+// picked on this host.
+TEST(Crc32cTest, SoftwarePathMatchesBytewiseReference) {
+  const std::string buf = Bytes(4104 + 16);
+  for (size_t offset = 0; offset < 16; offset++) {
+    for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                       size_t{63}, size_t{4096}, size_t{4104}}) {
+      const char* p = buf.data() + offset;
+      EXPECT_EQ(crc32c::internal::ExtendSoftware(0, p, len),
+                ReferenceExtend(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace relgraph

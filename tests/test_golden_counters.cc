@@ -176,7 +176,7 @@ TEST(GoldenCountersTest, DistNet) {
     int64_t statements;
     int64_t snapshot_pages;
   };
-  const Point kGolden[] = {{2, 853, 394}, {4, 887, 400}};
+  const Point kGolden[] = {{2, 853, 200}, {4, 887, 210}};
   for (const Point& g : kGolden) {
     DistNetPoint p = RunDistNetPoint(w, g.shards);
     const std::string at = " shards=" + std::to_string(g.shards);

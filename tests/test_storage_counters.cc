@@ -91,8 +91,8 @@ TEST(StorageCountersTest, PagedBsdjMatchesGoldenPoolCounters) {
 
   // Golden values: exact LRU over the unpinned frames. A change to the page
   // table or the replacer that moves them changes the policy.
-  ExpectCounters("set-up", setup, {54364, 1, 317, 317});
-  ExpectCounters("queries", queries, {210120, 2886, 2897, 79});
+  ExpectCounters("set-up", setup, {54006, 1, 138, 138});
+  ExpectCounters("queries", queries, {210441, 2278, 2289, 74});
 }
 
 }  // namespace

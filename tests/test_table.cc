@@ -109,6 +109,39 @@ TEST_F(TableTest, SecondaryIndexBackfillsExistingRows) {
   EXPECT_TRUE(it.Next(&t, nullptr));
 }
 
+// An index built over existing rows inserts its entries in key order, so
+// its leaves come out full whatever order the rows sit in: at most
+// ceil(rows / leaf capacity) leaves plus one root. Both a unique index and
+// a non-unique one with many duplicates, over rows scattered in key order.
+TEST_F(TableTest, IndexBuildOverExistingRowsPacksItsLeaves) {
+  constexpr int64_t kRows = 4000;
+  constexpr int64_t kLeafCapacity = (kPageSize - 8) / (16 + 8);
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(
+      Table::Create(&pool_, "t", EdgeSchema(), TableOptions{}, &table).ok());
+  for (int64_t i = 0; i < kRows; i++) {
+    ASSERT_TRUE(table->Insert(Row((i * 7919) % kRows, i % 50, i)).ok());
+  }
+  for (const auto& [column, unique] :
+       {std::pair{"fid", true}, std::pair{"tid", false}}) {
+    SCOPED_TRACE(column);
+    const page_id_t before = dm_.num_pages();
+    ASSERT_TRUE(table->CreateSecondaryIndex(column, unique).ok());
+    EXPECT_LE(dm_.num_pages() - before,
+              (kRows + kLeafCapacity - 1) / kLeafCapacity + 1);
+  }
+  ASSERT_TRUE(table->CheckConsistency().ok());
+  Table::Iterator it;
+  ASSERT_TRUE(table->ScanRange("tid", 7, 7, &it).ok());
+  Tuple t;
+  int64_t hits = 0;
+  while (it.Next(&t, nullptr)) {
+    EXPECT_EQ(t.value(1).AsInt(), 7);
+    hits++;
+  }
+  EXPECT_EQ(hits, kRows / 50);
+}
+
 /// The ScanRange contract on a column without an index: the rows Scan()
 /// yields with lo <= column <= hi, in Scan() order, NULLs excluded, every
 /// row read counted as a full-scan row. Checked on a heap and on a
