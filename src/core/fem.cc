@@ -126,12 +126,15 @@ ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
 }
 
 ExecRef EdgeJoin(ExecRef outer, const EdgeRelation& rel,
-                 const std::string& probe_column, ExprRef residual) {
+                 const std::string& probe_column,
+                 const std::string& dist_column, weight_t bound,
+                 ExprRef residual) {
   if (!rel.shard_join) {
     return EdgeJoin(std::move(outer), rel.table, rel.join_column,
                     probe_column, std::move(residual));
   }
-  ExecRef joined = rel.shard_join(std::move(outer), probe_column);
+  ExecRef joined =
+      rel.shard_join(std::move(outer), probe_column, dist_column, bound);
   if (residual == nullptr) return joined;
   return std::make_unique<FilterExecutor>(std::move(joined),
                                           std::move(residual));
@@ -238,9 +241,11 @@ ExecRef FemEngine::BuildJoinProject(const DirCols& dir, const EdgeRelation& rel,
   // Frontier: SELECT * FROM TVisited WHERE flag = 2 — an index range probe
   // on the flag column under Index/CluIndex, a filtered scan under NoIndex.
   // Theorem-1 pruning: dist + cost + l_opposite < minCost. Inactive while
-  // no s-t path is known (min_cost = kInfinity dwarfs any real sum).
+  // no s-t path is known (min_cost = kInfinity dwarfs any real sum). Shards
+  // apply it as dist + cost < minCost - l_opposite before they ship.
   ExecRef joined = EdgeJoin(
-      visited_->FrontierScan(dir), rel, "nid",
+      visited_->FrontierScan(dir), rel, "nid", dir.dist,
+      min_cost - opposite_l,
       Cmp(CompareOp::kLt,
           Add(Add(Col(dir.dist), Col(rel.cost_column)), Lit(opposite_l)),
           Lit(min_cost)));

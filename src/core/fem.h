@@ -130,9 +130,13 @@ ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
                  const std::string& probe_column, ExprRef residual = nullptr);
 
 /// The same join against `rel` on its join column. A relation on shards
-/// joins through its `shard_join`, with `residual` filtering the rows.
+/// joins through its `shard_join`, which gets outer's `dist_column` and
+/// `bound` so the shards ship only rows with dist + cost < bound, combined
+/// per emitted node; `residual` still filters the rows it yields.
 ExecRef EdgeJoin(ExecRef outer, const EdgeRelation& rel,
-                 const std::string& probe_column, ExprRef residual = nullptr);
+                 const std::string& probe_column,
+                 const std::string& dist_column, weight_t bound,
+                 ExprRef residual);
 
 /// E-operator dedup (Definition 2): keeps, per value of column `key`, the
 /// row with the least (`cost`, `tie`), and returns those rows in `key`

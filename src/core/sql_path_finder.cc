@@ -19,6 +19,19 @@ sql::SqlParams P(std::initializer_list<std::pair<const char*, int64_t>> kv) {
 
 Status SqlPathFinder::Create(GraphStore* graph, SqlPathFinderOptions options,
                              std::unique_ptr<SqlPathFinder>* out) {
+  return Build(graph, std::move(options), /*prepared=*/true, out);
+}
+
+Status internal::CreateTextSqlPathFinder(GraphStore* graph,
+                                         SqlPathFinderOptions options,
+                                         std::unique_ptr<SqlPathFinder>* out) {
+  return SqlPathFinder::Build(graph, std::move(options), /*prepared=*/false,
+                              out);
+}
+
+Status SqlPathFinder::Build(GraphStore* graph, SqlPathFinderOptions options,
+                            bool prepared,
+                            std::unique_ptr<SqlPathFinder>* out) {
   if (options.algorithm != Algorithm::kDJ &&
       options.algorithm != Algorithm::kBSDJ &&
       options.algorithm != Algorithm::kBBFS) {
@@ -117,11 +130,11 @@ Status SqlPathFinder::Create(GraphStore* graph, SqlPathFinderOptions options,
   s.pred_bwd = "select p2t from " + v + " where nid = :x";
 
   // Statement templates -> Template slots (the Listing texts plus the
-  // bookkeeping statements Find() issues around them). In prepared mode
-  // each template is parsed and planned exactly once, here; a full
-  // Find() afterwards performs zero parses/plans — only binds. In text
-  // mode the plan cache is disabled so every execution pays the paper's
-  // literal parse+plan cost.
+  // bookkeeping statements Find() issues around them). Prepared, each
+  // template is parsed and planned exactly once, here; a full Find()
+  // afterwards performs zero parses/plans — only binds. The text oracle
+  // disables the plan cache so every execution pays the paper's literal
+  // parse+plan cost.
   SqlPathFinder* f = finder.get();
   f->t_truncate_ = {"truncate " + v, nullptr};
   f->t_seed_ = {s.seed, nullptr};
@@ -144,7 +157,7 @@ Status SqlPathFinder::Create(GraphStore* graph, SqlPathFinderOptions options,
   f->t_dist_at_ = {"select d2s from " + v + " where nid = :x", nullptr};
   f->t_count_all_ = {"select count(*) from " + v, nullptr};
 
-  if (f->options_.use_prepared) {
+  if (prepared) {
     // Prepare exactly the statements each algorithm issues: DJ's working
     // table lacks the §4.1 backward columns, so the bidirectional
     // templates don't even compile against it (and vice versa, DJ's

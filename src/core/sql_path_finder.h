@@ -20,16 +20,18 @@ struct SqlPathFinderOptions {
   std::string visited_table = "SqlTVisited";
   /// Safety valve; a correct run never reaches it.
   int64_t max_iterations = 10'000'000;
-  /// Default (true): every statement template is prepared once in
-  /// Create() and each Find() only *binds* fresh parameters — a full
-  /// query performs zero parses/plans (DatabaseStats::prepares stays
-  /// flat). False restores the paper's literal text regime — every
-  /// statement re-parses and re-plans (the finder disables its
-  /// connection's plan cache) — which bench_sql_client measures as the
-  /// "text" series. Both modes issue identical SQL text, counts, and
-  /// results.
-  bool use_prepared = true;
 };
+
+class SqlPathFinder;
+
+namespace internal {
+/// Test oracle only: a finder in the paper's literal text regime, where
+/// every statement re-parses and re-plans (its connection's plan cache is
+/// disabled). It issues the same SQL text, counts and results as the
+/// prepared finder SqlPathFinder::Create builds.
+Status CreateTextSqlPathFinder(GraphStore* graph, SqlPathFinderOptions options,
+                               std::unique_ptr<SqlPathFinder>* out);
+}  // namespace internal
 
 /// The paper's client program, taken literally: a driver that talks to the
 /// database *only* through SQL text (the engine's SqlEngine stands in for
@@ -40,10 +42,13 @@ struct SqlPathFinderOptions {
 ///
 /// The native PathFinder builds the same physical plans directly against
 /// the executor layer; this class exists to demonstrate (and test) that the
-/// paper's published SQL is sufficient, and to measure the parse/plan
-/// overhead of the text interface (bench_sql_client).
+/// paper's published SQL is sufficient, and to measure what the SQL
+/// surface costs over native plans (bench_sql_client).
 class SqlPathFinder {
  public:
+  /// Prepares every statement template once, here; each Find() afterwards
+  /// only binds fresh parameters, so a full query performs zero
+  /// parses/plans (DatabaseStats::prepares stays flat).
   static Status Create(GraphStore* graph, SqlPathFinderOptions options,
                        std::unique_ptr<SqlPathFinder>* out);
 
@@ -79,11 +84,19 @@ class SqlPathFinder {
   const Statements& statements() const { return stmts_; }
 
  private:
+  friend Status internal::CreateTextSqlPathFinder(
+      GraphStore* graph, SqlPathFinderOptions options,
+      std::unique_ptr<SqlPathFinder>* out);
+
   SqlPathFinder() = default;
 
+  /// Create's body; `prepared` = false builds the text-regime oracle.
+  static Status Build(GraphStore* graph, SqlPathFinderOptions options,
+                      bool prepared, std::unique_ptr<SqlPathFinder>* out);
+
   /// One statement template: its SQL text (what gets recorded per
-  /// execution) and, in prepared mode, the compiled handle that makes
-  /// each execution bind-only.
+  /// execution) and, except in the text oracle, the compiled handle that
+  /// makes each execution bind-only.
   struct Template {
     std::string text;
     std::shared_ptr<sql::PreparedStatement> handle;

@@ -38,11 +38,10 @@ struct DistOptions {
   /// coordinator's merge logic cannot tell, which is the point of the
   /// ShardService seam.
   std::vector<std::string> shard_endpoints;
-  /// Connection pool and admission knobs applied to every in-process shard.
-  /// Each query session holds at most one connection per shard at a time,
-  /// so `local.connections` bounds how many sessions can expand on the same
-  /// shard simultaneously; additional sessions queue, up to
-  /// `local.checkout_timeout_ms`.
+  /// Admission knobs applied to every in-process shard. Each query session
+  /// holds at most one permit per shard at a time, so `local.connections`
+  /// bounds how many sessions can expand on the same shard simultaneously;
+  /// additional sessions queue, up to `local.checkout_timeout_ms`.
   LocalShardOptions local;
   /// Failure-handling knobs applied to every remote shard stub.
   net::RemoteShardOptions remote;

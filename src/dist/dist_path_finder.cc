@@ -12,17 +12,21 @@
 namespace relgraph {
 
 /// The E-operator's join when TEdges lives on the shards: drains the
-/// frontier, fans its node ids out to their owner shards (one round per
-/// Init()), and yields each shipped row as a local join over TEdges would —
-/// the frontier row's columns, then (fid, tid, cost) — in shard-index order.
+/// frontier, fans its node ids and distances out to their owner shards with
+/// the pruning bound (one round per Init()), and yields each shipped row as
+/// a local join over TEdges would — the frontier row's columns, then
+/// (fid, tid, cost) — in shard-index order.
 class DistPathFinder::ShardJoinExecutor : public Executor {
  public:
   ShardJoinExecutor(DistPathFinder* session, bool forward, ExecRef outer,
-                    std::string probe_column)
+                    std::string probe_column, std::string dist_column,
+                    weight_t bound)
       : session_(session),
         forward_(forward),
         outer_(std::move(outer)),
         probe_column_(std::move(probe_column)),
+        dist_column_(std::move(dist_column)),
+        bound_(bound),
         schema_(ConcatSchemas(outer_->OutputSchema(), EdgeTableSchema())) {}
 
   bool NextBatchSel(BatchSpan* out) override {
@@ -37,16 +41,21 @@ class DistPathFinder::ShardJoinExecutor : public Executor {
     std::vector<Tuple> frontier;
     RELGRAPH_RETURN_IF_ERROR(Collect(outer_.get(), &frontier));
     const size_t key = outer_->OutputSchema().IndexOf(probe_column_);
+    const size_t dist = outer_->OutputSchema().IndexOf(dist_column_);
     std::vector<node_id_t> nodes;
+    std::vector<weight_t> dists;
     nodes.reserve(frontier.size());
+    dists.reserve(frontier.size());
     std::unordered_map<node_id_t, const Tuple*> row_of;
     row_of.reserve(frontier.size());
     for (const Tuple& row : frontier) {
       nodes.push_back(row.value(key).AsInt());
+      dists.push_back(row.value(dist).AsInt());
       row_of.emplace(nodes.back(), &row);
     }
     std::vector<ShardExpandResponse> responses;
-    RELGRAPH_RETURN_IF_ERROR(session_->FanOut(nodes, forward_, &responses));
+    RELGRAPH_RETURN_IF_ERROR(
+        session_->FanOut(nodes, dists, bound_, forward_, &responses));
     for (const ShardExpandResponse& resp : responses) {
       for (const ShippedEdge& e : resp.edges) {
         auto it = row_of.find(e.frontier_node);
@@ -73,6 +82,8 @@ class DistPathFinder::ShardJoinExecutor : public Executor {
   bool forward_;
   ExecRef outer_;
   std::string probe_column_;
+  std::string dist_column_;
+  weight_t bound_;
   Schema schema_;
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
@@ -100,9 +111,10 @@ Status DistPathFinder::CreateSession(DistCoordinator* coord,
   finder->coord_db_ = std::make_unique<Database>();
   // TEdges on the shards, one relation per direction.
   auto on_shards = [session = finder.get()](bool forward) {
-    return [session, forward](ExecRef outer, const std::string& probe) {
+    return [session, forward](ExecRef outer, const std::string& probe,
+                              const std::string& dist, weight_t bound) {
       return ExecRef(std::make_unique<ShardJoinExecutor>(
-          session, forward, std::move(outer), probe));
+          session, forward, std::move(outer), probe, dist, bound));
     };
   };
   RELGRAPH_RETURN_IF_ERROR(PathFinder::Create(
@@ -148,7 +160,8 @@ Status DistPathFinder::Distance(node_id_t s, node_id_t t,
 }
 
 Status DistPathFinder::FanOut(const std::vector<node_id_t>& frontier,
-                              bool forward,
+                              const std::vector<weight_t>& dists,
+                              weight_t bound, bool forward,
                               std::vector<ShardExpandResponse>* responses) {
   // Fault-schedule seam: the hook sees the 1-based round number right
   // before this round's shard fan-out, from the session thread — so a
@@ -159,10 +172,17 @@ Status DistPathFinder::FanOut(const std::vector<node_id_t>& frontier,
   }
   shard_stats_.rounds++;
 
-  // Route each frontier node to its owner shard.
-  std::vector<std::vector<node_id_t>> by_shard(store_->num_shards());
-  for (node_id_t n : frontier) {
-    by_shard[store_->OwnerShard(n)].push_back(n);
+  // Route each frontier node, with its distance, to its owner shard.
+  std::vector<ShardExpandRequest> by_shard(store_->num_shards());
+  for (size_t i = 0; i < frontier.size(); i++) {
+    ShardExpandRequest& req = by_shard[store_->OwnerShard(frontier[i])];
+    req.nodes.push_back(frontier[i]);
+    req.dists.push_back(dists[i]);
+  }
+  for (ShardExpandRequest& req : by_shard) {
+    req.forward = forward;
+    req.session_id = session_id_;
+    req.bound = bound;
   }
 
   // One request per contacted shard, kept in shard-index order: merging
@@ -171,7 +191,7 @@ Status DistPathFinder::FanOut(const std::vector<node_id_t>& frontier,
   // requests ran serially or on any number of worker threads.
   std::vector<int> contacted;
   for (int shard = 0; shard < store_->num_shards(); shard++) {
-    if (!by_shard[shard].empty()) contacted.push_back(shard);
+    if (!by_shard[shard].nodes.empty()) contacted.push_back(shard);
   }
   responses->assign(contacted.size(), ShardExpandResponse{});
 
@@ -183,10 +203,8 @@ Status DistPathFinder::FanOut(const std::vector<node_id_t>& frontier,
     int64_t round_max_us = 0;
     for (size_t i = 0; i < contacted.size(); i++) {
       int shard = contacted[i];
-      ShardExpandRequest req{forward, std::move(by_shard[shard]),
-                             session_id_};
-      RELGRAPH_RETURN_IF_ERROR(
-          coord_->shard_service(shard)->Expand(req, &(*responses)[i]));
+      RELGRAPH_RETURN_IF_ERROR(coord_->shard_service(shard)->Expand(
+          by_shard[shard], &(*responses)[i]));
       shard_serial_us_ += (*responses)[i].elapsed_us;
       round_max_us = std::max(round_max_us, (*responses)[i].elapsed_us);
     }
@@ -206,17 +224,12 @@ Status DistPathFinder::FanOut(const std::vector<node_id_t>& frontier,
       int shard = contacted[i];
       ShardService* svc = coord_->shard_service(shard);
       ShardExpandResponse* resp = &(*responses)[i];
-      auto req = std::make_shared<ShardExpandRequest>(
-          ShardExpandRequest{forward, std::move(by_shard[shard]),
-                             session_id_});
+      const ShardExpandRequest* req = &by_shard[shard];
       futures.push_back(pool->Submit(
           [svc, req, resp]() -> Status { return svc->Expand(*req, resp); }));
     }
-    ShardExpandRequest first_req{forward, std::move(by_shard[contacted[0]]),
-                                 session_id_};
-    Status first_error =
-        coord_->shard_service(contacted[0])->Expand(first_req,
-                                                  &(*responses)[0]);
+    Status first_error = coord_->shard_service(contacted[0])->Expand(
+        by_shard[contacted[0]], &(*responses)[0]);
     for (auto& f : futures) {
       Status st = f.get();
       if (!st.ok() && first_error.ok()) first_error = st;

@@ -46,14 +46,15 @@ struct DistPathResult {
 /// stop rule and path recovery — over a TVisited in its own coordinator
 /// Database. Only the edge relation differs: TEdges lives on the shards, so
 /// the E-operator's join is the shard fan-out. Each expansion routes the
-/// frontier's node ids to their owner shards' ShardServices (serially, or
-/// one thread-pool task per shard); the shards answer with their adjacency
-/// rows, which the join yields to the unchanged E-operator dedup and
-/// M-operator merge. Expansion is thus fully partitioned while the loop
-/// stays on the coordinator.
+/// frontier's node ids and distances, with the Theorem-1 bound, to their
+/// owner shards' ShardServices (serially, or one thread-pool task per
+/// shard); the shards answer with their pruned and combined adjacency
+/// rows, which the join yields to the unchanged E-operator residual, dedup
+/// and M-operator merge. Expansion is thus fully partitioned while the
+/// loop stays on the coordinator.
 ///
 /// Sessions come from DistCoordinator::NewSession() and share that
-/// coordinator's shard services, connection pools, and worker threads; the
+/// coordinator's shard services, admission queues, and worker threads; the
 /// session itself must be driven from one thread at a time.
 class DistPathFinder {
  public:
@@ -95,12 +96,14 @@ class DistPathFinder {
   static Status CreateSession(DistCoordinator* coord,
                               std::unique_ptr<DistPathFinder>* out);
 
-  /// One round: queries the owner shards of `frontier` — serially, or as
-  /// one thread-pool task per contacted shard — and returns their answers
-  /// in shard-index order. Adds to the running query's shard counters and
-  /// clocks.
-  Status FanOut(const std::vector<node_id_t>& frontier, bool forward,
-                std::vector<ShardExpandResponse>* responses);
+  /// One round: sends the owner shards of `frontier` their nodes, each
+  /// node's distance (`dists`, parallel to `frontier`) and the pruning
+  /// `bound` — serially, or as one thread-pool task per contacted shard —
+  /// and returns their answers in shard-index order. Adds to the running
+  /// query's shard counters and clocks.
+  Status FanOut(const std::vector<node_id_t>& frontier,
+                const std::vector<weight_t>& dists, weight_t bound,
+                bool forward, std::vector<ShardExpandResponse>* responses);
 
   DistCoordinator* coord_ = nullptr;
   ShardedGraphStore* store_ = nullptr;

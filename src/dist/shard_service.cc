@@ -1,8 +1,10 @@
 #include "src/dist/shard_service.h"
 
+#include <algorithm>
 #include <chrono>
-#include <unordered_set>
-#include <utility>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 
 #include "src/common/timer.h"
 
@@ -20,74 +22,40 @@ Status LocalShardService::Create(ShardedGraphStore* store, int shard,
   if (options.max_queue_depth < 0) {
     return Status::InvalidArgument("admission queue depth must be >= 0");
   }
-  auto svc = std::unique_ptr<LocalShardService>(
+  *out = std::unique_ptr<LocalShardService>(
       new LocalShardService(store, shard, options));
-  for (int i = 0; i < options.connections; i++) {
-    auto conn = std::make_unique<Conn>();
-    conn->engine = std::make_unique<sql::SqlEngine>(store->shard_db(shard));
-    if (store->out_edges(shard)->HasIndexOn("fid")) {
-      RELGRAPH_RETURN_IF_ERROR(conn->engine->Prepare(
-          "select tid, cost from " + store->out_edges(shard)->name() +
-              " where fid = :n",
-          &conn->probe_fwd));
-    }
-    if (store->in_edges(shard)->HasIndexOn("tid")) {
-      RELGRAPH_RETURN_IF_ERROR(conn->engine->Prepare(
-          "select fid, cost from " + store->in_edges(shard)->name() +
-              " where tid = :n",
-          &conn->probe_bwd));
-    }
-    svc->idle_.push_back(conn.get());
-    svc->conns_.push_back(std::move(conn));
-  }
-  *out = std::move(svc);
   return Status::OK();
 }
 
-Status LocalShardService::CheckoutConn(int64_t session, Conn** out) {
-  // Admission first: the queue bounds the wait at checkout_timeout_ms
-  // (-> Unavailable, same typed error the remote transport degrades to),
-  // sheds queue-full arrivals immediately (-> ResourceExhausted), and
-  // round-robins grants across sessions so none starves.
+Status LocalShardService::Admit(int64_t session) {
+  // The queue bounds the wait at checkout_timeout_ms (-> Unavailable, same
+  // typed error the remote transport degrades to), sheds queue-full
+  // arrivals immediately (-> ResourceExhausted), and round-robins grants
+  // across sessions so none starves.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.checkout_timeout_ms);
   Status admit = admission_.Acquire(static_cast<uint64_t>(session), deadline);
-  if (!admit.ok()) {
-    if (admit.IsUnavailable()) {
-      // Keep the pool-exhaustion shape callers/tests key on.
-      return Status::Unavailable(
-          "shard " + std::to_string(shard_) + " connection pool exhausted (" +
-          std::to_string(conns_.size()) + " connections busy for " +
-          std::to_string(options_.checkout_timeout_ms) + " ms)");
-    }
-    return Status::ResourceExhausted(
-        "shard " + std::to_string(shard_) + ": " + admit.message());
+  if (admit.ok()) return admit;
+  if (admit.IsUnavailable()) {
+    // Keep the pool-exhaustion shape callers/tests key on.
+    return Status::Unavailable(
+        "shard " + std::to_string(shard_) + " connection pool exhausted (" +
+        std::to_string(options_.connections) + " connections busy for " +
+        std::to_string(options_.checkout_timeout_ms) + " ms)");
   }
-  // A granted permit means a connection is free (permits == pool size).
-  std::lock_guard<std::mutex> lock(mu_);
-  *out = idle_.back();
-  idle_.pop_back();
-  return Status::OK();
-}
-
-void LocalShardService::ReturnConn(Conn* c) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_.push_back(c);
-  }
-  admission_.Release();
+  return Status::ResourceExhausted("shard " + std::to_string(shard_) + ": " +
+                                   admit.message());
 }
 
 Status LocalShardService::DebugCheckoutConn(void** handle) {
-  Conn* conn = nullptr;
-  RELGRAPH_RETURN_IF_ERROR(CheckoutConn(/*session=*/0, &conn));
-  *handle = conn;
+  RELGRAPH_RETURN_IF_ERROR(Admit(/*session=*/0));
+  *handle = this;
   return Status::OK();
 }
 
-void LocalShardService::DebugReturnConn(void* handle) {
-  ReturnConn(static_cast<Conn*>(handle));
+void LocalShardService::DebugReturnConn(void* /*handle*/) {
+  admission_.Release();
 }
 
 bool LocalShardService::ProbeFaultFires() {
@@ -104,68 +72,95 @@ bool LocalShardService::ProbeFaultFires() {
   }
 }
 
+Status LocalShardService::ReadCandidates(const ShardExpandRequest& request,
+                                         std::vector<Candidate>* rows) {
+  Table* table = request.forward ? store_->out_edges(shard_)
+                                 : store_->in_edges(shard_);
+  const std::string column = request.forward ? "fid" : "tid";
+  const size_t frontier_idx = request.forward ? 0 : 1;
+  const size_t emit_idx = request.forward ? 1 : 0;
+  const bool fault_armed = probe_fault_in_.load(std::memory_order_relaxed) >= 0;
+  // Theorem-1 residual: dist + cost < bound, compared as cost < bound - dist
+  // so no sum of wire-supplied values can overflow (both lie within
+  // kInfinity = INT64_MAX / 4 of zero).
+  Tuple row;
+  auto keep = [&](node_id_t frontier, weight_t dist) {
+    const weight_t cost = row.value(2).AsInt();
+    if (cost < request.bound - dist) {
+      rows->push_back({row.value(emit_idx).AsInt(), dist + cost, frontier,
+                       cost});
+    }
+  };
+  if (table->HasIndexOn(column)) {
+    // Indexed shard: one key-range read per frontier node, each counted as
+    // the point probe statement it stands for.
+    for (size_t i = 0; i < request.nodes.size(); i++) {
+      if (fault_armed && ProbeFaultFires()) {
+        return Status::Internal("injected probe fault");
+      }
+      db()->RecordStatement();
+      const node_id_t n = request.nodes[i];
+      const weight_t dist = request.DistAt(i);
+      Table::Iterator it;
+      RELGRAPH_RETURN_IF_ERROR(table->ScanRange(column, n, n, &it));
+      while (it.Next(&row, nullptr)) keep(n, dist);
+      RELGRAPH_RETURN_IF_ERROR(it.status());
+    }
+    return Status::OK();
+  }
+  // NoIndex shard: one batched scan answers the whole frontier set.
+  db()->RecordStatement();
+  if (fault_armed && ProbeFaultFires()) {
+    return Status::Internal("injected probe fault");
+  }
+  std::unordered_map<node_id_t, weight_t> dist_of;
+  dist_of.reserve(request.nodes.size());
+  for (size_t i = 0; i < request.nodes.size(); i++) {
+    dist_of.emplace(request.nodes[i], request.DistAt(i));
+  }
+  Table::Iterator it = table->Scan();
+  while (it.Next(&row, nullptr)) {
+    auto f = dist_of.find(row.value(frontier_idx).AsInt());
+    if (f != dist_of.end()) keep(f->first, f->second);
+  }
+  return it.status();
+}
+
 Status LocalShardService::Expand(const ShardExpandRequest& request,
                                  ShardExpandResponse* response) {
   *response = ShardExpandResponse{};
-  Conn* conn = nullptr;
-  RELGRAPH_RETURN_IF_ERROR(CheckoutConn(request.session_id, &conn));
+  if (!request.dists.empty() && request.dists.size() != request.nodes.size()) {
+    return Status::InvalidArgument(
+        "expand request carries " + std::to_string(request.dists.size()) +
+        " distances for " + std::to_string(request.nodes.size()) + " nodes");
+  }
+  RELGRAPH_RETURN_IF_ERROR(Admit(request.session_id));
   Timer timer;
-  // One logical round-trip to this shard per request (the conceptual
-  // `... WHERE fid IN (<frontier ∩ shard>)` statement); the shard's own
-  // Database additionally counts each prepared probe it executes.
-  response->statements = 1;
-  Status st;
-  const std::shared_ptr<sql::PreparedStatement>& probe =
-      request.forward ? conn->probe_fwd : conn->probe_bwd;
-  const bool fault_armed = probe_fault_in_.load(std::memory_order_relaxed) >= 0;
-  if (probe != nullptr) {
-    // Indexed shard: bind-and-execute the prepared point probe per frontier
-    // node — the same index range scan the native path built by hand, now
-    // through the shard's SQL surface with zero re-planning.
-    for (node_id_t n : request.nodes) {
-      if (fault_armed && ProbeFaultFires()) {
-        st = Status::Internal("injected probe fault");
-        break;
-      }
-      sql::SqlResult r;
-      st = probe->Execute({{"n", Value(n)}}, &r);
-      if (!st.ok()) break;
-      for (const Tuple& row : r.rows) {
-        response->edges.push_back(
-            {n, row.value(0).AsInt(), row.value(1).AsInt()});
-      }
+  std::vector<Candidate> rows;
+  Status st = ReadCandidates(request, &rows);
+  if (st.ok()) {
+    // Min-combiner: per emitted node, the least (dist + cost, frontier
+    // node), DedupLeast's order. Rows equal on all three are the same
+    // (frontier, emit, cost) edge, so which of them survives cannot show.
+    std::sort(rows.begin(), rows.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return std::tie(a.emit, a.total, a.frontier) <
+                       std::tie(b.emit, b.total, b.frontier);
+              });
+    for (size_t i = 0; i < rows.size(); i++) {
+      if (i > 0 && rows[i].emit == rows[i - 1].emit) continue;
+      response->edges.push_back(
+          {rows[i].frontier, rows[i].emit, rows[i].cost});
     }
-  } else {
-    // NoIndex shard: one batched scan answers the whole frontier set.
-    db()->RecordStatement();
-    if (fault_armed && ProbeFaultFires()) {
-      st = Status::Internal("injected probe fault");
-    } else {
-      Table* table = request.forward ? store_->out_edges(shard_)
-                                     : store_->in_edges(shard_);
-      const size_t frontier_idx = request.forward ? 0 : 1;
-      const size_t emit_idx = request.forward ? 1 : 0;
-      std::unordered_set<node_id_t> wanted(request.nodes.begin(),
-                                           request.nodes.end());
-      Table::Iterator it = table->Scan();
-      Tuple row;
-      while (it.Next(&row, nullptr)) {
-        node_id_t key = row.value(frontier_idx).AsInt();
-        if (!wanted.count(key)) continue;
-        response->edges.push_back(
-            {key, row.value(emit_idx).AsInt(), row.value(2).AsInt()});
-      }
-      st = it.status();
-    }
+    // One logical round-trip to this shard per request (the conceptual
+    // `... WHERE fid IN (<frontier ∩ shard>)` statement).
+    response->statements = 1;
+    response->elapsed_us = timer.ElapsedMicros();
   }
-  response->elapsed_us = timer.ElapsedMicros();
-  ReturnConn(conn);
-  if (!st.ok()) {
-    // Error contract (see ShardService): never leak a partial response.
-    // A retrying caller folding these edges/stats in *again* after the
-    // retry succeeds would double-count them.
-    *response = ShardExpandResponse{};
-  }
+  admission_.Release();
+  // Error contract (see ShardService): never leak a partial response. A
+  // retrying caller folding these edges/stats in *again* after the retry
+  // succeeds would double-count them.
   return st;
 }
 

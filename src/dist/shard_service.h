@@ -2,35 +2,44 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/common/admission_queue.h"
 #include "src/dist/sharded_graph.h"
-#include "src/sql/sql_engine.h"
 
 namespace relgraph {
 
 /// One expansion request from the coordinator to a shard: "expand these
-/// frontier nodes in this direction and send back your local adjacency
-/// rows". This is the whole coordinator->shard wire contract — the
+/// frontier nodes in this direction and send back the adjacency rows that
+/// can still win". This is the whole coordinator->shard wire contract — the
 /// networked transport (src/net) serializes exactly this struct and its
 /// response.
 struct ShardExpandRequest {
   bool forward = true;              // out-edges (fid) vs in-edges (tid)
   std::vector<node_id_t> nodes;     // frontier ∩ shard (owner-routed)
   /// Querying session's id, for per-session-fair admission at the shard.
-  /// 0 = anonymous (all such requests share one admission lane). Last so
-  /// existing {forward, nodes} aggregate initializers stay valid.
+  /// 0 = anonymous (all such requests share one admission lane).
   int64_t session_id = 0;
+  /// Each frontier node's distance from its search's origin, parallel to
+  /// `nodes`, in [0, kInfinity]. Empty means every node at distance 0
+  /// (DistAt); the wire always carries one per node.
+  std::vector<weight_t> dists;
+  /// The Theorem-1 residual moved to the shard: a row ships only if
+  /// dist + cost < bound, where bound = minCost − l_opposite (kInfinity − l
+  /// while no s-t path is known). In [−kInfinity, kInfinity].
+  weight_t bound = kInfinity;
+
+  weight_t DistAt(size_t i) const { return dists.empty() ? 0 : dists[i]; }
 
   bool operator==(const ShardExpandRequest&) const = default;
 };
 
 /// One adjacency row shipped back: the frontier node it was expanded from,
-/// the node the edge reaches, and the edge cost. The coordinator's
-/// E-operator join yields these as TEdges rows; the pruning, the rownum-1
-/// dedup and the merge run there.
+/// the node the edge reaches, and the edge cost. The shard ships at most
+/// one row per emitted node: among the rows with dist + cost < bound, the
+/// one DedupLeast keeps (least dist + cost, then least frontier node). The
+/// coordinator's E-operator join yields these as TEdges rows and still
+/// applies its own residual and dedup across shards before the merge.
 struct ShippedEdge {
   node_id_t frontier_node = kInvalidNode;
   node_id_t emit_node = kInvalidNode;
@@ -39,16 +48,17 @@ struct ShippedEdge {
   bool operator==(const ShippedEdge&) const = default;
 };
 
-/// The shard's answer: its matching adjacency rows plus the counters the
-/// coordinator folds into DistQueryStats.
+/// The shard's answer: its pruned and combined adjacency rows plus the
+/// counters the coordinator folds into DistQueryStats.
 struct ShardExpandResponse {
   std::vector<ShippedEdge> edges;
   /// Logical coordinator->shard round-trips this request cost (always 1:
   /// the conceptual `SELECT ... WHERE fid IN (<frontier ∩ shard>)`). The
-  /// shard's own Database additionally counts each prepared probe it runs.
+  /// shard's own Database additionally counts one statement per node it
+  /// probes (one for a NoIndex shard's batched scan).
   int64_t statements = 0;
-  /// Shard-local service time (µs), measured after a connection is held —
-  /// queueing for a connection is coordinator-side wait, not shard work.
+  /// Shard-local service time (µs), measured after admission — queueing
+  /// for a permit is coordinator-side wait, not shard work.
   int64_t elapsed_us = 0;
 
   bool operator==(const ShardExpandResponse&) const = default;
@@ -114,39 +124,45 @@ class ShardService {
 
 /// Knobs for the in-process shard service.
 struct LocalShardOptions {
-  /// Pooled connections (each its own SqlEngine + prepared probes).
+  /// Requests one shard serves at once: the admission queue's permits.
   int connections = 1;
-  /// How long one Expand() may wait for a pooled connection before giving
-  /// up with Status::Unavailable — the same typed error the remote path
-  /// degrades to, so pool exhaustion is reported, not a wedged session.
+  /// How long one Expand() may wait for a permit before giving up with
+  /// Status::Unavailable — the same typed error the remote path degrades
+  /// to, so a saturated shard is reported, not a wedged session.
   int64_t checkout_timeout_ms = 30'000;
-  /// Requests allowed to *queue* for a connection beyond the pool size.
-  /// One more is shed immediately with Status::ResourceExhausted (see
+  /// Requests allowed to *queue* for a permit beyond `connections`. One
+  /// more is shed immediately with Status::ResourceExhausted (see
   /// AdmissionQueue) instead of waiting out checkout_timeout_ms.
   int max_queue_depth = 256;
 };
 
 /// In-process ShardService over one shard of a ShardedGraphStore.
 ///
-/// Each shard keeps a fixed pool of *connections* — a per-connection
-/// SqlEngine with the two edge-probe statements prepared once at
-/// construction — and every Expand() checks one out for the duration of
+/// Every Expand() holds one of `connections` permits for the duration of
 /// the request, gated by a bounded per-session-fair AdmissionQueue:
-/// sessions round-robin for free connections (no session starves), waits
-/// are capped at checkout_timeout_ms (-> Unavailable), and once
+/// sessions round-robin for free permits (no session starves), waits are
+/// capped at checkout_timeout_ms (-> Unavailable), and once
 /// max_queue_depth requests are already queued further arrivals are shed
-/// immediately with ResourceExhausted. Shard-side steady state is
-/// therefore parse-free and concurrent sessions never share a statement
-/// handle; what they do share is the shard's Database, whose read path is
-/// audited for concurrent readers (see the thread-safety notes on
-/// BufferPool, Table, and BTree — queries only read shard data, all writes
-/// happen at load time).
+/// immediately with ResourceExhausted.
+///
+/// An indexed shard reads each frontier node's adjacency with
+/// Table::ScanRange on the join column (one shard statement per node); a
+/// NoIndex shard answers the whole frontier with one batched scan. Either
+/// way the rows then go through one prune-and-combine step before they
+/// ship: the request's bound drops the rows that cannot win, and per
+/// emitted node only the row DedupLeast would keep survives (Pregel's
+/// min-combiner). Concurrent requests share only the shard's Database,
+/// whose read path is audited for concurrent readers (see the
+/// thread-safety notes on BufferPool, Table, and BTree — queries only read
+/// shard data, all writes happen at load time).
 class LocalShardService : public ShardService {
  public:
   static Status Create(ShardedGraphStore* store, int shard,
                        LocalShardOptions options,
                        std::unique_ptr<LocalShardService>* out);
 
+  /// InvalidArgument when `request.dists` is neither empty nor parallel to
+  /// `request.nodes`.
   Status Expand(const ShardExpandRequest& request,
                 ShardExpandResponse* response) override;
 
@@ -155,8 +171,8 @@ class LocalShardService : public ShardService {
   }
 
   Database* db() const { return store_->shard_db(shard_); }
-  int connections() const { return static_cast<int>(conns_.size()); }
-  /// The admission queue gating this shard's pool (counters for tests).
+  int connections() const { return options_.connections; }
+  /// The admission queue gating this shard (counters for tests).
   const AdmissionQueue& admission() const { return admission_; }
 
   /// Fault injection for failure-path tests (the DiskManager idiom): after
@@ -169,9 +185,9 @@ class LocalShardService : public ShardService {
     probe_fault_in_.store(-1, std::memory_order_relaxed);
   }
 
-  /// Testing hooks: checkout/return a pooled connection directly, under
-  /// the same deadline policy as Expand() — lets tests hold the pool
-  /// empty deterministically. `handle` is opaque.
+  /// Testing hooks: take/return one permit directly, under the same
+  /// deadline policy as Expand() — lets tests hold the shard saturated
+  /// deterministically. `handle` is an opaque token to hand back.
   Status DebugCheckoutConn(void** handle);
   void DebugReturnConn(void* handle);
 
@@ -183,21 +199,22 @@ class LocalShardService : public ShardService {
         options_(options),
         admission_(options.connections, options.max_queue_depth) {}
 
-  /// One pooled shard connection: engine + prepared probes (null when the
-  /// shard's adjacency is not indexed; the NoIndex strategy answers the
-  /// whole frontier set with one batched scan instead, which per-node SQL
-  /// probes cannot express without IN-lists).
-  struct Conn {
-    std::unique_ptr<sql::SqlEngine> engine;
-    std::shared_ptr<sql::PreparedStatement> probe_fwd;  // out-edges by fid
-    std::shared_ptr<sql::PreparedStatement> probe_bwd;  // in-edges by tid
-  };
+  /// Admits `session` through the admission queue. Unavailable past
+  /// checkout_timeout_ms; ResourceExhausted when the queue itself is full
+  /// (shed without waiting). Release with admission_.Release().
+  Status Admit(int64_t session);
 
-  /// Admits `session` through the admission queue, then hands out a free
-  /// connection. Unavailable past checkout_timeout_ms; ResourceExhausted
-  /// when the queue itself is full (shed without waiting).
-  Status CheckoutConn(int64_t session, Conn** out);
-  void ReturnConn(Conn* c);
+  /// One adjacency row of the frontier that passed the bound.
+  struct Candidate {
+    node_id_t emit;
+    weight_t total;  // the frontier node's dist + cost
+    node_id_t frontier;
+    weight_t cost;
+  };
+  /// Appends the adjacency rows of `request`'s frontier with
+  /// dist + cost < bound to `rows`, in shard order.
+  Status ReadCandidates(const ShardExpandRequest& request,
+                        std::vector<Candidate>* rows);
 
   /// True when the injected probe fault should fire for this probe.
   bool ProbeFaultFires();
@@ -205,14 +222,8 @@ class LocalShardService : public ShardService {
   ShardedGraphStore* store_;
   int shard_;
   LocalShardOptions options_;
-  std::vector<std::unique_ptr<Conn>> conns_;
   std::atomic<int64_t> probe_fault_in_{-1};
-
-  /// Admission policy in front of the pool: permits == connections, so a
-  /// granted permit guarantees a connection is on idle_.
   AdmissionQueue admission_;
-  std::mutex mu_;
-  std::vector<Conn*> idle_;
 };
 
 }  // namespace relgraph

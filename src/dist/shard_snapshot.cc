@@ -165,7 +165,7 @@ Status LoadShardSnapshot(const std::string& path,
   DatabaseOptions shard_opts = db_options;
   shard_opts.in_memory = false;
   shard_opts.path = path;
-  // Shard databases serve pooled connections of concurrent query sessions.
+  // Shard databases serve concurrent requests of many query sessions.
   shard_opts.concurrent_readers = true;
   shard.db = std::make_unique<Database>(shard_opts, std::move(disk));
 

@@ -61,7 +61,7 @@ Status ShardedGraphStore::Create(const EdgeList& list,
   store->shards_.resize(options.num_shards);
   for (int i = 0; i < options.num_shards; i++) {
     Shard& shard = store->shards_[i];
-    // Shard databases are shared by pooled connections of concurrent query
+    // Shard databases are read by the concurrent requests of many query
     // sessions; their buffer pools must serve concurrent readers no matter
     // what the caller's options say.
     DatabaseOptions shard_opts = options.shard_db_options;

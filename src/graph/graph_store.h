@@ -46,7 +46,12 @@ struct EdgeRelation {
   std::string cost_column = "cost";
   /// Set instead of `table` for a relation on shards: joins `outer` on
   /// `probe_column` = join_column, yielding outer's columns, then TEdges'.
-  std::function<ExecRef(ExecRef outer, const std::string& probe_column)>
+  /// The shards apply the E-operator's pruning and combining first: they
+  /// may drop every row with outer.`dist_column` + cost >= `bound`, and
+  /// keep per emitted node only the least (dist + cost, frontier node).
+  /// So the join is exact only as the input of DedupLeast over those keys.
+  std::function<ExecRef(ExecRef outer, const std::string& probe_column,
+                        const std::string& dist_column, weight_t bound)>
       shard_join = nullptr;
 };
 

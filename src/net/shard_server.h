@@ -22,7 +22,8 @@ struct ShardServerOptions {
   /// socket), so this bounds concurrent client connections; later
   /// connections queue until a worker frees up.
   int workers = 4;
-  /// Connection pool of the underlying LocalShardService.
+  /// Admission (permits, queue depth, wait) of the underlying
+  /// LocalShardService.
   LocalShardOptions shard;
   /// Per-frame I/O deadline once a request has started arriving (an idle
   /// connection waits indefinitely in poll slices, a half-sent frame must
@@ -33,8 +34,8 @@ struct ShardServerOptions {
 /// One shard of a ShardedGraphStore served over TCP — the paper's §7
 /// "each partition is processed by its own RDBMS node", with the node
 /// boundary now a real wire. The server owns a LocalShardService (so
-/// execution, prepared probes, and connection pooling are exactly the
-/// in-process path) and speaks the src/net frame protocol: handshake
+/// execution, admission, pruning and combining are exactly the in-process
+/// path) and speaks the src/net frame protocol: handshake
 /// validation, ExpandRequest -> ExpandResponse, Heartbeat -> HeartbeatAck,
 /// and typed Error frames for shard-side failures.
 ///

@@ -1,6 +1,8 @@
 #include "src/net/wire.h"
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 namespace relgraph {
 namespace net {
@@ -175,6 +177,10 @@ std::string EncodeExpandRequest(const ShardExpandRequest& req) {
   w.PutI64(req.session_id);
   w.PutU64(req.nodes.size());
   for (node_id_t n : req.nodes) w.PutI64(n);
+  // One distance per node, always: an empty `dists` goes out as zeros.
+  w.PutU64(req.nodes.size());
+  for (size_t i = 0; i < req.nodes.size(); i++) w.PutI64(req.DistAt(i));
+  w.PutI64(req.bound);
   return w.Take();
 }
 
@@ -193,16 +199,47 @@ Status DecodeExpandRequest(const std::string& payload,
   if (count > r.remaining() / 8) {
     return Status::Corruption("frontier count exceeds payload");
   }
-  req->forward = forward == 1;
-  req->session_id = session_id;
-  req->nodes.clear();
-  req->nodes.reserve(count);
+  std::vector<node_id_t> nodes;
+  nodes.reserve(count);
   for (uint64_t i = 0; i < count; i++) {
     int64_t n;
     RELGRAPH_RETURN_IF_ERROR(r.GetI64(&n));
-    req->nodes.push_back(n);
+    nodes.push_back(n);
   }
-  return r.Finish();
+  uint64_t dist_count;
+  RELGRAPH_RETURN_IF_ERROR(r.GetU64(&dist_count));
+  if (dist_count != count) {
+    return Status::Corruption("dist count " + std::to_string(dist_count) +
+                              " differs from node count " +
+                              std::to_string(count));
+  }
+  if (count > r.remaining() / 8) {
+    return Status::Corruption("dist count exceeds payload");
+  }
+  std::vector<weight_t> dists;
+  dists.reserve(count);
+  for (uint64_t i = 0; i < count; i++) {
+    int64_t d;
+    RELGRAPH_RETURN_IF_ERROR(r.GetI64(&d));
+    if (d < 0 || d > kInfinity) {
+      return Status::Corruption("frontier dist " + std::to_string(d) +
+                                " outside [0, kInfinity]");
+    }
+    dists.push_back(d);
+  }
+  int64_t bound;
+  RELGRAPH_RETURN_IF_ERROR(r.GetI64(&bound));
+  if (bound < -kInfinity || bound > kInfinity) {
+    return Status::Corruption("expand bound " + std::to_string(bound) +
+                              " outside [-kInfinity, kInfinity]");
+  }
+  RELGRAPH_RETURN_IF_ERROR(r.Finish());
+  req->forward = forward == 1;
+  req->session_id = session_id;
+  req->nodes = std::move(nodes);
+  req->dists = std::move(dists);
+  req->bound = bound;
+  return Status::OK();
 }
 
 std::string EncodeExpandResponse(const ShardExpandResponse& resp) {

@@ -9,7 +9,7 @@
 namespace relgraph {
 namespace net {
 
-/// The shard wire format, version 3. Every message is one *frame*:
+/// The shard wire format, version 4. Every message is one *frame*:
 ///
 ///     [u32 payload_len][u8 frame_type][u32 payload_crc][payload_len bytes]
 ///
@@ -20,7 +20,13 @@ namespace net {
 /// field sequence (below); decoding is bounds-checked everywhere and must
 /// consume the payload exactly, so a truncated, oversized, or
 /// trailing-garbage frame is rejected as Status::Corruption instead of
-/// being misread.
+/// being misread. An ExpandRequest is
+///
+///     [u8 forward][i64 session][u64 n][n x i64 node]
+///     [u64 n][n x i64 dist][i64 bound]
+///
+/// and decodes to Corruption when its dist count is not n, a dist lies
+/// outside [0, kInfinity], or the bound outside [-kInfinity, kInfinity].
 ///
 /// A connection opens with Handshake -> HandshakeAck (magic + version + the
 /// shard identity the client expects, so a client dialed at the wrong
@@ -29,10 +35,16 @@ namespace net {
 /// failure answers with an Error frame carrying the typed Status; transport
 /// growth happens by bumping kWireVersion and extending the handshake.
 constexpr uint32_t kWireMagic = 0x52475348;  // "RGSH"
-/// v2 added the session id to ExpandRequest so shard-side admission can be
-/// per-session fair; v3 added the payload CRC32C to the frame header. Both
-/// sides live in this tree, so the bumps are clean.
-constexpr uint16_t kWireVersion = 3;
+/// Version history. Both sides live in this tree, so each bump is clean: a
+/// peer speaking another version is refused at handshake with
+/// InvalidArgument naming both versions.
+///  - v2 added the session id to ExpandRequest, so shard-side admission
+///    can be per-session fair.
+///  - v3 added the payload CRC32C to the frame header.
+///  - v4 added each frontier node's dist and the bound minCost - l to
+///    ExpandRequest, so the shard prunes and combines its rows before they
+///    ship.
+constexpr uint16_t kWireVersion = 4;
 /// Upper bound on one frame's payload; a length field beyond this is
 /// corruption (or a peer speaking another protocol), not a real message.
 constexpr uint32_t kMaxFramePayload = 64u << 20;

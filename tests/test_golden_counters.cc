@@ -133,23 +133,30 @@ TEST(GoldenCountersTest, MicroExec) {
 }
 
 // Distributed BSDJ: 1-8 shards × NoIndex/CluIndex × serial/threaded
-// coordinator, then 1-8 concurrent sessions over 4 CluIndex shards. Rows
-// shipped do not depend on the shard count; statements grow with it.
+// coordinator, then 1-8 concurrent sessions over 4 CluIndex shards.
+// Statements grow with the shard count, and so do rows shipped: each shard
+// combines only its own rows, so a node reached from frontier nodes on k
+// shards ships up to k rows.
 TEST(GoldenCountersTest, Dist) {
   const Workload w = DistWorkload(kEnv);
-  const std::pair<int, int64_t> kShardStatements[] = {
-      {1, 795}, {2, 837}, {4, 880}, {8, 903}};
+  struct Point {
+    int shards;
+    int64_t statements;
+    int64_t rows_shipped;
+  };
+  const Point kGolden[] = {
+      {1, 795, 1258}, {2, 837, 1270}, {4, 880, 1280}, {8, 903, 1287}};
   for (IndexStrategy strategy :
        {IndexStrategy::kNoIndex, IndexStrategy::kCluIndex}) {
     std::vector<DistShardPoint> points = RunDistShardSweep(w, strategy);
-    ASSERT_EQ(points.size(), std::size(kShardStatements));
+    ASSERT_EQ(points.size(), std::size(kGolden));
     for (size_t i = 0; i < points.size(); i++) {
-      const auto& [shards, statements] = kShardStatements[i];
-      ASSERT_EQ(points[i].shards, shards);
+      const Point& g = kGolden[i];
+      ASSERT_EQ(points[i].shards, g.shards);
       const std::string label =
           std::string("dist/") + IndexStrategyName(strategy) + "/";
-      const std::string at = " shards=" + std::to_string(shards);
-      const DistTotals want{statements, 4734, 4, 4};
+      const std::string at = " shards=" + std::to_string(g.shards);
+      const DistTotals want{g.statements, g.rows_shipped, 4, 4};
       ExpectDist(points[i].serial, want, label + "serial" + at);
       ExpectDist(points[i].threaded, want, label + "threaded" + at);
     }
@@ -161,7 +168,7 @@ TEST(GoldenCountersTest, Dist) {
   for (size_t i = 0; i < clients.size(); i++) {
     const int n = kClients[i];
     ASSERT_EQ(clients[i].clients, n);
-    ExpectDist(clients[i].combined, {880, 4734, 4 * n, 4 * n},
+    ExpectDist(clients[i].combined, {880, 1280, 4 * n, 4 * n},
                "dist/multiclient shards=4 clients=" + std::to_string(n));
   }
 }
@@ -174,13 +181,14 @@ TEST(GoldenCountersTest, DistNet) {
   struct Point {
     int shards;
     int64_t statements;
+    int64_t rows_shipped;
     int64_t snapshot_pages;
   };
-  const Point kGolden[] = {{2, 853, 200}, {4, 887, 210}};
+  const Point kGolden[] = {{2, 853, 855, 200}, {4, 887, 861, 210}};
   for (const Point& g : kGolden) {
     DistNetPoint p = RunDistNetPoint(w, g.shards);
     const std::string at = " shards=" + std::to_string(g.shards);
-    const DistTotals want{g.statements, 3342, 4, 4};
+    const DistTotals want{g.statements, g.rows_shipped, 4, 4};
     ExpectDist(p.local, want, "dist_net/local" + at);
     ExpectDist(p.loopback, want, "dist_net/loopback" + at);
     ExpectDist(p.replicated, want, "dist_net/replicated" + at);

@@ -1,8 +1,9 @@
 // The shard wire format: every message must survive serialize→deserialize
 // bit-identically (property-tested over random and adversarially shaped
 // payloads), and every malformed frame — truncated, oversized, trailing
-// garbage, unknown type, bad status code — must be rejected as
-// Status::Corruption, never misread or crashed on.
+// garbage, unknown type, bad status code, out-of-range dist or bound —
+// must be rejected as Status::Corruption, never misread or crashed on. A
+// peer speaking another wire version is refused at handshake.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -14,6 +15,8 @@
 
 #include "src/common/crc32c.h"
 #include "src/common/rng.h"
+#include "src/graph/generators.h"
+#include "src/net/shard_server.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 
@@ -28,7 +31,16 @@ ShardExpandRequest RandomRequest(Rng* rng, size_t max_nodes) {
   const size_t n = rng->NextBounded(max_nodes + 1);
   for (size_t i = 0; i < n; i++) {
     req.nodes.push_back(rng->NextInt(0, 1'000'000'000));
+    // Mostly small distances, sometimes the ends of the legal range.
+    const uint64_t pick = rng->NextBounded(8);
+    req.dists.push_back(pick == 0   ? 0
+                        : pick == 1 ? kInfinity
+                                    : rng->NextInt(0, 1'000'000));
   }
+  const uint64_t pick = rng->NextBounded(4);
+  req.bound = pick == 0   ? kInfinity
+              : pick == 1 ? -kInfinity
+                          : rng->NextInt(-1'000'000, 1'000'000);
   return req;
 }
 
@@ -80,9 +92,22 @@ TEST(WireRoundTrip, EdgeShapedPayloadsSurvive) {
   ShardExpandRequest extremes;
   extremes.session_id = kMaxI64;  // session ids must survive the full range
   extremes.nodes = {0, kMaxI64, kInvalidNode, 1, kMaxI64 - 1};
+  extremes.dists = {0, kInfinity, 0, kInfinity - 1, 1};
+  extremes.bound = -kInfinity;
   ASSERT_TRUE(
       DecodeExpandRequest(EncodeExpandRequest(extremes), &back_req).ok());
   EXPECT_EQ(extremes, back_req);
+
+  // An in-process request may leave `dists` empty (every node at 0); the
+  // wire always carries one dist per node, so it decodes as zeros.
+  ShardExpandRequest no_dists;
+  no_dists.nodes = {4, 5, 6};
+  no_dists.bound = 17;
+  ASSERT_TRUE(
+      DecodeExpandRequest(EncodeExpandRequest(no_dists), &back_req).ok());
+  EXPECT_EQ(back_req.nodes, no_dists.nodes);
+  EXPECT_EQ(back_req.dists, (std::vector<weight_t>{0, 0, 0}));
+  EXPECT_EQ(back_req.bound, 17);
 
   ShardExpandResponse empty_resp;  // all defaults
   ShardExpandResponse back_resp;
@@ -301,6 +326,109 @@ TEST(WireIntegrity, EmptyPayloadFrameSurvives) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(type, FrameType::kHeartbeat);
   EXPECT_TRUE(got.empty());
+}
+
+/// A v4 ExpandRequest payload written field by field, so a test can put
+/// any value in any field.
+std::string RawRequest(const std::vector<int64_t>& nodes,
+                       const std::vector<int64_t>& dists, uint64_t dist_count,
+                       int64_t bound) {
+  WireWriter w;
+  w.PutU8(1);   // forward
+  w.PutI64(9);  // session id
+  w.PutU64(nodes.size());
+  for (int64_t n : nodes) w.PutI64(n);
+  w.PutU64(dist_count);
+  for (int64_t d : dists) w.PutI64(d);
+  w.PutI64(bound);
+  return w.Take();
+}
+
+// The fields v4 added are range-checked on decode: a dist count that is
+// not the node count, a dist outside [0, kInfinity] or a bound outside
+// [-kInfinity, kInfinity] is Corruption. The range checks are plain
+// comparisons, so the int64 extremes decode without signed overflow
+// (UBSan would flag one).
+TEST(WireReject, HostileDistsAndBoundAreCorruption) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> nodes = {3, 1, 4};
+  ShardExpandRequest req;
+  ASSERT_TRUE(DecodeExpandRequest(RawRequest(nodes, {0, 5, kInfinity}, 3, 0),
+                                  &req)
+                  .ok());
+  EXPECT_EQ(req.dists, (std::vector<weight_t>{0, 5, kInfinity}));
+  ASSERT_TRUE(
+      DecodeExpandRequest(RawRequest(nodes, {1, 2, 3}, 3, -kInfinity), &req)
+          .ok());
+  ASSERT_TRUE(
+      DecodeExpandRequest(RawRequest(nodes, {1, 2, 3}, 3, kInfinity), &req)
+          .ok());
+
+  // Dist count differing from the node count, with the bytes to match the
+  // stated count and without.
+  for (uint64_t count : {0ull, 2ull, 4ull, ~0ull}) {
+    std::vector<int64_t> dists(count <= 4 ? count : 3, 1);
+    Status st = DecodeExpandRequest(RawRequest(nodes, dists, count, 0), &req);
+    EXPECT_TRUE(st.IsCorruption()) << "count=" << count << ": "
+                                   << st.ToString();
+  }
+  // A dist outside [0, kInfinity], in any position.
+  for (int64_t bad : {int64_t{-1}, kInfinity + 1, kMin, kMax}) {
+    for (size_t at = 0; at < nodes.size(); at++) {
+      std::vector<int64_t> dists = {1, 2, 3};
+      dists[at] = bad;
+      Status st = DecodeExpandRequest(RawRequest(nodes, dists, 3, 0), &req);
+      EXPECT_TRUE(st.IsCorruption())
+          << "dist " << bad << " at " << at << ": " << st.ToString();
+    }
+  }
+  // A bound outside [-kInfinity, kInfinity].
+  for (int64_t bad : {-kInfinity - 1, kInfinity + 1, kMin, kMax}) {
+    Status st = DecodeExpandRequest(RawRequest(nodes, {1, 2, 3}, 3, bad), &req);
+    EXPECT_TRUE(st.IsCorruption()) << "bound " << bad << ": " << st.ToString();
+  }
+}
+
+// A peer speaking wire v3 (no dists, no bound) is refused at handshake
+// with a typed InvalidArgument that names both versions, before any
+// expand request could be misread.
+TEST(WireHandshake, VersionThreePeerIsRefused) {
+  EdgeList list = GenerateBarabasiAlbert(40, 2, WeightRange{1, 10}, 3);
+  ShardedGraphOptions sopts;
+  sopts.num_shards = 1;
+  std::unique_ptr<ShardedGraphStore> store;
+  ASSERT_TRUE(ShardedGraphStore::Create(list, sopts, &store).ok());
+  std::unique_ptr<ShardServer> server;
+  ASSERT_TRUE(
+      ShardServer::Start(store.get(), 0, ShardServerOptions{}, &server).ok());
+
+  Socket sock;
+  ASSERT_TRUE(
+      TcpConnect("127.0.0.1", server->port(), DeadlineAfterMs(5000), &sock)
+          .ok());
+  HandshakeRequest hs;
+  hs.version = 3;
+  hs.shard = 0;
+  hs.num_shards = 1;
+  ASSERT_TRUE(SendFrame(&sock, FrameType::kHandshake,
+                        EncodeHandshakeRequest(hs), DeadlineAfterMs(5000))
+                  .ok());
+  FrameType type;
+  std::string payload;
+  ASSERT_TRUE(RecvFrame(&sock, &type, &payload, DeadlineAfterMs(5000)).ok());
+  ASSERT_EQ(type, FrameType::kError);
+  Status refused;
+  ASSERT_TRUE(DecodeErrorStatus(payload, &refused).ok());
+  EXPECT_EQ(refused.code(), Status::Code::kInvalidArgument)
+      << refused.ToString();
+  EXPECT_NE(refused.message().find("client 3"), std::string::npos)
+      << refused.ToString();
+  EXPECT_NE(refused.message().find("server " + std::to_string(kWireVersion)),
+            std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(kWireVersion, 4);
+  server->Stop();
 }
 
 TEST(WireReject, BadStatusCodeAndBadDirectionFlag) {

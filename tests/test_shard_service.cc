@@ -3,17 +3,27 @@
 // response surviving a failed attempt double-counts edges and statements),
 // and connection checkout must be bounded — an exhausted pool degrades to
 // Status::Unavailable at the deadline instead of blocking the session
-// forever.
+// forever. Then the shard's prune-and-combine step against an oracle: what
+// it ships, through the coordinator's residual and dedup, must equal every
+// adjacency row through the same residual and dedup.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/core/fem.h"
 #include "src/dist/shard_service.h"
 #include "src/dist/sharded_graph.h"
+#include "src/exec/expression.h"
+#include "src/exec/scan_executors.h"
 #include "src/graph/generators.h"
 
 namespace relgraph {
@@ -168,6 +178,184 @@ TEST_F(LocalShardServiceTest, CheckoutWaitsForAReturnedConnection) {
   EXPECT_TRUE(svc->Expand(req, &resp).ok());
   returner.join();
 }
+
+// ----- prune and combine against the unpruned oracle ----------------------
+
+/// Every adjacency row of `nodes` on `shard`, read straight from the
+/// shard's table in scan order: what a shard shipped before it pruned and
+/// combined.
+std::vector<ShippedEdge> AllRows(const ShardedGraphStore& store, int shard,
+                                 bool forward,
+                                 const std::vector<node_id_t>& nodes) {
+  Table* table = forward ? store.out_edges(shard) : store.in_edges(shard);
+  const std::set<node_id_t> wanted(nodes.begin(), nodes.end());
+  std::vector<ShippedEdge> rows;
+  Table::Iterator it = table->Scan();
+  Tuple row;
+  while (it.Next(&row, nullptr)) {
+    const node_id_t fid = row.value(0).AsInt();
+    const node_id_t tid = row.value(1).AsInt();
+    const node_id_t frontier = forward ? fid : tid;
+    if (wanted.count(frontier) == 0) continue;
+    rows.push_back({frontier, forward ? tid : fid, row.value(2).AsInt()});
+  }
+  EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+  return rows;
+}
+
+/// The coordinator's side of one expansion: `rows` as (nid, cost, pid)
+/// with cost = dist + edge cost, through the Theorem-1 residual
+/// cost + l < min_cost, then DedupLeast on (cost, pid) per nid.
+std::vector<Tuple> CoordinatorRows(SqlMode mode,
+                                   const std::vector<ShippedEdge>& rows,
+                                   const std::map<node_id_t, weight_t>& dist,
+                                   weight_t l, weight_t min_cost) {
+  const Schema schema(
+      {{"nid", TypeId::kInt}, {"cost", TypeId::kInt}, {"pid", TypeId::kInt}});
+  std::vector<Tuple> tuples;
+  for (const ShippedEdge& e : rows) {
+    tuples.push_back(Tuple({Value(e.emit_node),
+                            Value(dist.at(e.frontier_node) + e.cost),
+                            Value(e.frontier_node)}));
+  }
+  std::vector<Tuple> out;
+  Status st = DedupLeast(
+      mode,
+      [&] {
+        return ExecRef(std::make_unique<FilterExecutor>(
+            std::make_unique<MaterializedExecutor>(tuples, schema),
+            Cmp(CompareOp::kLt, Add(Col("cost"), Lit(l)), Lit(min_cost))));
+      },
+      "nid", "cost", "pid", &out);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+std::string Show(const std::vector<Tuple>& rows) {
+  std::string out;
+  for (const Tuple& t : rows) {
+    out.append("(")
+        .append(std::to_string(t.value(0).AsInt()))
+        .append(",")
+        .append(std::to_string(t.value(1).AsInt()))
+        .append(",")
+        .append(std::to_string(t.value(2).AsInt()))
+        .append(") ");
+  }
+  return out;
+}
+
+class ShardPruneCombineTest
+    : public ::testing::TestWithParam<IndexStrategy> {};
+
+// Seeded frontiers with seeded distances on a graph built for ties: edge
+// costs in [1, 3], distances in [0, 3], and every fifth edge doubled (an
+// exact duplicate row) or paralleled at another cost. Each frontier is
+// sent with three kinds of bound — kInfinity - l (no s-t path yet), a
+// tight one cutting through the middle of the row totals, and a negative
+// one — in both directions, on both shards.
+TEST_P(ShardPruneCombineTest, ShipsWhatTheCoordinatorWouldKeep) {
+  EdgeList list = GenerateBarabasiAlbert(160, 3, WeightRange{1, 3}, 41);
+  const size_t base_edges = list.edges.size();
+  for (size_t i = 0; i < base_edges; i += 5) {
+    Edge twin = list.edges[i];
+    if (i % 10 != 0) twin.weight = twin.weight % 3 + 1;
+    list.edges.push_back(twin);
+  }
+  ShardedGraphOptions sopts;
+  sopts.num_shards = 2;
+  sopts.strategy = GetParam();
+  std::unique_ptr<ShardedGraphStore> store;
+  ASSERT_TRUE(ShardedGraphStore::Create(list, sopts, &store).ok());
+
+  Rng rng(20261018);
+  int checked = 0, pruned_somewhere = 0, combined_somewhere = 0;
+  for (int shard = 0; shard < 2; shard++) {
+    std::unique_ptr<LocalShardService> svc;
+    ASSERT_TRUE(
+        LocalShardService::Create(store.get(), shard, LocalShardOptions{},
+                                  &svc)
+            .ok());
+    std::vector<node_id_t> owned;
+    for (node_id_t n = 0; n < list.num_nodes; n++) {
+      if (store->OwnerShard(n) == shard) owned.push_back(n);
+    }
+    for (int round = 0; round < 12; round++) {
+      ShardExpandRequest req;
+      req.forward = round % 2 == 0;
+      std::map<node_id_t, weight_t> dist;
+      for (node_id_t n : owned) {
+        if (rng.NextBounded(3) != 0) continue;
+        req.nodes.push_back(n);
+        req.dists.push_back(rng.NextInt(0, 3));
+        dist[n] = req.dists.back();
+      }
+      const std::vector<ShippedEdge> all =
+          AllRows(*store, shard, req.forward, req.nodes);
+      std::vector<weight_t> totals;
+      for (const ShippedEdge& e : all) {
+        totals.push_back(dist[e.frontier_node] + e.cost);
+      }
+      std::sort(totals.begin(), totals.end());
+      const weight_t l = rng.NextInt(0, 4);
+      const weight_t tight_min_cost =
+          totals.empty() ? l : totals[totals.size() / 2] + l;
+      // (l, min_cost) pairs; the shard gets bound = min_cost - l.
+      const std::pair<weight_t, weight_t> kBounds[] = {
+          {l, kInfinity}, {l, tight_min_cost}, {l + 5, 2}};
+      for (const auto& [opposite_l, min_cost] : kBounds) {
+        req.bound = min_cost - opposite_l;
+        ShardExpandResponse got;
+        ASSERT_TRUE(svc->Expand(req, &got).ok());
+        const std::string at = "shard " + std::to_string(shard) + " round " +
+                               std::to_string(round) + " bound " +
+                               std::to_string(req.bound);
+
+        // At most one row per emitted node, each inside the bound and one
+        // of the shard's real rows.
+        std::set<node_id_t> emitted;
+        for (const ShippedEdge& e : got.edges) {
+          EXPECT_TRUE(emitted.insert(e.emit_node).second)
+              << at << ": node " << e.emit_node << " shipped twice";
+          ASSERT_TRUE(dist.count(e.frontier_node)) << at;
+          EXPECT_LT(dist[e.frontier_node] + e.cost, req.bound) << at;
+          EXPECT_NE(std::find(all.begin(), all.end(), e), all.end())
+              << at << ": shipped a row the shard does not hold";
+        }
+        const size_t inside = static_cast<size_t>(std::count_if(
+            all.begin(), all.end(), [&](const ShippedEdge& e) {
+              return dist[e.frontier_node] + e.cost < req.bound;
+            }));
+        if (inside < all.size()) pruned_somewhere++;
+        if (got.edges.size() < inside) combined_somewhere++;
+        if (req.bound < 0) {
+          EXPECT_TRUE(got.edges.empty()) << at;
+        }
+
+        // Through the coordinator, the pruned rows and all rows agree.
+        for (SqlMode mode : {SqlMode::kNsql, SqlMode::kTsql}) {
+          const std::vector<Tuple> want =
+              CoordinatorRows(mode, all, dist, opposite_l, min_cost);
+          const std::vector<Tuple> have =
+              CoordinatorRows(mode, got.edges, dist, opposite_l, min_cost);
+          EXPECT_EQ(Show(have), Show(want)) << at << " " << SqlModeName(mode);
+        }
+        checked++;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * 12 * 3);
+  EXPECT_GT(pruned_somewhere, 0);
+  EXPECT_GT(combined_somewhere, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, ShardPruneCombineTest,
+    ::testing::Values(IndexStrategy::kNoIndex, IndexStrategy::kCluIndex,
+                      IndexStrategy::kIndex),
+    [](const ::testing::TestParamInfo<IndexStrategy>& info) {
+      return std::string(IndexStrategyName(info.param));
+    });
 
 }  // namespace
 }  // namespace relgraph

@@ -360,10 +360,12 @@ TEST(SqlPreparedPathFinder, PreparedAndTextModesAreBitIdentical) {
     std::unique_ptr<GraphStore> graph;
     EXPECT_TRUE(
         GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
-    SqlPathFinderOptions opts;
-    opts.use_prepared = prepared;
     std::unique_ptr<SqlPathFinder> finder;
-    EXPECT_TRUE(SqlPathFinder::Create(graph.get(), opts, &finder).ok());
+    Status created =
+        prepared ? SqlPathFinder::Create(graph.get(), {}, &finder)
+                 : relgraph::internal::CreateTextSqlPathFinder(graph.get(), {},
+                                                               &finder);
+    EXPECT_TRUE(created.ok()) << created.ToString();
     for (node_id_t t = 0; t < 10; t++) {
       size_t log_before = db.statement_log().size();
       PathQueryResult r;
