@@ -24,6 +24,14 @@ int64_t DecodeClusterKey(std::string_view payload) {
   return key;
 }
 
+/// Record buffer of the point reads (LookupUnique, ReadRow): one per
+/// thread, since shard tables serve concurrent readers, and kept across
+/// calls so a read allocates nothing once warm.
+std::string& ReadBuffer() {
+  thread_local std::string buffer;
+  return buffer;
+}
+
 /// An open tree files a row at flag * kOpenFlagStride + dist: exact and
 /// order-preserving for flag in {0, 1, 2} and 0 <= dist < kInfinity.
 constexpr int64_t kOpenFlagStride = int64_t{1} << 61;
@@ -207,12 +215,15 @@ Status Table::CheckConsistency() const {
   return Status::OK();
 }
 
-std::string Table::SerializeClustered(const Tuple& tuple) const {
-  std::string bytes = tuple.Serialize(schema_);
-  // NULL columns shrink the serialization below the fixed width; pad so the
-  // tree's fixed-size payload contract holds (padding is ignored on read).
-  bytes.resize(fixed_width_, 0);
-  return bytes;
+std::string_view Table::SerializeRow(const Tuple& tuple) {
+  tuple.SerializeTo(schema_, &row_buffer_);
+  if (options_.storage == TableStorage::kClustered) {
+    // NULL columns shrink the serialization below the fixed width; pad so
+    // the tree's fixed-size payload contract holds (padding is ignored on
+    // read).
+    row_buffer_.resize(fixed_width_, 0);
+  }
+  return row_buffer_;
 }
 
 Status Table::Insert(const Tuple& tuple, RowRef* ref) {
@@ -228,7 +239,7 @@ Status Table::Insert(const Tuple& tuple, RowRef* ref) {
     }
     at.key = BtKey{keyval.AsInt(), options_.cluster_unique ? 0 : next_tie_++};
     RELGRAPH_RETURN_IF_ERROR(clustered_.Insert(
-        at.key, SerializeClustered(tuple), options_.cluster_unique));
+        at.key, SerializeRow(tuple), options_.cluster_unique));
   } else {
     // Uniqueness must be checked before touching the heap so a duplicate
     // key does not leave an orphan row.
@@ -237,12 +248,11 @@ Status Table::Insert(const Tuple& tuple, RowRef* ref) {
       const Value& v = tuple.value(idx.column_idx);
       if (v.IsNull()) continue;
       BtKey probe{v.AsInt(), 0};
-      std::string ignored;
-      if (idx.tree.SearchExact(probe, &ignored).ok()) {
+      if (idx.tree.SearchExact(probe, &ReadBuffer()).ok()) {
         return Status::AlreadyExists("duplicate key on index " + idx.column);
       }
     }
-    RELGRAPH_RETURN_IF_ERROR(heap_.Insert(tuple.Serialize(schema_), &at.rid));
+    RELGRAPH_RETURN_IF_ERROR(heap_.Insert(SerializeRow(tuple), &at.rid));
   }
   RELGRAPH_RETURN_IF_ERROR(InsertIndexEntries(tuple, at));
   num_rows_++;
@@ -475,7 +485,7 @@ Status Table::LookupUnique(const std::string& column, int64_t key, Tuple* out,
       return Status::InvalidArgument("no unique access path on " + column);
     }
     BtKey k{key, 0};
-    std::string payload;
+    std::string& payload = ReadBuffer();
     RELGRAPH_RETURN_IF_ERROR(clustered_.SearchExact(k, &payload));
     RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, payload, out));
     if (ref != nullptr) ref->key = k;
@@ -486,18 +496,16 @@ Status Table::LookupUnique(const std::string& column, int64_t key, Tuple* out,
     if (!idx.unique) {
       return Status::InvalidArgument("index on " + column + " is not unique");
     }
-    std::string payload;
-    RELGRAPH_RETURN_IF_ERROR(idx.tree.SearchExact(BtKey{key, 0}, &payload));
+    std::string& record = ReadBuffer();
+    RELGRAPH_RETURN_IF_ERROR(idx.tree.SearchExact(BtKey{key, 0}, &record));
     if (options_.storage == TableStorage::kClustered) {
-      BtKey k{DecodeClusterKey(payload), 0};
-      std::string record;
+      BtKey k{DecodeClusterKey(record), 0};
       RELGRAPH_RETURN_IF_ERROR(clustered_.SearchExact(k, &record));
       RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, record, out));
       if (ref != nullptr) ref->key = k;
       return Status::OK();
     }
-    Rid rid = DecodeRid(payload);
-    std::string record;
+    Rid rid = DecodeRid(record);
     RELGRAPH_RETURN_IF_ERROR(heap_.Get(rid, &record));
     RELGRAPH_RETURN_IF_ERROR(Tuple::Deserialize(schema_, record, out));
     if (ref != nullptr) ref->rid = rid;
@@ -507,7 +515,7 @@ Status Table::LookupUnique(const std::string& column, int64_t key, Tuple* out,
 }
 
 Status Table::ReadRow(const RowRef& ref, Tuple* out) const {
-  std::string record;
+  std::string& record = ReadBuffer();
   if (options_.storage == TableStorage::kClustered) {
     RELGRAPH_RETURN_IF_ERROR(clustered_.SearchExact(ref.key, &record));
   } else {
@@ -528,10 +536,10 @@ Status Table::UpdateRow(const RowRef& ref, const Tuple& old_tuple,
       return Status::NotSupported("cluster key is immutable under update");
     }
     RELGRAPH_RETURN_IF_ERROR(
-        clustered_.UpdatePayload(ref.key, SerializeClustered(tuple)));
+        clustered_.UpdatePayload(ref.key, SerializeRow(tuple)));
     return UpdateIndexEntries(old_tuple, tuple, ref);
   }
-  std::string new_bytes = tuple.Serialize(schema_);
+  const std::string_view new_bytes = SerializeRow(tuple);
   Status st = heap_.Update(ref.rid, new_bytes);
   if (st.IsResourceExhausted()) {
     // Row grew: relocate it. All index entries must follow the new RID.
@@ -563,16 +571,23 @@ Status Table::DeleteRow(const RowRef& ref) {
 
 Table::Iterator Table::Scan() {
   Iterator it;
-  it.table_ = this;
-  it.full_scan_ = true;
-  if (options_.storage == TableStorage::kClustered) {
-    it.kind_ = Iterator::Kind::kClustered;
-    it.bt_it_ = clustered_.ScanAll();
-  } else {
-    it.kind_ = Iterator::Kind::kHeap;
-    it.heap_it_ = heap_.Scan();
-  }
+  StartScan(&it);
   return it;
+}
+
+void Table::StartScan(Iterator* out) {
+  // Fields are assigned in place, keeping the iterator's row buffer.
+  out->table_ = this;
+  out->full_scan_ = true;
+  out->filter_col_ = -1;
+  out->prefix_col_ = -1;
+  if (options_.storage == TableStorage::kClustered) {
+    out->kind_ = Iterator::Kind::kClustered;
+    out->bt_it_ = clustered_.ScanAll();
+  } else {
+    out->kind_ = Iterator::Kind::kHeap;
+    out->heap_it_ = heap_.Scan();
+  }
 }
 
 Status Table::ScanRange(const std::string& column, int64_t lo, int64_t hi,
@@ -631,25 +646,23 @@ Status Table::ScanRange(const std::string& prefix_column, int64_t prefix,
 
 Status Table::FirstInRange(const std::string& prefix_column, int64_t prefix,
                            const std::string& column, int64_t lo, int64_t hi,
-                           Tuple* out, bool* found) {
-  Iterator it;
+                           Iterator* it, Tuple* out, bool* found) {
   RELGRAPH_RETURN_IF_ERROR(
-      ScanRange(prefix_column, prefix, column, lo, hi, &it));
+      ScanRange(prefix_column, prefix, column, lo, hi, it));
   *found = false;
+  if (!it->full_scan_) {  // the tree yields its rows in `column` order
+    *found = it->Next(out, nullptr);
+    return it->status();
+  }
+  const size_t col = static_cast<size_t>(it->filter_col_);
   Tuple t;
-  while (it.Next(&t, nullptr)) {
-    if (!it.full_scan_) {  // the tree yields its rows in `column` order
-      *out = std::move(t);
-      *found = true;
-      break;
-    }
-    const size_t col = static_cast<size_t>(it.filter_col_);
+  while (it->Next(&t, nullptr)) {
     if (!*found || t.value(col) < out->value(col)) {
       *out = t;
       *found = true;
     }
   }
-  return it.status();
+  return it->status();
 }
 
 Status Table::FilteredScan(int prefix_col, int64_t prefix,
@@ -663,7 +676,7 @@ Status Table::FilteredScan(int prefix_col, int64_t prefix,
                                      schema_.column(c).name);
     }
   }
-  *out = Scan();
+  StartScan(out);
   out->filter_col_ = col;
   out->prefix_col_ = prefix_col;
   out->lo_ = lo;

@@ -216,10 +216,11 @@ class Table {
   /// `column`: the open tree's first entry when the tree serves the range;
   /// otherwise, by one filtered full scan, the first row in Scan() order
   /// holding the range's least `column` value. `found` = false when the
-  /// range is empty. InvalidArgument as for ScanRange.
+  /// range is empty. `it` is the caller's iterator, reused so the read
+  /// keeps its row buffer. InvalidArgument as for ScanRange.
   Status FirstInRange(const std::string& prefix_column, int64_t prefix,
                       const std::string& column, int64_t lo, int64_t hi,
-                      Tuple* out, bool* found);
+                      Iterator* it, Tuple* out, bool* found);
 
   /// Removes every row but keeps schema and index definitions (the
   /// algorithms reset TVisited between queries with this). The old pages
@@ -292,7 +293,11 @@ class Table {
   Status FilteredScan(int prefix_col, int64_t prefix,
                       const std::string& column, int64_t lo, int64_t hi,
                       Iterator* out);
-  std::string SerializeClustered(const Tuple& tuple) const;
+  /// Serializes a row to be written into row_buffer_, padded to the fixed
+  /// width for a clustered table; the view is valid until the next write.
+  std::string_view SerializeRow(const Tuple& tuple);
+  /// Points `out` at a full scan, keeping its row buffer.
+  void StartScan(Iterator* out);
   static int64_t RidTie(const Rid& rid) {
     return (static_cast<int64_t>(rid.page_id) << 16) |
            static_cast<int64_t>(rid.slot);
@@ -310,6 +315,9 @@ class Table {
   std::vector<SecondaryIndex> indexes_;
   int64_t num_rows_ = 0;
   TableAccessStats access_stats_;
+  // Serialized image of the row being inserted or updated, reused by every
+  // write (writes are single-threaded per table).
+  std::string row_buffer_;
 };
 
 }  // namespace relgraph

@@ -7,6 +7,7 @@
 
 #include "src/core/visited_table.h"
 #include "src/db/database.h"
+#include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/executor.h"
 #include "src/exec/expression.h"
@@ -42,9 +43,28 @@ struct FemStats {
 /// Listings 2-4; Database::stats().statements counts them. The E- and
 /// M-operators are built from EdgeJoin, DedupLeast and MergeRows, which
 /// SegTable construction and Prim's MST use as well.
+///
+/// The engine runs the round the way the paper's client runs its JDBC
+/// statements: parse once, bind many. Per direction it prepares one E/M
+/// plan — EdgeJoin -> project -> DedupLeast -> MergeRows — on first use,
+/// with every column bound to its slot, and re-Init()s it each round. The
+/// only values that change between rounds, `opposite_l` and `min_cost`,
+/// live in a BindContext the engine owns and reach the plan through Param
+/// nodes: the Theorem-1 residual reads them per row, and a relation on
+/// shards evaluates its pruning bound from them at each Init. Rows flow
+/// through slots the plan keeps (up to kRetainedSlots per buffer between
+/// rounds), so a warm round allocates only the rows beyond them.
+/// A plan is rebuilt when a call names a different relation (table or
+/// columns) than it was built for, or when the catalog version moves (an
+/// index created or dropped may change the access path). Statement text
+/// is built only while the statement log is on.
 class FemEngine {
  public:
   FemEngine(Database* db, VisitedTable* visited, SqlMode mode);
+  ~FemEngine();
+  // Plans hold pointers to params_, so the engine stays where it was built.
+  FemEngine(const FemEngine&) = delete;
+  FemEngine& operator=(const FemEngine&) = delete;
 
   Database* db() { return db_; }
   VisitedTable* visited() { return visited_; }
@@ -100,18 +120,28 @@ class FemEngine {
                         int64_t* affected);
 
  private:
+  struct ExpandPlan;
+
+  /// The direction's E/M plan for `rel`, built (or rebuilt) when needed.
+  Status PlanFor(const DirCols& dir, const EdgeRelation& rel,
+                 ExpandPlan** out);
   /// Joins frontier rows with `rel` and projects (nid, cost, pid, aid),
   /// without dedup — the input of DedupLeast in both modes.
-  ExecRef BuildJoinProject(const DirCols& dir, const EdgeRelation& rel,
-                           weight_t opposite_l, weight_t min_cost);
-  /// MergeRows of ExpansionSchema rows into TVisited for direction `dir`.
-  Status MergeIntoVisited(const DirCols& dir, std::vector<Tuple> rows,
-                          int64_t* affected);
+  ExecRef BuildJoinProject(const DirCols& dir, const EdgeRelation& rel);
+  /// The M-operator's MERGE of ExpansionSchema rows into TVisited.
+  MergeSpec VisitedMergeSpec(const DirCols& dir);
 
   Database* db_;
   VisitedTable* visited_;
   SqlMode mode_;
   FemStats stats_;
+  BindContext params_;
+  size_t opposite_l_slot_;
+  size_t min_cost_slot_;
+  std::unique_ptr<ExpandPlan> plans_[2];  // [backward, forward]
+  // MeetingNode: SELECT nid FROM TVisited WHERE d2s+d2t = :min_cost.
+  ExecRef meeting_plan_;
+  Tuple meeting_row_;
 };
 
 /// Schema of the materialized E-operator output ("create view ek ...").
@@ -131,30 +161,74 @@ ExecRef EdgeJoin(ExecRef outer, Table* table, const std::string& column,
 
 /// The same join against `rel` on its join column. A relation on shards
 /// joins through its `shard_join`, which gets outer's `dist_column` and
-/// `bound` so the shards ship only rows with dist + cost < bound, combined
-/// per emitted node; `residual` still filters the rows it yields.
+/// `bound`, evaluated at each Init, so the shards ship only rows with
+/// dist + cost < bound, combined per emitted node; `residual` still
+/// filters the rows it yields.
 ExecRef EdgeJoin(ExecRef outer, const EdgeRelation& rel,
                  const std::string& probe_column,
-                 const std::string& dist_column, weight_t bound,
+                 const std::string& dist_column, ExprRef bound,
                  ExprRef residual);
 
-/// E-operator dedup (Definition 2): keeps, per value of column `key`, the
-/// row with the least (`cost`, `tie`), and returns those rows in `key`
-/// order with the schema of `plan`'s output. `plan` builds the input.
+/// E-operator dedup (Definition 2), prepared: keeps, per value of column
+/// `key`, the row with the least (`cost`, `tie`), in `key` order with the
+/// schema of the input plan's output. `plan` builds the input; it is
+/// called when the operator is built, and every Run re-Init()s what it
+/// built, so a caller that runs the dedup every round builds it once.
 ///  - kNsql: row_number() OVER (PARTITION BY key ORDER BY cost, tie) = 1.
-///  - kTsql: GROUP BY key with MIN(cost), then a second run of `plan`
-///    re-joined to the group minima; ties on cost keep the least `tie`.
-Status DedupLeast(SqlMode mode, const std::function<ExecRef()>& plan,
-                  const std::string& key, const std::string& cost,
-                  const std::string& tie, std::vector<Tuple>* rows);
+///  - kTsql: GROUP BY key with MIN(cost), then a second run of the input
+///    (a second `plan()`) re-joined to the group minima; ties on cost keep
+///    the least `tie`.
+class DedupLeast {
+ public:
+  DedupLeast(SqlMode mode, const std::function<ExecRef()>& plan,
+             const std::string& key, const std::string& cost,
+             const std::string& tie);
+  ~DedupLeast();
 
-/// M-operator: merges `rows` (one per `spec`'s source key, with `schema`)
-/// into `target`. NSQL on an engine with MERGE runs `spec` as one MERGE.
-/// Otherwise (TSQL, or the PostgreSQL 9.0 profile) it runs the matched
-/// branch as an UPDATE, records the second statement, then runs the
-/// not-matched branch as an INSERT. `affected` counts updated + inserted.
-Status MergeRows(Database* db, SqlMode mode, Table* target,
-                 std::vector<Tuple> rows, const Schema& schema,
-                 const MergeSpec& spec, int64_t* affected);
+  /// InvalidArgument when `key`, `cost` or `tie` is not an input column;
+  /// Run returns it too.
+  const Status& status() const { return status_; }
+  const Schema& schema() const { return schema_; }
+
+  /// Runs the dedup. Its rows are rows()[0..size()), valid until the next
+  /// Run, which overwrites them in place.
+  Status Run();
+  const std::vector<Tuple>& rows() const { return rows_; }
+  size_t size() const { return size_; }
+
+ private:
+  SqlMode mode_;
+  Schema schema_;
+  Status status_;
+  ExecRef nsql_;   // kNsql: window -> rownum = 1 -> projection
+  ExecRef agg_;    // kTsql: GROUP BY key, MIN(cost) over one input run
+  ExecRef again_;  // kTsql: the second input run
+  size_t key_idx_ = 0, cost_idx_ = 0, tie_idx_ = 0;
+  std::vector<Tuple> rows_;
+  size_t size_ = 0;
+};
+
+/// M-operator, prepared: merges rows with `schema` (one per `spec`'s
+/// source key) into `target`. NSQL on an engine with MERGE runs `spec` as
+/// one MERGE. Otherwise (TSQL, or the PostgreSQL 9.0 profile) it runs the
+/// matched branch as an UPDATE, records the second statement, then runs
+/// the not-matched branch as an INSERT. Built once; Run re-runs it.
+class MergeRows {
+ public:
+  MergeRows(Database* db, SqlMode mode, Table* target, const Schema& schema,
+            MergeSpec spec);
+  ~MergeRows();
+
+  /// The first failing MergePlan's status; Run returns it too.
+  const Status& status() const;
+
+  /// Merges rows[0..n); `affected` counts updated + inserted rows.
+  Status Run(const Tuple* rows, size_t n, int64_t* affected);
+
+ private:
+  Database* db_;
+  std::unique_ptr<MergePlan> merge_;   // the MERGE, or the UPDATE half
+  std::unique_ptr<MergePlan> insert_;  // the INSERT half; null with MERGE
+};
 
 }  // namespace relgraph

@@ -333,11 +333,11 @@ Status PathFinder::WalkDirection(const DirCols& dir, node_id_t from,
   out->push_back(from);
   node_id_t x = from;
   int64_t guard = 0;
+  Tuple row;  // one slot for every hop's row
   while (x != origin) {
     if (++guard > options_.max_iterations) {
       return Status::Corruption("cycle while recovering path");
     }
-    Tuple row;
     RELGRAPH_RETURN_IF_ERROR(visited_->GetRow(x, &row));
     node_id_t anchor = row.value(anchor_idx).AsInt();
     node_id_t parent = row.value(pred_idx).AsInt();

@@ -57,6 +57,25 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
       And(ColEq("t.f", 0), Cmp(CompareOp::kGt, Col("t.w"), Col("s.cost")));
   merge.matched_sets = {{"w", Col("s.cost")}, {"p2s", Col("s.pid")}};
   merge.insert_values = {Col("nid"), Col("cost"), Col("pid"), Lit(int64_t{0})};
+  // E: neighbours of the frontier with the edge weight as the candidate
+  // attachment cost (not accumulated — the Prim variation of §3.1),
+  // deduplicated to the cheapest attachment per node. E and M are prepared
+  // once and re-run every round.
+  DedupLeast expand(
+      mode,
+      [&] {
+        ExecRef frontier = std::make_unique<FilterExecutor>(
+            std::make_unique<SeqScanExecutor>(tree), ColEq("f", 2));
+        return std::make_unique<ProjectExecutor>(
+            EdgeJoin(std::move(frontier), rel.table, rel.join_column, "nid"),
+            std::vector<ExprRef>{Col(rel.emit_column), Col(rel.cost_column),
+                                 Col("nid")},
+            CandidateSchema());
+      },
+      "nid", "cost", "pid");
+  RELGRAPH_RETURN_IF_ERROR(expand.status());
+  MergeRows merge_rows(db, mode, tree, CandidateSchema(), std::move(merge));
+  RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
 
   for (;;) {
     // F: the single cheapest candidate (f=0, minimal w). Prim must stay
@@ -93,29 +112,14 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
     if (marked == 0) break;
     out->iterations++;
 
-    // E: neighbours of the frontier with the edge weight as the candidate
-    // attachment cost (not accumulated — the Prim variation of §3.1),
-    // deduplicated to the cheapest attachment per node.
     db->RecordStatement();
-    std::vector<Tuple> rows;
-    RELGRAPH_RETURN_IF_ERROR(DedupLeast(
-        mode,
-        [&] {
-          ExecRef frontier = std::make_unique<FilterExecutor>(
-              std::make_unique<SeqScanExecutor>(tree), ColEq("f", 2));
-          return std::make_unique<ProjectExecutor>(
-              EdgeJoin(std::move(frontier), rel.table, rel.join_column, "nid"),
-              std::vector<ExprRef>{Col(rel.emit_column), Col(rel.cost_column),
-                                   Col("nid")},
-              CandidateSchema());
-        },
-        "nid", "cost", "pid", &rows));
+    RELGRAPH_RETURN_IF_ERROR(expand.Run());
 
     // M: nodes already in the tree (f=1 or f=2) are discarded; candidates
     // keep their cheaper attachment.
     int64_t affected;
-    RELGRAPH_RETURN_IF_ERROR(MergeRows(db, mode, tree, std::move(rows),
-                                       CandidateSchema(), merge, &affected));
+    RELGRAPH_RETURN_IF_ERROR(
+        merge_rows.Run(expand.rows().data(), expand.size(), &affected));
 
     db->RecordStatement();
     int64_t reset;

@@ -116,6 +116,14 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
       {"dist", Col("s.dist")}, {"pid", Col("s.pid")}, {"f", Lit(int64_t{0})}};
   merge.insert_values = {Col("skey"), Col("src"), Col("nid"),
                          Col("dist"), Col("pid"), Lit(int64_t{0})};
+  // E and M are prepared once and re-run every round.
+  DedupLeast expand(
+      options.sql_mode, [&] { return BuildSegJoin(work, rel, lthd); }, "skey",
+      "dist", "pid");
+  RELGRAPH_RETURN_IF_ERROR(expand.status());
+  MergeRows merge_rows(db, options.sql_mode, work, ExpandedSchema(),
+                       std::move(merge));
+  RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
 
   for (int64_t round = 1;; round++) {
     // Frontier rule: f=0 AND (dist < round*wmin OR dist = min open dist).
@@ -144,14 +152,10 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
 
     // E: expand + dedup to one row per skey; M: merge on skey.
     db->RecordStatement();
-    std::vector<Tuple> rows;
-    RELGRAPH_RETURN_IF_ERROR(DedupLeast(
-        options.sql_mode, [&] { return BuildSegJoin(work, rel, lthd); },
-        "skey", "dist", "pid", &rows));
+    RELGRAPH_RETURN_IF_ERROR(expand.Run());
     int64_t affected;
-    RELGRAPH_RETURN_IF_ERROR(MergeRows(db, options.sql_mode, work,
-                                       std::move(rows), ExpandedSchema(),
-                                       merge, &affected));
+    RELGRAPH_RETURN_IF_ERROR(
+        merge_rows.Run(expand.rows().data(), expand.size(), &affected));
 
     // Reset signs f=2 -> 1.
     db->RecordStatement();
@@ -282,8 +286,10 @@ struct Half {
 Status UpsertSegment(Database* db, Table* table, const std::string& key_col,
                      node_id_t fid, node_id_t tid, node_id_t pid,
                      weight_t dist, int64_t* changed) {
-  db->RecordStatement("MERGE " + table->name() + " ON (fid,tid)=(" +
-                      std::to_string(fid) + "," + std::to_string(tid) + ")");
+  db->RecordStatement([&] {
+    return "MERGE " + table->name() + " ON (fid,tid)=(" +
+           std::to_string(fid) + "," + std::to_string(tid) + ")";
+  });
   const int64_t key = key_col == "fid" ? fid : tid;
   Table::Iterator it;
   RELGRAPH_RETURN_IF_ERROR(table->ScanRange(key_col, key, key, &it));
@@ -331,8 +337,10 @@ Status SegTable::ApplyEdgeInsertion(const Edge& edge, int64_t* changed) {
   // no cheaper.
   std::vector<Half> into_u = {{u, v, 0}};  // succ(u) on u->...->y is v
   {
-    db_->RecordStatement("SELECT fid,pid,cost FROM " + in_segs_->name() +
-                         " WHERE tid=" + std::to_string(u));
+    db_->RecordStatement([&] {
+      return "SELECT fid,pid,cost FROM " + in_segs_->name() +
+             " WHERE tid=" + std::to_string(u);
+    });
     Table::Iterator it;
     RELGRAPH_RETURN_IF_ERROR(in_segs_->ScanRange("tid", u, u, &it));
     Tuple row;
@@ -346,8 +354,10 @@ Status SegTable::ApplyEdgeInsertion(const Edge& edge, int64_t* changed) {
   // plus the trivial y=v.
   std::vector<Half> out_of_v = {{v, u, 0}};  // pre(v) on x->...->v is u
   {
-    db_->RecordStatement("SELECT tid,pid,cost FROM " + out_segs_->name() +
-                         " WHERE fid=" + std::to_string(v));
+    db_->RecordStatement([&] {
+      return "SELECT tid,pid,cost FROM " + out_segs_->name() +
+             " WHERE fid=" + std::to_string(v);
+    });
     Table::Iterator it;
     RELGRAPH_RETURN_IF_ERROR(out_segs_->ScanRange("fid", v, v, &it));
     Tuple row;
@@ -407,8 +417,10 @@ Status BoundedBall(Database* db, const EdgeRelation& rel, node_id_t src,
     if (settled[node]) continue;
     settled[node] = true;
 
-    db->RecordStatement("SELECT * FROM " + rel.table->name() + " WHERE " +
-                        rel.join_column + "=" + std::to_string(node));
+    db->RecordStatement([&] {
+      return "SELECT * FROM " + rel.table->name() + " WHERE " +
+             rel.join_column + "=" + std::to_string(node);
+    });
     Table::Iterator it;
     RELGRAPH_RETURN_IF_ERROR(
         rel.table->ScanRange(rel.join_column, node, node, &it));
@@ -437,8 +449,10 @@ Status BoundedBall(Database* db, const EdgeRelation& rel, node_id_t src,
 Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
                       node_id_t key, const std::vector<Tuple>& fresh,
                       int64_t* changed) {
-  db->RecordStatement("DELETE FROM " + segs->name() + " WHERE " + key_col +
-                      "=" + std::to_string(key));
+  db->RecordStatement([&] {
+    return "DELETE FROM " + segs->name() + " WHERE " + key_col + "=" +
+           std::to_string(key);
+  });
   std::vector<RowRef> victims;
   {
     Table::Iterator it;
@@ -451,7 +465,8 @@ Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
   for (const RowRef& ref : victims) {
     RELGRAPH_RETURN_IF_ERROR(segs->DeleteRow(ref));
   }
-  db->RecordStatement("INSERT INTO " + segs->name() + " (recomputed rows)");
+  db->RecordStatement(
+      [&] { return "INSERT INTO " + segs->name() + " (recomputed rows)"; });
   for (const Tuple& t : fresh) {
     RELGRAPH_RETURN_IF_ERROR(segs->Insert(t));
   }
@@ -475,8 +490,10 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
   std::vector<node_id_t> sources = {u};
   std::vector<node_id_t> sinks = {v};
   if (w <= lthd) {
-    db_->RecordStatement("SELECT fid FROM " + in_segs_->name() +
-                         " WHERE tid=" + std::to_string(u));
+    db_->RecordStatement([&] {
+      return "SELECT fid FROM " + in_segs_->name() +
+             " WHERE tid=" + std::to_string(u);
+    });
     Table::Iterator it;
     RELGRAPH_RETURN_IF_ERROR(in_segs_->ScanRange("tid", u, u, &it));
     Tuple row;
@@ -486,8 +503,10 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
     }
     RELGRAPH_RETURN_IF_ERROR(it.status());
 
-    db_->RecordStatement("SELECT tid FROM " + out_segs_->name() +
-                         " WHERE fid=" + std::to_string(v));
+    db_->RecordStatement([&] {
+      return "SELECT tid FROM " + out_segs_->name() +
+             " WHERE fid=" + std::to_string(v);
+    });
     RELGRAPH_RETURN_IF_ERROR(out_segs_->ScanRange("fid", v, v, &it));
     while (it.Next(&row, nullptr)) {
       if (row.value(3).AsInt() + w > lthd) continue;

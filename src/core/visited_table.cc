@@ -26,21 +26,29 @@ ExprRef OpenPredicate(const DirCols& dir) {
   return And(ColEq(dir.flag, 0),
              Cmp(CompareOp::kLt, Col(dir.dist), Lit(kInfinity)));
 }
+
+/// The frontier conjunct of `kind` over `dir`, reading the spec's node,
+/// level and bound from the given expressions: literals for the statement
+/// text, parameters for the prepared update. nullptr for kAll.
+ExprRef FrontierConjunct(FrontierSpec::Kind kind, const DirCols& dir,
+                         ExprRef node, ExprRef level, ExprRef bound) {
+  switch (kind) {
+    case FrontierSpec::Kind::kAll:
+      return nullptr;
+    case FrontierSpec::Kind::kNode:
+      return Cmp(CompareOp::kEq, Col("nid"), std::move(node));
+    case FrontierSpec::Kind::kDistEq:
+      return Cmp(CompareOp::kEq, Col(dir.dist), std::move(level));
+    case FrontierSpec::Kind::kDistOr:
+      return Or(Cmp(CompareOp::kLe, Col(dir.dist), std::move(bound)),
+                Cmp(CompareOp::kEq, Col(dir.dist), std::move(level)));
+  }
+  return nullptr;
+}
 }  // namespace
 
 ExprRef FrontierSpec::ToPredicate(const DirCols& dir) const {
-  switch (kind) {
-    case Kind::kAll:
-      return nullptr;
-    case Kind::kNode:
-      return ColEq("nid", node);
-    case Kind::kDistEq:
-      return Cmp(CompareOp::kEq, Col(dir.dist), Lit(level));
-    case Kind::kDistOr:
-      return Or(Cmp(CompareOp::kLe, Col(dir.dist), Lit(bound)),
-                Cmp(CompareOp::kEq, Col(dir.dist), Lit(level)));
-  }
-  return nullptr;
+  return FrontierConjunct(kind, dir, Lit(node), Lit(level), Lit(bound));
 }
 
 DirCols VisitedTable::ForwardCols() {
@@ -84,9 +92,14 @@ Status VisitedTable::Create(Database* db, IndexStrategy strategy,
   vt->nid_idx_ = schema.IndexOf("nid");
   vt->d2s_idx_ = schema.IndexOf("d2s");
   vt->d2t_idx_ = schema.IndexOf("d2t");
+  vt->node_slot_ = vt->params_.AddNamedSlot("node");
+  vt->level_slot_ = vt->params_.AddNamedSlot("level");
+  vt->bound_slot_ = vt->params_.AddNamedSlot("bound");
   *out = std::move(vt);
   return Status::OK();
 }
+
+VisitedTable::~VisitedTable() = default;
 
 // ------------------------------------------------------- auxiliary reads
 
@@ -103,13 +116,12 @@ Status VisitedTable::LeastOpen(const DirCols& dir, weight_t* dist,
                                node_id_t* nid) {
   *dist = kInfinity;
   *nid = kInvalidNode;
-  Tuple row;
   bool found;
   RELGRAPH_RETURN_IF_ERROR(table_->FirstInRange(
-      dir.flag, 0, dir.dist, 0, kInfinity - 1, &row, &found));
+      dir.flag, 0, dir.dist, 0, kInfinity - 1, &candidates_, &row_, &found));
   if (found) {
-    *dist = row.value(dir.forward ? d2s_idx_ : d2t_idx_).AsInt();
-    *nid = row.value(nid_idx_).AsInt();
+    *dist = row_.value(dir.forward ? d2s_idx_ : d2t_idx_).AsInt();
+    *nid = row_.value(nid_idx_).AsInt();
   }
   return Status::OK();
 }
@@ -170,11 +182,36 @@ Status VisitedTable::GetRow(node_id_t nid, Tuple* out) {
 // so both serve the same rows. The residual predicate keeps every plan
 // exactly equivalent to the full-scan statement.
 
+// The updates are prepared per direction on first use: predicate and SET
+// list bound to the table once, the spec's node, level and bound read from
+// params_, the candidate iterator and the plans' row buffers reused.
+
+UpdatePlan* VisitedTable::MarkPlan(const DirCols& dir,
+                                   FrontierSpec::Kind kind) {
+  std::unique_ptr<UpdatePlan>& plan =
+      plans_[dir.forward ? 1 : 0].mark[static_cast<size_t>(kind)];
+  if (plan == nullptr) {
+    ExprRef pred = OpenPredicate(dir);
+    if (ExprRef extra = FrontierConjunct(
+            kind, dir, Param(&params_, node_slot_, "node"),
+            Param(&params_, level_slot_, "level"),
+            Param(&params_, bound_slot_, "bound"))) {
+      pred = And(std::move(pred), std::move(extra));
+    }
+    plan = std::make_unique<UpdatePlan>(
+        table_, std::move(pred),
+        std::vector<SetClause>{{dir.flag, Lit(int64_t{2})}});
+  }
+  return plan.get();
+}
+
 Status VisitedTable::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
                                   int64_t* marked) {
-  ExprRef pred = OpenPredicate(dir);
-  if (ExprRef extra = spec.ToPredicate(dir)) pred = And(std::move(pred), extra);
-  Table::Iterator it;
+  params_.Set(node_slot_, Value(spec.node));
+  params_.Set(level_slot_, Value(spec.level));
+  params_.Set(bound_slot_, Value(spec.bound));
+  UpdatePlan* plan = MarkPlan(dir, spec.kind);
+  Table::Iterator& it = candidates_;
   if (spec.kind == FrontierSpec::Kind::kNode) {
     RELGRAPH_RETURN_IF_ERROR(
         table_->ScanRange("nid", spec.node, spec.node, &it));
@@ -189,19 +226,22 @@ Status VisitedTable::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
     RELGRAPH_RETURN_IF_ERROR(
         table_->ScanRange(dir.flag, 0, dir.dist, lo, hi, &it));
   }
-  return UpdateCandidates(table_, std::move(it), std::move(pred),
-                          {{dir.flag, Lit(int64_t{2})}}, marked);
+  return plan->Run(&it, marked);
 }
 
 // A frontier row was open when marked and distances only fall, so every
 // flag = 2 row lies in the open tree. Neither flag change moves d2s + d2t,
 // so MinPathCost needs no notice of it.
 Status VisitedTable::FinalizeFrontier(const DirCols& dir, int64_t* affected) {
-  Table::Iterator it;
-  RELGRAPH_RETURN_IF_ERROR(
-      table_->ScanRange(dir.flag, 2, dir.dist, 0, kInfinity - 1, &it));
-  return UpdateCandidates(table_, std::move(it), ColEq(dir.flag, 2),
-                          {{dir.flag, Lit(int64_t{1})}}, affected);
+  std::unique_ptr<UpdatePlan>& plan = plans_[dir.forward ? 1 : 0].finalize;
+  if (plan == nullptr) {
+    plan = std::make_unique<UpdatePlan>(
+        table_, ColEq(dir.flag, 2),
+        std::vector<SetClause>{{dir.flag, Lit(int64_t{1})}});
+  }
+  RELGRAPH_RETURN_IF_ERROR(table_->ScanRange(dir.flag, 2, dir.dist, 0,
+                                             kInfinity - 1, &candidates_));
+  return plan->Run(&candidates_, affected);
 }
 
 ExecRef VisitedTable::FrontierScan(const DirCols& dir) const {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/db/database.h"
+#include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/executor.h"
 #include "src/exec/expression.h"
@@ -88,10 +89,20 @@ struct FrontierSpec {
 ///    every inserted or merged row's post-image. Every insert and merge
 ///    must therefore flow through this class (or a MERGE carrying
 ///    ChangeObserver()); callers never write the table directly.
+///
+/// The frontier updates are prepared statements: per direction, the
+/// F-operator's UPDATE for each kind of FrontierSpec and the finalizing
+/// UPDATE are built on first use, their predicates and SET lists bound to
+/// the table, and re-run every round. The spec's node, level and bound
+/// reach the predicate through Param nodes over a BindContext this table
+/// owns; the candidate iterator and the plans' row buffers are reused, so
+/// a warm round's frontier statements allocate nothing up to
+/// kRetainedSlots rows.
 class VisitedTable {
  public:
   static Status Create(Database* db, IndexStrategy strategy, std::string name,
                        std::unique_ptr<VisitedTable>* out);
+  ~VisitedTable();
 
   Table* table() const { return table_; }
   Database* db() const { return db_; }
@@ -155,6 +166,13 @@ class VisitedTable {
 
   /// Folds a written row's d2s + d2t into MinPathCost.
   void NoteCost(const Tuple& row);
+  /// The direction's prepared F-operator UPDATE for `kind`.
+  UpdatePlan* MarkPlan(const DirCols& dir, FrontierSpec::Kind kind);
+
+  struct FrontierPlans {
+    std::unique_ptr<UpdatePlan> mark[4];  // by FrontierSpec::Kind
+    std::unique_ptr<UpdatePlan> finalize;
+  };
 
   Database* db_ = nullptr;
   Table* table_ = nullptr;
@@ -164,6 +182,14 @@ class VisitedTable {
   size_t d2t_idx_ = 0;
   size_t nid_idx_ = 0;
   weight_t min_cost_ = kInfinity;
+
+  FrontierPlans plans_[2];  // [backward, forward]
+  BindContext params_;      // the FrontierSpec's node, level and bound
+  size_t node_slot_ = 0;
+  size_t level_slot_ = 0;
+  size_t bound_slot_ = 0;
+  Table::Iterator candidates_;  // the running update's candidate rows
+  Tuple row_;                   // LeastOpen's row
 };
 
 }  // namespace relgraph

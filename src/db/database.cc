@@ -44,6 +44,13 @@ void Database::ResetStats() {
   disk_->ResetStats();
 }
 
+void Database::AppendToLog(std::string sql) {
+  if (sql.empty()) return;
+  std::lock_guard<std::mutex> lock(log_mu_);
+  if (statement_log_.size() >= max_log_entries_) statement_log_.pop_front();
+  statement_log_.push_back(std::move(sql));
+}
+
 void Database::MaybeSimulateStatementLatency() {
   if (options_.simulated_statement_latency_us <= 0) return;
   auto until = std::chrono::steady_clock::now() +

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "src/catalog/catalog.h"
 #include "src/common/status.h"
@@ -99,21 +101,22 @@ class Database {
     return options_.profile == EngineProfile::kDbmsX;
   }
 
-  /// Called by the FEM layer once per logical SQL statement issued. The
-  /// optional text is the SQL the statement corresponds to (the Listing
-  /// 2/3/4 equivalents); it is retained only while the log is enabled.
-  /// Safe to call from concurrent connections (the counter is atomic and
-  /// the log is mutex-guarded).
-  void RecordStatement(std::string sql = std::string()) {
+  /// Called by the FEM layer once per logical SQL statement issued.
+  /// `sql_text` is a callable returning the SQL the statement corresponds
+  /// to (the Listing 2/3/4 equivalents); it runs only while the log is
+  /// enabled, so a client that builds its text there pays nothing for it
+  /// otherwise. Empty text is not logged. Safe to call from concurrent
+  /// connections (the counter is atomic and the log is mutex-guarded).
+  template <typename TextFn>
+    requires std::is_invocable_r_v<std::string, TextFn&>
+  void RecordStatement(TextFn&& sql_text) {
     stats_.statements.fetch_add(1, std::memory_order_relaxed);
-    if (log_enabled_ && max_log_entries_ > 0 && !sql.empty()) {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      if (statement_log_.size() >= max_log_entries_) {
-        statement_log_.erase(statement_log_.begin());
-      }
-      statement_log_.push_back(std::move(sql));
-    }
+    if (log_enabled_ && max_log_entries_ > 0) AppendToLog(sql_text());
     MaybeSimulateStatementLatency();
+  }
+  /// A statement with no text to log.
+  void RecordStatement() {
+    RecordStatement([] { return std::string(); });
   }
 
   /// Keeps the SQL text of up to `max_entries` most recent statements —
@@ -128,7 +131,8 @@ class Database {
     log_enabled_ = false;
     statement_log_.clear();
   }
-  const std::vector<std::string>& statement_log() const {
+  /// Oldest first. A full log drops its oldest entry per new one, in O(1).
+  const std::deque<std::string>& statement_log() const {
     return statement_log_;
   }
 
@@ -146,6 +150,7 @@ class Database {
 
  private:
   void MaybeSimulateStatementLatency();
+  void AppendToLog(std::string sql);
 
   DatabaseOptions options_;
   std::unique_ptr<DiskManager> disk_;
@@ -155,7 +160,7 @@ class Database {
   bool log_enabled_ = false;
   size_t max_log_entries_ = 0;
   std::mutex log_mu_;
-  std::vector<std::string> statement_log_;
+  std::deque<std::string> statement_log_;
 };
 
 }  // namespace relgraph

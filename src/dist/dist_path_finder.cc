@@ -13,24 +13,24 @@ namespace relgraph {
 
 /// The E-operator's join when TEdges lives on the shards: drains the
 /// frontier, fans its node ids and distances out to their owner shards with
-/// the pruning bound (one round per Init()), and yields each shipped row as
-/// a local join over TEdges would — the frontier row's columns, then
-/// (fid, tid, cost) — in shard-index order.
+/// the pruning bound, evaluated at each Init() (one round per Init()), and
+/// yields each shipped row as a local join over TEdges would — the
+/// frontier row's columns, then (fid, tid, cost) — in shard-index order.
 class DistPathFinder::ShardJoinExecutor : public Executor {
  public:
   ShardJoinExecutor(DistPathFinder* session, bool forward, ExecRef outer,
                     std::string probe_column, std::string dist_column,
-                    weight_t bound)
+                    ExprRef bound)
       : session_(session),
         forward_(forward),
         outer_(std::move(outer)),
         probe_column_(std::move(probe_column)),
         dist_column_(std::move(dist_column)),
-        bound_(bound),
+        bound_(std::move(bound)),
         schema_(ConcatSchemas(outer_->OutputSchema(), EdgeTableSchema())) {}
 
   bool NextBatchSel(BatchSpan* out) override {
-    return ReplayWindow(rows_, &pos_, out);
+    return ReplayWindow(rows_, rows_.size(), &pos_, out);
   }
   const Schema& OutputSchema() const override { return schema_; }
 
@@ -53,9 +53,13 @@ class DistPathFinder::ShardJoinExecutor : public Executor {
       dists.push_back(row.value(dist).AsInt());
       row_of.emplace(nodes.back(), &row);
     }
+    const Value bound = bound_->Evaluate(Tuple{}, Schema{});
+    if (bound.type() != TypeId::kInt) {
+      return Status::InvalidArgument("shard join bound is not an INT");
+    }
     std::vector<ShardExpandResponse> responses;
     RELGRAPH_RETURN_IF_ERROR(
-        session_->FanOut(nodes, dists, bound_, forward_, &responses));
+        session_->FanOut(nodes, dists, bound.AsInt(), forward_, &responses));
     for (const ShardExpandResponse& resp : responses) {
       for (const ShippedEdge& e : resp.edges) {
         auto it = row_of.find(e.frontier_node);
@@ -83,7 +87,7 @@ class DistPathFinder::ShardJoinExecutor : public Executor {
   ExecRef outer_;
   std::string probe_column_;
   std::string dist_column_;
-  weight_t bound_;
+  ExprRef bound_;
   Schema schema_;
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
@@ -112,9 +116,9 @@ Status DistPathFinder::CreateSession(DistCoordinator* coord,
   // TEdges on the shards, one relation per direction.
   auto on_shards = [session = finder.get()](bool forward) {
     return [session, forward](ExecRef outer, const std::string& probe,
-                              const std::string& dist, weight_t bound) {
+                              const std::string& dist, ExprRef bound) {
       return ExecRef(std::make_unique<ShardJoinExecutor>(
-          session, forward, std::move(outer), probe, dist, bound));
+          session, forward, std::move(outer), probe, dist, std::move(bound)));
     };
   };
   RELGRAPH_RETURN_IF_ERROR(PathFinder::Create(

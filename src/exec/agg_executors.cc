@@ -149,7 +149,15 @@ HashAggregateExecutor::HashAggregateExecutor(
   std::vector<Column> cols;
   const Schema& in = child_->OutputSchema();
   for (const auto& g : group_cols_) {
-    cols.push_back({g, in.column(in.IndexOf(g)).type});
+    const int idx = in.Find(g);
+    if (idx < 0 && bind_status_.ok()) {
+      bind_status_ = Status::InvalidArgument("no group column " + g);
+    }
+    cols.push_back({g, idx >= 0 ? in.column(idx).type : TypeId::kInt});
+  }
+  for (auto& a : aggs_) {
+    if (a.expr == nullptr || !bind_status_.ok()) continue;
+    bind_status_ = BindColumns(a.expr, in, &a.expr);
   }
   for (const auto& a : aggs_) {
     // COUNT yields INT; MIN/MAX/SUM keep the input's numeric type (INT for
@@ -170,6 +178,7 @@ void HashAggregateExecutor::Rehash(size_t new_cap) {
 }
 
 Status HashAggregateExecutor::Open() {
+  RELGRAPH_RETURN_IF_ERROR(bind_status_);
   results_.clear();
   pos_ = 0;
   RELGRAPH_RETURN_IF_ERROR(child_->Init());
@@ -311,7 +320,7 @@ Status HashAggregateExecutor::Open() {
 }
 
 bool HashAggregateExecutor::NextBatchSel(BatchSpan* out) {
-  return ReplayWindow(results_, &pos_, out);
+  return ReplayWindow(results_, results_.size(), &pos_, out);
 }
 
 const Schema& HashAggregateExecutor::OutputSchema() const {
@@ -320,6 +329,9 @@ const Schema& HashAggregateExecutor::OutputSchema() const {
 
 Status EvalScalarAggregate(Executor* child, AggOp op, ExprRef expr,
                            Value* out) {
+  if (expr != nullptr) {
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(expr, child->OutputSchema(), &expr));
+  }
   RELGRAPH_RETURN_IF_ERROR(child->Init());
   AggSpec spec{op, std::move(expr), "agg"};
   AggState state;

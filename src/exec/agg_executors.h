@@ -64,7 +64,8 @@ class HashAggregateExecutor : public Executor {
 
   ExecRef child_;
   std::vector<std::string> group_cols_;
-  std::vector<AggSpec> aggs_;
+  std::vector<AggSpec> aggs_;  // arguments bound to the child's schema
+  Status bind_status_;
   Schema output_schema_;
   std::vector<Tuple> results_;
   size_t pos_ = 0;

@@ -19,72 +19,100 @@ Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted) {
   return source->status();
 }
 
+UpdatePlan::UpdatePlan(Table* table, ExprRef predicate,
+                       std::vector<SetClause> sets)
+    : table_(table), predicate_(std::move(predicate)) {
+  const Schema& schema = table_->schema();
+  if (predicate_ != nullptr) {
+    status_ = BindColumns(predicate_, schema, &predicate_);
+  }
+  sets_.reserve(sets.size());
+  for (auto& s : sets) {
+    if (!status_.ok()) return;
+    int idx = schema.Find(s.column);
+    if (idx < 0) {
+      status_ = Status::InvalidArgument("no column " + s.column);
+      return;
+    }
+    status_ = BindColumns(s.expr, schema, &s.expr);
+    sets_.emplace_back(static_cast<size_t>(idx), std::move(s.expr));
+  }
+  set_cols_.resize(sets_.size());
+}
+
 // Every UPDATE plan ends here: evaluate SET clauses over the matched rows,
 // then apply (the collect-then-apply split keeps the scan stable under row
 // movement). Both the WHERE predicate and the SET expressions run in batch
-// mode — one EvalBatch column per scan batch.
-Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
-                        const std::vector<SetClause>& sets, int64_t* affected) {
+// mode — one EvalBatch column per scan batch — or row at a time for small
+// batches.
+Status UpdatePlan::Run(Table::Iterator* it, int64_t* affected) {
   *affected = 0;
-  const Schema& schema = table->schema();
-  std::vector<std::pair<size_t, ExprRef>> resolved;
-  resolved.reserve(sets.size());
-  for (const auto& s : sets) {
-    int idx = schema.Find(s.column);
-    if (idx < 0) return Status::InvalidArgument("no column " + s.column);
-    resolved.emplace_back(static_cast<size_t>(idx), s.expr);
-  }
+  RELGRAPH_RETURN_IF_ERROR(status_);
+  const Schema& schema = table_->schema();
   // The pre-image goes to UpdateRow, which moves index entries by it.
-  std::vector<std::tuple<RowRef, Tuple, Tuple>> pending;  // ref, old, new
-  std::vector<Tuple> rows;
-  std::vector<RowRef> refs;
-  ValueColumn pred_scratch;
-  std::vector<char> keep;
-  std::vector<uint32_t> sel;
-  std::vector<ValueColumn> set_cols(resolved.size());
+  size_t pending = 0;
+  pending_refs_.clear();
   bool exhausted = false;
-  while (ReadIteratorBatch(&it, &exhausted, kExecBatchSize, &rows, &refs)) {
+  while (size_t n = ReadIteratorBatch(it, &exhausted, kExecBatchSize, &rows_,
+                                      &refs_)) {
     // Matched rows stay where the scan put them; a selection vector over
-    // the scan batch replaces the old compact-into-`matched` copy.
+    // the scan batch picks them out.
     const uint32_t* selp = nullptr;
-    size_t lanes = rows.size();
-    if (predicate != nullptr) {
-      RowBatch batch(rows, schema);
-      EvalPredicateBatch(*predicate, batch, &pred_scratch, &keep);
-      sel.clear();
-      for (size_t i = 0; i < rows.size(); i++) {
-        if (keep[i]) sel.push_back(static_cast<uint32_t>(i));
+    size_t lanes = n;
+    if (predicate_ != nullptr) {
+      RowBatch batch(rows_.data(), n, schema, nullptr, 0);
+      EvalPredicateBatch(*predicate_, batch, &pred_scratch_, &keep_);
+      sel_.clear();
+      for (size_t i = 0; i < n; i++) {
+        if (keep_[i]) sel_.push_back(static_cast<uint32_t>(i));
       }
-      if (sel.empty()) continue;
-      selp = sel.data();
-      lanes = sel.size();
+      if (sel_.empty()) continue;
+      selp = sel_.data();
+      lanes = sel_.size();
     }
     // SET expressions see the *old* rows — one column per clause when the
     // match set is big enough to amortize it, row-at-a-time otherwise.
-    RowBatch mbatch(rows.data(), rows.size(), schema, selp, lanes);
+    RowBatch mbatch(rows_.data(), n, schema, selp, lanes);
     const bool row_at_a_time = EvalRowAtATime(mbatch);
     if (!row_at_a_time) {
-      for (size_t k = 0; k < resolved.size(); k++) {
-        resolved[k].second->EvalBatch(mbatch, &set_cols[k]);
+      for (size_t k = 0; k < sets_.size(); k++) {
+        sets_[k].second->EvalBatch(mbatch, &set_cols_[k]);
       }
     }
-    for (size_t i = 0; i < lanes; i++) {
+    if (pending_old_.size() < pending + lanes) {
+      pending_old_.resize(pending + lanes);
+      pending_new_.resize(pending + lanes);
+    }
+    for (size_t i = 0; i < lanes; i++, pending++) {
       const size_t r = selp != nullptr ? selp[i] : i;
-      Tuple updated = rows[r];
-      for (size_t k = 0; k < resolved.size(); k++) {
-        updated.value(resolved[k].first) =
-            row_at_a_time ? resolved[k].second->Evaluate(rows[r], schema)
-                          : set_cols[k].Get(i);
+      pending_refs_.push_back(refs_[r]);
+      pending_old_[pending] = rows_[r];
+      Tuple& updated = pending_new_[pending];
+      updated = rows_[r];
+      for (size_t k = 0; k < sets_.size(); k++) {
+        updated.value(sets_[k].first) =
+            row_at_a_time
+                ? sets_[k].second->Evaluate(RowView(rows_[r], schema))
+                : set_cols_[k].Get(i);
       }
-      pending.emplace_back(refs[r], std::move(rows[r]), std::move(updated));
     }
   }
-  RELGRAPH_RETURN_IF_ERROR(it.status());
-  for (const auto& [row_ref, old_row, new_row] : pending) {
-    RELGRAPH_RETURN_IF_ERROR(table->UpdateRow(row_ref, old_row, new_row));
+  RELGRAPH_RETURN_IF_ERROR(it->status());
+  for (size_t i = 0; i < pending; i++) {
+    RELGRAPH_RETURN_IF_ERROR(
+        table_->UpdateRow(pending_refs_[i], pending_old_[i], pending_new_[i]));
     (*affected)++;
   }
+  TrimSlots(&rows_);
+  TrimSlots(&pending_old_);
+  TrimSlots(&pending_new_);
   return Status::OK();
+}
+
+Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
+                        const std::vector<SetClause>& sets, int64_t* affected) {
+  UpdatePlan plan(table, std::move(predicate), sets);
+  return plan.Run(&it, affected);
 }
 
 Status UpdateWhere(Table* table, ExprRef predicate,
@@ -128,15 +156,19 @@ Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected) {
   std::vector<RowRef> refs;
   ValueColumn pred_scratch;
   std::vector<char> keep;
+  if (predicate != nullptr) {
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(predicate, schema, &predicate));
+  }
   bool exhausted = false;
-  while (ReadIteratorBatch(&it, &exhausted, kExecBatchSize, &rows, &refs)) {
+  while (size_t n =
+             ReadIteratorBatch(&it, &exhausted, kExecBatchSize, &rows, &refs)) {
     if (predicate == nullptr) {
       pending.insert(pending.end(), refs.begin(), refs.end());
       continue;
     }
-    RowBatch batch(rows, schema);
+    RowBatch batch(rows.data(), n, schema, nullptr, 0);
     EvalPredicateBatch(*predicate, batch, &pred_scratch, &keep);
-    for (size_t i = 0; i < rows.size(); i++) {
+    for (size_t i = 0; i < n; i++) {
       if (keep[i]) pending.push_back(refs[i]);
     }
   }
@@ -148,118 +180,135 @@ Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected) {
   return Status::OK();
 }
 
-Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
-                 int64_t* affected) {
-  *affected = 0;
-  const Schema& target_schema = target->schema();
-  const Schema& source_schema = source->OutputSchema();
-  int tgt_key_idx = target_schema.Find(spec.target_key_column);
-  if (tgt_key_idx < 0) {
-    return Status::InvalidArgument("MERGE target lacks key column " +
-                                   spec.target_key_column);
-  }
-  // Without a unique index the planner falls back to a hash match: one scan
+MergePlan::MergePlan(Table* target, const Schema& source_schema,
+                     MergeSpec spec)
+    : target_(target),
+      source_schema_(source_schema),
+      spec_(std::move(spec)) {
+  const Schema& target_schema = target_->schema();
+  status_ = [&]() -> Status {
+    int tgt_key_idx = target_schema.Find(spec_.target_key_column);
+    if (tgt_key_idx < 0) {
+      return Status::InvalidArgument("MERGE target lacks key column " +
+                                     spec_.target_key_column);
+    }
+    int src_key_idx = source_schema_.Find(spec_.source_key_column);
+    if (src_key_idx < 0) {
+      return Status::InvalidArgument("MERGE source lacks key column " +
+                                     spec_.source_key_column);
+    }
+    if (!spec_.insert_values.empty() &&
+        spec_.insert_values.size() != target_schema.NumColumns()) {
+      return Status::InvalidArgument("MERGE insert arity mismatch");
+    }
+    target_key_idx_ = static_cast<size_t>(tgt_key_idx);
+    source_key_idx_ = static_cast<size_t>(src_key_idx);
+    // Combined row namespace for the matched branch: t.<col> then s.<col>.
+    combined_ = ConcatSchemas(PrefixSchema(target_schema, "t."),
+                              PrefixSchema(source_schema_, "s."));
+    if (spec_.matched_condition != nullptr) {
+      RELGRAPH_RETURN_IF_ERROR(BindColumns(spec_.matched_condition, combined_,
+                                           &spec_.matched_condition));
+    }
+    for (auto& s : spec_.matched_sets) {
+      int idx = target_schema.Find(s.column);
+      if (idx < 0) return Status::InvalidArgument("no column " + s.column);
+      RELGRAPH_RETURN_IF_ERROR(BindColumns(s.expr, combined_, &s.expr));
+      sets_.emplace_back(static_cast<size_t>(idx), s.expr);
+    }
+    RELGRAPH_RETURN_IF_ERROR(
+        BindColumns(&spec_.insert_values, source_schema_));
+    return Status::OK();
+  }();
+  // Without a unique index the plan falls back to a hash match: one scan
   // of the target builds key -> row, then each source row probes the map
   // (this is how an RDBMS executes MERGE on an unindexed target).
-  const bool use_index = target->HasIndexOn(spec.target_key_column);
-  std::unordered_map<int64_t, std::pair<RowRef, Tuple>> hash_side;
-  if (!use_index) {
-    Table::Iterator it = target->Scan();
+  use_index_ = target_->HasIndexOn(spec_.target_key_column);
+  fresh_ = Tuple(std::vector<Value>(spec_.insert_values.size()));
+}
+
+Status MergePlan::Run(const Tuple* rows, size_t n, int64_t* affected) {
+  *affected = 0;
+  RELGRAPH_RETURN_IF_ERROR(status_);
+  hash_side_.clear();
+  if (!use_index_) {
+    Table::Iterator it = target_->Scan();
     Tuple t;
     RowRef ref;
     while (it.Next(&t, &ref)) {
-      const Value& key = t.value(tgt_key_idx);
+      const Value& key = t.value(target_key_idx_);
       if (key.IsNull()) continue;
-      hash_side.emplace(key.AsInt(), std::make_pair(ref, t));
+      hash_side_.emplace(key.AsInt(), std::make_pair(ref, t));
     }
     RELGRAPH_RETURN_IF_ERROR(it.status());
   }
-  int src_key_idx = source_schema.Find(spec.source_key_column);
-  if (src_key_idx < 0) {
-    return Status::InvalidArgument("MERGE source lacks key column " +
-                                   spec.source_key_column);
-  }
-  if (!spec.insert_values.empty() &&
-      spec.insert_values.size() != target_schema.NumColumns()) {
-    return Status::InvalidArgument("MERGE insert arity mismatch");
-  }
-
-  // Combined row namespace for the matched branch: t.<col> then s.<col>.
-  Schema combined = ConcatSchemas(PrefixSchema(target_schema, "t."),
-                                  PrefixSchema(source_schema, "s."));
-  std::vector<std::pair<size_t, ExprRef>> resolved_sets;
-  resolved_sets.reserve(spec.matched_sets.size());
-  for (const auto& s : spec.matched_sets) {
-    int idx = target_schema.Find(s.column);
-    if (idx < 0) return Status::InvalidArgument("no column " + s.column);
-    resolved_sets.emplace_back(static_cast<size_t>(idx), s.expr);
-  }
-
-  // SQL MERGE semantics: the source is evaluated against the target's
+  // SQL MERGE semantics: the source was evaluated against the target's
   // *pre-statement* state (the standard's snapshot rule; also sidesteps
   // the Halloween problem when the source subquery reads the target). The
-  // source therefore drains completely — through Collect, so a
-  // SELECT-backed source (the paper's windowed expansion subquery) still
-  // runs its whole pipeline in batch mode — before any merge action runs.
-  // The per-row probe/update/insert below is inherently row-at-a-time:
-  // each action sees the effect of the previous source row on the target.
-  std::vector<Tuple> src_rows;
-  RELGRAPH_RETURN_IF_ERROR(Collect(source, &src_rows));
-  {
-    for (size_t si = 0; si < src_rows.size(); si++) {
-      const Tuple& src = src_rows[si];
-      const Value& key = src.value(src_key_idx);
-      if (key.IsNull()) continue;
-      Tuple existing;
-      RowRef ref;
-      Status found;
-      if (use_index) {
-        found = target->LookupUnique(spec.target_key_column, key.AsInt(),
-                                     &existing, &ref);
+  // per-row probe/update/insert below is inherently row-at-a-time: each
+  // action sees the effect of the previous source row on the target.
+  for (size_t si = 0; si < n; si++) {
+    const Tuple& src = rows[si];
+    const Value& key = src.value(source_key_idx_);
+    if (key.IsNull()) continue;
+    RowRef ref;
+    Status found;
+    if (use_index_) {
+      found = target_->LookupUnique(spec_.target_key_column, key.AsInt(),
+                                    &existing_, &ref);
+    } else {
+      auto it = hash_side_.find(key.AsInt());
+      if (it != hash_side_.end()) {
+        ref = it->second.first;
+        existing_ = it->second.second;
       } else {
-        auto it = hash_side.find(key.AsInt());
-        if (it != hash_side.end()) {
-          ref = it->second.first;
-          existing = it->second.second;
-          found = Status::OK();
-        } else {
-          found = Status::NotFound("");
-        }
-      }
-      if (found.ok()) {
-        Tuple joined = ConcatTuples(existing, src);
-        if (spec.matched_condition != nullptr &&
-            !EvalPredicate(*spec.matched_condition, joined, combined)) {
-          continue;
-        }
-        if (resolved_sets.empty()) continue;
-        Tuple updated = existing;
-        for (const auto& [idx, expr] : resolved_sets) {
-          updated.value(idx) = expr->Evaluate(joined, combined);
-        }
-        RELGRAPH_RETURN_IF_ERROR(target->UpdateRow(ref, existing, updated));
-        if (spec.observer != nullptr) spec.observer(updated);
-        if (!use_index) hash_side[key.AsInt()] = {ref, updated};
-        (*affected)++;
-      } else if (found.IsNotFound()) {
-        if (spec.insert_values.empty()) continue;
-        std::vector<Value> values;
-        values.reserve(spec.insert_values.size());
-        for (const auto& e : spec.insert_values) {
-          values.push_back(e->Evaluate(src, source_schema));
-        }
-        Tuple fresh(std::move(values));
-        RowRef fresh_ref;
-        RELGRAPH_RETURN_IF_ERROR(target->Insert(fresh, &fresh_ref));
-        if (spec.observer != nullptr) spec.observer(fresh);
-        if (!use_index) hash_side[key.AsInt()] = {fresh_ref, fresh};
-        (*affected)++;
-      } else {
-        return found;
+        found = Status::NotFound("");
       }
     }
+    if (found.ok()) {
+      const RowView pair(existing_, src, combined_);
+      if (spec_.matched_condition != nullptr &&
+          !EvalPredicate(*spec_.matched_condition, pair)) {
+        continue;
+      }
+      if (sets_.empty()) continue;
+      updated_ = existing_;
+      for (const auto& [idx, expr] : sets_) {
+        updated_.value(idx) = expr->Evaluate(pair);
+      }
+      RELGRAPH_RETURN_IF_ERROR(target_->UpdateRow(ref, existing_, updated_));
+      if (spec_.observer != nullptr) spec_.observer(updated_);
+      if (!use_index_) hash_side_[key.AsInt()] = {ref, updated_};
+      (*affected)++;
+    } else if (found.IsNotFound()) {
+      if (spec_.insert_values.empty()) continue;
+      const RowView source_row(src, source_schema_);
+      for (size_t k = 0; k < spec_.insert_values.size(); k++) {
+        fresh_.value(k) = spec_.insert_values[k]->Evaluate(source_row);
+      }
+      RowRef fresh_ref;
+      RELGRAPH_RETURN_IF_ERROR(target_->Insert(fresh_, &fresh_ref));
+      if (spec_.observer != nullptr) spec_.observer(fresh_);
+      if (!use_index_) hash_side_[key.AsInt()] = {fresh_ref, fresh_};
+      (*affected)++;
+    } else {
+      return found;
+    }
   }
-  return source->status();
+  return Status::OK();
+}
+
+Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
+                 int64_t* affected) {
+  *affected = 0;
+  MergePlan plan(target, source->OutputSchema(), spec);
+  RELGRAPH_RETURN_IF_ERROR(plan.status());
+  // The source drains completely — through Collect, so a SELECT-backed
+  // source (the paper's windowed expansion subquery) still runs its whole
+  // pipeline in batch mode — before any merge action runs.
+  std::vector<Tuple> rows;
+  RELGRAPH_RETURN_IF_ERROR(Collect(source, &rows));
+  return plan.Run(rows.data(), rows.size(), affected);
 }
 
 }  // namespace relgraph

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,9 +36,47 @@ struct SetClause {
 Status UpdateWhere(Table* table, ExprRef predicate,
                    const std::vector<SetClause>& sets, int64_t* affected);
 
-/// UPDATE over the rows `candidates` yields (a Table::Scan or ScanRange
-/// iterator of `table`) that satisfy `predicate` (null: all of them). The
-/// other UPDATE plans are this over a full scan or a key range.
+/// A prepared UPDATE: SET `sets` on the rows a candidate iterator of
+/// `table` yields that satisfy `predicate` (null: all of them). The
+/// predicate and SET expressions are bound to the table's schema once, and
+/// every buffer — the scanned rows, the matched rows' pre- and
+/// post-images, the SET columns — persists across runs (row buffers cut
+/// back to kRetainedSlots after each), so a plan re-run every round
+/// allocates nothing once warm while it updates at most that many rows.
+/// Every UPDATE plan is this over a full scan or a key range.
+class UpdatePlan {
+ public:
+  UpdatePlan(Table* table, ExprRef predicate, std::vector<SetClause> sets);
+
+  /// InvalidArgument when the predicate or a SET clause names a column the
+  /// table lacks; Run returns it too.
+  const Status& status() const { return status_; }
+
+  /// Updates the matching rows among those `candidates` yields (a
+  /// Table::Scan or ScanRange iterator of the table). The matches are
+  /// collected before any is written, so the scan is stable under row
+  /// movement; `affected` counts them.
+  Status Run(Table::Iterator* candidates, int64_t* affected);
+
+ private:
+  Table* table_;
+  ExprRef predicate_;                               // bound; may be null
+  std::vector<std::pair<size_t, ExprRef>> sets_;    // (slot, bound expr)
+  Status status_;
+  // Per-run buffers, kept for the next run.
+  std::vector<Tuple> rows_;
+  std::vector<RowRef> refs_;
+  ValueColumn pred_scratch_;
+  std::vector<char> keep_;
+  std::vector<uint32_t> sel_;
+  std::vector<ValueColumn> set_cols_;
+  std::vector<RowRef> pending_refs_;
+  std::vector<Tuple> pending_old_;  // first pending_refs_.size() are live
+  std::vector<Tuple> pending_new_;
+};
+
+/// UPDATE over the rows `candidates` yields: an UpdatePlan prepared and
+/// run once.
 Status UpdateCandidates(Table* table, Table::Iterator candidates,
                         ExprRef predicate, const std::vector<SetClause>& sets,
                         int64_t* affected);
@@ -82,6 +121,46 @@ struct MergeSpec {
   RowChangeObserver observer;           // optional post-image notifications
 };
 
+/// A prepared MERGE of source rows with `source_schema` into `target`.
+/// Built once: the key slots are resolved, the matched branch is bound to
+/// the combined [t.*, s.*] schema and the insert values to the source
+/// schema. The matched branch reads each (target row, source row) pair
+/// through a RowView, so no joined row is built, and the target row, its
+/// post-image and the inserted row live in slots the plan keeps: re-running
+/// it allocates nothing once warm (on a target with a unique index on its
+/// key; otherwise each run builds the hash-match side afresh).
+class MergePlan {
+ public:
+  MergePlan(Table* target, const Schema& source_schema, MergeSpec spec);
+
+  /// InvalidArgument for a key, SET or expression column that does not
+  /// exist, or an insert list of the wrong arity; Run returns it too.
+  const Status& status() const { return status_; }
+
+  /// Merges `rows[0..n)`, already drained from the statement's source (the
+  /// snapshot rule: the source reads the pre-statement target), one source
+  /// row after another, each action seeing the previous ones' effects.
+  Status Run(const Tuple* rows, size_t n, int64_t* affected);
+
+ private:
+  Table* target_;
+  Schema source_schema_;
+  Schema combined_;  // [t.<target cols>, s.<source cols>]
+  MergeSpec spec_;   // expressions bound
+  size_t target_key_idx_ = 0;
+  size_t source_key_idx_ = 0;
+  std::vector<std::pair<size_t, ExprRef>> sets_;  // (target slot, expr)
+  bool use_index_ = false;
+  Status status_;
+  Tuple existing_;  // the matched target row
+  Tuple updated_;   // its post-image
+  Tuple fresh_;     // the inserted row
+  // Hash-match side for a target without a unique index on the key.
+  std::unordered_map<int64_t, std::pair<RowRef, Tuple>> hash_side_;
+};
+
+/// MERGE with a source executor: a MergePlan prepared and run once over
+/// the drained source.
 Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
                  int64_t* affected);
 

@@ -39,4 +39,23 @@ Status Collect(Executor* exec, std::vector<Tuple>* out) {
   return exec->status();
 }
 
+void TrimSlots(std::vector<Tuple>* slots) {
+  if (slots->size() <= kRetainedSlots) return;
+  slots->resize(kRetainedSlots);
+  slots->shrink_to_fit();
+}
+
+Status CollectInto(Executor* exec, std::vector<Tuple>* slots, size_t* n) {
+  *n = 0;
+  TrimSlots(slots);
+  RELGRAPH_RETURN_IF_ERROR(exec->Init());
+  BatchSpan span;
+  while (exec->NextBatchSel(&span)) {
+    const size_t lanes = span.count();
+    if (slots->size() < *n + lanes) slots->resize(*n + lanes);
+    for (size_t i = 0; i < lanes; i++) span.Take(i, &(*slots)[(*n)++]);
+  }
+  return exec->status();
+}
+
 }  // namespace relgraph

@@ -28,6 +28,12 @@ namespace relgraph {
 /// numbering. A consumer that keeps rows may then move lanes out through
 /// Take() instead of copying them. Replayed storage (Materialized, Sort,
 /// HashAggregate) leaves it null, so a re-Init() replays unchanged rows.
+///
+/// Producers keep their scratch slots across pulls and runs: a buffer
+/// holds at least `num_rows` tuples, and the slots past them keep their
+/// storage for the next batch, so a re-Init()ed plan refills rows in place
+/// instead of allocating them. When a stream ends, its buffers are cut
+/// back to kRetainedSlots (TrimSlots).
 struct BatchSpan {
   const Tuple* rows = nullptr;
   size_t num_rows = 0;
@@ -35,9 +41,9 @@ struct BatchSpan {
   size_t num_sel = 0;
   Tuple* scratch = nullptr;  // non-null = lanes may be moved out
 
-  /// Dense span over a producer's scratch buffer.
-  static BatchSpan Scratch(std::vector<Tuple>* buf) {
-    return BatchSpan{buf->data(), buf->size(), nullptr, 0, buf->data()};
+  /// Dense span over the first `n` slots of a producer's scratch buffer.
+  static BatchSpan Scratch(std::vector<Tuple>* buf, size_t n) {
+    return BatchSpan{buf->data(), n, nullptr, 0, buf->data()};
   }
 
   /// Number of selected lanes.
@@ -47,13 +53,16 @@ struct BatchSpan {
   const Tuple& row(size_t i) const { return rows[index(i)]; }
   bool dense() const { return sel == nullptr; }
 
-  /// Hands lane i to a consumer that keeps it: moved out of scratch
-  /// storage, copied otherwise.
+  /// Hands lane i to a consumer that keeps it. A slot `out` that already
+  /// has the lane's width is overwritten in place, so both sides keep
+  /// their buffers; otherwise the lane is moved out of scratch storage, or
+  /// copied from replayed storage.
   void Take(size_t i, Tuple* out) const {
-    if (scratch != nullptr) {
+    const Tuple& src = row(i);
+    if (scratch != nullptr && out->NumValues() != src.NumValues()) {
       *out = std::move(scratch[index(i)]);
     } else {
-      *out = row(i);
+      *out = src;
     }
   }
   /// Appends every lane to `out` (Take semantics).
@@ -121,12 +130,13 @@ class Executor {
 using ExecRef = std::unique_ptr<Executor>;
 
 /// Shared pull of the replay producers (Materialized, Sort, HashAggregate):
-/// serves the next window of up to kExecBatchSize rows of `rows` in place,
-/// advancing *pos. Zero copies, and the rows are never offered for moving,
-/// so a re-Init() that rewinds *pos replays them unchanged.
-inline bool ReplayWindow(const std::vector<Tuple>& rows, size_t* pos,
-                         BatchSpan* out) {
-  const size_t left = rows.size() - *pos;
+/// serves the next window of up to kExecBatchSize of the first `size` rows
+/// of `rows` in place, advancing *pos. Zero copies, and the rows are never
+/// offered for moving, so a re-Init() that rewinds *pos replays them
+/// unchanged.
+inline bool ReplayWindow(const std::vector<Tuple>& rows, size_t size,
+                         size_t* pos, BatchSpan* out) {
+  const size_t left = *pos < size ? size - *pos : 0;
   const size_t n = left < kExecBatchSize ? left : kExecBatchSize;
   if (n == 0) return false;
   *out = BatchSpan{rows.data() + *pos, n, nullptr, 0, nullptr};
@@ -134,8 +144,26 @@ inline bool ReplayWindow(const std::vector<Tuple>& rows, size_t* pos,
   return true;
 }
 
+/// Slots a scratch buffer keeps once its stream ends. A plan re-run every
+/// round refills up to this many rows per buffer in place; a bigger round
+/// allocates the rest and gives it back when its stream ends. Without the
+/// cut, every buffer of every prepared plan would keep its largest round's
+/// rows — a FEM engine keeps a plan per direction — for the plan's life.
+inline constexpr size_t kRetainedSlots = 16;
+
+/// Cuts `slots` back to kRetainedSlots, releasing the rest and the
+/// vector's spare capacity.
+void TrimSlots(std::vector<Tuple>* slots);
+
 /// Drains `exec` into a vector (Init + NextBatchSel*), moving rows out of
 /// scratch spans. Errors propagate.
 Status Collect(Executor* exec, std::vector<Tuple>* out);
+
+/// Drains `exec` into the first *n slots of `slots`, overwriting them in
+/// place (BatchSpan::Take) and growing the vector only past its size. The
+/// slots past *n keep their storage, so a plan re-run every round refills
+/// the same tuples instead of allocating new ones. The slots are cut back
+/// (TrimSlots) before the drain, not after: the caller reads them.
+Status CollectInto(Executor* exec, std::vector<Tuple>* slots, size_t* n);
 
 }  // namespace relgraph

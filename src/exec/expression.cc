@@ -13,7 +13,7 @@ void Expression::EvalBatch(const RowBatch& batch, ValueColumn* out) const {
   const size_t n = batch.num_rows();
   out->Reset(n);
   for (size_t i = 0; i < n; i++) {
-    out->Append(Evaluate(batch.row(i), batch.schema()));
+    out->Append(Evaluate(RowView(batch.row(i), batch.schema())));
   }
 }
 
@@ -101,33 +101,56 @@ void BoxedBinaryKernel(const ValueColumn& l, const ValueColumn& r,
   }
 }
 
+/// A column reference. Built unbound, by name: evaluation then resolves the
+/// name against the row's schema on every call (a missing name reads as
+/// NULL). BindColumns replaces it with a bound copy that carries the
+/// column's slot and reads it directly, in both evaluation modes.
 class ColumnExpr : public Expression {
  public:
-  explicit ColumnExpr(std::string name) : name_(std::move(name)) {}
-  Value Evaluate(const Tuple& tuple, const Schema& schema) const override {
-    return tuple.value(schema.IndexOf(name_));
+  explicit ColumnExpr(std::string name, int slot = -1)
+      : name_(std::move(name)), slot_(slot) {}
+  Value Evaluate(const RowView& row) const override {
+    if (slot_ >= 0) return row.value(static_cast<size_t>(slot_));
+    const int idx = row.schema().Find(name_);
+    return idx >= 0 ? row.value(static_cast<size_t>(idx)) : Value::Null();
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
-    // The whole point of batch mode: the name -> position lookup happens
-    // once here instead of once per row. row(i) gathers through the
-    // batch's selection vector when one is attached, so every interior
-    // kernel above this leaf sees a compact column and stays
-    // selection-oblivious.
+    // row(i) gathers through the batch's selection vector when one is
+    // attached, so every interior kernel above this leaf sees a compact
+    // column and stays selection-oblivious.
     const size_t n = batch.num_rows();
     out->Reset(n);
-    const size_t idx = batch.schema().IndexOf(name_);
-    for (size_t i = 0; i < n; i++) out->AppendRef(batch.row(i).value(idx));
+    const int idx = slot_ >= 0 ? slot_ : batch.schema().Find(name_);
+    if (idx < 0) {
+      for (size_t i = 0; i < n; i++) out->AppendNull();
+      return;
+    }
+    for (size_t i = 0; i < n; i++) {
+      out->AppendRef(batch.row(i).value(static_cast<size_t>(idx)));
+    }
+  }
+  Status BindTo(const Schema& schema, ExprRef* out) const override {
+    const int idx = schema.Find(name_);
+    if (idx < 0) {
+      return Status::InvalidArgument(std::string("no column ")
+                                         .append(name_)
+                                         .append(" in ")
+                                         .append(schema.ToString()));
+    }
+    if (idx != slot_) *out = std::make_shared<ColumnExpr>(name_, idx);
+    return Status::OK();
   }
   std::string ToString() const override { return name_; }
 
  private:
   std::string name_;
+  int slot_;  // -1: unbound
 };
 
 class LiteralExpr : public Expression {
  public:
   explicit LiteralExpr(Value v) : value_(std::move(v)) {}
-  Value Evaluate(const Tuple&, const Schema&) const override { return value_; }
+  Value Evaluate(const RowView&) const override { return value_; }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     const size_t n = batch.num_rows();
     if (value_.type() == TypeId::kInt) {
@@ -154,7 +177,7 @@ class LiteralExpr : public Expression {
 class SlotReadExpr : public Expression {
  public:
   SlotReadExpr(const BindContext* ctx, size_t slot) : ctx_(ctx), slot_(slot) {}
-  Value Evaluate(const Tuple&, const Schema&) const override {
+  Value Evaluate(const RowView&) const override {
     return ctx_->Get(slot_);
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
@@ -197,14 +220,37 @@ class BoundSlotExpr : public SlotReadExpr {
   }
 };
 
-class AddExpr : public Expression {
+/// Shared shape of the two-child nodes. Binding rebuilds the node, through
+/// Rebuild, only when a child comes back new.
+class BinaryExpr : public Expression {
  public:
-  AddExpr(ExprRef l, ExprRef r) : left_(std::move(l)), right_(std::move(r)) {}
+  BinaryExpr(ExprRef l, ExprRef r)
+      : left_(std::move(l)), right_(std::move(r)) {}
+  Status BindTo(const Schema& schema, ExprRef* out) const override {
+    ExprRef l = left_, r = right_;
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(left_, schema, &l));
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(right_, schema, &r));
+    if (l != left_ || r != right_) *out = Rebuild(std::move(l), std::move(r));
+    return Status::OK();
+  }
+  /// A node of this kind over the given children.
+  virtual ExprRef Rebuild(ExprRef l, ExprRef r) const = 0;
+
+ protected:
+  ExprRef left_, right_;
+};
+
+class AddExpr : public BinaryExpr {
+ public:
+  using BinaryExpr::BinaryExpr;
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<AddExpr>(std::move(l), std::move(r));
+  }
   static Value Combine(const Value& lv, const Value& rv) {
     return lv.Add(rv);
   }
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    return Combine(left_->Evaluate(t, s), right_->Evaluate(t, s));
+  Value Evaluate(const RowView& row) const override {
+    return Combine(left_->Evaluate(row), right_->Evaluate(row));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     ScratchColumn ls, rs;
@@ -221,14 +267,14 @@ class AddExpr : public Expression {
   std::string ToString() const override {
     return Infix(left_, "+", right_);
   }
-
- private:
-  ExprRef left_, right_;
 };
 
-class SubExpr : public Expression {
+class SubExpr : public BinaryExpr {
  public:
-  SubExpr(ExprRef l, ExprRef r) : left_(std::move(l)), right_(std::move(r)) {}
+  using BinaryExpr::BinaryExpr;
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<SubExpr>(std::move(l), std::move(r));
+  }
   static Value Combine(const Value& lv, const Value& rv) {
     if (lv.IsNull() || rv.IsNull()) return Value::Null();
     if (lv.type() == TypeId::kInt && rv.type() == TypeId::kInt) {
@@ -236,8 +282,8 @@ class SubExpr : public Expression {
     }
     return Value(lv.AsNumeric() - rv.AsNumeric());
   }
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    return Combine(left_->Evaluate(t, s), right_->Evaluate(t, s));
+  Value Evaluate(const RowView& row) const override {
+    return Combine(left_->Evaluate(row), right_->Evaluate(row));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     ScratchColumn ls, rs;
@@ -254,14 +300,14 @@ class SubExpr : public Expression {
   std::string ToString() const override {
     return Infix(left_, "-", right_);
   }
-
- private:
-  ExprRef left_, right_;
 };
 
-class MulExpr : public Expression {
+class MulExpr : public BinaryExpr {
  public:
-  MulExpr(ExprRef l, ExprRef r) : left_(std::move(l)), right_(std::move(r)) {}
+  using BinaryExpr::BinaryExpr;
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<MulExpr>(std::move(l), std::move(r));
+  }
   static Value Combine(const Value& lv, const Value& rv) {
     if (lv.IsNull() || rv.IsNull()) return Value::Null();
     if (lv.type() == TypeId::kInt && rv.type() == TypeId::kInt) {
@@ -269,8 +315,8 @@ class MulExpr : public Expression {
     }
     return Value(lv.AsNumeric() * rv.AsNumeric());
   }
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    return Combine(left_->Evaluate(t, s), right_->Evaluate(t, s));
+  Value Evaluate(const RowView& row) const override {
+    return Combine(left_->Evaluate(row), right_->Evaluate(row));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     ScratchColumn ls, rs;
@@ -287,14 +333,14 @@ class MulExpr : public Expression {
   std::string ToString() const override {
     return Infix(left_, "*", right_);
   }
-
- private:
-  ExprRef left_, right_;
 };
 
-class DivExpr : public Expression {
+class DivExpr : public BinaryExpr {
  public:
-  DivExpr(ExprRef l, ExprRef r) : left_(std::move(l)), right_(std::move(r)) {}
+  using BinaryExpr::BinaryExpr;
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<DivExpr>(std::move(l), std::move(r));
+  }
   static Value Combine(const Value& lv, const Value& rv) {
     if (lv.IsNull() || rv.IsNull()) return Value::Null();
     if (lv.type() == TypeId::kInt && rv.type() == TypeId::kInt) {
@@ -304,8 +350,8 @@ class DivExpr : public Expression {
     if (rv.AsNumeric() == 0) return Value::Null();
     return Value(lv.AsNumeric() / rv.AsNumeric());
   }
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    return Combine(left_->Evaluate(t, s), right_->Evaluate(t, s));
+  Value Evaluate(const RowView& row) const override {
+    return Combine(left_->Evaluate(row), right_->Evaluate(row));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     ScratchColumn ls, rs;
@@ -335,9 +381,6 @@ class DivExpr : public Expression {
   std::string ToString() const override {
     return Infix(left_, "/", right_);
   }
-
- private:
-  ExprRef left_, right_;
 };
 
 const char* OpName(CompareOp op) {
@@ -352,10 +395,13 @@ const char* OpName(CompareOp op) {
   return "?";
 }
 
-class CompareExpr : public Expression {
+class CompareExpr : public BinaryExpr {
  public:
   CompareExpr(CompareOp op, ExprRef l, ExprRef r)
-      : op_(op), left_(std::move(l)), right_(std::move(r)) {}
+      : BinaryExpr(std::move(l), std::move(r)), op_(op) {}
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<CompareExpr>(op_, std::move(l), std::move(r));
+  }
   static Value Combine(CompareOp op, const Value& lv, const Value& rv) {
     if (lv.IsNull() || rv.IsNull()) return Value::Null();  // SQL unknown
     int c = lv.Compare(rv);
@@ -370,8 +416,8 @@ class CompareExpr : public Expression {
     }
     return Value(static_cast<int64_t>(result ? 1 : 0));
   }
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    return Combine(op_, left_->Evaluate(t, s), right_->Evaluate(t, s));
+  Value Evaluate(const RowView& row) const override {
+    return Combine(op_, left_->Evaluate(row), right_->Evaluate(row));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     ScratchColumn ls, rs;
@@ -421,16 +467,18 @@ class CompareExpr : public Expression {
 
  private:
   CompareOp op_;
-  ExprRef left_, right_;
 };
 
-class AndExpr : public Expression {
+class AndExpr : public BinaryExpr {
  public:
-  AndExpr(ExprRef l, ExprRef r) : left_(std::move(l)), right_(std::move(r)) {}
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    Value lv = left_->Evaluate(t, s);
+  using BinaryExpr::BinaryExpr;
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<AndExpr>(std::move(l), std::move(r));
+  }
+  Value Evaluate(const RowView& row) const override {
+    Value lv = left_->Evaluate(row);
     if (!lv.IsNull() && lv.AsInt() == 0) return Value(int64_t{0});
-    Value rv = right_->Evaluate(t, s);
+    Value rv = right_->Evaluate(row);
     if (!rv.IsNull() && rv.AsInt() == 0) return Value(int64_t{0});
     if (lv.IsNull() || rv.IsNull()) return Value::Null();
     return Value(int64_t{1});
@@ -477,18 +525,18 @@ class AndExpr : public Expression {
   std::string ToString() const override {
     return Infix(left_, "AND", right_);
   }
-
- private:
-  ExprRef left_, right_;
 };
 
-class OrExpr : public Expression {
+class OrExpr : public BinaryExpr {
  public:
-  OrExpr(ExprRef l, ExprRef r) : left_(std::move(l)), right_(std::move(r)) {}
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    Value lv = left_->Evaluate(t, s);
+  using BinaryExpr::BinaryExpr;
+  ExprRef Rebuild(ExprRef l, ExprRef r) const override {
+    return std::make_shared<OrExpr>(std::move(l), std::move(r));
+  }
+  Value Evaluate(const RowView& row) const override {
+    Value lv = left_->Evaluate(row);
     if (!lv.IsNull() && lv.AsInt() != 0) return Value(int64_t{1});
-    Value rv = right_->Evaluate(t, s);
+    Value rv = right_->Evaluate(row);
     if (!rv.IsNull() && rv.AsInt() != 0) return Value(int64_t{1});
     if (lv.IsNull() || rv.IsNull()) return Value::Null();
     return Value(int64_t{0});
@@ -533,17 +581,22 @@ class OrExpr : public Expression {
   std::string ToString() const override {
     return Infix(left_, "OR", right_);
   }
-
- private:
-  ExprRef left_, right_;
 };
 
 class IsNullExpr : public Expression {
  public:
   IsNullExpr(ExprRef inner, bool negated)
       : inner_(std::move(inner)), negated_(negated) {}
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    bool is_null = inner_->Evaluate(t, s).IsNull();
+  Status BindTo(const Schema& schema, ExprRef* out) const override {
+    ExprRef inner = inner_;
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(inner_, schema, &inner));
+    if (inner != inner_) {
+      *out = std::make_shared<IsNullExpr>(std::move(inner), negated_);
+    }
+    return Status::OK();
+  }
+  Value Evaluate(const RowView& row) const override {
+    bool is_null = inner_->Evaluate(row).IsNull();
     return Value(static_cast<int64_t>(is_null != negated_ ? 1 : 0));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
@@ -569,12 +622,18 @@ class IsNullExpr : public Expression {
 class NotExpr : public Expression {
  public:
   explicit NotExpr(ExprRef inner) : inner_(std::move(inner)) {}
+  Status BindTo(const Schema& schema, ExprRef* out) const override {
+    ExprRef inner = inner_;
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(inner_, schema, &inner));
+    if (inner != inner_) *out = std::make_shared<NotExpr>(std::move(inner));
+    return Status::OK();
+  }
   static Value Combine(const Value& v) {
     if (v.IsNull()) return Value::Null();
     return Value(static_cast<int64_t>(v.AsInt() == 0 ? 1 : 0));
   }
-  Value Evaluate(const Tuple& t, const Schema& s) const override {
-    return Combine(inner_->Evaluate(t, s));
+  Value Evaluate(const RowView& row) const override {
+    return Combine(inner_->Evaluate(row));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     ScratchColumn is_;
@@ -653,10 +712,23 @@ ExprRef ColEq(std::string name, int64_t v) {
   return Cmp(CompareOp::kEq, Col(std::move(name)), Lit(v));
 }
 
-bool EvalPredicate(const Expression& expr, const Tuple& tuple,
-                   const Schema& schema) {
-  Value v = expr.Evaluate(tuple, schema);
+bool EvalPredicate(const Expression& expr, const RowView& row) {
+  Value v = expr.Evaluate(row);
   return !v.IsNull() && v.AsInt() != 0;
+}
+
+Status BindColumns(const ExprRef& expr, const Schema& schema, ExprRef* out) {
+  ExprRef bound;
+  RELGRAPH_RETURN_IF_ERROR(expr->BindTo(schema, &bound));
+  *out = bound != nullptr ? std::move(bound) : expr;
+  return Status::OK();
+}
+
+Status BindColumns(std::vector<ExprRef>* exprs, const Schema& schema) {
+  for (ExprRef& e : *exprs) {
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(e, schema, &e));
+  }
+  return Status::OK();
 }
 
 void EvalPredicateBatch(const Expression& expr, const RowBatch& batch,
@@ -664,7 +736,8 @@ void EvalPredicateBatch(const Expression& expr, const RowBatch& batch,
   if (EvalRowAtATime(batch)) {
     keep->resize(batch.num_rows());
     for (size_t i = 0; i < batch.num_rows(); i++) {
-      (*keep)[i] = EvalPredicate(expr, batch.row(i), batch.schema()) ? 1 : 0;
+      (*keep)[i] =
+          EvalPredicate(expr, RowView(batch.row(i), batch.schema())) ? 1 : 0;
     }
     return;
   }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/types/schema.h"
 #include "src/types/tuple.h"
 #include "src/types/value.h"
@@ -172,40 +173,95 @@ class ValueColumn {
   std::vector<Value> boxed_;
 };
 
-/// Scalar expression tree evaluated against one tuple. This is the
+/// The row an expression reads: one tuple, or a (left, right) pair read as
+/// their concatenation without building it — MERGE's matched branch reads
+/// its (target, source) pair this way. `schema` describes the whole row;
+/// only unbound column references consult it.
+class RowView {
+ public:
+  RowView(const Tuple& row, const Schema& schema)
+      : left_(&row), right_(nullptr), split_(row.NumValues()),
+        schema_(&schema) {}
+  RowView(const Tuple& left, const Tuple& right, const Schema& schema)
+      : left_(&left), right_(&right), split_(left.NumValues()),
+        schema_(&schema) {}
+
+  const Value& value(size_t i) const {
+    return i < split_ ? left_->value(i) : right_->value(i - split_);
+  }
+  const Schema& schema() const { return *schema_; }
+
+ private:
+  const Tuple* left_;
+  const Tuple* right_;
+  size_t split_;  // columns of left_
+  const Schema* schema_;
+};
+
+class Expression;
+using ExprRef = std::shared_ptr<const Expression>;
+
+/// Scalar expression tree evaluated against one row. This is the
 /// machinery behind every WHERE predicate, SELECT list item, join
 /// condition, and MERGE action in the paper's SQL listings.
 ///
 /// Every node also evaluates set-at-a-time via EvalBatch; the two entry
 /// points always produce the same values (pinned by test_exec_batch.cc).
+///
+/// Nodes are immutable and shared: the SQL plan cache hands one tree to
+/// many connections. Column references are built by name; BindColumns
+/// returns a new tree whose column nodes carry their slot in one schema,
+/// which every executor does once, when it is built, for each expression
+/// it evaluates. An unbound column resolves its name on every row.
 class Expression {
  public:
   virtual ~Expression() = default;
-  virtual Value Evaluate(const Tuple& tuple, const Schema& schema) const = 0;
+  virtual Value Evaluate(const RowView& row) const = 0;
+  Value Evaluate(const Tuple& tuple, const Schema& schema) const {
+    return Evaluate(RowView(tuple, schema));
+  }
 
   /// Evaluates the expression for every row of `batch` into one column.
   /// The base implementation is the scalar fallback (one Evaluate per row)
   /// so exotic nodes stay correct; the arithmetic/comparison/logic/column
-  /// nodes override it with column-at-a-time loops that hoist schema
-  /// resolution and virtual dispatch out of the row loop, and run unboxed
-  /// int64 kernels when their inputs are int columns. AND/OR lose their
-  /// short-circuit *work* saving in batch mode (both sides are evaluated
-  /// for all rows) but keep their three-valued-logic results; expressions
-  /// are side-effect free, so the streams cannot diverge.
+  /// nodes override it with column-at-a-time loops that hoist virtual
+  /// dispatch out of the row loop, and run unboxed int64 kernels when
+  /// their inputs are int columns. AND/OR lose their short-circuit *work*
+  /// saving in batch mode (both sides are evaluated for all rows) but keep
+  /// their three-valued-logic results; expressions are side-effect free,
+  /// so the streams cannot diverge.
   virtual void EvalBatch(const RowBatch& batch, ValueColumn* out) const;
+
+  /// The step of BindColumns for this node: sets *out to a copy of the
+  /// node bound to `schema`, or leaves it null when nothing under the node
+  /// changes. Leaves without columns keep the default.
+  virtual Status BindTo(const Schema& schema, ExprRef* out) const {
+    (void)schema;
+    (void)out;
+    return Status::OK();
+  }
 
   virtual std::string ToString() const = 0;
 };
-
-using ExprRef = std::shared_ptr<const Expression>;
 
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 class BindContext;
 
-/// References a column by name; resolved against the schema at evaluation
-/// time so one expression works across plans with compatible columns.
+/// References a column by name. Executors bind it to its slot when they are
+/// built (BindColumns), so one expression works across plans with
+/// compatible columns.
 ExprRef Col(std::string name);
+
+/// Returns `expr` with every column reference bound to its slot in
+/// `schema`: the bound nodes read the slot directly instead of resolving
+/// the name per row. Nodes are never modified; changed subtrees are
+/// copied. A tree already bound to `schema` comes back as itself, so
+/// re-binding it allocates nothing. InvalidArgument names a column the
+/// schema lacks. `out` may alias `expr`.
+Status BindColumns(const ExprRef& expr, const Schema& schema, ExprRef* out);
+/// Binds each expression of `exprs` in place.
+Status BindColumns(std::vector<ExprRef>* exprs, const Schema& schema);
 /// Prepared-statement parameter `:name`: reads slot `slot` of `ctx` at
 /// evaluation time, so one compiled plan re-executes with fresh bindings.
 /// Unbound slots read as NULL (BindContext::BindNamed guarantees named
@@ -255,8 +311,11 @@ inline bool EvalRowAtATime(const RowBatch& batch) {
 
 /// SQL boolean test: true only when the value is non-null and nonzero
 /// (comparisons yield INT 0/1; NULL propagates as "unknown" = not true).
-bool EvalPredicate(const Expression& expr, const Tuple& tuple,
-                   const Schema& schema);
+bool EvalPredicate(const Expression& expr, const RowView& row);
+inline bool EvalPredicate(const Expression& expr, const Tuple& tuple,
+                          const Schema& schema) {
+  return EvalPredicate(expr, RowView(tuple, schema));
+}
 
 /// Batch form of EvalPredicate: keep->at(i) is 1 when row i passes. `scratch`
 /// is caller-owned so its capacity survives across batches.

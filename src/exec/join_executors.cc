@@ -19,6 +19,9 @@ NestedLoopJoinExecutor::NestedLoopJoinExecutor(ExecRef left, ExecRef right,
     left_key_idx_ = left_->OutputSchema().Find(key_->left);
     right_key_idx_ = right_->OutputSchema().Find(key_->right);
   }
+  if (predicate_ != nullptr) {
+    bind_status_ = BindColumns(predicate_, output_schema_, &predicate_);
+  }
 }
 
 void NestedLoopJoinExecutor::Explain(int depth, std::string* out) const {
@@ -41,6 +44,7 @@ void NestedLoopJoinExecutor::Explain(int depth, std::string* out) const {
 }
 
 Status NestedLoopJoinExecutor::Open() {
+  RELGRAPH_RETURN_IF_ERROR(bind_status_);
   if (key_.has_value() && (left_key_idx_ < 0 || right_key_idx_ < 0)) {
     return Status::InvalidArgument(std::string("nested-loop join key ")
                                        .append(key_->left)
@@ -49,13 +53,13 @@ Status NestedLoopJoinExecutor::Open() {
                                        .append(" not in its inputs"));
   }
   RELGRAPH_RETURN_IF_ERROR(left_->Init());
-  right_rows_.clear();
-  RELGRAPH_RETURN_IF_ERROR(Collect(right_.get(), &right_rows_));
+  RELGRAPH_RETURN_IF_ERROR(
+      CollectInto(right_.get(), &right_rows_, &num_right_));
   key_index_.clear();
   mixed_right_keys_ = false;
   if (key_.has_value()) {
-    key_index_.reserve(right_rows_.size());
-    for (size_t pos = 0; pos < right_rows_.size(); pos++) {
+    key_index_.reserve(num_right_);
+    for (size_t pos = 0; pos < num_right_; pos++) {
       const Value& k = right_rows_[pos].value(right_key_idx_);
       if (k.type() == TypeId::kInt) {
         key_index_.emplace_back(k.AsInt(), pos);
@@ -72,7 +76,7 @@ Status NestedLoopJoinExecutor::Open() {
 
 void NestedLoopJoinExecutor::StartLeftRow() {
   right_pos_ = 0;
-  right_end_ = right_rows_.size();
+  right_end_ = num_right_;
   via_index_ = false;
   compare_keys_ = false;
   if (!key_.has_value()) return;
@@ -114,20 +118,27 @@ bool NestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
           continue;
         }
       }
-      if (n == rows_.size()) rows_.emplace_back();
-      rows_[n] = ConcatTuples(left, right);
-      if (predicate_ == nullptr ||
-          EvalPredicate(*predicate_, rows_[n], output_schema_)) {
-        n++;
+      // The predicate reads the (left, right) pair; only a passing pair
+      // is concatenated, into a recycled output slot.
+      if (predicate_ != nullptr &&
+          !EvalPredicate(*predicate_, RowView(left, right, output_schema_))) {
+        continue;
       }
+      if (n == rows_.size()) rows_.emplace_back();
+      rows_[n++].AssignConcat(left, right);
     }
     if (right_pos_ >= right_end_ && ++left_lane_ < left_span_.count()) {
       StartLeftRow();
     }
   }
-  rows_.resize(n);
-  *out = BatchSpan::Scratch(&rows_);
-  return n > 0;
+  if (n == 0) {  // the stream ended
+    TrimSlots(&rows_);
+    TrimSlots(&right_rows_);
+    num_right_ = right_pos_ = right_end_ = 0;
+    return false;
+  }
+  *out = BatchSpan::Scratch(&rows_, n);
+  return true;
 }
 
 const Schema& NestedLoopJoinExecutor::OutputSchema() const {
@@ -145,9 +156,15 @@ IndexNestedLoopJoinExecutor::IndexNestedLoopJoinExecutor(
       outer_key_(std::move(outer_key)),
       residual_(std::move(residual)) {
   output_schema_ = ConcatSchemas(outer_->OutputSchema(), inner_->schema());
+  bind_status_ =
+      BindColumns(outer_key_, outer_->OutputSchema(), &outer_key_);
+  if (bind_status_.ok() && residual_ != nullptr) {
+    bind_status_ = BindColumns(residual_, output_schema_, &residual_);
+  }
 }
 
 Status IndexNestedLoopJoinExecutor::Open() {
+  RELGRAPH_RETURN_IF_ERROR(bind_status_);
   if (!inner_->HasIndexOn(inner_column_)) {
     return Status::InvalidArgument("index nested-loop join requires index on " +
                                    inner_column_);
@@ -195,16 +212,21 @@ bool IndexNestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
       outer_lane_++;
       continue;
     }
-    if (n == rows_.size()) rows_.emplace_back();
-    rows_[n] = ConcatTuples(outer_span_.row(outer_lane_), inner_tuple_);
-    if (residual_ == nullptr ||
-        EvalPredicate(*residual_, rows_[n], output_schema_)) {
-      n++;
+    const Tuple& outer_row = outer_span_.row(outer_lane_);
+    if (residual_ != nullptr &&
+        !EvalPredicate(*residual_,
+                       RowView(outer_row, inner_tuple_, output_schema_))) {
+      continue;
     }
+    if (n == rows_.size()) rows_.emplace_back();
+    rows_[n++].AssignConcat(outer_row, inner_tuple_);
   }
-  rows_.resize(n);
-  *out = BatchSpan::Scratch(&rows_);
-  return n > 0;
+  if (n == 0) {  // the stream ended
+    TrimSlots(&rows_);
+    return false;
+  }
+  *out = BatchSpan::Scratch(&rows_, n);
+  return true;
 }
 
 const Schema& IndexNestedLoopJoinExecutor::OutputSchema() const {

@@ -49,12 +49,16 @@ class NestedLoopJoinExecutor : public Executor {
 
   ExecRef left_;
   ExecRef right_;
-  ExprRef predicate_;
+  ExprRef predicate_;  // bound to the output schema
+  Status bind_status_;
   std::optional<JoinKey> key_;
   int left_key_idx_ = -1;
   int right_key_idx_ = -1;
   Schema output_schema_;
+  // The materialized right side: its first num_right_ slots, refilled in
+  // place on every Open().
   std::vector<Tuple> right_rows_;
+  size_t num_right_ = 0;
   // Keyed joins: (INT key, right position), sorted; NULL keys left out.
   std::vector<std::pair<int64_t, size_t>> key_index_;
   // Some right key is neither NULL nor INT: every left row compares keys
@@ -79,8 +83,9 @@ class NestedLoopJoinExecutor : public Executor {
 /// the plan the RDBMS optimizer picks for the E-operator join
 /// `TVisited ⋈ TEdges ON TVisited.nid = TEdges.fid` when TEdges is indexed
 /// (the paper's Index / CluIndex configurations). An optional residual
-/// predicate is applied to the concatenated row — the BSEG pruning rule
-/// `out.cost + q.d2s + lb < minCost` lands there.
+/// predicate is applied to the (outer, inner) pair before it is
+/// concatenated — the pruning rule `out.cost + q.d2s + lb < minCost`
+/// lands there.
 class IndexNestedLoopJoinExecutor : public Executor {
  public:
   IndexNestedLoopJoinExecutor(ExecRef outer, Table* inner,
@@ -110,8 +115,9 @@ class IndexNestedLoopJoinExecutor : public Executor {
   ExecRef outer_;
   Table* inner_;
   std::string inner_column_;
-  ExprRef outer_key_;
-  ExprRef residual_;
+  ExprRef outer_key_;  // bound to the outer schema
+  ExprRef residual_;   // bound to the output schema
+  Status bind_status_;
   Schema output_schema_;
   // Probes walk the outer child's borrowed span lane by lane, so a
   // filtered outer (the E-operator's frontier restriction) flows into the

@@ -13,8 +13,9 @@ Schema PrefixSchema(const Schema& schema, const std::string& prefix) {
   return Schema(std::move(cols));
 }
 
-bool ReadIteratorBatch(Table::Iterator* it, bool* exhausted, size_t max_rows,
-                       std::vector<Tuple>* rows, std::vector<RowRef>* refs) {
+size_t ReadIteratorBatch(Table::Iterator* it, bool* exhausted,
+                         size_t max_rows, std::vector<Tuple>* rows,
+                         std::vector<RowRef>* refs) {
   if (refs != nullptr) refs->clear();
   size_t n = 0;
   while (n < max_rows && !*exhausted) {
@@ -27,8 +28,7 @@ bool ReadIteratorBatch(Table::Iterator* it, bool* exhausted, size_t max_rows,
     if (refs != nullptr) refs->push_back(ref);
     n++;
   }
-  rows->resize(n);
-  return n > 0;
+  return n;
 }
 
 namespace {
@@ -36,12 +36,14 @@ namespace {
 /// Shared pull of the two table-iterator scans; doubles *batch_rows.
 bool ScanBatch(Table::Iterator* it, bool* exhausted, size_t* batch_rows,
                Status* status, std::vector<Tuple>* rows, BatchSpan* out) {
-  if (!ReadIteratorBatch(it, exhausted, *batch_rows, rows, nullptr)) {
+  const size_t n = ReadIteratorBatch(it, exhausted, *batch_rows, rows, nullptr);
+  if (n == 0) {
     *status = it->status();
+    TrimSlots(rows);
     return false;
   }
   *batch_rows = std::min(*batch_rows * 2, kExecBatchSize);
-  *out = BatchSpan::Scratch(rows);
+  *out = BatchSpan::Scratch(rows, n);
   return true;
 }
 
@@ -179,9 +181,15 @@ const Schema& IndexRangeScanExecutor::OutputSchema() const {
 // ----------------------------------------------------------------- Filter
 
 FilterExecutor::FilterExecutor(ExecRef child, ExprRef predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {}
+    : child_(std::move(child)), predicate_(std::move(predicate)) {
+  bind_status_ =
+      BindColumns(predicate_, child_->OutputSchema(), &predicate_);
+}
 
-Status FilterExecutor::Open() { return child_->Init(); }
+Status FilterExecutor::Open() {
+  RELGRAPH_RETURN_IF_ERROR(bind_status_);
+  return child_->Init();
+}
 
 bool FilterExecutor::NextBatchSel(BatchSpan* out) {
   const Schema& in_schema = child_->OutputSchema();
@@ -193,6 +201,7 @@ bool FilterExecutor::NextBatchSel(BatchSpan* out) {
     BatchSpan cs;
     if (!child_->NextBatchSel(&cs)) {
       status_ = child_->status();
+      TrimSlots(&compact_);
       return false;
     }
     RowBatch batch(cs.rows, cs.num_rows, in_schema, cs.sel, cs.num_sel);
@@ -224,11 +233,11 @@ bool FilterExecutor::NextBatchSel(BatchSpan* out) {
     }
     // Few survivors: a compact copy is cheaper than the indirection. Slots
     // are overwritten in place, so recycled tuples keep their buffers.
-    compact_.resize(k);
+    if (compact_.size() < k) compact_.resize(k);
     for (size_t i = 0, n = 0; i < lanes; i++) {
       if (keep_[i]) cs.Take(i, &compact_[n++]);
     }
-    *out = BatchSpan::Scratch(&compact_);
+    *out = BatchSpan::Scratch(&compact_, k);
     return true;
   }
 }
@@ -243,9 +252,12 @@ ProjectExecutor::ProjectExecutor(ExecRef child, std::vector<ExprRef> exprs,
                                  Schema output_schema)
     : child_(std::move(child)),
       exprs_(std::move(exprs)),
-      output_schema_(std::move(output_schema)) {}
+      output_schema_(std::move(output_schema)) {
+  bind_status_ = BindColumns(&exprs_, child_->OutputSchema());
+}
 
 Status ProjectExecutor::Open() {
+  RELGRAPH_RETURN_IF_ERROR(bind_status_);
   if (exprs_.size() != output_schema_.NumColumns()) {
     return Status::InvalidArgument("projection arity mismatch");
   }
@@ -256,6 +268,7 @@ bool ProjectExecutor::NextBatchSel(BatchSpan* out) {
   BatchSpan span;
   if (!child_->NextBatchSel(&span)) {
     status_ = child_->status();
+    TrimSlots(&rows_);
     return false;
   }
   const Schema& in_schema = child_->OutputSchema();
@@ -277,7 +290,7 @@ bool ProjectExecutor::NextBatchSel(BatchSpan* out) {
   // Output slots with the right arity are overwritten in place (no
   // allocation); slots a consumer moved from get rebuilt.
   const size_t n = batch.num_rows();
-  rows_.resize(n);
+  if (rows_.size() < n) rows_.resize(n);
   for (size_t i = 0; i < n; i++) {
     Tuple& dst = rows_[i];
     if (dst.NumValues() != width) dst = Tuple(std::vector<Value>(width));
@@ -296,7 +309,7 @@ bool ProjectExecutor::NextBatchSel(BatchSpan* out) {
       }
     }
   }
-  *out = BatchSpan::Scratch(&rows_);
+  *out = BatchSpan::Scratch(&rows_, n);
   return true;
 }
 
@@ -334,7 +347,9 @@ const Schema& LimitExecutor::OutputSchema() const {
 
 MaterializedExecutor::MaterializedExecutor(std::vector<Tuple> tuples,
                                            Schema schema)
-    : tuples_(std::move(tuples)), schema_(std::move(schema)) {}
+    : tuples_(std::move(tuples)),
+      size_(tuples_.size()),
+      schema_(std::move(schema)) {}
 
 Status MaterializedExecutor::Open() {
   pos_ = 0;
@@ -342,7 +357,7 @@ Status MaterializedExecutor::Open() {
 }
 
 bool MaterializedExecutor::NextBatchSel(BatchSpan* out) {
-  return ReplayWindow(tuples_, &pos_, out);
+  return ReplayWindow(tuples_, size_, &pos_, out);
 }
 
 const Schema& MaterializedExecutor::OutputSchema() const { return schema_; }

@@ -39,14 +39,16 @@ class SeqScanExecutor : public Executor {
   std::vector<Tuple> rows_;  // scratch: the current batch
 };
 
-/// Reads up to `max_rows` rows of `it` into `rows` — and, when `refs`
-/// is non-null, their RowRefs — overwriting existing slots so recycled
-/// tuples keep their buffers. `exhausted` latches once the iterator reports
-/// false (end of stream *or* error), so a failed iterator is never resumed:
-/// that would skip the bad row and overwrite its error status. Returns
-/// false when no row was read; the caller then reads it->status().
-bool ReadIteratorBatch(Table::Iterator* it, bool* exhausted, size_t max_rows,
-                       std::vector<Tuple>* rows, std::vector<RowRef>* refs);
+/// Reads up to `max_rows` rows of `it` into the first slots of `rows` —
+/// and, when `refs` is non-null, their RowRefs — overwriting existing
+/// slots so recycled tuples keep their buffers; slots past the rows read
+/// are kept for the next batch. `exhausted` latches once the iterator
+/// reports false (end of stream *or* error), so a failed iterator is never
+/// resumed: that would skip the bad row and overwrite its error status.
+/// Returns the number of rows read; on 0 the caller reads it->status().
+size_t ReadIteratorBatch(Table::Iterator* it, bool* exhausted,
+                         size_t max_rows, std::vector<Tuple>* rows,
+                         std::vector<RowRef>* refs);
 
 /// Key range [*lo, *hi] covering `column OP k` with the column on the
 /// left-hand side. Returns false when the comparison yields no usable
@@ -103,6 +105,10 @@ class IndexRangeScanExecutor : public Executor {
   std::vector<Tuple> rows_;  // scratch: the current batch
 };
 
+/// Executors that evaluate expressions bind them to their input schema
+/// (BindColumns) when they are built; an unknown column fails Init() with
+/// InvalidArgument.
+
 /// WHERE clause: forwards child tuples satisfying the predicate.
 ///
 /// Per child batch the predicate runs once, and the survivors are
@@ -129,7 +135,8 @@ class FilterExecutor : public Executor {
 
  private:
   ExecRef child_;
-  ExprRef predicate_;
+  ExprRef predicate_;  // bound to the child's schema
+  Status bind_status_;
   ValueColumn pred_scratch_;  // EvalBatch output column
   std::vector<char> keep_;    // per-lane predicate verdicts
   std::vector<uint32_t> sel_;  // backs forwarded selection vectors
@@ -156,7 +163,8 @@ class ProjectExecutor : public Executor {
 
  private:
   ExecRef child_;
-  std::vector<ExprRef> exprs_;
+  std::vector<ExprRef> exprs_;  // bound to the child's schema
+  Status bind_status_;
   Schema output_schema_;
   std::vector<ValueColumn> expr_cols_;  // one column per select item
   std::vector<Tuple> rows_;  // scratch: the projected batch
@@ -196,15 +204,21 @@ class MaterializedExecutor : public Executor {
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override {
     Indent(depth, out);
-    out->append("Materialized: " + std::to_string(tuples_.size()) +
-                " row(s)\n");
+    out->append("Materialized: " + std::to_string(size_) + " row(s)\n");
   }
+
+  /// For an owner that refills the rows between runs, in place (the
+  /// window operator's sorted input): it overwrites the first n slots,
+  /// then calls set_size(n); the slots past n keep their storage.
+  std::vector<Tuple>* slots() { return &tuples_; }
+  void set_size(size_t n) { size_ = n; }
 
  protected:
   Status Open() override;
 
  private:
   std::vector<Tuple> tuples_;
+  size_t size_;  // rows replayed: the first size_ of tuples_
   Schema schema_;
   size_t pos_ = 0;
 };

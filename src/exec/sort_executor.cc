@@ -15,10 +15,20 @@ int CompareBySortKeys(const Tuple& a, const Tuple& b,
   return 0;
 }
 
+Status BindSortKeys(std::vector<SortKey>* keys, const Schema& schema) {
+  for (SortKey& k : *keys) {
+    RELGRAPH_RETURN_IF_ERROR(BindColumns(k.expr, schema, &k.expr));
+  }
+  return Status::OK();
+}
+
 SortExecutor::SortExecutor(ExecRef child, std::vector<SortKey> keys)
-    : child_(std::move(child)), keys_(std::move(keys)) {}
+    : child_(std::move(child)), keys_(std::move(keys)) {
+  bind_status_ = BindSortKeys(&keys_, child_->OutputSchema());
+}
 
 Status SortExecutor::Open() {
+  RELGRAPH_RETURN_IF_ERROR(bind_status_);
   rows_.clear();
   pos_ = 0;
   RELGRAPH_RETURN_IF_ERROR(Collect(child_.get(), &rows_));
@@ -62,7 +72,7 @@ Status SortExecutor::Open() {
 }
 
 bool SortExecutor::NextBatchSel(BatchSpan* out) {
-  return ReplayWindow(rows_, &pos_, out);
+  return ReplayWindow(rows_, rows_.size(), &pos_, out);
 }
 
 const Schema& SortExecutor::OutputSchema() const {

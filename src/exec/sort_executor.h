@@ -36,10 +36,14 @@ class SortExecutor : public Executor {
 
  private:
   ExecRef child_;
-  std::vector<SortKey> keys_;
+  std::vector<SortKey> keys_;  // bound to the child's schema
+  Status bind_status_;
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
 };
+
+/// Binds every key expression of `keys` to `schema` (BindColumns).
+Status BindSortKeys(std::vector<SortKey>* keys, const Schema& schema);
 
 /// Compares two tuples under a sort-key list; shared with the window
 /// executor.

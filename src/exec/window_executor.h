@@ -5,6 +5,7 @@
 
 #include "src/exec/executor.h"
 #include "src/exec/expression.h"
+#include "src/exec/scan_executors.h"
 #include "src/exec/sort_executor.h"
 
 namespace relgraph {
@@ -43,6 +44,7 @@ class SortedWindowRowNumberExecutor : public Executor {
   ExecRef child_;
   std::vector<std::string> partition_cols_;
   std::vector<size_t> part_idx_;
+  Status bind_status_;
   Schema output_schema_;
   std::vector<Value> prev_key_;  // previous row's partition column values
   bool have_prev_ = false;
@@ -89,12 +91,15 @@ class WindowRowNumberExecutor : public Executor {
  private:
   ExecRef child_;
   std::vector<std::string> partition_cols_;
-  std::vector<SortKey> order_keys_;
+  std::vector<size_t> part_idx_;
+  std::vector<SortKey> order_keys_;  // bound to the child's schema
   std::string out_column_;
+  Status bind_status_;
   Schema output_schema_;
-  /// Sort + streaming-number pipeline, rebuilt on every Init() over the
-  /// freshly sorted input.
+  /// Sort + streaming-number pipeline, built once over `input_`, whose
+  /// slots every Init() refills with the freshly sorted input.
   std::unique_ptr<SortedWindowRowNumberExecutor> stream_;
+  MaterializedExecutor* input_;  // owned by stream_
 };
 
 }  // namespace relgraph

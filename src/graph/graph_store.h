@@ -7,6 +7,7 @@
 
 #include "src/db/database.h"
 #include "src/exec/executor.h"
+#include "src/exec/expression.h"
 #include "src/graph/memgraph.h"
 
 namespace relgraph {
@@ -50,8 +51,10 @@ struct EdgeRelation {
   /// may drop every row with outer.`dist_column` + cost >= `bound`, and
   /// keep per emitted node only the least (dist + cost, frontier node).
   /// So the join is exact only as the input of DedupLeast over those keys.
+  /// `bound` is evaluated at each Init (it reads the prepared plan's
+  /// parameters), so one join serves every round.
   std::function<ExecRef(ExecRef outer, const std::string& probe_column,
-                        const std::string& dist_column, weight_t bound)>
+                        const std::string& dist_column, ExprRef bound)>
       shard_join = nullptr;
 };
 

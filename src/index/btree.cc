@@ -166,7 +166,7 @@ Status BTree::Create(BufferPool* pool, uint16_t payload_size, BTree* out) {
 }
 
 Status BTree::FindLeaf(const BtKey& key, page_id_t* leaf,
-                       std::vector<Descent>* path) const {
+                       DescentPath* path) const {
   page_id_t current = root_;
   for (;;) {
     PageGuard guard(pool_, current);
@@ -177,7 +177,14 @@ Status BTree::FindLeaf(const BtKey& key, page_id_t* leaf,
       return Status::OK();
     }
     uint16_t idx = InternalChildIndex(guard.data(), key);
-    if (path != nullptr) path->push_back({current, idx});
+    if (path != nullptr) {
+      if (path->size == DescentPath::kMaxDepth) {
+        return Status::Corruption("B+-tree deeper than " +
+                                  std::to_string(DescentPath::kMaxDepth) +
+                                  " levels");
+      }
+      path->items[path->size++] = {current, idx};
+    }
     current = ReadChild(InternalEntry(guard.data(), idx));
   }
 }
@@ -186,7 +193,7 @@ Status BTree::Insert(BtKey key, std::string_view payload, bool unique) {
   if (payload.size() != payload_size_) {
     return Status::InvalidArgument("payload width mismatch");
   }
-  std::vector<Descent> path;
+  DescentPath path;
   page_id_t leaf_id;
   RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &leaf_id, &path));
 
@@ -229,7 +236,7 @@ Status BTree::Insert(BtKey key, std::string_view payload, bool unique) {
   return Status::OK();
 }
 
-Status BTree::SplitLeaf(page_id_t leaf_id, std::vector<Descent>* path,
+Status BTree::SplitLeaf(page_id_t leaf_id, DescentPath* path,
                         const BtKey& pending_key,
                         std::string_view pending_payload) {
   PageGuard left(pool_, leaf_id);
@@ -284,7 +291,7 @@ Status BTree::SplitLeaf(page_id_t leaf_id, std::vector<Descent>* path,
   return InsertIntoParent(path, sep, right_id);
 }
 
-Status BTree::InsertIntoParent(std::vector<Descent>* path, BtKey sep,
+Status BTree::InsertIntoParent(DescentPath* path, BtKey sep,
                                page_id_t new_child) {
   if (path->empty()) {
     // The split node was the root: grow the tree by one level.
@@ -306,8 +313,7 @@ Status BTree::InsertIntoParent(std::vector<Descent>* path, BtKey sep,
     return Status::OK();
   }
 
-  Descent d = path->back();
-  path->pop_back();
+  Descent d = path->Pop();
   PageGuard guard(pool_, d.page);
   RELGRAPH_RETURN_IF_ERROR(guard.status());
   char* data = guard.page()->data();

@@ -117,13 +117,24 @@ class BTree {
     page_id_t page;
     uint16_t index;  // child slot taken in this internal node
   };
+  /// The internal nodes an Insert descended through, root first: an
+  /// inline stack, so an Insert allocates nothing. A 4 KiB internal node
+  /// holds over 150 children, so no tree this engine builds is anywhere
+  /// near kMaxDepth levels; a deeper one reads as Corruption.
+  struct DescentPath {
+    static constexpr int kMaxDepth = 32;
+    Descent items[kMaxDepth];
+    int size = 0;
+
+    bool empty() const { return size == 0; }
+    Descent Pop() { return items[--size]; }
+  };
 
   Status FindLeaf(const BtKey& key, page_id_t* leaf,
-                  std::vector<Descent>* path) const;
-  Status SplitLeaf(page_id_t leaf_id, std::vector<Descent>* path,
+                  DescentPath* path) const;
+  Status SplitLeaf(page_id_t leaf_id, DescentPath* path,
                    const BtKey& pending_key, std::string_view pending_payload);
-  Status InsertIntoParent(std::vector<Descent>* path, BtKey sep,
-                          page_id_t new_child);
+  Status InsertIntoParent(DescentPath* path, BtKey sep, page_id_t new_child);
 
   BufferPool* pool_ = nullptr;
   page_id_t root_ = kInvalidPageId;

@@ -29,7 +29,7 @@ Status PreparedStatement::Execute(const SqlParams& params, SqlResult* result) {
     return Status::NotSupported(
         "this engine profile does not support MERGE (use UPDATE + INSERT)");
   }
-  db_->RecordStatement(sql_);
+  db_->RecordStatement([this] { return sql_; });
   RELGRAPH_RETURN_IF_ERROR(BindPreparedPlan(&plan_, params));
   SqlResult local;
   RELGRAPH_RETURN_IF_ERROR(ExecutePreparedPlan(db_, *ast_, &plan_, &local));

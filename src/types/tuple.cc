@@ -1,5 +1,6 @@
 #include "src/types/tuple.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -20,27 +21,32 @@ bool GetU64(std::string_view data, size_t* pos, uint64_t* v) {
 }  // namespace
 
 std::string Tuple::Serialize(const Schema& schema) const {
-  assert(values_.size() == schema.NumColumns());
   std::string out;
+  SerializeTo(schema, &out);
+  return out;
+}
+
+void Tuple::SerializeTo(const Schema& schema, std::string* out) const {
+  assert(values_.size() == schema.NumColumns());
   size_t n = values_.size();
   size_t bitmap_bytes = (n + 7) / 8;
-  out.resize(bitmap_bytes, 0);
+  out->assign(bitmap_bytes, 0);
   for (size_t i = 0; i < n; i++) {
     const Value& v = values_[i];
     if (v.IsNull()) {
-      out[i / 8] = static_cast<char>(out[i / 8] | (1 << (i % 8)));
+      (*out)[i / 8] = static_cast<char>((*out)[i / 8] | (1 << (i % 8)));
       continue;
     }
     switch (schema.column(i).type) {
       case TypeId::kInt: {
-        PutU64(&out, static_cast<uint64_t>(v.AsInt()));
+        PutU64(out, static_cast<uint64_t>(v.AsInt()));
         break;
       }
       case TypeId::kDouble: {
         double d = v.AsDouble();
         uint64_t bits;
         std::memcpy(&bits, &d, 8);
-        PutU64(&out, bits);
+        PutU64(out, bits);
         break;
       }
       case TypeId::kVarchar: {
@@ -49,15 +55,14 @@ std::string Tuple::Serialize(const Schema& schema) const {
         uint16_t len = static_cast<uint16_t>(s.size());
         char buf[2];
         std::memcpy(buf, &len, 2);
-        out.append(buf, 2);
-        out.append(s);
+        out->append(buf, 2);
+        out->append(s);
         break;
       }
       case TypeId::kNull:
         break;
     }
   }
-  return out;
 }
 
 Status Tuple::Deserialize(const Schema& schema, std::string_view data,
@@ -67,20 +72,20 @@ Status Tuple::Deserialize(const Schema& schema, std::string_view data,
   if (data.size() < bitmap_bytes) {
     return Status::Corruption("tuple shorter than null bitmap");
   }
-  std::vector<Value> values;
-  values.reserve(n);
+  std::vector<Value>& values = out->values_;
+  values.resize(n);
   size_t pos = bitmap_bytes;
   for (size_t i = 0; i < n; i++) {
     bool is_null = (data[i / 8] >> (i % 8)) & 1;
     if (is_null) {
-      values.push_back(Value::Null());
+      values[i].SetNull();
       continue;
     }
     switch (schema.column(i).type) {
       case TypeId::kInt: {
         uint64_t v;
         if (!GetU64(data, &pos, &v)) return Status::Corruption("short int");
-        values.push_back(Value(static_cast<int64_t>(v)));
+        values[i].SetInt(static_cast<int64_t>(v));
         break;
       }
       case TypeId::kDouble: {
@@ -90,7 +95,7 @@ Status Tuple::Deserialize(const Schema& schema, std::string_view data,
         }
         double d;
         std::memcpy(&d, &bits, 8);
-        values.push_back(Value(d));
+        values[i] = Value(d);
         break;
       }
       case TypeId::kVarchar: {
@@ -99,16 +104,15 @@ Status Tuple::Deserialize(const Schema& schema, std::string_view data,
         std::memcpy(&len, data.data() + pos, 2);
         pos += 2;
         if (pos + len > data.size()) return Status::Corruption("short string");
-        values.push_back(Value(std::string(data.substr(pos, len))));
+        values[i] = Value(std::string(data.substr(pos, len)));
         pos += len;
         break;
       }
       case TypeId::kNull:
-        values.push_back(Value::Null());
+        values[i].SetNull();
         break;
     }
   }
-  *out = Tuple(std::move(values));
   return Status::OK();
 }
 
@@ -130,12 +134,17 @@ bool Tuple::operator==(const Tuple& other) const {
   return true;
 }
 
+void Tuple::AssignConcat(const Tuple& left, const Tuple& right) {
+  const size_t nl = left.values_.size();
+  values_.resize(nl + right.values_.size());
+  std::copy(left.values_.begin(), left.values_.end(), values_.begin());
+  std::copy(right.values_.begin(), right.values_.end(), values_.begin() + nl);
+}
+
 Tuple ConcatTuples(const Tuple& left, const Tuple& right) {
-  std::vector<Value> values;
-  values.reserve(left.NumValues() + right.NumValues());
-  for (const auto& v : left.values()) values.push_back(v);
-  for (const auto& v : right.values()) values.push_back(v);
-  return Tuple(std::move(values));
+  Tuple out;
+  out.AssignConcat(left, right);
+  return out;
 }
 
 Schema ConcatSchemas(const Schema& left, const Schema& right) {

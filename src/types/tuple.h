@@ -29,10 +29,19 @@ class Tuple {
   const std::vector<Value>& values() const { return values_; }
   void Append(Value v) { values_.push_back(std::move(v)); }
 
+  /// Becomes `left` followed by `right` (a join output row), overwriting
+  /// this tuple's values in place: a recycled slot of the same width
+  /// allocates nothing.
+  void AssignConcat(const Tuple& left, const Tuple& right);
+
   /// Serializes per `schema` (values must match the schema arity and types).
   std::string Serialize(const Schema& schema) const;
+  /// Serializes into `out`, replacing its contents but keeping its buffer.
+  void SerializeTo(const Schema& schema, std::string* out) const;
 
-  /// Parses `data` per `schema`.
+  /// Parses `data` per `schema` into `out`, overwriting its values in
+  /// place: a tuple that already has the schema's width allocates nothing
+  /// for INT, DOUBLE and NULL columns.
   static Status Deserialize(const Schema& schema, std::string_view data,
                             Tuple* out);
 

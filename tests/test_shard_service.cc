@@ -218,17 +218,18 @@ std::vector<Tuple> CoordinatorRows(SqlMode mode,
                             Value(dist.at(e.frontier_node) + e.cost),
                             Value(e.frontier_node)}));
   }
-  std::vector<Tuple> out;
-  Status st = DedupLeast(
+  DedupLeast dedup(
       mode,
       [&] {
         return ExecRef(std::make_unique<FilterExecutor>(
             std::make_unique<MaterializedExecutor>(tuples, schema),
             Cmp(CompareOp::kLt, Add(Col("cost"), Lit(l)), Lit(min_cost))));
       },
-      "nid", "cost", "pid", &out);
+      "nid", "cost", "pid");
+  Status st = dedup.Run();
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return out;
+  return std::vector<Tuple>(dedup.rows().begin(),
+                            dedup.rows().begin() + dedup.size());
 }
 
 std::string Show(const std::vector<Tuple>& rows) {

@@ -133,5 +133,27 @@ TEST(TupleTest, ConcatTuplesAndSchemas) {
   EXPECT_EQ(t.value(1).AsInt(), 2);
 }
 
+// Deserialize and AssignConcat overwrite a recycled tuple in place: any
+// earlier width, types or NULLs leave no trace in the result.
+TEST(TupleTest, RecycledTuplesAreOverwrittenWhole) {
+  Schema schema({{"a", TypeId::kInt}, {"b", TypeId::kVarchar},
+                 {"c", TypeId::kDouble}});
+  const Tuple row({Value(int64_t{7}), Value::Null(), Value(2.5)});
+  const std::string bytes = row.Serialize(schema);
+  for (Tuple slot : {Tuple(), Tuple({Value("old"), Value(int64_t{1})}),
+                     Tuple({Value::Null(), Value("x"), Value(int64_t{3}),
+                            Value(1.0)})}) {
+    ASSERT_TRUE(Tuple::Deserialize(schema, bytes, &slot).ok());
+    EXPECT_EQ(slot, row);
+    EXPECT_TRUE(slot.value(1).IsNull());
+    slot.AssignConcat(Tuple({Value("l")}), row);
+    EXPECT_EQ(slot, Tuple({Value("l"), Value(int64_t{7}), Value::Null(),
+                           Value(2.5)}));
+  }
+  std::string out = "stale bytes that are longer than the row";
+  row.SerializeTo(schema, &out);
+  EXPECT_EQ(out, bytes);
+}
+
 }  // namespace
 }  // namespace relgraph
