@@ -77,7 +77,8 @@ void BM_MergeStatement(benchmark::State& state) {
     spec.matched_sets = {{"d2s", Col("s.cost")}, {"p2s", Col("s.pid")}};
     spec.insert_values = {Col("nid"), Col("cost"), Col("pid")};
     int64_t affected;
-    (void)MergeInto(table.get(), &source, spec, &affected);
+    (void)MergePlan(table.get(), ExpSchema(), std::move(spec))
+        .Run(&source, &affected);
     benchmark::DoNotOptimize(affected);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -1,7 +1,6 @@
 #include "src/core/fem.h"
 
-#include <map>
-#include <unordered_map>
+#include <algorithm>
 
 #include "src/common/timer.h"
 #include "src/exec/agg_executors.h"
@@ -218,41 +217,53 @@ Status DedupLeast::Run() {
   size_ = 0;
   RELGRAPH_RETURN_IF_ERROR(status_);
   if (mode_ == SqlMode::kNsql) return CollectInto(nsql_.get(), &rows_, &size_);
-  std::unordered_map<int64_t, int64_t> min_by_key;
+  // First pass: the group minima, one aggregate row per key, in key order.
   RELGRAPH_RETURN_IF_ERROR(agg_->Init());
+  minima_.clear();
   BatchSpan span;
   while (agg_->NextBatchSel(&span)) {
     for (size_t i = 0; i < span.count(); i++) {
       const Tuple& t = span.row(i);
-      min_by_key[t.value(0).AsInt()] = t.value(1).AsInt();
+      minima_.emplace_back(t.value(0).AsInt(), t.value(1).AsInt());
     }
   }
   RELGRAPH_RETURN_IF_ERROR(agg_->status());
-  // Keep rows whose cost equals the group minimum. Ties on cost are broken
-  // by the least `tie` (the "primary key constraint" dedup the paper
-  // mentions in §3.3).
+  // Second pass: each group's slot keeps the row whose cost equals the
+  // group minimum; ties on cost are broken by the least `tie` (the
+  // "primary key constraint" dedup the paper mentions in §3.3).
+  TrimSlots(&rows_);
+  if (rows_.size() < minima_.size()) rows_.resize(minima_.size());
+  taken_.assign(minima_.size(), 0);
   RELGRAPH_RETURN_IF_ERROR(again_->Init());
-  std::map<int64_t, Tuple> best;
   while (again_->NextBatchSel(&span)) {
     for (size_t i = 0; i < span.count(); i++) {
       const Tuple& t = span.row(i);
       const int64_t k = t.value(key_idx_).AsInt();
-      auto it = min_by_key.find(k);
-      if (it == min_by_key.end() ||
+      auto it = std::lower_bound(
+          minima_.begin(), minima_.end(), k,
+          [](const std::pair<int64_t, int64_t>& m, int64_t key) {
+            return m.first < key;
+          });
+      if (it == minima_.end() || it->first != k ||
           t.value(cost_idx_).AsInt() != it->second) {
         continue;
       }
-      auto [pos, inserted] = best.try_emplace(k);
-      if (inserted ||
-          t.value(tie_idx_).AsInt() < pos->second.value(tie_idx_).AsInt()) {
-        span.Take(i, &pos->second);
+      const size_t g = static_cast<size_t>(it - minima_.begin());
+      if (taken_[g] == 0 ||
+          t.value(tie_idx_).AsInt() < rows_[g].value(tie_idx_).AsInt()) {
+        span.Take(i, &rows_[g]);
+        taken_[g] = 1;
       }
     }
   }
   RELGRAPH_RETURN_IF_ERROR(again_->status());
-  TrimSlots(&rows_);
-  if (rows_.size() < best.size()) rows_.resize(best.size());
-  for (auto& [k, tuple] : best) rows_[size_++] = std::move(tuple);
+  // A group the second run leaves without a row (its input changed
+  // between the runs, as shard data can) is dropped, not served stale.
+  for (size_t g = 0; g < minima_.size(); g++) {
+    if (taken_[g] == 0) continue;
+    if (size_ != g) std::swap(rows_[size_], rows_[g]);
+    size_++;
+  }
   return Status::OK();
 }
 

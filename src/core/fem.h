@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/visited_table.h"
@@ -206,6 +207,10 @@ class DedupLeast {
   size_t key_idx_ = 0, cost_idx_ = 0, tie_idx_ = 0;
   std::vector<Tuple> rows_;
   size_t size_ = 0;
+  // kTsql, per run: (key, MIN(cost)) per group in key order, and whether
+  // the group's slot in rows_ holds a row yet.
+  std::vector<std::pair<int64_t, int64_t>> minima_;
+  std::vector<char> taken_;
 };
 
 /// M-operator, prepared: merges rows with `schema` (one per `spec`'s

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "src/exec/agg_executors.h"
+#include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/scan_executors.h"
 
@@ -59,8 +60,8 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   merge.insert_values = {Col("nid"), Col("cost"), Col("pid"), Lit(int64_t{0})};
   // E: neighbours of the frontier with the edge weight as the candidate
   // attachment cost (not accumulated — the Prim variation of §3.1),
-  // deduplicated to the cheapest attachment per node. E and M are prepared
-  // once and re-run every round.
+  // deduplicated to the cheapest attachment per node. E, M, the mark and
+  // the reset are prepared once and re-run every round.
   DedupLeast expand(
       mode,
       [&] {
@@ -76,6 +77,14 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   RELGRAPH_RETURN_IF_ERROR(expand.status());
   MergeRows merge_rows(db, mode, tree, CandidateSchema(), std::move(merge));
   RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
+  // The tree admits one node per round; the mark reads it as `:mid`.
+  BindContext params;
+  const size_t mid_slot = params.AddNamedSlot("mid");
+  UpdatePlan mark(tree,
+                  Cmp(CompareOp::kEq, Col("nid"),
+                      Param(&params, mid_slot, "mid")),
+                  {{"f", Lit(int64_t{2})}});
+  UpdatePlan reset(tree, ColEq("f", 2), {{"f", Lit(int64_t{1})}});
 
   for (;;) {
     // F: the single cheapest candidate (f=0, minimal w). Prim must stay
@@ -106,9 +115,9 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
     }
 
     db->RecordStatement();
+    params.Set(mid_slot, Value(mid));
     int64_t marked;
-    RELGRAPH_RETURN_IF_ERROR(UpdateWhere(tree, ColEq("nid", mid),
-                                         {{"f", Lit(int64_t{2})}}, &marked));
+    RELGRAPH_RETURN_IF_ERROR(mark.Run(&marked));
     if (marked == 0) break;
     out->iterations++;
 
@@ -122,9 +131,8 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
         merge_rows.Run(expand.rows().data(), expand.size(), &affected));
 
     db->RecordStatement();
-    int64_t reset;
-    RELGRAPH_RETURN_IF_ERROR(
-        UpdateWhere(tree, ColEq("f", 2), {{"f", Lit(int64_t{1})}}, &reset));
+    int64_t reset_rows;
+    RELGRAPH_RETURN_IF_ERROR(reset.Run(&reset_rows));
   }
 
   // Harvest the tree.

@@ -4,6 +4,7 @@
 
 #include "src/common/timer.h"
 #include "src/exec/agg_executors.h"
+#include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/scan_executors.h"
 
@@ -116,7 +117,21 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
       {"dist", Col("s.dist")}, {"pid", Col("s.pid")}, {"f", Lit(int64_t{0})}};
   merge.insert_values = {Col("skey"), Col("src"), Col("nid"),
                          Col("dist"), Col("pid"), Lit(int64_t{0})};
-  // E and M are prepared once and re-run every round.
+  // F, E, M and the reset are prepared once and re-run every round. The
+  // frontier rule's two bounds change per round and reach the mark through
+  // parameters: f=0 AND (dist < round*wmin OR dist = min open dist).
+  BindContext params;
+  const size_t bound_slot = params.AddNamedSlot("bound");
+  const size_t min_open_slot = params.AddNamedSlot("min_open");
+  UpdatePlan mark(
+      work,
+      And(ColEq("f", 0),
+          Or(Cmp(CompareOp::kLt, Col("dist"),
+                 Param(&params, bound_slot, "bound")),
+             Cmp(CompareOp::kEq, Col("dist"),
+                 Param(&params, min_open_slot, "min_open")))),
+      {{"f", Lit(int64_t{2})}});
+  UpdatePlan reset(work, ColEq("f", 2), {{"f", Lit(int64_t{1})}});
   DedupLeast expand(
       options.sql_mode, [&] { return BuildSegJoin(work, rel, lthd); }, "skey",
       "dist", "pid");
@@ -126,7 +141,6 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
   RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
 
   for (int64_t round = 1;; round++) {
-    // Frontier rule: f=0 AND (dist < round*wmin OR dist = min open dist).
     db->RecordStatement();
     Value min_open;
     {
@@ -138,15 +152,10 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
     if (min_open.IsNull()) break;  // no candidates remain
 
     db->RecordStatement();
+    params.Set(bound_slot, Value(round * wmin));
+    params.Set(min_open_slot, min_open);
     int64_t marked = 0;
-    {
-      ExprRef pred = And(
-          ColEq("f", 0),
-          Or(Cmp(CompareOp::kLt, Col("dist"), Lit(round * wmin)),
-             Cmp(CompareOp::kEq, Col("dist"), Lit(min_open.AsInt()))));
-      RELGRAPH_RETURN_IF_ERROR(
-          UpdateWhere(work, pred, {{"f", Lit(int64_t{2})}}, &marked));
-    }
+    RELGRAPH_RETURN_IF_ERROR(mark.Run(&marked));
     if (marked == 0) break;
     if (stats != nullptr) stats->iterations++;
 
@@ -159,9 +168,8 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
 
     // Reset signs f=2 -> 1.
     db->RecordStatement();
-    int64_t reset;
-    RELGRAPH_RETURN_IF_ERROR(
-        UpdateWhere(work, ColEq("f", 2), {{"f", Lit(int64_t{1})}}, &reset));
+    int64_t reset_rows;
+    RELGRAPH_RETURN_IF_ERROR(reset.Run(&reset_rows));
   }
 
   // Second step (§4.2): fold in the original edges not dominated by a
@@ -186,7 +194,9 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
     spec.insert_values = {Col("skey"), Col("src"),          Col("nid"),
                           Col("dist"), Col("pid"),          Lit(int64_t{1})};
     int64_t affected;
-    RELGRAPH_RETURN_IF_ERROR(MergeInto(work, &source, spec, &affected));
+    RELGRAPH_RETURN_IF_ERROR(
+        MergePlan(work, ExpandedSchema(), std::move(spec))
+            .Run(&source, &affected));
   }
 
   // Publish: copy into the final segs table, dropping trivial (u,u) rows.
@@ -453,24 +463,17 @@ Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
     return "DELETE FROM " + segs->name() + " WHERE " + key_col + "=" +
            std::to_string(key);
   });
-  std::vector<RowRef> victims;
-  {
-    Table::Iterator it;
-    RELGRAPH_RETURN_IF_ERROR(segs->ScanRange(key_col, key, key, &it));
-    Tuple row;
-    RowRef ref;
-    while (it.Next(&row, &ref)) victims.push_back(ref);
-    RELGRAPH_RETURN_IF_ERROR(it.status());
-  }
-  for (const RowRef& ref : victims) {
-    RELGRAPH_RETURN_IF_ERROR(segs->DeleteRow(ref));
-  }
+  int64_t deleted = 0;
+  RELGRAPH_RETURN_IF_ERROR(
+      UpdatePlan::Delete(segs, ColEq(key_col, key),
+                         {key_col, CompareOp::kEq, Lit(int64_t{key})})
+          ->Run(&deleted));
   db->RecordStatement(
       [&] { return "INSERT INTO " + segs->name() + " (recomputed rows)"; });
   for (const Tuple& t : fresh) {
     RELGRAPH_RETURN_IF_ERROR(segs->Insert(t));
   }
-  *changed += static_cast<int64_t>(victims.size() + fresh.size());
+  *changed += deleted + static_cast<int64_t>(fresh.size());
   return Status::OK();
 }
 

@@ -61,7 +61,7 @@ Status SqlPathFinder::Build(GraphStore* graph, SqlPathFinderOptions options,
   // Physical tuning, once per working table: index the sign and distance
   // columns so the frontier UPDATEs (`... where f = 2`, `... and d2s =
   // (select min(d2s) ...)`) run as index probes — the planner's sargable
-  // conjunct extraction turns them into UpdateWhereIndexedDynamic plans.
+  // conjunct extraction gives each prepared UpdatePlan a key probe.
   {
     std::vector<const char*> indexed = dj
                                            ? std::vector<const char*>{"f",

@@ -53,7 +53,7 @@ class DistPathFinder::ShardJoinExecutor : public Executor {
       dists.push_back(row.value(dist).AsInt());
       row_of.emplace(nodes.back(), &row);
     }
-    const Value bound = bound_->Evaluate(Tuple{}, Schema{});
+    const Value bound = bound_->Evaluate(Tuple{});
     if (bound.type() != TypeId::kInt) {
       return Status::InvalidArgument("shard join bound is not an INT");
     }

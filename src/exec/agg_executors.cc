@@ -202,7 +202,7 @@ Status HashAggregateExecutor::Open() {
   BatchSpan span;
   while (child_->NextBatchSel(&span)) {
     const size_t n = span.count();
-    RowBatch rb(span.rows, span.num_rows, in, span.sel, span.num_sel);
+    RowBatch rb(span.rows, span.num_rows, span.sel, span.num_sel);
     // Gather the group columns once per batch — hoists the per-row value()
     // indexing and int/boxed classification out of the probe loop — and
     // evaluate each aggregate argument as one column.
@@ -343,8 +343,7 @@ Status EvalScalarAggregate(Executor* child, AggOp op, ExprRef expr,
       state.count += static_cast<int64_t>(n);
       continue;
     }
-    RowBatch rb(span.rows, span.num_rows, child->OutputSchema(), span.sel,
-                span.num_sel);
+    RowBatch rb(span.rows, span.num_rows, span.sel, span.num_sel);
     spec.expr->EvalBatch(rb, &col);
     if (col.is_int() && !col.has_nulls() && n > 0 && op != AggOp::kCount) {
       // Null-free int column: fold in a tight loop, then merge once. The

@@ -20,8 +20,9 @@ Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted) {
 }
 
 UpdatePlan::UpdatePlan(Table* table, ExprRef predicate,
-                       std::vector<SetClause> sets)
-    : table_(table), predicate_(std::move(predicate)) {
+                       std::vector<SetClause> sets, KeyProbe probe)
+    : table_(table), predicate_(std::move(predicate)),
+      probe_(std::move(probe)) {
   const Schema& schema = table_->schema();
   if (predicate_ != nullptr) {
     status_ = BindColumns(predicate_, schema, &predicate_);
@@ -40,15 +41,42 @@ UpdatePlan::UpdatePlan(Table* table, ExprRef predicate,
   set_cols_.resize(sets_.size());
 }
 
-// Every UPDATE plan ends here: evaluate SET clauses over the matched rows,
-// then apply (the collect-then-apply split keeps the scan stable under row
-// movement). Both the WHERE predicate and the SET expressions run in batch
-// mode — one EvalBatch column per scan batch — or row at a time for small
-// batches.
+std::unique_ptr<UpdatePlan> UpdatePlan::Delete(Table* table,
+                                               ExprRef predicate,
+                                               KeyProbe probe) {
+  auto plan = std::make_unique<UpdatePlan>(table, std::move(predicate),
+                                           std::vector<SetClause>{},
+                                           std::move(probe));
+  plan->delete_ = true;
+  return plan;
+}
+
+Status UpdatePlan::Run(int64_t* affected) {
+  *affected = 0;
+  RELGRAPH_RETURN_IF_ERROR(status_);
+  if (probe_.key == nullptr) {
+    candidates_ = table_->Scan();
+    return Run(&candidates_, affected);
+  }
+  int64_t lo, hi;
+  if (!RuntimeKeyRange(probe_.op, probe_.key->Evaluate(Tuple{}), &lo, &hi)) {
+    // `column OP NULL` is never true, and the predicate includes it: no
+    // row can match (the frontier mark once the open set is empty).
+    return Status::OK();
+  }
+  RELGRAPH_RETURN_IF_ERROR(
+      table_->ScanRange(probe_.column, lo, hi, &candidates_));
+  return Run(&candidates_, affected);
+}
+
+// Every UPDATE and DELETE ends here: match the candidates, evaluate the
+// SET clauses over the matched rows, then apply (the collect-then-apply
+// split keeps the scan stable under row movement). Both the WHERE
+// predicate and the SET expressions run in batch mode — one EvalBatch
+// column per scan batch — or row at a time for small batches.
 Status UpdatePlan::Run(Table::Iterator* it, int64_t* affected) {
   *affected = 0;
   RELGRAPH_RETURN_IF_ERROR(status_);
-  const Schema& schema = table_->schema();
   // The pre-image goes to UpdateRow, which moves index entries by it.
   size_t pending = 0;
   pending_refs_.clear();
@@ -60,7 +88,7 @@ Status UpdatePlan::Run(Table::Iterator* it, int64_t* affected) {
     const uint32_t* selp = nullptr;
     size_t lanes = n;
     if (predicate_ != nullptr) {
-      RowBatch batch(rows_.data(), n, schema, nullptr, 0);
+      RowBatch batch(rows_.data(), n, nullptr, 0);
       EvalPredicateBatch(*predicate_, batch, &pred_scratch_, &keep_);
       sel_.clear();
       for (size_t i = 0; i < n; i++) {
@@ -70,9 +98,15 @@ Status UpdatePlan::Run(Table::Iterator* it, int64_t* affected) {
       selp = sel_.data();
       lanes = sel_.size();
     }
+    if (delete_) {
+      for (size_t i = 0; i < lanes; i++) {
+        pending_refs_.push_back(refs_[selp != nullptr ? selp[i] : i]);
+      }
+      continue;
+    }
     // SET expressions see the *old* rows — one column per clause when the
     // match set is big enough to amortize it, row-at-a-time otherwise.
-    RowBatch mbatch(rows_.data(), n, schema, selp, lanes);
+    RowBatch mbatch(rows_.data(), n, selp, lanes);
     const bool row_at_a_time = EvalRowAtATime(mbatch);
     if (!row_at_a_time) {
       for (size_t k = 0; k < sets_.size(); k++) {
@@ -91,16 +125,17 @@ Status UpdatePlan::Run(Table::Iterator* it, int64_t* affected) {
       updated = rows_[r];
       for (size_t k = 0; k < sets_.size(); k++) {
         updated.value(sets_[k].first) =
-            row_at_a_time
-                ? sets_[k].second->Evaluate(RowView(rows_[r], schema))
-                : set_cols_[k].Get(i);
+            row_at_a_time ? sets_[k].second->Evaluate(rows_[r])
+                          : set_cols_[k].Get(i);
       }
     }
   }
   RELGRAPH_RETURN_IF_ERROR(it->status());
-  for (size_t i = 0; i < pending; i++) {
+  for (size_t i = 0; i < pending_refs_.size(); i++) {
     RELGRAPH_RETURN_IF_ERROR(
-        table_->UpdateRow(pending_refs_[i], pending_old_[i], pending_new_[i]));
+        delete_ ? table_->DeleteRow(pending_refs_[i])
+                : table_->UpdateRow(pending_refs_[i], pending_old_[i],
+                                    pending_new_[i]));
     (*affected)++;
   }
   TrimSlots(&rows_);
@@ -109,81 +144,9 @@ Status UpdatePlan::Run(Table::Iterator* it, int64_t* affected) {
   return Status::OK();
 }
 
-Status UpdateCandidates(Table* table, Table::Iterator it, ExprRef predicate,
-                        const std::vector<SetClause>& sets, int64_t* affected) {
-  UpdatePlan plan(table, std::move(predicate), sets);
-  return plan.Run(&it, affected);
-}
-
-Status UpdateWhere(Table* table, ExprRef predicate,
-                   const std::vector<SetClause>& sets, int64_t* affected) {
-  return UpdateCandidates(table, table->Scan(), std::move(predicate), sets,
-                          affected);
-}
-
-Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
-                                 CompareOp op, const ExprRef& key,
-                                 ExprRef predicate,
-                                 const std::vector<SetClause>& sets,
-                                 int64_t* affected) {
-  Value v = key->Evaluate(Tuple{}, Schema{});
-  if (v.IsNull()) {
-    // `column OP NULL` is never true, and `predicate` includes it: no row
-    // can match (the frontier mark once the open set is empty).
-    *affected = 0;
-    return Status::OK();
-  }
-  if (v.type() != TypeId::kInt) {
-    // Non-INT keys never match an INT index probe profitably; run the
-    // full-scan plan the text interface would have picked.
-    return UpdateWhere(table, std::move(predicate), sets, affected);
-  }
-  int64_t lo = std::numeric_limits<int64_t>::min();
-  int64_t hi = std::numeric_limits<int64_t>::max();
-  KeyRangeFor(op, v.AsInt(), &lo, &hi);  // overflow keeps the full range
-  Table::Iterator it;
-  RELGRAPH_RETURN_IF_ERROR(table->ScanRange(index_column, lo, hi, &it));
-  return UpdateCandidates(table, std::move(it), std::move(predicate), sets,
-                          affected);
-}
-
-Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected) {
-  *affected = 0;
-  const Schema& schema = table->schema();
-  std::vector<RowRef> pending;
-  Table::Iterator it = table->Scan();
-  std::vector<Tuple> rows;
-  std::vector<RowRef> refs;
-  ValueColumn pred_scratch;
-  std::vector<char> keep;
-  if (predicate != nullptr) {
-    RELGRAPH_RETURN_IF_ERROR(BindColumns(predicate, schema, &predicate));
-  }
-  bool exhausted = false;
-  while (size_t n =
-             ReadIteratorBatch(&it, &exhausted, kExecBatchSize, &rows, &refs)) {
-    if (predicate == nullptr) {
-      pending.insert(pending.end(), refs.begin(), refs.end());
-      continue;
-    }
-    RowBatch batch(rows.data(), n, schema, nullptr, 0);
-    EvalPredicateBatch(*predicate, batch, &pred_scratch, &keep);
-    for (size_t i = 0; i < n; i++) {
-      if (keep[i]) pending.push_back(refs[i]);
-    }
-  }
-  RELGRAPH_RETURN_IF_ERROR(it.status());
-  for (const auto& row_ref : pending) {
-    RELGRAPH_RETURN_IF_ERROR(table->DeleteRow(row_ref));
-    (*affected)++;
-  }
-  return Status::OK();
-}
-
 MergePlan::MergePlan(Table* target, const Schema& source_schema,
                      MergeSpec spec)
     : target_(target),
-      source_schema_(source_schema),
       spec_(std::move(spec)) {
   const Schema& target_schema = target_->schema();
   status_ = [&]() -> Status {
@@ -192,7 +155,7 @@ MergePlan::MergePlan(Table* target, const Schema& source_schema,
       return Status::InvalidArgument("MERGE target lacks key column " +
                                      spec_.target_key_column);
     }
-    int src_key_idx = source_schema_.Find(spec_.source_key_column);
+    int src_key_idx = source_schema.Find(spec_.source_key_column);
     if (src_key_idx < 0) {
       return Status::InvalidArgument("MERGE source lacks key column " +
                                      spec_.source_key_column);
@@ -204,20 +167,20 @@ MergePlan::MergePlan(Table* target, const Schema& source_schema,
     target_key_idx_ = static_cast<size_t>(tgt_key_idx);
     source_key_idx_ = static_cast<size_t>(src_key_idx);
     // Combined row namespace for the matched branch: t.<col> then s.<col>.
-    combined_ = ConcatSchemas(PrefixSchema(target_schema, "t."),
-                              PrefixSchema(source_schema_, "s."));
+    const Schema combined = ConcatSchemas(PrefixSchema(target_schema, "t."),
+                                          PrefixSchema(source_schema, "s."));
     if (spec_.matched_condition != nullptr) {
-      RELGRAPH_RETURN_IF_ERROR(BindColumns(spec_.matched_condition, combined_,
+      RELGRAPH_RETURN_IF_ERROR(BindColumns(spec_.matched_condition, combined,
                                            &spec_.matched_condition));
     }
     for (auto& s : spec_.matched_sets) {
       int idx = target_schema.Find(s.column);
       if (idx < 0) return Status::InvalidArgument("no column " + s.column);
-      RELGRAPH_RETURN_IF_ERROR(BindColumns(s.expr, combined_, &s.expr));
+      RELGRAPH_RETURN_IF_ERROR(BindColumns(s.expr, combined, &s.expr));
       sets_.emplace_back(static_cast<size_t>(idx), s.expr);
     }
     RELGRAPH_RETURN_IF_ERROR(
-        BindColumns(&spec_.insert_values, source_schema_));
+        BindColumns(&spec_.insert_values, source_schema));
     return Status::OK();
   }();
   // Without a unique index the plan falls back to a hash match: one scan
@@ -266,7 +229,7 @@ Status MergePlan::Run(const Tuple* rows, size_t n, int64_t* affected) {
       }
     }
     if (found.ok()) {
-      const RowView pair(existing_, src, combined_);
+      const RowView pair(existing_, src);
       if (spec_.matched_condition != nullptr &&
           !EvalPredicate(*spec_.matched_condition, pair)) {
         continue;
@@ -282,9 +245,8 @@ Status MergePlan::Run(const Tuple* rows, size_t n, int64_t* affected) {
       (*affected)++;
     } else if (found.IsNotFound()) {
       if (spec_.insert_values.empty()) continue;
-      const RowView source_row(src, source_schema_);
       for (size_t k = 0; k < spec_.insert_values.size(); k++) {
-        fresh_.value(k) = spec_.insert_values[k]->Evaluate(source_row);
+        fresh_.value(k) = spec_.insert_values[k]->Evaluate(src);
       }
       RowRef fresh_ref;
       RELGRAPH_RETURN_IF_ERROR(target_->Insert(fresh_, &fresh_ref));
@@ -298,17 +260,14 @@ Status MergePlan::Run(const Tuple* rows, size_t n, int64_t* affected) {
   return Status::OK();
 }
 
-Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
-                 int64_t* affected) {
+Status MergePlan::Run(Executor* source, int64_t* affected) {
   *affected = 0;
-  MergePlan plan(target, source->OutputSchema(), spec);
-  RELGRAPH_RETURN_IF_ERROR(plan.status());
-  // The source drains completely — through Collect, so a SELECT-backed
-  // source (the paper's windowed expansion subquery) still runs its whole
-  // pipeline in batch mode — before any merge action runs.
-  std::vector<Tuple> rows;
-  RELGRAPH_RETURN_IF_ERROR(Collect(source, &rows));
-  return plan.Run(rows.data(), rows.size(), affected);
+  RELGRAPH_RETURN_IF_ERROR(status_);
+  size_t n = 0;
+  RELGRAPH_RETURN_IF_ERROR(CollectInto(source, &source_rows_, &n));
+  Status merged = Run(source_rows_.data(), n, affected);
+  TrimSlots(&source_rows_);
+  return merged;
 }
 
 }  // namespace relgraph

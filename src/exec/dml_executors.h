@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -26,44 +27,70 @@ using RowChangeObserver = std::function<void(const Tuple& new_row)>;
 /// INSERT INTO table SELECT ... ; source schema must be type-compatible.
 Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted);
 
-/// UPDATE table SET col=expr, ... WHERE predicate. Set expressions are
-/// evaluated against the *old* row (table schema). A null predicate matches
-/// every row.
+/// One `column = expr` of an UPDATE's SET list (or of MERGE's matched
+/// branch).
 struct SetClause {
   std::string column;
   ExprRef expr;
 };
-Status UpdateWhere(Table* table, ExprRef predicate,
-                   const std::vector<SetClause>& sets, int64_t* affected);
 
-/// A prepared UPDATE: SET `sets` on the rows a candidate iterator of
-/// `table` yields that satisfy `predicate` (null: all of them). The
-/// predicate and SET expressions are bound to the table's schema once, and
-/// every buffer — the scanned rows, the matched rows' pre- and
-/// post-images, the SET columns — persists across runs (row buffers cut
-/// back to kRetainedSlots after each), so a plan re-run every round
-/// allocates nothing once warm while it updates at most that many rows.
-/// Every UPDATE plan is this over a full scan or a key range.
+/// The candidate rows of an UPDATE or DELETE plan as a key range: each run
+/// evaluates `key` — a literal, a `:param` or a scalar-subquery slot — into
+/// RuntimeKeyRange(op, key) and reads ScanRange(column, lo, hi), an index
+/// probe when `column` is indexed and a filtered full scan otherwise. A
+/// null `key` makes every row a candidate (Table::Scan).
+struct KeyProbe {
+  std::string column;
+  CompareOp op = CompareOp::kEq;
+  ExprRef key;
+};
+
+/// A prepared UPDATE or DELETE: scans its candidate rows, matches them
+/// against `predicate` (null: all of them) and updates or deletes the
+/// matches. SQL UPDATE and DELETE statements, VisitedTable's frontier
+/// marks and the SegTable and Prim rounds all run through one, built once
+/// and re-run: values that change between runs reach the expressions
+/// through Param nodes. The predicate and SET expressions
+/// are bound to the table's schema once, and every buffer — the scanned
+/// rows, the matched rows' pre- and post-images, the SET columns —
+/// persists across runs (row buffers cut back to kRetainedSlots after
+/// each), so a warm plan allocates nothing while it touches at most that
+/// many rows.
 class UpdatePlan {
  public:
-  UpdatePlan(Table* table, ExprRef predicate, std::vector<SetClause> sets);
+  /// UPDATE `table` SET `sets` WHERE `predicate`, over the candidates
+  /// `probe` selects. SET expressions are evaluated against the *old* row.
+  UpdatePlan(Table* table, ExprRef predicate, std::vector<SetClause> sets,
+             KeyProbe probe = {});
+
+  /// DELETE FROM `table` WHERE `predicate`: the same scan and match, with
+  /// every matched row removed instead of rewritten.
+  static std::unique_ptr<UpdatePlan> Delete(Table* table, ExprRef predicate,
+                                            KeyProbe probe = {});
 
   /// InvalidArgument when the predicate or a SET clause names a column the
   /// table lacks; Run returns it too.
   const Status& status() const { return status_; }
 
-  /// Updates the matching rows among those `candidates` yields (a
-  /// Table::Scan or ScanRange iterator of the table). The matches are
-  /// collected before any is written, so the scan is stable under row
-  /// movement; `affected` counts them.
+  /// Runs the statement over the candidates its probe selects; `affected`
+  /// counts the matched rows. A NULL probe key matches no row, so the
+  /// table is not read.
+  Status Run(int64_t* affected);
+
+  /// Runs it over the rows `candidates` yields (a Table::Scan or ScanRange
+  /// iterator of the table) instead. The matches are collected before any
+  /// is written, so the scan is stable under row movement.
   Status Run(Table::Iterator* candidates, int64_t* affected);
 
  private:
   Table* table_;
   ExprRef predicate_;                               // bound; may be null
   std::vector<std::pair<size_t, ExprRef>> sets_;    // (slot, bound expr)
+  KeyProbe probe_;
+  bool delete_ = false;
   Status status_;
   // Per-run buffers, kept for the next run.
+  Table::Iterator candidates_;
   std::vector<Tuple> rows_;
   std::vector<RowRef> refs_;
   ValueColumn pred_scratch_;
@@ -74,29 +101,6 @@ class UpdatePlan {
   std::vector<Tuple> pending_old_;  // first pending_refs_.size() are live
   std::vector<Tuple> pending_new_;
 };
-
-/// UPDATE over the rows `candidates` yields: an UpdatePlan prepared and
-/// run once.
-Status UpdateCandidates(Table* table, Table::Iterator candidates,
-                        ExprRef predicate, const std::vector<SetClause>& sets,
-                        int64_t* affected);
-
-/// UPDATE over the key range `index_column OP key`: candidate rows come
-/// from ScanRange(index_column, lo, hi) — an index probe when the column
-/// is indexed, a filtered full scan otherwise — with `key`, a parameter or
-/// scalar-subquery slot, evaluated when the statement *executes*, not when
-/// it was planned. A NULL key matches no row; any other non-INT key falls
-/// back to the full-scan plan and an overflowing bound to the full key
-/// range; `predicate`, which includes `index_column OP key`, always
-/// applies residually, so every execution stays equivalent to UpdateWhere.
-Status UpdateWhereIndexedDynamic(Table* table, const std::string& index_column,
-                                 CompareOp op, const ExprRef& key,
-                                 ExprRef predicate,
-                                 const std::vector<SetClause>& sets,
-                                 int64_t* affected);
-
-/// DELETE FROM table WHERE predicate.
-Status DeleteWhere(Table* table, ExprRef predicate, int64_t* affected);
 
 /// The SQL:2008 MERGE statement (paper §2.2, Listing 2(4)):
 ///
@@ -121,13 +125,16 @@ struct MergeSpec {
   RowChangeObserver observer;           // optional post-image notifications
 };
 
-/// A prepared MERGE of source rows with `source_schema` into `target`.
-/// Built once: the key slots are resolved, the matched branch is bound to
-/// the combined [t.*, s.*] schema and the insert values to the source
-/// schema. The matched branch reads each (target row, source row) pair
-/// through a RowView, so no joined row is built, and the target row, its
-/// post-image and the inserted row live in slots the plan keeps: re-running
-/// it allocates nothing once warm (on a target with a unique index on its
+/// A prepared MERGE of source rows with `source_schema` into `target`: a
+/// SQL MERGE statement keeps one for its life, as the FEM M-operator
+/// (MergeRows) does. Built once: the key slots are resolved, the matched
+/// branch is bound to the combined [t.*, s.*] schema and the insert values
+/// to the source schema. Whether the key probe uses an index is fixed
+/// here too; an index created or dropped later needs a new plan. The
+/// matched branch reads each (target row, source row) pair through a
+/// RowView, so no joined row is built, and the target row, its post-image
+/// and the inserted row live in slots the plan keeps: re-running it
+/// allocates nothing once warm (on a target with a unique index on its
 /// key; otherwise each run builds the hash-match side afresh).
 class MergePlan {
  public:
@@ -142,10 +149,13 @@ class MergePlan {
   /// row after another, each action seeing the previous ones' effects.
   Status Run(const Tuple* rows, size_t n, int64_t* affected);
 
+  /// Drains `source`, whose output has the plan's source schema, into
+  /// slots the plan keeps (CollectInto), then merges them as above. The
+  /// whole source drains — in batch mode — before any action runs.
+  Status Run(Executor* source, int64_t* affected);
+
  private:
   Table* target_;
-  Schema source_schema_;
-  Schema combined_;  // [t.<target cols>, s.<source cols>]
   MergeSpec spec_;   // expressions bound
   size_t target_key_idx_ = 0;
   size_t source_key_idx_ = 0;
@@ -155,13 +165,9 @@ class MergePlan {
   Tuple existing_;  // the matched target row
   Tuple updated_;   // its post-image
   Tuple fresh_;     // the inserted row
+  std::vector<Tuple> source_rows_;  // Run(Executor*)'s drained source
   // Hash-match side for a target without a unique index on the key.
   std::unordered_map<int64_t, std::pair<RowRef, Tuple>> hash_side_;
 };
-
-/// MERGE with a source executor: a MergePlan prepared and run once over
-/// the drained source.
-Status MergeInto(Table* target, Executor* source, const MergeSpec& spec,
-                 int64_t* affected);
 
 }  // namespace relgraph

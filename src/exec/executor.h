@@ -83,12 +83,14 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Opens (or re-opens) the stream. Every plan may be re-Init()ed to run
-  /// again — prepared statements re-run their compiled plans this way.
+  /// again — prepared statements re-run their compiled plans this way. A
+  /// failed open (say, an expression naming a column the input lacks)
+  /// stays in status(), and the stream yields nothing.
   Status Init() {
-    status_ = Status::OK();
     cursor_ = BatchSpan{};
     cursor_lane_ = 0;
-    return Open();
+    status_ = Open();
+    return status_;
   }
 
   /// Points `out` at the next non-empty span of at most kExecBatchSize

@@ -13,7 +13,7 @@ void Expression::EvalBatch(const RowBatch& batch, ValueColumn* out) const {
   const size_t n = batch.num_rows();
   out->Reset(n);
   for (size_t i = 0; i < n; i++) {
-    out->Append(Evaluate(RowView(batch.row(i), batch.schema())));
+    out->Append(Evaluate(batch.row(i)));
   }
 }
 
@@ -101,32 +101,26 @@ void BoxedBinaryKernel(const ValueColumn& l, const ValueColumn& r,
   }
 }
 
-/// A column reference. Built unbound, by name: evaluation then resolves the
-/// name against the row's schema on every call (a missing name reads as
-/// NULL). BindColumns replaces it with a bound copy that carries the
-/// column's slot and reads it directly, in both evaluation modes.
+/// A column reference. Built unbound, by name; BindColumns replaces it
+/// with a bound copy that carries the column's slot and reads it directly,
+/// in both evaluation modes. An unbound one is never evaluated.
 class ColumnExpr : public Expression {
  public:
   explicit ColumnExpr(std::string name, int slot = -1)
       : name_(std::move(name)), slot_(slot) {}
   Value Evaluate(const RowView& row) const override {
-    if (slot_ >= 0) return row.value(static_cast<size_t>(slot_));
-    const int idx = row.schema().Find(name_);
-    return idx >= 0 ? row.value(static_cast<size_t>(idx)) : Value::Null();
+    assert(slot_ >= 0 && "column evaluated before BindColumns");
+    return row.value(static_cast<size_t>(slot_));
   }
   void EvalBatch(const RowBatch& batch, ValueColumn* out) const override {
     // row(i) gathers through the batch's selection vector when one is
     // attached, so every interior kernel above this leaf sees a compact
     // column and stays selection-oblivious.
+    assert(slot_ >= 0 && "column evaluated before BindColumns");
     const size_t n = batch.num_rows();
     out->Reset(n);
-    const int idx = slot_ >= 0 ? slot_ : batch.schema().Find(name_);
-    if (idx < 0) {
-      for (size_t i = 0; i < n; i++) out->AppendNull();
-      return;
-    }
     for (size_t i = 0; i < n; i++) {
-      out->AppendRef(batch.row(i).value(static_cast<size_t>(idx)));
+      out->AppendRef(batch.row(i).value(static_cast<size_t>(slot_)));
     }
   }
   Status BindTo(const Schema& schema, ExprRef* out) const override {
@@ -736,8 +730,7 @@ void EvalPredicateBatch(const Expression& expr, const RowBatch& batch,
   if (EvalRowAtATime(batch)) {
     keep->resize(batch.num_rows());
     for (size_t i = 0; i < batch.num_rows(); i++) {
-      (*keep)[i] =
-          EvalPredicate(expr, RowView(batch.row(i), batch.schema())) ? 1 : 0;
+      (*keep)[i] = EvalPredicate(expr, batch.row(i)) ? 1 : 0;
     }
     return;
   }

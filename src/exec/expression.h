@@ -15,36 +15,30 @@ namespace relgraph {
 /// Column-oriented view over a run of same-schema tuples — the unit the
 /// batch-mode evaluator works on. Expressions evaluated against a RowBatch
 /// produce one *column vector* per tree node (EvalBatch below), which hoists
-/// schema name resolution and virtual dispatch out of the per-row loop: one
-/// IndexOf and one virtual call per node per batch, instead of per row.
-/// The view borrows the tuples; it must not outlive them.
+/// virtual dispatch out of the per-row loop: one virtual call per node per
+/// batch, instead of per row. The view borrows the tuples; it must not
+/// outlive them.
 class RowBatch {
  public:
-  RowBatch(const std::vector<Tuple>& rows, const Schema& schema)
-      : rows_(rows.data()), num_rows_(rows.size()), schema_(&schema) {}
+  explicit RowBatch(const std::vector<Tuple>& rows)
+      : rows_(rows.data()), num_rows_(rows.size()) {}
   /// Selection-vector form (a BatchSpan): only rows[sel[i]] for
   /// i < sel_n are part of the batch. num_rows() reports the *selected*
   /// count and row(i) maps through the selection, so expression kernels
   /// evaluate exactly the qualifying lanes and their output columns are
   /// compact (entry i of every column belongs to lane i). A null `sel`
   /// degrades to the dense span form.
-  RowBatch(const Tuple* rows, size_t n, const Schema& schema,
-           const uint32_t* sel, size_t sel_n)
-      : rows_(rows),
-        num_rows_(sel != nullptr ? sel_n : n),
-        schema_(&schema),
-        sel_(sel) {}
+  RowBatch(const Tuple* rows, size_t n, const uint32_t* sel, size_t sel_n)
+      : rows_(rows), num_rows_(sel != nullptr ? sel_n : n), sel_(sel) {}
 
   size_t num_rows() const { return num_rows_; }
   const Tuple& row(size_t i) const {
     return rows_[sel_ != nullptr ? sel_[i] : i];
   }
-  const Schema& schema() const { return *schema_; }
 
  private:
   const Tuple* rows_;
   size_t num_rows_;  // selected count when sel_ is set
-  const Schema* schema_;
   const uint32_t* sel_ = nullptr;
 };
 
@@ -173,29 +167,26 @@ class ValueColumn {
   std::vector<Value> boxed_;
 };
 
-/// The row an expression reads: one tuple, or a (left, right) pair read as
-/// their concatenation without building it — MERGE's matched branch reads
-/// its (target, source) pair this way. `schema` describes the whole row;
-/// only unbound column references consult it.
+/// The row an expression reads: one tuple (a Tuple converts implicitly),
+/// or a (left, right) pair read as their concatenation without building
+/// it — joins and MERGE's matched branch read their pairs this way.
+/// Expressions read it by slot, so they must be bound (BindColumns) to the
+/// schema of the whole row.
 class RowView {
  public:
-  RowView(const Tuple& row, const Schema& schema)
-      : left_(&row), right_(nullptr), split_(row.NumValues()),
-        schema_(&schema) {}
-  RowView(const Tuple& left, const Tuple& right, const Schema& schema)
-      : left_(&left), right_(&right), split_(left.NumValues()),
-        schema_(&schema) {}
+  RowView(const Tuple& row)
+      : left_(&row), right_(nullptr), split_(row.NumValues()) {}
+  RowView(const Tuple& left, const Tuple& right)
+      : left_(&left), right_(&right), split_(left.NumValues()) {}
 
   const Value& value(size_t i) const {
     return i < split_ ? left_->value(i) : right_->value(i - split_);
   }
-  const Schema& schema() const { return *schema_; }
 
  private:
   const Tuple* left_;
   const Tuple* right_;
   size_t split_;  // columns of left_
-  const Schema* schema_;
 };
 
 class Expression;
@@ -211,15 +202,14 @@ using ExprRef = std::shared_ptr<const Expression>;
 /// Nodes are immutable and shared: the SQL plan cache hands one tree to
 /// many connections. Column references are built by name; BindColumns
 /// returns a new tree whose column nodes carry their slot in one schema,
-/// which every executor does once, when it is built, for each expression
-/// it evaluates. An unbound column resolves its name on every row.
+/// which every executor and prepared plan does once, when it is built, for
+/// each expression it evaluates. Only bound trees are evaluated: an
+/// unbound column has no slot to read. A tree without columns (literals,
+/// parameters, subquery slots) evaluates against any row, `Tuple{}` too.
 class Expression {
  public:
   virtual ~Expression() = default;
   virtual Value Evaluate(const RowView& row) const = 0;
-  Value Evaluate(const Tuple& tuple, const Schema& schema) const {
-    return Evaluate(RowView(tuple, schema));
-  }
 
   /// Evaluates the expression for every row of `batch` into one column.
   /// The base implementation is the scalar fallback (one Evaluate per row)
@@ -250,7 +240,7 @@ class BindContext;
 
 /// References a column by name. Executors bind it to its slot when they are
 /// built (BindColumns), so one expression works across plans with
-/// compatible columns.
+/// compatible columns; it cannot be evaluated before.
 ExprRef Col(std::string name);
 
 /// Returns `expr` with every column reference bound to its slot in
@@ -312,10 +302,6 @@ inline bool EvalRowAtATime(const RowBatch& batch) {
 /// SQL boolean test: true only when the value is non-null and nonzero
 /// (comparisons yield INT 0/1; NULL propagates as "unknown" = not true).
 bool EvalPredicate(const Expression& expr, const RowView& row);
-inline bool EvalPredicate(const Expression& expr, const Tuple& tuple,
-                          const Schema& schema) {
-  return EvalPredicate(expr, RowView(tuple, schema));
-}
 
 /// Batch form of EvalPredicate: keep->at(i) is 1 when row i passes. `scratch`
 /// is caller-owned so its capacity survives across batches.

@@ -97,6 +97,7 @@ void NestedLoopJoinExecutor::StartLeftRow() {
 }
 
 bool NestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
+  if (!status_.ok()) return false;  // a failed Init, or a failed child
   size_t n = 0;
   while (n < kExecBatchSize) {
     if (left_lane_ >= left_span_.count()) {
@@ -121,7 +122,7 @@ bool NestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
       // The predicate reads the (left, right) pair; only a passing pair
       // is concatenated, into a recycled output slot.
       if (predicate_ != nullptr &&
-          !EvalPredicate(*predicate_, RowView(left, right, output_schema_))) {
+          !EvalPredicate(*predicate_, RowView(left, right))) {
         continue;
       }
       if (n == rows_.size()) rows_.emplace_back();
@@ -184,8 +185,7 @@ bool IndexNestedLoopJoinExecutor::OpenNextOuter() {
       }
       outer_lane_ = 0;
     }
-    Value key = outer_key_->Evaluate(outer_span_.row(outer_lane_),
-                                     outer_->OutputSchema());
+    Value key = outer_key_->Evaluate(outer_span_.row(outer_lane_));
     if (key.IsNull()) {  // NULL keys join nothing
       outer_lane_++;
       continue;
@@ -214,8 +214,7 @@ bool IndexNestedLoopJoinExecutor::NextBatchSel(BatchSpan* out) {
     }
     const Tuple& outer_row = outer_span_.row(outer_lane_);
     if (residual_ != nullptr &&
-        !EvalPredicate(*residual_,
-                       RowView(outer_row, inner_tuple_, output_schema_))) {
+        !EvalPredicate(*residual_, RowView(outer_row, inner_tuple_))) {
       continue;
     }
     if (n == rows_.size()) rows_.emplace_back();

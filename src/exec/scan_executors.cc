@@ -92,6 +92,15 @@ bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi) {
   }
 }
 
+bool RuntimeKeyRange(CompareOp op, const Value& key, int64_t* lo,
+                     int64_t* hi) {
+  *lo = std::numeric_limits<int64_t>::min();
+  *hi = std::numeric_limits<int64_t>::max();
+  if (key.IsNull()) return false;
+  if (key.type() == TypeId::kInt) KeyRangeFor(op, key.AsInt(), lo, hi);
+  return true;
+}
+
 IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
                                                std::string column, int64_t lo,
                                                int64_t hi, size_t first_batch)
@@ -123,22 +132,15 @@ IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
       key_(std::move(key)),
       op_(op) {}
 
-void IndexRangeScanExecutor::ComputeRuntimeBounds() {
-  lo_ = std::numeric_limits<int64_t>::min();
-  hi_ = std::numeric_limits<int64_t>::max();
-  Value v = key_->Evaluate(Tuple{}, Schema{});
-  if (v.type() != TypeId::kInt) return;  // full range; residual filter decides
-  int64_t lo, hi;
-  if (KeyRangeFor(op_, v.AsInt(), &lo, &hi)) {
-    lo_ = lo;
-    hi_ = hi;
-  }
-}
-
 Status IndexRangeScanExecutor::Open() {
   exhausted_ = false;
   batch_rows_ = first_batch_;
-  if (key_ != nullptr) ComputeRuntimeBounds();
+  if (key_ != nullptr &&
+      !RuntimeKeyRange(op_, key_->Evaluate(Tuple{}), &lo_, &hi_)) {
+    it_ = Table::Iterator();  // a NULL key: no row can match
+    exhausted_ = true;
+    return Status::OK();
+  }
   if (!prefix_column_.empty()) {
     return table_->ScanRange(prefix_column_, prefix_, column_, lo_, hi_, &it_);
   }
@@ -152,10 +154,7 @@ void IndexRangeScanExecutor::Explain(int depth, std::string* out) const {
     // Render the bounds the *current* bindings imply, so EXPLAIN on a
     // bound prepared statement shows real numbers; unbound slots read as
     // NULL, which leaves the range fully open.
-    lo = std::numeric_limits<int64_t>::min();
-    hi = std::numeric_limits<int64_t>::max();
-    Value v = key_->Evaluate(Tuple{}, Schema{});
-    if (v.type() == TypeId::kInt) KeyRangeFor(op_, v.AsInt(), &lo, &hi);
+    RuntimeKeyRange(op_, key_->Evaluate(Tuple{}), &lo, &hi);
   }
   const bool open_lo = lo == std::numeric_limits<int64_t>::min();
   const bool open_hi = hi == std::numeric_limits<int64_t>::max();
@@ -192,7 +191,7 @@ Status FilterExecutor::Open() {
 }
 
 bool FilterExecutor::NextBatchSel(BatchSpan* out) {
-  const Schema& in_schema = child_->OutputSchema();
+  if (!status_.ok()) return false;  // a failed Init, or a failed child
   // Each child batch is consumed whole, so no lanes straddle calls and the
   // forwarded span never exceeds one child batch — the batch-size cap holds
   // through filter stacks. The predicate runs as one EvalPredicateBatch per
@@ -204,7 +203,7 @@ bool FilterExecutor::NextBatchSel(BatchSpan* out) {
       TrimSlots(&compact_);
       return false;
     }
-    RowBatch batch(cs.rows, cs.num_rows, in_schema, cs.sel, cs.num_sel);
+    RowBatch batch(cs.rows, cs.num_rows, cs.sel, cs.num_sel);
     EvalPredicateBatch(*predicate_, batch, &pred_scratch_, &keep_);
     const size_t lanes = cs.count();
     size_t k = 0;
@@ -265,20 +264,20 @@ Status ProjectExecutor::Open() {
 }
 
 bool ProjectExecutor::NextBatchSel(BatchSpan* out) {
+  if (!status_.ok()) return false;  // a failed Init, or a failed child
   BatchSpan span;
   if (!child_->NextBatchSel(&span)) {
     status_ = child_->status();
     TrimSlots(&rows_);
     return false;
   }
-  const Schema& in_schema = child_->OutputSchema();
   // Reads the borrowed child span in place (no input copy); a sparse span
   // compacts here, as a side effect of producing fresh output rows. Wide
   // batches evaluate column-at-a-time — one column per select item over
   // the selected lanes, zipped back into rows — and tiny ones (the FEM
   // frontier statements) row-at-a-time, where per-node column setup costs
   // more than it saves.
-  RowBatch batch(span.rows, span.num_rows, in_schema, span.sel, span.num_sel);
+  RowBatch batch(span.rows, span.num_rows, span.sel, span.num_sel);
   const bool row_at_a_time = EvalRowAtATime(batch);
   const size_t width = exprs_.size();
   if (!row_at_a_time) {
@@ -296,7 +295,7 @@ bool ProjectExecutor::NextBatchSel(BatchSpan* out) {
     if (dst.NumValues() != width) dst = Tuple(std::vector<Value>(width));
     for (size_t k = 0; k < width; k++) {
       if (row_at_a_time) {
-        dst.value(k) = exprs_[k]->Evaluate(batch.row(i), in_schema);
+        dst.value(k) = exprs_[k]->Evaluate(batch.row(i));
         continue;
       }
       const ValueColumn& col = expr_cols_[k];

@@ -51,11 +51,23 @@ size_t ReadIteratorBatch(Table::Iterator* it, bool* exhausted,
                          std::vector<RowRef>* refs);
 
 /// Key range [*lo, *hi] covering `column OP k` with the column on the
-/// left-hand side. Returns false when the comparison yields no usable
-/// range (an open bound that would overflow); callers fall back to a full
+/// left-hand side. Returns false, leaving *lo and *hi as they were, when
+/// the comparison yields no usable range (an open bound that would
+/// overflow); callers fall back to a full
 /// range or a sequential scan — the predicate always re-applies
 /// residually, so the range only needs to *cover* the matching keys.
 bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi);
+
+/// Key range [*lo, *hi] a runtime key probes for `column OP key`, where
+/// `key` is the value a literal, a `:param` or a scalar-subquery slot has
+/// when the statement executes. This is the one place a runtime key
+/// becomes a range: index range scans and UPDATE/DELETE plans both call
+/// it. A non-INT key, or a bound that would overflow, gives the full key
+/// range (the predicate re-applies residually). Returns false when no row
+/// can match: `column OP NULL` is never true. The range is then left
+/// full, which is how EXPLAIN shows an unbound key.
+bool RuntimeKeyRange(CompareOp op, const Value& key, int64_t* lo,
+                     int64_t* hi);
 
 /// Key-range scan: lo <= column <= hi through Table::ScanRange, which
 /// probes the cluster tree or a secondary index when `column` has one and
@@ -63,9 +75,8 @@ bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi);
 ///  - *static*: lo/hi fixed by the caller (the native FEM client);
 ///  - *runtime*: the bound is `column OP <key expr>` where the key — a
 ///    literal, a prepared-statement parameter or a scalar-subquery slot —
-///    is evaluated at Open, so one compiled plan probes fresh bounds on
-///    every execution. A non-INT or overflowing key degrades to the full
-///    key range (the residual filter keeps the plan equivalent).
+///    is evaluated at Open into RuntimeKeyRange, so one compiled plan
+///    probes fresh bounds on every execution. A NULL key reads no row.
 /// `first_batch` sizes the first pull: 1 under a LIMIT 1 that wants only
 /// the first key, so the scan reads one row instead of kFirstScanBatch.
 /// A static range may also fix a prefix column, `prefix_column = prefix
@@ -87,10 +98,6 @@ class IndexRangeScanExecutor : public Executor {
   Status Open() override;
 
  private:
-  /// Evaluates the runtime key into lo_/hi_ (full range on a non-INT or
-  /// overflowing key).
-  void ComputeRuntimeBounds();
-
   Table* table_;
   std::string prefix_column_;  // empty: a one-column range
   int64_t prefix_ = 0;

@@ -5,10 +5,10 @@
 namespace relgraph {
 
 int CompareBySortKeys(const Tuple& a, const Tuple& b,
-                      const std::vector<SortKey>& keys, const Schema& schema) {
+                      const std::vector<SortKey>& keys) {
   for (const auto& key : keys) {
-    Value va = key.expr->Evaluate(a, schema);
-    Value vb = key.expr->Evaluate(b, schema);
+    Value va = key.expr->Evaluate(a);
+    Value vb = key.expr->Evaluate(b);
     int c = va.Compare(vb);
     if (c != 0) return key.ascending ? c : -c;
   }
@@ -41,10 +41,9 @@ Status SortExecutor::Open() {
   // and scalar evaluation are value-identical (test_exec_batch.cc), and
   // ValueColumn::Get reproduces the exact Values Evaluate would return,
   // so the sort order is unchanged.
-  const Schema& schema = child_->OutputSchema();
   const size_t n = rows_.size();
   std::vector<ValueColumn> key_cols(keys_.size());
-  RowBatch batch(rows_, schema);
+  RowBatch batch(rows_);
   for (size_t k = 0; k < keys_.size(); k++) {
     keys_[k].expr->EvalBatch(batch, &key_cols[k]);
   }

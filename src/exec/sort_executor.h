@@ -45,9 +45,9 @@ class SortExecutor : public Executor {
 /// Binds every key expression of `keys` to `schema` (BindColumns).
 Status BindSortKeys(std::vector<SortKey>* keys, const Schema& schema);
 
-/// Compares two tuples under a sort-key list; shared with the window
-/// executor.
+/// Compares two tuples under a sort-key list bound to their schema;
+/// shared with the window executor.
 int CompareBySortKeys(const Tuple& a, const Tuple& b,
-                      const std::vector<SortKey>& keys, const Schema& schema);
+                      const std::vector<SortKey>& keys);
 
 }  // namespace relgraph

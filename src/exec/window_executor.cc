@@ -126,9 +126,7 @@ Status WindowRowNumberExecutor::Open() {
   // One sort orders by (partition, order-keys); partitions are then
   // contiguous runs — the standard single-pass window plan. Partition
   // columns compare through pre-resolved indices (not the expression
-  // comparator), and the order keys are bound to their slots, so the sort
-  // costs no per-comparison name lookups.
-  const Schema& in_schema = child_->OutputSchema();
+  // comparator), and the order keys are bound to their slots.
   auto cmp_partition = [&](const Tuple& a, const Tuple& b) {
     for (size_t pi : part_idx_) {
       int c = a.value(pi).Compare(b.value(pi));
@@ -140,7 +138,7 @@ Status WindowRowNumberExecutor::Open() {
                    [&](const Tuple& a, const Tuple& b) {
                      int c = cmp_partition(a, b);
                      if (c != 0) return c < 0;
-                     return CompareBySortKeys(a, b, order_keys_, in_schema) < 0;
+                     return CompareBySortKeys(a, b, order_keys_) < 0;
                    });
 
   // The sorted rows are the only materialization: row numbers are

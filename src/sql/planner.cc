@@ -293,10 +293,13 @@ Status Planner::Compile(const Statement& stmt, PreparedPlan* out) {
       s = CompileInsert(*stmt.insert);
       break;
     case StmtKind::kUpdate:
-      s = CompileUpdate(*stmt.update);
+      s = CompileUpdateOrDelete(stmt.update->table, stmt.update->sets,
+                                stmt.update->where.get(),
+                                /*is_delete=*/false);
       break;
     case StmtKind::kDelete:
-      s = CompileDelete(*stmt.del);
+      s = CompileUpdateOrDelete(stmt.del->table, {}, stmt.del->where.get(),
+                                /*is_delete=*/true);
       break;
     case StmtKind::kMerge:
       s = CompileMerge(*stmt.merge);
@@ -384,7 +387,7 @@ Status Planner::BindSargShaped(const Expr& c, const Schema& bind_schema,
       // statement stays a sequential scan and keeps its scan order.
       bool usable = HasRuntimeSlots(const_side);
       if (!usable) {
-        Value v = const_bound->Evaluate(Tuple{}, Schema{});
+        Value v = const_bound->Evaluate(Tuple{});
         int64_t lo, hi;
         usable = v.type() == TypeId::kInt &&
                  KeyRangeFor(op, v.AsInt(), &lo, &hi);
@@ -409,7 +412,7 @@ Status Planner::ResolveColumn(const std::string& qualifier,
                               std::string* resolved) const {
   std::string full = qualifier.empty() ? column : qualifier + "." + column;
   if (merge_ != nullptr && !qualifier.empty()) {
-    // A MERGE action: the statement's aliases name MergeInto's "t."/"s.".
+    // A MERGE action: the statement's aliases name MergePlan's "t."/"s.".
     if (CiEquals(qualifier, merge_->target_alias)) {
       full = "t." + column;
     } else if (CiEquals(qualifier, merge_->source.alias)) {
@@ -1069,32 +1072,35 @@ Status Planner::CompileInsert(const InsertStmt& ins) {
   return Status::OK();
 }
 
-Status Planner::CompileUpdate(const UpdateStmt& upd) {
+Status Planner::CompileUpdateOrDelete(const std::string& table_name,
+                                      const std::vector<SetItem>& set_items,
+                                      const Expr* where_expr,
+                                      bool is_delete) {
   Table* table = nullptr;
-  RELGRAPH_RETURN_IF_ERROR(FindTable(upd.table, &table));
+  RELGRAPH_RETURN_IF_ERROR(FindTable(table_name, &table));
   plan_->table = table;
-  for (const auto& s : upd.sets) {
+  const Schema& schema = table->schema();
+  std::vector<SetClause> sets;
+  for (const auto& s : set_items) {
     SetClause clause;
     RELGRAPH_RETURN_IF_ERROR(
-        ResolveColumn("", s.column, table->schema(), &clause.column));
-    RELGRAPH_RETURN_IF_ERROR(BindExpr(*s.expr, table->schema(), &clause.expr));
-    plan_->sets.push_back(std::move(clause));
+        ResolveColumn("", s.column, schema, &clause.column));
+    RELGRAPH_RETURN_IF_ERROR(BindExpr(*s.expr, schema, &clause.expr));
+    sets.push_back(std::move(clause));
   }
-  if (upd.where == nullptr) return Status::OK();
 
   // Sargable-conjunct extraction: a top-level `col OP <row-independent
   // expr>` conjunct (OP in {=, <=, <, >=, >}) on an indexed column turns
-  // the full-scan UPDATE into an index range probe — the plan the
-  // F-operator statements (`... WHERE flag = 2`, `... AND dist = (SELECT
-  // MIN(dist) ...)`, BSEG's `dist <= bound`) want once TVisited carries
-  // flag/dist indexes. An equality conjunct beats a range conjunct (tighter
-  // probe); the full predicate is still evaluated residually, so every
-  // plan stays exactly equivalent to the full scan. The key expression is
-  // evaluated per execution, so bounds over `:params` or subquery slots
-  // see each execution's bindings.
-  const Schema& schema = table->schema();
+  // the full scan into an index range probe — the plan the F-operator
+  // statements (`... WHERE flag = 2`, `... AND dist = (SELECT MIN(dist)
+  // ...)`, BSEG's `dist <= bound`) want once TVisited carries flag/dist
+  // indexes. An equality conjunct beats a range conjunct (tighter probe);
+  // the full predicate is still evaluated residually, so every plan stays
+  // exactly equivalent to the full scan. The key expression is evaluated
+  // per execution, so bounds over `:params` or subquery slots see each
+  // execution's bindings.
   std::vector<const Expr*> conjuncts;
-  FlattenAnd(upd.where.get(), &conjuncts);
+  if (where_expr != nullptr) FlattenAnd(where_expr, &conjuncts);
   ExprRef where;
   SargCandidate sarg;
   for (const Expr* c : conjuncts) {
@@ -1109,20 +1115,14 @@ Status Planner::CompileUpdate(const UpdateStmt& upd) {
     where = where == nullptr ? std::move(bound)
                              : And(std::move(where), std::move(bound));
   }
-  plan_->where = std::move(where);
-  plan_->sarg = {sarg.active, sarg.column, sarg.op, sarg.key};
-  return Status::OK();
-}
-
-Status Planner::CompileDelete(const DeleteStmt& del) {
-  Table* table = nullptr;
-  RELGRAPH_RETURN_IF_ERROR(FindTable(del.table, &table));
-  plan_->table = table;
-  if (del.where != nullptr) {
-    RELGRAPH_RETURN_IF_ERROR(
-        BindExpr(*del.where, table->schema(), &plan_->where));
-  }
-  return Status::OK();
+  KeyProbe probe;
+  if (sarg.active) probe = {sarg.column, sarg.op, sarg.key};
+  plan_->update =
+      is_delete ? UpdatePlan::Delete(table, std::move(where), std::move(probe))
+                : std::make_unique<UpdatePlan>(table, std::move(where),
+                                               std::move(sets),
+                                               std::move(probe));
+  return plan_->update->status();
 }
 
 // ----- MERGE -----------------------------------------------------------------
@@ -1133,7 +1133,7 @@ Status Planner::CompileMerge(const MergeStmt& m) {
   plan_->table = target;
   const Schema& target_schema = target->schema();
 
-  // Plan the source with *plain* column names: MergeInto prefixes them
+  // Plan the source with *plain* column names: MergePlan prefixes them
   // itself ("s.") for the matched branch.
   ExecRef source;
   if (m.source.kind == FromKind::kTable) {
@@ -1181,7 +1181,7 @@ Status Planner::CompileMerge(const MergeStmt& m) {
         "MERGE ON condition does not name a target and a source column");
   }
 
-  // Matched actions bind against the row MergeInto evaluates them over:
+  // Matched actions bind against the row MergePlan evaluates them over:
   // the target's columns under "t.", then the source's under "s.".
   const Schema combined = ConcatSchemas(PrefixSchema(target_schema, "t."),
                                         PrefixSchema(source_schema, "s."));
@@ -1230,9 +1230,10 @@ Status Planner::CompileMerge(const MergeStmt& m) {
     }
   }
 
+  plan_->merge =
+      std::make_unique<MergePlan>(target, source_schema, std::move(spec));
   plan_->root = std::move(source);
-  plan_->merge_spec = std::move(spec);
-  return Status::OK();
+  return plan_->merge->status();
 }
 
 // ----- DDL -------------------------------------------------------------------
@@ -1309,11 +1310,10 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
                                   &result->affected);
       }
       const Schema& schema = plan->table->schema();
-      Schema empty;
       for (const auto& row : plan->insert_rows) {
         std::vector<Value> values(schema.NumColumns());
         for (size_t i = 0; i < row.size(); i++) {
-          Value v = row[i]->Evaluate(Tuple{}, empty);
+          Value v = row[i]->Evaluate(Tuple{});
           RELGRAPH_RETURN_IF_ERROR(
               CoerceValue(v, schema.column(i).type, &values[i]));
         }
@@ -1322,21 +1322,11 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
       }
       return Status::OK();
     }
-    case StmtKind::kUpdate: {
-      if (plan->sarg.active) {
-        return UpdateWhereIndexedDynamic(plan->table, plan->sarg.column,
-                                         plan->sarg.op, plan->sarg.key,
-                                         plan->where, plan->sets,
-                                         &result->affected);
-      }
-      return UpdateWhere(plan->table, plan->where, plan->sets,
-                         &result->affected);
-    }
+    case StmtKind::kUpdate:
     case StmtKind::kDelete:
-      return DeleteWhere(plan->table, plan->where, &result->affected);
+      return plan->update->Run(&result->affected);
     case StmtKind::kMerge:
-      return MergeInto(plan->table, plan->root.get(), plan->merge_spec,
-                       &result->affected);
+      return plan->merge->Run(plan->root.get(), &result->affected);
     default: {
       Planner planner(db);
       return planner.ExecuteDdl(ast);

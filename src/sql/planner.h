@@ -42,10 +42,10 @@ struct SqlResult {
 ///
 ///   bind:    write parameter Values into `ctx`, run each entry of
 ///            `subqueries` and write its scalar into its slot;
-///   execute: Init + drain `root` (SELECT) or run the stored DML
-///            primitive — index-probe bounds are evaluated from their
-///            key expressions at open (IndexRangeScanExecutor runtime
-///            bounds, UpdateWhereIndexedDynamic).
+///   execute: Init + drain `root` (SELECT) or re-run the prepared DML
+///            plan (`update`, `merge`) — a runtime key becomes its probe
+///            range when the plan opens (RuntimeKeyRange, for index range
+///            scans and UPDATE/DELETE alike).
 ///
 /// DDL kinds compile to just their statement kind and re-execute from the
 /// AST (there is no plan worth caching; DDL invalidates plans instead).
@@ -77,20 +77,12 @@ struct PreparedPlan {
   std::vector<std::vector<relgraph::ExprRef>> insert_rows;
   bool insert_from_select = false;
 
-  // UPDATE / DELETE.
-  std::vector<relgraph::SetClause> sets;
-  relgraph::ExprRef where;
+  /// UPDATE / DELETE: the prepared scan-and-match plan, over the key
+  /// range of its sargable conjunct when it has one.
+  std::unique_ptr<relgraph::UpdatePlan> update;
 
-  /// Sargable UPDATE probe `column OP key`; the key — a literal, a
-  /// `:param` or a scalar-subquery slot — is evaluated per execution.
-  struct Sarg {
-    bool active = false;
-    std::string column;
-    relgraph::CompareOp op = relgraph::CompareOp::kEq;
-    relgraph::ExprRef key;
-  } sarg;
-
-  relgraph::MergeSpec merge_spec;  // MERGE (root is the source)
+  /// MERGE: the prepared merge of the rows `root` yields.
+  std::unique_ptr<relgraph::MergePlan> merge;
 };
 
 /// Binds one execution's values: named parameters from `params` (every
@@ -104,9 +96,9 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
                            PreparedPlan* plan, SqlResult* result);
 
 /// Translates one parsed Statement into a PreparedPlan: executor
-/// pipelines for SELECT, the DML primitives (InsertFromExecutor /
-/// UpdateWhere / DeleteWhere / MergeInto) for writes, catalog calls for
-/// DDL.
+/// pipelines for SELECT, prepared DML plans (an INSERT's rows or source,
+/// UpdatePlan for UPDATE and DELETE, MergePlan) for writes, catalog calls
+/// for DDL. Every plan is built here once and re-run by each execution.
 ///
 /// Scope rules (deliberately the subset the paper's listings exercise):
 ///  - FROM lists join left-to-right; an equality conjunct in WHERE that links
@@ -142,8 +134,11 @@ class Planner {
   };
 
   Status CompileInsert(const InsertStmt& ins);
-  Status CompileUpdate(const UpdateStmt& upd);
-  Status CompileDelete(const DeleteStmt& del);
+  /// UPDATE (SET `set_items`) or DELETE (`is_delete`): one UpdatePlan,
+  /// over the key range of a sargable WHERE conjunct when there is one.
+  Status CompileUpdateOrDelete(const std::string& table_name,
+                               const std::vector<SetItem>& set_items,
+                               const Expr* where_expr, bool is_delete);
   Status CompileMerge(const MergeStmt& m);
   Status ExecuteCreateTable(const CreateTableStmt& ct);
   Status ExecuteCreateIndex(const CreateIndexStmt& ci);
@@ -178,7 +173,7 @@ class Planner {
   };
 
   /// Shared body of the sargable-conjunct extraction used by both the
-  /// UPDATE planner and SELECT's base-table scan choice: binds a
+  /// UPDATE/DELETE planner and SELECT's base-table scan choice: binds a
   /// `col OP expr` / `expr OP col` conjunct against `bind_schema` into the
   /// residual comparison `bound`, and updates `best` when the conjunct is
   /// an index-servable `col OP <row-independent expr>` over `table` (the
@@ -191,7 +186,7 @@ class Planner {
 
   /// AST expression -> runtime expression against `schema`. Parameters
   /// and scalar subqueries register slots on the plan under compilation.
-  /// MERGE actions bind here too, against MergeInto's combined row.
+  /// MERGE actions bind here too, against MergePlan's combined row.
   Status BindExpr(const Expr& e, const Schema& schema, ExprRef* out);
   /// Resolves a (qualifier, column) reference to the schema's column name.
   /// While a MERGE action binds, the statement's target alias resolves to

@@ -25,6 +25,14 @@
 namespace relgraph {
 namespace {
 
+/// `e` bound to `schema`: the oracles evaluate bound trees, as the
+/// executors do.
+ExprRef Bound(const ExprRef& e, const Schema& schema) {
+  ExprRef out;
+  EXPECT_TRUE(BindColumns(e, schema, &out).ok()) << e->ToString();
+  return out;
+}
+
 /// Drains through NextBatchSel, copying lanes out without moving them.
 /// Every span must be non-empty and within the batch cap.
 std::vector<Tuple> DrainSpans(Executor* e) {
@@ -156,17 +164,18 @@ class ExecBatchTest : public ::testing::Test {
       case 0: {
         CompareOp op = static_cast<CompareOp>(rng->NextInt(0, 5));
         ExprRef pred = Cmp(op, random_col(), Lit(rng->NextInt(0, domain)));
+        const ExprRef bound = Bound(pred, in);
         for (const Tuple& t : in_rows) {
-          if (EvalPredicate(*pred, t, in)) ref->push_back(t);
+          if (EvalPredicate(*bound, t)) ref->push_back(t);
         }
         return std::make_unique<FilterExecutor>(std::move(child), pred);
       }
       case 1: {
         std::vector<ExprRef> exprs = {random_col(),
                                       Add(random_col(), random_col())};
+        const ExprRef e0 = Bound(exprs[0], in), e1 = Bound(exprs[1], in);
         for (const Tuple& t : in_rows) {
-          ref->push_back(Tuple({exprs[0]->Evaluate(t, in),
-                                exprs[1]->Evaluate(t, in)}));
+          ref->push_back(Tuple({e0->Evaluate(t), e1->Evaluate(t)}));
         }
         Schema out({{"p0", TypeId::kInt}, {"p1", TypeId::kInt}});
         return std::make_unique<ProjectExecutor>(std::move(child),
@@ -186,14 +195,19 @@ class ExecBatchTest : public ::testing::Test {
             rng->NextInt(0, 1) == 0
                 ? nullptr
                 : Cmp(CompareOp::kLt, Col("cost"), Lit(rng->NextInt(5, 45)));
-        const Schema joined = ConcatSchemas(in, right->schema());
+        const ExprRef bound_key = Bound(key, in);
+        const ExprRef bound_residual =
+            residual == nullptr
+                ? nullptr
+                : Bound(residual, ConcatSchemas(in, right->schema()));
         for (const Tuple& t : in_rows) {
-          Value k = key->Evaluate(t, in);
+          Value k = bound_key->Evaluate(t);
           if (k.IsNull()) continue;
           for (const Tuple& inner : ReadRange(right, "fid", k.AsInt(),
                                               k.AsInt())) {
             Tuple row = ConcatTuples(t, inner);
-            if (residual == nullptr || EvalPredicate(*residual, row, joined)) {
+            if (bound_residual == nullptr ||
+                EvalPredicate(*bound_residual, row)) {
               ref->push_back(std::move(row));
             }
           }
@@ -419,15 +433,17 @@ class EvalBatchTest : public ::testing::Test {
     }
   }
 
-  static void ExpectAgreement(const Expression& e,
+  static void ExpectAgreement(const ExprRef& expr,
                               const std::vector<Tuple>& rows,
                               const Schema& schema, uint64_t seed) {
-    RowBatch batch(rows, schema);
+    const ExprRef bound = Bound(expr, schema);
+    const Expression& e = *bound;
+    RowBatch batch(rows);
     ValueColumn col;
     e.EvalBatch(batch, &col);
     ASSERT_EQ(col.size(), rows.size());
     for (size_t i = 0; i < rows.size(); i++) {
-      Value scalar = e.Evaluate(rows[i], schema);
+      Value scalar = e.Evaluate(rows[i]);
       Value batched = col.Get(i);
       ASSERT_EQ(scalar.IsNull(), batched.IsNull())
           << "seed " << seed << " row " << i << " expr " << e.ToString();
@@ -445,18 +461,19 @@ TEST_F(EvalBatchTest, RandomExpressionsAgreeWithScalarEvaluation) {
     Rng rng(seed);
     auto rows = MakeRows(&rng, 64);
     ExprRef num = RandomNumExpr(&rng, static_cast<int>(seed % 4));
-    ExpectAgreement(*num, rows, schema, seed);
+    ExpectAgreement(num, rows, schema, seed);
     ExprRef cond = RandomBoolExpr(&rng, static_cast<int>(seed % 3));
-    ExpectAgreement(*cond, rows, schema, seed);
+    ExpectAgreement(cond, rows, schema, seed);
 
     // Predicate verdicts must match row-by-row EvalPredicate.
-    RowBatch batch(rows, schema);
+    const ExprRef bound = Bound(cond, schema);
+    RowBatch batch(rows);
     ValueColumn scratch;
     std::vector<char> keep;
-    EvalPredicateBatch(*cond, batch, &scratch, &keep);
+    EvalPredicateBatch(*bound, batch, &scratch, &keep);
     ASSERT_EQ(keep.size(), rows.size());
     for (size_t i = 0; i < rows.size(); i++) {
-      EXPECT_EQ(keep[i] != 0, EvalPredicate(*cond, rows[i], schema))
+      EXPECT_EQ(keep[i] != 0, EvalPredicate(*bound, rows[i]))
           << "seed " << seed << " row " << i;
     }
   }
@@ -577,7 +594,8 @@ TEST_F(ExecBatchTest, MergeViaBatchMatchesRowAtATimeMerge) {
     spec.matched_sets = {{"d2s", Col("s.cost")}, {"p2s", Col("s.pid")}};
     spec.insert_values = {Col("nid"), Col("cost"), Col("pid")};
     int64_t affected = 0;
-    ASSERT_TRUE(MergeInto(target.get(), source.get(), spec, &affected).ok());
+    MergePlan plan(target.get(), source->OutputSchema(), spec);
+    ASSERT_TRUE(plan.Run(source.get(), &affected).ok());
     EXPECT_EQ(affected, oracle_affected) << "scratch=" << scratch_source;
 
     std::vector<Tuple> got = ReadAll(target->Scan());
@@ -778,18 +796,20 @@ TEST_F(EvalBatchTest, SelectionVectorAgreesWithCompactedAndScalar) {
       // non-null pointer (an empty vector's data() may be null).
       static uint32_t empty_sel_storage = 0;
       const uint32_t* selp = sel.empty() ? &empty_sel_storage : sel.data();
-      for (const ExprRef& e : {RandomNumExpr(&rng, static_cast<int>(seed % 4)),
-                               RandomBoolExpr(&rng, static_cast<int>(seed % 3))}) {
-        RowBatch sel_batch(rows.data(), rows.size(), schema, selp, sel.size());
+      for (const ExprRef& expr :
+           {RandomNumExpr(&rng, static_cast<int>(seed % 4)),
+            RandomBoolExpr(&rng, static_cast<int>(seed % 3))}) {
+        const ExprRef e = Bound(expr, schema);
+        RowBatch sel_batch(rows.data(), rows.size(), selp, sel.size());
         ValueColumn col_sel;
         e->EvalBatch(sel_batch, &col_sel);
         ASSERT_EQ(col_sel.size(), want);
-        RowBatch dense_batch(compact, schema);
+        RowBatch dense_batch(compact);
         ValueColumn col_dense;
         e->EvalBatch(dense_batch, &col_dense);
         ASSERT_EQ(col_dense.size(), want);
         for (size_t i = 0; i < want; i++) {
-          const Value scalar = e->Evaluate(rows[sel[i]], schema);
+          const Value scalar = e->Evaluate(rows[sel[i]]);
           const Value via_sel = col_sel.Get(i);
           const Value via_dense = col_dense.Get(i);
           ASSERT_EQ(scalar.IsNull(), via_sel.IsNull())
@@ -860,6 +880,10 @@ class HashAggOracleTest : public ::testing::Test {
     };
     std::map<std::vector<Value>, std::vector<OracleState>, decltype(cmp)>
         groups(cmp);
+    std::vector<ExprRef> args;
+    for (const AggSpec& a : aggs) {
+      args.push_back(a.expr == nullptr ? nullptr : Bound(a.expr, schema));
+    }
     for (const Tuple& t : rows) {
       std::vector<Value> key;
       key.reserve(group_idx.size());
@@ -867,11 +891,10 @@ class HashAggOracleTest : public ::testing::Test {
       auto [it, inserted] =
           groups.try_emplace(std::move(key), std::vector<OracleState>(aggs.size()));
       for (size_t k = 0; k < aggs.size(); k++) {
-        if (aggs[k].expr == nullptr) {
+        if (args[k] == nullptr) {
           it->second[k].count++;
         } else {
-          OracleAccumulate(aggs[k].op, aggs[k].expr->Evaluate(t, schema),
-                           &it->second[k]);
+          OracleAccumulate(aggs[k].op, args[k]->Evaluate(t), &it->second[k]);
         }
       }
     }
@@ -918,8 +941,9 @@ TEST_F(HashAggOracleTest, FuzzGroupedAggregationMatchesMapOracle) {
                        ? Cmp(CompareOp::kGe, Col("v"), Lit(int64_t{50}))
                        : nullptr;
     std::vector<Tuple> oracle_input;
+    const ExprRef bound = pred == nullptr ? nullptr : Bound(pred, schema);
     for (const Tuple& t : rows) {
-      if (pred == nullptr || EvalPredicate(*pred, t, schema)) {
+      if (bound == nullptr || EvalPredicate(*bound, t)) {
         oracle_input.push_back(t);
       }
     }

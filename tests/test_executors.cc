@@ -183,33 +183,37 @@ TEST_F(ExecutorTest, ScalarAggregateMinMaxSum) {
 
 // ------------------------------------------------------------ Expressions
 
+/// `e` bound to the one-column schema (x INT) the rows below have.
+ExprRef BoundToX(const ExprRef& e) {
+  ExprRef out;
+  EXPECT_TRUE(BindColumns(e, Schema({{"x", TypeId::kInt}}), &out).ok());
+  return out;
+}
+
 TEST(ExpressionTest, ThreeValuedLogic) {
-  Schema schema({{"x", TypeId::kInt}});
   Tuple null_row({Value::Null()});
   Tuple row({Value(int64_t{5})});
 
   // NULL comparisons are unknown -> predicate false.
-  EXPECT_FALSE(EvalPredicate(*Cmp(CompareOp::kEq, Col("x"), Lit(int64_t{5})),
-                             null_row, schema));
-  EXPECT_TRUE(EvalPredicate(*Cmp(CompareOp::kEq, Col("x"), Lit(int64_t{5})),
-                            row, schema));
+  ExprRef x_is_5 = BoundToX(Cmp(CompareOp::kEq, Col("x"), Lit(int64_t{5})));
+  EXPECT_FALSE(EvalPredicate(*x_is_5, null_row));
+  EXPECT_TRUE(EvalPredicate(*x_is_5, row));
   // FALSE AND NULL = FALSE; TRUE OR NULL = TRUE (short-circuit semantics).
   ExprRef null_cmp = Cmp(CompareOp::kEq, NullLit(), Lit(int64_t{1}));
   EXPECT_FALSE(EvalPredicate(
-      *And(Cmp(CompareOp::kEq, Col("x"), Lit(int64_t{9})), null_cmp), row,
-      schema));
-  EXPECT_TRUE(EvalPredicate(
-      *Or(Cmp(CompareOp::kEq, Col("x"), Lit(int64_t{5})), null_cmp), row,
-      schema));
+      *BoundToX(And(Cmp(CompareOp::kEq, Col("x"), Lit(int64_t{9})), null_cmp)),
+      row));
+  EXPECT_TRUE(EvalPredicate(*BoundToX(Or(x_is_5, null_cmp)), row));
   // NOT NULL = NULL -> false.
-  EXPECT_FALSE(EvalPredicate(*Not(null_cmp), row, schema));
+  EXPECT_FALSE(EvalPredicate(*Not(null_cmp), row));
 }
 
 TEST(ExpressionTest, ArithmeticAndToString) {
-  Schema schema({{"x", TypeId::kInt}});
   Tuple row({Value(int64_t{6})});
-  EXPECT_EQ(Add(Col("x"), Lit(int64_t{4}))->Evaluate(row, schema).AsInt(), 10);
-  EXPECT_EQ(Mul(Col("x"), Lit(int64_t{7}))->Evaluate(row, schema).AsInt(), 42);
+  EXPECT_EQ(BoundToX(Add(Col("x"), Lit(int64_t{4})))->Evaluate(row).AsInt(),
+            10);
+  EXPECT_EQ(BoundToX(Mul(Col("x"), Lit(int64_t{7})))->Evaluate(row).AsInt(),
+            42);
   EXPECT_EQ(Add(Col("x"), Lit(int64_t{4}))->ToString(), "(x + 4)");
   EXPECT_EQ(ColEq("x", 6)->ToString(), "(x = 6)");
 }

@@ -4,15 +4,19 @@
 // flipping access paths on the same handle), the text-keyed LRU plan
 // cache behind plain Execute() (prepares / plan_cache_hits counters,
 // eviction), runtime-bounded index plans for `:param` sargs, script
-// parameter binding, and the SqlPathFinder contract: zero parses/plans
-// during Find(), bit-identical behaviour between prepared and text mode.
+// parameter binding, prepared UPDATE/DELETE/MERGE handles against a twin
+// database that compiles every statement afresh, and the SqlPathFinder
+// contract: zero parses/plans during Find(), bit-identical behaviour
+// between prepared and text mode.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/sql_path_finder.h"
 #include "src/db/database.h"
 #include "src/graph/generators.h"
@@ -299,6 +303,165 @@ TEST_F(SqlPreparedTest, ParamSargSelectMatchesSeqScanResults) {
   EXPECT_EQ(lhs, rhs);
   ASSERT_FALSE(lhs.empty());
 }
+
+// ------------------------------------------------- prepared DML oracle
+
+/// The table the prepared-DML oracle writes: clustered on its key k, a
+/// heap with a unique index on k, or a heap without one, where MERGE
+/// takes its hash-match path.
+enum class DmlTarget { kClustered, kIndexedHeap, kUnindexedHeap };
+
+class PreparedDmlOracle : public ::testing::TestWithParam<DmlTarget> {
+ protected:
+  PreparedDmlOracle()
+      : db_(DatabaseOptions{}), twin_db_(DatabaseOptions{}), conn_(&db_),
+        twin_(&twin_db_) {
+    twin_.SetPlanCacheCapacity(0);  // the text oracle: compiles every time
+  }
+
+  /// Runs `text` on both databases (DDL and seed rows).
+  void Both(const std::string& text) {
+    SqlResult r;
+    ASSERT_TRUE(conn_.Execute(text, &r).ok()) << text;
+    ASSERT_TRUE(twin_.Execute(text, &r).ok()) << text;
+  }
+
+  /// Every row of `t`, as text, sorted.
+  static std::vector<std::string> Rows(Database* db) {
+    std::vector<std::string> out;
+    Table::Iterator it = db->catalog()->GetTable("t")->Scan();
+    Tuple row;
+    while (it.Next(&row, nullptr)) {
+      std::string line;
+      for (const Value& v : row.values()) line.append(v.ToString()).append(",");
+      out.push_back(std::move(line));
+    }
+    EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  Database db_, twin_db_;
+  SqlEngine conn_, twin_;
+};
+
+// Each DML kind runs 200 times through one prepared handle with seeded
+// parameters, with CREATE INDEX / DROP INDEX in between so the handles
+// re-plan; after every execution the table equals the one a twin database
+// holds after running the same text on a connection that compiles every
+// statement afresh.
+TEST_P(PreparedDmlOracle, HandlesMatchACompileEveryTimeTwin) {
+  const DmlTarget target = GetParam();
+  Both(target == DmlTarget::kClustered
+           ? "create table t (k int, v int, w int) cluster by (k) unique"
+           : "create table t (k int, v int, w int)");
+  if (target == DmlTarget::kIndexedHeap) {
+    Both("create unique index ix_t_k on t (k)");
+  }
+  Both("create table s (k int, v int)");
+  Rng rng(31 + static_cast<uint64_t>(target));
+  for (int64_t k = 0; k < 40; k++) {
+    Both("insert into t values (" + std::to_string(k) + ", " +
+         std::to_string(rng.NextInt(0, 49)) + ", 0)");
+  }
+  for (int64_t k = 0; k < 60; k++) {
+    Both("insert into s values (" + std::to_string(k) + ", " +
+         std::to_string(rng.NextInt(0, 49)) + ")");
+  }
+  // The unindexed heap's key index comes and goes: the handles are first
+  // planned with it, so a plan kept past its DROP would probe an index
+  // that is gone, and while it is dropped MERGE takes the hash-match path.
+  // The other targets toggle an index on v, which the DELETE's sarg
+  // probes.
+  const bool toggle_key = target == DmlTarget::kUnindexedHeap;
+  const std::string create_index = toggle_key
+                                       ? "create unique index ix on t (k)"
+                                       : "create index ix on t (v)";
+  bool indexed = toggle_key;
+  if (indexed) Both(create_index);
+  const std::string source =
+      "(select k, v from s where k >= :lo and k < :hi) as src (k, v) "
+      "on (target.k = src.k) ";
+  const std::vector<std::string> texts = {
+      "update t set v = v + :d, w = w + 1 where k = :k",
+      "delete from t where v = :v",
+      "merge into t as target using " + source +
+          "when matched and src.v < target.v then update set v = src.v, "
+          "w = w + 10",
+      "merge into t as target using " + source +
+          "when matched then update set w = target.w + src.v "
+          "when not matched then insert (k, v, w) values (k, v, 0)"};
+  std::vector<std::shared_ptr<PreparedStatement>> handles;
+  for (const std::string& text : texts) {
+    std::shared_ptr<PreparedStatement> ps;
+    ASSERT_TRUE(conn_.Prepare(text, &ps).ok()) << text;
+    handles.push_back(std::move(ps));
+  }
+
+  int64_t affected_total = 0, null_keys = 0, double_keys = 0;
+  for (int i = 0; i < 200 * static_cast<int>(texts.size()); i++) {
+    if (i % 37 == 36) {
+      Both(indexed ? "drop index ix on t" : create_index);
+      indexed = !indexed;
+    }
+    const size_t h = static_cast<size_t>(i) % texts.size();
+    SqlParams params;
+    switch (h) {
+      case 0: {
+        const int64_t k = rng.NextInt(-2, 44);
+        switch (rng.NextInt(0, 9)) {
+          case 0:
+            params["k"] = Value::Null();
+            null_keys++;
+            break;
+          case 1:
+            params["k"] = Value(static_cast<double>(k) + (k % 2 ? 0.5 : 0.0));
+            double_keys++;
+            break;
+          default:
+            params["k"] = Value(k);
+        }
+        params["d"] = Value(rng.NextInt(-3, 3));
+        break;
+      }
+      case 1:
+        params["v"] = Value(rng.NextInt(0, 60));
+        break;
+      default: {
+        const int64_t lo = rng.NextInt(0, 59);
+        params["lo"] = Value(lo);
+        params["hi"] = Value(lo + rng.NextInt(0, 20));
+      }
+    }
+    SqlResult mine, theirs;
+    Status st = handles[h]->Execute(params, &mine);
+    ASSERT_TRUE(st.ok()) << texts[h] << ": " << st.ToString();
+    st = twin_.Execute(texts[h], &theirs, params);
+    ASSERT_TRUE(st.ok()) << texts[h] << ": " << st.ToString();
+    ASSERT_EQ(mine.affected, theirs.affected) << "execution " << i << ": "
+                                              << texts[h];
+    ASSERT_EQ(Rows(&db_), Rows(&twin_db_)) << "execution " << i << ": "
+                                            << texts[h];
+    affected_total += mine.affected;
+  }
+  // The stream must exercise real work and both odd keys.
+  EXPECT_GT(affected_total, 400);
+  EXPECT_GT(null_keys, 0);
+  EXPECT_GT(double_keys, 0);
+  EXPECT_FALSE(Rows(&db_).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Targets, PreparedDmlOracle,
+    ::testing::Values(DmlTarget::kClustered, DmlTarget::kIndexedHeap,
+                      DmlTarget::kUnindexedHeap),
+    [](const ::testing::TestParamInfo<DmlTarget>& info) {
+      switch (info.param) {
+        case DmlTarget::kClustered: return std::string("clustered");
+        case DmlTarget::kIndexedHeap: return std::string("indexed_heap");
+        default: return std::string("unindexed_heap");
+      }
+    });
 
 // ----------------------------------------------------------- scripts
 

@@ -486,7 +486,8 @@ TEST_P(OpenTreeTest, RowMovesInAndOutOfTheTree) {
       Cmp(CompareOp::kGt, Col("t.d"), Col("s.cost"));
   spec.matched_sets = {{"d", Col("s.cost")}, {"f", Lit(int64_t{0})}};
   int64_t affected = 0;
-  ASSERT_TRUE(MergeInto(table_.get(), &source, spec, &affected).ok());
+  MergePlan plan(table_.get(), src_schema, spec);
+  ASSERT_TRUE(plan.Run(&source, &affected).ok());
   EXPECT_EQ(affected, 1);
   EXPECT_EQ(FlagHolding(1), 0);
   EXPECT_EQ(OpenNids(table_.get(), 0, 4, 4), std::vector<int64_t>{1});

@@ -164,7 +164,9 @@ TEST_P(MergeTest, UpdatesOnImprovementInsertsOnMiss) {
   };
   MaterializedExecutor source(src, SrcSchema());
   int64_t affected;
-  ASSERT_TRUE(MergeInto(table_.get(), &source, PaperSpec(), &affected).ok());
+  ASSERT_TRUE(MergePlan(table_.get(), SrcSchema(), PaperSpec())
+                  .Run(&source, &affected)
+                  .ok());
   EXPECT_EQ(affected, 2);  // one update (nid 1), one insert (nid 3)
 
   auto rows = Snapshot();
@@ -186,7 +188,9 @@ TEST_P(MergeTest, MatchedOnlySpecBehavesLikeUpdateFromJoin) {
   spec.insert_values.clear();  // WHEN NOT MATCHED: do nothing
   MaterializedExecutor source(src, SrcSchema());
   int64_t affected;
-  ASSERT_TRUE(MergeInto(table_.get(), &source, spec, &affected).ok());
+  ASSERT_TRUE(MergePlan(table_.get(), SrcSchema(), spec)
+                  .Run(&source, &affected)
+                  .ok());
   EXPECT_EQ(affected, 1);
   auto rows = Snapshot();
   EXPECT_EQ(rows.size(), 2u);  // 99 was not inserted
@@ -203,7 +207,9 @@ TEST_P(MergeTest, InsertOnlySpecBehavesLikeInsertWhereNotExists) {
   spec.matched_sets.clear();  // WHEN MATCHED: do nothing
   MaterializedExecutor source(src, SrcSchema());
   int64_t affected;
-  ASSERT_TRUE(MergeInto(table_.get(), &source, spec, &affected).ok());
+  ASSERT_TRUE(MergePlan(table_.get(), SrcSchema(), spec)
+                  .Run(&source, &affected)
+                  .ok());
   EXPECT_EQ(affected, 1);
   auto rows = Snapshot();
   EXPECT_EQ(rows.size(), 3u);
@@ -219,7 +225,9 @@ TEST_P(MergeTest, DuplicateSourceKeysFoldSequentially) {
   };
   MaterializedExecutor source(src, SrcSchema());
   int64_t affected;
-  ASSERT_TRUE(MergeInto(table_.get(), &source, PaperSpec(), &affected).ok());
+  ASSERT_TRUE(MergePlan(table_.get(), SrcSchema(), PaperSpec())
+                  .Run(&source, &affected)
+                  .ok());
   EXPECT_EQ(affected, 2);  // insert then update
   auto rows = Snapshot();
   EXPECT_EQ(rows.at(50).value(1).AsInt(), 4);
@@ -232,7 +240,9 @@ TEST_P(MergeTest, NullSourceKeysAreSkipped) {
   };
   MaterializedExecutor source(src, SrcSchema());
   int64_t affected;
-  ASSERT_TRUE(MergeInto(table_.get(), &source, PaperSpec(), &affected).ok());
+  ASSERT_TRUE(MergePlan(table_.get(), SrcSchema(), PaperSpec())
+                  .Run(&source, &affected)
+                  .ok());
   EXPECT_EQ(affected, 0);
   EXPECT_EQ(Snapshot().size(), 2u);
 }
@@ -256,10 +266,9 @@ TEST(DmlTest, UpdateWhereEvaluatesAgainstOldRow) {
     ASSERT_TRUE(table->Insert(Tuple({Value(i), Value(i * 10)})).ok());
   }
   int64_t affected;
-  ASSERT_TRUE(UpdateWhere(table.get(),
-                          Cmp(CompareOp::kGe, Col("k"), Lit(int64_t{3})),
-                          {{"v", Add(Col("v"), Lit(int64_t{1}))}}, &affected)
-                  .ok());
+  UpdatePlan plan(table.get(), Cmp(CompareOp::kGe, Col("k"), Lit(int64_t{3})),
+                  {{"v", Add(Col("v"), Lit(int64_t{1}))}});
+  ASSERT_TRUE(plan.Run(&affected).ok());
   EXPECT_EQ(affected, 2);
   auto it = table->Scan();
   Tuple t;
@@ -278,9 +287,9 @@ TEST(DmlTest, DeleteWhereRemovesMatches) {
     ASSERT_TRUE(table->Insert(Tuple({Value(i), Value(i)})).ok());
   }
   int64_t affected;
-  ASSERT_TRUE(DeleteWhere(table.get(),
-                          Cmp(CompareOp::kLt, Col("k"), Lit(int64_t{2})),
-                          &affected)
+  ASSERT_TRUE(UpdatePlan::Delete(table.get(),
+                                 Cmp(CompareOp::kLt, Col("k"), Lit(int64_t{2})))
+                  ->Run(&affected)
                   .ok());
   EXPECT_EQ(affected, 2);
   EXPECT_EQ(table->num_rows(), 4);
