@@ -27,7 +27,8 @@ enum class EngineProfile {
 
 struct DatabaseOptions {
   /// Buffer pool capacity in kPageSize pages (the paper's "buffer size").
-  size_t buffer_pool_pages = 8192;  // 32 MiB
+  /// A cap, not an allocation: frames are created as pages need them.
+  size_t buffer_pool_pages = 8192;  // at most 32 MiB
   /// Keep pages in anonymous memory instead of a file. Unit tests use this;
   /// benchmarks use file-backed storage.
   bool in_memory = true;

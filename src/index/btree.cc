@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 #include <unordered_set>
+#include <utility>
 
 namespace relgraph {
 
@@ -165,15 +166,17 @@ Status BTree::Create(BufferPool* pool, uint16_t payload_size, BTree* out) {
   return Status::OK();
 }
 
-Status BTree::FindLeaf(const BtKey& key, page_id_t* leaf,
+Status BTree::FindLeaf(const BtKey& key, PageGuard* leaf,
                        DescentPath* path) const {
   page_id_t current = root_;
   for (;;) {
+    // Each node is pinned once; a parent is unpinned before its child is
+    // fetched, so the descent never holds more than one pin.
     PageGuard guard(pool_, current);
     RELGRAPH_RETURN_IF_ERROR(guard.status());
     const NodeHeader* h = Header(guard.data());
     if (h->is_leaf) {
-      *leaf = current;
+      *leaf = std::move(guard);
       return Status::OK();
     }
     uint16_t idx = InternalChildIndex(guard.data(), key);
@@ -194,13 +197,10 @@ Status BTree::Insert(BtKey key, std::string_view payload, bool unique) {
     return Status::InvalidArgument("payload width mismatch");
   }
   DescentPath path;
-  page_id_t leaf_id;
-  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &leaf_id, &path));
-
-  PageGuard guard(pool_, leaf_id);
-  RELGRAPH_RETURN_IF_ERROR(guard.status());
-  NodeHeader* h = Header(guard.page()->data());
-  char* data = guard.page()->data();
+  PageGuard guard;
+  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &guard, &path));
+  char* data = guard.data();
+  NodeHeader* h = Header(data);
 
   uint16_t pos = LeafLowerBound(data, key, payload_size_);
   if (pos < h->count) {
@@ -230,18 +230,15 @@ Status BTree::Insert(BtKey key, std::string_view payload, bool unique) {
     return Status::OK();
   }
 
-  guard.Release();
-  RELGRAPH_RETURN_IF_ERROR(SplitLeaf(leaf_id, &path, key, payload));
+  RELGRAPH_RETURN_IF_ERROR(SplitLeaf(&guard, &path, key, payload));
   num_entries_++;
   return Status::OK();
 }
 
-Status BTree::SplitLeaf(page_id_t leaf_id, DescentPath* path,
+Status BTree::SplitLeaf(PageGuard* left, DescentPath* path,
                         const BtKey& pending_key,
                         std::string_view pending_payload) {
-  PageGuard left(pool_, leaf_id);
-  RELGRAPH_RETURN_IF_ERROR(left.status());
-  char* ldata = left.page()->data();
+  char* ldata = left->data();
   NodeHeader* lh = Header(ldata);
 
   page_id_t right_id;
@@ -269,7 +266,7 @@ Status BTree::SplitLeaf(page_id_t leaf_id, DescentPath* path,
   lh->count = keep;
   rh->next = lh->next;
   lh->next = right_id;
-  left.MarkDirty();
+  left->MarkDirty();
 
   BtKey sep =
       append ? pending_key : ReadKey(LeafEntry(rdata, 0, payload_size_));
@@ -287,7 +284,7 @@ Status BTree::SplitLeaf(page_id_t leaf_id, DescentPath* path,
   }
 
   RELGRAPH_RETURN_IF_ERROR(pool_->UnpinPage(right_id, /*is_dirty=*/true));
-  left.Release();
+  left->Release();
   return InsertIntoParent(path, sep, right_id);
 }
 
@@ -382,11 +379,9 @@ Status BTree::InsertIntoParent(DescentPath* path, BtKey sep,
 }
 
 Status BTree::Delete(BtKey key) {
-  page_id_t leaf_id;
-  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &leaf_id, nullptr));
-  PageGuard guard(pool_, leaf_id);
-  RELGRAPH_RETURN_IF_ERROR(guard.status());
-  char* data = guard.page()->data();
+  PageGuard guard;
+  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &guard, nullptr));
+  char* data = guard.data();
   NodeHeader* h = Header(data);
   uint16_t pos = LeafLowerBound(data, key, payload_size_);
   if (pos >= h->count ||
@@ -404,10 +399,8 @@ Status BTree::Delete(BtKey key) {
 }
 
 Status BTree::SearchExact(BtKey key, std::string* payload) const {
-  page_id_t leaf_id;
-  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &leaf_id, nullptr));
-  PageGuard guard(pool_, leaf_id);
-  RELGRAPH_RETURN_IF_ERROR(guard.status());
+  PageGuard guard;
+  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &guard, nullptr));
   const char* data = guard.data();
   const NodeHeader* h = Header(data);
   uint16_t pos = LeafLowerBound(data, key, payload_size_);
@@ -422,12 +415,9 @@ Status BTree::SearchExact(BtKey key, std::string* payload) const {
 Status BTree::SearchFirst(int64_t key, BtKey* found,
                           std::string* payload) const {
   BtKey probe{key, INT64_MIN};
-  page_id_t leaf_id;
-  RELGRAPH_RETURN_IF_ERROR(FindLeaf(probe, &leaf_id, nullptr));
-  page_id_t current = leaf_id;
-  while (current != kInvalidPageId) {
-    PageGuard guard(pool_, current);
-    RELGRAPH_RETURN_IF_ERROR(guard.status());
+  PageGuard guard;
+  RELGRAPH_RETURN_IF_ERROR(FindLeaf(probe, &guard, nullptr));
+  for (;;) {
     const char* data = guard.data();
     const NodeHeader* h = Header(data);
     uint16_t pos = LeafLowerBound(data, probe, payload_size_);
@@ -438,20 +428,21 @@ Status BTree::SearchFirst(int64_t key, BtKey* found,
       payload->assign(LeafEntry(data, pos, payload_size_) + 16, payload_size_);
       return Status::OK();
     }
-    current = h->next;
+    const page_id_t next = h->next;
+    if (next == kInvalidPageId) return Status::NotFound("key not in tree");
+    guard.Release();
+    guard = PageGuard(pool_, next);
+    RELGRAPH_RETURN_IF_ERROR(guard.status());
   }
-  return Status::NotFound("key not in tree");
 }
 
 Status BTree::UpdatePayload(BtKey key, std::string_view payload) {
   if (payload.size() != payload_size_) {
     return Status::InvalidArgument("payload width mismatch");
   }
-  page_id_t leaf_id;
-  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &leaf_id, nullptr));
-  PageGuard guard(pool_, leaf_id);
-  RELGRAPH_RETURN_IF_ERROR(guard.status());
-  char* data = guard.page()->data();
+  PageGuard guard;
+  RELGRAPH_RETURN_IF_ERROR(FindLeaf(key, &guard, nullptr));
+  char* data = guard.data();
   NodeHeader* h = Header(data);
   uint16_t pos = LeafLowerBound(data, key, payload_size_);
   if (pos >= h->count ||
@@ -469,26 +460,18 @@ BTree::Iterator BTree::Scan(int64_t key_lo, int64_t key_hi) const {
   it.tree_ = this;
   it.hi_ = key_hi;
   BtKey probe{key_lo, INT64_MIN};
-  page_id_t leaf_id;
+  PageGuard guard;
   // A failed descent must poison the iterator, not fake a clean EOF: an
   // empty-looking range probe would silently drop rows (e.g. a shortest-path
   // frontier expansion "finding" no edges over a corrupted page).
-  Status descent = FindLeaf(probe, &leaf_id, nullptr);
+  Status descent = FindLeaf(probe, &guard, nullptr);
   if (!descent.ok()) {
     it.leaf_ = kInvalidPageId;
     it.status_ = descent;
     return it;
   }
-  PageGuard guard(pool_, leaf_id);
-  if (!guard.ok()) {
-    it.leaf_ = kInvalidPageId;
-    it.status_ = guard.status();
-    return it;
-  }
-  const char* data = guard.data();
-  uint16_t pos = LeafLowerBound(data, probe, payload_size_);
-  it.leaf_ = leaf_id;
-  it.pos_ = pos;
+  it.leaf_ = guard.page()->page_id();
+  it.pos_ = LeafLowerBound(guard.data(), probe, payload_size_);
   return it;
 }
 

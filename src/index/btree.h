@@ -130,9 +130,14 @@ class BTree {
     Descent Pop() { return items[--size]; }
   };
 
-  Status FindLeaf(const BtKey& key, page_id_t* leaf,
+  /// Descends from the root to the leaf that owns `key` and hands it back
+  /// pinned in `leaf`, so each node of the descent is fetched once. With
+  /// `path`, records the internal nodes passed, root first.
+  Status FindLeaf(const BtKey& key, PageGuard* leaf,
                   DescentPath* path) const;
-  Status SplitLeaf(page_id_t leaf_id, DescentPath* path,
+  /// Splits the full, pinned leaf `left`, places the pending entry, and
+  /// releases `left` before linking the new right sibling into the parent.
+  Status SplitLeaf(PageGuard* left, DescentPath* path,
                    const BtKey& pending_key, std::string_view pending_payload);
   Status InsertIntoParent(DescentPath* path, BtKey sep, page_id_t new_child);
 

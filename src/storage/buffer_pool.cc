@@ -7,16 +7,11 @@ namespace relgraph {
 
 BufferPool::BufferPool(size_t pool_size, DiskManager* disk,
                        bool concurrent_readers)
-    : concurrent_readers_(concurrent_readers),
+    : pool_size_(pool_size),
+      concurrent_readers_(concurrent_readers),
       disk_(disk),
       page_table_(static_cast<size_t>(disk->num_pages()), kNotResident),
-      replacer_(pool_size) {
-  frames_.reserve(pool_size);
-  for (size_t i = 0; i < pool_size; i++) {
-    frames_.push_back(std::make_unique<Page>());
-    free_list_.push_back(static_cast<frame_id_t>(i));
-  }
-}
+      replacer_(pool_size) {}
 
 void BufferPool::MapPage(page_id_t page_id, frame_id_t frame) {
   const size_t need = static_cast<size_t>(page_id) + 1;
@@ -30,6 +25,11 @@ Status BufferPool::GetFreeFrame(frame_id_t* frame_id) {
   if (!free_list_.empty()) {
     *frame_id = free_list_.back();
     free_list_.pop_back();
+    return Status::OK();
+  }
+  if (frames_.size() < pool_size_) {
+    *frame_id = static_cast<frame_id_t>(frames_.size());
+    frames_.push_back(std::make_unique<Page>());
     return Status::OK();
   }
   if (!replacer_.Victim(frame_id)) {
@@ -156,6 +156,11 @@ size_t BufferPool::PinnedFrames() const {
     if (f->pin_count() > 0) n++;
   }
   return n;
+}
+
+size_t BufferPool::allocated_frames() const {
+  OptionalLock lock(this);
+  return frames_.size();
 }
 
 }  // namespace relgraph

@@ -41,10 +41,14 @@ struct BufferPoolStats {
   }
 };
 
-/// Fixed-capacity page cache between the access methods and the disk
-/// manager. This is the component the paper's buffer-size experiments
-/// (Figures 8(b), 9(g)) vary: the pool size in pages is the analogue of the
-/// RDBMS buffer setting.
+/// Capped page cache between the access methods and the disk manager.
+/// This is the component the paper's buffer-size experiments (Figures
+/// 8(b), 9(g)) vary: the pool size in pages is the analogue of the RDBMS
+/// buffer setting, a cap on the memory the cache may use. Frames are
+/// created on first use: a page that needs a frame takes a freed one, else
+/// a new one while fewer than `pool_size` exist, and only then evicts. So
+/// a database that holds little costs little, and eviction starts exactly
+/// when the cap is reached.
 ///
 /// Usage protocol (RocksDB-block-cache-like pin discipline):
 ///   Page* p; pool.FetchPage(id, &p);  ... use p->data() ...
@@ -98,7 +102,8 @@ class BufferPool {
   /// Writes back every dirty page, in frame order.
   Status FlushAll();
 
-  size_t pool_size() const { return frames_.size(); }
+  /// The cap on frames, not the number created (allocated_frames()).
+  size_t pool_size() const { return pool_size_; }
   bool concurrent_readers() const { return concurrent_readers_; }
   /// Counters mutate under the pool lock discipline; read them
   /// quiescently (between queries), like every other stats block.
@@ -111,6 +116,9 @@ class BufferPool {
 
   /// Number of currently pinned frames (test/diagnostic hook).
   size_t PinnedFrames() const;
+  /// Number of frames created so far, never more than pool_size()
+  /// (test/diagnostic hook).
+  size_t allocated_frames() const;
 
  private:
   /// Takes mu_ only when the pool is in concurrent-readers mode — one
@@ -148,11 +156,12 @@ class BufferPool {
   /// Requires the pool lock (when in concurrent-readers mode).
   Status GetFreeFrame(frame_id_t* frame_id);
 
+  const size_t pool_size_;
   const bool concurrent_readers_;
   mutable std::mutex mu_;
   DiskManager* disk_;
-  std::vector<std::unique_ptr<Page>> frames_;
-  std::vector<frame_id_t> free_list_;
+  std::vector<std::unique_ptr<Page>> frames_;  // grows up to pool_size_
+  std::vector<frame_id_t> free_list_;          // created frames now unused
   std::vector<frame_id_t> page_table_;  // indexed by page id
   LruReplacer replacer_;
   BufferPoolStats stats_;

@@ -224,9 +224,7 @@ page_id_t DiskManager::AllocatePage() {
   }
   page_id_t id = next_page_id_.fetch_add(1);
   stats_.allocations++;
-  if (fd_ < 0) {
-    mem_pages_.emplace_back(kPageSize, 0);
-  } else if (!crashed_) {
+  if (fd_ >= 0 && !crashed_) {
     char physical[kPhysicalPageSize] = {0};
     PutU32(physical + kPageSize, static_cast<uint32_t>(id));
     PutU32(physical + kPageSize + 4, PageCrc(physical, id));
@@ -276,7 +274,12 @@ Status DiskManager::ReadPage(page_id_t page_id, char* out) {
   stats_.reads++;
   MaybeSimulateLatency();
   if (fd_ < 0) {
-    std::memcpy(out, mem_pages_[page_id].data(), kPageSize);
+    const size_t id = static_cast<size_t>(page_id);
+    if (id < mem_pages_.size() && !mem_pages_[id].empty()) {
+      std::memcpy(out, mem_pages_[id].data(), kPageSize);
+    } else {
+      std::memset(out, 0, kPageSize);  // never written: reads as zeros
+    }
     return Status::OK();
   }
   char physical[kPhysicalPageSize];
@@ -323,12 +326,12 @@ Status DiskManager::WritePage(page_id_t page_id, const char* data) {
   if (fd_ < 0) {
     if (torn) {
       // No footer in memory mode: tear the data itself, then crash.
-      std::memcpy(mem_pages_[page_id].data(), data, kPageSize / 2);
+      std::memcpy(MemPageLocked(page_id), data, kPageSize / 2);
       crashed_ = true;
       return Status::IOError("injected crash: torn write of page " +
                              std::to_string(page_id));
     }
-    std::memcpy(mem_pages_[page_id].data(), data, kPageSize);
+    std::memcpy(MemPageLocked(page_id), data, kPageSize);
     return Status::OK();
   }
   char physical[kPhysicalPageSize];
@@ -359,7 +362,7 @@ Status DiskManager::CorruptByteForTest(page_id_t page_id, size_t offset) {
     if (offset >= kPageSize) {
       return Status::OutOfRange("in-memory pages have no footer");
     }
-    mem_pages_[page_id][offset] ^= static_cast<char>(0xFF);
+    MemPageLocked(page_id)[offset] ^= static_cast<char>(0xFF);
     return Status::OK();
   }
   if (offset >= kPhysicalPageSize) {
@@ -375,6 +378,13 @@ Status DiskManager::CorruptByteForTest(page_id_t page_id, size_t offset) {
     return Status::IOError("short write corrupting page");
   }
   return Status::OK();
+}
+
+char* DiskManager::MemPageLocked(page_id_t page_id) {
+  const size_t id = static_cast<size_t>(page_id);
+  if (id >= mem_pages_.size()) mem_pages_.resize(id + 1);
+  if (mem_pages_[id].empty()) mem_pages_[id].assign(kPageSize, 0);
+  return mem_pages_[id].data();
 }
 
 void DiskManager::MaybeSimulateLatency() {

@@ -19,7 +19,8 @@ namespace relgraph {
 struct DiskStats {
   int64_t reads = 0;
   int64_t writes = 0;
-  /// Fresh pages: ids that grew the file (each cost one zero-page write).
+  /// Fresh pages: ids that grew the file (each cost one zero-page write
+  /// in the file-backed modes, nothing in memory).
   int64_t allocations = 0;
   /// Allocations served from the free list (no file growth, no write).
   int64_t reuses = 0;
@@ -40,7 +41,9 @@ enum class OpenMode {
 /// DiskManager owns page-granular storage. Three modes:
 ///  - in-memory: pages live in an anonymous vector (fast unit tests; no
 ///    checksums — corruption detection there is the job of the structural
-///    validators, CheckConsistency/CheckIntegrity);
+///    validators, CheckConsistency/CheckIntegrity). A page is stored on
+///    its first write: until then it has no storage and reads as zeros,
+///    the bytes a fresh page holds in the file-backed modes too;
 ///  - scratch file (legacy `DiskManager(path)` constructor): the file is
 ///    created fresh, *deleted on close*, and exists only to give benches
 ///    real I/O. It still uses the checksummed format below;
@@ -121,10 +124,12 @@ class DiskManager {
   DiskManager& operator=(const DiskManager&) = delete;
 
   /// Returns a page id for the caller to fill: a freed id when the free
-  /// list has one, else a fresh zero-filled page at the end of the file. A
-  /// reused id's stored image is stale (whatever its previous owner last
-  /// wrote) until the caller writes it; BufferPool::NewPage hands out a
-  /// zeroed, dirty frame, so the first eviction or flush overwrites it.
+  /// list has one, else a fresh page at the end of the file that reads as
+  /// zeros (file-backed modes write a zero page; in memory it is stored on
+  /// its first write). A reused id's stored image is stale (whatever its
+  /// previous owner last wrote) until the caller writes it;
+  /// BufferPool::NewPage hands out a zeroed, dirty frame, so the first
+  /// eviction or flush overwrites it.
   page_id_t AllocatePage();
 
   /// Puts `page_id` on the free list for a later AllocatePage. The caller
@@ -208,6 +213,9 @@ class DiskManager {
       : fd_(fd), path_(std::move(path)), delete_on_close_(delete_on_close) {}
 
   void MaybeSimulateLatency();
+  /// The stored bytes of in-memory page `page_id`, created zero-filled on
+  /// first touch. Requires mutex_.
+  char* MemPageLocked(page_id_t page_id);
   /// Serializes and writes the file header at offset 0 (file mode only).
   /// Requires mutex_.
   Status WriteHeaderLocked();
@@ -220,7 +228,7 @@ class DiskManager {
   int fd_ = -1;  // file-backed modes; -1 in memory
   std::string path_;
   bool delete_on_close_ = false;
-  std::vector<std::vector<char>> mem_pages_;
+  std::vector<std::vector<char>> mem_pages_;  // in memory; empty = unwritten
   std::atomic<page_id_t> next_page_id_{0};
   std::vector<page_id_t> free_pages_;  // LIFO: the hottest id comes back
   std::vector<bool> is_free_;          // indexed by page id; sized lazily

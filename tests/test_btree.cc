@@ -8,6 +8,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -179,6 +180,79 @@ TEST_F(BTreeTest, PayloadWidthIsEnforced) {
   EXPECT_TRUE(tree_.Insert({1, 0}, "short", false).IsInvalidArgument());
   EXPECT_TRUE(
       tree_.Insert({1, 0}, std::string(9, 'x'), false).IsInvalidArgument());
+}
+
+// A point operation or a scan open fetches each node on its root-to-leaf
+// path once, and leaves nothing pinned whatever its outcome.
+TEST_F(BTreeTest, DescentPinsEachNodeOnce) {
+  for (int64_t k = 0; k < 60000; k += 2) {  // even keys: odd ones are gaps
+    ASSERT_TRUE(tree_.Insert({k, 0}, Pay(k), true).ok());
+  }
+  const int height = tree_.Height();
+  ASSERT_EQ(height, 3);
+  auto expect_hits = [&](const char* what, int64_t want_hits,
+                         const std::function<Status()>& op,
+                         bool (Status::*expected)() const) {
+    SCOPED_TRACE(what);
+    pool_.ResetStats();
+    const Status st = op();
+    EXPECT_TRUE((st.*expected)()) << st.ToString();
+    EXPECT_EQ(pool_.stats().hits, want_hits);
+    EXPECT_EQ(pool_.stats().misses, 0);
+    EXPECT_EQ(pool_.PinnedFrames(), 0u);
+  };
+  std::string payload;
+  BtKey found;
+  expect_hits("SearchExact", height,
+              [&] { return tree_.SearchExact({500, 0}, &payload); },
+              &Status::ok);
+  expect_hits("SearchExact miss", height,
+              [&] { return tree_.SearchExact({501, 0}, &payload); },
+              &Status::IsNotFound);
+  expect_hits("SearchFirst", height,
+              [&] { return tree_.SearchFirst(700, &found, &payload); },
+              &Status::ok);
+  expect_hits("UpdatePayload", height,
+              [&] { return tree_.UpdatePayload({500, 0}, Pay(-1)); },
+              &Status::ok);
+  expect_hits("UpdatePayload miss", height,
+              [&] { return tree_.UpdatePayload({501, 0}, Pay(-1)); },
+              &Status::IsNotFound);
+  expect_hits("UpdatePayload width", 0,
+              [&] { return tree_.UpdatePayload({500, 0}, "short"); },
+              &Status::IsInvalidArgument);
+  expect_hits("Delete", height, [&] { return tree_.Delete({500, 0}); },
+              &Status::ok);
+  expect_hits("Delete miss", height, [&] { return tree_.Delete({500, 0}); },
+              &Status::IsNotFound);
+  // Deleting 500 made room in its leaf, so putting it back does not split.
+  expect_hits("Insert", height,
+              [&] { return tree_.Insert({500, 0}, Pay(500), true); },
+              &Status::ok);
+  expect_hits("Insert duplicate", height,
+              [&] { return tree_.Insert({500, 1}, Pay(500), true); },
+              &Status::IsAlreadyExists);
+  expect_hits("Insert width", 0,
+              [&] { return tree_.Insert({501, 0}, "short", true); },
+              &Status::IsInvalidArgument);
+
+  BtKey key;
+  for (const auto& [lo, hi, rows] :
+       {std::tuple<int64_t, int64_t, int>{1000, 1010, 6},
+        std::tuple<int64_t, int64_t, int>{1001, 1001, 0}}) {
+    SCOPED_TRACE(rows == 0 ? "empty Scan" : "Scan");
+    pool_.ResetStats();
+    BTree::Iterator it = tree_.Scan(lo, hi);
+    EXPECT_EQ(pool_.stats().hits, height);
+    EXPECT_EQ(pool_.PinnedFrames(), 0u);
+    int seen = 0;
+    while (it.Next(&key, &payload)) seen++;
+    EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+    EXPECT_EQ(seen, rows);
+    EXPECT_EQ(pool_.stats().misses, 0);
+    EXPECT_EQ(pool_.PinnedFrames(), 0u);
+  }
+  ASSERT_TRUE(tree_.CheckIntegrity().ok());
 }
 
 TEST(BTreeWidePayloadTest, ClusteredSizedPayloadsSplitCorrectly) {

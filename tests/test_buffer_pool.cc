@@ -473,6 +473,48 @@ TEST(BufferPoolTest, FreedIdComesBackZeroFilled) {
   }
 }
 
+// The pool size is a cap, not an up-front allocation: frames appear as
+// pages need them, a freed frame is reused before a new one is made, and
+// eviction starts only once the cap is reached.
+TEST(BufferPoolTest, FramesAreCreatedOnFirstUse) {
+  DiskManager dm;
+  BufferPool pool(4, &dm);
+  EXPECT_EQ(pool.pool_size(), 4u);
+  EXPECT_EQ(pool.allocated_frames(), 0u);
+
+  page_id_t ids[3];
+  for (int k = 0; k < 3; k++) {
+    Page* page;
+    ASSERT_TRUE(pool.NewPage(&ids[k], &page).ok());
+    ASSERT_TRUE(pool.UnpinPage(ids[k], true).ok());
+    EXPECT_EQ(pool.allocated_frames(), static_cast<size_t>(k + 1));
+  }
+
+  // The frame DeletePage frees comes back before a fourth one is made.
+  ASSERT_TRUE(pool.DeletePage(ids[1]).ok());
+  page_id_t reused;
+  Page* page;
+  ASSERT_TRUE(pool.NewPage(&reused, &page).ok());
+  ASSERT_TRUE(pool.UnpinPage(reused, true).ok());
+  EXPECT_EQ(pool.allocated_frames(), 3u);
+
+  // The fourth frame is created, still without an eviction ...
+  page_id_t fourth;
+  ASSERT_TRUE(pool.NewPage(&fourth, &page).ok());
+  ASSERT_TRUE(pool.UnpinPage(fourth, true).ok());
+  EXPECT_EQ(pool.allocated_frames(), 4u);
+  EXPECT_EQ(pool.stats().evictions, 0);
+
+  // ... and only past the cap does a page evict the LRU one.
+  page_id_t fifth;
+  ASSERT_TRUE(pool.NewPage(&fifth, &page).ok());
+  ASSERT_TRUE(pool.UnpinPage(fifth, true).ok());
+  EXPECT_EQ(pool.allocated_frames(), 4u);
+  EXPECT_EQ(pool.stats().evictions, 1);
+  EXPECT_EQ(pool.stats().dirty_writebacks, 1);
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
+}
+
 TEST(BufferPoolTest, DeallocateRejectsDoubleAndUnallocatedFrees) {
   DiskManager dm;
   BufferPool pool(4, &dm);

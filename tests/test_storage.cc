@@ -42,6 +42,51 @@ TEST(DiskManagerTest, FreshPagesAreZeroed) {
   for (size_t i = 0; i < kPageSize; i++) ASSERT_EQ(r[i], 0);
 }
 
+// In-memory pages are stored on their first write; until then they read as
+// zeros, and the test-only corruption and torn-write paths see those zeros
+// as the page's old bytes.
+TEST(DiskManagerTest, InMemoryPageReadsZerosUntilWritten) {
+  DiskManager dm;
+  const page_id_t untouched = dm.AllocatePage();
+  const page_id_t written = dm.AllocatePage();
+  const page_id_t corrupted = dm.AllocatePage();
+  const page_id_t torn = dm.AllocatePage();
+  EXPECT_EQ(dm.stats().writes, 0);
+  const std::string zeros(kPageSize, '\0');
+
+  char w[kPageSize];
+  std::memset(w, 0xAB, kPageSize);
+  ASSERT_TRUE(dm.WritePage(written, w).ok());
+  char r[kPageSize];
+  std::memset(r, 0x5A, kPageSize);
+  ASSERT_TRUE(dm.ReadPage(untouched, r).ok());
+  EXPECT_EQ(std::string(r, kPageSize), zeros);
+  ASSERT_TRUE(dm.ReadPage(written, r).ok());
+  EXPECT_EQ(std::string(r, kPageSize), std::string(kPageSize, '\xAB'));
+
+  // Corrupting a never-written page flips one byte of its zeros; an offset
+  // past the data is refused as before, and leaves the page unstored.
+  ASSERT_TRUE(dm.CorruptByteForTest(corrupted, 7).ok());
+  ASSERT_TRUE(dm.ReadPage(corrupted, r).ok());
+  std::string want = zeros;
+  want[7] = static_cast<char>(0xFF);
+  EXPECT_EQ(std::string(r, kPageSize), want);
+  EXPECT_EQ(dm.CorruptByteForTest(untouched, kPageSize).code(),
+            Status::Code::kOutOfRange);
+  ASSERT_TRUE(dm.ReadPage(untouched, r).ok());
+  EXPECT_EQ(std::string(r, kPageSize), zeros);
+
+  // A torn write lands the first half over the zeros, then every
+  // operation fails until the faults are cleared.
+  dm.InjectTornWriteAfter(0);
+  EXPECT_TRUE(dm.WritePage(torn, w).IsIOError());
+  EXPECT_TRUE(dm.ReadPage(torn, r).IsIOError());
+  dm.ClearFaults();
+  ASSERT_TRUE(dm.ReadPage(torn, r).ok());
+  EXPECT_EQ(std::string(r, kPageSize),
+            std::string(kPageSize / 2, '\xAB') + zeros.substr(kPageSize / 2));
+}
+
 TEST(DiskManagerTest, RejectsUnallocatedPages) {
   DiskManager dm;
   char buf[kPageSize];
