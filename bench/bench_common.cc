@@ -85,7 +85,6 @@ Workbench Workbench::Make(const EdgeList& list, Algorithm algorithm,
     SegTableOptions sopts;
     sopts.lthd = lthd;
     sopts.sql_mode = sql_mode;
-    sopts.strategy = strategy;
     Check(SegTable::Build(wb.db.get(), wb.graph.get(), sopts, &wb.segtable,
                           &wb.seg_stats),
           "segtable build");
@@ -119,7 +118,6 @@ std::unique_ptr<PathFinder> SharedGraph::Finder(Algorithm algorithm,
     SegTableOptions sopts;
     sopts.lthd = lthd;
     sopts.sql_mode = sql_mode;
-    sopts.strategy = graph->strategy();
     sopts.prefix = "seg" + std::to_string(next_seg++) + "_";
     std::unique_ptr<SegTable> built;
     Check(SegTable::Build(db.get(), graph.get(), sopts, &built, stats),

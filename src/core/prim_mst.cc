@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "src/exec/agg_executors.h"
 #include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/scan_executors.h"
@@ -33,18 +32,9 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   const std::string name = "TMst_" + std::to_string(counter.fetch_add(1));
 
   Table* tree = nullptr;
-  TableOptions topts;
-  if (graph->strategy() == IndexStrategy::kCluIndex) {
-    topts.storage = TableStorage::kClustered;
-    topts.cluster_key = "nid";
-    topts.cluster_unique = true;
-  }
-  RELGRAPH_RETURN_IF_ERROR(
-      db->catalog()->CreateTable(name, MstSchema(), topts, &tree));
-  if (graph->strategy() != IndexStrategy::kCluIndex) {
-    RELGRAPH_RETURN_IF_ERROR(
-        db->catalog()->CreateSecondaryIndex(tree, "nid", true));
-  }
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+      db->catalog(), WorkingTableStrategy(graph->strategy()), name,
+      MstSchema(), "nid", /*unique=*/true, &tree, {{"f", "w"}}));
 
   db->RecordStatement();
   RELGRAPH_RETURN_IF_ERROR(tree->Insert(
@@ -65,8 +55,8 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   DedupLeast expand(
       mode,
       [&] {
-        ExecRef frontier = std::make_unique<FilterExecutor>(
-            std::make_unique<SeqScanExecutor>(tree), ColEq("f", 2));
+        ExecRef frontier = std::make_unique<IndexRangeScanExecutor>(
+            tree, "f", 2, "w", 0, kInfinity - 1);
         return std::make_unique<ProjectExecutor>(
             EdgeJoin(std::move(frontier), rel.table, rel.join_column, "nid"),
             std::vector<ExprRef>{Col(rel.emit_column), Col(rel.cost_column),
@@ -77,42 +67,29 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   RELGRAPH_RETURN_IF_ERROR(expand.status());
   MergeRows merge_rows(db, mode, tree, CandidateSchema(), std::move(merge));
   RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
-  // The tree admits one node per round; the mark reads it as `:mid`.
+  // The tree admits one node per round; the mark probes it as `:mid`.
   BindContext params;
   const size_t mid_slot = params.AddNamedSlot("mid");
-  UpdatePlan mark(tree,
-                  Cmp(CompareOp::kEq, Col("nid"),
-                      Param(&params, mid_slot, "mid")),
-                  {{"f", Lit(int64_t{2})}});
+  UpdatePlan mark(
+      tree, Cmp(CompareOp::kEq, Col("nid"), Param(&params, mid_slot, "mid")),
+      {{"f", Lit(int64_t{2})}},
+      {"nid", CompareOp::kEq, Param(&params, mid_slot, "mid")});
   UpdatePlan reset(tree, ColEq("f", 2), {{"f", Lit(int64_t{1})}});
+  Table::Iterator candidates;  // the running statement's open-tree rows
+  Tuple least;
 
   for (;;) {
-    // F: the single cheapest candidate (f=0, minimal w). Prim must stay
-    // node-at-a-time (§3.1): taking every minimum-cost candidate in one
-    // batch can miss a cheaper edge between two candidates admitted
-    // together, losing optimality.
+    // F: the single cheapest candidate (f=0, minimal w), the open tree's
+    // first entry; ties go to the least row locator (nid when clustered,
+    // RID on a heap). Prim must stay node-at-a-time (§3.1): taking every
+    // minimum-cost candidate in one batch can miss a cheaper edge between
+    // two candidates admitted together, losing optimality.
     db->RecordStatement();
-    Value min_w;
-    {
-      FilterExecutor open(std::make_unique<SeqScanExecutor>(tree),
-                          ColEq("f", 0));
-      RELGRAPH_RETURN_IF_ERROR(
-          EvalScalarAggregate(&open, AggOp::kMin, Col("w"), &min_w));
-    }
-    if (min_w.IsNull()) break;  // every reached node is in the tree
-
-    node_id_t mid;
-    {
-      // SELECT TOP 1 nid FROM tree WHERE f=0 AND w = :min.
-      FilterExecutor plan(
-          std::make_unique<SeqScanExecutor>(tree),
-          And(ColEq("f", 0),
-              Cmp(CompareOp::kEq, Col("w"), Lit(min_w.AsInt()))));
-      RELGRAPH_RETURN_IF_ERROR(plan.Init());
-      Tuple t;
-      if (!plan.Next(&t)) break;
-      mid = t.value(0).AsInt();
-    }
+    bool found;
+    RELGRAPH_RETURN_IF_ERROR(tree->FirstInRange(
+        "f", 0, "w", 0, kInfinity - 1, &candidates, &least, &found));
+    if (!found) break;  // every reached node is in the tree
+    const node_id_t mid = least.value(0).AsInt();
 
     db->RecordStatement();
     params.Set(mid_slot, Value(mid));
@@ -131,8 +108,10 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
         merge_rows.Run(expand.rows().data(), expand.size(), &affected));
 
     db->RecordStatement();
+    RELGRAPH_RETURN_IF_ERROR(
+        tree->ScanRange("f", 2, "w", 0, kInfinity - 1, &candidates));
     int64_t reset_rows;
-    RELGRAPH_RETURN_IF_ERROR(reset.Run(&reset_rows));
+    RELGRAPH_RETURN_IF_ERROR(reset.Run(&candidates, &reset_rows));
   }
 
   // Harvest the tree.

@@ -24,6 +24,12 @@ struct MstResult {
 /// the same select/expand/merge skeleton as shortest paths, with edge
 /// weight in place of accumulated distance.
 ///
+/// The tree table TMst is laid out like TVisited (CreateKeyedTable): keyed
+/// on nid, with an open tree on (f, w), under WorkingTableStrategy. Each
+/// round reads its open set through that tree: the cheapest candidate is
+/// the tree's first entry (ties go to the least row locator), the mark
+/// probes nid, and the frontier and the reset read the f = 2 range.
+///
 /// Runs on the undirected interpretation of the stored graph (the paper's
 /// MST case); the graph should contain both edge directions.
 class PrimMst {

@@ -1,9 +1,9 @@
 #include "src/core/segtable.h"
 
+#include <algorithm>
 #include <map>
 
 #include "src/common/timer.h"
-#include "src/exec/agg_executors.h"
 #include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/scan_executors.h"
@@ -43,8 +43,8 @@ Schema ExpandedSchema() {
 
 /// Frontier ⋈ edges, pruned at lthd, projected to the expanded-row shape.
 ExecRef BuildSegJoin(Table* work, const EdgeRelation& rel, weight_t lthd) {
-  ExecRef frontier = std::make_unique<FilterExecutor>(
-      std::make_unique<SeqScanExecutor>(work), ColEq("f", 2));
+  ExecRef frontier = std::make_unique<IndexRangeScanExecutor>(
+      work, "f", 2, "dist", 0, kInfinity - 1);
   ExprRef prune = Cmp(CompareOp::kLe, Add(Col("dist"), Col(rel.cost_column)),
                       Lit(lthd));
   ExecRef joined = EdgeJoin(std::move(frontier), rel.table, rel.join_column,
@@ -71,23 +71,9 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
       options.prefix + (forward ? "work_out" : "work_in");
 
   Table* work = nullptr;
-  {
-    TableOptions topts;
-    if (options.strategy == IndexStrategy::kCluIndex) {
-      topts.storage = TableStorage::kClustered;
-      topts.cluster_key = "skey";
-      topts.cluster_unique = true;
-    }
-    RELGRAPH_RETURN_IF_ERROR(
-        catalog->CreateTable(work_name, WorkSchema(), topts, &work));
-    if (options.strategy != IndexStrategy::kCluIndex) {
-      // Even the NoIndex study keeps the working table probe-able: the
-      // paper's Fig 8(c) varies the *SegTable and TVisited* indexes; the
-      // construction-internal table is an implementation detail.
-      RELGRAPH_RETURN_IF_ERROR(
-          catalog->CreateSecondaryIndex(work, "skey", /*unique=*/true));
-    }
-  }
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+      catalog, WorkingTableStrategy(graph->strategy()), work_name,
+      WorkSchema(), "skey", /*unique=*/true, &work, {{"f", "dist"}}));
 
   // Seed: every node starts as the source of its own search (§4.2 "we can
   // put all nodes in G into a visited node set initially").
@@ -117,9 +103,10 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
       {"dist", Col("s.dist")}, {"pid", Col("s.pid")}, {"f", Lit(int64_t{0})}};
   merge.insert_values = {Col("skey"), Col("src"), Col("nid"),
                          Col("dist"), Col("pid"), Lit(int64_t{0})};
-  // F, E, M and the reset are prepared once and re-run every round. The
-  // frontier rule's two bounds change per round and reach the mark through
-  // parameters: f=0 AND (dist < round*wmin OR dist = min open dist).
+  // F, E, M and the reset are prepared once and re-run every round, each
+  // over its rows of the open tree. The frontier rule's two bounds change
+  // per round and reach the mark through parameters: f=0 AND
+  // (dist < round*wmin OR dist = min open dist).
   BindContext params;
   const size_t bound_slot = params.AddNamedSlot("bound");
   const size_t min_open_slot = params.AddNamedSlot("min_open");
@@ -140,22 +127,29 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
                        std::move(merge));
   RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
 
+  const size_t dist_idx = work->schema().IndexOf("dist");
+  Table::Iterator candidates;  // the running statement's open-tree rows
+  Tuple least;
   for (int64_t round = 1;; round++) {
+    // The least open dist: the open tree's first entry.
     db->RecordStatement();
-    Value min_open;
-    {
-      FilterExecutor open(std::make_unique<SeqScanExecutor>(work),
-                          ColEq("f", 0));
-      RELGRAPH_RETURN_IF_ERROR(
-          EvalScalarAggregate(&open, AggOp::kMin, Col("dist"), &min_open));
-    }
-    if (min_open.IsNull()) break;  // no candidates remain
+    bool found;
+    RELGRAPH_RETURN_IF_ERROR(work->FirstInRange(
+        "f", 0, "dist", 0, kInfinity - 1, &candidates, &least, &found));
+    if (!found) break;  // no candidates remain
+    const weight_t min_open = least.value(dist_idx).AsInt();
 
+    // No open row lies below min_open, so the rule's rows are the open
+    // rows up to max(round*wmin - 1, min_open); the rule stays the residual.
     db->RecordStatement();
     params.Set(bound_slot, Value(round * wmin));
-    params.Set(min_open_slot, min_open);
+    params.Set(min_open_slot, Value(min_open));
+    RELGRAPH_RETURN_IF_ERROR(work->ScanRange(
+        "f", 0, "dist", 0,
+        std::min(std::max(round * wmin - 1, min_open), kInfinity - 1),
+        &candidates));
     int64_t marked = 0;
-    RELGRAPH_RETURN_IF_ERROR(mark.Run(&marked));
+    RELGRAPH_RETURN_IF_ERROR(mark.Run(&candidates, &marked));
     if (marked == 0) break;
     if (stats != nullptr) stats->iterations++;
 
@@ -168,8 +162,10 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
 
     // Reset signs f=2 -> 1.
     db->RecordStatement();
+    RELGRAPH_RETURN_IF_ERROR(
+        work->ScanRange("f", 2, "dist", 0, kInfinity - 1, &candidates));
     int64_t reset_rows;
-    RELGRAPH_RETURN_IF_ERROR(reset.Run(&reset_rows));
+    RELGRAPH_RETURN_IF_ERROR(reset.Run(&candidates, &reset_rows));
   }
 
   // Second step (§4.2): fold in the original edges not dominated by a
@@ -238,26 +234,13 @@ Status SegTable::Build(Database* db, GraphStore* graph,
   st->options_ = options;
   Catalog* catalog = db->catalog();
 
-  auto make_final = [&](const std::string& name, const std::string& key,
-                        Table** table) -> Status {
-    TableOptions topts;
-    if (options.strategy == IndexStrategy::kCluIndex) {
-      topts.storage = TableStorage::kClustered;
-      topts.cluster_key = key;
-      topts.cluster_unique = false;
-    }
-    RELGRAPH_RETURN_IF_ERROR(
-        catalog->CreateTable(name, SegsSchema(), topts, table));
-    if (options.strategy == IndexStrategy::kIndex) {
-      RELGRAPH_RETURN_IF_ERROR(
-          catalog->CreateSecondaryIndex(*table, key, false));
-    }
-    return Status::OK();
-  };
-  RELGRAPH_RETURN_IF_ERROR(
-      make_final(options.prefix + "TOutSegs", "fid", &st->out_segs_));
-  RELGRAPH_RETURN_IF_ERROR(
-      make_final(options.prefix + "TInSegs", "tid", &st->in_segs_));
+  // The SegTable is stored the way its graph is (Fig 8(c)).
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+      catalog, graph->strategy(), options.prefix + "TOutSegs", SegsSchema(),
+      "fid", /*unique=*/false, &st->out_segs_));
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+      catalog, graph->strategy(), options.prefix + "TInSegs", SegsSchema(),
+      "tid", /*unique=*/false, &st->in_segs_));
 
   SegTableBuildStats local;
   RELGRAPH_RETURN_IF_ERROR(BuildDirection(db, graph, options, graph->Forward(),
@@ -477,6 +460,50 @@ Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
   return Status::OK();
 }
 
+/// Recomputes the rows of `segs` keyed `key` on the updated graph, whose
+/// adjacency in the segments' direction is `rel` (forward: TOutSegs rows
+/// (key, y) over the out-edges; backward: TInSegs rows (x, key) over the
+/// in-edges). Segments for δ <= lthd (Definition 4 case 1) come from a
+/// bounded ball, whose pid is the predecessor (forward) or the successor
+/// toward the sink (backward), matching BuildDirection's convention;
+/// residual raw edges otherwise (case 2; parallel edges keep the minimum
+/// weight).
+Status RecomputeRowsFor(Database* db, const EdgeRelation& rel, Table* segs,
+                        bool forward, node_id_t key, weight_t lthd,
+                        int64_t* changed) {
+  auto segment = [&](node_id_t other, node_id_t pid, weight_t dist) {
+    return forward ? Tuple({Value(key), Value(other), Value(pid), Value(dist)})
+                   : Tuple({Value(other), Value(key), Value(pid), Value(dist)});
+  };
+  std::map<node_id_t, BallEntry> ball;
+  RELGRAPH_RETURN_IF_ERROR(BoundedBall(db, rel, key, lthd, &ball));
+  std::vector<Tuple> fresh;
+  for (const auto& [other, entry] : ball) {
+    if (other == key) continue;
+    fresh.push_back(segment(other, entry.pid, entry.dist));
+  }
+  std::map<node_id_t, weight_t> raw;
+  {
+    const Schema& schema = rel.table->schema();
+    const size_t emit_idx = schema.IndexOf(rel.emit_column);
+    const size_t cost_idx = schema.IndexOf(rel.cost_column);
+    Table::Iterator it;
+    RELGRAPH_RETURN_IF_ERROR(
+        rel.table->ScanRange(rel.join_column, key, key, &it));
+    Tuple row;
+    while (it.Next(&row, nullptr)) {
+      node_id_t z = row.value(emit_idx).AsInt();
+      weight_t wz = row.value(cost_idx).AsInt();
+      if (ball.count(z) != 0) continue;  // dominated by a segment
+      auto [pos, inserted] = raw.try_emplace(z, wz);
+      if (!inserted && wz < pos->second) pos->second = wz;
+    }
+    RELGRAPH_RETURN_IF_ERROR(it.status());
+  }
+  for (const auto& [z, wz] : raw) fresh.push_back(segment(z, key, wz));
+  return ReplaceRowsFor(db, segs, rel.join_column, key, fresh, changed);
+}
+
 }  // namespace
 
 Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
@@ -518,73 +545,17 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
     RELGRAPH_RETURN_IF_ERROR(it.status());
   }
 
-  // Recompute each affected source's TOutSegs rows on the updated graph:
-  // segments for δ <= lthd (Definition 4 case 1), residual raw edges
-  // otherwise (case 2; parallel edges keep the minimum weight).
+  // Recompute each affected source's TOutSegs rows, then each affected
+  // sink's TInSegs rows, on the updated graph.
   for (node_id_t x : sources) {
-    std::map<node_id_t, BallEntry> ball;
-    RELGRAPH_RETURN_IF_ERROR(
-        BoundedBall(db_, graph->Forward(), x, lthd, &ball));
-    std::vector<Tuple> fresh;
-    for (const auto& [y, entry] : ball) {
-      if (y == x) continue;
-      fresh.push_back(
-          Tuple({Value(x), Value(y), Value(entry.pid), Value(entry.dist)}));
-    }
-    std::map<node_id_t, weight_t> raw;
-    {
-      Table::Iterator it;
-      RELGRAPH_RETURN_IF_ERROR(
-          graph->Forward().table->ScanRange("fid", x, x, &it));
-      Tuple row;
-      while (it.Next(&row, nullptr)) {
-        node_id_t z = row.value(1).AsInt();
-        weight_t wz = row.value(2).AsInt();
-        if (ball.count(z) != 0) continue;  // dominated by a segment
-        auto [pos, inserted] = raw.try_emplace(z, wz);
-        if (!inserted && wz < pos->second) pos->second = wz;
-      }
-      RELGRAPH_RETURN_IF_ERROR(it.status());
-    }
-    for (const auto& [z, wz] : raw) {
-      fresh.push_back(Tuple({Value(x), Value(z), Value(x), Value(wz)}));
-    }
-    RELGRAPH_RETURN_IF_ERROR(
-        ReplaceRowsFor(db_, out_segs_, "fid", x, fresh, &local_changed));
+    RELGRAPH_RETURN_IF_ERROR(RecomputeRowsFor(db_, graph->Forward(), out_segs_,
+                                              /*forward=*/true, x, lthd,
+                                              &local_changed));
   }
-
-  // Symmetric for the affected sinks on TInSegs; the backward ball's pid is
-  // the successor toward the sink, matching BuildDirection's convention.
   for (node_id_t y : sinks) {
-    std::map<node_id_t, BallEntry> ball;
-    RELGRAPH_RETURN_IF_ERROR(
-        BoundedBall(db_, graph->Backward(), y, lthd, &ball));
-    std::vector<Tuple> fresh;
-    for (const auto& [x, entry] : ball) {
-      if (x == y) continue;
-      fresh.push_back(
-          Tuple({Value(x), Value(y), Value(entry.pid), Value(entry.dist)}));
-    }
-    std::map<node_id_t, weight_t> raw;
-    {
-      Table::Iterator it;
-      RELGRAPH_RETURN_IF_ERROR(
-          graph->Backward().table->ScanRange("tid", y, y, &it));
-      Tuple row;
-      while (it.Next(&row, nullptr)) {
-        node_id_t z = row.value(0).AsInt();
-        weight_t wz = row.value(2).AsInt();
-        if (ball.count(z) != 0) continue;
-        auto [pos, inserted] = raw.try_emplace(z, wz);
-        if (!inserted && wz < pos->second) pos->second = wz;
-      }
-      RELGRAPH_RETURN_IF_ERROR(it.status());
-    }
-    for (const auto& [z, wz] : raw) {
-      fresh.push_back(Tuple({Value(z), Value(y), Value(y), Value(wz)}));
-    }
-    RELGRAPH_RETURN_IF_ERROR(
-        ReplaceRowsFor(db_, in_segs_, "tid", y, fresh, &local_changed));
+    RELGRAPH_RETURN_IF_ERROR(RecomputeRowsFor(db_, graph->Backward(),
+                                              in_segs_, /*forward=*/false, y,
+                                              lthd, &local_changed));
   }
 
   if (changed != nullptr) *changed = local_changed;

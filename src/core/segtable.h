@@ -9,12 +9,15 @@
 
 namespace relgraph {
 
+/// How a SegTable is built. Its physical design is not an option: TOutSegs
+/// and TInSegs are stored under the graph's IndexStrategy (Fig 8(c)), and
+/// the construction's work tables, keyed on skey with an open tree on
+/// (f, dist), under WorkingTableStrategy.
 struct SegTableOptions {
   /// The index threshold l_thd (§4.2): every shortest segment with
   /// distance <= lthd is pre-computed.
   weight_t lthd = 5;
   SqlMode sql_mode = SqlMode::kNsql;
-  IndexStrategy strategy = IndexStrategy::kCluIndex;
   /// Table-name prefix ("<prefix>TOutSegs", "<prefix>TInSegs", working
   /// tables). Must be unique per SegTable within one database.
   std::string prefix = "seg_";
@@ -37,8 +40,9 @@ struct SegTableBuildStats {
 /// plus every original edge (u,v,u,w) whose pair is not covered; TInSegs is
 /// the symmetric incoming-direction copy. Both are built *through the FEM
 /// framework itself* (§4.2 — construction is the paper's second showcase of
-/// the framework) and stored under the same index-strategy knobs as the
-/// base graph.
+/// the framework): each direction's work table runs the F/E/M rounds over
+/// its open tree as TVisited does. Both are stored under the base graph's
+/// index strategy.
 class SegTable {
  public:
   static Status Build(Database* db, GraphStore* graph, SegTableOptions options,

@@ -64,29 +64,16 @@ Status VisitedTable::Create(Database* db, IndexStrategy strategy,
                             std::unique_ptr<VisitedTable>* out) {
   auto vt = std::unique_ptr<VisitedTable>(new VisitedTable());
   vt->db_ = db;
-  TableOptions topts;
-  if (strategy == IndexStrategy::kCluIndex) {
-    topts.storage = TableStorage::kClustered;
-    topts.cluster_key = "nid";
-    topts.cluster_unique = true;
-    vt->has_unique_index_ = true;
-  }
-  RELGRAPH_RETURN_IF_ERROR(db->catalog()->CreateTable(
-      std::move(name), VisitedSchema(), topts, &vt->table_));
-  if (strategy == IndexStrategy::kIndex) {
-    RELGRAPH_RETURN_IF_ERROR(db->catalog()->CreateSecondaryIndex(
-        vt->table_, "nid", /*unique=*/true));
-    vt->has_unique_index_ = true;
-  }
-  // Index/CluIndex: one open tree per direction, (f, d2s) and (b, d2t), so
-  // frontier selection, finalization and the frontier scan read
-  // O(frontier) rows. NoIndex keeps the paper's scan-only physical design.
-  if (strategy != IndexStrategy::kNoIndex) {
-    for (const DirCols& dir : {ForwardCols(), BackwardCols()}) {
-      RELGRAPH_RETURN_IF_ERROR(
-          db->catalog()->CreateOpenIndex(vt->table_, dir.flag, dir.dist));
-    }
-  }
+  // Index/CluIndex: the unique nid tree and one open tree per direction,
+  // (f, d2s) and (b, d2t), so frontier selection, finalization and the
+  // frontier scan read O(frontier) rows. NoIndex keeps the paper's
+  // scan-only physical design.
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+      db->catalog(), strategy, name, VisitedSchema(), "nid", /*unique=*/true,
+      &vt->table_,
+      {{ForwardCols().flag, ForwardCols().dist},
+       {BackwardCols().flag, BackwardCols().dist}}));
+  vt->has_unique_index_ = strategy != IndexStrategy::kNoIndex;
 
   const Schema& schema = vt->table_->schema();
   vt->nid_idx_ = schema.IndexOf("nid");

@@ -71,16 +71,18 @@ struct FrontierSpec {
 /// fixed-width and update in place.
 ///
 /// Beyond storage, this class owns TVisited's *access paths*:
-///  - under the Index/CluIndex strategies the table has three trees: the
-///    unique nid tree (the cluster tree, or a secondary index over the
-///    heap) and one open tree per direction, (f, d2s) and (b, d2t) (see
-///    Table::CreateOpenIndex). An open tree is partial: it holds only rows
-///    whose dist is below kInfinity, because every frontier and auxiliary
-///    statement filters on `dist < Max`. Frontier selection (flag 0),
-///    finalization and the E-operator's frontier scan (flag 2) read
-///    O(frontier) rows instead of O(|V|), and a row reached from one
-///    direction writes two trees. NoIndex serves the same key ranges by
-///    filtered full scans;
+///  - CreateKeyedTable lays the table out keyed on nid with one open tree
+///    per direction, so under the Index/CluIndex strategies it has three
+///    trees: the unique nid tree (the cluster tree, or a secondary index
+///    over the heap) and the open trees (f, d2s) and (b, d2t) (see
+///    Table::CreateOpenIndex). SegTable construction and Prim's MST lay
+///    out their working tables the same way. An open tree is partial: it
+///    holds only rows whose dist is below kInfinity, because every
+///    frontier and auxiliary statement filters on `dist < Max`. Frontier
+///    selection (flag 0), finalization and the E-operator's frontier scan
+///    (flag 2) read O(frontier) rows instead of O(|V|), and a row reached
+///    from one direction writes two trees. NoIndex serves the same key
+///    ranges by filtered full scans;
 ///  - the least open row, which answers Listing 4(4)'s MIN(dist) and
 ///    PickMid's TOP 1, is the first entry of the direction's open tree
 ///    (one filtered full scan on NoIndex), so no client-side copy of the
@@ -176,7 +178,7 @@ class VisitedTable {
 
   Database* db_ = nullptr;
   Table* table_ = nullptr;
-  bool has_unique_index_ = false;
+  bool has_unique_index_ = false;  // set at Create: not NoIndex
 
   size_t d2s_idx_ = 0;
   size_t d2t_idx_ = 0;

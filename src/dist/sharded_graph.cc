@@ -13,17 +13,9 @@ Status BuildShardTable(Catalog* catalog, const std::string& name,
                        const std::string& key_col, IndexStrategy strategy,
                        std::vector<Edge> edges, bool sort_by_from,
                        Table** out) {
-  TableOptions topts;
-  if (strategy == IndexStrategy::kCluIndex) {
-    topts.storage = TableStorage::kClustered;
-    topts.cluster_key = key_col;
-  }
-  RELGRAPH_RETURN_IF_ERROR(
-      catalog->CreateTable(name, EdgeTableSchema(), topts, out));
-  if (strategy == IndexStrategy::kIndex) {
-    RELGRAPH_RETURN_IF_ERROR(
-        catalog->CreateSecondaryIndex(*out, key_col, /*unique=*/false));
-  }
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(catalog, strategy, name,
+                                            EdgeTableSchema(), key_col,
+                                            /*unique=*/false, out));
   if (strategy == IndexStrategy::kCluIndex) {
     std::sort(edges.begin(), edges.end(),
               [sort_by_from](const Edge& a, const Edge& b) {

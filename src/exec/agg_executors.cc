@@ -327,53 +327,4 @@ const Schema& HashAggregateExecutor::OutputSchema() const {
   return output_schema_;
 }
 
-Status EvalScalarAggregate(Executor* child, AggOp op, ExprRef expr,
-                           Value* out) {
-  if (expr != nullptr) {
-    RELGRAPH_RETURN_IF_ERROR(BindColumns(expr, child->OutputSchema(), &expr));
-  }
-  RELGRAPH_RETURN_IF_ERROR(child->Init());
-  AggSpec spec{op, std::move(expr), "agg"};
-  AggState state;
-  ValueColumn col;
-  BatchSpan span;
-  while (child->NextBatchSel(&span)) {
-    const size_t n = span.count();
-    if (spec.expr == nullptr) {  // COUNT(*): no expression to evaluate
-      state.count += static_cast<int64_t>(n);
-      continue;
-    }
-    RowBatch rb(span.rows, span.num_rows, span.sel, span.num_sel);
-    spec.expr->EvalBatch(rb, &col);
-    if (col.is_int() && !col.has_nulls() && n > 0 && op != AggOp::kCount) {
-      // Null-free int column: fold in a tight loop, then merge once. The
-      // fold order matches the per-row path (min/max/sum over int64 are
-      // associative), so the result is bit-identical.
-      const std::vector<int64_t>& v = col.ints();
-      int64_t folded = v[0];
-      switch (op) {
-        case AggOp::kMin:
-          for (size_t i = 1; i < n; i++) folded = v[i] < folded ? v[i] : folded;
-          break;
-        case AggOp::kMax:
-          for (size_t i = 1; i < n; i++) folded = v[i] > folded ? v[i] : folded;
-          break;
-        case AggOp::kSum:
-          for (size_t i = 1; i < n; i++) folded += v[i];
-          break;
-        case AggOp::kCount:
-          break;
-      }
-      AccumulateValue(op, Value(folded), &state);
-      continue;
-    }
-    for (size_t i = 0; i < col.size(); i++) {
-      AccumulateLane(op, col, i, &state);
-    }
-  }
-  RELGRAPH_RETURN_IF_ERROR(child->status());
-  *out = Finalize(spec, state);
-  return Status::OK();
-}
-
 }  // namespace relgraph

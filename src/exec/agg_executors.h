@@ -88,9 +88,4 @@ class HashAggregateExecutor : public Executor {
   std::vector<uint64_t> row_hashes_;    // per-lane key hashes, per batch
 };
 
-/// Convenience for the auxiliary statements: runs a scalar aggregate plan
-/// and returns its single value.
-Status EvalScalarAggregate(Executor* child, AggOp op, ExprRef expr,
-                           Value* out);
-
 }  // namespace relgraph

@@ -1,6 +1,7 @@
 #include "src/graph/graph_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace relgraph {
 
@@ -24,6 +25,33 @@ Schema EdgeTableSchema() {
 
 Tuple EdgeTableRow(const Edge& e) {
   return Tuple({Value(e.from), Value(e.to), Value(e.weight)});
+}
+
+Status CreateKeyedTable(Catalog* catalog, IndexStrategy strategy,
+                        const std::string& name, Schema schema,
+                        const std::string& key, bool unique, Table** out,
+                        const std::vector<OpenTree>& open_trees) {
+  TableOptions topts;
+  if (strategy == IndexStrategy::kCluIndex) {
+    topts.storage = TableStorage::kClustered;
+    topts.cluster_key = key;
+    topts.cluster_unique = unique;
+  }
+  RELGRAPH_RETURN_IF_ERROR(
+      catalog->CreateTable(name, std::move(schema), topts, out));
+  if (strategy == IndexStrategy::kIndex) {
+    RELGRAPH_RETURN_IF_ERROR(catalog->CreateSecondaryIndex(*out, key, unique));
+  }
+  if (strategy == IndexStrategy::kNoIndex) return Status::OK();
+  for (const OpenTree& tree : open_trees) {
+    RELGRAPH_RETURN_IF_ERROR(
+        catalog->CreateOpenIndex(*out, tree.flag, tree.dist));
+  }
+  return Status::OK();
+}
+
+IndexStrategy WorkingTableStrategy(IndexStrategy graph) {
+  return graph == IndexStrategy::kNoIndex ? IndexStrategy::kIndex : graph;
 }
 
 namespace {
@@ -52,24 +80,13 @@ Status GraphStore::Create(Database* db, const EdgeList& list,
 
   // TNodes(nid, label): label supports the pattern-matching extension and
   // defaults to a hash bucket of the id.
-  {
-    Schema node_schema({{"nid", TypeId::kInt}, {"label", TypeId::kInt}});
-    TableOptions topts;
-    if (options.strategy == IndexStrategy::kCluIndex) {
-      topts.storage = TableStorage::kClustered;
-      topts.cluster_key = "nid";
-      topts.cluster_unique = true;
-    }
-    RELGRAPH_RETURN_IF_ERROR(catalog->CreateTable(p + "TNodes", node_schema,
-                                                  topts, &store->nodes_));
-    if (options.strategy == IndexStrategy::kIndex) {
-      RELGRAPH_RETURN_IF_ERROR(catalog->CreateSecondaryIndex(
-          store->nodes_, "nid", /*unique=*/true));
-    }
-    for (node_id_t u = 0; u < list.num_nodes; u++) {
-      RELGRAPH_RETURN_IF_ERROR(
-          store->nodes_->Insert(Tuple({Value(u), Value(u % 16)})));
-    }
+  RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+      catalog, options.strategy, p + "TNodes",
+      Schema({{"nid", TypeId::kInt}, {"label", TypeId::kInt}}), "nid",
+      /*unique=*/true, &store->nodes_));
+  for (node_id_t u = 0; u < list.num_nodes; u++) {
+    RELGRAPH_RETURN_IF_ERROR(
+        store->nodes_->Insert(Tuple({Value(u), Value(u % 16)})));
   }
 
   if (options.strategy == IndexStrategy::kCluIndex) {
@@ -77,16 +94,12 @@ Status GraphStore::Create(Database* db, const EdgeList& list,
     // append splits the last leaf with every entry kept on the left and
     // the tree comes out packed (the clustered bulk-load a real RDBMS
     // would do).
-    TableOptions fwd;
-    fwd.storage = TableStorage::kClustered;
-    fwd.cluster_key = "fid";
-    RELGRAPH_RETURN_IF_ERROR(catalog->CreateTable(p + "TEdges", EdgeTableSchema(),
-                                                  fwd, &store->edges_out_));
-    TableOptions bwd;
-    bwd.storage = TableStorage::kClustered;
-    bwd.cluster_key = "tid";
-    RELGRAPH_RETURN_IF_ERROR(catalog->CreateTable(p + "TEdgesIn", EdgeTableSchema(),
-                                                  bwd, &store->edges_in_));
+    RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+        catalog, options.strategy, p + "TEdges", EdgeTableSchema(), "fid",
+        /*unique=*/false, &store->edges_out_));
+    RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
+        catalog, options.strategy, p + "TEdgesIn", EdgeTableSchema(), "tid",
+        /*unique=*/false, &store->edges_in_));
     std::vector<Edge> sorted = list.edges;
     std::sort(sorted.begin(), sorted.end(),
               [](const Edge& a, const Edge& b) { return a.from < b.from; });
@@ -99,6 +112,8 @@ Status GraphStore::Create(Database* db, const EdgeList& list,
       RELGRAPH_RETURN_IF_ERROR(store->edges_in_->Insert(EdgeTableRow(e)));
     }
   } else {
+    // One heap serves both directions. Under Index it is loaded first and
+    // indexed after, on fid and on tid, as a bulk index build would be.
     RELGRAPH_RETURN_IF_ERROR(catalog->CreateTable(
         p + "TEdges", EdgeTableSchema(), TableOptions{}, &store->edges_out_));
     store->edges_in_ = store->edges_out_;

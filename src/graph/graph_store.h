@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/db/database.h"
 #include "src/exec/executor.h"
@@ -12,7 +13,10 @@
 
 namespace relgraph {
 
-/// Physical indexing of the edge relations — the paper's Figure 8(c) knobs.
+/// Physical indexing of the keyed relations — the paper's Figure 8(c)
+/// knobs. One strategy governs a graph's TNodes and TEdges, the TVisited
+/// tables searched over it, its SegTable and its shards; CreateKeyedTable
+/// says how each is laid out.
 enum class IndexStrategy {
   kNoIndex,   // heap TEdges, no access path: joins degrade to scans
   kIndex,     // heap TEdges + non-clustered B+-trees on fid and tid
@@ -21,6 +25,34 @@ enum class IndexStrategy {
 
 const char* IndexStrategyName(IndexStrategy s);
 
+/// One open tree of a FEM working table (Table::CreateOpenIndex): the rows
+/// with a dist below kInfinity, keyed (flag, dist).
+struct OpenTree {
+  std::string flag;
+  std::string dist;
+};
+
+/// Creates the empty relation `name`, keyed on the INT column `key`, the
+/// way `strategy` stores it:
+///  - kCluIndex: clustered on `key`;
+///  - kIndex: a heap with a B+-tree on `key`;
+///  - kNoIndex: a bare heap, so every key-range read is a filtered scan.
+/// `unique` rejects duplicate keys wherever the key has a tree. Unless the
+/// strategy is kNoIndex, one open tree per entry of `open_trees` is built
+/// too, so the FEM rounds pick, mark and expand their open rows by range
+/// reads.
+Status CreateKeyedTable(Catalog* catalog, IndexStrategy strategy,
+                        const std::string& name, Schema schema,
+                        const std::string& key, bool unique, Table** out,
+                        const std::vector<OpenTree>& open_trees = {});
+
+/// The strategy of a construction-internal working table (SegTable's work
+/// tables, Prim's TMst) over a graph stored under `graph`: the same, but
+/// Index in place of NoIndex. Every round's MERGE probes such a table on
+/// its unique key, and the paper's Fig 8(c) varies only the SegTable and
+/// TVisited indexes.
+IndexStrategy WorkingTableStrategy(IndexStrategy graph);
+
 /// The canonical TEdges(fid, tid, cost) schema and its row encoding, shared
 /// by every physical copy of the edge relation (GraphStore's clustered
 /// pair, the sharded partitions).
@@ -28,6 +60,8 @@ Schema EdgeTableSchema();
 Tuple EdgeTableRow(const Edge& e);
 
 struct GraphStoreOptions {
+  /// How TNodes and TEdges are stored; a SegTable built over the graph and
+  /// the TVisited tables of its finders follow the same strategy.
   IndexStrategy strategy = IndexStrategy::kCluIndex;
   /// Table-name prefix so several graphs can coexist in one database.
   std::string prefix;

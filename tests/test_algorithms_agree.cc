@@ -140,7 +140,6 @@ TEST_P(StrategyAgreeTest, AllAlgorithmsMatchOracle) {
   ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
   SegTableOptions sopts;
   sopts.lthd = 20;
-  sopts.strategy = GetParam();
   std::unique_ptr<SegTable> segtable;
   ASSERT_TRUE(SegTable::Build(&db, graph.get(), sopts, &segtable).ok());
 

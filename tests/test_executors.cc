@@ -158,27 +158,30 @@ TEST_F(ExecutorTest, HashAggregateGroupByMin) {
   EXPECT_EQ(rows[5].value(1).AsInt(), 50);
 }
 
+// A scalar aggregate is the plan `SELECT MIN(..) FROM ..` compiles to: a
+// HashAggregateExecutor with no group columns, one row even on empty input.
 TEST_F(ExecutorTest, ScalarAggregateOverEmptyInput) {
-  FilterExecutor empty(std::make_unique<SeqScanExecutor>(table_.get()),
-                       Cmp(CompareOp::kLt, Col("cost"), Lit(int64_t{-1})));
-  Value v;
-  ASSERT_TRUE(EvalScalarAggregate(&empty, AggOp::kMin, Col("cost"), &v).ok());
-  EXPECT_TRUE(v.IsNull());
-
-  FilterExecutor empty2(std::make_unique<SeqScanExecutor>(table_.get()),
-                        Cmp(CompareOp::kLt, Col("cost"), Lit(int64_t{-1})));
-  ASSERT_TRUE(EvalScalarAggregate(&empty2, AggOp::kCount, nullptr, &v).ok());
-  EXPECT_EQ(v.AsInt(), 0);
+  HashAggregateExecutor agg(
+      std::make_unique<FilterExecutor>(
+          std::make_unique<SeqScanExecutor>(table_.get()),
+          Cmp(CompareOp::kLt, Col("cost"), Lit(int64_t{-1}))),
+      {},
+      {{AggOp::kMin, Col("cost"), "mincost"}, {AggOp::kCount, nullptr, "cnt"}});
+  auto rows = Run(&agg);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows[0].value(0).IsNull());
+  EXPECT_EQ(rows[0].value(1).AsInt(), 0);
 }
 
 TEST_F(ExecutorTest, ScalarAggregateMinMaxSum) {
-  SeqScanExecutor scan(table_.get());
-  Value v;
-  ASSERT_TRUE(EvalScalarAggregate(&scan, AggOp::kSum, Col("cost"), &v).ok());
-  EXPECT_EQ(v.AsInt(), 450);
-  SeqScanExecutor scan2(table_.get());
-  ASSERT_TRUE(EvalScalarAggregate(&scan2, AggOp::kMax, Col("cost"), &v).ok());
-  EXPECT_EQ(v.AsInt(), 90);
+  HashAggregateExecutor agg(std::make_unique<SeqScanExecutor>(table_.get()),
+                            {},
+                            {{AggOp::kSum, Col("cost"), "sum"},
+                             {AggOp::kMax, Col("cost"), "max"}});
+  auto rows = Run(&agg);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].value(0).AsInt(), 450);
+  EXPECT_EQ(rows[0].value(1).AsInt(), 90);
 }
 
 // ------------------------------------------------------------ Expressions

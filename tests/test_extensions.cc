@@ -87,8 +87,9 @@ TEST(PrimMstTest, TsqlModeAgrees) {
   const Plan plans[] = {{SqlMode::kNsql, EngineProfile::kDbmsX, 243},
                         {SqlMode::kTsql, EngineProfile::kDbmsX, 303},
                         {SqlMode::kNsql, EngineProfile::kPostgres90, 303}};
-  for (IndexStrategy strategy :
-       {IndexStrategy::kCluIndex, IndexStrategy::kNoIndex}) {
+  for (IndexStrategy strategy : {IndexStrategy::kCluIndex,
+                                  IndexStrategy::kIndex,
+                                  IndexStrategy::kNoIndex}) {
     std::vector<MstResult> results;
     for (const Plan& plan : plans) {
       SCOPED_TRACE(std::string(IndexStrategyName(strategy)) + "/" +
@@ -121,6 +122,55 @@ TEST(PrimMstTest, TsqlModeAgrees) {
         EXPECT_EQ(got.weight, want.weight) << "plan " << i << " edge " << e;
       }
     }
+  }
+}
+
+/// With weights 1-3 most rounds tie on the cheapest attachment cost, and
+/// the candidate picked decides the tree. The pick goes to the first tied
+/// candidate in the tree table's scan order: nid order when clustered,
+/// insertion order on a heap (the open tree orders ties by row locator,
+/// which in a fresh database is the same order). The trees are pinned in
+/// harvest order as the full-scan MIN + TOP 1 plan built them.
+TEST(PrimMstTest, TiedWeightsPickTheScanOrderTree) {
+  const EdgeList list = GenerateBarabasiAlbert(24, 2, WeightRange{1, 3}, 5);
+  struct Want {
+    IndexStrategy strategy;
+    const char* tree;  // "parent>child:w" per tree edge, in harvest order
+  };
+  const char* kClustered =
+      "0>1:1 1>2:2 0>3:1 0>4:2 0>5:1 0>6:1 1>7:2 0>8:3 0>9:1 "
+      "0>10:2 0>11:2 5>12:1 0>13:2 1>14:2 2>15:1 7>16:2 13>17:2 "
+      "5>18:1 1>19:2 0>20:1 6>21:1 18>22:3 0>23:1";
+  const char* kHeap =
+      "0>1:1 0>3:1 0>4:2 0>5:1 0>6:1 0>8:3 0>9:1 0>10:2 0>11:2 "
+      "5>12:1 0>13:2 1>14:2 0>20:1 0>23:1 1>2:2 1>7:2 7>16:2 "
+      "1>19:2 2>15:1 5>18:1 6>21:1 20>22:3 13>17:2";
+  const Want wants[] = {
+      {IndexStrategy::kCluIndex, kClustered},
+      {IndexStrategy::kIndex, kHeap},
+      {IndexStrategy::kNoIndex, kHeap},
+  };
+  for (const Want& want : wants) {
+    SCOPED_TRACE(IndexStrategyName(want.strategy));
+    Database db{DatabaseOptions{}};
+    std::unique_ptr<GraphStore> graph;
+    GraphStoreOptions gopts;
+    gopts.strategy = want.strategy;
+    ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
+    MstResult r;
+    ASSERT_TRUE(PrimMst::Run(graph.get(), SqlMode::kNsql, 0, &r).ok());
+    ASSERT_TRUE(r.connected);
+    EXPECT_EQ(r.total_weight, KruskalWeight(list));
+    std::string tree;
+    for (const Edge& e : r.tree_edges) {
+      if (!tree.empty()) tree += ' ';
+      tree.append(std::to_string(e.from))
+          .append(">")
+          .append(std::to_string(e.to))
+          .append(":")
+          .append(std::to_string(e.weight));
+    }
+    EXPECT_EQ(tree, want.tree);
   }
 }
 

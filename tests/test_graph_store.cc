@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/visited_table.h"
 #include "src/exec/scan_executors.h"
 #include "src/graph/generators.h"
 
@@ -160,6 +161,42 @@ TEST(GraphStoreIndexTest, StrategyGovernsAccessPaths) {
     EXPECT_TRUE(store->Backward().table->HasIndexOn("tid"));
     // Two clustered copies in kCluIndex mode.
     EXPECT_NE(store->Forward().table, store->Backward().table);
+  }
+  // CreateKeyedTable's contract on TNodes and TVisited: a nid access path
+  // under Index and CluIndex only, and TVisited's open trees exactly when
+  // the strategy is not NoIndex (an open tree serves the (flag, dist) range
+  // without a full scan).
+  for (IndexStrategy strategy : {IndexStrategy::kNoIndex,
+                                 IndexStrategy::kIndex,
+                                 IndexStrategy::kCluIndex}) {
+    SCOPED_TRACE(IndexStrategyName(strategy));
+    const bool indexed = strategy != IndexStrategy::kNoIndex;
+    Database sdb{DatabaseOptions{}};
+    GraphStoreOptions opts;
+    opts.strategy = strategy;
+    std::unique_ptr<GraphStore> store;
+    ASSERT_TRUE(GraphStore::Create(&sdb, TinyGraph(), opts, &store).ok());
+    EXPECT_EQ(store->nodes()->HasIndexOn("nid"), indexed);
+
+    std::unique_ptr<VisitedTable> visited;
+    ASSERT_TRUE(
+        VisitedTable::Create(&sdb, strategy, "TVisited", &visited).ok());
+    Table* table = visited->table();
+    EXPECT_EQ(table->HasIndexOn("nid"), indexed);
+    ASSERT_TRUE(visited->InsertSourceAndTarget(0, 3).ok());
+    for (const DirCols& dir :
+         {VisitedTable::ForwardCols(), VisitedTable::BackwardCols()}) {
+      table->ResetAccessStats();
+      Table::Iterator it;
+      ASSERT_TRUE(
+          table->ScanRange(dir.flag, 0, dir.dist, 0, kInfinity - 1, &it).ok());
+      Tuple row;
+      int64_t open_rows = 0;
+      while (it.Next(&row, nullptr)) open_rows++;
+      EXPECT_EQ(open_rows, 1) << dir.dist;
+      EXPECT_EQ(table->access_stats().full_scan_rows.load() == 0, indexed)
+          << dir.dist;
+    }
   }
 }
 

@@ -265,7 +265,6 @@ TEST(PathFinderTest, TsqlModeMatchesNsql) {
             SegTableOptions sopts;
             sopts.lthd = q.lthd;
             sopts.sql_mode = plan.mode;
-            sopts.strategy = strategy;
             ASSERT_TRUE(
                 SegTable::Build(&db, graph.get(), sopts, &segtable).ok());
           }

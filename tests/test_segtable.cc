@@ -32,7 +32,6 @@ struct SegFixture {
     SegTableOptions opts;
     opts.lthd = lthd;
     opts.sql_mode = mode;
-    opts.strategy = strategy;
     st = SegTable::Build(&db, graph.get(), opts, &segtable, &stats);
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
@@ -197,8 +196,9 @@ TEST(SegTableTest, TsqlConstructionMatchesNsql) {
   const Plan plans[] = {{SqlMode::kNsql, EngineProfile::kDbmsX, 216},
                         {SqlMode::kTsql, EngineProfile::kDbmsX, 268},
                         {SqlMode::kNsql, EngineProfile::kPostgres90, 268}};
-  for (IndexStrategy strategy :
-       {IndexStrategy::kCluIndex, IndexStrategy::kNoIndex}) {
+  for (IndexStrategy strategy : {IndexStrategy::kCluIndex,
+                                  IndexStrategy::kIndex,
+                                  IndexStrategy::kNoIndex}) {
     std::vector<std::vector<int64_t>> out0, in0;
     for (const Plan& plan : plans) {
       SCOPED_TRACE(std::string(IndexStrategyName(strategy)) + "/" +
@@ -265,7 +265,6 @@ TEST(SegTableIncrementalTest, EdgeInsertionMatchesRebuild) {
       SegTableOptions opts;
       opts.lthd = lthd;
       opts.prefix = "inc_";
-      opts.strategy = strategy;
       std::unique_ptr<SegTable> segtable;
       ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
 
@@ -282,7 +281,6 @@ TEST(SegTableIncrementalTest, EdgeInsertionMatchesRebuild) {
       ASSERT_TRUE(
           GraphStore::Create(&db2, list, GraphStoreOptions{}, &graph2).ok());
       SegTableOptions oracle_opts = opts;
-      oracle_opts.strategy = IndexStrategy::kCluIndex;
       std::unique_ptr<SegTable> rebuilt;
       ASSERT_TRUE(
           SegTable::Build(&db2, graph2.get(), oracle_opts, &rebuilt).ok());
@@ -324,7 +322,6 @@ TEST(SegTableIncrementalTest, BsegCorrectAfterInsertions) {
     ASSERT_TRUE(GraphStore::Create(&db, base, gopts, &graph).ok());
     SegTableOptions opts;
     opts.lthd = 30;
-    opts.strategy = strategy;
     std::unique_ptr<SegTable> segtable;
     ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
     for (const Edge& e : held) {

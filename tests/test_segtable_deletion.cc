@@ -48,7 +48,6 @@ void ExpectDeletionMatchesRebuild(const EdgeList& list,
   ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
   SegTableOptions opts;
   opts.lthd = lthd;
-  opts.strategy = strategy;
   opts.prefix = "del_";
   std::unique_ptr<SegTable> segtable;
   ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
@@ -69,7 +68,6 @@ void ExpectDeletionMatchesRebuild(const EdgeList& list,
   std::unique_ptr<GraphStore> graph2;
   ASSERT_TRUE(GraphStore::Create(&db2, reduced, oracle_gopts, &graph2).ok());
   SegTableOptions oracle_opts = opts;
-  oracle_opts.strategy = IndexStrategy::kCluIndex;
   std::unique_ptr<SegTable> rebuilt;
   ASSERT_TRUE(SegTable::Build(&db2, graph2.get(), oracle_opts, &rebuilt).ok());
 
@@ -225,7 +223,6 @@ TEST(SegTableDeletionTest, MixedInsertDeleteMatchesRebuild) {
     SegTableOptions opts;
     opts.lthd = 20;
     opts.prefix = "mix_";
-    opts.strategy = strategy;
     std::unique_ptr<SegTable> segtable;
     ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
 
@@ -252,7 +249,6 @@ TEST(SegTableDeletionTest, MixedInsertDeleteMatchesRebuild) {
     ASSERT_TRUE(
         GraphStore::Create(&db2, current, GraphStoreOptions{}, &graph2).ok());
     SegTableOptions oracle_opts = opts;
-    oracle_opts.strategy = IndexStrategy::kCluIndex;
     std::unique_ptr<SegTable> rebuilt;
     ASSERT_TRUE(
         SegTable::Build(&db2, graph2.get(), oracle_opts, &rebuilt).ok());
