@@ -59,17 +59,15 @@ Status FemEngine::MarkFrontier(const DirCols& dir, const FrontierSpec& spec,
                                int64_t* marked) {
   ScopedTimer timer(&stats_.f_operator_us);
   db_->RecordStatement([&] {
-    ExprRef frontier_pred = spec.ToPredicate(dir);
+    ExprRef frontier_pred = spec.ToPredicate("nid", dir.dist);
     return "UPDATE " + visited_->table()->name() + " SET " + dir.flag +
            "=2 WHERE " + dir.flag + "=0 AND " + dir.dist + "<Max" +
            (frontier_pred != nullptr ? " AND " + frontier_pred->ToString()
                                      : std::string());
   });
-  // flag=0 AND dist < infinity AND <spec>. The reachability conjunct keeps
-  // rows seeded by the opposite direction (dist = infinity) out of this
-  // direction's frontier. VisitedTable routes the update through the nid or
-  // dist index when the strategy provides one.
-  return visited_->MarkFrontier(dir, spec, marked);
+  // flag=0 AND dist < infinity AND <spec>, through the direction's open
+  // tree, or the nid tree for a node, when the strategy provides one.
+  return visited_->open(dir)->Mark(spec, marked);
 }
 
 Status FemEngine::FinalizeFrontier(const DirCols& dir) {
@@ -79,12 +77,12 @@ Status FemEngine::FinalizeFrontier(const DirCols& dir) {
            "=1 WHERE " + dir.flag + "=2";
   });
   int64_t affected;
-  return visited_->FinalizeFrontier(dir, &affected);
+  return visited_->open(dir)->Finalize(&affected);
 }
 
 // ----------------------------------------------------- auxiliary statements
 // The statements' SQL text is unchanged. PickMid and MinOpenDistance read
-// the same row, VisitedTable::LeastOpen: the first entry of the direction's
+// the same row, OpenSet::Least: the first entry of the direction's
 // open tree, whose dist is the inner MIN and whose nid the outer TOP 1
 // (one filtered full scan on NoIndex). MinCost reads the scalar VisitedTable
 // folds from every row it seeds and every row MERGE writes.
@@ -98,7 +96,7 @@ Status FemEngine::PickMid(const DirCols& dir, node_id_t* mid, bool* found) {
            table + " WHERE " + dir.flag + "=0)";
   });
   weight_t min_dist;
-  RELGRAPH_RETURN_IF_ERROR(visited_->LeastOpen(dir, &min_dist, mid));
+  RELGRAPH_RETURN_IF_ERROR(visited_->open(dir)->Least(&min_dist, mid));
   *found = min_dist < kInfinity;
   return Status::OK();
 }
@@ -110,7 +108,7 @@ Status FemEngine::MinOpenDistance(const DirCols& dir, weight_t* out) {
            " WHERE " + dir.flag + "=0";
   });
   node_id_t nid;
-  return visited_->LeastOpen(dir, out, &nid);
+  return visited_->open(dir)->Least(out, &nid);
 }
 
 Status FemEngine::MinCost(weight_t* out) {
@@ -318,7 +316,7 @@ ExecRef FemEngine::BuildJoinProject(const DirCols& dir,
   ExprRef opposite_l = Param(&params_, opposite_l_slot_, "opposite_l");
   ExprRef min_cost = Param(&params_, min_cost_slot_, "min_cost");
   ExecRef joined = EdgeJoin(
-      visited_->FrontierScan(dir), rel, "nid", dir.dist,
+      visited_->open(dir)->FrontierScan(), rel, "nid", dir.dist,
       Sub(min_cost, opposite_l),
       Cmp(CompareOp::kLt,
           Add(Add(Col(dir.dist), Col(rel.cost_column)), opposite_l),

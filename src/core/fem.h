@@ -41,9 +41,10 @@ struct FemStats {
 /// The three relational operators of the paper's FEM framework (§3.2),
 /// bound to one TVisited table. Each public method corresponds to one (or,
 /// for ExpandAndMerge in NSQL mode, one combined) SQL statement from
-/// Listings 2-4; Database::stats().statements counts them. The E- and
-/// M-operators are built from EdgeJoin, DedupLeast and MergeRows, which
-/// SegTable construction and Prim's MST use as well.
+/// Listings 2-4; Database::stats().statements counts them. The F-operator
+/// is the direction's OpenSet, and the E- and M-operators are built from
+/// EdgeJoin, DedupLeast and MergeRows, which SegTable construction and
+/// Prim's MST use as well.
 ///
 /// The engine runs the round the way the paper's client runs its JDBC
 /// statements: parse once, bind many. Per direction it prepares one E/M
@@ -74,10 +75,10 @@ class FemEngine {
 
   // ----- F-operator and its auxiliary statements -------------------------
   // Each method records the same SQL statement text as ever (the Listings);
-  // what changed is the physical plan behind it: frontier updates run
-  // through VisitedTable's indexed access paths, the open-row probes read
-  // the first entry of the direction's open tree, and MinCost reads the one
-  // scalar VisitedTable keeps beside the table.
+  // what changed is the physical plan behind it: the frontier updates and
+  // the open-row probes run through the direction's OpenSet (its open
+  // tree), and MinCost reads the one scalar VisitedTable keeps beside the
+  // table.
 
   /// Listing 4(1) generalized: UPDATE TVisited SET flag=2 WHERE flag=0 AND
   /// dist<Max AND `spec`. Returns the number of frontier nodes marked.
@@ -149,9 +150,10 @@ class FemEngine {
 Schema ExpansionSchema();
 
 // ----- The FEM operator plans, defined once ----------------------------
-// Shortest paths (FemEngine), SegTable construction and Prim's MST all
-// build their E-operator from EdgeJoin + DedupLeast and their M-operator
-// from MergeRows.
+// Shortest paths (FemEngine), SegTable construction and maintenance, and
+// Prim's MST all read and mark their open set through OpenSet (the
+// F-operator, src/core/open_set.h), build their E-operator from EdgeJoin +
+// DedupLeast and their M-operator from MergeRows.
 
 /// E-operator join: `outer` JOIN `table` ON outer.`probe_column` =
 /// table.`column` [AND `residual`]. An index nested-loop join when `table`

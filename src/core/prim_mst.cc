@@ -2,8 +2,7 @@
 
 #include <atomic>
 
-#include "src/exec/bind_context.h"
-#include "src/exec/dml_executors.h"
+#include "src/core/open_set.h"
 #include "src/exec/scan_executors.h"
 
 namespace relgraph {
@@ -35,6 +34,8 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
       db->catalog(), WorkingTableStrategy(graph->strategy()), name,
       MstSchema(), "nid", /*unique=*/true, &tree, {{"f", "w"}}));
+  CreatedTables created{db->catalog(), {name}};  // dropped if the run fails
+  OpenSet open(tree, "nid", "f", "w");
 
   db->RecordStatement();
   RELGRAPH_RETURN_IF_ERROR(tree->Insert(
@@ -50,15 +51,13 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   merge.insert_values = {Col("nid"), Col("cost"), Col("pid"), Lit(int64_t{0})};
   // E: neighbours of the frontier with the edge weight as the candidate
   // attachment cost (not accumulated — the Prim variation of §3.1),
-  // deduplicated to the cheapest attachment per node. E, M, the mark and
-  // the reset are prepared once and re-run every round.
+  // deduplicated to the cheapest attachment per node. E and M are prepared
+  // once and re-run every round, as are the open set's mark and reset.
   DedupLeast expand(
       mode,
       [&] {
-        ExecRef frontier = std::make_unique<IndexRangeScanExecutor>(
-            tree, "f", 2, "w", 0, kInfinity - 1);
         return std::make_unique<ProjectExecutor>(
-            EdgeJoin(std::move(frontier), rel.table, rel.join_column, "nid"),
+            EdgeJoin(open.FrontierScan(), rel.table, rel.join_column, "nid"),
             std::vector<ExprRef>{Col(rel.emit_column), Col(rel.cost_column),
                                  Col("nid")},
             CandidateSchema());
@@ -67,16 +66,6 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   RELGRAPH_RETURN_IF_ERROR(expand.status());
   MergeRows merge_rows(db, mode, tree, CandidateSchema(), std::move(merge));
   RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
-  // The tree admits one node per round; the mark probes it as `:mid`.
-  BindContext params;
-  const size_t mid_slot = params.AddNamedSlot("mid");
-  UpdatePlan mark(
-      tree, Cmp(CompareOp::kEq, Col("nid"), Param(&params, mid_slot, "mid")),
-      {{"f", Lit(int64_t{2})}},
-      {"nid", CompareOp::kEq, Param(&params, mid_slot, "mid")});
-  UpdatePlan reset(tree, ColEq("f", 2), {{"f", Lit(int64_t{1})}});
-  Table::Iterator candidates;  // the running statement's open-tree rows
-  Tuple least;
 
   for (;;) {
     // F: the single cheapest candidate (f=0, minimal w), the open tree's
@@ -85,16 +74,15 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
     // minimum-cost candidate in one batch can miss a cheaper edge between
     // two candidates admitted together, losing optimality.
     db->RecordStatement();
-    bool found;
-    RELGRAPH_RETURN_IF_ERROR(tree->FirstInRange(
-        "f", 0, "w", 0, kInfinity - 1, &candidates, &least, &found));
-    if (!found) break;  // every reached node is in the tree
-    const node_id_t mid = least.value(0).AsInt();
+    weight_t least;
+    node_id_t mid;
+    RELGRAPH_RETURN_IF_ERROR(open.Least(&least, &mid));
+    if (least == kInfinity) break;  // every reached node is in the tree
 
+    // The tree admits one node per round: the mark probes nid = mid.
     db->RecordStatement();
-    params.Set(mid_slot, Value(mid));
     int64_t marked;
-    RELGRAPH_RETURN_IF_ERROR(mark.Run(&marked));
+    RELGRAPH_RETURN_IF_ERROR(open.Mark(FrontierSpec::Node(mid), &marked));
     if (marked == 0) break;
     out->iterations++;
 
@@ -108,10 +96,8 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
         merge_rows.Run(expand.rows().data(), expand.size(), &affected));
 
     db->RecordStatement();
-    RELGRAPH_RETURN_IF_ERROR(
-        tree->ScanRange("f", 2, "w", 0, kInfinity - 1, &candidates));
     int64_t reset_rows;
-    RELGRAPH_RETURN_IF_ERROR(reset.Run(&candidates, &reset_rows));
+    RELGRAPH_RETURN_IF_ERROR(open.Finalize(&reset_rows));
   }
 
   // Harvest the tree.
@@ -132,6 +118,7 @@ Status PrimMst::Run(GraphStore* graph, SqlMode mode, node_id_t root,
   out->connected =
       static_cast<int64_t>(out->tree_edges.size()) + 1 == graph->num_nodes();
   out->statements = db->stats().statements - stmt0;
+  created.names.clear();
   return db->catalog()->DropTable(name);
 }
 

@@ -1,9 +1,9 @@
 #include "src/core/segtable.h"
 
-#include <algorithm>
-#include <map>
+#include <vector>
 
 #include "src/common/timer.h"
+#include "src/core/open_set.h"
 #include "src/exec/bind_context.h"
 #include "src/exec/dml_executors.h"
 #include "src/exec/scan_executors.h"
@@ -42,9 +42,8 @@ Schema ExpandedSchema() {
 }
 
 /// Frontier ⋈ edges, pruned at lthd, projected to the expanded-row shape.
-ExecRef BuildSegJoin(Table* work, const EdgeRelation& rel, weight_t lthd) {
-  ExecRef frontier = std::make_unique<IndexRangeScanExecutor>(
-      work, "f", 2, "dist", 0, kInfinity - 1);
+ExecRef BuildSegJoin(ExecRef frontier, const EdgeRelation& rel,
+                     weight_t lthd) {
   ExprRef prune = Cmp(CompareOp::kLe, Add(Col("dist"), Col(rel.cost_column)),
                       Lit(lthd));
   ExecRef joined = EdgeJoin(std::move(frontier), rel.table, rel.join_column,
@@ -64,8 +63,9 @@ ExecRef BuildSegJoin(Table* work, const EdgeRelation& rel, weight_t lthd) {
 Status SegTable::BuildDirection(Database* db, GraphStore* graph,
                                 const SegTableOptions& options,
                                 const EdgeRelation& rel, bool forward,
-                                Table* final_table,
-                                SegTableBuildStats* stats) {
+                                const std::vector<node_id_t>* sources,
+                                Table* final_table, SegTableBuildStats* stats,
+                                int64_t* changed) {
   Catalog* catalog = db->catalog();
   const std::string work_name =
       options.prefix + (forward ? "work_out" : "work_in");
@@ -74,9 +74,23 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
   RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
       catalog, WorkingTableStrategy(graph->strategy()), work_name,
       WorkSchema(), "skey", /*unique=*/true, &work, {{"f", "dist"}}));
+  CreatedTables created{catalog, {work_name}};  // dropped if the run fails
+  OpenSet open(work, "skey", "f", "dist");
 
-  // Seed: every node starts as the source of its own search (§4.2 "we can
-  // put all nodes in G into a visited node set initially").
+  // The searches' sources: every node (§4.2 "we can put all nodes in G
+  // into a visited node set initially"), or the given ones.
+  auto source_nodes = [&]() -> ExecRef {
+    if (sources == nullptr) {
+      return std::make_unique<SeqScanExecutor>(graph->nodes());
+    }
+    std::vector<Tuple> rows;
+    rows.reserve(sources->size());
+    for (node_id_t n : *sources) rows.push_back(Tuple({Value(n)}));
+    return std::make_unique<MaterializedExecutor>(
+        std::move(rows), Schema({{"nid", TypeId::kInt}}));
+  };
+
+  // Seed: every source starts its own search.
   {
     db->RecordStatement();
     std::vector<ExprRef> exprs = {
@@ -86,8 +100,7 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
         Lit(int64_t{0}),
         Col("nid"),
         Lit(int64_t{0})};
-    ProjectExecutor seed(std::make_unique<SeqScanExecutor>(graph->nodes()),
-                         std::move(exprs), WorkSchema());
+    ProjectExecutor seed(source_nodes(), std::move(exprs), WorkSchema());
     int64_t inserted;
     RELGRAPH_RETURN_IF_ERROR(InsertFromExecutor(work, &seed, &inserted));
   }
@@ -103,53 +116,30 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
       {"dist", Col("s.dist")}, {"pid", Col("s.pid")}, {"f", Lit(int64_t{0})}};
   merge.insert_values = {Col("skey"), Col("src"), Col("nid"),
                          Col("dist"), Col("pid"), Lit(int64_t{0})};
-  // F, E, M and the reset are prepared once and re-run every round, each
-  // over its rows of the open tree. The frontier rule's two bounds change
-  // per round and reach the mark through parameters: f=0 AND
-  // (dist < round*wmin OR dist = min open dist).
-  BindContext params;
-  const size_t bound_slot = params.AddNamedSlot("bound");
-  const size_t min_open_slot = params.AddNamedSlot("min_open");
-  UpdatePlan mark(
-      work,
-      And(ColEq("f", 0),
-          Or(Cmp(CompareOp::kLt, Col("dist"),
-                 Param(&params, bound_slot, "bound")),
-             Cmp(CompareOp::kEq, Col("dist"),
-                 Param(&params, min_open_slot, "min_open")))),
-      {{"f", Lit(int64_t{2})}});
-  UpdatePlan reset(work, ColEq("f", 2), {{"f", Lit(int64_t{1})}});
+  // E and M are prepared once and re-run every round, as are the open
+  // set's mark and reset.
   DedupLeast expand(
-      options.sql_mode, [&] { return BuildSegJoin(work, rel, lthd); }, "skey",
+      options.sql_mode,
+      [&] { return BuildSegJoin(open.FrontierScan(), rel, lthd); }, "skey",
       "dist", "pid");
   RELGRAPH_RETURN_IF_ERROR(expand.status());
   MergeRows merge_rows(db, options.sql_mode, work, ExpandedSchema(),
                        std::move(merge));
   RELGRAPH_RETURN_IF_ERROR(merge_rows.status());
 
-  const size_t dist_idx = work->schema().IndexOf("dist");
-  Table::Iterator candidates;  // the running statement's open-tree rows
-  Tuple least;
   for (int64_t round = 1;; round++) {
     // The least open dist: the open tree's first entry.
     db->RecordStatement();
-    bool found;
-    RELGRAPH_RETURN_IF_ERROR(work->FirstInRange(
-        "f", 0, "dist", 0, kInfinity - 1, &candidates, &least, &found));
-    if (!found) break;  // no candidates remain
-    const weight_t min_open = least.value(dist_idx).AsInt();
+    weight_t min_open;
+    int64_t skey;
+    RELGRAPH_RETURN_IF_ERROR(open.Least(&min_open, &skey));
+    if (min_open == kInfinity) break;  // no candidates remain
 
-    // No open row lies below min_open, so the rule's rows are the open
-    // rows up to max(round*wmin - 1, min_open); the rule stays the residual.
+    // F (§4.2): f=0 AND (dist < round*wmin OR dist = min open dist).
     db->RecordStatement();
-    params.Set(bound_slot, Value(round * wmin));
-    params.Set(min_open_slot, Value(min_open));
-    RELGRAPH_RETURN_IF_ERROR(work->ScanRange(
-        "f", 0, "dist", 0,
-        std::min(std::max(round * wmin - 1, min_open), kInfinity - 1),
-        &candidates));
     int64_t marked = 0;
-    RELGRAPH_RETURN_IF_ERROR(mark.Run(&candidates, &marked));
+    RELGRAPH_RETURN_IF_ERROR(
+        open.Mark(FrontierSpec::DistOr(round * wmin - 1, min_open), &marked));
     if (marked == 0) break;
     if (stats != nullptr) stats->iterations++;
 
@@ -162,24 +152,26 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
 
     // Reset signs f=2 -> 1.
     db->RecordStatement();
-    RELGRAPH_RETURN_IF_ERROR(
-        work->ScanRange("f", 2, "dist", 0, kInfinity - 1, &candidates));
     int64_t reset_rows;
-    RELGRAPH_RETURN_IF_ERROR(reset.Run(&candidates, &reset_rows));
+    RELGRAPH_RETURN_IF_ERROR(open.Finalize(&reset_rows));
   }
 
-  // Second step (§4.2): fold in the original edges not dominated by a
-  // pre-computed segment.
+  // Second step (§4.2): fold in the sources' original edges not dominated
+  // by a pre-computed segment.
   {
     db->RecordStatement();
+    ExecRef edges =
+        sources == nullptr
+            ? std::make_unique<SeqScanExecutor>(rel.table)
+            : EdgeJoin(source_nodes(), rel.table, rel.join_column, "nid");
     std::vector<ExprRef> exprs = {
         Add(Mul(Col(rel.join_column), Lit(kSrcShift)), Col(rel.emit_column)),
         Col(rel.join_column),
         Col(rel.emit_column),
         Col(rel.cost_column),
         Col(rel.parent_column)};
-    ProjectExecutor source(std::make_unique<SeqScanExecutor>(rel.table),
-                           std::move(exprs), ExpandedSchema());
+    ProjectExecutor source(std::move(edges), std::move(exprs),
+                           ExpandedSchema());
     MergeSpec spec;
     spec.target_key_column = "skey";
     spec.source_key_column = "skey";
@@ -195,9 +187,31 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
             .Run(&source, &affected));
   }
 
-  // Publish: copy into the final segs table, dropping trivial (u,u) rows.
-  // The work table scans in skey order, so a clustered final table loads
-  // packed and in key order.
+  // Publish: the sources' rows replace their old ones in the final segs
+  // table, which is keyed on the relation's join column; trivial (u,u)
+  // rows are dropped. The work table scans in skey order, so a clustered
+  // final table loads packed and in key order.
+  int64_t deleted = 0;
+  if (sources != nullptr) {
+    db->RecordStatement([&] {
+      return "DELETE FROM " + final_table->name() + " WHERE " +
+             rel.join_column + " IN (SELECT src FROM " + work_name + ")";
+    });
+    BindContext params;
+    const size_t key_slot = params.AddNamedSlot("key");
+    std::unique_ptr<UpdatePlan> remove = UpdatePlan::Delete(
+        final_table,
+        Cmp(CompareOp::kEq, Col(rel.join_column),
+            Param(&params, key_slot, "key")),
+        {rel.join_column, CompareOp::kEq, Param(&params, key_slot, "key")});
+    for (node_id_t n : *sources) {
+      params.Set(key_slot, Value(n));
+      int64_t removed;
+      RELGRAPH_RETURN_IF_ERROR(remove->Run(&removed));
+      deleted += removed;
+    }
+  }
+  int64_t inserted;
   {
     db->RecordStatement();
     ExecRef nontrivial = std::make_unique<FilterExecutor>(
@@ -213,11 +227,12 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
     }
     ProjectExecutor source(std::move(nontrivial), std::move(exprs),
                            SegsSchema());
-    int64_t inserted;
     RELGRAPH_RETURN_IF_ERROR(
         InsertFromExecutor(final_table, &source, &inserted));
   }
+  if (changed != nullptr) *changed += deleted + inserted;
 
+  created.names.clear();
   return catalog->DropTable(work_name);
 }
 
@@ -234,22 +249,26 @@ Status SegTable::Build(Database* db, GraphStore* graph,
   st->options_ = options;
   Catalog* catalog = db->catalog();
 
-  // The SegTable is stored the way its graph is (Fig 8(c)).
+  // The SegTable is stored the way its graph is (Fig 8(c)). A failed build
+  // drops what it created.
+  CreatedTables created{catalog, {}};
   RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
       catalog, graph->strategy(), options.prefix + "TOutSegs", SegsSchema(),
       "fid", /*unique=*/false, &st->out_segs_));
+  created.names.push_back(st->out_segs_->name());
   RELGRAPH_RETURN_IF_ERROR(CreateKeyedTable(
       catalog, graph->strategy(), options.prefix + "TInSegs", SegsSchema(),
       "tid", /*unique=*/false, &st->in_segs_));
+  created.names.push_back(st->in_segs_->name());
 
   SegTableBuildStats local;
-  RELGRAPH_RETURN_IF_ERROR(BuildDirection(db, graph, options, graph->Forward(),
-                                          /*forward=*/true, st->out_segs_,
-                                          &local));
-  RELGRAPH_RETURN_IF_ERROR(BuildDirection(db, graph, options,
-                                          graph->Backward(),
-                                          /*forward=*/false, st->in_segs_,
-                                          &local));
+  RELGRAPH_RETURN_IF_ERROR(BuildDirection(
+      db, graph, options, graph->Forward(), /*forward=*/true,
+      /*sources=*/nullptr, st->out_segs_, &local, /*changed=*/nullptr));
+  RELGRAPH_RETURN_IF_ERROR(BuildDirection(
+      db, graph, options, graph->Backward(), /*forward=*/false,
+      /*sources=*/nullptr, st->in_segs_, &local, /*changed=*/nullptr));
+  created.names.clear();
   if (stats != nullptr) {
     *stats = local;
     stats->out_entries = st->out_segs_->num_rows();
@@ -381,131 +400,6 @@ Status SegTable::ApplyEdgeInsertion(const Edge& edge, int64_t* changed) {
   return Status::OK();
 }
 
-namespace {
-
-/// One settled node of a bounded single-source search.
-struct BallEntry {
-  weight_t dist;
-  node_id_t pid;  // predecessor (forward search) / successor (backward)
-};
-
-/// Bounded Dijkstra from `src` over `rel`, settling every node within
-/// `lthd`. Neighbor access is a key-range read of the relational table,
-/// so the maintenance path touches the graph exactly the way the rest of
-/// the client does.
-Status BoundedBall(Database* db, const EdgeRelation& rel, node_id_t src,
-                   weight_t lthd, std::map<node_id_t, BallEntry>* ball) {
-  ball->clear();
-  (*ball)[src] = {0, src};
-  // (dist, node, pid); ordered set as a small priority queue with
-  // deterministic tie-breaking on (dist, node).
-  std::map<std::pair<weight_t, node_id_t>, node_id_t> open;
-  open[{0, src}] = src;
-  std::map<node_id_t, bool> settled;
-
-  while (!open.empty()) {
-    auto [key, pid] = *open.begin();
-    open.erase(open.begin());
-    auto [dist, node] = key;
-    if (settled[node]) continue;
-    settled[node] = true;
-
-    db->RecordStatement([&] {
-      return "SELECT * FROM " + rel.table->name() + " WHERE " +
-             rel.join_column + "=" + std::to_string(node);
-    });
-    Table::Iterator it;
-    RELGRAPH_RETURN_IF_ERROR(
-        rel.table->ScanRange(rel.join_column, node, node, &it));
-    const Schema& schema = rel.table->schema();
-    const size_t emit_idx = schema.IndexOf(rel.emit_column);
-    const size_t cost_idx = schema.IndexOf(rel.cost_column);
-    Tuple row;
-    while (it.Next(&row, nullptr)) {
-      node_id_t next = row.value(emit_idx).AsInt();
-      weight_t cand = dist + row.value(cost_idx).AsInt();
-      if (cand > lthd) continue;
-      auto pos = ball->find(next);
-      if (pos != ball->end() && pos->second.dist <= cand) continue;
-      if (pos != ball->end()) {
-        open.erase({pos->second.dist, next});
-      }
-      (*ball)[next] = {cand, node};
-      open[{cand, next}] = node;
-    }
-    RELGRAPH_RETURN_IF_ERROR(it.status());
-  }
-  return Status::OK();
-}
-
-/// Replaces every row of `segs` whose `key_col` equals `key` with `fresh`.
-Status ReplaceRowsFor(Database* db, Table* segs, const std::string& key_col,
-                      node_id_t key, const std::vector<Tuple>& fresh,
-                      int64_t* changed) {
-  db->RecordStatement([&] {
-    return "DELETE FROM " + segs->name() + " WHERE " + key_col + "=" +
-           std::to_string(key);
-  });
-  int64_t deleted = 0;
-  RELGRAPH_RETURN_IF_ERROR(
-      UpdatePlan::Delete(segs, ColEq(key_col, key),
-                         {key_col, CompareOp::kEq, Lit(int64_t{key})})
-          ->Run(&deleted));
-  db->RecordStatement(
-      [&] { return "INSERT INTO " + segs->name() + " (recomputed rows)"; });
-  for (const Tuple& t : fresh) {
-    RELGRAPH_RETURN_IF_ERROR(segs->Insert(t));
-  }
-  *changed += deleted + static_cast<int64_t>(fresh.size());
-  return Status::OK();
-}
-
-/// Recomputes the rows of `segs` keyed `key` on the updated graph, whose
-/// adjacency in the segments' direction is `rel` (forward: TOutSegs rows
-/// (key, y) over the out-edges; backward: TInSegs rows (x, key) over the
-/// in-edges). Segments for δ <= lthd (Definition 4 case 1) come from a
-/// bounded ball, whose pid is the predecessor (forward) or the successor
-/// toward the sink (backward), matching BuildDirection's convention;
-/// residual raw edges otherwise (case 2; parallel edges keep the minimum
-/// weight).
-Status RecomputeRowsFor(Database* db, const EdgeRelation& rel, Table* segs,
-                        bool forward, node_id_t key, weight_t lthd,
-                        int64_t* changed) {
-  auto segment = [&](node_id_t other, node_id_t pid, weight_t dist) {
-    return forward ? Tuple({Value(key), Value(other), Value(pid), Value(dist)})
-                   : Tuple({Value(other), Value(key), Value(pid), Value(dist)});
-  };
-  std::map<node_id_t, BallEntry> ball;
-  RELGRAPH_RETURN_IF_ERROR(BoundedBall(db, rel, key, lthd, &ball));
-  std::vector<Tuple> fresh;
-  for (const auto& [other, entry] : ball) {
-    if (other == key) continue;
-    fresh.push_back(segment(other, entry.pid, entry.dist));
-  }
-  std::map<node_id_t, weight_t> raw;
-  {
-    const Schema& schema = rel.table->schema();
-    const size_t emit_idx = schema.IndexOf(rel.emit_column);
-    const size_t cost_idx = schema.IndexOf(rel.cost_column);
-    Table::Iterator it;
-    RELGRAPH_RETURN_IF_ERROR(
-        rel.table->ScanRange(rel.join_column, key, key, &it));
-    Tuple row;
-    while (it.Next(&row, nullptr)) {
-      node_id_t z = row.value(emit_idx).AsInt();
-      weight_t wz = row.value(cost_idx).AsInt();
-      if (ball.count(z) != 0) continue;  // dominated by a segment
-      auto [pos, inserted] = raw.try_emplace(z, wz);
-      if (!inserted && wz < pos->second) pos->second = wz;
-    }
-    RELGRAPH_RETURN_IF_ERROR(it.status());
-  }
-  for (const auto& [z, wz] : raw) fresh.push_back(segment(z, key, wz));
-  return ReplaceRowsFor(db, segs, rel.join_column, key, fresh, changed);
-}
-
-}  // namespace
-
 Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
                                    int64_t* changed) {
   int64_t local_changed = 0;
@@ -545,18 +439,16 @@ Status SegTable::ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
     RELGRAPH_RETURN_IF_ERROR(it.status());
   }
 
-  // Recompute each affected source's TOutSegs rows, then each affected
-  // sink's TInSegs rows, on the updated graph.
-  for (node_id_t x : sources) {
-    RELGRAPH_RETURN_IF_ERROR(RecomputeRowsFor(db_, graph->Forward(), out_segs_,
-                                              /*forward=*/true, x, lthd,
-                                              &local_changed));
-  }
-  for (node_id_t y : sinks) {
-    RELGRAPH_RETURN_IF_ERROR(RecomputeRowsFor(db_, graph->Backward(),
-                                              in_segs_, /*forward=*/false, y,
-                                              lthd, &local_changed));
-  }
+  // Rerun the construction rounds on the updated graph from exactly the
+  // affected sources, replacing their TOutSegs rows, then from the
+  // affected sinks, replacing their TInSegs rows. Each list holds a node
+  // once: a segs table holds one row per (fid, tid).
+  RELGRAPH_RETURN_IF_ERROR(BuildDirection(
+      db_, graph, options_, graph->Forward(), /*forward=*/true, &sources,
+      out_segs_, /*stats=*/nullptr, &local_changed));
+  RELGRAPH_RETURN_IF_ERROR(BuildDirection(
+      db_, graph, options_, graph->Backward(), /*forward=*/false, &sinks,
+      in_segs_, /*stats=*/nullptr, &local_changed));
 
   if (changed != nullptr) *changed = local_changed;
   return Status::OK();

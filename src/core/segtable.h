@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/fem.h"
 #include "src/db/database.h"
@@ -40,9 +41,9 @@ struct SegTableBuildStats {
 /// plus every original edge (u,v,u,w) whose pair is not covered; TInSegs is
 /// the symmetric incoming-direction copy. Both are built *through the FEM
 /// framework itself* (§4.2 — construction is the paper's second showcase of
-/// the framework): each direction's work table runs the F/E/M rounds over
-/// its open tree as TVisited does. Both are stored under the base graph's
-/// index strategy.
+/// the framework): each direction's work table runs the F/E/M rounds, its
+/// open set an OpenSet as each TVisited direction's is. Both are stored
+/// under the base graph's index strategy.
 class SegTable {
  public:
   static Status Build(Database* db, GraphStore* graph, SegTableOptions options,
@@ -72,9 +73,11 @@ class SegTable {
   /// Only sources x that could route a <= lthd segment through (u,v) —
   /// i.e. δ_old(x,u) + w <= lthd, read straight off TInSegs at tid=u —
   /// can lose forward segments, so exactly those sources (plus u itself)
-  /// get their TOutSegs rows recomputed by a bounded search on the updated
-  /// base graph; sinks are handled symmetrically on TInSegs. `changed`
-  /// (optional) reports rows deleted + inserted across both tables.
+  /// get their TOutSegs rows recomputed on the updated base graph by the
+  /// construction's own FEM rounds, seeded with only those sources; sinks
+  /// are handled symmetrically on TInSegs. The work table is created and
+  /// dropped as in Build. `changed` (optional) reports rows deleted +
+  /// inserted across both tables.
   Status ApplyEdgeDeletion(GraphStore* graph, const Edge& edge,
                            int64_t* changed = nullptr);
 
@@ -87,13 +90,18 @@ class SegTable {
  private:
   SegTable() = default;
 
-  /// Runs the bounded multi-source FEM expansion for one direction and
-  /// fills the final segs table. `rel` is the base graph's adjacency for
-  /// that direction.
+  /// Runs the bounded multi-source FEM expansion for one direction from
+  /// `sources` (every node when null), folds in the sources' raw edges, and
+  /// publishes the result into the final segs table, replacing the rows
+  /// keyed on those sources. `rel` is the base graph's adjacency for that
+  /// direction. `changed` (optional) is increased by the rows deleted and
+  /// inserted.
   static Status BuildDirection(Database* db, GraphStore* graph,
                                const SegTableOptions& options,
                                const EdgeRelation& rel, bool forward,
-                               Table* final_table, SegTableBuildStats* stats);
+                               const std::vector<node_id_t>* sources,
+                               Table* final_table, SegTableBuildStats* stats,
+                               int64_t* changed);
 
   Database* db_ = nullptr;
   SegTableOptions options_;

@@ -39,15 +39,26 @@ Status CreateKeyedTable(Catalog* catalog, IndexStrategy strategy,
   }
   RELGRAPH_RETURN_IF_ERROR(
       catalog->CreateTable(name, std::move(schema), topts, out));
+  CreatedTables created{catalog, {name}};
   if (strategy == IndexStrategy::kIndex) {
     RELGRAPH_RETURN_IF_ERROR(catalog->CreateSecondaryIndex(*out, key, unique));
   }
-  if (strategy == IndexStrategy::kNoIndex) return Status::OK();
-  for (const OpenTree& tree : open_trees) {
-    RELGRAPH_RETURN_IF_ERROR(
-        catalog->CreateOpenIndex(*out, tree.flag, tree.dist));
+  if (strategy != IndexStrategy::kNoIndex) {
+    for (const OpenTree& tree : open_trees) {
+      RELGRAPH_RETURN_IF_ERROR(
+          catalog->CreateOpenIndex(*out, tree.flag, tree.dist));
+    }
   }
+  created.names.clear();
   return Status::OK();
+}
+
+CreatedTables::~CreatedTables() {
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    // Best effort: the build's own error is the one the caller gets.
+    Status dropped = catalog->DropTable(*it);
+    (void)dropped;
+  }
 }
 
 IndexStrategy WorkingTableStrategy(IndexStrategy graph) {

@@ -40,11 +40,20 @@ struct OpenTree {
 /// `unique` rejects duplicate keys wherever the key has a tree. Unless the
 /// strategy is kNoIndex, one open tree per entry of `open_trees` is built
 /// too, so the FEM rounds pick, mark and expand their open rows by range
-/// reads.
+/// reads. On failure no table of that name is left behind by this call.
 Status CreateKeyedTable(Catalog* catalog, IndexStrategy strategy,
                         const std::string& name, Schema schema,
                         const std::string& key, bool unique, Table** out,
                         const std::vector<OpenTree>& open_trees = {});
+
+/// Drops, on destruction, the tables a failed build created, so a retry
+/// does not stop at AlreadyExists: a build names each table it creates in
+/// `names` once the table exists, and clears `names` when it succeeds.
+struct CreatedTables {
+  Catalog* catalog;
+  std::vector<std::string> names;
+  ~CreatedTables();
+};
 
 /// The strategy of a construction-internal working table (SegTable's work
 /// tables, Prim's TMst) over a graph stored under `graph`: the same, but

@@ -92,20 +92,6 @@ struct PipelineBuilder {
   }
 };
 
-/// Drops, on destruction, the tables a failed build created, so a retry
-/// does not stop at AlreadyExists. A successful build clears `names`.
-struct CreatedTables {
-  Catalog* catalog;
-  std::vector<std::string> names;
-  ~CreatedTables() {
-    for (auto it = names.rbegin(); it != names.rend(); ++it) {
-      // Best effort: the build's own error is the one the caller gets.
-      Status dropped = catalog->DropTable(*it);
-      (void)dropped;
-    }
-  }
-};
-
 /// The PLL prune as one matched-only MERGE over PruneSourceSql.
 std::string BuildPruneSql(const std::string& w, const std::string& lo,
                           const std::string& li, bool forward) {

@@ -6,10 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/path_finder.h"
+#include "src/core/prim_mst.h"
+#include "src/core/segtable.h"
 #include "src/db/database.h"
 #include "src/graph/generators.h"
 #include "src/sql/sql_engine.h"
@@ -154,6 +160,98 @@ TEST(FaultInjection, PathFinderSurfacesFaultMidQuery) {
   db.disk()->ClearFaults();
   PathQueryResult again;
   ASSERT_TRUE(finder->Find(1, 200, &again).ok());
+}
+
+/// Every row of a segs table: (fid, tid) -> (pid, cost).
+std::map<std::pair<int64_t, int64_t>, std::pair<int64_t, int64_t>> SegRows(
+    Table* table) {
+  std::map<std::pair<int64_t, int64_t>, std::pair<int64_t, int64_t>> rows;
+  auto it = table->Scan();
+  Tuple t;
+  while (it.Next(&t, nullptr)) {
+    rows[{t.value(0).AsInt(), t.value(1).AsInt()}] = {t.value(2).AsInt(),
+                                                      t.value(3).AsInt()};
+  }
+  EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+  return rows;
+}
+
+std::set<std::string> TableNameSet(Database* db) {
+  const std::vector<std::string> names = db->catalog()->TableNames();
+  return {names.begin(), names.end()};
+}
+
+/// A SegTable build, a deletion maintenance run or a Prim run that fails
+/// on a disk fault drops the tables it created, so the catalog is as it
+/// was and a retry under the same names succeeds, equal to a fresh run.
+TEST(FaultInjection, FailedBuildsDropTheirTables) {
+  EdgeList list = GenerateBarabasiAlbert(300, 3, WeightRange{1, 20}, 5);
+  DatabaseOptions opts;
+  opts.buffer_pool_pages = 16;  // the builds' pages must reach the disk
+  Database db(opts);
+  std::unique_ptr<GraphStore> graph;
+  ASSERT_TRUE(GraphStore::Create(&db, list, GraphStoreOptions{}, &graph).ok());
+  const std::set<std::string> tables = TableNameSet(&db);
+  SegTableOptions sopts;
+  sopts.lthd = 20;
+  sopts.prefix = "ft_";
+
+  for (bool reads : {false, true}) {
+    for (int64_t countdown : {0, 3, 40, 400}) {
+      SCOPED_TRACE(std::string(reads ? "read" : "write") + " fault after " +
+                   std::to_string(countdown));
+      if (reads) {
+        db.disk()->InjectReadFaultAfter(countdown);
+      } else {
+        db.disk()->InjectWriteFaultAfter(countdown);
+      }
+      std::unique_ptr<SegTable> segtable;
+      Status built = SegTable::Build(&db, graph.get(), sopts, &segtable);
+      EXPECT_TRUE(built.IsIOError()) << built.ToString();
+      EXPECT_EQ(TableNameSet(&db), tables);
+      MstResult mst;
+      Status spanned = PrimMst::Run(graph.get(), SqlMode::kNsql, 0, &mst);
+      EXPECT_TRUE(spanned.IsIOError()) << spanned.ToString();
+      EXPECT_EQ(TableNameSet(&db), tables);
+      db.disk()->ClearFaults();
+    }
+  }
+
+  // The retry under the same prefix succeeds and equals a fresh build.
+  std::unique_ptr<SegTable> segtable;
+  Status built = SegTable::Build(&db, graph.get(), sopts, &segtable);
+  ASSERT_TRUE(built.ok()) << built.ToString();
+  MstResult mst;
+  ASSERT_TRUE(PrimMst::Run(graph.get(), SqlMode::kNsql, 0, &mst).ok());
+
+  Database fresh_db{DatabaseOptions{}};
+  std::unique_ptr<GraphStore> fresh_graph;
+  ASSERT_TRUE(
+      GraphStore::Create(&fresh_db, list, GraphStoreOptions{}, &fresh_graph)
+          .ok());
+  std::unique_ptr<SegTable> fresh;
+  ASSERT_TRUE(SegTable::Build(&fresh_db, fresh_graph.get(), sopts, &fresh)
+                  .ok());
+  EXPECT_EQ(SegRows(segtable->out_segs()), SegRows(fresh->out_segs()));
+  EXPECT_EQ(SegRows(segtable->in_segs()), SegRows(fresh->in_segs()));
+  MstResult fresh_mst;
+  ASSERT_TRUE(
+      PrimMst::Run(fresh_graph.get(), SqlMode::kNsql, 0, &fresh_mst).ok());
+  EXPECT_EQ(mst.total_weight, fresh_mst.total_weight);
+  EXPECT_EQ(mst.tree_edges, fresh_mst.tree_edges);
+
+  // A deletion whose maintenance fails drops its work table too, so the
+  // next maintenance run is not stopped by it.
+  const std::set<std::string> with_segtable = TableNameSet(&db);
+  const Edge victim = list.edges[7];
+  ASSERT_TRUE(graph->RemoveEdge(victim).ok());
+  db.disk()->InjectWriteFaultAfter(0);
+  Status maintained = segtable->ApplyEdgeDeletion(graph.get(), victim);
+  EXPECT_TRUE(maintained.IsIOError()) << maintained.ToString();
+  db.disk()->ClearFaults();
+  EXPECT_EQ(TableNameSet(&db), with_segtable);
+  maintained = segtable->ApplyEdgeDeletion(graph.get(), victim);
+  EXPECT_TRUE(maintained.ok()) << maintained.ToString();
 }
 
 // ----- on-disk corruption (CRC) propagating as a *typed* status ------------

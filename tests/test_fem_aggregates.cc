@@ -81,7 +81,7 @@ void ExpectAggregatesExact(FemEngine* fem, bool by_locator,
     Recomputed r = Recompute(vt, dir, by_locator);
     weight_t least;
     node_id_t least_nid;
-    ASSERT_TRUE(vt->LeastOpen(dir, &least, &least_nid).ok());
+    ASSERT_TRUE(vt->open(dir)->Least(&least, &least_nid).ok());
     EXPECT_EQ(least, r.min_open) << where << " dir=" << dir.dist;
     EXPECT_EQ(vt->MinPathCost(), r.min_cost) << where << " dir=" << dir.dist;
     node_id_t mid;

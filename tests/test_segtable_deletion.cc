@@ -32,22 +32,28 @@ std::map<std::pair<node_id_t, node_id_t>, weight_t> Snapshot(Table* table) {
 
 /// Builds graph+SegTable over `list`, applies `deletions` incrementally,
 /// and compares against a from-scratch build on the reduced graph. The
-/// maintained side runs under `strategy` (that is what is being tested);
+/// maintained side runs under `strategy`, `mode` and `profile` (that is
+/// what is being tested: maintenance reruns the construction rounds, whose
+/// M-operator the mode and profile pick);
 /// the rebuild *oracle* always runs under kCluIndex — the (fid, tid) ->
 /// cost map Snapshot() compares is a property of the graph alone (segment
 /// costs are shortest distances, independent of access-path or scan
 /// order), and the indexed build is an order of magnitude faster than the
 /// NoIndex full-scan build it used to mirror.
-void ExpectDeletionMatchesRebuild(const EdgeList& list,
-                                  const std::vector<Edge>& deletions,
-                                  weight_t lthd, IndexStrategy strategy) {
-  Database db{DatabaseOptions{}};
+void ExpectDeletionMatchesRebuild(
+    const EdgeList& list, const std::vector<Edge>& deletions, weight_t lthd,
+    IndexStrategy strategy, SqlMode mode = SqlMode::kNsql,
+    EngineProfile profile = EngineProfile::kDbmsX) {
+  DatabaseOptions dopts;
+  dopts.profile = profile;
+  Database db{dopts};
   GraphStoreOptions gopts;
   gopts.strategy = strategy;
   std::unique_ptr<GraphStore> graph;
   ASSERT_TRUE(GraphStore::Create(&db, list, gopts, &graph).ok());
   SegTableOptions opts;
   opts.lthd = lthd;
+  opts.sql_mode = mode;
   opts.prefix = "del_";
   std::unique_ptr<SegTable> segtable;
   ASSERT_TRUE(SegTable::Build(&db, graph.get(), opts, &segtable).ok());
@@ -68,6 +74,7 @@ void ExpectDeletionMatchesRebuild(const EdgeList& list,
   std::unique_ptr<GraphStore> graph2;
   ASSERT_TRUE(GraphStore::Create(&db2, reduced, oracle_gopts, &graph2).ok());
   SegTableOptions oracle_opts = opts;
+  oracle_opts.sql_mode = SqlMode::kNsql;
   std::unique_ptr<SegTable> rebuilt;
   ASSERT_TRUE(SegTable::Build(&db2, graph2.get(), oracle_opts, &rebuilt).ok());
 
@@ -172,9 +179,10 @@ class SegTableDeletionRandomTest
 
 TEST_P(SegTableDeletionRandomTest, MatchesRebuildOnRandomDeletions) {
   const auto& [strategy, seed] = GetParam();
-  // NoIndex pays a full edge-table scan per settled ball node during
-  // maintenance; a smaller instance keeps the same property under test
-  // while staying inside the suite's time budget.
+  // NoIndex serves every key range of the build, the rebuild and the
+  // maintenance rounds by a filtered full scan; a smaller instance keeps
+  // the same property under test while staying inside the suite's time
+  // budget.
   const int64_t nodes = strategy == IndexStrategy::kNoIndex ? 48 : 90;
   EdgeList list = GenerateBarabasiAlbert(nodes, 3, WeightRange{1, 20}, seed);
   // Delete 10 random edges (distinct positions).
@@ -199,6 +207,38 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(IndexStrategyName(std::get<0>(info.param))) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// Maintenance runs the SQL mode's M-operator: TSQL's UPDATE then INSERT,
+/// and NSQL's on the PostgreSQL 9.0 profile, which has no MERGE.
+TEST(SegTableDeletionTest, TsqlAndPostgresMatchRebuild) {
+  const EdgeList list =
+      GenerateBarabasiAlbert(48, 3, WeightRange{1, 20}, 43);
+  Rng rng(7);
+  std::vector<Edge> deletions;
+  EdgeList remaining = list;
+  for (int i = 0; i < 6; i++) {
+    size_t pos =
+        rng.NextInt(0, static_cast<int64_t>(remaining.edges.size()) - 1);
+    deletions.push_back(remaining.edges[pos]);
+    remaining.edges.erase(remaining.edges.begin() + pos);
+  }
+  for (IndexStrategy strategy :
+       {IndexStrategy::kCluIndex, IndexStrategy::kIndex,
+        IndexStrategy::kNoIndex}) {
+    SCOPED_TRACE(IndexStrategyName(strategy));
+    {
+      SCOPED_TRACE("TSQL");
+      ExpectDeletionMatchesRebuild(list, deletions, 25, strategy,
+                                   SqlMode::kTsql);
+    }
+    {
+      SCOPED_TRACE("NSQL on PostgreSQL 9.0");
+      ExpectDeletionMatchesRebuild(list, deletions, 25, strategy,
+                                   SqlMode::kNsql,
+                                   EngineProfile::kPostgres90);
+    }
+  }
+}
 
 TEST(SegTableDeletionTest, MixedInsertDeleteMatchesRebuild) {
   // Interleave insertions and deletions under every index strategy, then
