@@ -53,8 +53,10 @@ Status Catalog::CreateSecondaryIndex(Table* table, const std::string& column,
 }
 
 Status Catalog::CreateOpenIndex(Table* table, const std::string& flag_column,
-                                const std::string& dist_column) {
-  RELGRAPH_RETURN_IF_ERROR(table->CreateOpenIndex(flag_column, dist_column));
+                                const std::string& dist_column,
+                                const std::string& name) {
+  RELGRAPH_RETURN_IF_ERROR(
+      table->CreateOpenIndex(flag_column, dist_column, name));
   BumpVersion();
   return Status::OK();
 }

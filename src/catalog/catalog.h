@@ -63,7 +63,8 @@ class Catalog {
                               const std::string& name = std::string());
   /// See Table::CreateOpenIndex.
   Status CreateOpenIndex(Table* table, const std::string& flag_column,
-                         const std::string& dist_column);
+                         const std::string& dist_column,
+                         const std::string& name = std::string());
   Status DropSecondaryIndex(Table* table, const std::string& name);
 
   std::vector<std::string> TableNames() const;

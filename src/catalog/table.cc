@@ -183,11 +183,13 @@ Status Table::CheckConsistency() const {
   // Every indexable row has its entry, naming it; equal counts then leave
   // no room for a stray entry. The storage walk above bounds this scan.
   std::vector<int64_t> indexable(indexes_.size(), 0);
+  std::vector<std::array<int64_t, 3>> tails(indexes_.size());
   std::string payload;
   RELGRAPH_RETURN_IF_ERROR(
       ForEachRow([&](const Tuple& row, const RowRef& ref) -> Status {
         for (size_t i = 0; i < indexes_.size(); i++) {
           const SecondaryIndex& idx = indexes_[i];
+          if (const int flag = idx.TailFlag(row); flag >= 0) tails[i][flag]++;
           int64_t key;
           if (!idx.KeyOf(row, &key)) continue;
           indexable[i]++;
@@ -210,6 +212,11 @@ Status Table::CheckConsistency() const {
           "table " + name_ + ": index " + indexes_[i].name + " has " +
           std::to_string(indexes_[i].tree.num_entries()) + " entries for " +
           std::to_string(indexable[i]) + " indexable rows");
+    }
+    if (indexes_[i].tail != tails[i]) {
+      return Status::Corruption("table " + name_ + ": open tree " +
+                                indexes_[i].name +
+                                " miscounts its kInfinity rows");
     }
   }
   return Status::OK();
@@ -267,11 +274,24 @@ bool Table::SecondaryIndex::KeyOf(const Tuple& tuple, int64_t* key) const {
     *key = v.AsInt();
     return true;
   }
-  if (v.AsInt() >= kInfinity) return false;  // no statement reads dist = Max
+  if (v.AsInt() >= kInfinity) return false;  // counted in the tail instead
   *key = tuple.value(static_cast<size_t>(prefix_idx)).AsInt() *
              kOpenFlagStride +
          v.AsInt();
   return true;
+}
+
+int Table::SecondaryIndex::TailFlag(const Tuple& tuple) const {
+  if (!open()) return -1;
+  const Value& dist = tuple.value(column_idx);
+  const Value& flag = tuple.value(static_cast<size_t>(prefix_idx));
+  // Writes admit only domain rows; the bounds keep a damaged row read by
+  // CheckConsistency from indexing past the counts.
+  if (dist.IsNull() || dist.AsInt() != kInfinity || flag.IsNull() ||
+      flag.AsInt() < 0 || flag.AsInt() > 2) {
+    return -1;
+  }
+  return static_cast<int>(flag.AsInt());
 }
 
 Status Table::CheckOpenDomain(const Tuple& tuple) const {
@@ -306,7 +326,10 @@ std::string Table::PayloadOf(const RowRef& ref) const {
 Status Table::InsertIndexEntries(const Tuple& tuple, const RowRef& ref) {
   for (auto& idx : indexes_) {
     int64_t key;
-    if (!idx.KeyOf(tuple, &key)) continue;
+    if (!idx.KeyOf(tuple, &key)) {
+      idx.CountTail(tuple, 1);
+      continue;
+    }
     RELGRAPH_RETURN_IF_ERROR(
         idx.tree.Insert(EntryOf(idx, key, ref), PayloadOf(ref), idx.unique));
   }
@@ -316,7 +339,10 @@ Status Table::InsertIndexEntries(const Tuple& tuple, const RowRef& ref) {
 Status Table::DeleteIndexEntries(const Tuple& tuple, const RowRef& ref) {
   for (auto& idx : indexes_) {
     int64_t key;
-    if (!idx.KeyOf(tuple, &key)) continue;
+    if (!idx.KeyOf(tuple, &key)) {
+      idx.CountTail(tuple, -1);
+      continue;
+    }
     RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(EntryOf(idx, key, ref)));
   }
   return Status::OK();
@@ -328,6 +354,8 @@ Status Table::UpdateIndexEntries(const Tuple& old_tuple, const Tuple& tuple,
     int64_t old_key = 0, new_key = 0;
     const bool had = idx.KeyOf(old_tuple, &old_key);
     const bool has = idx.KeyOf(tuple, &new_key);
+    if (!had) idx.CountTail(old_tuple, -1);
+    if (!has) idx.CountTail(tuple, 1);
     if (had == has && old_key == new_key) continue;
     if (had) {
       RELGRAPH_RETURN_IF_ERROR(idx.tree.Delete(EntryOf(idx, old_key, ref)));
@@ -359,20 +387,25 @@ Status Table::CreateSecondaryIndex(const std::string& column, bool unique,
 }
 
 Status Table::CreateOpenIndex(const std::string& flag_column,
-                              const std::string& dist_column) {
+                              const std::string& dist_column,
+                              const std::string& name) {
   const int flag = schema_.Find(flag_column);
   if (flag < 0) return Status::InvalidArgument("no column " + flag_column);
   if (schema_.column(flag).type != TypeId::kInt) {
     return Status::NotSupported("only INT columns can be indexed");
   }
-  const std::string name = flag_column + "_" + dist_column;
-  for (const auto& existing : indexes_) {
-    if (existing.name == name) {
-      return Status::AlreadyExists("index " + name + " already exists");
-    }
+  if (flag_column == dist_column) {
+    return Status::InvalidArgument("open tree names column " + flag_column +
+                                   " twice");
   }
   SecondaryIndex si;
-  si.name = name;
+  si.name = name.empty() ? flag_column + "_" + dist_column : name;
+  for (const auto& existing : indexes_) {
+    if (existing.name == si.name ||
+        (existing.prefix_idx == flag && existing.column == dist_column)) {
+      return Status::AlreadyExists("index " + si.name + " already exists");
+    }
+  }
   si.column = dist_column;
   si.unique = false;
   si.prefix_idx = flag;
@@ -403,6 +436,8 @@ Status Table::AddIndex(SecondaryIndex si) {
     int64_t key;
     if (added.KeyOf(tuple, &key)) {
       entries.emplace_back(EntryOf(added, key, ref), PayloadOf(ref));
+    } else {
+      added.CountTail(tuple, 1);
     }
     return Status::OK();
   });
@@ -474,6 +509,14 @@ bool Table::HasIndexOn(const std::string& column) const {
     if (!idx.open() && idx.column == column) return true;
   }
   return false;
+}
+
+std::string Table::OpenTreeDist(const std::string& flag_column) const {
+  const int flag = schema_.Find(flag_column);
+  for (const auto& idx : indexes_) {
+    if (flag >= 0 && idx.prefix_idx == flag) return idx.column;
+  }
+  return std::string();
 }
 
 Status Table::LookupUnique(const std::string& column, int64_t key, Tuple* out,
@@ -581,6 +624,7 @@ void Table::StartScan(Iterator* out) {
   out->full_scan_ = true;
   out->filter_col_ = -1;
   out->prefix_col_ = -1;
+  out->tail_ = false;
   if (options_.storage == TableStorage::kClustered) {
     out->kind_ = Iterator::Kind::kClustered;
     out->bt_it_ = clustered_.ScanAll();
@@ -598,6 +642,7 @@ Status Table::ScanRange(const std::string& column, int64_t lo, int64_t hi,
   out->full_scan_ = false;
   out->filter_col_ = -1;
   out->prefix_col_ = -1;
+  out->tail_ = false;
   if (options_.storage == TableStorage::kClustered &&
       column == options_.cluster_key) {
     out->kind_ = Iterator::Kind::kClustered;
@@ -620,26 +665,29 @@ Status Table::ScanRange(const std::string& prefix_column, int64_t prefix,
   if (prefix_col < 0) {
     return Status::InvalidArgument("no column " + prefix_column);
   }
-  // The open tree holds every row with a dist below kInfinity, none with
-  // a negative one, and only flags 0..2: a range past kInfinity needs the
-  // scan, anything else it serves exactly.
-  if (hi < kInfinity) {
-    for (auto& idx : indexes_) {
-      if (idx.prefix_idx != prefix_col || idx.column != column) continue;
-      out->table_ = this;
-      out->full_scan_ = false;
-      out->filter_col_ = -1;
-      out->prefix_col_ = -1;
-      out->kind_ = Iterator::Kind::kSecondary;
-      if (prefix < 0 || prefix > 2) {
-        out->bt_it_ = idx.tree.Scan(1, 0);  // no such flag: no rows
-      } else {
-        const int64_t base = prefix * kOpenFlagStride;
-        out->bt_it_ = idx.tree.Scan(
-            base + std::clamp<int64_t>(lo, 0, kInfinity), base + hi);
-      }
-      return Status::OK();
+  for (auto& idx : indexes_) {
+    if (idx.prefix_idx != prefix_col || idx.column != column) continue;
+    // The domain holds flags 0..2 and dists 0..kInfinity: the tree's
+    // entries cover every dist below kInfinity, its tail count the rest.
+    out->table_ = this;
+    out->full_scan_ = false;
+    out->kind_ = Iterator::Kind::kSecondary;
+    const bool flag_in_domain = prefix >= 0 && prefix <= 2;
+    const int64_t tree_lo = std::max<int64_t>(lo, 0);
+    const int64_t tree_hi = std::min(hi, kInfinity - 1);
+    if (flag_in_domain && tree_lo <= tree_hi) {
+      const int64_t base = prefix * kOpenFlagStride;
+      out->bt_it_ = idx.tree.Scan(base + tree_lo, base + tree_hi);
+    } else {
+      out->bt_it_ = idx.tree.Scan(1, 0);  // no entry in range
     }
+    out->tail_ = flag_in_domain && lo <= kInfinity && hi >= kInfinity &&
+                 idx.tail[static_cast<size_t>(prefix)] > 0;
+    out->filter_col_ = static_cast<int>(idx.column_idx);
+    out->prefix_col_ = prefix_col;
+    out->lo_ = out->hi_ = kInfinity;
+    out->prefix_ = prefix;
+    return Status::OK();
   }
   return FilteredScan(prefix_col, prefix, column, lo, hi, out);
 }
@@ -739,7 +787,15 @@ bool Table::Iterator::Next(Tuple* tuple, RowRef* ref) {
       std::string payload;
       if (!bt_it_.Next(&key, &payload)) {
         status_ = bt_it_.status();
-        return false;
+        if (!status_.ok() || !tail_) return false;
+        // The tree's entries are read; the flag's kInfinity rows, which it
+        // does not store, follow in Scan() order (the filter set up by
+        // ScanRange survives the switch).
+        const int filter_col = filter_col_, prefix_col = prefix_col_;
+        table_->StartScan(this);
+        filter_col_ = filter_col;
+        prefix_col_ = prefix_col;
+        return Next(tuple, ref);
       }
       if (table_->options_.storage == TableStorage::kClustered) {
         // Payload names the row's cluster key; fetch it from the base tree.
@@ -791,6 +847,7 @@ Status Table::Truncate() {
   }
   for (auto& idx : indexes_) {
     RELGRAPH_RETURN_IF_ERROR(BTree::Create(pool_, 8, &idx.tree));
+    idx.tail = {};
   }
   return Status::OK();
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -127,20 +128,23 @@ class Table {
   Status CreateSecondaryIndex(const std::string& column, bool unique,
                               const std::string& name = std::string());
 
-  /// Builds the *open tree* over (`flag_column`, `dist_column`), both INT:
-  /// a partial, non-unique B+-tree with one entry per row whose dist is
-  /// below kInfinity, keyed flag * 2^61 + dist — exact and order-preserving
-  /// on that domain, since kInfinity < 2^61 — with ties broken on the row's
-  /// RID or cluster key, like any non-unique index. It serves
-  /// the two-column form of ScanRange. From then on every row written must
-  /// hold a flag in {0, 1, 2} and a dist in [0, kInfinity]; Insert and
-  /// UpdateRow reject any other with InvalidArgument before writing
-  /// anything. Existing rows are checked and indexed immediately. The open
-  /// tree is not an index on either column alone (HasIndexOn, LookupUnique
-  /// and the one-column ScanRange ignore it); DROP INDEX names it
-  /// "<flag_column>_<dist_column>".
+  /// Builds the *open tree* over (`flag_column`, `dist_column`), both INT
+  /// and distinct: a non-unique B+-tree keyed flag * 2^61 + dist — exact
+  /// and order-preserving, since kInfinity < 2^61 — with ties broken on
+  /// the row's RID or cluster key, like any non-unique index. Rows whose
+  /// dist is kInfinity get no entry; the tree counts them per flag
+  /// instead, and a probe whose range reaches kInfinity reads them after
+  /// its entries. It serves the two-column form of ScanRange exactly. From
+  /// then on every row written must hold a flag in {0, 1, 2} and a dist in
+  /// [0, kInfinity]; Insert and UpdateRow reject any other with
+  /// InvalidArgument before writing anything. Existing rows are checked
+  /// and indexed immediately. The open tree is not an index on either
+  /// column alone (HasIndexOn, LookupUnique and the one-column ScanRange
+  /// ignore it). `name` is its SQL-level name (DROP INDEX resolves on it)
+  /// and defaults to "<flag_column>_<dist_column>".
   Status CreateOpenIndex(const std::string& flag_column,
-                         const std::string& dist_column);
+                         const std::string& dist_column,
+                         const std::string& name = std::string());
 
   /// Drops the secondary index named `name` (falling back to a column
   /// match, since the engine keys indexes by column) and frees its tree's
@@ -151,6 +155,10 @@ class Table {
 
   /// True when lookups on `column` can use an index (secondary or cluster).
   bool HasIndexOn(const std::string& column) const;
+
+  /// The dist column of the first open tree on `flag_column`; empty when
+  /// there is none.
+  std::string OpenTreeDist(const std::string& flag_column) const;
 
   /// Point lookup through a *unique* access path on `column`.
   Status LookupUnique(const std::string& column, int64_t key, Tuple* out,
@@ -184,6 +192,10 @@ class Table {
     int filter_col_ = -1;     // >= 0: yield only rows with lo_ <= col <= hi_
     int prefix_col_ = -1;     // >= 0: ... and with prefix column = prefix_
     int64_t lo_ = 0, hi_ = 0, prefix_ = 0;
+    // An open-tree probe whose range reaches kInfinity: once the tree's
+    // entries are read, a scan filtered as above yields the flag's
+    // kInfinity rows.
+    bool tail_ = false;
     HeapFile::Iterator heap_it_;
     BTree::Iterator bt_it_;
     Status status_;
@@ -205,15 +217,17 @@ class Table {
 
   /// Visits the rows with prefix_column = prefix AND lo <= column <= hi.
   /// The open tree on (prefix_column, column) serves it, in (column, RID
-  /// or cluster key) order, when the range lies below kInfinity; otherwise
-  /// a full scan filters on both columns, in Scan() order. Either way the
-  /// rows are the same. InvalidArgument as for the one-column form.
+  /// or cluster key) order: its entries, then, when the range reaches
+  /// kInfinity and the flag has such rows, a full scan filtered to them
+  /// (counted under `full_scan_rows`). Without a tree a full scan filters
+  /// on both columns, in Scan() order. Either way the rows are the same.
+  /// InvalidArgument as for the one-column form.
   Status ScanRange(const std::string& prefix_column, int64_t prefix,
                    const std::string& column, int64_t lo, int64_t hi,
                    Iterator* out);
 
   /// The row the two-column ScanRange over the same range orders first by
-  /// `column`: the open tree's first entry when the tree serves the range;
+  /// `column`: the first row the open tree yields when the table has one;
   /// otherwise, by one filtered full scan, the first row in Scan() order
   /// holding the range's least `column` value. `found` = false when the
   /// range is empty. `it` is the caller's iterator, reused so the read
@@ -242,7 +256,8 @@ class Table {
   /// tree invariants, secondary-index tree invariants, the stored row
   /// count against the live-record count, and one entry, naming the row,
   /// per indexable row in every secondary tree (a non-NULL key; for an
-  /// open tree, a dist below kInfinity) and no other entry. Returns
+  /// open tree, a dist below kInfinity) and no other entry, and each open
+  /// tree's per-flag count of its kInfinity rows. Returns
   /// Status::Corruption on the first violation. Safe against corrupted
   /// pages (bounded walks, never out-of-bounds); the snapshot loader and
   /// relgraph_fsck run this.
@@ -261,11 +276,21 @@ class Table {
     bool unique;
     int prefix_idx = -1;  // >= 0: an open tree keyed (prefix, column)
     BTree tree;
+    /// Open tree: rows per flag whose dist is kInfinity (no entry).
+    std::array<int64_t, 3> tail{};
 
     bool open() const { return prefix_idx >= 0; }
     /// The entry key `tuple` is filed under; false when the row has no
     /// entry (a NULL key, or for an open tree a dist of kInfinity).
     bool KeyOf(const Tuple& tuple, int64_t* key) const;
+    /// Open tree: the flag whose tail count holds `tuple` (a row the
+    /// domain check admitted, with dist kInfinity), else -1.
+    int TailFlag(const Tuple& tuple) const;
+    /// Adds `delta` to the tail count `tuple` belongs to, if any; writes
+    /// call it only for a row KeyOf gives no entry.
+    void CountTail(const Tuple& tuple, int64_t delta) {
+      if (const int flag = TailFlag(tuple); flag >= 0) tail[flag] += delta;
+    }
   };
 
   /// Rejects a row outside an open tree's key domain.

@@ -116,8 +116,12 @@ Status OpenSet::Finalize(int64_t* affected) {
 }
 
 ExecRef OpenSet::FrontierScan() const {
-  return std::make_unique<IndexRangeScanExecutor>(table_, flag_, 2, dist_, 0,
-                                                  kInfinity - 1);
+  return std::make_unique<IndexRangeScanExecutor>(
+      table_, KeyProbe{.prefix_column = flag_,
+                       .prefix = 2,
+                       .column = dist_,
+                       .lo = 0,
+                       .hi = kInfinity - 1});
 }
 
 }  // namespace relgraph

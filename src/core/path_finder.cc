@@ -308,9 +308,11 @@ Status PathFinder::SegmentStep(const DirCols& dir, node_id_t anchor,
   // parent. One key-range scan per hop (Listing 3(3) analogue).
   const EdgeRelation& rel = RelFor(dir);
   db_->RecordStatement();
-  FilterExecutor plan(std::make_unique<IndexRangeScanExecutor>(
-                          rel.table, rel.join_column, anchor, anchor),
-                      ColEq(rel.emit_column, y));
+  FilterExecutor plan(
+      std::make_unique<IndexRangeScanExecutor>(
+          rel.table,
+          KeyProbe{.column = rel.join_column, .lo = anchor, .hi = anchor}),
+      ColEq(rel.emit_column, y));
   RELGRAPH_RETURN_IF_ERROR(plan.Init());
   Tuple row;
   if (!plan.Next(&row)) {

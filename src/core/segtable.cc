@@ -203,7 +203,8 @@ Status SegTable::BuildDirection(Database* db, GraphStore* graph,
         final_table,
         Cmp(CompareOp::kEq, Col(rel.join_column),
             Param(&params, key_slot, "key")),
-        {rel.join_column, CompareOp::kEq, Param(&params, key_slot, "key")});
+        KeyProbe{.column = rel.join_column,
+                 .key = Param(&params, key_slot, "key")});
     for (node_id_t n : *sources) {
       params.Set(key_slot, Value(n));
       int64_t removed;

@@ -58,21 +58,18 @@ Status SqlPathFinder::Build(GraphStore* graph, SqlPathFinderOptions options,
          : "create table " + v +
                " (nid int, d2s int, p2s int, f int, d2t int, p2t int, b int) "
                "cluster by (nid) unique"));
-  // Physical tuning, once per working table: index the sign and distance
-  // columns so the frontier UPDATEs (`... where f = 2`, `... and d2s =
-  // (select min(d2s) ...)`) run as index probes — the planner's sargable
-  // conjunct extraction gives each prepared UpdatePlan a key probe.
-  {
-    std::vector<const char*> indexed = dj
-                                           ? std::vector<const char*>{"f",
-                                                                      "d2s"}
-                                           : std::vector<const char*>{
-                                                 "f", "b", "d2s", "d2t"};
-    for (const char* col : indexed) {
-      RELGRAPH_RETURN_IF_ERROR(finder->conn_->Execute(
-          "create index ix_" + v + "_" + col + " on " + v + " (" + col +
-          ")"));
-    }
+  // Physical tuning, once per working table: one open tree per direction,
+  // (f, d2s) and for the bidirectional algorithms (b, d2t), the design of
+  // every native open set. The planner turns `f = 0 and d2s = (select
+  // min(d2s) ...)` into one two-column probe and `f = 2` into a probe of
+  // the frontier alone, and the open minimum reads one entry (the MIN
+  // rule), so the frontier statements read rows in proportion to the
+  // frontier, not to the open set.
+  RELGRAPH_RETURN_IF_ERROR(finder->conn_->Execute(
+      "create index ix_" + v + "_f_d2s on " + v + " (f, d2s)"));
+  if (!dj) {
+    RELGRAPH_RETURN_IF_ERROR(finder->conn_->Execute(
+        "create index ix_" + v + "_b_d2t on " + v + " (b, d2t)"));
   }
 
   // Statement templates (the Listings, with :parameters where the paper has

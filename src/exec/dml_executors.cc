@@ -54,18 +54,11 @@ std::unique_ptr<UpdatePlan> UpdatePlan::Delete(Table* table,
 Status UpdatePlan::Run(int64_t* affected) {
   *affected = 0;
   RELGRAPH_RETURN_IF_ERROR(status_);
-  if (probe_.key == nullptr) {
-    candidates_ = table_->Scan();
-    return Run(&candidates_, affected);
-  }
-  int64_t lo, hi;
-  if (!RuntimeKeyRange(probe_.op, probe_.key->Evaluate(Tuple{}), &lo, &hi)) {
-    // `column OP NULL` is never true, and the predicate includes it: no
-    // row can match (the frontier mark once the open set is empty).
-    return Status::OK();
-  }
-  RELGRAPH_RETURN_IF_ERROR(
-      table_->ScanRange(probe_.column, lo, hi, &candidates_));
+  bool any;
+  RELGRAPH_RETURN_IF_ERROR(probe_.Open(table_, &candidates_, &any));
+  // `column OP NULL` is never true, and the predicate includes it: no row
+  // can match (the frontier mark once the open set is empty).
+  if (!any) return Status::OK();
   return Run(&candidates_, affected);
 }
 

@@ -10,6 +10,7 @@
 #include "src/catalog/table.h"
 #include "src/exec/executor.h"
 #include "src/exec/expression.h"
+#include "src/exec/scan_executors.h"
 
 namespace relgraph {
 
@@ -32,17 +33,6 @@ Status InsertFromExecutor(Table* table, Executor* source, int64_t* inserted);
 struct SetClause {
   std::string column;
   ExprRef expr;
-};
-
-/// The candidate rows of an UPDATE or DELETE plan as a key range: each run
-/// evaluates `key` — a literal, a `:param` or a scalar-subquery slot — into
-/// RuntimeKeyRange(op, key) and reads ScanRange(column, lo, hi), an index
-/// probe when `column` is indexed and a filtered full scan otherwise. A
-/// null `key` makes every row a candidate (Table::Scan).
-struct KeyProbe {
-  std::string column;
-  CompareOp op = CompareOp::kEq;
-  ExprRef key;
 };
 
 /// A prepared UPDATE or DELETE: scans its candidate rows, matches them
@@ -72,9 +62,9 @@ class UpdatePlan {
   /// table lacks; Run returns it too.
   const Status& status() const { return status_; }
 
-  /// Runs the statement over the candidates its probe selects; `affected`
-  /// counts the matched rows. A NULL probe key matches no row, so the
-  /// table is not read.
+  /// Runs the statement over the candidates its probe selects (every row
+  /// for an empty probe); `affected` counts the matched rows. A NULL probe
+  /// key matches no row, so the table is not read.
   Status Run(int64_t* affected);
 
   /// Runs it over the rows `candidates` yields (a Table::Scan or ScanRange

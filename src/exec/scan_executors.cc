@@ -101,71 +101,63 @@ bool RuntimeKeyRange(CompareOp op, const Value& key, int64_t* lo,
   return true;
 }
 
-IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
-                                               std::string column, int64_t lo,
-                                               int64_t hi, size_t first_batch)
-    : table_(table),
-      column_(std::move(column)),
-      lo_(lo),
-      hi_(hi),
-      first_batch_(first_batch) {}
+bool KeyProbe::Bounds(int64_t* lo_out, int64_t* hi_out) const {
+  if (key != nullptr) {
+    return RuntimeKeyRange(op, key->Evaluate(Tuple{}), lo_out, hi_out);
+  }
+  *lo_out = lo;
+  *hi_out = hi;
+  return true;
+}
 
-IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
-                                               std::string prefix_column,
-                                               int64_t prefix,
-                                               std::string column, int64_t lo,
-                                               int64_t hi)
-    : table_(table),
-      prefix_column_(std::move(prefix_column)),
-      prefix_(prefix),
-      column_(std::move(column)),
-      lo_(lo),
-      hi_(hi) {}
-
-IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table,
-                                               std::string column,
-                                               CompareOp op, ExprRef key)
-    : table_(table),
-      column_(std::move(column)),
-      lo_(std::numeric_limits<int64_t>::min()),
-      hi_(std::numeric_limits<int64_t>::max()),
-      key_(std::move(key)),
-      op_(op) {}
-
-Status IndexRangeScanExecutor::Open() {
-  exhausted_ = false;
-  batch_rows_ = first_batch_;
-  if (key_ != nullptr &&
-      !RuntimeKeyRange(op_, key_->Evaluate(Tuple{}), &lo_, &hi_)) {
-    it_ = Table::Iterator();  // a NULL key: no row can match
-    exhausted_ = true;
+Status KeyProbe::Open(Table* table, Table::Iterator* it, bool* any) const {
+  if (column.empty()) {
+    *it = table->Scan();
+    *any = true;
     return Status::OK();
   }
-  if (!prefix_column_.empty()) {
-    return table_->ScanRange(prefix_column_, prefix_, column_, lo_, hi_, &it_);
+  int64_t from, to;
+  *any = Bounds(&from, &to);
+  if (!*any) return Status::OK();
+  if (!prefix_column.empty()) {
+    return table->ScanRange(prefix_column, prefix, column, from, to, it);
   }
-  return table_->ScanRange(column_, lo_, hi_, &it_);
+  return table->ScanRange(column, from, to, it);
+}
+
+IndexRangeScanExecutor::IndexRangeScanExecutor(Table* table, KeyProbe probe,
+                                               size_t first_batch)
+    : table_(table), probe_(std::move(probe)), first_batch_(first_batch) {}
+
+Status IndexRangeScanExecutor::Open() {
+  batch_rows_ = first_batch_;
+  bool any;
+  RELGRAPH_RETURN_IF_ERROR(probe_.Open(table_, &it_, &any));
+  // A NULL key: no row can match, so nothing is read.
+  exhausted_ = !any;
+  return Status::OK();
 }
 
 void IndexRangeScanExecutor::Explain(int depth, std::string* out) const {
   Indent(depth, out);
-  int64_t lo = lo_, hi = hi_;
-  if (key_ != nullptr) {
-    // Render the bounds the *current* bindings imply, so EXPLAIN on a
-    // bound prepared statement shows real numbers; unbound slots read as
-    // NULL, which leaves the range fully open.
-    RuntimeKeyRange(op_, key_->Evaluate(Tuple{}), &lo, &hi);
-  }
+  // A runtime key renders the bounds the *current* bindings imply, so
+  // EXPLAIN on a bound prepared statement shows real numbers; unbound
+  // slots read as NULL, which leaves the range fully open.
+  int64_t lo, hi;
+  probe_.Bounds(&lo, &hi);
   const bool open_lo = lo == std::numeric_limits<int64_t>::min();
   const bool open_hi = hi == std::numeric_limits<int64_t>::max();
   out->append("IndexRangeScan: " + table_->name() + "." +
-              (prefix_column_.empty() ? std::string()
-                                      : prefix_column_ + " = " +
-                                            std::to_string(prefix_) + ", ") +
-              column_ + " in [" +
+              (probe_.prefix_column.empty()
+                   ? std::string()
+                   : probe_.prefix_column + " = " +
+                         std::to_string(probe_.prefix) + ", ") +
+              probe_.column + " in [" +
               (open_lo ? "-inf" : std::to_string(lo)) + ", " +
               (open_hi ? "+inf" : std::to_string(hi)) + "]" +
-              (key_ != nullptr ? " (bound from " + key_->ToString() + ")" : "") +
+              (probe_.key != nullptr
+                   ? " (bound from " + probe_.key->ToString() + ")"
+                   : "") +
               "\n");
 }
 

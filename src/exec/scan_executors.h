@@ -69,27 +69,40 @@ bool KeyRangeFor(CompareOp op, int64_t k, int64_t* lo, int64_t* hi);
 bool RuntimeKeyRange(CompareOp op, const Value& key, int64_t* lo,
                      int64_t* hi);
 
-/// Key-range scan: lo <= column <= hi through Table::ScanRange, which
-/// probes the cluster tree or a secondary index when `column` has one and
-/// filters a full scan otherwise. Two bound sources:
-///  - *static*: lo/hi fixed by the caller (the native FEM client);
-///  - *runtime*: the bound is `column OP <key expr>` where the key — a
-///    literal, a prepared-statement parameter or a scalar-subquery slot —
-///    is evaluated at Open into RuntimeKeyRange, so one compiled plan
-///    probes fresh bounds on every execution. A NULL key reads no row.
-/// `first_batch` sizes the first pull: 1 under a LIMIT 1 that wants only
-/// the first key, so the scan reads one row instead of kFirstScanBatch.
-/// A static range may also fix a prefix column, `prefix_column = prefix
-/// AND lo <= column <= hi` (Table::ScanRange's two-column form).
+/// The rows one key-range access reads: `[prefix_column = prefix AND]
+/// lo <= column <= hi` through Table::ScanRange, which probes the cluster
+/// tree, a secondary index or an open tree (prefix_column, column) when
+/// the table has one and filters a full scan otherwise. A non-null `key`
+/// — a literal, a `:param` or a scalar-subquery slot — replaces [lo, hi]
+/// at every Open by RuntimeKeyRange(op, key), so one compiled plan probes
+/// fresh bounds on every execution. SELECT scans (IndexRangeScanExecutor)
+/// and UPDATE/DELETE plans (UpdatePlan) both read one; an empty `column`
+/// reads every row (Table::Scan).
+struct KeyProbe {
+  std::string prefix_column{};  // non-empty: an open tree's flag = prefix
+  int64_t prefix = 0;
+  std::string column{};
+  int64_t lo = std::numeric_limits<int64_t>::min();
+  int64_t hi = std::numeric_limits<int64_t>::max();
+  CompareOp op = CompareOp::kEq;
+  ExprRef key{};
+
+  /// The range Open reads now; false for a NULL key, which no row can
+  /// match (the range is then left full, which is how EXPLAIN shows an
+  /// unbound key).
+  bool Bounds(int64_t* lo_out, int64_t* hi_out) const;
+  /// Points `it` at the rows the probe selects now; *any = false, leaving
+  /// `it` as it was, when Bounds finds that no row can match.
+  Status Open(Table* table, Table::Iterator* it, bool* any) const;
+};
+
+/// Key-range scan over the rows a KeyProbe selects. `first_batch` sizes
+/// the first pull: 1 under a LIMIT 1 that wants only the first row, so
+/// the scan reads one row instead of kFirstScanBatch.
 class IndexRangeScanExecutor : public Executor {
  public:
-  IndexRangeScanExecutor(Table* table, std::string column, int64_t lo,
-                         int64_t hi, size_t first_batch = kFirstScanBatch);
-  IndexRangeScanExecutor(Table* table, std::string prefix_column,
-                         int64_t prefix, std::string column, int64_t lo,
-                         int64_t hi);
-  IndexRangeScanExecutor(Table* table, std::string column, CompareOp op,
-                         ExprRef key);
+  IndexRangeScanExecutor(Table* table, KeyProbe probe,
+                         size_t first_batch = kFirstScanBatch);
   bool NextBatchSel(BatchSpan* out) override;
   const Schema& OutputSchema() const override;
   void Explain(int depth, std::string* out) const override;
@@ -99,12 +112,7 @@ class IndexRangeScanExecutor : public Executor {
 
  private:
   Table* table_;
-  std::string prefix_column_;  // empty: a one-column range
-  int64_t prefix_ = 0;
-  std::string column_;
-  int64_t lo_, hi_;
-  ExprRef key_;  // non-null => runtime bounds (op_ applies)
-  CompareOp op_ = CompareOp::kEq;
+  KeyProbe probe_;
   size_t first_batch_ = kFirstScanBatch;
   Table::Iterator it_;
   bool exhausted_ = false;  // iterator returned false; don't pull it again

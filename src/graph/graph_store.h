@@ -25,8 +25,8 @@ enum class IndexStrategy {
 
 const char* IndexStrategyName(IndexStrategy s);
 
-/// One open tree of a FEM working table (Table::CreateOpenIndex): the rows
-/// with a dist below kInfinity, keyed (flag, dist).
+/// One open tree of a FEM working table (Table::CreateOpenIndex), keyed
+/// (flag, dist).
 struct OpenTree {
   std::string flag;
   std::string dist;

@@ -13,13 +13,12 @@ namespace label_internal {
 
 std::vector<std::string> WorkTableDdl(const std::string& w) {
   return {"create table " + w +
-              " (nid int, d int, f int, od int) cluster by (nid) unique",
-          "create index ix_" + w + "_f on " + w + " (f)",
-          "create index ix_" + w + "_od on " + w + " (od)"};
+              " (nid int, d int, f int) cluster by (nid) unique",
+          "create index ix_" + w + "_f_d on " + w + " (f, d)"};
 }
 
 std::string MinOpenSql(const std::string& w) {
-  return "select min(od) from " + w;
+  return "select min(d) from " + w + " where f = 0";
 }
 
 /// For every frontier vertex u, cov = min over common hubs of already-built
@@ -103,15 +102,14 @@ std::string BuildPruneSql(const std::string& w, const std::string& lo,
 }
 
 /// The frontier expansion as the same window-deduplicated MERGE the FEM
-/// E-operator issues; a reached or improved row is open, so `od = d`.
+/// E-operator issues; a reached or improved row is open again.
 std::string BuildExpandSql(const std::string& w, const EdgeRelation& rel) {
   return "merge into " + w + " as target using (" + ExpandSourceSql(w, rel) +
          ") as source (nid, cost) "
          "on (source.nid = target.nid) "
          "when matched and target.d > source.cost then update set "
-         "d = source.cost, f = 0, od = source.cost "
-         "when not matched then insert (nid, d, f, od) "
-         "values (nid, cost, 0, cost)";
+         "d = source.cost, f = 0 "
+         "when not matched then insert (nid, d, f) values (nid, cost, 0)";
 }
 
 Status PreparePipeline(PipelineBuilder* pb, const std::string& w,
@@ -120,10 +118,9 @@ Status PreparePipeline(PipelineBuilder* pb, const std::string& w,
                        DirectionPipeline* out) {
   RELGRAPH_RETURN_IF_ERROR(pb->Prep("truncate " + w, &out->clear));
   RELGRAPH_RETURN_IF_ERROR(pb->Prep(
-      "insert into " + w + " (nid, d, f, od) values (:h, 0, 0, 0)",
-      &out->seed));
+      "insert into " + w + " (nid, d, f) values (:h, 0, 0)", &out->seed));
   RELGRAPH_RETURN_IF_ERROR(pb->Prep("update " + w +
-                                        " set f = 2, od = null where od = (" +
+                                        " set f = 2 where f = 0 and d = (" +
                                         MinOpenSql(w) + ")",
                                     &out->mark));
   RELGRAPH_RETURN_IF_ERROR(
@@ -269,8 +266,8 @@ Status LabelBuilder::Build(GraphStore* graph, const std::string& prefix,
   created.names.push_back(w);
   for (const std::string& ddl : WorkTableDdl(w)) {
     RELGRAPH_RETURN_IF_ERROR(conn.Execute(ddl));
+    statements++;
   }
-  statements += 3;
 
   DirectionPipeline fwd_pipe, bwd_pipe;
   RELGRAPH_RETURN_IF_ERROR(PreparePipeline(&pb, w, lo, li, graph->Forward(),

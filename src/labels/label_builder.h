@@ -42,16 +42,16 @@ struct LabelBuildStats {
 /// statement is prepared once and re-bound per hub, so the whole build
 /// performs a constant number of parses/plans.
 ///
-/// The working table W (nid, d, f, od) keeps the open distance `od` next
-/// to `d`: equal to d while the row is open (f = 0), NULL once it leaves
-/// the open set. Its index therefore holds exactly the open rows, so the
-/// open minimum is one index entry. Per hub h (forward shown; backward
-/// swaps the edge relation and the two label tables):
+/// The working table W (nid, d, f) has one open tree (f, d), the design
+/// of every FEM open set: the open minimum is its first f = 0 entry (the
+/// MIN rule), the mark one two-column probe and the frontier a probe of
+/// f = 2. Per hub h (forward shown; backward swaps the edge relation and
+/// the two label tables):
 ///
-///   truncate W; insert into W values (:h, 0, 0, 0)
+///   truncate W; insert into W values (:h, 0, 0)
 ///   loop:
-///     F  update W set f = 2, od = null where od = (select min(od) from W)
-///        (the lone MIN reads the first od index entry)
+///     F  update W set f = 2
+///        where f = 0 and d = (select min(d) from W where f = 0)
 ///     P  merge .. when matched and cov <= d then update set f = 1
 ///        (cov = min over common hubs of existing labels — the PLL prune;
 ///         pruned vertices are neither labeled nor expanded; the frontier
@@ -60,7 +60,7 @@ struct LabelBuildStats {
 ///     L  insert into LabelsIn (nid, hub, dist)
 ///        select nid, :h, d from W where f = 2
 ///     E  merge into W using (frontier x TEdges, window-deduplicated) ..
-///        (a reached or improved row is open again: f = 0, od = d)
+///        (a reached or improved row is open again: f = 0)
 ///     M  update W set f = 1 where f = 2
 ///
 /// Every round reads rows in proportion to its frontier, not to the open
@@ -88,9 +88,9 @@ namespace label_internal {
 /// The build pipeline's SQL text, shared with the tests that pin its plans.
 /// `w` is the working table, `lo`/`li` the LabelsOut/LabelsIn tables.
 
-/// DDL creating the working table and its f and od indexes.
+/// DDL creating the working table and its open tree (f, d).
 std::vector<std::string> WorkTableDdl(const std::string& w);
-/// The frontier mark's open minimum: a lone MIN over the od index.
+/// The frontier mark's open minimum: the first f = 0 entry of the tree.
 std::string MinOpenSql(const std::string& w);
 /// The prune MERGE's source: (nid, cov) per frontier vertex that shares a
 /// hub with h in the labels built so far; cov is the shortest distance

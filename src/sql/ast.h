@@ -175,10 +175,13 @@ struct CreateTableStmt {
   bool cluster_unique = false;
 };
 
+/// CREATE [UNIQUE] INDEX [name] ON table (col [, col ...]): one column is
+/// a secondary index, two an open tree (flag, dist); the planner rejects
+/// any other form.
 struct CreateIndexStmt {
-  std::string index_name;  // informational; the engine keys indexes by column
+  std::string index_name;  // DROP INDEX resolves on it
   std::string table;
-  std::string column;
+  std::vector<std::string> columns;
   bool unique = false;
 };
 

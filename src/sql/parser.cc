@@ -485,9 +485,11 @@ Status Parser::ParseCreate(std::unique_ptr<Statement>* out) {
     RELGRAPH_RETURN_IF_ERROR(Expect(TokenKind::kIdentifier, &table));
     ci->table = table.text;
     RELGRAPH_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
-    Token col;
-    RELGRAPH_RETURN_IF_ERROR(Expect(TokenKind::kIdentifier, &col));
-    ci->column = col.text;
+    do {
+      Token col;
+      RELGRAPH_RETURN_IF_ERROR(Expect(TokenKind::kIdentifier, &col));
+      ci->columns.push_back(col.text);
+    } while (Match(TokenKind::kComma));
     RELGRAPH_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     (*out)->kind = StmtKind::kCreateIndex;
     (*out)->create_index = std::move(ci);

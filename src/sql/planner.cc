@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -126,12 +125,12 @@ bool ContainsAggregate(const Expr& e) {
   });
 }
 
-/// The column argument of a SELECT shaped `select min(col) from <table>`
-/// (no WHERE, GROUP BY or DISTINCT), or null for any other shape.
-const Expr* LoneMinColumn(const SelectStmt& sel) {
+/// The column argument of a SELECT shaped `select min(col) from <table>
+/// [where ...]` (no GROUP BY or DISTINCT), or null for any other shape.
+const Expr* MinRuleColumn(const SelectStmt& sel) {
   if (sel.from.size() != 1 || sel.from[0].kind != FromKind::kTable ||
-      sel.where != nullptr || !sel.group_by.empty() || sel.distinct ||
-      sel.items.size() != 1 || sel.items[0].expr == nullptr) {
+      !sel.group_by.empty() || sel.distinct || sel.items.size() != 1 ||
+      sel.items[0].expr == nullptr) {
     return nullptr;
   }
   const Expr& e = *sel.items[0].expr;
@@ -153,17 +152,16 @@ const Expr* FindWindowCall(const Expr& e) {
   return found;
 }
 
-/// True when every column the expression touches resolves in `schema` (and
-/// the expression is safe to evaluate early: no subqueries). Used to decide
-/// whether a WHERE conjunct can be pushed below a join.
+/// True when every column the expression touches resolves in `schema`.
+/// Used to decide whether a WHERE conjunct can be pushed below a join. A
+/// scalar subquery is uncorrelated, so it is a constant of the execution.
 bool AllRefsResolveIn(const Expr& e, const Schema& schema,
                       const std::string& alias) {
   switch (e.kind) {
     case ExprKind::kLiteral:
     case ExprKind::kParameter:
-      return true;
     case ExprKind::kSubquery:
-      return false;  // conservatively keep subqueries above the join
+      return true;
     case ExprKind::kColumnRef: {
       if (!e.qualifier.empty() && !CiEquals(e.qualifier, alias)) return false;
       std::string full =
@@ -357,51 +355,118 @@ Status Planner::FindTable(const std::string& name, Table** out) const {
   return Status::OK();
 }
 
-// ----- sargable-conjunct extraction ------------------------------------------
+// ----- access-path choice ----------------------------------------------------
 
-Status Planner::BindSargShaped(const Expr& c, const Schema& bind_schema,
-                               Table* table, const Schema& resolve_schema,
-                               bool use_qualifier, SargCandidate* best,
-                               ExprRef* bound) {
-  const bool col_on_left = c.left->kind == ExprKind::kColumnRef;
-  const Expr& col_side = col_on_left ? *c.left : *c.right;
-  const Expr& const_side = col_on_left ? *c.right : *c.left;
-  ExprRef l, r;
-  RELGRAPH_RETURN_IF_ERROR(BindExpr(*c.left, bind_schema, &l));
-  RELGRAPH_RETURN_IF_ERROR(BindExpr(*c.right, bind_schema, &r));
-  const bool is_eq = c.binary_op == BinaryOp::kEq;
-  if (table != nullptr && (!best->active || (is_eq && !best->equality)) &&
-      !ReadsRowColumns(const_side)) {
-    std::string resolved;
-    Status found =
-        ResolveColumn(use_qualifier ? col_side.qualifier : std::string(),
-                      col_side.column, resolve_schema, &resolved);
-    if (found.ok() && table->HasIndexOn(resolved)) {
-      CompareOp op = ToCompareOp(c.binary_op);
-      if (!col_on_left) op = FlipCompare(op);
-      const ExprRef& const_bound = col_on_left ? r : l;
-      // The executor computes the bounds at open, so a key over `:params` /
-      // scalar-subquery slots sees each execution's bindings. A plan-time
-      // constant (folded to a literal during binding, so this Evaluate is
-      // free) qualifies only when it yields an INT range; otherwise the
-      // statement stays a sequential scan and keeps its scan order.
-      bool usable = HasRuntimeSlots(const_side);
-      if (!usable) {
-        Value v = const_bound->Evaluate(Tuple{});
-        int64_t lo, hi;
-        usable = v.type() == TypeId::kInt &&
-                 KeyRangeFor(op, v.AsInt(), &lo, &hi);
+Status Planner::ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
+                                 const Schema& bind_schema, Table* table,
+                                 bool use_qualifier,
+                                 const std::string& order_column,
+                                 KeyProbe* probe,
+                                 std::vector<ExprRef>* bound) {
+  // A sargable conjunct `col OP <row-independent expr>`, normalized to the
+  // column on the left; `flag` holds the key of a `col = <INT literal>`,
+  // the only key an open tree's flag takes.
+  struct Candidate {
+    std::string column;
+    CompareOp op;
+    ExprRef key;
+    std::optional<int64_t> flag;
+  };
+  std::vector<Candidate> cands;
+  for (const Expr* c : conjuncts) {
+    if (!IsSargShaped(*c)) {
+      ExprRef b;
+      RELGRAPH_RETURN_IF_ERROR(BindExpr(*c, bind_schema, &b));
+      bound->push_back(std::move(b));
+      continue;
+    }
+    // Each side binds once: a scalar subquery registers one slot, which
+    // the residual comparison and the probe key share.
+    const bool col_on_left = c->left->kind == ExprKind::kColumnRef;
+    const Expr& col_side = col_on_left ? *c->left : *c->right;
+    const Expr& const_side = col_on_left ? *c->right : *c->left;
+    ExprRef l, r;
+    RELGRAPH_RETURN_IF_ERROR(BindExpr(*c->left, bind_schema, &l));
+    RELGRAPH_RETURN_IF_ERROR(BindExpr(*c->right, bind_schema, &r));
+    const ExprRef key = col_on_left ? r : l;
+    bound->push_back(Cmp(ToCompareOp(c->binary_op), std::move(l), std::move(r)));
+    std::string column;
+    if (ReadsRowColumns(const_side) ||
+        !ResolveColumn(use_qualifier ? col_side.qualifier : std::string(),
+                       col_side.column, table->schema(), &column)
+             .ok()) {
+      continue;
+    }
+    CompareOp op = ToCompareOp(c->binary_op);
+    if (!col_on_left) op = FlipCompare(op);
+    // The executor computes the bounds at open, so a key over `:params` /
+    // scalar-subquery slots sees each execution's bindings. A plan-time
+    // constant (folded to a literal during binding, so this Evaluate is
+    // free) qualifies only when it yields an INT range; otherwise the
+    // conjunct only filters.
+    if (!HasRuntimeSlots(const_side)) {
+      Value v = key->Evaluate(Tuple{});
+      int64_t lo, hi;
+      if (v.type() != TypeId::kInt || !KeyRangeFor(op, v.AsInt(), &lo, &hi)) {
+        continue;
       }
-      if (usable) {
-        best->active = true;
-        best->equality = is_eq;
-        best->column = resolved;
-        best->op = op;
-        best->key = const_bound;
+    }
+    Candidate cand{std::move(column), op, key, std::nullopt};
+    if (op == CompareOp::kEq && const_side.kind == ExprKind::kLiteral &&
+        const_side.literal.type() == TypeId::kInt) {
+      cand.flag = const_side.literal.AsInt();
+    }
+    cands.push_back(std::move(cand));
+  }
+
+  // 1. `flag = k` and a conjunct on its open tree's dist: one two-column
+  //    probe, over the dist equality when there is one.
+  for (const Candidate& f : cands) {
+    const std::string tree_dist =
+        f.flag.has_value() ? table->OpenTreeDist(f.column) : std::string();
+    if (tree_dist.empty()) continue;
+    const Candidate* dist = nullptr;
+    for (const Candidate& d : cands) {
+      if (d.column != tree_dist) continue;
+      if (d.op == CompareOp::kEq) {
+        dist = &d;
+        break;
+      }
+      if (dist == nullptr) dist = &d;
+    }
+    if (dist != nullptr) {
+      *probe = KeyProbe{.prefix_column = f.column,
+                        .prefix = *f.flag,
+                        .column = dist->column,
+                        .op = dist->op,
+                        .key = dist->key};
+      return Status::OK();
+    }
+  }
+  // 2, 3. The first equality, then the first range, on an indexed column;
+  //    `flag = k` alone is an equality its open tree serves over the
+  //    flag's whole dist range.
+  for (const bool equality : {true, false}) {
+    for (const Candidate& c : cands) {
+      if (equality && c.op != CompareOp::kEq) continue;
+      if (table->HasIndexOn(c.column)) {
+        *probe = KeyProbe{.column = c.column, .op = c.op, .key = c.key};
+        return Status::OK();
+      }
+      std::string dist =
+          c.flag.has_value() ? table->OpenTreeDist(c.column) : std::string();
+      if (!dist.empty()) {
+        *probe = KeyProbe{.prefix_column = c.column,
+                          .prefix = *c.flag,
+                          .column = std::move(dist)};
+        return Status::OK();
       }
     }
   }
-  *bound = Cmp(ToCompareOp(c.binary_op), std::move(l), std::move(r));
+  // 4. The whole range of an indexed `order_column`, read in its order.
+  if (!order_column.empty() && table->HasIndexOn(order_column)) {
+    *probe = KeyProbe{.column = order_column};
+  }
   return Status::OK();
 }
 
@@ -587,6 +652,25 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
   FlattenAnd(sel.where.get(), &conjuncts);
   std::vector<bool> used(conjuncts.size(), false);
 
+  // The MIN rule (SQLite's min/max optimization): `select min(col) from T
+  // [where ...]` whose access path reads `col` in order needs only its
+  // first row that passes the WHERE. NULLs have no index entry (an open
+  // tree's domain has none), so that row holds the minimum; the aggregate
+  // stays on top, so an empty input still yields one NULL row. The shape
+  // has one from-item, so `min_column` is empty whenever FROM joins.
+  std::string min_column;
+  if (const Expr* arg = MinRuleColumn(sel)) {
+    std::string resolved;
+    if (ResolveColumn(arg->qualifier, arg->column, items[0].prefixed_schema,
+                      &resolved)
+            .ok()) {
+      min_column = items[0].base_table->schema()
+                       .column(items[0].prefixed_schema.Find(resolved))
+                       .name;
+    }
+  }
+  bool first_row_only = false;
+
   // Predicate pushdown: a conjunct whose columns all come from one from-item
   // filters that item before it joins (inner joins only, which is all this
   // dialect has). This is what makes `q.nid = :mid and q.f = 2` in the
@@ -605,12 +689,11 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
   }
 
   // Materialize a from-item as an executor with alias-prefixed columns and
-  // its pushed filters applied. For base tables, a pushed `col OP const`
-  // conjunct (OP in {=, <=, <, >=, >}) over an indexed column turns the
-  // heap scan into an index range scan — the access path the F/E-operator
-  // SELECTs (`... where f = 2`, `... and d2s = (select min(d2s) ...)`) get
-  // from a real RDBMS optimizer, and the same key range the native
-  // finder's FrontierScan/LeastOpen read. The conjunct still filters
+  // its pushed filters applied. For base tables, ChooseAccessPath turns
+  // the pushed conjuncts into an index range scan — the access path the
+  // F/E-operator SELECTs (`... where f = 2`, `... where f = 0 and d2s =
+  // (select min(d2s) ...)`) get from a real RDBMS optimizer, and the same
+  // key range the native OpenSet reads. The conjuncts still filter
   // residually, so the plans stay exactly equivalent; with equal index
   // keys the scan order also matches the filtered full scan (index ties
   // break on scan position), keeping TOP-1 picks identical.
@@ -618,18 +701,19 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
     FromPlan& fp = items[idx];
     const Schema& schema = fp.prefixed_schema;
     std::vector<ExprRef> filters;
-    SargCandidate sarg;
-    for (size_t c : pushed[idx]) {
-      const Expr* cj = conjuncts[c];
-      ExprRef bound;
-      if (fp.base_table != nullptr && IsSargShaped(*cj)) {
-        RELGRAPH_RETURN_IF_ERROR(
-            BindSargShaped(*cj, schema, fp.base_table, fp.base_table->schema(),
-                           /*use_qualifier=*/false, &sarg, &bound));
-      } else {
-        RELGRAPH_RETURN_IF_ERROR(BindExpr(*cj, schema, &bound));
+    KeyProbe probe;
+    if (fp.base_table != nullptr) {
+      std::vector<const Expr*> own;
+      for (size_t c : pushed[idx]) own.push_back(conjuncts[c]);
+      RELGRAPH_RETURN_IF_ERROR(ChooseAccessPath(
+          own, schema, fp.base_table, /*use_qualifier=*/false, min_column,
+          &probe, &filters));
+    } else {
+      for (size_t c : pushed[idx]) {
+        ExprRef bound;
+        RELGRAPH_RETURN_IF_ERROR(BindExpr(*conjuncts[c], schema, &bound));
+        filters.push_back(std::move(bound));
       }
-      filters.push_back(std::move(bound));
     }
 
     ExecRef e;
@@ -637,10 +721,12 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
       e = std::move(fp.plan);
     } else {
       ExecRef scan;
-      if (sarg.active) {
+      if (!probe.column.empty()) {
+        first_row_only = probe.column == min_column;
         // Bounds re-compute at every open of the (prepared) plan.
         scan = std::make_unique<IndexRangeScanExecutor>(
-            fp.base_table, sarg.column, sarg.op, sarg.key);
+            fp.base_table, std::move(probe),
+            first_row_only ? 1 : kFirstScanBatch);
       } else {
         scan = std::make_unique<SeqScanExecutor>(fp.base_table);
       }
@@ -751,36 +837,12 @@ Status Planner::PlanFrom(const SelectStmt& sel, ExecRef* out) {
   if (residual != nullptr) {
     acc = std::make_unique<FilterExecutor>(std::move(acc), std::move(residual));
   }
+  if (first_row_only) acc = std::make_unique<LimitExecutor>(std::move(acc), 1);
   *out = std::move(acc);
   return Status::OK();
 }
 
 // ----- SELECT ----------------------------------------------------------------
-
-Status Planner::PlanLoneMinInput(const SelectStmt& sel, ExecRef* out) {
-  const Expr* arg = LoneMinColumn(sel);
-  if (arg == nullptr) return Status::OK();
-  FromPlan fp;
-  RELGRAPH_RETURN_IF_ERROR(PlanFromItem(sel.from[0], &fp));
-  std::string resolved;
-  if (!ResolveColumn(arg->qualifier, arg->column, fp.prefixed_schema,
-                     &resolved)
-           .ok()) {
-    return Status::OK();  // the general plan reports the error
-  }
-  const Schema& base = fp.base_table->schema();
-  const std::string& column =
-      base.column(fp.prefixed_schema.Find(resolved)).name;
-  if (!fp.base_table->HasIndexOn(column)) return Status::OK();
-  std::vector<std::string> names;
-  for (const auto& c : fp.prefixed_schema.columns()) names.push_back(c.name);
-  ExecRef scan = std::make_unique<IndexRangeScanExecutor>(
-      fp.base_table, column, std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max(), /*first_batch=*/1);
-  *out = std::make_unique<LimitExecutor>(
-      std::make_unique<RenameExecutor>(std::move(scan), names), 1);
-  return Status::OK();
-}
 
 Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
   ExecRef child;
@@ -791,10 +853,7 @@ Status Planner::PlanSelect(const SelectStmt& sel, ExecRef* out) {
     std::vector<Tuple> one = {Tuple{}};
     child = std::make_unique<MaterializedExecutor>(std::move(one), Schema{});
   } else {
-    RELGRAPH_RETURN_IF_ERROR(PlanLoneMinInput(sel, &child));
-    if (child == nullptr) {
-      RELGRAPH_RETURN_IF_ERROR(PlanFrom(sel, &child));
-    }
+    RELGRAPH_RETURN_IF_ERROR(PlanFrom(sel, &child));
   }
 
   // ---- window function (at most one, as a top-level select item) ----
@@ -1089,34 +1148,24 @@ Status Planner::CompileUpdateOrDelete(const std::string& table_name,
     sets.push_back(std::move(clause));
   }
 
-  // Sargable-conjunct extraction: a top-level `col OP <row-independent
-  // expr>` conjunct (OP in {=, <=, <, >=, >}) on an indexed column turns
-  // the full scan into an index range probe — the plan the F-operator
-  // statements (`... WHERE flag = 2`, `... AND dist = (SELECT MIN(dist)
-  // ...)`, BSEG's `dist <= bound`) want once TVisited carries flag/dist
-  // indexes. An equality conjunct beats a range conjunct (tighter probe);
-  // the full predicate is still evaluated residually, so every plan stays
-  // exactly equivalent to the full scan. The key expression is evaluated
-  // per execution, so bounds over `:params` or subquery slots see each
-  // execution's bindings.
+  // The access-path choice SELECT scans make, over the top-level
+  // conjuncts: `... WHERE flag = 2`, `... AND dist = (SELECT MIN(dist)
+  // ...)` and BSEG's `dist <= bound` read index ranges. The whole
+  // predicate is still evaluated residually, so every plan stays exactly
+  // equivalent to the full scan, and the key is evaluated per execution,
+  // so bounds over `:params` or subquery slots see each execution's
+  // bindings.
   std::vector<const Expr*> conjuncts;
   if (where_expr != nullptr) FlattenAnd(where_expr, &conjuncts);
-  ExprRef where;
-  SargCandidate sarg;
-  for (const Expr* c : conjuncts) {
-    ExprRef bound;
-    if (IsSargShaped(*c)) {
-      RELGRAPH_RETURN_IF_ERROR(BindSargShaped(*c, schema, table, schema,
-                                              /*use_qualifier=*/true, &sarg,
-                                              &bound));
-    } else {
-      RELGRAPH_RETURN_IF_ERROR(BindExpr(*c, schema, &bound));
-    }
-    where = where == nullptr ? std::move(bound)
-                             : And(std::move(where), std::move(bound));
-  }
+  std::vector<ExprRef> bound;
   KeyProbe probe;
-  if (sarg.active) probe = {sarg.column, sarg.op, sarg.key};
+  RELGRAPH_RETURN_IF_ERROR(ChooseAccessPath(conjuncts, schema, table,
+                                            /*use_qualifier=*/true,
+                                            std::string(), &probe, &bound));
+  ExprRef where;
+  for (ExprRef& b : bound) {
+    where = where == nullptr ? std::move(b) : And(std::move(where), std::move(b));
+  }
   plan_->update =
       is_delete ? UpdatePlan::Delete(table, std::move(where), std::move(probe))
                 : std::make_unique<UpdatePlan>(table, std::move(where),
@@ -1258,13 +1307,26 @@ Status Planner::ExecuteCreateTable(const CreateTableStmt& ct) {
 Status Planner::ExecuteCreateIndex(const CreateIndexStmt& ci) {
   Table* table = nullptr;
   RELGRAPH_RETURN_IF_ERROR(FindTable(ci.table, &table));
-  std::string resolved;
-  RELGRAPH_RETURN_IF_ERROR(
-      ResolveColumn("", ci.column, table->schema(), &resolved));
+  std::vector<std::string> columns;
+  for (const std::string& c : ci.columns) {
+    RELGRAPH_RETURN_IF_ERROR(
+        ResolveColumn("", c, table->schema(), &columns.emplace_back()));
+  }
   // Catalog-owned DDL: the index lands and the catalog version bumps, so
   // cached plans get a chance to pick the new access path up.
-  return db_->catalog()->CreateSecondaryIndex(table, resolved, ci.unique,
-                                              ci.index_name);
+  if (columns.size() == 1) {
+    return db_->catalog()->CreateSecondaryIndex(table, columns[0], ci.unique,
+                                                ci.index_name);
+  }
+  if (columns.size() != 2) {
+    return Status::NotSupported(
+        "an index names one column, or two for an open tree (flag, dist)");
+  }
+  if (ci.unique) {
+    return Status::NotSupported("an open tree (flag, dist) is not UNIQUE");
+  }
+  return db_->catalog()->CreateOpenIndex(table, columns[0], columns[1],
+                                         ci.index_name);
 }
 
 Status Planner::ExecuteDropIndex(const DropIndexStmt& di) {

@@ -101,18 +101,26 @@ Status ExecutePreparedPlan(Database* db, const Statement& ast,
 /// for DDL. Every plan is built here once and re-run by each execution.
 ///
 /// Scope rules (deliberately the subset the paper's listings exercise):
-///  - FROM lists join left-to-right; an equality conjunct in WHERE that links
-///    the accumulated plan to an indexed column of the next base table turns
+///  - FROM lists join left-to-right; a WHERE conjunct whose columns all
+///    come from one item filters that item before it joins, and a base
+///    table's filters pick its access path (ChooseAccessPath, which
+///    UPDATE and DELETE share). An equality conjunct that links the
+///    accumulated plan to an indexed column of the next base table turns
 ///    that step into an index nested-loop join (the plan the paper's RDBMS
 ///    optimizer picks for the E-operator), else an INT equality keys the join.
 ///  - Scalar subqueries (uncorrelated only) compile to their own plans,
 ///    evaluated at bind time — the paper's
 ///    `d2s = (select min(d2s) from TVisited where f = 0)` re-evaluates on
-///    every execution of the prepared statement.
+///    every execution of the prepared statement, and as a constant of that
+///    execution it can key a probe.
 ///  - Window: one ROW_NUMBER() OVER (...) per SELECT.
 ///  - Aggregate queries: every select item is an aggregate call or a
-///    GROUP BY column. A lone `MIN(col)` over one base table, with no WHERE
-///    and no GROUP BY, reads only the first entry of an index on `col`.
+///    GROUP BY column. The MIN rule: `MIN(col)` over one base table, with
+///    no GROUP BY, whose chosen probe reads `col` in order reads only its
+///    first row that passes the WHERE (with no usable conjunct, an index on
+///    `col` is read from its first entry).
+///  - CREATE INDEX on one INT column builds a secondary index; on two,
+///    (flag, dist), the table's open tree (Table::CreateOpenIndex).
 class Planner {
  public:
   explicit Planner(Database* db) : db_(db) {}
@@ -149,40 +157,30 @@ class Planner {
 
   /// FROM + WHERE: pushes single-item conjuncts onto their item, turns one
   /// `col = col` conjunct per join step into its key, and filters the
-  /// joined rows by the rest.
+  /// joined rows by the rest. Applies the MIN rule.
   Status PlanFrom(const SelectStmt& sel, ExecRef* out);
   Status PlanFromItem(const FromItem& item, FromPlan* out);
 
-  /// The input of `select min(col) from T` when T has an index on `col`:
-  /// its first index entry (NULLs are not indexed, so that key is the
-  /// minimum), the rule SQLite applies to a lone MIN. Leaves *out null
-  /// when the query has another shape; the aggregate stays on top, so an
-  /// empty table still yields one NULL row.
-  Status PlanLoneMinInput(const SelectStmt& sel, ExecRef* out);
-
-  /// Candidate index probe extracted from sargable conjuncts. An equality
-  /// conjunct beats a range conjunct (tighter probe); within each class
-  /// the first match wins. The candidate keeps the (normalized) comparison
-  /// and the key expression, which the executor evaluates at open time.
-  struct SargCandidate {
-    bool active = false;
-    bool equality = false;
-    std::string column;
-    CompareOp op = CompareOp::kEq;  // column-on-the-left normalized
-    ExprRef key;
-  };
-
-  /// Shared body of the sargable-conjunct extraction used by both the
-  /// UPDATE/DELETE planner and SELECT's base-table scan choice: binds a
-  /// `col OP expr` / `expr OP col` conjunct against `bind_schema` into the
-  /// residual comparison `bound`, and updates `best` when the conjunct is
-  /// an index-servable `col OP <row-independent expr>` over `table` (the
-  /// column resolved against `resolve_schema`; the column side's qualifier
-  /// is honored only when `use_qualifier`).
-  Status BindSargShaped(const Expr& c, const Schema& bind_schema,
-                        Table* table, const Schema& resolve_schema,
-                        bool use_qualifier, SargCandidate* best,
-                        ExprRef* bound);
+  /// The one access-path choice, shared by SELECT's base-table scans and
+  /// UPDATE/DELETE. Binds `conjuncts` against `bind_schema` into `bound`
+  /// (all of them re-apply residually, so every plan stays exactly
+  /// equivalent to a full scan) and sets `probe` from the sargable ones —
+  /// `col OP <row-independent expr>`, OP in {=, <=, <, >=, >}, the column
+  /// resolved in `table`'s schema (its qualifier honored only when
+  /// `use_qualifier`), a plan-time constant only when it yields an INT
+  /// range. In order of preference:
+  ///  1. `flag = <INT literal>` plus a conjunct on the dist column of an
+  ///     open tree (flag, dist): one two-column probe, over the dist
+  ///     equality when there is one, else the first dist range;
+  ///  2. the first equality on an indexed column, or `flag = <INT
+  ///     literal>` alone, which its open tree serves over every dist;
+  ///  3. the first range on an indexed column;
+  ///  4. the whole range of `order_column` when it is indexed.
+  /// Otherwise the probe stays empty: a full scan.
+  Status ChooseAccessPath(const std::vector<const Expr*>& conjuncts,
+                          const Schema& bind_schema, Table* table,
+                          bool use_qualifier, const std::string& order_column,
+                          KeyProbe* probe, std::vector<ExprRef>* bound);
 
   /// AST expression -> runtime expression against `schema`. Parameters
   /// and scalar subqueries register slots on the plan under compilation.

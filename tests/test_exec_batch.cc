@@ -148,8 +148,8 @@ class ExecBatchTest : public ::testing::Test {
           int64_t lo = rng->NextInt(0, domain);
           int64_t hi = lo + rng->NextInt(0, domain / 4 + 5);
           *ref = ReadRange(right, "fid", lo, hi);
-          return std::make_unique<IndexRangeScanExecutor>(right, "fid", lo,
-                                                          hi);
+          return std::make_unique<IndexRangeScanExecutor>(
+              right, KeyProbe{.column = "fid", .lo = lo, .hi = hi});
         }
       }
     }

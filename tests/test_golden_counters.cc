@@ -209,9 +209,9 @@ TEST(GoldenCountersTest, Labels) {
     FemTotals fem, serve, stale;
   };
   const Point kGolden[] = {
-      {2000, 68546, 8444,
+      {2000, 68545, 8444,
        {468, 72, 340, 4, 4}, {4, 0, 0, 4, 4}, {468, 0, 0, 4, 4}},
-      {4000, 148554, 21458,
+      {4000, 148553, 21458,
        {694, 109, 656, 4, 4}, {4, 0, 0, 4, 4}, {694, 0, 0, 4, 4}},
   };
   for (const Point& g : kGolden) {

@@ -483,7 +483,7 @@ TEST(LabelIndexTest, BuildMatchesGoldenStatementsAndTables) {
   const uint64_t in_sum =
       TableChecksum(db.catalog()->GetTable(index->in_name()), &in_rows);
   EXPECT_EQ(stats.hubs, 60);
-  EXPECT_EQ(stats.statements, 5963);
+  EXPECT_EQ(stats.statements, 5962);
   EXPECT_EQ(stats.rounds, 1204);
   EXPECT_EQ(stats.entries, 848);
   EXPECT_EQ(out_rows, 430);
@@ -519,7 +519,7 @@ TEST(LabelIndexTest, FailedBuildDropsItsTablesAndRetrySucceeds) {
   const uint64_t in_sum =
       TableChecksum(db.catalog()->GetTable(index->in_name()), &in_rows);
   EXPECT_EQ(stats.hubs, 60);
-  EXPECT_EQ(stats.statements, 5963);
+  EXPECT_EQ(stats.statements, 5962);
   EXPECT_EQ(stats.rounds, 1204);
   EXPECT_EQ(stats.entries, 848);
   EXPECT_EQ(out_rows, 430);

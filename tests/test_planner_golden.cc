@@ -182,22 +182,23 @@ const Plans& GoldenPlans() {
     Filter: (SqlTVisited.d2s = NULL)
       Filter: (SqlTVisited.f = 0)
         Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT)
-          IndexRangeScan: SqlTVisited.f in [0, 0] (bound from 0)
+          IndexRangeScan: SqlTVisited.f = 0, d2s in [-inf, +inf] (bound from NULL)
 )"},
     {"dj.target_reached",
      R"(Project: SqlTVisited.nid
   Filter: (SqlTVisited.nid = :t)
     Filter: (SqlTVisited.f = 1)
       Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT)
-        IndexRangeScan: SqlTVisited.f in [1, 1] (bound from 1)
+        IndexRangeScan: SqlTVisited.f = 1, d2s in [-inf, +inf]
 )"},
     {"dj.min_open_fwd",
      R"(Project: agg1
   HashAggregate: agg1
-    Filter: (SqlTVisited.d2s < :inf)
-      Filter: (SqlTVisited.f = 0)
-        Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT)
-          IndexRangeScan: SqlTVisited.f in [0, 0] (bound from 0)
+    Limit: 1
+      Filter: (SqlTVisited.d2s < :inf)
+        Filter: (SqlTVisited.f = 0)
+          Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT)
+            IndexRangeScan: SqlTVisited.f = 0, d2s in [-inf, 2305843009213693950] (bound from :inf)
 )"},
     {"dj.min_open_bwd",
      R"(error: NotFound: unknown column b)"},
@@ -207,7 +208,7 @@ const Plans& GoldenPlans() {
     Filter: (SqlTVisited.d2s < :inf)
       Filter: (SqlTVisited.f = 0)
         Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT)
-          IndexRangeScan: SqlTVisited.f in [0, 0] (bound from 0)
+          IndexRangeScan: SqlTVisited.f = 0, d2s in [-inf, 2305843009213693950] (bound from :inf)
 )"},
     {"dj.count_open_bwd",
      R"(error: NotFound: unknown column b)"},
@@ -229,30 +230,32 @@ const Plans& GoldenPlans() {
     Filter: (SqlTVisited.d2s = 2305843009213693951)
       Filter: (SqlTVisited.f = 0)
         Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
-          IndexRangeScan: SqlTVisited.f in [0, 0] (bound from 0)
+          IndexRangeScan: SqlTVisited.f = 0, d2s in [2305843009213693951, 2305843009213693951] (bound from 2305843009213693951)
 )"},
     {"bsdj.target_reached",
      R"(Project: SqlTVisited.nid
   Filter: (SqlTVisited.nid = :t)
     Filter: (SqlTVisited.f = 1)
       Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
-        IndexRangeScan: SqlTVisited.f in [1, 1] (bound from 1)
+        IndexRangeScan: SqlTVisited.f = 1, d2s in [-inf, +inf]
 )"},
     {"bsdj.min_open_fwd",
      R"(Project: agg1
   HashAggregate: agg1
-    Filter: (SqlTVisited.d2s < :inf)
-      Filter: (SqlTVisited.f = 0)
-        Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
-          IndexRangeScan: SqlTVisited.f in [0, 0] (bound from 0)
+    Limit: 1
+      Filter: (SqlTVisited.d2s < :inf)
+        Filter: (SqlTVisited.f = 0)
+          Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
+            IndexRangeScan: SqlTVisited.f = 0, d2s in [-inf, 2305843009213693950] (bound from :inf)
 )"},
     {"bsdj.min_open_bwd",
      R"(Project: agg1
   HashAggregate: agg1
-    Filter: (SqlTVisited.d2t < :inf)
-      Filter: (SqlTVisited.b = 0)
-        Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
-          IndexRangeScan: SqlTVisited.b in [0, 0] (bound from 0)
+    Limit: 1
+      Filter: (SqlTVisited.d2t < :inf)
+        Filter: (SqlTVisited.b = 0)
+          Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
+            IndexRangeScan: SqlTVisited.b = 0, d2t in [-inf, 2305843009213693950] (bound from :inf)
 )"},
     {"bsdj.count_open_fwd",
      R"(Project: agg1
@@ -260,7 +263,7 @@ const Plans& GoldenPlans() {
     Filter: (SqlTVisited.d2s < :inf)
       Filter: (SqlTVisited.f = 0)
         Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
-          IndexRangeScan: SqlTVisited.f in [0, 0] (bound from 0)
+          IndexRangeScan: SqlTVisited.f = 0, d2s in [-inf, 2305843009213693950] (bound from :inf)
 )"},
     {"bsdj.count_open_bwd",
      R"(Project: agg1
@@ -268,7 +271,7 @@ const Plans& GoldenPlans() {
     Filter: (SqlTVisited.d2t < :inf)
       Filter: (SqlTVisited.b = 0)
         Rename: -> (SqlTVisited.nid INT, SqlTVisited.d2s INT, SqlTVisited.p2s INT, SqlTVisited.f INT, SqlTVisited.d2t INT, SqlTVisited.p2t INT, SqlTVisited.b INT)
-          IndexRangeScan: SqlTVisited.b in [0, 0] (bound from 0)
+          IndexRangeScan: SqlTVisited.b = 0, d2t in [-inf, 2305843009213693950] (bound from :inf)
 )"},
     {"bsdj.min_cost",
      R"(Project: agg1
@@ -360,11 +363,11 @@ const Plans& BuildGoldenPlans() {
       Project: q.nid (lo.dist + li.dist) rn
         WindowRowNumber: partition by q.nid order by (lo.dist + li.dist) -> rn
           NestedLoopJoin: key li.hub = lo.hub
-            Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT, li.nid INT, li.hub INT, li.dist INT)
+            Rename: -> (q.nid INT, q.d INT, q.f INT, li.nid INT, li.hub INT, li.dist INT)
               IndexNestedLoopJoin: probe LabelsIn.nid = q.nid
                 Filter: (q.f = 2)
-                  Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT)
-                    IndexRangeScan: LabelW.f in [2, 2] (bound from 2)
+                  Rename: -> (q.nid INT, q.d INT, q.f INT)
+                    IndexRangeScan: LabelW.f = 2, d in [-inf, +inf]
             Filter: (lo.nid = :h)
               Rename: -> (lo.nid INT, lo.hub INT, lo.dist INT)
                 IndexRangeScan: LabelsOut.nid in [0, 0] (bound from :h)
@@ -376,11 +379,11 @@ const Plans& BuildGoldenPlans() {
       Project: q.nid (lo.dist + li.dist) rn
         WindowRowNumber: partition by q.nid order by (lo.dist + li.dist) -> rn
           NestedLoopJoin: key lo.hub = li.hub
-            Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT, lo.nid INT, lo.hub INT, lo.dist INT)
+            Rename: -> (q.nid INT, q.d INT, q.f INT, lo.nid INT, lo.hub INT, lo.dist INT)
               IndexNestedLoopJoin: probe LabelsOut.nid = q.nid
                 Filter: (q.f = 2)
-                  Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT)
-                    IndexRangeScan: LabelW.f in [2, 2] (bound from 2)
+                  Rename: -> (q.nid INT, q.d INT, q.f INT)
+                    IndexRangeScan: LabelW.f = 2, d in [-inf, +inf]
             Filter: (li.nid = :h)
               Rename: -> (li.nid INT, li.hub INT, li.dist INT)
                 IndexRangeScan: LabelsIn.nid in [0, 0] (bound from :h)
@@ -391,18 +394,19 @@ const Plans& BuildGoldenPlans() {
     Rename: -> (tmp.nid INT, tmp.cost INT, tmp.rn INT)
       Project: e.tid (e.cost + q.d) rn
         WindowRowNumber: partition by e.tid order by (e.cost + q.d) -> rn
-          Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT, e.fid INT, e.tid INT, e.cost INT)
+          Rename: -> (q.nid INT, q.d INT, q.f INT, e.fid INT, e.tid INT, e.cost INT)
             IndexNestedLoopJoin: probe TEdges.fid = q.nid
               Filter: (q.f = 2)
-                Rename: -> (q.nid INT, q.d INT, q.f INT, q.od INT)
-                  IndexRangeScan: LabelW.f in [2, 2] (bound from 2)
+                Rename: -> (q.nid INT, q.d INT, q.f INT)
+                  IndexRangeScan: LabelW.f = 2, d in [-inf, +inf]
 )"},
     {"build.min_open",
      R"(Project: agg1
   HashAggregate: agg1
     Limit: 1
-      Rename: -> (LabelW.nid INT, LabelW.d INT, LabelW.f INT, LabelW.od INT)
-        IndexRangeScan: LabelW.od in [-inf, +inf]
+      Filter: (LabelW.f = 0)
+        Rename: -> (LabelW.nid INT, LabelW.d INT, LabelW.f INT)
+          IndexRangeScan: LabelW.f = 0, d in [-inf, +inf]
 )"},
   };
   return *golden;
@@ -485,8 +489,8 @@ TEST(PlannerGoldenTest, DmlAccessPathsUnchanged) {
   got.append("prepares=")
       .append(std::to_string(db.stats().prepares.load()))
       .append("\n");
-  EXPECT_EQ(got, R"(GoldenBSDJ full=2465 index=5762 point=214
-GoldenDJ full=321 index=6423 point=741
+  EXPECT_EQ(got, R"(GoldenBSDJ full=2465 index=1113 point=214
+GoldenDJ full=321 index=1337 point=741
 LabelsIn full=0 index=6497 point=0
 LabelsMeta full=0 index=0 point=0
 LabelsOut full=0 index=7417 point=0
@@ -494,7 +498,7 @@ SqlTVisited full=0 index=0 point=0
 TEdges full=153 index=2023 point=0
 TEdgesIn full=153 index=1112 point=0
 TNodes full=60 index=0 point=0
-prepares=102
+prepares=96
 )");
 }
 

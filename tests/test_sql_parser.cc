@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
 
@@ -334,7 +337,29 @@ TEST(SqlParser, CreateIndex) {
   ASSERT_EQ(stmt->kind, StmtKind::kCreateIndex);
   EXPECT_TRUE(stmt->create_index->unique);
   EXPECT_EQ(stmt->create_index->table, "TVisited");
-  EXPECT_EQ(stmt->create_index->column, "nid");
+  EXPECT_EQ(stmt->create_index->columns, std::vector<std::string>{"nid"});
+}
+
+// Two columns name an open tree; the parser keeps any column list and the
+// planner rejects the forms it cannot build (UNIQUE, three columns, ...).
+TEST(SqlParser, CreateIndexOnTwoColumns) {
+  std::unique_ptr<Statement> stmt;
+  ASSERT_TRUE(ParseOne("create index ix_open on W (f, d)", &stmt).ok());
+  ASSERT_EQ(stmt->kind, StmtKind::kCreateIndex);
+  EXPECT_FALSE(stmt->create_index->unique);
+  EXPECT_EQ(stmt->create_index->index_name, "ix_open");
+  EXPECT_EQ(stmt->create_index->table, "W");
+  EXPECT_EQ(stmt->create_index->columns,
+            (std::vector<std::string>{"f", "d"}));
+  ASSERT_TRUE(ParseOne("create unique index ix on W (f, d)", &stmt).ok());
+  EXPECT_TRUE(stmt->create_index->unique);
+  EXPECT_EQ(stmt->create_index->columns.size(), 2u);
+  ASSERT_TRUE(ParseOne("create index ix3 on W (f, d, nid)", &stmt).ok());
+  EXPECT_EQ(stmt->create_index->columns.size(), 3u);
+  for (const char* bad : {"create index ix on W (f,)", "create index ix on W ()",
+                          "create index ix on W (f d)"}) {
+    EXPECT_FALSE(Parser::Parse(bad, &stmt).ok()) << bad;
+  }
 }
 
 TEST(SqlParser, TruncateAndDrop) {
